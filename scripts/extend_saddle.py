@@ -44,7 +44,7 @@ def main():
     for f, hb in sorted(hyperboloids.items()):
         patch = restrict_to_patch(hb, hb.frame, a.positions)
         patches[f] = patch
-        corners = a.face_frame(f).corners
+        corners = a.face_corners(f)
         grid = oriented_grid(
             sample(patch, args.samples, args.samples), patch.corner_map, corners
         )

@@ -184,14 +184,7 @@ class ANet:
         g = self.graph
         if entry_half_edge is None:
             entry_half_edge = g.faces[f][0]
-        if g.half_edges[entry_half_edge].face != f:
-            raise ValueError(
-                f"half-edge {entry_half_edge} does not bound face {f}"
-            )
-        k = g.faces[f].index(entry_half_edge)
-        cycle = [g.faces[f][(k + i) % 4] for i in range(4)]
-        o, d, n, p = (g.half_edges[h].origin for h in cycle)
-        corners = (o, p, d, n)  # x, x1, x2, x12
+        cycle, corners = self._role_cycle(f, entry_half_edge)
         h_cycle_ids = (cycle[3], cycle[1], cycle[0], cycle[2])
         h_edges = tuple(g.half_edges[h].edge for h in h_cycle_ids)
         h_lines = np.array([self.edge_lines[e] for e in h_edges])
@@ -226,6 +219,28 @@ class ANet:
             diagonals=diagonals,
             H_line=axis,
         )
+
+    def face_corners(self, f: int) -> tuple[int, int, int, int]:
+        """Vertex ids ``(x, x1, x2, x12)`` of face ``f`` in role order.
+
+        Equal to ``face_frame(f).corners`` without building the frame's
+        lines and axis.
+        """
+        return self._role_cycle(f, self.graph.faces[f][0])[1]
+
+    def _role_cycle(self, f: int, entry_half_edge: int):
+        """Half-edges of face ``f`` in cycle order from the entry
+        half-edge, and the role corners ``(x, x1, x2, x12)`` read off
+        their origins."""
+        g = self.graph
+        if g.half_edges[entry_half_edge].face != f:
+            raise ValueError(
+                f"half-edge {entry_half_edge} does not bound face {f}"
+            )
+        k = g.faces[f].index(entry_half_edge)
+        cycle = [g.faces[f][(k + i) % 4] for i in range(4)]
+        o, d, n, p = (g.half_edges[h].origin for h in cycle)
+        return cycle, (o, p, d, n)
 
     def _diagonal_line(self, u: int, v: int):
         lo, hi = min(u, v), max(u, v)

@@ -299,7 +299,7 @@ def _run_extend(config: RunConfig, report: dict) -> int:
         hb = hyperboloids[f]
         patch = restrict_to_patch(hb, hb.frame, a.positions)
         patches[f] = patch
-        corners = a.face_frame(f).corners
+        corners = a.face_corners(f)
         grid = oriented_grid(sample(patch, n, m), patch.corner_map, corners)
         grids[f] = (grid, corners)
         boundary_residuals[f] = _boundary_residual(

@@ -19,18 +19,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CoincidentLines,
     DegenerateConic,
     NoAdaptedPatch,
     NumericallyInfinitePoint,
     PatchError,
-    SkewLines,
 )
 from .plucker import (
     W_TOL,
+    _meet,
     canonical,
     hom,
-    intersect_lines,
     line_direction,
     line_from_points,
     plucker_product,
@@ -54,6 +52,10 @@ CUSP_DELTA = 1e-3
 #: Offsets below this fraction of the edge length are treated as noise by
 #: the fold probe rather than as evidence of a cusp.
 CUSP_OFFSET_FLOOR = 1e-13
+
+#: Shared edges whose C1 meets go into one stack; bounds the memory of
+#: ``check_c1`` independently of the net's size.
+C1_EDGE_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +122,10 @@ class HyperboloidPatch:
     its opposite at ``t = 1``; ``ruling2(s)`` does the same for the
     second family.  ``corner_map`` sends the parameter corners
     ``(0, 0), (0, 1), (1, 0), (1, 1)`` to the vertex ids in the roles
-    ``x, x1, x2, x12``.
+    ``x, x1, x2, x12``.  :func:`sample` and :func:`check_c1` call the
+    rulings on 1-D parameter arrays and expect one 6-vector per
+    parameter, as :class:`ConicArc` gives; a ruling that returns a
+    single 6-vector is read as constant.
     """
 
     face: int
@@ -130,19 +135,29 @@ class HyperboloidPatch:
     corner_map: dict
 
 
-def _crossing_parameter(ruling, cross_line, A, B):
-    """Barycentric coordinate along segment ``A -> B`` where ``ruling``
-    meets the segment's supporting line, or ``None`` when the crossing
-    is numerically at infinity or the lines fail to meet."""
-    try:
-        p = intersect_lines(ruling, cross_line, tol=PATCH_MEET_TOL)
-    except (SkewLines, CoincidentLines):
-        return None
-    if abs(float(p[3])) < W_TOL:
-        return None
-    pt = p[:3] / p[3]
-    d = B - A
-    return float((pt - A) @ d) / float(d @ d)
+def _rulings(arc, params) -> np.ndarray:
+    """``(k, 6)`` ruling lines of ``arc`` at the 1-D ``params``; a ruling
+    that returns a single 6-vector is constant."""
+    return np.broadcast_to(arc(params), (len(params), 6))
+
+
+def _meet_points(meets):
+    """Affine points ``(..., 3)`` of a stack of ruling meets, and the mask
+    of pairs without one: a meet fault or a point numerically at
+    infinity (the points there are meaningless)."""
+    w = meets.points[..., 3]
+    bad = ~meets.ok | (np.abs(w) < W_TOL)
+    return meets.points[..., :3] / np.where(bad, 1.0, w)[..., None], bad
+
+
+def _meet_failure(meets, index, label, face, where=None):
+    """The exception for a failed meet: the meet's own fault, or else its
+    point ``label`` of ``face`` lying numerically at infinity."""
+    if meets.fault[index]:
+        return meets.error(index, where)
+    return NumericallyInfinitePoint(
+        f"sample {label} of face {face} is numerically at infinity"
+    )
 
 
 def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch:
@@ -154,6 +169,9 @@ def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch
     interiors.  Exactly one branch qualifies when the hyperboloid
     sweeps the quad; none does when the family's orientation is
     incompatible with the quad's twist (e.g. swapped family labels).
+    The eight crossings of a face are met in one stack; the arcs of
+    both families are built, and :class:`DegenerateConic` raised,
+    before either family's branches are judged.
     """
     if tuple(frame.h_edges) != tuple(hb.frame.h_edges) or not np.array_equal(
         frame.h_lines, hb.frame.h_lines
@@ -161,40 +179,42 @@ def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch
         raise ValueError("frame does not match the hyperboloid's role frame")
     pos = np.asarray(positions, dtype=float)
     x, x1, x2, x12 = (pos[v] for v in frame.corners)
+    lines = frame.h_lines
+    # per family: its edge lines, plane point, and the opposite edge
+    # segments its middle ruling must cross, with their supporting lines
     families = (
-        (1, frame.h_lines[0], frame.h_lines[1], hb.q1, ((x, x2), (x1, x12)),
-         (frame.h_lines[2], frame.h_lines[3])),
-        (2, frame.h_lines[2], frame.h_lines[3], hb.q2, ((x, x1), (x2, x12)),
-         (frame.h_lines[0], frame.h_lines[1])),
+        (lines[0], lines[1], hb.q1, ((x, x2), (x1, x12)), lines[2:]),
+        (lines[2], lines[3], hb.q2, ((x, x1), (x2, x12)), lines[:2]),
     )
-    arcs = {}
-    for family, h, h_opp, q, segments, cross_lines in families:
-        winners = []
-        for branch in (1, -1):
-            arc = conic_arc(h, h_opp, q, branch)
-            mid = arc(0.5)
-            ok = True
-            for (A, B), cross in zip(segments, cross_lines):
-                u = _crossing_parameter(mid, cross, A, B)
-                if u is None or not 0.0 < u < 1.0:
-                    ok = False
-                    break
-            if ok:
-                winners.append(arc)
-        if len(winners) != 1:
-            reason = "no" if not winners else "both"
+    arcs = [
+        [conic_arc(h, h_opp, q, branch) for branch in (1, -1)]
+        for h, h_opp, q, _, _ in families
+    ]
+    mids = np.array([[arc(0.5) for arc in pair] for pair in arcs])
+    cross = np.array([family[4] for family in families])
+    segments = np.array([family[3] for family in families])
+    # axes: family, branch, segment
+    points, bad = _meet_points(
+        _meet(mids[:, :, None], cross[:, None], PATCH_MEET_TOL)
+    )
+    A = segments[:, None, :, 0]
+    d = segments[:, None, :, 1] - A
+    u = np.sum((points - A) * d, axis=-1) / np.sum(d * d, axis=-1)
+    sweeps = np.all(~bad & (0.0 < u) & (u < 1.0), axis=-1)
+    for family, wins in enumerate(sweeps, start=1):
+        if wins.sum() != 1:
+            reason = "no" if not wins.any() else "both"
             raise NoAdaptedPatch(
                 f"{reason} ruling branch of family ({family}) sweeps the "
                 f"quad of face {frame.face}",
                 face=frame.face,
                 family=family,
             )
-        arcs[family] = winners[0]
     return HyperboloidPatch(
         face=frame.face,
         frame=frame,
-        ruling1=arcs[1],
-        ruling2=arcs[2],
+        ruling1=arcs[0][int(np.argmax(sweeps[0]))],
+        ruling2=arcs[1][int(np.argmax(sweeps[1]))],
         corner_map={
             (0, 0): frame.corners[0],
             (0, 1): frame.corners[1],
@@ -204,43 +224,28 @@ def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch
     )
 
 
-def _point_at(patch: HyperboloidPatch, t: float, s: float, label="") -> np.ndarray:
-    p = intersect_lines(
-        patch.ruling1(t), patch.ruling2(s), tol=PATCH_MEET_TOL
-    )
-    if abs(float(p[3])) < W_TOL:
-        raise NumericallyInfinitePoint(
-            f"sample {label or (t, s)} of face {patch.face} is numerically "
-            "at infinity"
-        )
-    return p[:3] / p[3]
-
-
 def sample(p: HyperboloidPatch, n: int, m: int) -> np.ndarray:
     """``(n, m, 3)`` grid of surface points at uniform parameters.
 
     Point ``(i, j)`` is the intersection of ``ruling1(t_i)`` with
     ``ruling2(s_j)``; rows of constant ``j`` are collinear along
     ``ruling2(s_j)`` and the four parameter corners evaluate to the
-    quad's vertices.  Raises :class:`NumericallyInfinitePoint` naming
-    the offending indices when a grid point escapes to infinity.
+    quad's vertices.  Each ruling is evaluated once on its parameter
+    array and the ``n x m`` pairs are met in one stack.  Raises for the
+    first failing ``(i, j)`` in row-major order:
+    :class:`NumericallyInfinitePoint` naming the indices when the grid
+    point escapes to infinity, or the meet's :class:`SkewLines` /
+    :class:`CoincidentLines`, whose message names the same indices.
     """
     if n < 2 or m < 2:
         raise ValueError("need at least two samples per direction")
-    ts = np.linspace(0.0, 1.0, n)
-    ss = np.linspace(0.0, 1.0, m)
-    lines1 = [p.ruling1(t) for t in ts]
-    lines2 = [p.ruling2(s) for s in ss]
-    points = np.empty((n, m, 3), dtype=float)
-    for i, r1 in enumerate(lines1):
-        for j, r2 in enumerate(lines2):
-            q = intersect_lines(r1, r2, tol=PATCH_MEET_TOL)
-            if abs(float(q[3])) < W_TOL:
-                raise NumericallyInfinitePoint(
-                    f"sample ({i}, {j}) of face {p.face} is numerically "
-                    "at infinity"
-                )
-            points[i, j] = q[:3] / q[3]
+    lines1 = _rulings(p.ruling1, np.linspace(0.0, 1.0, n))
+    lines2 = _rulings(p.ruling2, np.linspace(0.0, 1.0, m))
+    meets = _meet(lines1[:, None], lines2[None], PATCH_MEET_TOL)
+    points, bad = _meet_points(meets)
+    if bad.any():
+        i, j = (int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+        raise _meet_failure(meets, (i, j), (i, j), p.face)
     return points
 
 
@@ -288,70 +293,135 @@ def bilinear_patches(a) -> dict:
 # --- tangent-plane continuity report -----------------------------------------------
 
 
-class _EdgeSide:
-    """One patch's parametrization of a shared edge.
+def _c1_chunk(patches: dict, g, pos, chunk, u):
+    """Plane angles ``(E, S)`` and cusp flags ``(E, S)`` of the shared
+    edges ``chunk`` (a list of ``(e, f1, f2)``) at edge coordinates ``u``.
 
-    Exposes the cross-family ruling through any point of the edge via
-    the fractional-linear schedule between the ruling parameter and the
-    barycentric coordinate along the segment, plus probe points a small
-    parameter step into the patch's interior.
+    Each side of an edge parametrizes it through the cross-family ruling
+    arc ("along"), whose parameter follows the edge by the
+    fractional-linear schedule fitted to three meets, and the arc of the
+    edge's own family ("into"), whose parameter leaves the edge.  All
+    meets of the chunk are made in two stacks; the failure rule is
+    :func:`check_c1`'s.
     """
-
-    def __init__(self, patch: HyperboloidPatch, e: int, A, B):
-        self.patch = patch
-        self.role = patch.frame.h_edges.index(e)
-        self.A = A
-        self.B = B
-        schedule = [self._edge_coordinate(sigma) for sigma in (0.0, 0.5, 1.0)]
-        a, b, c = schedule
-        if abs(c - b) < 1e-12:
-            raise PatchError(
-                f"degenerate ruling schedule on edge {e}", edge=e
+    E, S = len(chunk), len(u)
+    ends = np.array([pos[list(g.edge_vertices(e))] for e, _, _ in chunk])
+    A = np.repeat(ends[:, 0], 2, axis=0)
+    d = np.repeat(ends[:, 1] - ends[:, 0], 2, axis=0)
+    sides = []
+    for e, f1, f2 in chunk:
+        for f in (f1, f2):
+            patch = patches[f]
+            role = patch.frame.h_edges.index(e)
+            along, into = (
+                (patch.ruling2, patch.ruling1)
+                if role < 2
+                else (patch.ruling1, patch.ruling2)
             )
+            sides.append((patch.face, role, along, into))
+    roles = np.array([role for _, role, _, _ in sides])
+    # into-parameters of the edge itself and of the probe depth
+    depth = np.array([0.0, CUSP_DELTA])
+    depth = np.where((roles % 2 == 1)[:, None], 1.0 - depth, depth)
+    into_lines = np.array(
+        [_rulings(into, t) for (_, _, _, into), t in zip(sides, depth)]
+    )
+    first_into = (roles < 2)[:, None, None]
+
+    def meet(into_line, along_lines):
+        into_line = np.broadcast_to(into_line[:, None], along_lines.shape)
+        return _meet(
+            np.where(first_into, into_line, along_lines),
+            np.where(first_into, along_lines, into_line),
+            PATCH_MEET_TOL,
+        )
+
+    def label(k, sigma, into_t):
+        """The ``(t, s)`` parameters of side ``k``'s meet, for messages."""
+        pair = (float(into_t), float(sigma))
+        return pair if roles[k] < 2 else pair[::-1]
+
+    knots = np.array([0.0, 0.5, 1.0])
+    knot_lines = np.array([_rulings(along, knots) for _, _, along, _ in sides])
+    knot_meets = meet(into_lines[:, 0], knot_lines)
+    knot_points, knot_bad = _meet_points(knot_meets)
+    coord = np.sum((knot_points - A[:, None]) * d[:, None], axis=-1) / np.sum(
+        d * d, axis=-1
+    )[:, None]
+    a, b, c = coord.T
+    degenerate = np.abs(c - b) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = (2.0 * b - a - c) / (c - b)
-        self.alpha = c * (gamma + 1.0) - a
-        self.beta = a
-        self.gamma = gamma
+        alpha = (c * (gamma + 1.0) - a)[:, None]
+        beta = a[:, None]
+        gamma = gamma[:, None]
+        uu = np.concatenate([u, u + CUSP_DELTA])
+        den = alpha - uu * gamma
+        pole = np.abs(den) < 1e-14 * (np.abs(alpha) + np.abs(uu * gamma) + 1.0)
+        sigma = (uu - beta) / den
+    # failed schedules and poles leave garbage here; their edges raise below
+    sigma = np.where(np.isfinite(sigma) & ~pole, sigma, 0.0)
+    along_lines = np.array(
+        [_rulings(along, s) for (_, _, along, _), s in zip(sides, sigma)]
+    )
+    normals = np.cross(d[:, None], line_direction(along_lines[:, :S]))
+    norm = np.linalg.norm(normals, axis=-1)
+    parallel = norm < 1e-14
+    normals = normals / np.where(parallel, 1.0, norm)[..., None]
+    probe_meets = meet(into_lines[:, 1], along_lines[:, S:])
+    probes, probe_bad = _meet_points(probe_meets)
 
-    def _params(self, sigma: float, into: float):
-        if self.role == 0:
-            return into, sigma
-        if self.role == 1:
-            return 1.0 - into, sigma
-        if self.role == 2:
-            return sigma, into
-        return sigma, 1.0 - into
+    pair = (E, 2, S)
+    n1, n2 = normals.reshape(*pair, 3).transpose(1, 0, 2, 3)
+    sine = np.linalg.norm(np.cross(n1, n2), axis=-1)
+    cosine = np.abs(np.sum(n1 * n2, axis=-1))
+    base = ends[:, None, 0] + u[:, None] * (ends[:, None, 1] - ends[:, None, 0])
+    offsets = np.sum(
+        n1[:, None] * (probes.reshape(*pair, 3) - base[:, None]), axis=-1
+    )
+    floor = CUSP_OFFSET_FLOOR * np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
+    cusps = (offsets[:, 0] * offsets[:, 1] > 0.0) & (
+        np.min(np.abs(offsets), axis=1) > floor[:, None]
+    )
 
-    def _edge_coordinate(self, sigma: float) -> float:
-        t, s = self._params(sigma, 0.0)
-        pt = _point_at(self.patch, t, s)
-        d = self.B - self.A
-        return float((pt - self.A) @ d) / float(d @ d)
-
-    def parameter_at(self, u: float) -> float:
-        den = self.alpha - u * self.gamma
-        if abs(den) < 1e-14 * (abs(self.alpha) + abs(u * self.gamma) + 1.0):
+    # every check of an edge in walk order, one column each
+    pole_n, pole_p = pole[:, :S].reshape(pair), pole[:, S:].reshape(pair)
+    parallel, probe_bad = parallel.reshape(pair), probe_bad.reshape(pair)
+    schedule_checks = np.concatenate(
+        [knot_bad, degenerate[:, None]], axis=1
+    ).reshape(E, 8)
+    sample_checks = np.stack(
+        [
+            pole_n[:, 0], parallel[:, 0], pole_n[:, 1], parallel[:, 1],
+            pole_p[:, 0], probe_bad[:, 0], pole_p[:, 1], probe_bad[:, 1],
+        ],
+        axis=-1,
+    ).reshape(E, 8 * S)
+    checks = np.concatenate([schedule_checks, sample_checks], axis=1)
+    if checks.any():
+        edge = int(np.argmax(checks.any(axis=1)))
+        column = int(np.argmax(checks[edge]))
+        e = chunk[edge][0]
+        if column < 8:
+            k = 2 * edge + column // 4
+            knot = column % 4
+            if knot == 3:
+                raise PatchError(f"degenerate ruling schedule on edge {e}", edge=e)
+            raise _meet_failure(
+                knot_meets, (k, knot), label(k, knots[knot], depth[k, 0]),
+                sides[k][0], where=f"edge {e}",
+            )
+        i, check = divmod(column - 8, 8)
+        k = 2 * edge + (check // 2) % 2
+        if check in (0, 2, 4, 6):
             raise PatchError("edge schedule has a pole inside the segment")
-        return (u - self.beta) / den
-
-    def cross_ruling(self, sigma: float) -> np.ndarray:
-        arc = self.patch.ruling2 if self.role in (0, 1) else self.patch.ruling1
-        return arc(sigma)
-
-    def normal_at(self, u: float) -> np.ndarray:
-        sigma = self.parameter_at(u)
-        edge_dir = self.B - self.A
-        cross_dir = line_direction(self.cross_ruling(sigma))
-        n = np.cross(edge_dir, cross_dir)
-        norm = np.linalg.norm(n)
-        if norm < 1e-14:
+        if check in (1, 3):
             raise PatchError("ruling is parallel to the edge; no tangent plane")
-        return n / norm
-
-    def probe_point(self, u: float, delta: float) -> np.ndarray:
-        sigma = self.parameter_at(u)
-        t, s = self._params(sigma, delta)
-        return _point_at(self.patch, t, s)
+        raise _meet_failure(
+            probe_meets, (k, i), label(k, sigma[k, S + i], depth[k, 1]),
+            sides[k][0], where=f"edge {e}",
+        )
+    return np.arctan2(sine, cosine), cusps
 
 
 def check_c1(patches: dict, a, samples_per_edge: int = 9) -> dict:
@@ -363,52 +433,40 @@ def check_c1(patches: dict, a, samples_per_edge: int = 9) -> dict:
     two sides' planes (folded to ``[0, pi/2]``).  Second-order probes a
     small parameter step into each patch flag edges where both surface
     sheets leave the common tangent plane to the same side -- a fold
-    (cusp) that plane angles alone cannot see.  The report never raises
-    on geometric grounds; it only describes.
+    (cusp) that plane angles alone cannot see.  Kinks and folds never
+    raise; the report only describes them.
+
+    The meets of up to ``C1_EDGE_CHUNK`` edges go into one stack: per
+    edge side 3 schedule meets and ``samples_per_edge`` probe meets.
+    A degenerate edge -- no ruling schedule,
+    a meet without a finite point, a ruling parallel to the edge --
+    raises for the lowest such edge id, with the exception that a walk
+    over that edge (both schedules, then per sample the two normals and
+    the two probes) meets first; a meet's own fault names the edge.
     """
     g = a.graph
     pos = np.asarray(a.positions, dtype=float)
+    shared = []
+    for e in range(g.edge_count):
+        f1, f2 = g.edge_faces(e)
+        if f1 in patches and f2 in patches and None not in (f1, f2):
+            shared.append((e, f1, f2))
+    u = (np.arange(samples_per_edge) + 1.0) / (samples_per_edge + 1.0)
     edges = {}
     cusp_edges = []
     max_angle = 0.0
     worst_edge = None
-    for e in range(g.edge_count):
-        f1, f2 = g.edge_faces(e)
-        if f1 is None or f2 is None:
-            continue
-        if f1 not in patches or f2 not in patches:
-            continue
-        va, vb = g.edge_vertices(e)
-        A, B = pos[va], pos[vb]
-        sides = (_EdgeSide(patches[f1], e, A, B), _EdgeSide(patches[f2], e, A, B))
-        edge_len = float(np.linalg.norm(B - A))
-        angle = 0.0
-        cusp = False
-        for i in range(samples_per_edge):
-            u = (i + 1.0) / (samples_per_edge + 1.0)
-            n1 = sides[0].normal_at(u)
-            n2 = sides[1].normal_at(u)
-            sine = float(np.linalg.norm(np.cross(n1, n2)))
-            cosine = abs(float(n1 @ n2))
-            angle = max(angle, float(np.arctan2(sine, cosine)))
-            base = A + u * (B - A)
-            u_probe = u + CUSP_DELTA
-            offsets = [
-                float(n1 @ (side.probe_point(u_probe, CUSP_DELTA) - base))
-                for side in sides
-            ]
-            floor = CUSP_OFFSET_FLOOR * edge_len
-            if (
-                offsets[0] * offsets[1] > 0.0
-                and min(abs(offsets[0]), abs(offsets[1])) > floor
-            ):
-                cusp = True
-        edges[e] = {"max_angle": angle, "cusp": cusp}
-        if cusp:
-            cusp_edges.append(e)
-        if angle > max_angle:
-            max_angle = angle
-            worst_edge = e
+    for start in range(0, len(shared), C1_EDGE_CHUNK):
+        chunk = shared[start : start + C1_EDGE_CHUNK]
+        angles, cusps = _c1_chunk(patches, g, pos, chunk, u)
+        for (e, _, _), angle, cusp in zip(chunk, angles.max(axis=1), cusps.any(axis=1)):
+            angle = max(0.0, float(angle))
+            edges[e] = {"max_angle": angle, "cusp": bool(cusp)}
+            if cusp:
+                cusp_edges.append(e)
+            if angle > max_angle:
+                max_angle = angle
+                worst_edge = e
     return {
         "samples_per_edge": samples_per_edge,
         "edge_count": len(edges),

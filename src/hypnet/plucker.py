@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     CoincidentLines,
     CoincidentPoints,
+    GeometryError,
     NotDecomposable,
     NotSkew,
     NumericallyInfinitePoint,
@@ -58,6 +59,24 @@ METRIC = np.block(
 
 # index pairs of the six stored minors, in storage order
 _MINOR_INDEX = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+
+# incidence_matrix as one gather: entry [i, j] is _INCIDENCE_SIGN[i, j]
+# times component _INCIDENCE_INDEX[i, j] of the 6-vector, where index 6
+# reads an appended zero
+_INCIDENCE_INDEX = np.array(
+    [[6, 3, 4, 5], [3, 6, 2, 1], [4, 2, 6, 0], [5, 1, 0, 6]]
+)
+_INCIDENCE_SIGN = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0],
+        [-1.0, 1.0, 1.0, -1.0],
+        [-1.0, -1.0, 1.0, 1.0],
+        [-1.0, 1.0, -1.0, 1.0],
+    ]
+)
+
+# faults of a line meet, in checking order (0: the lines meet)
+_COINCIDENT, _SKEW, _INCONSISTENT = 1, 2, 3
 
 
 def plucker_product(a, b) -> float:
@@ -179,9 +198,12 @@ def incidence_matrix(h) -> np.ndarray:
     """4x4 matrix ``M`` with ``M @ p = 0`` iff point ``p`` lies on ``h``.
 
     Rank 2 for decomposable ``h``; the rows are the four expansions of
-    ``p ^ h = 0``.
+    ``p ^ h = 0``, i.e. ``skew_matrix(dual_coordinates(h))``.  A stack
+    ``(..., 6)`` gives ``(..., 4, 4)``.
     """
-    return skew_matrix(dual_coordinates(h))
+    h = np.asarray(h, dtype=float)
+    padded = np.concatenate([h, np.zeros((*h.shape[:-1], 1))], axis=-1)
+    return padded[..., _INCIDENCE_INDEX] * _INCIDENCE_SIGN
 
 
 def pierce_plane(h, e) -> np.ndarray:
@@ -220,34 +242,118 @@ def decompose_line(h, tol: float = DECOMPOSABLE_TOL):
 
 
 def line_direction(h) -> np.ndarray:
-    """Affine direction vector of a line (zero for lines at infinity)."""
+    """Affine direction vector of a line (zero for lines at infinity).
+
+    A stack ``(..., 6)`` gives ``(..., 3)``.
+    """
     h = np.asarray(h, dtype=float)
-    return np.array([-h[2], h[4], -h[3]])
+    return np.stack([-h[..., 2], h[..., 4], -h[..., 3]], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Meets:
+    """A stack of line meets whose faults are recorded, not raised.
+
+    ``points`` holds canonical unit 4-vectors ``(..., 4)``.  ``fault``
+    is 0 where the pair has a unique common point and otherwise names
+    the first check the pair failed; ``measure`` is the value that
+    failed it.  Points of faulty pairs are meaningless.
+    """
+
+    points: np.ndarray
+    fault: np.ndarray
+    measure: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.fault == 0
+
+    def error(self, index: tuple = (), where: str | None = None) -> GeometryError:
+        """The exception of the faulty pair at ``index`` into the stack.
+
+        Its message starts with ``where`` when given, else, for a stack,
+        with ``pair <index>``.
+        """
+        fault = int(self.fault[index])
+        value = float(self.measure[index])
+        if fault == _COINCIDENT:
+            kind, message = CoincidentLines, "lines coincide; no unique common point"
+        elif fault == _SKEW:
+            kind, message = SkewLines, f"lines are skew: <a,b> = {value:.3e}"
+        else:
+            kind = SkewLines
+            message = f"no consistent common point (residual {value:.3e})"
+        if where is None and self.fault.ndim:
+            label = index[0] if len(index) == 1 else tuple(int(i) for i in index)
+            where = f"pair {label}"
+        return kind(message if where is None else f"{where}: {message}")
+
+
+def _meet(a, b, tol: float = MEET_TOL) -> _Meets:
+    """Stacked meet of line stacks ``a`` and ``b`` (broadcast together).
+
+    Runs every check of :func:`intersect_lines` on every pair but
+    records the faults instead of raising them.  Raises ``ValueError``
+    when any 6-vector is zero.
+    """
+    pairs = np.stack(
+        np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)),
+        axis=-2,
+    )
+    norms = np.sqrt(np.sum(pairs * pairs, axis=-1, keepdims=True))
+    if not norms.all():
+        raise ValueError("cannot normalize a zero vector")
+    units = pairs / norms
+    ua = units[..., 0, :]
+    ub = units[..., 1, :]
+    cosine = np.abs(np.sum(ua * ub, axis=-1))
+    prod = np.sum(ua[..., :3] * ub[..., 3:], axis=-1) + np.sum(
+        ua[..., 3:] * ub[..., :3], axis=-1
+    )
+    system = incidence_matrix(units).reshape(*pairs.shape[:-2], 8, 4)
+    _, _, vt = np.linalg.svd(system, full_matrices=False)
+    p = vt[..., -1, :]
+    residual = np.sqrt(np.sum(np.square(system @ p[..., None])[..., 0], axis=-1))
+    coincident = np.abs(1.0 - cosine) < PROJ_EQ_TOL
+    skew = np.abs(prod) > tol
+    fault = np.where(
+        coincident,
+        _COINCIDENT,
+        np.where(skew, _SKEW, np.where(residual > 1e-6, _INCONSISTENT, 0)),
+    )
+    p = p / np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+    flat = p.reshape(-1, 4)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
+    return _Meets(
+        points=np.where(lead.reshape(p.shape[:-1])[..., None] < 0, -p, p),
+        fault=fault,
+        measure=np.where(coincident, cosine, np.where(skew, prod, residual)),
+    )
 
 
 def intersect_lines(a, b, tol: float = MEET_TOL) -> np.ndarray:
-    """Common point of two intersecting lines as a canonical unit 4-vector.
+    """Common points of intersecting lines as canonical unit 4-vectors.
 
-    The point is the common null direction of the two incidence systems,
-    found by singular value decomposition of the stacked 8x4 system.
-    Raises :class:`SkewLines` when the Pluecker product of the unit
-    representatives exceeds ``tol`` and :class:`CoincidentLines` when the
-    lines are projectively equal.
+    ``a`` and ``b`` are 6-vectors or stacks ``(..., 6)`` that broadcast
+    against each other; the result has shape ``(..., 4)``, so a single
+    pair gives one ``(4,)`` point.  Each point is the common null
+    direction of the pair's two incidence systems, found by one stacked
+    singular value decomposition of the 8x4 systems.
+
+    Each pair is checked in turn: :class:`CoincidentLines` when the
+    lines are projectively equal, then :class:`SkewLines` when the
+    Pluecker product of the unit representatives exceeds ``tol``, or
+    when the best common point leaves a residual above ``1e-6``.  The
+    error of the first faulty pair in row-major order is raised; for a
+    stack its message starts with ``pair <index>``, the integer row of
+    a 1-D stack or the index tuple of a deeper one.  ``ValueError`` when
+    any 6-vector is zero.
     """
-    ua = normalized(a)
-    ub = normalized(b)
-    if abs(1.0 - abs(float(ua @ ub))) < PROJ_EQ_TOL:
-        raise CoincidentLines("lines coincide; no unique common point")
-    prod = plucker_product(ua, ub)
-    if abs(prod) > tol:
-        raise SkewLines(f"lines are skew: <a,b> = {prod:.3e}")
-    system = np.vstack([incidence_matrix(ua), incidence_matrix(ub)])
-    _, _, vt = np.linalg.svd(system)
-    p = vt[-1]
-    residual = float(np.linalg.norm(system @ p))
-    if residual > 1e-6:
-        raise SkewLines(f"no consistent common point (residual {residual:.3e})")
-    return canonical(p)
+    meets = _meet(a, b, tol)
+    bad = np.flatnonzero(meets.fault)
+    if bad.size:
+        raise meets.error(np.unravel_index(bad[0], meets.fault.shape))
+    return meets.points
 
 
 def signature_of_gram(gram, sig_eps: float | None = None, scale: float | None = None):

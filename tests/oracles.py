@@ -171,3 +171,143 @@ def random_projection_setup(rng):
             qprime = qprime / np.linalg.norm(qprime)
             break
     return center, target, q, qprime
+
+
+# --- per-point line meets and the walks built on them ------------------------------
+
+
+def _direction_moment(h):
+    """Direction ``Y - X`` and moment ``X x Y`` of the line through finite
+    points ``X``, ``Y``, read off its stored minors."""
+    h = np.asarray(h, dtype=float)
+    return np.array([-h[2], h[4], -h[3]]), np.array([h[5], -h[1], h[0]])
+
+
+def reference_meet(a, b):
+    """Affine common point of two intersecting finite lines, or ``None``
+    when they are skew (normalized pairing above 1e-6) or parallel.
+
+    Each line is its foot point ``d x m / |d|^2`` plus multiples of its
+    direction; the parameter of the meet along ``a`` solves
+    ``(x_a + t d_a - x_b) x d_b = 0``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if abs(_pairing(a, b)) > 1e-6 * np.linalg.norm(a) * np.linalg.norm(b):
+        return None
+    (da, ma), (db, mb) = _direction_moment(a), _direction_moment(b)
+    n = np.cross(da, db)
+    if n @ n < 1e-18 * (da @ da) * (db @ db):
+        return None
+    xa = np.cross(da, ma) / (da @ da)
+    xb = np.cross(db, mb) / (db @ db)
+    t = np.cross(xb - xa, db) @ n / (n @ n)
+    return xa + t * da
+
+
+def reference_sample(ruling1, ruling2, n, m):
+    """``(n, m, 3)`` grid of ``reference_meet(ruling1(t_i), ruling2(s_j))``."""
+    return np.array(
+        [
+            [reference_meet(ruling1(t), ruling2(s)) for s in np.linspace(0, 1, m)]
+            for t in np.linspace(0, 1, n)
+        ]
+    )
+
+
+def _sign_fixed(v):
+    """Unit vector whose first largest-magnitude component is positive."""
+    u = np.asarray(v, dtype=float) / np.linalg.norm(v)
+    return -u if u[np.argmax(np.abs(u))] < 0 else u
+
+
+def reference_branches(h, h_opposite, q, segments, cross_lines):
+    """Branches (+1, -1) of the ruling conic from ``h`` to ``h_opposite``
+    through plane point ``q`` whose middle ruling crosses both
+    ``segments`` ``(A, B)`` in their interiors, meeting each along the
+    matching line of ``cross_lines``.
+
+    The conic is ``(1-t)^2 h0 + c t^2 h1 + branch t(1-t) q`` on
+    sign-fixed unit inputs, with ``c = -<q,q> / (2 <h0,h1>)`` making
+    every point isotropic.
+    """
+    h0, h1, qh = _sign_fixed(h), _sign_fixed(h_opposite), _sign_fixed(q)
+    c = -_pairing(qh, qh) / (2.0 * _pairing(h0, h1))
+    winners = []
+    for branch in (1, -1):
+        mid = 0.25 * h0 + 0.25 * c * h1 + 0.25 * branch * qh
+        inside = True
+        for (A, B), cross in zip(segments, cross_lines):
+            p = reference_meet(mid, cross)
+            if p is None:
+                inside = False
+                break
+            d = B - A
+            u = (p - A) @ d / (d @ d)
+            inside = inside and 0.0 < u < 1.0
+        if inside:
+            winners.append(branch)
+    return winners
+
+
+def reference_c1_edges(patches, graph, positions, samples_per_edge, delta, floor):
+    """Per shared edge ``(max_angle, cusp)`` by a walk over its samples.
+
+    Each side maps an edge coordinate ``u`` to the parameter of its
+    cross-family ruling through the fractional-linear schedule fitted to
+    the edge coordinates of three ruling meets; the tangent plane is
+    spanned by the edge and that ruling.  The fold probe meets the two
+    families a parameter step ``delta`` into each patch at ``u + delta``
+    and flags offsets from the first side's plane that share a sign and
+    exceed ``floor`` times the edge length.
+    """
+    pos = np.asarray(positions, dtype=float)
+    out = {}
+    for e in range(graph.edge_count):
+        f1, f2 = graph.edge_faces(e)
+        if f1 is None or f2 is None or f1 not in patches or f2 not in patches:
+            continue
+        A, B = (pos[v] for v in graph.edge_vertices(e))
+        d = B - A
+        sides = [_reference_side(patches[f], e, A, d) for f in (f1, f2)]
+        angle, cusp = 0.0, False
+        for i in range(samples_per_edge):
+            u = (i + 1.0) / (samples_per_edge + 1.0)
+            n1, n2 = (side["normal"](u) for side in sides)
+            angle = max(
+                angle,
+                float(np.arctan2(np.linalg.norm(np.cross(n1, n2)), abs(n1 @ n2))),
+            )
+            base = A + u * d
+            offsets = [n1 @ (side["probe"](u + delta, delta) - base) for side in sides]
+            least = min(abs(offsets[0]), abs(offsets[1]))
+            if offsets[0] * offsets[1] > 0 and least > floor * np.linalg.norm(d):
+                cusp = True
+        out[e] = (angle, cusp)
+    return out
+
+
+def _reference_side(patch, e, A, d):
+    role = list(patch.frame.h_edges).index(e)
+
+    def params(sigma, into):
+        into = into if role % 2 == 0 else 1.0 - into
+        return (into, sigma) if role < 2 else (sigma, into)
+
+    def point(sigma, into):
+        t, s = params(sigma, into)
+        return reference_meet(patch.ruling1(t), patch.ruling2(s))
+
+    a, b, c = ((point(sigma, 0.0) - A) @ d / (d @ d) for sigma in (0.0, 0.5, 1.0))
+    gamma = (2.0 * b - a - c) / (c - b)
+    alpha = c * (gamma + 1.0) - a
+
+    def sigma_at(u):
+        return (u - a) / (alpha - u * gamma)
+
+    def normal(u):
+        cross = patch.ruling2 if role < 2 else patch.ruling1
+        n = np.cross(d, _direction_moment(cross(sigma_at(u)))[0])
+        return n / np.linalg.norm(n)
+
+    return {"normal": normal, "probe": lambda u, into: point(sigma_at(u), into)}

@@ -168,6 +168,7 @@ def test_frame_roles_follow_entry_half_edge():
             assert frame.family_of_edge(frame.h_edges[1]) == 1
             assert frame.family_of_edge(frame.h_edges[3]) == 2
             assert frame.opposite_in_family(frame.h_edges[0]) == frame.h_edges[1]
+        assert net.face_corners(f) == net.face_frame(f).corners
 
 
 def test_axis_meets_quadric_exactly_in_the_diagonals():

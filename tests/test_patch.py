@@ -10,6 +10,7 @@ from hypnet.errors import (
     DegenerateConic,
     NoAdaptedPatch,
     NumericallyInfinitePoint,
+    SkewLines,
 )
 from hypnet.hyperboloid import (
     FaceHyperboloid,
@@ -17,6 +18,8 @@ from hypnet.hyperboloid import (
     propagate_all,
 )
 from hypnet.patch import (
+    CUSP_DELTA,
+    CUSP_OFFSET_FLOOR,
     HyperboloidPatch,
     bilinear_parameter,
     bilinear_patches,
@@ -38,6 +41,7 @@ from hypnet.plucker import (
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid, random_grid3x3_net
 
+import oracles
 from oracles import _pairing
 
 
@@ -379,3 +383,116 @@ def test_smooth_continuation_is_not_flagged():
     assert report["edges"][e]["max_angle"] < 1e-10
     assert report["edges"][e]["cusp"] is False
     assert report["cusp_edges"] == []
+
+
+# --- batched consumers against per-point reference meets --------------------------
+
+
+def differential_cases():
+    """(net, patches) pairs: a propagated family on an exact quadric net
+    and independent bilinear patches on generic random nets."""
+    a = quadric_net(3)
+    yield a, propagated_patches(a, seed=0, magnitude=0.37)
+    yield a, bilinear_patches(a)
+    for seed in (3, 7, 11, 19):
+        b = random_net(np.random.default_rng(seed))
+        yield b, bilinear_patches(b)
+
+
+def test_batched_sampling_matches_the_reference_meets():
+    for _, patches in differential_cases():
+        for patch in patches.values():
+            pts = sample(patch, 6, 5)
+            ref = oracles.reference_sample(patch.ruling1, patch.ruling2, 6, 5)
+            assert np.all(np.abs(pts - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+def test_batched_c1_report_matches_the_reference_walk():
+    cases = list(differential_cases())
+    cases += [
+        (b, bilinear_patches(b))
+        for b in (
+            graph_surface_pair(x_second=0.4, z_scale=0.4),
+            graph_surface_pair(x_second=1.6, z_scale=1.6),
+        )
+    ]
+    for a, patches in cases:
+        report = check_c1(patches, a, samples_per_edge=7)
+        ref = oracles.reference_c1_edges(
+            patches, a.graph, a.positions, 7, CUSP_DELTA, CUSP_OFFSET_FLOOR
+        )
+        assert sorted(report["edges"]) == sorted(ref)
+        for e, (angle, cusp) in ref.items():
+            assert abs(report["edges"][e]["max_angle"] - angle) <= 1e-12
+            assert report["edges"][e]["cusp"] is cusp
+        assert report["cusp_edges"] == [e for e, (_, cusp) in ref.items() if cusp]
+        angles = sorted((angle for angle, _ in ref.values()), reverse=True)
+        worst = max(ref, key=lambda e: ref[e][0])
+        if len(angles) < 2 or angles[0] - angles[1] > 1e-12:
+            assert report["worst_edge"] == worst
+        else:  # roundoff-level angles: any edge within the tolerance is worst
+            assert ref[report["worst_edge"]][0] >= angles[0] - 1e-12
+
+
+def test_adapted_branch_verdicts_match_the_reference():
+    nets = [quadric_net(3), SADDLE] + [
+        random_net(np.random.default_rng(seed)) for seed in (3, 7, 11)
+    ]
+    checked = {"patch": 0, "none": 0}
+    for a in nets:
+        for f in range(a.graph.face_count):
+            frame = a.face_frame(f)
+            x, x1, x2, x12 = (a.positions[v] for v in frame.corners)
+            lines = frame.h_lines
+            for lam in (0.8, -0.8, 2.5, -2.5):
+                hb = hyperboloid_from_parameter(frame, lam)
+                swapped = FaceHyperboloid(
+                    face=hb.face, frame=hb.frame, q1=hb.q2, q2=hb.q1,
+                    P1=hb.P2, P2=hb.P1,
+                )
+                for candidate in (hb, swapped):
+                    winners = [
+                        oracles.reference_branches(
+                            lines[0], lines[1], candidate.q1,
+                            ((x, x2), (x1, x12)), lines[2:],
+                        ),
+                        oracles.reference_branches(
+                            lines[2], lines[3], candidate.q2,
+                            ((x, x1), (x2, x12)), lines[:2],
+                        ),
+                    ]
+                    failing = [k + 1 for k, w in enumerate(winners) if len(w) != 1]
+                    if failing:
+                        with pytest.raises(NoAdaptedPatch) as err:
+                            restrict_to_patch(candidate, frame, a.positions)
+                        assert err.value.data["family"] == failing[0]
+                        checked["none"] += 1
+                    else:
+                        patch = restrict_to_patch(candidate, frame, a.positions)
+                        assert patch.ruling1.branch == winners[0][0]
+                        assert patch.ruling2.branch == winners[1][0]
+                        checked["patch"] += 1
+    assert min(checked.values()) > 10
+
+
+@pytest.mark.parametrize(
+    "far_line, error, message",
+    [  # a parallel and a skew partner of the x axis
+        ([[0, 1, 0], [1, 1, 0]], NumericallyInfinitePoint, r"^sample \(.*\) of face 1"),
+        ([[0, 0, 1], [0, 1, 1]], SkewLines, r"^edge \d+: lines are skew"),
+    ],
+)
+def test_c1_report_raises_where_a_sides_rulings_do_not_meet(far_line, error, message):
+    a = graph_surface_pair(x_second=1.6, z_scale=1.6)
+    patches = bilinear_patches(a)
+    pts = hom(np.array([[0, 0, 0], [1, 0, 0], *far_line], dtype=float))
+    lines = (line_from_points(pts[0], pts[1]), line_from_points(pts[2], pts[3]))
+    patches[1] = HyperboloidPatch(
+        face=1,
+        frame=patches[1].frame,
+        ruling1=lambda t: lines[0],
+        ruling2=lambda s: lines[1],
+        corner_map={},
+    )
+    with pytest.raises(error, match=message):
+        check_c1(patches, a)

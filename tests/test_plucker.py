@@ -338,3 +338,85 @@ def test_intersection_iff_product_vanishes_property(a, b, c):
     except CoincidentLines:
         return
     assert pl.proj_distance(meet, pa) < 1e-7
+
+
+# --- stacked meets ----------------------------------------------------------------
+
+
+def meeting_pairs(triples):
+    """Unit line pairs through a common point, from integer point triples."""
+    pairs = []
+    for common, p, q in triples:
+        pc, pp, pq = (pl.hom(np.array(v, dtype=float)) for v in (common, p, q))
+        try:
+            pairs.append((pl.line_from_points(pc, pp), pl.line_from_points(pc, pq)))
+        except CoincidentPoints:
+            continue
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(point, point, point), min_size=1, max_size=12))
+def test_stacked_meets_equal_single_pair_meets_property(triples):
+    pairs = meeting_pairs(triples)
+    singles = []
+    for a, b in pairs:
+        try:
+            singles.append(pl.intersect_lines(a, b))
+        except CoincidentLines:
+            return
+    if not pairs:
+        return
+    stacked = pl.intersect_lines(
+        np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+    )
+    assert stacked.shape == (len(pairs), 4)
+    assert np.max(np.abs(stacked - np.array(singles))) <= 1e-14
+
+
+def five_meeting_pairs():
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(5):
+        (x1, y1), (x2, y2), _ = oracles.line_pair(rng, intersecting=True)
+        pairs.append((oracles.float_line((x1, y1)), oracles.float_line((x2, y2))))
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+
+def test_a_skew_row_raises_with_its_index():
+    a, b = five_meeting_pairs()
+    hx = pl.line_from_points(ORIGIN, EX)
+    b[3] = pl.line_from_points(np.array([0.0, 0.0, 1.0, 1.0]), EY + EZ - ORIGIN)
+    a[3] = hx
+    with pytest.raises(SkewLines, match=r"^pair 3: lines are skew"):
+        pl.intersect_lines(a, b)
+
+
+def test_a_coincident_row_raises_with_its_index():
+    a, b = five_meeting_pairs()
+    b[1] = -a[1]
+    b[3] = pl.line_from_points(ORIGIN, EX)  # a later skew row is not reported
+    with pytest.raises(CoincidentLines, match=r"^pair 1: lines coincide"):
+        pl.intersect_lines(a, b)
+    with pytest.raises(CoincidentLines, match=r"^pair \(0, 1\): "):
+        pl.intersect_lines(a[:4].reshape(2, 2, 6), b[:4].reshape(2, 2, 6))
+
+
+def test_single_pairs_keep_their_shapes_and_messages():
+    hx = pl.line_from_points(ORIGIN, EX)
+    hy = pl.line_from_points(ORIGIN, EY)
+    assert pl.intersect_lines(hx, hy).shape == (4,)
+    assert pl.intersect_lines(hx[None], hy).shape == (1, 4)
+    with pytest.raises(CoincidentLines, match=r"^lines coincide"):
+        pl.intersect_lines(hx, 2.0 * hx)
+    with pytest.raises(ValueError):
+        pl.intersect_lines(np.array([hx, np.zeros(6)]), hy)
+
+
+def test_stacked_incidence_matrices_match_the_skew_matrix_rule():
+    h = np.random.default_rng(9).normal(size=(3, 2, 6))
+    stacked = pl.incidence_matrix(h)
+    assert stacked.shape == (3, 2, 4, 4)
+    for index in np.ndindex(3, 2):
+        expected = pl.skew_matrix(pl.dual_coordinates(h[index]))
+        assert np.array_equal(stacked[index], expected)
