@@ -7,8 +7,16 @@ nets with planar stars, is rigid-motion invariant, and scales as the
 sixth power of a uniform scale factor.  Squared (rather than unsigned)
 volumes keep the functional differentiable at its zero set.
 
-Minimization uses a limited-memory quasi-Newton method with pinned
-vertices eliminated from the variable set.
+The functional is ``|r|^2`` for the residual vector
+``r_t = sqrt(w_t) * det_t / 6``, one entry per tetrahedron (``det_t`` is
+six times its signed volume).  Each residual depends on the four
+vertices of its tetrahedron, and its Jacobian row holds the cross
+products of the tetrahedron's edge vectors.  Minimization is a damped
+Gauss-Newton (Levenberg-Marquardt) iteration on that sparse Jacobian
+over the free coordinates, with pinned vertices eliminated from the
+variable set: each step solves ``(J^T J + mu I) delta = -J^T r`` and is
+accepted only if it lowers the energy; otherwise ``mu`` grows tenfold.
+The gradient ``2 J^T r`` comes from the same Jacobian kernel.
 """
 
 from __future__ import annotations
@@ -17,13 +25,17 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DidNotConverge
 from .quadgraph import QuadGraph
 
 DEFAULT_MAX_ITER = 5000
 GRAD_TOL_FACTOR = 1e-10
+#: Smallest (and starting) damping ``mu``, relative to the largest diagonal
+#: entry of ``J^T J``.
+DAMPING_START = 1e-12
+#: Tenfold damping increases tried before a step counts as no progress.
+DAMPING_RETRIES = 20
 
 
 @dataclass
@@ -31,8 +43,8 @@ class FitProblem:
     """Mesh, start positions, pinned vertex set, and tetrahedron weights.
 
     ``weights`` is aligned with :attr:`tetrahedra` (one entry per
-    enumerated 4-subset, default all ones).  Pinned vertices keep their
-    initial coordinates exactly.
+    enumerated 4-subset, default all ones) and must be finite and
+    non-negative.  Pinned vertices keep their initial coordinates exactly.
     """
 
     graph: QuadGraph
@@ -65,6 +77,8 @@ class FitProblem:
                     f"weights must have one entry per tetrahedron "
                     f"({len(self.tetrahedra)}), got {self.weights.shape}"
                 )
+            if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+                raise ValueError("weights must be finite and non-negative")
 
     @property
     def free_vertices(self):
@@ -84,6 +98,60 @@ def _edge_vectors(problem: FitProblem, positions):
     return d1, d2, d3
 
 
+def _residuals(problem: FitProblem, positions):
+    """Residuals ``r`` (one per tetrahedron) and their Jacobian blocks.
+
+    ``blocks[t, k]`` is the derivative of ``r[t]`` by the coordinates of
+    vertex ``tetrahedra[t, k]``.
+    """
+    d1, d2, d3 = _edge_vectors(problem, positions)
+    c23 = np.cross(d2, d3)
+    c31 = np.cross(d3, d1)
+    c12 = np.cross(d1, d2)
+    dets = np.einsum("ij,ij->i", d1, c23)
+    s = np.sqrt(problem.weights) / 6.0
+    blocks = np.stack([-(c23 + c31 + c12), c23, c31, c12], axis=1)
+    return s * dets, blocks * s[:, None, None]
+
+
+def _gradient(problem: FitProblem, r, blocks) -> np.ndarray:
+    """``2 J^T r`` as an ``(n, 3)`` array with the pinned rows zeroed."""
+    n = len(problem.initial_positions)
+    columns = 3 * problem.tetrahedra[:, :, None] + np.arange(3)
+    grad = np.bincount(
+        columns.ravel(),
+        weights=(2.0 * r[:, None, None] * blocks).ravel(),
+        minlength=3 * n,
+    ).reshape(n, 3)
+    if problem.pinned:
+        grad[sorted(problem.pinned)] = 0.0
+    return grad
+
+
+def _free_jacobian(problem: FitProblem, free):
+    """Map Jacobian blocks to the sparse Jacobian over the free coordinates.
+
+    Returns a function of the ``blocks`` from :func:`_residuals`; column
+    ``3 * i + k`` of its result is axis ``k`` of vertex ``free[i]``.
+    """
+    from scipy.sparse import csr_matrix
+
+    column_of = np.full(len(problem.initial_positions), -1)
+    column_of[free] = np.arange(len(free))
+    corner_columns = column_of[problem.tetrahedra]
+    keep = np.repeat(corner_columns[:, :, None] >= 0, 3, axis=2)
+    rows = np.broadcast_to(
+        np.arange(len(problem.tetrahedra))[:, None, None], keep.shape
+    )[keep]
+    columns = (3 * corner_columns[:, :, None] + np.arange(3))[keep]
+    shape = (len(problem.tetrahedra), 3 * len(free))
+
+    def jacobian(blocks):
+        return csr_matrix((blocks[keep], (rows, columns)), shape=shape)
+
+    return jacobian
+
+
 def energy(problem: FitProblem, positions) -> float:
     """Sum of weighted squared tetrahedron volumes over all stars."""
     positions = np.asarray(positions, dtype=float)
@@ -97,24 +165,7 @@ def energy(problem: FitProblem, positions) -> float:
 def gradient(problem: FitProblem, positions) -> np.ndarray:
     """Analytic gradient of :func:`energy`; rows of pinned vertices are zero."""
     positions = np.asarray(positions, dtype=float)
-    grad = np.zeros_like(positions)
-    if len(problem.tetrahedra) == 0:
-        return grad
-    t = problem.tetrahedra
-    d1, d2, d3 = _edge_vectors(problem, positions)
-    c23 = np.cross(d2, d3)
-    dets = np.einsum("ij,ij->i", d1, c23)
-    coeff = (problem.weights * dets / 18.0)[:, None]
-    g1 = c23
-    g2 = np.cross(d3, d1)
-    g3 = np.cross(d1, d2)
-    np.add.at(grad, t[:, 1], coeff * g1)
-    np.add.at(grad, t[:, 2], coeff * g2)
-    np.add.at(grad, t[:, 3], coeff * g3)
-    np.add.at(grad, t[:, 0], -coeff * (g1 + g2 + g3))
-    if problem.pinned:
-        grad[sorted(problem.pinned)] = 0.0
-    return grad
+    return _gradient(problem, *_residuals(problem, positions))
 
 
 def fit(
@@ -125,84 +176,84 @@ def fit(
     """Minimize the star-planarity functional.
 
     Returns ``(positions, report)``.  The gradient tolerance defaults to
-    ``1e-10`` times the initial gradient's max-norm.  Raises
-    :class:`DidNotConverge` (carrying ``(positions, report)`` in its
-    ``result``) when the budget is exhausted first.
+    ``1e-10`` times the initial gradient's max-norm, and ``converged``
+    means the final gradient's max-norm is within it.  ``max_iter``
+    bounds the accepted steps.  Raises :class:`DidNotConverge` (carrying
+    ``(positions, report)`` in its ``result``) when the budget runs out
+    first (``stopping == "budget"``) or when no damped step lowers the
+    energy any more (``stopping == "no_progress"``).
     """
-    x_full = problem.initial_positions.copy()
-    free = problem.free_vertices
-    g0 = gradient(problem, x_full)
-    g0_norm = float(np.max(np.abs(g0))) if g0.size else 0.0
+    x = problem.initial_positions.copy()
+    free = np.array(problem.free_vertices, dtype=int)
+    e = energy(problem, x)
+    r, blocks = _residuals(problem, x)
+    g = _gradient(problem, r, blocks)
+    g0_norm = float(np.max(np.abs(g))) if g.size else 0.0
     tol = tol_g if tol_g is not None else GRAD_TOL_FACTOR * g0_norm
 
-    def make_report(iterations, final_positions, history, message,
-                    stopping):
-        g = gradient(problem, final_positions)
-        g_norm = float(np.max(np.abs(g))) if g.size else 0.0
+    def make_report(iterations, g_norm, history, message, stopping):
         return {
             "iterations": int(iterations),
-            "energy": energy(problem, final_positions),
+            "energy": history[-1],
             "grad_norm": g_norm,
             "tolerance": float(tol),
-            "converged": bool(g_norm <= tol or stopping == "progress_floor"),
+            "converged": bool(g_norm <= tol),
             "stopping": stopping,
             "energy_history": history,
             "message": message,
         }
 
-    if not free or g0_norm == 0.0:
-        report = make_report(0, x_full, [energy(problem, x_full)],
+    if not free.size or g0_norm == 0.0:
+        report = make_report(0, g0_norm, [e],
                              "initial point already stationary"
-                             if free else "all vertices pinned",
+                             if free.size else "all vertices pinned",
                              "gradient")
-        report["converged"] = True
-        return x_full, report
+        return x, report
 
-    free_arr = np.array(free, dtype=int)
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
 
-    def unpack(x):
-        full = problem.initial_positions.copy()
-        full[free_arr] = x.reshape(-1, 3)
-        return full
+    jacobian = _free_jacobian(problem, free)
+    eye = identity(3 * len(free), format="csr")
+    history = [e]
+    mu = DAMPING_START
+    iterations = 0
+    while True:
+        g_norm = float(np.max(np.abs(g)))
+        if g_norm <= tol:
+            stopping, message = "gradient", "gradient within tolerance"
+            break
+        if iterations >= max_iter:
+            stopping, message = "budget", "accepted-step budget exhausted"
+            break
+        jac = jacobian(blocks)
+        normal = (jac.T @ jac).tocsc()
+        scale = float(normal.diagonal().max())
+        rhs = -0.5 * g[free].ravel()
+        for _ in range(DAMPING_RETRIES):
+            step = spsolve(normal + (mu * scale) * eye, rhs)
+            trial = x.copy()
+            trial[free] += step.reshape(-1, 3)
+            e_trial = energy(problem, trial)
+            if e_trial < e:
+                break
+            mu *= 10.0
+        else:
+            stopping = "no_progress"
+            message = "no damped step lowered the energy"
+            break
+        x, e = trial, e_trial
+        history.append(e)
+        mu = max(mu / 10.0, DAMPING_START)
+        iterations += 1
+        r, blocks = _residuals(problem, x)
+        g = _gradient(problem, r, blocks)
 
-    history = []
-
-    def objective(x):
-        full = unpack(x)
-        e = energy(problem, full)
-        g = gradient(problem, full)
-        return e, g[free_arr].ravel()
-
-    def on_iterate(xk):
-        history.append(energy(problem, unpack(xk)))
-
-    x0 = x_full[free_arr].ravel()
-    history.append(energy(problem, x_full))
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=on_iterate,
-        options={"maxiter": max_iter, "ftol": 1e-22, "gtol": tol,
-                 "maxcor": 20},
-    )
-    final = unpack(res.x)
-    # status 0: a convergence test of the method fired (gradient small or
-    # no float-representable decrease left); 1: budget; 2: line search
-    # could not make progress.
-    stopping = {0: "progress_floor", 1: "budget", 2: "line_search"}.get(
-        res.status, "unknown"
-    )
-    report = make_report(res.nit, final, history, str(res.message), stopping)
-    if report["grad_norm"] <= tol:
-        report["stopping"] = "gradient"
-        report["converged"] = True
+    report = make_report(iterations, g_norm, history, message, stopping)
     if not report["converged"]:
         raise DidNotConverge(
-            f"stopped on {report['stopping']} with gradient norm "
-            f"{report['grad_norm']:.3e} above tolerance {tol:.3e} "
-            f"after {res.nit} iterations",
-            result=(final, report),
+            f"stopped on {stopping} with gradient norm {g_norm:.3e} above "
+            f"tolerance {tol:.3e} after {iterations} steps",
+            result=(x, report),
         )
-    return final, report
+    return x, report

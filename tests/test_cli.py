@@ -1,10 +1,15 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypnet
 import hypnet.anet
 import hypnet.hyperboloid
 import hypnet.plucker
@@ -218,6 +223,20 @@ def test_fit_out_of_budget_exits_with_the_convergence_code(tmp_path, capsys):
     assert report["violations"][0]["kind"] == "did_not_converge"
     assert not report["convergence"]["converged"]
     assert out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only the fit solver needs scipy; check and extend must not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]))
+    code = (
+        "import sys, hypnet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- extend -----------------------------------------------------------------------

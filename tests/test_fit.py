@@ -5,7 +5,14 @@ import pytest
 
 from hypnet.anet import validate_anet
 from hypnet.errors import DidNotConverge
-from hypnet.fit import FitProblem, energy, fit, gradient
+from hypnet.fit import (
+    FitProblem,
+    _free_jacobian,
+    _residuals,
+    energy,
+    fit,
+    gradient,
+)
 from hypnet.quadgraph import build
 from hypnet.synthetic import grid_graph, perturbed, quadric_grid, umbrella_graph
 
@@ -87,6 +94,19 @@ def test_weights_scale_energy():
         )
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_weights_must_be_finite_and_non_negative(bad):
+    problem = random_problem(np.random.default_rng(3))
+    weights = np.ones(len(problem.tetrahedra))
+    weights[2] = bad
+    with pytest.raises(ValueError):
+        FitProblem(
+            graph=problem.graph,
+            initial_positions=problem.initial_positions,
+            weights=weights,
+        )
+
+
 # --- gradient ------------------------------------------------------------------
 
 
@@ -127,6 +147,41 @@ def test_gradient_rows_zeroed_for_pinned():
     assert np.any(g_free[[0, 5]] != 0.0)
 
 
+@pytest.mark.parametrize("mesh", ["grid", "umbrella"])
+def test_sparse_jacobian_matches_finite_differences(mesh):
+    rng = np.random.default_rng(21)
+    base = random_problem(rng, mesh)
+    problem = FitProblem(
+        graph=base.graph,
+        initial_positions=base.initial_positions,
+        pinned=frozenset({0, 2}),
+        weights=rng.uniform(0.5, 2.0, size=len(base.tetrahedra)),
+    )
+    pos = problem.initial_positions
+    free = np.array(problem.free_vertices)
+    r, blocks = _residuals(problem, pos)
+    jac = _free_jacobian(problem, free)(blocks)
+    assert jac.shape == (len(problem.tetrahedra), 3 * len(free))
+    # each residual is affine in any single coordinate, so central
+    # differences are exact up to rounding
+    h = 1e-6
+    numeric = np.zeros(jac.shape)
+    for column in range(jac.shape[1]):
+        v, axis = free[column // 3], column % 3
+        up, down = pos.copy(), pos.copy()
+        up[v, axis] += h
+        down[v, axis] -= h
+        numeric[:, column] = (
+            _residuals(problem, up)[0] - _residuals(problem, down)[0]
+        ) / (2 * h)
+    dense = jac.toarray()
+    assert np.max(np.abs(dense - numeric)) < 1e-8 * np.max(np.abs(dense))
+    g = gradient(problem, pos)
+    assert np.linalg.norm(2.0 * (jac.T @ r) - g[free].ravel()) <= (
+        1e-12 * np.linalg.norm(g)
+    )
+
+
 def test_gradient_balances_force_and_torque():
     rng = np.random.default_rng(9)
     problem = random_problem(rng)
@@ -162,6 +217,14 @@ def test_fit_all_pinned_returns_input():
     assert np.array_equal(out, problem.initial_positions)
     assert report["converged"]
     assert report["iterations"] == 0
+
+
+def test_fit_is_deterministic():
+    problem = noisy_quadric_problem(seed=4)
+    out_a, report_a = fit(problem)
+    out_b, report_b = fit(problem)
+    assert out_a.tobytes() == out_b.tobytes()
+    assert report_a == report_b
 
 
 def noisy_quadric_problem(seed=0, n_faces=6, noise=1e-3):
@@ -208,4 +271,33 @@ def test_fit_budget_exhaustion_raises_with_state():
     positions, report = exc.value.result
     assert positions.shape == problem.initial_positions.shape
     assert not report["converged"]
+    assert report["stopping"] == "budget"
     assert report["energy"] < report["energy_history"][0]
+
+
+@pytest.mark.parametrize("n_faces", [20, 30])
+def test_fit_reaches_the_validator_tolerance_on_large_grids(n_faces):
+    problem = noisy_quadric_problem(seed=0, n_faces=n_faces, noise=5e-5)
+    out, report = fit(problem)
+    assert report["converged"]
+    assert report["stopping"] == "gradient"
+    for v in sorted(problem.pinned):
+        assert np.array_equal(out[v], problem.initial_positions[v])
+    net = validate_anet(problem.graph, out)
+    assert np.nanmax(net.planarity_residuals) < 1e-10
+
+
+def test_fit_without_progress_raises_with_state():
+    # a zero gradient tolerance is out of floating-point reach: once the
+    # energy reaches its rounding floor no damped step lowers it
+    problem = noisy_quadric_problem(seed=0)
+    with pytest.raises(DidNotConverge) as exc:
+        fit(problem, tol_g=0.0)
+    positions, report = exc.value.result
+    assert report["stopping"] == "no_progress"
+    assert not report["converged"]
+    assert report["grad_norm"] > 0.0
+    assert report["iterations"] < 5000
+    assert np.array_equal(positions[sorted(problem.pinned)],
+                          problem.initial_positions[sorted(problem.pinned)])
+    assert report["energy"] < 1e-20 * report["energy_history"][0]
