@@ -24,8 +24,8 @@ configuration produce byte-identical reports and meshes.  Exit codes:
 3. the net fails star planarity or genericity
 4. odd interior vertex degrees or mixed strip twists (no propagation)
 5. a face's quadric carries no bounded patch over that face
-6. propagation closure failed, or the fit stopped short of its gradient
-   tolerance (step budget spent, or no damped step lowers the energy)
+6. propagation closure failed, or the fit stopped short of convergence
+   (step budget spent, or no damped step lowers the energy)
 
 The environment variables ``HYPNET_TOL_PLANAR``, ``HYPNET_TOL_CLOSURE``,
 and ``HYPNET_TOL_SIG`` override the star-planarity, propagation-closure,

@@ -17,6 +17,13 @@ over the free coordinates, with pinned vertices eliminated from the
 variable set: each step solves ``(J^T J + mu I) delta = -J^T r`` and is
 accepted only if it lowers the energy; otherwise ``mu`` grows tenfold.
 The gradient ``2 J^T r`` comes from the same Jacobian kernel.
+
+The iteration stops when the gradient falls within its tolerance, or
+when every residual is within its rounding bound: the size that storing
+the vertices in double precision and evaluating the volume can leave on
+a net whose stars are exactly planar.  No step can improve on that, and
+on such inputs the gradient is rounding noise, so a tolerance relative
+to it is out of reach.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ GRAD_TOL_FACTOR = 1e-10
 DAMPING_START = 1e-12
 #: Tenfold damping increases tried before a step counts as no progress.
 DAMPING_RETRIES = 20
+#: Residuals within this multiple of ``eps`` times their rounding scale
+#: (see :func:`_rounding_bound`) are as small as floating point allows.
+ROUNDING_FACTOR = 8.0
 
 
 @dataclass
@@ -114,6 +124,27 @@ def _residuals(problem: FitProblem, positions):
     return s * dets, blocks * s[:, None, None]
 
 
+def _rounding_bound(problem: FitProblem, positions, blocks):
+    """Per-residual size that rounding alone leaves on a planar-star net.
+
+    Rounding vertex ``p_k`` to double precision moves it by at most
+    ``u |p_k|`` (``u = eps / 2``), which moves ``r_t`` by at most
+    ``u * sum_k |blocks[t, k]| |p_k|`` to first order; evaluating the
+    triple product adds a small multiple of ``u * s_t |d1| |d2| |d3|``.
+    """
+    d1, d2, d3 = (
+        np.linalg.norm(d, axis=1) for d in _edge_vectors(problem, positions)
+    )
+    s = np.sqrt(problem.weights) / 6.0
+    stored = np.einsum(
+        "tk,tk->t",
+        np.linalg.norm(blocks, axis=2),
+        np.linalg.norm(positions[problem.tetrahedra], axis=2),
+    )
+    scale = s * d1 * d2 * d3 + stored
+    return ROUNDING_FACTOR * np.finfo(float).eps * scale
+
+
 def _gradient(problem: FitProblem, r, blocks) -> np.ndarray:
     """``2 J^T r`` as an ``(n, 3)`` array with the pinned rows zeroed."""
     n = len(problem.initial_positions)
@@ -176,17 +207,20 @@ def fit(
     """Minimize the star-planarity functional.
 
     Returns ``(positions, report)``.  The gradient tolerance defaults to
-    ``1e-10`` times the initial gradient's max-norm, and ``converged``
-    means the final gradient's max-norm is within it.  ``max_iter``
-    bounds the accepted steps.  Raises :class:`DidNotConverge` (carrying
-    ``(positions, report)`` in its ``result``) when the budget runs out
-    first (``stopping == "budget"``) or when no damped step lowers the
-    energy any more (``stopping == "no_progress"``).
+    ``1e-10`` times the initial gradient's max-norm.  ``converged`` means
+    the final gradient's max-norm is within it (``stopping ==
+    "gradient"``) or every residual is within its rounding bound
+    (``stopping == "rounding"``), which an input with exactly planar
+    stars meets at once.  ``max_iter`` bounds the accepted steps.  Raises
+    :class:`DidNotConverge` (carrying ``(positions, report)`` in its
+    ``result``) when the budget runs out first (``stopping ==
+    "budget"``) or when no damped step lowers the energy any more
+    (``stopping == "no_progress"``).
     """
     x = problem.initial_positions.copy()
     free = np.array(problem.free_vertices, dtype=int)
-    e = energy(problem, x)
     r, blocks = _residuals(problem, x)
+    e = float(r @ r)
     g = _gradient(problem, r, blocks)
     g0_norm = float(np.max(np.abs(g))) if g.size else 0.0
     tol = tol_g if tol_g is not None else GRAD_TOL_FACTOR * g0_norm
@@ -197,7 +231,7 @@ def fit(
             "energy": history[-1],
             "grad_norm": g_norm,
             "tolerance": float(tol),
-            "converged": bool(g_norm <= tol),
+            "converged": stopping in ("gradient", "rounding"),
             "stopping": stopping,
             "energy_history": history,
             "message": message,
@@ -223,6 +257,10 @@ def fit(
         if g_norm <= tol:
             stopping, message = "gradient", "gradient within tolerance"
             break
+        if np.all(np.abs(r) <= _rounding_bound(problem, x, blocks)):
+            stopping = "rounding"
+            message = "every residual within its rounding bound"
+            break
         if iterations >= max_iter:
             stopping, message = "budget", "accepted-step budget exhausted"
             break
@@ -234,7 +272,8 @@ def fit(
             step = spsolve(normal + (mu * scale) * eye, rhs)
             trial = x.copy()
             trial[free] += step.reshape(-1, 3)
-            e_trial = energy(problem, trial)
+            r_trial, blocks_trial = _residuals(problem, trial)
+            e_trial = float(r_trial @ r_trial)
             if e_trial < e:
                 break
             mu *= 10.0
@@ -242,11 +281,10 @@ def fit(
             stopping = "no_progress"
             message = "no damped step lowered the energy"
             break
-        x, e = trial, e_trial
+        x, e, r, blocks = trial, e_trial, r_trial, blocks_trial
         history.append(e)
         mu = max(mu / 10.0, DAMPING_START)
         iterations += 1
-        r, blocks = _residuals(problem, x)
         g = _gradient(problem, r, blocks)
 
     report = make_report(iterations, g_norm, history, message, stopping)

@@ -225,6 +225,31 @@ def test_fit_out_of_budget_exits_with_the_convergence_code(tmp_path, capsys):
     assert out.exists()
 
 
+def test_fit_of_its_own_output_exits_zero(tmp_path, capsys):
+    path, _ = noisy_saddle(tmp_path)
+    once = tmp_path / "once.obj"
+    code, _ = run_main(capsys, ["fit", path, "-o", str(once)])
+    assert code == 0
+    twice = tmp_path / "twice.obj"
+    code, report = run_main(capsys, ["fit", str(once), "-o", str(twice)])
+    assert code == 0
+    assert report["convergence"]["converged"]
+    assert report["convergence"]["iterations"] == 0
+    assert twice.read_bytes() == once.read_bytes()
+
+
+def test_fit_of_an_exact_net_off_the_integer_lattice_exits_zero(
+    tmp_path, capsys
+):
+    count, quads, positions = quadric_grid(6, 6, spacing=0.1)
+    path = write_net(tmp_path / "exact.obj", count, quads, positions)
+    out = tmp_path / "fitted.obj"
+    code, report = run_main(capsys, ["fit", path, "-o", str(out)])
+    assert code == 0
+    assert report["convergence"]["stopping"] == "rounding"
+    assert np.array_equal(read_mesh(out)[0], positions)
+
+
 def test_importing_the_cli_loads_no_scipy():
     # only the fit solver needs scipy; check and extend must not pay for it
     env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]))
