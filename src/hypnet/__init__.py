@@ -49,6 +49,7 @@ from .plucker import (
     line_from_points,
     plucker_product,
     regulus_orientation,
+    Tolerances,
 )
 from .quadgraph import QuadGraph, build
 
@@ -73,6 +74,7 @@ __all__ = [
     "PatchError",
     "PropagationError",
     "QuadGraph",
+    "Tolerances",
     "bilinear_parameter",
     "bilinear_patches",
     "build",

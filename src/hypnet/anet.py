@@ -17,6 +17,8 @@ lines is deliberately not enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +29,9 @@ from .errors import (
     NonPlanarStar,
 )
 from .plucker import (
-    ContactElement,
+    PLANAR_EPS,  # the default star-planarity gate, importable from here
     Subspace,
+    Tolerances,
     canonical,
     hom,
     line_from_points,
@@ -38,9 +41,12 @@ from .plucker import (
 )
 from .quadgraph import QuadGraph
 
-PLANAR_EPS = 1e-8
 FACE_VOLUME_EPS = 1e-10
 SKEW_PAIR_EPS = 1e-10
+# Faces per batch of ANet.face_twists: small batches keep its temporary
+# arrays at about 100 kB, so the twist table adds nothing to the peak
+# memory of checking a large net.
+TWIST_CHUNK = 1024
 # Rank cutoff for vertex pencils of edge lines.  A net passing the
 # planarity check at PLANAR_EPS can carry spurious pencil directions of
 # comparable relative size, so this must sit well above PLANAR_EPS while
@@ -95,7 +101,9 @@ class FaceFrame:
     i.e. first family then second family, each as (line at x, shifted
     copy).  ``diagonals`` rows are g1 = line(x, x12), g2 = line(x1, x2),
     oriented from the lower vertex id; both are isotropic points of the
-    polar line ``H_line`` of the face's span.
+    polar line ``H_line`` of the face's span.  ``sig_eps`` is the
+    signature cutoff of the net the frame belongs to; every later
+    signature read on the face's quadrics uses it too.
     """
 
     face: int
@@ -105,14 +113,7 @@ class FaceFrame:
     h_edges: tuple[int, int, int, int]
     diagonals: np.ndarray
     H_line: Subspace
-
-    @property
-    def first_family(self):
-        return self.h_lines[0], self.h_lines[1]
-
-    @property
-    def second_family(self):
-        return self.h_lines[2], self.h_lines[3]
+    sig_eps: float
 
     def family_of_edge(self, e: int) -> int:
         """1 or 2 according to which role pair edge ``e`` plays here."""
@@ -140,7 +141,12 @@ class FaceFrame:
 
 
 class ANet:
-    """Validated net with planar stars over a quad mesh."""
+    """Validated net with planar stars over a quad mesh.
+
+    ``tol`` is the :class:`Tolerances` value the net was validated with;
+    its face frames read signatures with ``tol.sig`` and propagation
+    checks closure against ``tol.closure``.
+    """
 
     def __init__(
         self,
@@ -150,6 +156,7 @@ class ANet:
         edge_lines,
         planarity_residuals,
         star_diameters,
+        tol: Tolerances = Tolerances(),
     ) -> None:
         self.graph = graph
         self.positions = positions
@@ -157,19 +164,7 @@ class ANet:
         self.edge_lines = edge_lines
         self.planarity_residuals = planarity_residuals
         self.star_diameters = star_diameters
-
-    # --- contact elements --------------------------------------------------
-
-    def contact_element(self, v: int) -> ContactElement:
-        lines = [
-            self.edge_lines[self.graph.half_edges[h].edge]
-            for h in self.graph.outgoing_half_edges(v)
-        ]
-        return ContactElement(
-            point=hom([self.positions[v]])[0],
-            plane=self.contact_planes[v],
-            pencil=span(np.array(lines), rank_tol=PENCIL_RANK_TOL),
-        )
+        self.tol = tol
 
     # --- frames ---------------------------------------------------------------
 
@@ -195,7 +190,7 @@ class ANet:
                 self._diagonal_line(x1, x2),
             ]
         )
-        face_span = span(h_lines)
+        face_span = span(h_lines, sig_eps=self.tol.sig)
         if face_span.signature != (2, 2, 0):
             raise NonGenericPair(
                 f"edge lines of face {f} have signature "
@@ -203,7 +198,7 @@ class ANet:
                 face=f,
                 signature=face_span.signature,
             )
-        axis = polar(face_span)
+        axis = polar(face_span, self.tol.sig)
         if axis.signature != (1, 1, 0):
             raise NonGenericPair(
                 f"axis of face {f} has signature {axis.signature}",
@@ -218,6 +213,7 @@ class ANet:
             h_edges=h_edges,
             diagonals=diagonals,
             H_line=axis,
+            sig_eps=self.tol.sig,
         )
 
     def face_corners(self, f: int) -> tuple[int, int, int, int]:
@@ -265,45 +261,45 @@ class ANet:
     # --- twist -------------------------------------------------------------------
 
     def twist_for_edge(self, f: int, e: int) -> int:
-        """Twist sign of the opposite-edge pair of face ``f`` through ``e``.
+        """Twist sign of the opposite-edge pair of face ``f`` through ``e``,
+        read from :attr:`face_twists`."""
+        return int(self.face_twists[f, self.graph.face_edges(f).index(e) % 2])
 
-        The sign of the 4x4 determinant of the homogeneous corners with
-        the pair's edges traversed in parallel; it does not depend on
-        which edge of the pair is passed, nor on any frame choice.
+    @cached_property
+    def face_twists(self) -> np.ndarray:
+        """Twist signs ``(F, 2)`` of both opposite-edge pairs of every face.
+
+        Column ``k`` of row ``f`` is the pair through edge
+        ``graph.face_edges(f)[k]``: the sign of the 4x4 determinant of the
+        homogeneous corners with the pair's edges traversed in parallel,
+        which for corners ``c0..c3`` in cycle order is
+        ``det(c1 - c0, c2 - c0, c3 - c0)`` for the first pair and its
+        negative for the second.  That determinant also feeds the
+        ``FACE_VOLUME_EPS`` guard of :func:`face_volume_ratio`
+        (:class:`DegenerateFace` for the lowest face that fails it).
+        Computed once per net.
         """
         g = self.graph
-        h = g.half_edge_in_face(f, e)
-        k = g.faces[f].index(h)
-        cycle = [
-            g.half_edges[g.faces[f][(k + i) % 4]].origin for i in range(4)
-        ]
-        ratio = face_volume_ratio(self.positions, cycle)
-        if ratio < FACE_VOLUME_EPS:
-            raise DegenerateFace(
-                f"face {f} is planar within tolerance", face=f, ratio=ratio
+        pos = np.asarray(self.positions, dtype=float)
+        first = np.empty(g.face_count, dtype=int)
+        for lo in range(0, g.face_count, TWIST_CHUNK):
+            faces = range(lo, min(lo + TWIST_CHUNK, g.face_count))
+            p = pos[[g.face_vertices(f) for f in faces]]
+            det = np.linalg.det(p[:, 1:] - p[:, :1])
+            edges = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=-1)
+            scale = np.mean(edges, axis=-1)
+            ratio = np.divide(
+                np.abs(det), scale**3, out=np.zeros_like(det), where=scale > 0
             )
-        rows = hom(
-            [
-                self.positions[cycle[0]],
-                self.positions[cycle[1]],
-                self.positions[cycle[3]],
-                self.positions[cycle[2]],
-            ]
-        )
-        det = np.linalg.det(rows)
-        return 1 if det > 0 else -1
-
-    def twist(self, f: int, pair: str) -> int:
-        """Twist of face ``f`` for the ``"first"`` or ``"second"`` role pair
-        of its standalone frame."""
-        frame = self.face_frame(f)
-        if pair == "first":
-            e = frame.h_edges[0]
-        elif pair == "second":
-            e = frame.h_edges[2]
-        else:
-            raise ValueError("pair must be 'first' or 'second'")
-        return self.twist_for_edge(f, e)
+            flat = np.flatnonzero(ratio < FACE_VOLUME_EPS)
+            if flat.size:
+                f = faces[flat[0]]
+                raise DegenerateFace(
+                    f"face {f} is planar within tolerance", face=f,
+                    ratio=float(ratio[flat[0]]),
+                )
+            first[faces.start:faces.stop] = np.where(det > 0, 1, -1)
+        return np.stack([first, -first], axis=1)
 
     # --- strips ----------------------------------------------------------------------
 
@@ -332,98 +328,115 @@ class ANet:
         return verdict, report
 
 
-def _collect_violations(graph: QuadGraph, positions, first_only: bool):
-    """Shared validation walk; returns (violations, planes, residuals, diameters).
+class _Walk(NamedTuple):
+    """What the validation walk found; arrays are NaN / zero where it
+    stopped before reaching them."""
 
-    Violations are (kind, data) tuples in deterministic order: planarity
-    by ascending vertex, then per ascending face planarity/skewness,
-    then vertex pencils.
-    """
-    positions = np.asarray(positions, dtype=float)
+    violations: list
+    planes: np.ndarray
+    residuals: np.ndarray
+    diameters: np.ndarray
+    edge_lines: np.ndarray
+
+    def net(self, graph: QuadGraph, positions, tol: Tolerances) -> ANet:
+        return ANet(
+            graph=graph,
+            positions=positions,
+            contact_planes=self.planes,
+            edge_lines=self.edge_lines,
+            planarity_residuals=self.residuals,
+            star_diameters=self.diameters,
+            tol=tol,
+        )
+
+
+def _collect_violations(
+    graph: QuadGraph, positions: np.ndarray, first_only: bool, tol: Tolerances
+) -> _Walk:
+    """Run the validation walk over finite ``positions``; with
+    ``first_only`` it stops at the first violation."""
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
     n = len(positions)
-    planes = np.full((n, 4), np.nan)
-    residuals = np.full(n, np.nan)
-    diameters = np.full(n, np.nan)
-    violations = []
+    walk = _Walk(
+        violations=[],
+        planes=np.full((n, 4), np.nan),
+        residuals=np.full(n, np.nan),
+        diameters=np.full(n, np.nan),
+        edge_lines=np.zeros((len(graph.edges), 6)),
+    )
+    for found in _violations(graph, positions, tol, walk):
+        walk.violations.append(found)
+        if first_only:
+            break
+    return walk
 
-    for v in range(n):
+
+def _violations(graph: QuadGraph, positions, tol: Tolerances, walk: _Walk):
+    """Violations as (kind, data) tuples in deterministic order: planarity
+    by ascending vertex, then per ascending face planarity/skewness,
+    then vertex pencils.  Fills the arrays of ``walk`` as it goes.
+    """
+    for v in range(len(positions)):
         if not graph.is_referenced(v):
             continue
         pts = _star_points(graph, positions, v)
         plane, residual, diameter = star_plane(pts)
-        planes[v] = plane
-        residuals[v] = residual
-        diameters[v] = diameter
-        if residual > PLANAR_EPS * diameter:
-            violations.append(
-                (
-                    "non_planar_star",
-                    {"vertex": v, "residual": residual,
-                     "tolerance": PLANAR_EPS * diameter},
-                )
+        walk.planes[v] = plane
+        walk.residuals[v] = residual
+        walk.diameters[v] = diameter
+        if residual > tol.planar * diameter:
+            yield (
+                "non_planar_star",
+                {"vertex": v, "residual": residual,
+                 "tolerance": tol.planar * diameter},
             )
-            if first_only:
-                return violations, planes, residuals, diameters
 
-    edge_lines = np.zeros((len(graph.edges), 6))
+    edge_lines = walk.edge_lines
     for e, (u, v) in enumerate(graph.edges):
         try:
             edge_lines[e] = line_from_points(
                 hom([positions[u]])[0], hom([positions[v]])[0]
             )
         except CoincidentPoints:
-            violations.append(
-                ("non_generic_pair",
-                 {"edges": (e,), "vertices": (u, v),
-                  "reason": "zero-length edge"})
+            yield (
+                "non_generic_pair",
+                {"edges": (e,), "vertices": (u, v),
+                 "reason": "zero-length edge"},
             )
-            if first_only:
-                return violations, planes, residuals, diameters
 
     for f in range(graph.face_count):
         quad = graph.face_vertices(f)
         ratio = face_volume_ratio(positions, quad)
         if ratio < FACE_VOLUME_EPS:
-            violations.append(("degenerate_face", {"face": f, "ratio": ratio}))
-            if first_only:
-                return violations, planes, residuals, diameters
+            yield ("degenerate_face", {"face": f, "ratio": ratio})
             continue
         edges = graph.face_edges(f)
         for a, b in ((0, 2), (1, 3)):
             prod = plucker_product(edge_lines[edges[a]], edge_lines[edges[b]])
             if abs(prod) < SKEW_PAIR_EPS:
-                violations.append(
-                    (
-                        "non_generic_pair",
-                        {"edges": (edges[a], edges[b]), "face": f,
-                         "product": float(prod)},
-                    )
+                yield (
+                    "non_generic_pair",
+                    {"edges": (edges[a], edges[b]), "face": f,
+                     "product": float(prod)},
                 )
-                if first_only:
-                    return violations, planes, residuals, diameters
 
-    for v in range(n):
+    for v in range(len(positions)):
         if not graph.is_referenced(v):
             continue
         incident = sorted(
             {graph.half_edges[h].edge for h in graph.outgoing_half_edges(v)}
         )
-        pencil = span(edge_lines[incident], rank_tol=PENCIL_RANK_TOL)
+        pencil = span(
+            edge_lines[incident], rank_tol=PENCIL_RANK_TOL, sig_eps=tol.sig
+        )
         if pencil.dim != 1 or pencil.signature != (0, 0, 2):
-            violations.append(
-                (
-                    "non_generic_pair",
-                    {"vertex": v, "edges": tuple(incident[:2]),
-                     "pencil_signature": pencil.signature,
-                     "pencil_dim": pencil.dim},
-                )
+            yield (
+                "non_generic_pair",
+                {"vertex": v, "edges": tuple(incident[:2]),
+                 "pencil_signature": pencil.signature,
+                 "pencil_dim": pencil.dim},
             )
-            if first_only:
-                return violations, planes, residuals, diameters
-
-    return violations, planes, residuals, diameters, edge_lines
 
 
 def _raise_violation(kind: str, data: dict):
@@ -440,68 +453,55 @@ def _raise_violation(kind: str, data: dict):
     raise NonGenericPair(f"genericity violated: {data}", **data)
 
 
-def validate_anet(graph: QuadGraph, positions) -> ANet:
+def validate_anet(
+    graph: QuadGraph, positions, tol: Tolerances = Tolerances()
+) -> ANet:
     """Check planar stars and genericity; return the validated net.
 
     Raises :class:`NonPlanarStar`, :class:`DegenerateFace`, or
     :class:`NonGenericPair` on the first violation in a deterministic
     order (vertices ascending, then faces ascending, then pencils).
+    Stars are held to ``tol.planar`` and pencils read with ``tol.sig``;
+    the returned net keeps ``tol``.
     """
-    result = _collect_violations(graph, positions, first_only=True)
-    violations = result[0]
-    if violations:
-        _raise_violation(*violations[0])
-    _, planes, residuals, diameters, edge_lines = result
-    return ANet(
-        graph=graph,
-        positions=np.asarray(positions, dtype=float),
-        contact_planes=planes,
-        edge_lines=edge_lines,
-        planarity_residuals=residuals,
-        star_diameters=diameters,
-    )
+    positions = np.asarray(positions, dtype=float)
+    walk = _collect_violations(graph, positions, True, tol)
+    if walk.violations:
+        _raise_violation(*walk.violations[0])
+    return walk.net(graph, positions, tol)
 
 
-def diagnose_anet(graph: QuadGraph, positions) -> dict:
+def diagnose_anet(
+    graph: QuadGraph, positions, tol: Tolerances = Tolerances()
+) -> dict:
     """Full validation report without raising; consumed by the CLI.
 
     Contains per-vertex planarity residuals, all genericity violations,
     and — when the net is valid — per-face twist signs and the
-    per-strip uniform-twist verdict.
+    per-strip uniform-twist verdict.  The gates are those of
+    :func:`validate_anet` at the same ``tol``.
     """
-    result = _collect_violations(graph, positions, first_only=False)
-    violations, planes, residuals, diameters = result[0], result[1], result[2], result[3]
+    positions = np.asarray(positions, dtype=float)
+    walk = _collect_violations(graph, positions, False, tol)
     report = {
-        "vertex_count": int(len(np.asarray(positions))),
+        "vertex_count": int(len(positions)),
         "face_count": graph.face_count,
         "edge_count": graph.edge_count,
         "euler_characteristic": graph.euler_characteristic,
         "planarity_residuals": [
-            None if np.isnan(r) else float(r) for r in residuals
+            None if np.isnan(r) else float(r) for r in walk.residuals
         ],
         "violations": [
             {"kind": kind, **{k: _jsonable(v) for k, v in data.items()}}
-            for kind, data in violations
+            for kind, data in walk.violations
         ],
-        "valid": not violations,
+        "valid": not walk.violations,
     }
-    if not violations:
-        net = ANet(
-            graph=graph,
-            positions=np.asarray(positions, dtype=float),
-            contact_planes=planes,
-            edge_lines=result[4],
-            planarity_residuals=residuals,
-            star_diameters=diameters,
-        )
+    if not walk.violations:
+        net = walk.net(graph, positions, tol)
         try:
-            twists = [
-                [net.twist_for_edge(f, graph.face_edges(f)[0]),
-                 net.twist_for_edge(f, graph.face_edges(f)[1])]
-                for f in range(graph.face_count)
-            ]
             verdict, strip_report = net.equi_twisted()
-            report["face_twists"] = twists
+            report["face_twists"] = net.face_twists.tolist()
             report["equi_twisted"] = verdict
             report["strip_report"] = strip_report
         except DegenerateFace as exc:  # pragma: no cover - guarded above

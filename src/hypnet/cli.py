@@ -29,7 +29,10 @@ configuration produce byte-identical reports and meshes.  Exit codes:
 
 The environment variables ``HYPNET_TOL_PLANAR``, ``HYPNET_TOL_CLOSURE``,
 and ``HYPNET_TOL_SIG`` override the star-planarity, propagation-closure,
-and signature tolerances for one invocation.
+and signature tolerances for one invocation: :func:`main` reads them into
+:attr:`RunConfig.tolerances`, and :func:`run` turns that into one
+:class:`~hypnet.plucker.Tolerances` value that it passes down to
+validation, whose net carries it on to framing and propagation.
 """
 
 from __future__ import annotations
@@ -40,14 +43,10 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import anet as _anet_module
-from . import hyperboloid as _hyperboloid_module
-from . import plucker as _plucker_module
 from .anet import diagnose_anet, validate_anet
 from .errors import (
     AnetError,
@@ -62,6 +61,7 @@ from .fit import DEFAULT_MAX_ITER, FitProblem, fit
 from .hyperboloid import propagate_all
 from .meshio import oriented_grid, read_mesh, write_mesh, write_positions_mesh
 from .patch import check_c1, restrict_to_patch, sample
+from .plucker import Tolerances
 from .quadgraph import build
 
 EXIT_OK = 0
@@ -74,12 +74,8 @@ EXIT_CLOSURE = 6
 
 SCHEMA_VERSION = 1
 
-#: report tolerance key -> (module, attribute, environment variable)
-_TOLERANCE_TARGETS = {
-    "planar": (_anet_module, "PLANAR_EPS", "HYPNET_TOL_PLANAR"),
-    "closure": (_hyperboloid_module, "CLOSURE_EPS", "HYPNET_TOL_CLOSURE"),
-    "sig": (_plucker_module, "SIG_EPS", "HYPNET_TOL_SIG"),
-}
+#: tolerance keys; each is read from ``HYPNET_TOL_<KEY>``
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 @dataclass
@@ -117,26 +113,13 @@ class RunConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         for key, value in self.tolerances.items():
-            if key not in _TOLERANCE_TARGETS:
+            if key not in _TOLERANCE_KEYS:
                 raise ValueError(f"unknown tolerance {key!r}")
             if isinstance(value, str) or not (
                 math.isfinite(value) and value > 0
             ):
                 raise ValueError(f"tolerance {key!r} must be a positive number")
 
-
-@contextmanager
-def _tolerance_overrides(tolerances: dict):
-    saved = []
-    try:
-        for key, value in tolerances.items():
-            module, name, _ = _TOLERANCE_TARGETS[key]
-            saved.append((module, name, getattr(module, name)))
-            setattr(module, name, float(value))
-        yield
-    finally:
-        for module, name, old in reversed(saved):
-            setattr(module, name, old)
 
 
 def _plain(value):
@@ -214,10 +197,10 @@ def _structure_violations(report: dict, twist_report: dict) -> None:
         )
 
 
-def _run_check(config: RunConfig, report: dict) -> int:
+def _run_check(config: RunConfig, report: dict, tol: Tolerances) -> int:
     positions, quads = read_mesh(config.input_path)
     graph = build(len(positions), quads)
-    diagnostics = diagnose_anet(graph, positions)
+    diagnostics = diagnose_anet(graph, positions, tol)
     report["diagnostics"] = diagnostics
     report["violations"].extend(diagnostics["violations"])
     if diagnostics["violations"]:
@@ -228,7 +211,8 @@ def _run_check(config: RunConfig, report: dict) -> int:
     return EXIT_OK
 
 
-def _run_fit(config: RunConfig, report: dict) -> int:
+def _run_fit(config: RunConfig, report: dict, tol: Tolerances) -> int:
+    # the fit gates on its own gradient and rounding bounds, not on ``tol``
     positions, quads = read_mesh(config.input_path)
     graph = build(len(positions), quads)
     if config.pin is not None:
@@ -276,7 +260,7 @@ def _boundary_residual(grid: np.ndarray, corner_positions) -> float:
     return worst
 
 
-def _run_extend(config: RunConfig, report: dict) -> int:
+def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     positions, quads = read_mesh(config.input_path)
     graph = build(len(positions), quads)
     if not 0 <= config.seed_face < graph.face_count:
@@ -284,7 +268,7 @@ def _run_extend(config: RunConfig, report: dict) -> int:
             f"seed face {config.seed_face} is not a face id "
             f"(mesh has {graph.face_count} faces)"
         )
-    a = validate_anet(graph, positions)
+    a = validate_anet(graph, positions, tol)
     verdict, twist_report = a.equi_twisted()
     report["equi_twist"] = twist_report
     if not verdict:
@@ -328,8 +312,8 @@ def run(config: RunConfig):
     }
     try:
         config.validate()
-        with _tolerance_overrides(config.tolerances):
-            code = _RUNNERS[config.command](config, report)
+        tol = Tolerances(**{k: float(v) for k, v in config.tolerances.items()})
+        code = _RUNNERS[config.command](config, report, tol)
     except Exception as exc:
         code = _exit_code_for(exc)
         _violation(report, exc)
@@ -414,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _environment_tolerances() -> dict:
     tolerances = {}
-    for key, (_, _, env) in _TOLERANCE_TARGETS.items():
-        raw = os.environ.get(env)
+    for key in _TOLERANCE_KEYS:
+        raw = os.environ.get(f"HYPNET_TOL_{key.upper()}")
         if raw is None:
             continue
         try:

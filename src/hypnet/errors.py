@@ -24,10 +24,6 @@ class CoincidentPoints(GeometryError):
     """Two points that should span a line are projectively equal."""
 
 
-class NotDecomposable(GeometryError):
-    """A 6-vector does not satisfy the quadric equation, so it is no line."""
-
-
 class SkewLines(GeometryError):
     """Two lines expected to intersect are skew."""
 

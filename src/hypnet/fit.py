@@ -54,7 +54,8 @@ class FitProblem:
 
     ``weights`` is aligned with :attr:`tetrahedra` (one entry per
     enumerated 4-subset, default all ones) and must be finite and
-    non-negative.  Pinned vertices keep their initial coordinates exactly.
+    non-negative; the start positions must be finite.  Pinned vertices
+    keep their initial coordinates exactly.
     """
 
     graph: QuadGraph
@@ -67,6 +68,8 @@ class FitProblem:
         self.initial_positions = np.array(
             self.initial_positions, dtype=float
         )
+        if not np.all(np.isfinite(self.initial_positions)):
+            raise ValueError("positions must be finite")
         self.pinned = frozenset(int(v) for v in self.pinned)
         tets = []
         for v in range(len(self.initial_positions)):

@@ -30,6 +30,7 @@ from .errors import (
     ProjectionDegenerate,
 )
 from .plucker import (
+    CLOSURE_EPS,  # the default closure gate, importable from here
     Subspace,
     canonical,
     normalized,
@@ -43,25 +44,6 @@ from .plucker import (
 # this is (numerically) polar to it, so the central projection is
 # undefined; generic nets stay far away from this.
 PROJECTION_EPS = 1e-10
-# Agreement, on normalized vectors, required of the two propagation
-# routes meeting on a non-tree edge.  Looser than the construction
-# tolerances because propagation concatenates many projections.
-CLOSURE_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class FamilyParameter:
-    """Coordinate of one member of a face's family of adapted quadrics.
-
-    The member is the polar pair spanned by ``g1 + lam * g2`` in the
-    face's normalized diagonal basis; ``lam`` in {0, inf} selects an
-    isotropic diagonal, where the quadric degenerates to two planes.
-    """
-
-    lam: float
-
-    def __float__(self) -> float:
-        return float(self.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +75,8 @@ def _assemble(frame: FaceFrame, q1, q2) -> FaceHyperboloid:
             face=frame.face,
             products=(float(s1), float(s2)),
         )
-    p1 = span(np.vstack([frame.h_lines[0], frame.h_lines[1], q1]))
-    p2 = span(np.vstack([frame.h_lines[2], frame.h_lines[3], q2]))
+    p1 = span(np.vstack([frame.h_lines[:2], q1]), sig_eps=frame.sig_eps)
+    p2 = span(np.vstack([frame.h_lines[2:], q2]), sig_eps=frame.sig_eps)
     if {p1.signature, p2.signature} != {(2, 1, 0), (1, 2, 0)}:
         raise DegenerateParameter(
             "ruling planes have signatures "
@@ -119,7 +101,7 @@ def hyperboloid_from_parameter(frame: FaceFrame, t) -> FaceHyperboloid:
     ``q1`` is ``g1 + lam * g2`` in the normalized diagonal basis and
     ``q2`` the point of the axis polar to it (for exactly isotropic
     diagonals ``q2 = g1 - lam * g2``); the pair and its ruling planes
-    are signature-checked.
+    are signature-checked with the frame's ``sig_eps``.
     """
     lam = float(t)
     if lam == 0.0 or math.isinf(lam) or math.isnan(lam):
@@ -216,30 +198,6 @@ def propagate_face(
     return _assemble(neighbor_frame, q1, q2)
 
 
-def tangency_residual(
-    a: FaceHyperboloid, b: FaceHyperboloid, shared_edge: int
-) -> float:
-    """How far two neighboring quadrics are from tangency along an edge.
-
-    For each pair of corresponding ruling planes, the stacked bases
-    together with the shared edge line must span at most four
-    dimensions; returns the worst fifth-singular-value ratio.
-    """
-    fam_a = a.frame.family_of_edge(shared_edge)
-    fam_b = b.frame.family_of_edge(shared_edge)
-    if fam_a == fam_b:
-        pairs = ((a.P1, b.P1), (a.P2, b.P2))
-    else:
-        pairs = ((a.P1, b.P2), (a.P2, b.P1))
-    shared = normalized(a.frame.line_of_edge(shared_edge))
-    worst = 0.0
-    for pa, pb in pairs:
-        stacked = np.vstack([pa.basis, pb.basis, shared])
-        s = np.linalg.svd(stacked, compute_uv=False)
-        worst = max(worst, float(s[4] / s[0]))
-    return worst
-
-
 def propagate_all(a: ANet, seed_face: int, t):
     """Spread one face's adapted quadric over the whole net.
 
@@ -253,7 +211,7 @@ def propagate_all(a: ANet, seed_face: int, t):
     Raises :class:`OddVertexDegree` if any interior vertex has odd
     degree (no consistent propagation exists) and
     :class:`ClosureViolation` if a non-tree edge disagrees beyond
-    tolerance, as happens on nets that only approximately have planar
+    ``a.tol.closure``, as happens on nets that only approximately have planar
     stars or on non-simply-connected meshes with monodromy.
     """
     even, offenders = a.graph.interior_degrees_even()
@@ -303,10 +261,10 @@ def propagate_all(a: ANet, seed_face: int, t):
             for f, hb in sorted(hyperboloids.items())
         },
     }
-    if worst > CLOSURE_EPS:
+    if worst > a.tol.closure:
         raise ClosureViolation(
             f"propagation around edge {worst_edge} disagrees by {worst:.3e} "
-            f"(tolerance {CLOSURE_EPS:.1e})",
+            f"(tolerance {a.tol.closure:.1e})",
             edge=worst_edge,
             residual=worst,
             report=report,

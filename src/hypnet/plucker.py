@@ -27,24 +27,46 @@ from .errors import (
     CoincidentLines,
     CoincidentPoints,
     GeometryError,
-    NotDecomposable,
     NotSkew,
-    NumericallyInfinitePoint,
     SkewLines,
     ZeroSpan,
 )
 
-#: relative eigenvalue cutoff when reading signatures off a Gram matrix
+#: default relative eigenvalue cutoff when reading signatures off a Gram matrix
 SIG_EPS = 1e-9
+
+#: default star-planarity gate, relative to the star diameter
+PLANAR_EPS = 1e-8
+
+#: default agreement, on normalized vectors, required of the two
+#: propagation routes meeting on a non-tree edge; looser than the
+#: construction tolerances because propagation concatenates many
+#: projections
+CLOSURE_EPS = 1e-8
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The gates a run may tighten or relax, passed down explicitly.
+
+    ``planar`` bounds a star's distance from its best-fit plane relative
+    to the star diameter (validation); ``closure`` bounds the
+    disagreement of the two propagation routes on a non-tree edge;
+    ``sig`` is the relative eigenvalue cutoff of every signature read
+    (vertex pencils, face frames, ruling planes).  A validated
+    :class:`~hypnet.anet.ANet` keeps the value it was checked with.
+    """
+
+    planar: float = PLANAR_EPS
+    closure: float = CLOSURE_EPS
+    sig: float = SIG_EPS
+
 
 #: projective equality tolerance for unit vectors: | 1 - |<a,b>_eucl| |
 PROJ_EQ_TOL = 1e-10
 
 #: incidence threshold of intersect_lines (on unit 6-vectors)
 MEET_TOL = 1e-8
-
-#: relative bound on <h,h> below which a 6-vector counts as decomposable
-DECOMPOSABLE_TOL = 1e-8
 
 #: minimum |<a,b>| for lines that are required to be skew
 SKEW_TOL = 1e-10
@@ -122,28 +144,6 @@ def hom(points) -> np.ndarray:
     return np.concatenate([p, np.ones((*p.shape[:-1], 1))], axis=-1)
 
 
-def affine(p, w_tol: float = W_TOL) -> np.ndarray:
-    """Dehomogenize a point ``(x, y, z, w)`` to ``(x/w, y/w, z/w)``.
-
-    Raises :class:`NumericallyInfinitePoint` when ``|w|`` falls below
-    ``w_tol`` relative to the norm of the 4-vector.
-    """
-    p = np.asarray(p, dtype=float)
-    scale = np.linalg.norm(p)
-    if scale == 0.0 or abs(p[3]) < w_tol * scale:
-        raise NumericallyInfinitePoint(
-            f"point {p} is numerically at infinity"
-        )
-    return p[:3] / p[3]
-
-
-def proj_equal(a, b, tol: float = PROJ_EQ_TOL) -> bool:
-    """Projective equality of two nonzero vectors of equal dimension."""
-    ua = normalized(a)
-    ub = normalized(b)
-    return abs(1.0 - abs(float(ua @ ub))) < tol
-
-
 def proj_distance(a, b) -> float:
     """Distance between projective points: min over signs of |ua -+ ub|."""
     ua = normalized(a)
@@ -169,76 +169,17 @@ def line_from_points(x, y) -> np.ndarray:
     return h / norm
 
 
-def skew_matrix(h) -> np.ndarray:
-    """Antisymmetric 4x4 matrix ``P`` with ``P[i, j] = p_ij``.
-
-    For a decomposable ``h = x ^ y`` this equals ``x y^T - y x^T``; its
-    column space is the set of points on the line, and ``P @ e`` is the
-    point where the line pierces the plane with covector ``e``.
-    """
-    h = np.asarray(h, dtype=float)
-    p01, p02, p03, p23, p31, p12 = h
-    return np.array(
-        [
-            [0.0, p01, p02, p03],
-            [-p01, 0.0, p12, -p31],
-            [-p02, -p12, 0.0, p23],
-            [-p03, p31, -p23, 0.0],
-        ]
-    )
-
-
-def dual_coordinates(h) -> np.ndarray:
-    """Swap the two coordinate triples (line as plane-pair intersection)."""
-    h = np.asarray(h, dtype=float)
-    return np.concatenate([h[3:], h[:3]])
-
-
 def incidence_matrix(h) -> np.ndarray:
     """4x4 matrix ``M`` with ``M @ p = 0`` iff point ``p`` lies on ``h``.
 
     Rank 2 for decomposable ``h``; the rows are the four expansions of
-    ``p ^ h = 0``, i.e. ``skew_matrix(dual_coordinates(h))``.  A stack
+    ``p ^ h = 0``, i.e. the skew matrix of the dual coordinates
+    ``(h[3:], h[:3])``.  A stack
     ``(..., 6)`` gives ``(..., 4, 4)``.
     """
     h = np.asarray(h, dtype=float)
     padded = np.concatenate([h, np.zeros((*h.shape[:-1], 1))], axis=-1)
     return padded[..., _INCIDENCE_INDEX] * _INCIDENCE_SIGN
-
-
-def pierce_plane(h, e) -> np.ndarray:
-    """Homogeneous point where line ``h`` meets the plane with covector ``e``.
-
-    Returns the zero vector when the line lies inside the plane.
-    """
-    return skew_matrix(h) @ np.asarray(e, dtype=float)
-
-
-def decompose_line(h, tol: float = DECOMPOSABLE_TOL):
-    """Two unit homogeneous points spanning the line ``h``.
-
-    Inverts the Pluecker embedding by picking the two most independent
-    columns of the skew coordinate matrix (largest norm first, ties by
-    index order).  Raises :class:`NotDecomposable` when ``<h, h>``
-    exceeds ``tol`` relative to ``|h|^2``.
-    """
-    h = np.asarray(h, dtype=float)
-    norm2 = float(h @ h)
-    if norm2 == 0.0:
-        raise NotDecomposable("zero 6-vector")
-    if abs(self_product(h)) > tol * norm2:
-        raise NotDecomposable(
-            f"<h,h> = {self_product(h):.3e} exceeds tolerance"
-        )
-    cols = skew_matrix(h).T
-    norms = np.linalg.norm(cols, axis=1)
-    i = int(np.argmax(norms))
-    x = cols[i] / norms[i]
-    rest = cols - np.outer(cols @ x, x)
-    rest_norms = np.linalg.norm(rest, axis=1)
-    j = int(np.argmax(rest_norms))
-    y = rest[j] / rest_norms[j]
-    return x, y
 
 
 def line_direction(h) -> np.ndarray:
@@ -356,7 +297,7 @@ def intersect_lines(a, b, tol: float = MEET_TOL) -> np.ndarray:
     return meets.points
 
 
-def signature_of_gram(gram, sig_eps: float | None = None, scale: float | None = None):
+def signature_of_gram(gram, sig_eps: float = SIG_EPS, scale: float | None = None):
     """Inertia ``(n_plus, n_minus, n_zero)`` of a symmetric matrix.
 
     Eigenvalues with ``|lam| < sig_eps * max|lam|`` count as zero.  When
@@ -365,8 +306,6 @@ def signature_of_gram(gram, sig_eps: float | None = None, scale: float | None = 
     fully isotropic Gram matrix (all entries roundoff) is read as zero
     rather than as noise of mixed signs.
     """
-    if sig_eps is None:
-        sig_eps = SIG_EPS
     gram = np.asarray(gram, dtype=float)
     lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     top = float(np.max(np.abs(lam))) if lam.size else 0.0
@@ -397,12 +336,6 @@ class Subspace:
         """Projective dimension (number of basis vectors minus one)."""
         return self.basis.shape[0] - 1
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        """Whether a 6-vector lies in the subspace (up to tolerance)."""
-        u = normalized(v)
-        rem = u - self.basis.T @ (self.basis @ u)
-        return float(np.linalg.norm(rem)) < tol
-
 
 def _subspace_from_basis(basis: np.ndarray, sig_eps: float) -> Subspace:
     basis = np.array(
@@ -416,12 +349,13 @@ def _subspace_from_basis(basis: np.ndarray, sig_eps: float) -> Subspace:
     )
 
 
-def span(generators, rank_tol: float = 1e-10, sig_eps: float | None = None) -> Subspace:
+def span(generators, rank_tol: float = 1e-10, sig_eps: float = SIG_EPS) -> Subspace:
     """Subspace spanned by a sequence of 6-vectors.
 
     The basis is extracted by singular value decomposition with relative
-    rank cutoff ``rank_tol``.  Raises :class:`ZeroSpan` when every
-    generator is numerically zero.
+    rank cutoff ``rank_tol``; the signature is read with cutoff
+    ``sig_eps`` (see :func:`signature_of_gram`).  Raises
+    :class:`ZeroSpan` when every generator is numerically zero.
     """
     g = np.atleast_2d(np.asarray(generators, dtype=float))
     _, s, vt = np.linalg.svd(g)
@@ -431,11 +365,12 @@ def span(generators, rank_tol: float = 1e-10, sig_eps: float | None = None) -> S
     return _subspace_from_basis(vt[:rank], sig_eps)
 
 
-def polar(s: Subspace, sig_eps: float | None = None) -> Subspace:
+def polar(s: Subspace, sig_eps: float = SIG_EPS) -> Subspace:
     """Polar (Pluecker-orthogonal) complement of a subspace.
 
     A projective ``d``-dimensional subspace maps to one of dimension
     ``4 - d``; polarity is an involution on non-degenerate subspaces.
+    The signature is read with cutoff ``sig_eps``.
     """
     conditions = s.basis @ METRIC
     _, sv, vt = np.linalg.svd(conditions, full_matrices=True)
@@ -463,31 +398,3 @@ def regulus_orientation(h0, h1, h2, tol: float = SKEW_TOL) -> int:
             raise NotSkew(f"lines {name} intersect: <a,b> = {value:.3e}")
     return 1 if 2.0 * p01 * p02 * p12 > 0 else -1
 
-
-@dataclass(frozen=True, eq=False)
-class ContactElement:
-    """Incident point/plane pair with its pencil of tangent lines.
-
-    ``point`` is a homogeneous 4-vector, ``plane`` a covector with
-    ``plane @ point = 0``, and ``pencil`` the projective line of all
-    lines through the point inside the plane.  The pencil consists of
-    mutually intersecting lines, so its Gram matrix vanishes and the
-    signature is ``(0, 0, 2)``.
-    """
-
-    point: np.ndarray
-    plane: np.ndarray
-    pencil: Subspace
-
-    def is_valid(self, tol: float = 1e-8) -> bool:
-        if abs(float(self.plane @ self.point)) > tol:
-            return False
-        if self.pencil.signature != (0, 0, 2):
-            return False
-        for row in self.pencil.basis:
-            m = incidence_matrix(row)
-            if np.linalg.norm(m @ self.point) > tol:
-                return False
-            if np.linalg.norm(skew_matrix(row) @ self.plane) > tol:
-                return False
-        return True

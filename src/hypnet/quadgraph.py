@@ -235,9 +235,6 @@ class QuadGraph:
     def dest(self, he_id: int) -> int:
         return self.half_edges[self.half_edges[he_id].twin].origin
 
-    def face_half_edges(self, f: int) -> tuple[int, int, int, int]:
-        return self.faces[f]
-
     def face_vertices(self, f: int) -> tuple[int, int, int, int]:
         return tuple(self.half_edges[h].origin for h in self.faces[f])
 

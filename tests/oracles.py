@@ -129,6 +129,64 @@ def fit_plane_residual(points):
     return float(np.max(np.abs((pts - center) @ normal)))
 
 
+def skew_matrix(h):
+    """Antisymmetric 4x4 matrix ``P`` with ``P[i, j] = p_ij``.
+
+    For a line ``h = x ^ y`` this equals ``x y^T - y x^T``; its column
+    space is the set of points on the line, and ``P @ e`` is the point
+    where the line pierces the plane with covector ``e`` (zero when the
+    line lies in that plane).
+    """
+    p01, p02, p03, p23, p31, p12 = np.asarray(h, dtype=float)
+    return np.array(
+        [
+            [0.0, p01, p02, p03],
+            [-p01, 0.0, p12, -p31],
+            [-p02, -p12, 0.0, p23],
+            [-p03, p31, -p23, 0.0],
+        ]
+    )
+
+
+def dual_coordinates(h):
+    """Swap the two coordinate triples (line as plane-pair intersection)."""
+    h = np.asarray(h, dtype=float)
+    return np.concatenate([h[3:], h[:3]])
+
+
+def in_span(basis, v, tol=1e-9):
+    """Whether the direction of ``v`` lies in the row span of the
+    orthonormal ``basis``: the residue of its unit vector after
+    orthogonal projection is below ``tol``."""
+    basis = np.asarray(basis, dtype=float)
+    u = np.asarray(v, dtype=float) / np.linalg.norm(v)
+    return float(np.linalg.norm(u - basis.T @ (basis @ u))) < tol
+
+
+def tangency_residual(a, b, shared_edge):
+    """How far two neighboring face quadrics are from tangency along an edge.
+
+    For each pair of corresponding ruling planes (matched by the family
+    role the shared edge plays in each frame), the stacked plane bases
+    together with the shared edge line must span at most four
+    dimensions; returns the worst fifth-singular-value ratio.
+    """
+    fam_a = a.frame.family_of_edge(shared_edge)
+    fam_b = b.frame.family_of_edge(shared_edge)
+    if fam_a == fam_b:
+        pairs = ((a.P1, b.P1), (a.P2, b.P2))
+    else:
+        pairs = ((a.P1, b.P2), (a.P2, b.P1))
+    shared = a.frame.line_of_edge(shared_edge)
+    shared = shared / np.linalg.norm(shared)
+    worst = 0.0
+    for pa, pb in pairs:
+        stacked = np.vstack([pa.basis, pb.basis, shared])
+        s = np.linalg.svd(stacked, compute_uv=False)
+        worst = max(worst, float(s[4] / s[0]))
+    return worst
+
+
 def _pairing(a, b):
     """Pluecker pairing of float 6-vectors (restated for independence)."""
     return float(a[:3] @ b[3:] + a[3:] @ b[:3])

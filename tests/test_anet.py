@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypnet.anet import (
+    PENCIL_RANK_TOL,
     ANet,
     diagnose_anet,
     face_volume_ratio,
@@ -16,11 +17,13 @@ from hypnet.anet import (
 from hypnet.errors import DegenerateFace, NonGenericPair, NonPlanarStar
 from hypnet.plucker import (
     hom,
+    incidence_matrix,
     line_from_points,
     plucker_product,
     proj_distance,
     regulus_orientation,
     self_product,
+    span,
 )
 from hypnet.quadgraph import build
 from hypnet.synthetic import (
@@ -31,7 +34,7 @@ from hypnet.synthetic import (
     umbrella_graph,
 )
 
-from oracles import exact_det4
+from oracles import exact_det4, in_span, skew_matrix
 
 SPEC_QUAD = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
@@ -126,11 +129,21 @@ def test_contact_elements_are_valid_and_carry_edge_lines():
     g = build(n, quads)
     net = validate_anet(g, pos)
     for v in range(n):
-        ce = net.contact_element(v)
-        assert ce.is_valid()
-        for h in g.outgoing_half_edges(v):
-            e = g.half_edges[h].edge
-            assert ce.pencil.contains(net.edge_lines[e], tol=1e-8)
+        point = hom(pos[v])
+        plane = net.contact_planes[v]
+        assert abs(plane @ point) < 1e-8
+        lines = [
+            net.edge_lines[g.half_edges[h].edge]
+            for h in g.outgoing_half_edges(v)
+        ]
+        pencil = span(np.array(lines), rank_tol=PENCIL_RANK_TOL)
+        assert pencil.signature == (0, 0, 2)
+        # the pencil's lines pass through the vertex inside its plane
+        for row in pencil.basis:
+            assert np.linalg.norm(incidence_matrix(row) @ point) < 1e-8
+            assert np.linalg.norm(skew_matrix(row) @ plane) < 1e-8
+        for line in lines:
+            assert in_span(pencil.basis, line, tol=1e-8)
 
 
 # --- face frames -----------------------------------------------------------------
@@ -142,7 +155,7 @@ def test_spec_quad_frame_signatures():
     assert frame.H_line.signature == (1, 1, 0)
     for g_diag in frame.diagonals:
         assert abs(self_product(g_diag)) < 1e-12
-        assert frame.H_line.contains(g_diag, tol=1e-8)
+        assert in_span(frame.H_line.basis, g_diag, tol=1e-8)
     assert abs(plucker_product(*frame.diagonals)) > 1e-3
 
 
@@ -221,8 +234,9 @@ def test_spec_quad_twist_frozen_values():
     # same pairings through the opposite edges
     assert net.twist_for_edge(0, g.edge_id(2, 3)) == -1
     assert net.twist_for_edge(0, g.edge_id(3, 0)) == +1
-    assert net.twist(0, "second") == -1  # entry edge (0,1) pairing
-    assert net.twist(0, "first") == +1
+    frame = net.face_frame(0)
+    assert net.twist_for_edge(0, frame.h_edges[2]) == -1  # entry edge (0,1)
+    assert net.twist_for_edge(0, frame.h_edges[0]) == +1
 
 
 def test_twist_pairs_are_opposite_and_relabel_invariant():
@@ -230,7 +244,10 @@ def test_twist_pairs_are_opposite_and_relabel_invariant():
     for _ in range(20):
         pts = random_skew_quad(rng)
         g, net = single_quad_net(pts)
-        assert net.twist(0, "first") == -net.twist(0, "second")
+        frame = net.face_frame(0)
+        assert net.twist_for_edge(0, frame.h_edges[0]) == -net.twist_for_edge(
+            0, frame.h_edges[2]
+        )
         base = net.twist_for_edge(0, g.edge_id(0, 1))
         # relabel the same spatial quad by pairing-preserving symmetries
         for relabel in [(1, 2, 3, 0), (2, 3, 0, 1), (3, 2, 1, 0)]:
@@ -256,6 +273,47 @@ def test_twist_matches_regulus_orientation_of_cross_transversals():
                 regulus_orientation(frame.h_lines[0], frame.h_lines[1], m)
                 == t
             )
+
+
+def exact_twist(net, f, k):
+    """Twist sign of the pair through edge ``k`` of face ``f``, exactly:
+    the corners from that edge on, with the pair's edges run in parallel."""
+    quad = net.graph.face_vertices(f)
+    c = [quad[(k + i) % 4] for i in range(4)]
+    rows = [
+        [Fraction(float(x)) for x in net.positions[v]] + [Fraction(1)]
+        for v in (c[0], c[1], c[3], c[2])
+    ]
+    return 1 if exact_det4(rows) > 0 else -1
+
+
+def test_face_twist_table_matches_exact_twists_through_every_edge():
+    rng = np.random.default_rng(17)
+    nets = [validate_anet(build(n, q), p) for n, q, p in (
+        quadric_grid(3, 2), random_grid3x3_net(rng), random_umbrella_net(4, rng),
+    )]
+    for net in nets:
+        g = net.graph
+        table = net.face_twists
+        assert table.shape == (g.face_count, 2)
+        for f in range(g.face_count):
+            edges = g.face_edges(f)
+            for k in range(4):
+                assert exact_twist(net, f, k) == table[f, k % 2]
+                assert net.twist_for_edge(f, edges[k]) == table[f, k % 2]
+        assert net.face_twists is table  # computed once per net
+
+
+def test_face_twist_table_guards_flat_faces():
+    n, quads = grid_graph(2, 2)
+    pos = np.array([[ix, iy, ix * iy] for iy in range(3) for ix in range(3)],
+                   dtype=float)
+    pos[[0, 1, 3, 4], 2] = 0.0  # face 0 flat
+    net = ANet(build(n, quads), pos, None, None, None, None)
+    for f in range(net.graph.face_count):
+        with pytest.raises(DegenerateFace) as exc:
+            net.twist_for_edge(f, net.graph.face_edges(f)[0])
+        assert exc.value.data["face"] == 0
 
 
 # --- equi-twist ------------------------------------------------------------------

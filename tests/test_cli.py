@@ -15,9 +15,11 @@ import hypnet.hyperboloid
 import hypnet.plucker
 from hypnet.anet import diagnose_anet, validate_anet
 from hypnet.cli import RunConfig, main, run
-from hypnet.hyperboloid import hyperboloid_from_parameter
+from hypnet.errors import ClosureViolation, NonPlanarStar
+from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_all
 from hypnet.meshio import read_mesh, write_positions_mesh
 from hypnet.patch import bilinear_parameter, restrict_to_patch
+from hypnet.plucker import Tolerances
 from hypnet.quadgraph import build
 from hypnet.synthetic import (
     moebius_quads,
@@ -250,6 +252,19 @@ def test_fit_of_an_exact_net_off_the_integer_lattice_exits_zero(
     assert np.array_equal(read_mesh(out)[0], positions)
 
 
+def test_fit_rejects_a_non_finite_coordinate(tmp_path, capsys):
+    count, quads, positions = quadric_grid(3, 3)
+    positions = positions.copy()
+    positions[5, 2] = np.nan
+    path = write_net(tmp_path / "nan.obj", count, quads, positions)
+    out = tmp_path / "fitted.obj"
+    code, report = run_main(capsys, ["fit", path, "-o", str(out)])
+    assert code == 1
+    assert report["violations"][0]["kind"] == "value_error"
+    assert report["violations"][0]["message"] == "positions must be finite"
+    assert not out.exists()
+
+
 def test_importing_the_cli_loads_no_scipy():
     # only the fit solver needs scipy; check and extend must not pay for it
     env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]))
@@ -383,11 +398,15 @@ def test_usage_errors_exit_with_the_input_code(capsys):
 # --- tolerance overrides ----------------------------------------------------------
 
 
-def nudged_saddle(tmp_path):
+def nudged_saddle_net():
     count, quads, positions = quadric_grid(3, 3)
     positions = positions.copy()
     positions[5, 2] += 1e-6
-    return write_net(tmp_path / "nudged.obj", count, quads, positions)
+    return count, quads, positions
+
+
+def nudged_saddle(tmp_path):
+    return write_net(tmp_path / "nudged.obj", *nudged_saddle_net())
 
 
 def test_environment_overrides_relax_the_planarity_gate(
@@ -430,3 +449,47 @@ def test_tight_closure_override_fails_a_slightly_noisy_extension(
     assert code == 6
     assert report["violations"][0]["kind"] == "closure_violation"
     assert hypnet.hyperboloid.CLOSURE_EPS == 1e-8
+
+
+def test_signature_override_reaches_the_face_frames(
+    tmp_path, capsys, monkeypatch
+):
+    # a cutoff of half the largest eigenvalue leaves the vertex pencils
+    # isotropic but reads the faces' edge-line spans as degenerate
+    path = saddle_mesh(tmp_path)
+    monkeypatch.setenv("HYPNET_TOL_SIG", "0.5")
+    code, report = run_main(capsys, ["check", path])
+    assert code == 0
+    code, report = run_main(
+        capsys,
+        ["extend", path, "-o", str(tmp_path / "x.obj"), "--lambda",
+         repr(saddle_lambda())],
+    )
+    assert code == 3
+    assert report["violations"][0]["kind"] == "non_generic_pair"
+    assert hypnet.plucker.SIG_EPS == 1e-9
+
+
+def test_library_calls_take_their_tolerances_explicitly():
+    count, quads, positions = nudged_saddle_net()
+    graph = build(count, quads)
+    loose = Tolerances(planar=1e-3)
+    for _ in range(2):
+        net = validate_anet(graph, positions, tol=loose)
+        assert net.tol == loose
+        with pytest.raises(NonPlanarStar):
+            validate_anet(graph, positions)
+    assert diagnose_anet(graph, positions, loose)["valid"]
+    assert not diagnose_anet(graph, positions)["valid"]
+    # the net carries its closure gate on to propagation
+    count, quads, positions = quadric_grid(3, 3)
+    exact = validate_anet(build(count, quads), positions)
+    tight = validate_anet(exact.graph, positions, Tolerances(closure=1e-18))
+    propagate_all(exact, 0, saddle_lambda())
+    with pytest.raises(ClosureViolation, match=r"tolerance 1\.0e-18"):
+        propagate_all(tight, 0, saddle_lambda())
+    assert Tolerances() == Tolerances(
+        planar=hypnet.anet.PLANAR_EPS,
+        closure=hypnet.hyperboloid.CLOSURE_EPS,
+        sig=hypnet.plucker.SIG_EPS,
+    )

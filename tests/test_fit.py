@@ -107,6 +107,15 @@ def test_weights_must_be_finite_and_non_negative(bad):
         )
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_start_positions_must_be_finite(bad):
+    problem = random_problem(np.random.default_rng(3))
+    positions = problem.initial_positions.copy()
+    positions[1, 2] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        FitProblem(graph=problem.graph, initial_positions=positions)
+
 # --- gradient ------------------------------------------------------------------
 
 

@@ -232,8 +232,9 @@ def test_ruling_orientation_agrees_with_the_edge_pair_twist():
     p = SADDLE_PATCH
     triple1 = (p.ruling1(0.0), p.ruling1(0.5), p.ruling1(1.0))
     triple2 = (p.ruling2(0.0), p.ruling2(0.5), p.ruling2(1.0))
-    assert regulus_orientation(*triple1) == SADDLE.twist(0, "first")
-    assert regulus_orientation(*triple2) == SADDLE.twist(0, "second")
+    first, second = SADDLE_FRAME.h_edges[0], SADDLE_FRAME.h_edges[2]
+    assert regulus_orientation(*triple1) == SADDLE.twist_for_edge(0, first)
+    assert regulus_orientation(*triple2) == SADDLE.twist_for_edge(0, second)
 
 
 def test_corner_map_lists_the_role_vertices():
