@@ -12,18 +12,33 @@ opposite edge lines are skew; per vertex, that the incident edge lines
 form a genuine pencil (rank 2).  These are the genericity conditions the
 construction algorithms rely on; global pairwise skewness of all edge
 lines is deliberately not enforced.
+
+The validation walk runs four stages, each as stacked array kernels over
+batches of at most ``CHUNK`` rows:
+
+1. stars: one stacked best-fit plane (:func:`star_plane`) per star size;
+2. edges: the lines of all edges from their 2x2 minors;
+3. faces: volume ratios and the products of both opposite edge pairs;
+4. pencils: one stacked SVD per vertex degree for the rank of the
+   incident edge lines, then their signature.
+
+Its violations come in this order: non-planar stars by ascending
+vertex; zero-length edges by ascending edge id; per ascending face a
+degenerate face, or else its opposite pairs (0, 2) and (1, 3) whose
+lines meet; vertex pencils by ascending vertex.  :func:`validate_anet`
+raises the first one, :func:`diagnose_anet` lists them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    CoincidentPoints,
     DegenerateFace,
     NonGenericPair,
     NonPlanarStar,
@@ -32,6 +47,9 @@ from .plucker import (
     PLANAR_EPS,  # the default star-planarity gate, importable from here
     Subspace,
     Tolerances,
+    _join,
+    _rowdot,
+    _span_signatures,
     canonical,
     hom,
     line_from_points,
@@ -43,10 +61,11 @@ from .quadgraph import QuadGraph
 
 FACE_VOLUME_EPS = 1e-10
 SKEW_PAIR_EPS = 1e-10
-# Faces per batch of ANet.face_twists: small batches keep its temporary
-# arrays at about 100 kB, so the twist table adds nothing to the peak
-# memory of checking a large net.
-TWIST_CHUNK = 1024
+# Rows (stars, edges, faces or pencils) per batch of the validation walk
+# and of ANet.face_twists: small batches keep each temporary array under
+# about 100 kB, so checking a large net adds next to nothing to its peak
+# memory.
+CHUNK = 256
 # Rank cutoff for vertex pencils of edge lines.  A net passing the
 # planarity check at PLANAR_EPS can carry spurious pencil directions of
 # comparable relative size, so this must sit well above PLANAR_EPS while
@@ -55,39 +74,65 @@ TWIST_CHUNK = 1024
 PENCIL_RANK_TOL = 1e-6
 
 
-def _star_points(graph: QuadGraph, positions, v: int):
-    neighbors, _ = graph.vertex_star(v)
-    return np.array([positions[v]] + [positions[n] for n in neighbors])
-
-
 def star_plane(points):
     """Best-fit plane of a point cloud as a homogeneous covector.
 
     Returns ``(plane, residual, diameter)`` where ``plane @ (x,y,z,1)``
     vanishes on the cloud up to ``residual`` (max distance) and
-    ``diameter`` is the largest pairwise distance.
+    ``diameter`` is the largest pairwise distance.  A stack of clouds
+    ``(..., k, 3)`` gives planes ``(..., 4)`` and arrays of residuals
+    and diameters, each cloud's values equal bit for bit to those of
+    its own call.
     """
     pts = np.asarray(points, dtype=float)
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
+    centroid = pts.mean(axis=-2)
+    centered = pts - centroid[..., None, :]
     _, _, vt = np.linalg.svd(centered, full_matrices=True)
-    normal = vt[-1]
-    residual = float(np.max(np.abs(centered @ normal)))
-    diffs = pts[:, None, :] - pts[None, :, :]
-    diameter = float(np.sqrt(np.max(np.sum(diffs**2, axis=-1))))
-    plane = canonical(np.append(normal, -normal @ centroid))
+    normal = vt[..., -1, :]
+    residual = np.max(np.abs((centered @ normal[..., None])[..., 0]), axis=-1)
+    widest = np.zeros(pts.shape[:-2])
+    for i, j in combinations(range(pts.shape[-2]), 2):
+        gap = np.sum((pts[..., i, :] - pts[..., j, :]) ** 2, axis=-1)
+        widest = np.maximum(widest, gap)
+    diameter = np.sqrt(widest)
+    offset = _rowdot(-normal, centroid)[..., None]
+    plane = canonical(np.concatenate([normal, offset], axis=-1))
+    if plane.ndim == 1:
+        return plane, float(residual), float(diameter)
     return plane, residual, diameter
 
 
-def face_volume_ratio(positions, quad):
-    """|det of edge span| normalized by cubed mean edge length."""
-    p = [np.asarray(positions[v], dtype=float) for v in quad]
-    det = np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]]))
-    edges = [p[(k + 1) % 4] - p[k] for k in range(4)]
-    scale = np.mean([np.linalg.norm(e) for e in edges])
-    if scale == 0.0:
-        return 0.0
-    return abs(det) / scale**3
+def _face_volumes(positions, quads):
+    """Signed volumes and volume ratios of a stack of quads ``(B, 4)``.
+
+    The volume is ``det(c1 - c0, c2 - c0, c3 - c0)`` of the corners in
+    cycle order; the ratio is its magnitude over the cubed mean edge
+    length (0 for a quad whose edges all vanish), the quantity
+    ``FACE_VOLUME_EPS`` gates.
+    """
+    p = positions[quads]
+    det = np.linalg.det(p[:, 1:] - p[:, :1])
+    edges = np.roll(p, -1, axis=1) - p
+    scale = np.mean(np.sqrt(_rowdot(edges, edges)), axis=-1)
+    # float_power rounds like the power of one float; ``scale**3`` on an
+    # array can differ from it in the last bit
+    ratio = np.divide(
+        np.abs(det), np.float_power(scale, 3),
+        out=np.zeros_like(det), where=scale != 0.0,
+    )
+    return det, ratio
+
+
+def _face_chunks(graph: QuadGraph):
+    """Faces in slices of at most ``CHUNK``: ``(lo, vertices, edges)``
+    with the vertex ids and edge ids of faces ``lo, lo + 1, ...`` in
+    cycle order as ``(B, 4)`` int arrays."""
+    half = graph.half_edges
+    for lo in range(0, graph.face_count, CHUNK):
+        ids = np.ravel(graph.faces[lo:lo + CHUNK]).tolist()
+        vertices = np.fromiter((half[h].origin for h in ids), np.intp, len(ids))
+        edges = np.fromiter((half[h].edge for h in ids), np.intp, len(ids))
+        yield lo, vertices.reshape(-1, 4), edges.reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -275,30 +320,22 @@ class ANet:
         which for corners ``c0..c3`` in cycle order is
         ``det(c1 - c0, c2 - c0, c3 - c0)`` for the first pair and its
         negative for the second.  That determinant also feeds the
-        ``FACE_VOLUME_EPS`` guard of :func:`face_volume_ratio`
+        ``FACE_VOLUME_EPS`` guard of the validation walk
         (:class:`DegenerateFace` for the lowest face that fails it).
         Computed once per net.
         """
-        g = self.graph
         pos = np.asarray(self.positions, dtype=float)
-        first = np.empty(g.face_count, dtype=int)
-        for lo in range(0, g.face_count, TWIST_CHUNK):
-            faces = range(lo, min(lo + TWIST_CHUNK, g.face_count))
-            p = pos[[g.face_vertices(f) for f in faces]]
-            det = np.linalg.det(p[:, 1:] - p[:, :1])
-            edges = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=-1)
-            scale = np.mean(edges, axis=-1)
-            ratio = np.divide(
-                np.abs(det), scale**3, out=np.zeros_like(det), where=scale > 0
-            )
+        first = np.empty(self.graph.face_count, dtype=int)
+        for lo, quads, _ in _face_chunks(self.graph):
+            det, ratio = _face_volumes(pos, quads)
             flat = np.flatnonzero(ratio < FACE_VOLUME_EPS)
             if flat.size:
-                f = faces[flat[0]]
+                f = lo + int(flat[0])
                 raise DegenerateFace(
                     f"face {f} is planar within tolerance", face=f,
                     ratio=float(ratio[flat[0]]),
                 )
-            first[faces.start:faces.stop] = np.where(det > 0, 1, -1)
+            first[lo:lo + CHUNK] = np.where(det > 0, 1, -1)
         return np.stack([first, -first], axis=1)
 
     # --- strips ----------------------------------------------------------------------
@@ -354,7 +391,8 @@ def _collect_violations(
     graph: QuadGraph, positions: np.ndarray, first_only: bool, tol: Tolerances
 ) -> _Walk:
     """Run the validation walk over finite ``positions``; with
-    ``first_only`` it stops at the first violation."""
+    ``first_only`` it stops after the first stage that finds a
+    violation."""
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
     n = len(positions)
@@ -365,78 +403,121 @@ def _collect_violations(
         diameters=np.full(n, np.nan),
         edge_lines=np.zeros((len(graph.edges), 6)),
     )
-    for found in _violations(graph, positions, tol, walk):
-        walk.violations.append(found)
-        if first_only:
+    degree = np.fromiter((graph.degree(v) for v in range(n)), np.intp, n)
+    stages = (
+        lambda: _star_stage(graph, positions, degree, tol.planar, walk),
+        lambda: _edge_stage(graph, positions, walk),
+        lambda: _face_stage(graph, positions, walk),
+        lambda: _pencil_stage(graph, degree, tol.sig, walk),
+    )
+    for stage in stages:
+        walk.violations.extend(stage())
+        if first_only and walk.violations:
             break
     return walk
 
 
-def _violations(graph: QuadGraph, positions, tol: Tolerances, walk: _Walk):
-    """Violations as (kind, data) tuples in deterministic order: planarity
-    by ascending vertex, then per ascending face planarity/skewness,
-    then vertex pencils.  Fills the arrays of ``walk`` as it goes.
-    """
-    for v in range(len(positions)):
-        if not graph.is_referenced(v):
-            continue
-        pts = _star_points(graph, positions, v)
-        plane, residual, diameter = star_plane(pts)
-        walk.planes[v] = plane
-        walk.residuals[v] = residual
-        walk.diameters[v] = diameter
-        if residual > tol.planar * diameter:
-            yield (
-                "non_planar_star",
-                {"vertex": v, "residual": residual,
-                 "tolerance": tol.planar * diameter},
-            )
+def _by_degree(degree):
+    """Referenced vertices by degree: ``(k, vertices)`` for each degree
+    ``k`` present, ascending, with its vertices ascending in slices of
+    at most ``CHUNK``."""
+    # not np.unique: it imports numpy.ma, half a MB of peak memory
+    for k in sorted(set(degree.tolist()) - {0}):
+        vertices = np.flatnonzero(degree == k)
+        for lo in range(0, len(vertices), CHUNK):
+            yield k, vertices[lo:lo + CHUNK]
 
-    edge_lines = walk.edge_lines
-    for e, (u, v) in enumerate(graph.edges):
-        try:
-            edge_lines[e] = line_from_points(
-                hom([positions[u]])[0], hom([positions[v]])[0]
-            )
-        except CoincidentPoints:
-            yield (
-                "non_generic_pair",
-                {"edges": (e,), "vertices": (u, v),
-                 "reason": "zero-length edge"},
-            )
 
-    for f in range(graph.face_count):
-        quad = graph.face_vertices(f)
-        ratio = face_volume_ratio(positions, quad)
-        if ratio < FACE_VOLUME_EPS:
-            yield ("degenerate_face", {"face": f, "ratio": ratio})
-            continue
-        edges = graph.face_edges(f)
-        for a, b in ((0, 2), (1, 3)):
-            prod = plucker_product(edge_lines[edges[a]], edge_lines[edges[b]])
-            if abs(prod) < SKEW_PAIR_EPS:
-                yield (
-                    "non_generic_pair",
-                    {"edges": (edges[a], edges[b]), "face": f,
-                     "product": float(prod)},
-                )
+def _table(rows, width: int) -> np.ndarray:
+    """Int array ``(-1, width)`` of rows of ``width`` ids each."""
+    flat = np.fromiter(chain.from_iterable(rows), np.intp)
+    return flat.reshape(-1, width)
 
-    for v in range(len(positions)):
-        if not graph.is_referenced(v):
-            continue
-        incident = sorted(
-            {graph.half_edges[h].edge for h in graph.outgoing_half_edges(v)}
+
+def _star_stage(graph, positions, degree, planar, walk):
+    """Best-fit plane of every star, stacked by star size; the
+    ``non_planar_star`` violations by ascending vertex."""
+    for k, verts in _by_degree(degree):
+        stars = _table(
+            ((v, *graph.vertex_star(v)[0]) for v in verts.tolist()), k + 1
         )
-        pencil = span(
-            edge_lines[incident], rank_tol=PENCIL_RANK_TOL, sig_eps=tol.sig
+        planes, residuals, diameters = star_plane(positions[stars])
+        walk.planes[verts] = planes
+        walk.residuals[verts] = residuals
+        walk.diameters[verts] = diameters
+    bound = planar * walk.diameters
+    return [
+        ("non_planar_star",
+         {"vertex": v, "residual": float(walk.residuals[v]),
+          "tolerance": float(bound[v])})
+        for v in np.flatnonzero(walk.residuals > bound).tolist()
+    ]
+
+
+def _edge_stage(graph, positions, walk):
+    """Line of every edge; a zero-length edge keeps a zero line and is a
+    violation, by ascending edge id."""
+    found = []
+    for lo in range(0, graph.edge_count, CHUNK):
+        ends = hom(positions[_table(graph.edges[lo:lo + CHUNK], 2)])
+        lines, ok = _join(ends[:, 0], ends[:, 1])
+        walk.edge_lines[lo:lo + CHUNK] = lines
+        found += [
+            ("non_generic_pair",
+             {"edges": (e,), "vertices": graph.edges[e],
+              "reason": "zero-length edge"})
+            for e in (lo + np.flatnonzero(~ok)).tolist()
+        ]
+    return found
+
+
+def _face_stage(graph, positions, walk):
+    """Volume ratio and opposite-pair products of every face; per
+    ascending face a ``degenerate_face``, or else each of the pairs
+    (0, 2) and (1, 3) whose lines meet."""
+    found = []
+    for lo, quads, edges in _face_chunks(graph):
+        _, ratio = _face_volumes(positions, quads)
+        lines = walk.edge_lines[edges]
+        prods = plucker_product(lines[:, :2], lines[:, 2:])
+        flat = ratio < FACE_VOLUME_EPS
+        meet = (np.abs(prods) < SKEW_PAIR_EPS) & ~flat[:, None]
+        for i in np.flatnonzero(flat | meet.any(axis=1)).tolist():
+            if flat[i]:
+                found.append(("degenerate_face",
+                              {"face": lo + i, "ratio": float(ratio[i])}))
+            for k in np.flatnonzero(meet[i]).tolist():
+                found.append(("non_generic_pair",
+                              {"edges": (int(edges[i, k]), int(edges[i, k + 2])),
+                               "face": lo + i, "product": float(prods[i, k])}))
+    return found
+
+
+def _pencil_stage(graph, degree, sig, walk):
+    """Rank and signature of every vertex pencil, stacked by vertex
+    degree; a pencil that is not a line pencil (dimension 1, signature
+    (0, 0, 2)) is a violation, by ascending vertex.  Edge lines that are
+    all zero span nothing: dimension -1, signature (0, 0, 0)."""
+    half = graph.half_edges
+    found = []
+    for k, verts in _by_degree(degree):
+        incident = _table(
+            (sorted(half[h].edge for h in graph.outgoing_half_edges(v))
+             for v in verts.tolist()),
+            k,
         )
-        if pencil.dim != 1 or pencil.signature != (0, 0, 2):
-            yield (
-                "non_generic_pair",
-                {"vertex": v, "edges": tuple(incident[:2]),
-                 "pencil_signature": pencil.signature,
-                 "pencil_dim": pencil.dim},
-            )
+        rank, signatures = _span_signatures(
+            walk.edge_lines[incident], PENCIL_RANK_TOL, sig
+        )
+        bad = (rank != 2) | np.any(signatures != (0, 0, 2), axis=1)
+        found += [
+            ("non_generic_pair",
+             {"vertex": int(verts[i]), "edges": tuple(incident[i, :2].tolist()),
+              "pencil_signature": tuple(signatures[i].tolist()),
+              "pencil_dim": int(rank[i]) - 1})
+            for i in np.flatnonzero(bad).tolist()
+        ]
+    return sorted(found, key=lambda violation: violation[1]["vertex"])
 
 
 def _raise_violation(kind: str, data: dict):
@@ -459,8 +540,8 @@ def validate_anet(
     """Check planar stars and genericity; return the validated net.
 
     Raises :class:`NonPlanarStar`, :class:`DegenerateFace`, or
-    :class:`NonGenericPair` on the first violation in a deterministic
-    order (vertices ascending, then faces ascending, then pencils).
+    :class:`NonGenericPair` on the first violation in the walk's order
+    (stars, edges, faces, pencils; see the module docstring).
     Stars are held to ``tol.planar`` and pencils read with ``tol.sig``;
     the returned net keeps ``tol``.
     """
@@ -499,16 +580,10 @@ def diagnose_anet(
     }
     if not walk.violations:
         net = walk.net(graph, positions, tol)
-        try:
-            verdict, strip_report = net.equi_twisted()
-            report["face_twists"] = net.face_twists.tolist()
-            report["equi_twisted"] = verdict
-            report["strip_report"] = strip_report
-        except DegenerateFace as exc:  # pragma: no cover - guarded above
-            report["valid"] = False
-            report["violations"].append(
-                {"kind": "degenerate_face", **exc.data}
-            )
+        verdict, strip_report = net.equi_twisted()
+        report["face_twists"] = net.face_twists.tolist()
+        report["equi_twisted"] = verdict
+        report["strip_report"] = strip_report
     return report
 
 

@@ -15,6 +15,13 @@ With this component order the inner product of two 6-vectors is
 a symmetric bilinear form of signature (3, 3).  A 6-vector represents an
 actual line exactly when ``<h, h> = 0``, and two lines intersect exactly
 when ``<a, b> = 0``; all constructions below reduce to these two facts.
+
+Functions that take stacks ``(..., n)`` form row-wise dot products with
+:func:`_rowdot` on rows whose entries are adjacent in memory: numpy
+evaluates its stacked ``(1, n) @ (n, 1)`` product as one BLAS dot per
+row, rounded exactly like ``a @ b`` on that single pair (a sum over the
+last axis, or a dot over strided entries, rounds differently), so a
+value does not depend on the stack it is computed in.
 """
 
 from __future__ import annotations
@@ -79,8 +86,9 @@ METRIC = np.block(
     [[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
 )
 
-# index pairs of the six stored minors, in storage order
-_MINOR_INDEX = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+# index pairs (i, j) of the six stored minors, in storage order
+_MINOR_I = np.array([0, 0, 0, 2, 3, 1])
+_MINOR_J = np.array([1, 2, 3, 3, 1, 2])
 
 # incidence_matrix as one gather: entry [i, j] is _INCIDENCE_SIGN[i, j]
 # times component _INCIDENCE_INDEX[i, j] of the 6-vector, where index 6
@@ -101,14 +109,25 @@ _INCIDENCE_SIGN = np.array(
 _COINCIDENT, _SKEW, _INCONSISTENT = 1, 2, 3
 
 
-def plucker_product(a, b) -> float:
+def _rowdot(a, b):
+    """Dot products of the rows of arrays ``(..., n)`` broadcast
+    together, each rounded like ``a @ b`` on its pair of rows."""
+    if a.ndim == b.ndim == 1:  # one pair: that very product, cheaper
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def plucker_product(a, b):
     """Pluecker inner product of two 6-vectors.
 
-    Vanishes exactly when the two lines intersect (or coincide).
+    Vanishes exactly when the two lines intersect (or coincide).  Stacks
+    ``(..., 6)`` broadcast together give the products row by row; a
+    single pair gives a float.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(a[:3] @ b[3:] + a[3:] @ b[:3])
+    prod = _rowdot(a[..., :3], b[..., 3:]) + _rowdot(a[..., 3:], b[..., :3])
+    return float(prod) if np.ndim(prod) == 0 else prod
 
 
 def self_product(h) -> float:
@@ -129,11 +148,21 @@ def canonical(v) -> np.ndarray:
     """Unit norm with a deterministic sign.
 
     The component of largest magnitude (first such index on ties) is made
-    positive, so projectively equal inputs map to the same array.
+    positive, so projectively equal inputs map to the same array.  A
+    stack ``(..., n)`` gives every row's, each equal bit for bit to the
+    row's own call.  Raises ``ValueError`` when a row is zero.
     """
-    u = normalized(v)
-    k = int(np.argmax(np.abs(u)))
-    return -u if u[k] < 0 else u
+    v = np.asarray(v, dtype=float)
+    norm = np.sqrt(_rowdot(v, v))
+    if not norm.all():
+        raise ValueError("cannot normalize a zero vector")
+    u = v / norm[..., None]
+    k = np.abs(u).argmax(axis=-1)
+    if u.ndim == 1:  # the common single vector, without the gather
+        return -u if u[k] < 0 else u
+    rows = u.reshape(-1, u.shape[-1])
+    lead = rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
+    return np.where(lead[..., None] < 0, -u, u)
 
 
 def hom(points) -> np.ndarray:
@@ -153,20 +182,49 @@ def proj_distance(a, b) -> float:
     )
 
 
+def _join(x, y):
+    """Stacked join of homogeneous point stacks ``x`` and ``y``
+    (``(..., 4)``, broadcast together) that records instead of raising.
+
+    Returns ``(lines, ok)``: the unit 6-vectors ``(..., 6)`` of the
+    joining lines, zero where ``ok`` is false because the two points
+    are projectively equal (their minors vanish relative to the points).
+    """
+    x, y = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    )
+    # np.take keeps each row of h contiguous (see the module docstring)
+    xi, xj = np.take(x, _MINOR_I, axis=-1), np.take(x, _MINOR_J, axis=-1)
+    yi, yj = np.take(y, _MINOR_I, axis=-1), np.take(y, _MINOR_J, axis=-1)
+    h = xi * yj - xj * yi
+    norm = np.sqrt(_rowdot(h, h))
+    scale = np.sqrt(_rowdot(x, x)) * np.sqrt(_rowdot(y, y))
+    ok = (scale != 0.0) & (norm > 1e-12 * scale)
+    lines = np.divide(
+        h, norm[..., None], out=np.zeros_like(h), where=ok[..., None]
+    )
+    return lines, ok
+
+
 def line_from_points(x, y) -> np.ndarray:
     """Unit 6-vector of the line joining two homogeneous points.
 
-    Antisymmetric in its arguments up to normalization.  Raises
-    :class:`CoincidentPoints` when the points are projectively equal.
+    Antisymmetric in its arguments up to normalization.  ``x`` and ``y``
+    are 4-vectors or stacks ``(..., 4)`` that broadcast against each
+    other; the result has shape ``(..., 6)``.  Raises
+    :class:`CoincidentPoints` naming the first pair in row-major order
+    whose points are projectively equal.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.array([x[i] * y[j] - x[j] * y[i] for i, j in _MINOR_INDEX])
-    norm = np.linalg.norm(h)
-    scale = np.linalg.norm(x) * np.linalg.norm(y)
-    if scale == 0.0 or norm <= 1e-12 * scale:
-        raise CoincidentPoints(f"points {x} and {y} do not span a line")
-    return h / norm
+    lines, ok = _join(x, y)
+    if not ok.all():
+        x, y = np.broadcast_arrays(
+            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        )
+        first = np.unravel_index(np.flatnonzero(~ok)[0], ok.shape)
+        raise CoincidentPoints(
+            f"points {x[first]} and {y[first]} do not span a line"
+        )
+    return lines
 
 
 def incidence_matrix(h) -> np.ndarray:
@@ -304,19 +362,21 @@ def signature_of_gram(gram, sig_eps: float = SIG_EPS, scale: float | None = None
     ``scale`` is given it acts as a floor for the reference magnitude;
     subspaces built on orthonormal bases pass ``scale = 1`` so that a
     fully isotropic Gram matrix (all entries roundoff) is read as zero
-    rather than as noise of mixed signs.
+    rather than as noise of mixed signs.  A stack ``(..., n, n)`` gives
+    the inertias as an ``(..., 3)`` integer array.
     """
     gram = np.asarray(gram, dtype=float)
-    lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    top = float(np.max(np.abs(lam))) if lam.size else 0.0
+    lam = np.linalg.eigvalsh(0.5 * (gram + gram.swapaxes(-1, -2)))
+    top = np.abs(lam).max(axis=-1, initial=0.0)
     if scale is not None:
-        top = max(top, float(scale))
-    if top == 0.0:
-        return (0, 0, int(lam.size))
-    cut = sig_eps * top
-    n_plus = int(np.sum(lam > cut))
-    n_minus = int(np.sum(lam < -cut))
-    return (n_plus, n_minus, int(lam.size) - n_plus - n_minus)
+        top = np.maximum(top, scale)
+    cut = sig_eps * top[..., None]
+    n_plus = (lam > cut).sum(axis=-1)
+    n_minus = (lam < -cut).sum(axis=-1)
+    counts = (n_plus, n_minus, lam.shape[-1] - n_plus - n_minus)
+    if lam.ndim == 1:
+        return tuple(int(c) for c in counts)
+    return np.stack(counts, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,16 +397,39 @@ class Subspace:
         return self.basis.shape[0] - 1
 
 
+def _span_rank(s, rank_tol: float):
+    """Ranks of spans from their singular values ``(..., k)``: the count
+    above ``rank_tol`` times the largest, or 0 where every generator is
+    numerically zero (largest below ``1e-14``)."""
+    top = s[..., :1]
+    return (s > rank_tol * top).sum(axis=-1) * (top >= 1e-14).any(axis=-1)
+
+
+def _basis_gram(basis: np.ndarray, sig_eps: float):
+    """Canonical rows, Gram matrices and signatures of a stack of
+    orthonormal bases ``(..., r, 6)``."""
+    if basis.shape[-2]:
+        basis = canonical(basis)
+    gram = basis @ METRIC @ basis.swapaxes(-1, -2)
+    return basis, gram, signature_of_gram(gram, sig_eps, scale=1.0)
+
+
 def _subspace_from_basis(basis: np.ndarray, sig_eps: float) -> Subspace:
-    basis = np.array(
-        [canonical(row) for row in basis]
-    ) if len(basis) else basis
-    gram = basis @ METRIC @ basis.T
-    return Subspace(
-        basis=basis,
-        gram=gram,
-        signature=signature_of_gram(gram, sig_eps, scale=1.0),
-    )
+    return Subspace(*_basis_gram(basis, sig_eps))
+
+
+def _span_signatures(generators, rank_tol: float, sig_eps: float):
+    """Ranks ``(B,)`` and signatures ``(B, 3)`` of the spans of a stack
+    of generator sets ``(B, k, 6)``, each read as :func:`span` reads
+    it; a set of numerically zero generators spans nothing: rank 0,
+    signature ``(0, 0, 0)``."""
+    _, s, vt = np.linalg.svd(generators)
+    rank = _span_rank(s, rank_tol)
+    signatures = np.zeros((len(rank), 3), dtype=int)
+    for r in set(rank.tolist()) - {0}:
+        same = rank == r
+        signatures[same] = _basis_gram(vt[same, :r], sig_eps)[2]
+    return rank, signatures
 
 
 def span(generators, rank_tol: float = 1e-10, sig_eps: float = SIG_EPS) -> Subspace:
@@ -359,9 +442,9 @@ def span(generators, rank_tol: float = 1e-10, sig_eps: float = SIG_EPS) -> Subsp
     """
     g = np.atleast_2d(np.asarray(generators, dtype=float))
     _, s, vt = np.linalg.svd(g)
-    if s.size == 0 or s[0] < 1e-14:
+    rank = int(_span_rank(s, rank_tol))
+    if rank == 0:
         raise ZeroSpan("all generators are numerically zero")
-    rank = int(np.sum(s > rank_tol * s[0]))
     return _subspace_from_basis(vt[:rank], sig_eps)
 
 

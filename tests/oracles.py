@@ -369,3 +369,128 @@ def _reference_side(patch, e, A, d):
         return n / np.linalg.norm(n)
 
     return {"normal": normal, "probe": lambda u, into: point(sigma_at(u), into)}
+
+
+# --- the validation walk, one vertex, edge and face at a time ----------------------
+
+# matrix of the Pluecker form in the storage order (restated for independence)
+_METRIC = np.block([[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+
+
+def face_volume_ratio(positions, quad):
+    """|det of edge span| normalized by cubed mean edge length."""
+    p = [np.asarray(positions[v], dtype=float) for v in quad]
+    det = np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]]))
+    edges = [p[(k + 1) % 4] - p[k] for k in range(4)]
+    scale = np.mean([np.linalg.norm(e) for e in edges])
+    if scale == 0.0:
+        return 0.0
+    return abs(det) / scale**3
+
+
+def reference_star_plane(points):
+    """``(plane, residual, diameter)`` of one point cloud: the canonical
+    covector of its best-fit plane, the largest distance from that plane
+    and the largest pairwise distance."""
+    pts = np.asarray(points, dtype=float)
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    _, _, vt = np.linalg.svd(centered, full_matrices=True)
+    normal = vt[-1]
+    residual = float(np.max(np.abs(centered @ normal)))
+    diffs = pts[:, None, :] - pts[None, :, :]
+    diameter = float(np.sqrt(np.max(np.sum(diffs**2, axis=-1))))
+    plane = _sign_fixed(np.append(normal, -normal @ centroid))
+    return plane, residual, diameter
+
+
+def _reference_join(x, y):
+    """Unit minors of the line through homogeneous points, or ``None``
+    when they vanish relative to the points."""
+    h = np.array([x[i] * y[j] - x[j] * y[i] for i, j in MINOR_INDEX])
+    norm = np.linalg.norm(h)
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    if scale == 0.0 or norm <= 1e-12 * scale:
+        return None
+    return h / norm
+
+
+def _reference_pencil(lines, rank_tol, sig):
+    """``(dim, signature)`` of the span of ``lines``; ``(-1, (0, 0, 0))``
+    when every line is numerically zero."""
+    _, s, vt = np.linalg.svd(lines)
+    if s[0] < 1e-14:
+        return -1, (0, 0, 0)
+    rank = int(np.sum(s > rank_tol * s[0]))
+    basis = np.array([_sign_fixed(row) for row in vt[:rank]])
+    gram = basis @ _METRIC @ basis.T
+    lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    cut = sig * max(float(np.max(np.abs(lam))), 1.0)
+    plus, minus = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
+    return len(basis) - 1, (plus, minus, len(lam) - plus - minus)
+
+
+def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
+    """Every validation violation of a net, found one vertex, edge and
+    face at a time, with the walk's arrays.
+
+    Returns ``(violations, planes, residuals, diameters, edge_lines)``.
+    ``violations`` lists ``(kind, data)`` in order: non-planar stars by
+    ascending vertex, zero-length edges by ascending edge, per ascending
+    face a degenerate face or else its meeting opposite pairs (0, 2) and
+    (1, 3), then vertex pencils that are not a rank-2 span of signature
+    (0, 0, 2), by ascending vertex.  Unreferenced vertices keep NaN
+    rows, zero-length edges zero lines.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    planes = np.full((n, 4), np.nan)
+    residuals = np.full(n, np.nan)
+    diameters = np.full(n, np.nan)
+    lines = np.zeros((graph.edge_count, 6))
+    found = []
+    for v in range(n):
+        if not graph.is_referenced(v):
+            continue
+        neighbors, _ = graph.vertex_star(v)
+        planes[v], residuals[v], diameters[v] = reference_star_plane(
+            pos[[v] + neighbors]
+        )
+        if residuals[v] > planar * diameters[v]:
+            found.append(("non_planar_star", {
+                "vertex": v, "residual": float(residuals[v]),
+                "tolerance": planar * float(diameters[v]),
+            }))
+    for e, (u, v) in enumerate(graph.edges):
+        line = _reference_join(np.append(pos[u], 1.0), np.append(pos[v], 1.0))
+        if line is None:
+            found.append(("non_generic_pair", {
+                "edges": (e,), "vertices": (u, v), "reason": "zero-length edge",
+            }))
+        else:
+            lines[e] = line
+    for f in range(graph.face_count):
+        ratio = face_volume_ratio(pos, graph.face_vertices(f))
+        if ratio < face_eps:
+            found.append(("degenerate_face", {"face": f, "ratio": float(ratio)}))
+            continue
+        edges = graph.face_edges(f)
+        for a, b in ((0, 2), (1, 3)):
+            prod = _pairing(lines[edges[a]], lines[edges[b]])
+            if abs(prod) < skew_eps:
+                found.append(("non_generic_pair", {
+                    "edges": (edges[a], edges[b]), "face": f, "product": prod,
+                }))
+    for v in range(n):
+        if not graph.is_referenced(v):
+            continue
+        incident = sorted(
+            {graph.half_edges[h].edge for h in graph.outgoing_half_edges(v)}
+        )
+        dim, signature = _reference_pencil(lines[incident], rank_tol, sig)
+        if dim != 1 or signature != (0, 0, 2):
+            found.append(("non_generic_pair", {
+                "vertex": v, "edges": tuple(incident[:2]),
+                "pencil_signature": signature, "pencil_dim": dim,
+            }))
+    return found, planes, residuals, diameters, lines

@@ -6,16 +6,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import hypnet.anet
+import hypnet.plucker
 from hypnet.anet import (
+    FACE_VOLUME_EPS,
     PENCIL_RANK_TOL,
+    SKEW_PAIR_EPS,
     ANet,
+    _collect_violations,
     diagnose_anet,
-    face_volume_ratio,
     star_plane,
     validate_anet,
 )
 from hypnet.errors import DegenerateFace, NonGenericPair, NonPlanarStar
 from hypnet.plucker import (
+    Tolerances,
     hom,
     incidence_matrix,
     line_from_points,
@@ -34,7 +39,14 @@ from hypnet.synthetic import (
     umbrella_graph,
 )
 
-from oracles import exact_det4, in_span, skew_matrix
+from oracles import (
+    exact_det4,
+    face_volume_ratio,
+    in_span,
+    reference_star_plane,
+    reference_walk,
+    skew_matrix,
+)
 
 SPEC_QUAD = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
@@ -380,3 +392,186 @@ def test_diagnose_valid_net_carries_twists_and_strips():
     assert report["equi_twisted"]
     assert len(report["face_twists"]) == 4
     assert all(a == -b for a, b in report["face_twists"])
+
+
+def test_diagnose_reports_a_fully_collapsed_net_without_raising():
+    n, quads, pos = quadric_grid(2, 2)
+    g = build(n, quads)
+    report = diagnose_anet(g, np.zeros_like(pos))
+    assert not report["valid"]
+    found = report["violations"]
+    assert [v["edges"] for v in found[:12]] == [[e] for e in range(12)]
+    assert all(v["reason"] == "zero-length edge" for v in found[:12])
+    assert [v["face"] for v in found[12:16]] == [0, 1, 2, 3]
+    assert all(v["kind"] == "degenerate_face" for v in found[12:16])
+    pencils = found[16:]
+    assert [v["vertex"] for v in pencils] == list(range(9))
+    for v in pencils:
+        assert v["kind"] == "non_generic_pair"
+        assert v["pencil_dim"] == -1 and v["pencil_signature"] == [0, 0, 0]
+    with pytest.raises(NonGenericPair) as exc:
+        validate_anet(g, np.zeros_like(pos))
+    assert exc.value.data["edges"] == (0,)
+
+
+# --- the batched walk against the one-at-a-time oracle ----------------------------
+
+
+_KINDS = {
+    "non_planar_star": NonPlanarStar,
+    "degenerate_face": DegenerateFace,
+    "non_generic_pair": NonGenericPair,
+}
+
+
+def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
+    """The walk finds the oracle's violations in its order with its
+    values; residuals and diameters are equal bit for bit, planes and
+    edge lines to 1e-15; ``validate_anet`` raises the first violation
+    and ``diagnose_anet`` lists them all.  Returns the violations."""
+    pos = np.asarray(pos, dtype=float)
+    found, planes, residuals, diameters, lines = reference_walk(
+        g, pos, tol.planar, tol.sig, FACE_VOLUME_EPS, SKEW_PAIR_EPS,
+        PENCIL_RANK_TOL,
+    )
+    walk = _collect_violations(g, pos, False, tol)
+    assert walk.violations == found
+    np.testing.assert_array_equal(walk.residuals, residuals)
+    np.testing.assert_array_equal(walk.diameters, diameters)
+    np.testing.assert_allclose(walk.planes, planes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(walk.edge_lines, lines, rtol=0, atol=1e-15)
+    report = diagnose_anet(g, pos, tol)
+    assert report["valid"] == (not found)
+    assert [v["kind"] for v in report["violations"]] == [k for k, _ in found]
+    for entry, (_, data) in zip(report["violations"], found):
+        assert entry == {
+            "kind": entry["kind"],
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in data.items()},
+        }
+    if found:
+        kind, data = found[0]
+        with pytest.raises(_KINDS[kind]) as exc:
+            validate_anet(g, pos, tol)
+        assert exc.value.data == data
+    else:
+        net = validate_anet(g, pos, tol)
+        np.testing.assert_array_equal(net.planarity_residuals, residuals)
+        np.testing.assert_array_equal(net.edge_lines, walk.edge_lines)
+    return found
+
+
+def test_walk_matches_oracle_on_valid_nets():
+    rng = np.random.default_rng(29)
+    nets = [
+        quadric_grid(3, 3),
+        quadric_grid(4, 2, spacing=0.37, origin=(-1.3, 0.6)),
+        *(random_grid3x3_net(rng) for _ in range(3)),
+        *(random_umbrella_net(k, rng) for k in (3, 4, 5, 6)),
+    ]
+    for n, quads, pos in nets:
+        assert assert_walk_matches_oracle(build(n, quads), pos) == []
+
+
+def test_walk_matches_oracle_with_an_unreferenced_vertex():
+    n, quads, pos = quadric_grid(2, 2)
+    pos = np.vstack([pos, [[7.0, -1.0, 2.0]]])
+    g = build(n + 1, quads)
+    assert assert_walk_matches_oracle(g, pos) == []
+    walk = _collect_violations(g, pos, False, Tolerances())
+    assert np.isnan(walk.planes[n]).all() and np.isnan(walk.residuals[n])
+
+
+def _planted():
+    n, quads, pos = quadric_grid(3, 3)
+    lifted = pos.copy()
+    lifted[5] += (1e-3, 0.0, 1e-3)
+    n2, quads2, pos2 = quadric_grid(2, 2)
+    short = pos2.copy()
+    short[1] = short[0]
+    flat = pos2.copy()
+    flat[[0, 1, 3, 4], 2] = 0.0
+    flat[4, 2] = 1e-12  # face 0 nearly flat, with a nonzero volume ratio
+    collinear = pos2.copy()
+    collinear[0] = (collinear[1] + collinear[3]) / 2
+    # name: (net, a kind or a data key the planted violation carries)
+    return {
+        "lifted_vertex": ((n, quads, lifted), "non_planar_star"),
+        "zero_length_edge": ((n2, quads2, short), "reason"),
+        "flat_face": ((n2, quads2, flat), "degenerate_face"),
+        # far from the origin the unit edge lines of a small face nearly meet
+        "meeting_pair": ((n, quads, 0.01 * pos + 1e4), "product"),
+        "collinear_pencil": ((n2, quads2, collinear), "pencil_dim"),
+    }
+
+
+@pytest.mark.parametrize("planted", sorted(_planted()))
+def test_walk_matches_oracle_on_planted_violations(planted):
+    (n, quads, pos), mark = _planted()[planted]
+    found = assert_walk_matches_oracle(build(n, quads), pos)
+    assert any(kind == mark or mark in data for kind, data in found)
+
+
+def test_walk_matches_oracle_on_pencil_signatures():
+    rng = np.random.default_rng(31)
+    n, quads, pos = random_grid3x3_net(rng)
+    found = assert_walk_matches_oracle(build(n, quads), pos, Tolerances(sig=1e-30))
+    assert any(data.get("pencil_signature", (0, 0, 2)) != (0, 0, 2)
+               for _, data in found)
+
+
+def test_walk_matches_oracle_past_one_chunk():
+    n, quads, pos = quadric_grid(40, 40, spacing=0.05, origin=(-1.0, -1.0))
+    g = build(n, quads)
+    assert n > hypnet.anet.CHUNK and g.edge_count > 3 * hypnet.anet.CHUNK
+    pos = pos.copy()
+    pos[1638] += (1e-4, 0.0, 1e-4)  # an interior vertex in the last chunk
+    pos[1680] = pos[1679]  # the last edge and the last face collapse
+    found = assert_walk_matches_oracle(g, pos)
+    assert ("degenerate_face", {"face": 1599, "ratio": 0.0}) in found
+    assert any(data.get("vertex") == 1638 for kind, data in found
+               if kind == "non_planar_star")
+    assert any(data.get("edges") == (3279,) for _, data in found)
+
+
+def test_star_plane_of_one_star_equals_the_stacked_fit():
+    rng = np.random.default_rng(37)
+    stars = rng.normal(size=(50, 5, 3)) * rng.uniform(0.01, 100, size=(50, 1, 1))
+    planes, residuals, diameters = star_plane(stars)
+    for k, star in enumerate(stars):
+        plane, residual, diameter = star_plane(star)
+        ref_plane, ref_residual, ref_diameter = reference_star_plane(star)
+        assert residual == residuals[k] == ref_residual
+        assert diameter == diameters[k] == ref_diameter
+        np.testing.assert_array_equal(plane, planes[k])
+        np.testing.assert_allclose(plane, ref_plane, rtol=0, atol=1e-15)
+
+
+def test_face_volume_kernel_equals_the_one_face_ratio():
+    rng = np.random.default_rng(41)
+    pos = rng.normal(size=(400, 3)) * rng.uniform(0.01, 100, size=(400, 1))
+    quads = rng.permutation(400).reshape(-1, 4)
+    pos[quads[::3, 3]] = pos[quads[::3, 2]]  # some collapsed edges
+    pos[quads[1::3, 3]] = (pos[quads[1::3, 0]] + pos[quads[1::3, 2]]) / 2  # flat
+    _, ratio = hypnet.anet._face_volumes(pos, quads)
+    assert ratio.tolist() == [face_volume_ratio(pos, q) for q in quads]
+
+
+def test_diagnose_makes_no_per_vertex_span_or_svd_calls(monkeypatch):
+    n, quads, pos = quadric_grid(10, 10)
+    g = build(n, quads)
+    calls = {"span": 0, "svd": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module in (hypnet.plucker, hypnet.anet):
+        monkeypatch.setattr(module, "span", counting("span", module.span))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    assert diagnose_anet(g, pos)["valid"]
+    # one stacked SVD per (stage, group, chunk): stars and pencils, each
+    # grouped by the 3 vertex degrees of a grid, each group in one chunk
+    assert calls["span"] == 0
+    assert calls["svd"] <= 2 * 3

@@ -139,6 +139,22 @@ def test_check_reports_flat_faces_as_degenerate(tmp_path, capsys):
     assert "degenerate_face" in kinds
 
 
+def test_check_reports_a_net_collapsed_to_one_point(tmp_path, capsys):
+    count, quads, positions = quadric_grid(2, 2)
+    path = write_net(tmp_path / "point.obj", count, quads, np.zeros_like(positions))
+    code, report = run_main(capsys, ["check", path])
+    assert code == 3
+    assert not report["diagnostics"]["valid"]
+    found = report["violations"]
+    assert [v["kind"] for v in found] == (
+        ["non_generic_pair"] * 12 + ["degenerate_face"] * 4 + ["non_generic_pair"] * 9
+    )
+    assert all(v["reason"] == "zero-length edge" for v in found[:12])
+    for pencil in found[16:]:
+        assert pencil["pencil_dim"] == -1
+        assert pencil["pencil_signature"] == [0, 0, 0]
+
+
 def test_check_schema_and_report_file_match_stdout(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, report = run_main(

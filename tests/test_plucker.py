@@ -69,6 +69,29 @@ def test_coincident_points_rejected():
         pl.line_from_points(ORIGIN, 2.0 * ORIGIN)
 
 
+def test_stacked_lines_products_and_signatures_equal_single_calls():
+    rng = np.random.default_rng(13)
+    x = pl.hom(rng.normal(size=(6, 5, 3)) * 10.0 ** rng.uniform(-2, 2, (6, 5, 1)))
+    y = pl.hom(rng.normal(size=(6, 5, 3)))
+    lines = pl.line_from_points(x, y)
+    assert lines.shape == (6, 5, 6)
+    products = pl.plucker_product(lines[:, :-1], lines[:, 1:])
+    grams = rng.normal(size=(6, 3, 3))
+    signatures = pl.signature_of_gram(grams, 0.5)
+    for i in range(6):
+        for j in range(5):
+            single = pl.line_from_points(x[i, j], y[i, j])
+            np.testing.assert_array_equal(lines[i, j], single)
+        for j in range(4):
+            assert products[i, j] == pl.plucker_product(lines[i, j], lines[i, j + 1])
+        assert tuple(signatures[i]) == pl.signature_of_gram(grams[i], 0.5)
+    y[3, 2] = 2.0 * x[3, 2]
+    y[4, 0] = x[4, 0]
+    with pytest.raises(CoincidentPoints) as exc:
+        pl.line_from_points(x, y)
+    assert str(exc.value) == f"points {x[3, 2]} and {y[3, 2]} do not span a line"
+
+
 def test_line_matches_exact_minors():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -187,6 +210,10 @@ def test_polar_of_quadric_line_contains_it():
 def test_zero_span():
     with pytest.raises(ZeroSpan):
         pl.span([np.zeros(6), np.zeros(6)])
+    # generators below the absolute floor 1e-14 span nothing either
+    with pytest.raises(ZeroSpan):
+        pl.span([np.full(6, 1e-15), np.zeros(6)])
+    assert pl.span([np.full(6, 1e-13), np.zeros(6)]).dim == 0
 
 
 # --- regulus orientation ------------------------------------------------------
@@ -251,6 +278,20 @@ def test_canonical_sign():
     c = pl.canonical(v)
     assert c[1] > 0
     assert np.allclose(pl.canonical(-v), c)
+
+
+def test_canonical_of_a_stack_equals_each_rows_own_call():
+    rng = np.random.default_rng(19)
+    rows = rng.normal(size=(4, 50, 6)) * 10.0 ** rng.uniform(-3, 3, (4, 50, 1))
+    stacked = pl.canonical(rows)
+    for v, c in zip(rows.reshape(-1, 6), stacked.reshape(-1, 6)):
+        u = v / np.linalg.norm(v)
+        expected = -u if u[np.argmax(np.abs(u))] < 0 else u
+        np.testing.assert_array_equal(c, expected)
+        np.testing.assert_array_equal(pl.canonical(v), expected)
+    rows[2, 7] = 0.0
+    with pytest.raises(ValueError):
+        pl.canonical(rows)
 
 
 def test_contact_element_validity():
