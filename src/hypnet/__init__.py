@@ -36,12 +36,14 @@ from .hyperboloid import (
 from .meshio import oriented_grid, read_mesh, write_mesh, write_positions_mesh
 from .patch import (
     HyperboloidPatch,
+    PatchStack,
     bilinear_parameter,
     bilinear_patches,
     check_c1,
-    conic_arc,
+    restrict_all,
     restrict_to_patch,
     sample,
+    sample_all,
 )
 from .plucker import (
     incidence_matrix,
@@ -72,6 +74,7 @@ __all__ = [
     "OddVertexDegree",
     "ParseError",
     "PatchError",
+    "PatchStack",
     "PropagationError",
     "QuadGraph",
     "Tolerances",
@@ -79,7 +82,6 @@ __all__ = [
     "bilinear_patches",
     "build",
     "check_c1",
-    "conic_arc",
     "diagnose_anet",
     "energy",
     "family_parameter_of",
@@ -95,8 +97,10 @@ __all__ = [
     "propagate_face",
     "read_mesh",
     "regulus_orientation",
+    "restrict_all",
     "restrict_to_patch",
     "sample",
+    "sample_all",
     "validate_anet",
     "write_mesh",
     "write_positions_mesh",

@@ -60,7 +60,7 @@ from .errors import (
 from .fit import DEFAULT_MAX_ITER, FitProblem, fit
 from .hyperboloid import propagate_all
 from .meshio import oriented_grid, read_mesh, write_mesh, write_positions_mesh
-from .patch import check_c1, restrict_to_patch, sample
+from .patch import check_c1, restrict_all, sample_all
 from .plucker import Tolerances
 from .quadgraph import build
 
@@ -242,22 +242,23 @@ def _run_fit(config: RunConfig, report: dict, tol: Tolerances) -> int:
     return code
 
 
-def _boundary_residual(grid: np.ndarray, corner_positions) -> float:
-    """Largest distance from a boundary sample to its quad edge."""
-    x, x1, x2, x12 = corner_positions
-    worst = 0.0
-    for samples, a, b in (
-        (grid[0], x, x1),
-        (grid[-1], x2, x12),
-        (grid[:, 0], x, x2),
-        (grid[:, -1], x1, x12),
-    ):
-        axis = np.asarray(b, dtype=float) - a
-        axis = axis / np.linalg.norm(axis)
-        offsets = samples - a
-        rejection = offsets - np.outer(offsets @ axis, axis)
-        worst = max(worst, float(np.linalg.norm(rejection, axis=1).max()))
-    return worst
+def _boundary_residuals(grids: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Largest distance from a boundary sample to its quad edge, per face.
+
+    ``grids`` are patch sample grids ``(F, n, m, 3)`` and ``corners`` the
+    quads' corner positions ``(F, 4, 3)`` in the patches' role order.
+    """
+    n, m = grids.shape[1:3]
+    samples = np.concatenate(
+        [grids[:, 0], grids[:, -1], grids[:, :, 0], grids[:, :, -1]], axis=1
+    )
+    # per boundary sample, the corners (role indices) of its edge
+    ends = np.repeat([[0, 1], [2, 3], [0, 2], [1, 3]], [m, m, n, n], axis=0)
+    a, b = corners[:, ends[:, 0]], corners[:, ends[:, 1]]
+    axis = (b - a) / np.linalg.norm(b - a, axis=-1, keepdims=True)
+    offsets = samples - a
+    rejection = offsets - np.sum(offsets * axis, axis=-1, keepdims=True) * axis
+    return np.linalg.norm(rejection, axis=-1).max(axis=1)
 
 
 def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
@@ -277,22 +278,18 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     hyperboloids, propagation = propagate_all(a, config.seed_face, config.lam)
     report["propagation"] = propagation
     n, m = config.samples
-    grids = {}
-    patches = {}
-    boundary_residuals = {}
-    for f in sorted(hyperboloids):
-        hb = hyperboloids[f]
-        patch = restrict_to_patch(hb, hb.frame, a.positions)
-        patches[f] = patch
-        corners = a.face_corners(f)
-        grid = oriented_grid(sample(patch, n, m), patch.corner_map, corners)
-        grids[f] = (grid, corners)
-        boundary_residuals[f] = _boundary_residual(
-            grid, [a.positions[c] for c in corners]
-        )
+    faces = sorted(hyperboloids)
+    patches = restrict_all([hyperboloids[f] for f in faces], a.positions)
+    points = sample_all(patches, n, m)
     report["samples"] = [n, m]
-    report["boundary_residuals"] = boundary_residuals
+    report["boundary_residuals"] = dict(
+        zip(faces, _boundary_residuals(points, patches.points))
+    )
     report["c1"] = check_c1(patches, a, samples_per_edge=9)
+    grids = {}
+    for k, f in enumerate(faces):
+        corners = a.face_corners(f)
+        grids[f] = (oriented_grid(points[k], patches[k].corner_map, corners), corners)
     write_mesh(config.output_path, grids, weld=config.weld)
     report["weld"] = config.weld
     report["output"] = str(config.output_path)

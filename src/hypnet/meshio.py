@@ -78,19 +78,18 @@ def read_mesh(path):
     return np.asarray(positions, dtype=float), quads
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
-
-
 def write_positions_mesh(path, positions, quads) -> None:
-    """Write a plain vertex/face text mesh with 17-digit coordinates."""
-    lines = []
-    for p in np.asarray(positions, dtype=float):
-        lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    for q in quads:
-        lines.append("f %d %d %d %d" % tuple(int(i) + 1 for i in q))
+    """Write a plain vertex/face text mesh with 17-digit coordinates.
+
+    Every vertex row is formatted in one ``%`` pass over all coordinates,
+    and every face row in another.
+    """
+    coords = np.asarray(positions, dtype=float).reshape(-1, 3)
+    indices = np.asarray(quads, dtype=np.int64).reshape(-1, 4) + 1
+    text = ("v %.17g %.17g %.17g\n" * len(coords)) % tuple(coords.ravel().tolist())
+    text += ("f %d %d %d %d\n" * len(indices)) % tuple(indices.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text or "\n")
 
 
 def oriented_grid(points: np.ndarray, corner_map: dict, corners) -> np.ndarray:

@@ -1,20 +1,30 @@
-"""Hyperboloid patches bounded by a quad: ruling arcs, sampling, C1 reports.
+"""Hyperboloid patches bounded by a quad as rational bilinear patches.
 
-Each ruling family of a face's adapted hyperboloid is a conic in its
-ruling plane.  The arc of that conic between the face's two opposite
-edge lines is a rational quadratic curve; evaluating it sweeps the
-straight rulings of the patch, and intersecting the two families
-samples the surface point grid.  A patch bounded by the quad exists
-only when the swept rulings actually cross the quad, which singles out
-one of the two conic branches per family -- and no branch at all when
-the ruling orientation disagrees with the twist of the corresponding
-edge pair, for instance after exchanging the two family labels.
+The patch a face's adapted hyperboloid cuts out of its quad is the
+rational bilinear patch (a rational tensor-product patch of degree 1)
+
+    X(t, s) = sum w_ij B_i(t) B_j(s) x_ij / sum w_ij B_i(t) B_j(s)
+
+over the corners ``x_00, x_01, x_10, x_11 = x, x1, x2, x12``, with
+``B_0(t) = 1 - t``, ``B_1(t) = t`` and corner weights
+``(1, w01, w10, w11)``.  Its lines of constant ``t`` are the
+first-family rulings and its lines of constant ``s`` the second-family
+ones.  Each family is a conic of lines in its ruling plane; the middle
+ruling of the conic arc between the family's two edge lines crosses the
+opposite edges where ``X(1/2, .)`` or ``X(., 1/2)`` does, which fixes
+the weight ratio of each crossed edge.  A bounded patch exists only
+when exactly one of the two conic branches crosses both opposite edges
+inside the quad; none does when the ruling orientation disagrees with
+the twist of the edge pair, e.g. after exchanging the family labels.
+
+Carving, sampling and the tangent-continuity report are stacked
+evaluations over all faces, in elementwise arithmetic only, so each
+face's row of a stacked call equals that face's own call bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,26 +34,17 @@ from .errors import (
     NumericallyInfinitePoint,
     PatchError,
 )
-from .plucker import (
-    W_TOL,
-    _meet,
-    canonical,
-    hom,
-    line_direction,
-    line_from_points,
-    plucker_product,
-    self_product,
-    span,
-)
+from .plucker import W_TOL, canonical, hom, line_from_points, span
 from .hyperboloid import FaceHyperboloid, family_parameter_of, hyperboloid_from_parameter
 
 #: Pairing threshold below which two arc endpoint lines intersect and the
 #: rational quadratic between them degenerates.
 DEGENERATE_CONIC_EPS = 1e-10
 
-#: Skewness tolerance used when intersecting rulings of opposite families.
-#: Looser than the generic line-meet tolerance because the cross products
-#: of propagated rulings inherit the net's planarity and closure residuals.
+#: Largest normalized Pluecker product for which a middle ruling still
+#: meets an edge line.  Looser than the generic line-meet tolerance
+#: because propagated rulings inherit the net's planarity and closure
+#: residuals.
 PATCH_MEET_TOL = 1e-6
 
 #: Parameter step for the second-order fold probes of the C1 report.
@@ -53,200 +54,251 @@ CUSP_DELTA = 1e-3
 #: the fold probe rather than as evidence of a cusp.
 CUSP_OFFSET_FLOOR = 1e-13
 
-#: Shared edges whose C1 meets go into one stack; bounds the memory of
-#: ``check_c1`` independently of the net's size.
-C1_EDGE_CHUNK = 64
+#: Corner indices (role order x, x1, x2, x12) of the edge in each role,
+#: in the order its own parameter runs: role 0 is ``t = 0``, role 1
+#: ``t = 1``, role 2 ``s = 0`` and role 3 ``s = 1``.
+EDGE_CORNERS = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])
 
 
-@dataclass(frozen=True, eq=False)
-class ConicArc:
-    """Rational quadratic arc of ruling lines between two edge lines.
-
-    ``arc(t) = (1-t)^2 h0 + c t^2 h1 + branch t (1-t) q`` with the
-    weight ``c`` chosen so that every point of the arc is isotropic,
-    hence a real line.  ``branch`` selects one of the two complementary
-    arcs of the conic through ``h0`` and ``h1``.
-    """
-
-    h0: np.ndarray
-    h1: np.ndarray
-    q: np.ndarray
-    c: float
-    branch: int
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        w0 = (1.0 - t) ** 2
-        w1 = self.c * t**2
-        wq = self.branch * t * (1.0 - t)
-        return (
-            np.multiply.outer(w0, self.h0)
-            + np.multiply.outer(w1, self.h1)
-            + np.multiply.outer(wq, self.q)
-        )
+def _dot(a, b):
+    """Row dot products over the last axis, summed in index order."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
 
 
-def conic_arc(h, h_opposite, q, branch: int) -> ConicArc:
-    """Arc of the ruling conic from ``h`` to ``h_opposite`` through plane
-    point ``q``, on the branch ``+1`` or ``-1``.
+def _cross(a, b):
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
-    The three 6-vectors must span a plane in which ``q`` is polar to
-    both endpoint lines (the configuration produced by an adapted
-    hyperboloid).  The returned callable evaluates to isotropic
-    6-vectors for every parameter, exactly in the algebra and to
-    roundoff in floats.  Raises :class:`DegenerateConic` when the two
-    endpoint lines intersect or when ``q`` itself is isotropic.
-    """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    h0 = canonical(h)
-    h1 = canonical(h_opposite)
-    qh = canonical(q)
-    pairing = plucker_product(h0, h1)
-    if abs(pairing) < DEGENERATE_CONIC_EPS:
-        raise DegenerateConic(
-            f"endpoint lines intersect: <h, h'> = {pairing:.3e}"
-        )
-    s_q = self_product(qh)
-    if abs(s_q) < DEGENERATE_CONIC_EPS:
-        raise DegenerateConic("plane point is isotropic; the arc collapses")
-    c = -s_q / (2.0 * pairing)
-    return ConicArc(h0=h0, h1=h1, q=qh, c=float(c), branch=int(branch))
+
+def _pairing(a, b):
+    """Pluecker products of the rows of two 6-vector stacks."""
+    return _dot(a[..., :3], b[..., 3:]) + _dot(a[..., 3:], b[..., :3])
+
+
+def _evaluate(points, weights, t, s):
+    """``X(t, s)`` of patches with corners ``points`` ``(..., 4, 3)`` and
+    weights ``(..., 4)``; ``t`` and ``s`` broadcast against the leading
+    axes.  Returns the points ``(..., 3)`` and the mask of parameters
+    whose denominator vanishes relative to its terms (the points there
+    are meaningless)."""
+    terms = [
+        weights[..., 0] * ((1.0 - t) * (1.0 - s)),
+        weights[..., 1] * ((1.0 - t) * s),
+        weights[..., 2] * (t * (1.0 - s)),
+        weights[..., 3] * (t * s),
+    ]
+    den = terms[0] + terms[1] + terms[2] + terms[3]
+    num = terms[0][..., None] * points[..., 0, :]
+    for k in (1, 2, 3):
+        num = num + terms[k][..., None] * points[..., k, :]
+    size = abs(terms[0]) + abs(terms[1]) + abs(terms[2]) + abs(terms[3])
+    bad = ~(np.abs(den) > W_TOL * size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / np.where(bad, 1.0, den)[..., None], bad
+
+
+def _infinite(face, label):
+    return NumericallyInfinitePoint(
+        f"sample {label} of face {face} is numerically at infinity"
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class HyperboloidPatch:
     """Piece of a face's hyperboloid bounded by the quad's edges.
 
-    ``ruling1(t)`` runs from the first-family edge line at ``t = 0`` to
-    its opposite at ``t = 1``; ``ruling2(s)`` does the same for the
-    second family.  ``corner_map`` sends the parameter corners
-    ``(0, 0), (0, 1), (1, 0), (1, 1)`` to the vertex ids in the roles
-    ``x, x1, x2, x12``.  :func:`sample` and :func:`check_c1` call the
-    rulings on 1-D parameter arrays and expect one 6-vector per
-    parameter, as :class:`ConicArc` gives; a ruling that returns a
-    single 6-vector is read as constant.
+    ``points`` are the quad's corner positions in the frame's role
+    order ``x, x1, x2, x12`` and ``weights`` their rational weights
+    ``(1, w01, w10, w11)``.  ``ruling1(t)`` is the line through
+    ``X(t, 0)`` and ``X(t, 1)``, running from the first-family edge line
+    at ``t = 0`` to its opposite at ``t = 1``; ``ruling2(s)`` is the
+    line through ``X(0, s)`` and ``X(1, s)``.  ``corner_map`` sends the
+    parameter corners ``(0, 0), (0, 1), (1, 0), (1, 1)`` to the vertex
+    ids in the roles ``x, x1, x2, x12``.
     """
 
     face: int
     frame: object
-    ruling1: Callable
-    ruling2: Callable
-    corner_map: dict
+    points: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def corner_map(self) -> dict:
+        return dict(zip(((0, 0), (0, 1), (1, 0), (1, 1)), self.frame.corners))
+
+    def _line(self, t0, s0, t1, s1):
+        a, _ = _evaluate(self.points, self.weights, np.asarray(t0, dtype=float), s0)
+        b, _ = _evaluate(self.points, self.weights, np.asarray(t1, dtype=float), s1)
+        return line_from_points(hom(a), hom(b))
+
+    def ruling1(self, t):
+        """First-family ruling line(s) at ``t``: a 6-vector, or ``(k, 6)``
+        for a 1-D parameter array."""
+        return self._line(t, 0.0, t, 1.0)
+
+    def ruling2(self, s):
+        """Second-family ruling line(s) at ``s``."""
+        return self._line(0.0, s, 1.0, s)
 
 
-def _rulings(arc, params) -> np.ndarray:
-    """``(k, 6)`` ruling lines of ``arc`` at the 1-D ``params``; a ruling
-    that returns a single 6-vector is constant."""
-    return np.broadcast_to(arc(params), (len(params), 6))
+@dataclass(frozen=True, eq=False)
+class PatchStack:
+    """The patches of several faces, with a leading face axis: ``faces``
+    ``(F,)``, ``frames`` (``F`` frames), ``points`` ``(F, 4, 3)`` and
+    ``weights`` ``(F, 4)``.  Row ``k`` is the :class:`HyperboloidPatch`
+    ``stack[k]``."""
+
+    faces: np.ndarray
+    frames: tuple
+    points: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, patches) -> "PatchStack":
+        patches = list(patches)
+        return cls(
+            np.array([p.face for p in patches], dtype=int),
+            tuple(p.frame for p in patches),
+            np.array([p.points for p in patches], dtype=float).reshape(-1, 4, 3),
+            np.array([p.weights for p in patches], dtype=float).reshape(-1, 4),
+        )
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, k: int) -> HyperboloidPatch:
+        row = (int(self.faces[k]), self.frames[k], self.points[k], self.weights[k])
+        return HyperboloidPatch(*row)
 
 
-def _meet_points(meets):
-    """Affine points ``(..., 3)`` of a stack of ruling meets, and the mask
-    of pairs without one: a meet fault or a point numerically at
-    infinity (the points there are meaningless)."""
-    w = meets.points[..., 3]
-    bad = ~meets.ok | (np.abs(w) < W_TOL)
-    return meets.points[..., :3] / np.where(bad, 1.0, w)[..., None], bad
+# --- carving -------------------------------------------------------------------------
 
 
-def _meet_failure(meets, index, label, face, where=None):
-    """The exception for a failed meet: the meet's own fault, or else its
-    point ``label`` of ``face`` lying numerically at infinity."""
-    if meets.fault[index]:
-        return meets.error(index, where)
-    return NumericallyInfinitePoint(
-        f"sample {label} of face {face} is numerically at infinity"
-    )
+def restrict_all(hyperboloids, positions) -> PatchStack:
+    """Bounded patches of a sequence of :class:`FaceHyperboloid`, stacked.
+
+    Per face and ruling family, the arc ``(1-t)^2 h0 + c t^2 h1 +
+    branch t(1-t) q`` between the family's edge lines (``c`` makes every
+    arc point a line) is tried on both branches: a branch qualifies when
+    its middle ruling meets both opposite edge lines (normalized pairing
+    at most ``PATCH_MEET_TOL``, not parallel) inside their segments.  A
+    crossing that divides its segment ``a : b`` is where ``X`` runs
+    through the middle parameter, so the qualifying branches' crossings
+    give the weight ratios ``w10 / w00``, ``w01 / w00`` and
+    ``w11 / w10``.
+
+    Raises for the first failing face: :class:`DegenerateConic` when a
+    family's edge lines intersect or its plane point is isotropic, else
+    :class:`NoAdaptedPatch` naming the first family without exactly one
+    qualifying branch.
+    """
+    hbs = list(hyperboloids)
+    frames = tuple(hb.frame for hb in hbs)
+    lines = np.array([fr.h_lines for fr in frames], dtype=float).reshape(-1, 4, 6)
+    q = np.array([(hb.q1, hb.q2) for hb in hbs], dtype=float).reshape(-1, 2, 6)
+    points = np.asarray(positions, dtype=float)[
+        np.array([fr.corners for fr in frames], dtype=int).reshape(-1, 4)
+    ]
+    # axes: face, family, branch, crossed segment
+    h0, h1 = lines[:, [0, 2]], lines[:, [1, 3]]
+    pairing, s_q = _pairing(h0, h1), _pairing(q, q)
+    branch = np.array([1.0, -1.0])[:, None]
+    cross = lines[:, [[2, 3], [0, 1]]][:, :, None]
+    A = points[:, [[0, 1], [0, 2]]][:, :, None]
+    B = points[:, [[2, 3], [1, 3]]][:, :, None]
+    D = B - A
+    # a degenerate conic (raised below) leaves non-finite values here
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = (-s_q / (2.0 * pairing))[..., None, None]
+        mids = h0[:, :, None] + c * h1[:, :, None] + branch * q[:, :, None]
+        mids = mids[..., None, :]
+        # the ruling is the line {X : X x d = m}; it divides A B in the ratio a : b
+        d = np.stack([-mids[..., 2], mids[..., 4], -mids[..., 3]], axis=-1)
+        m = np.stack([mids[..., 5], -mids[..., 1], mids[..., 0]], axis=-1)
+        n = _cross(D, d)
+        a = _dot(m - _cross(A, d), n)
+        b = _dot(_cross(B, d) - m, n)
+        meets = np.abs(_pairing(mids, cross)) <= PATCH_MEET_TOL * np.sqrt(
+            _dot(mids, mids) * _dot(cross, cross)
+        )
+        # a ruling parallel to the edge meets it at infinity
+        finite = _dot(n, n) >= W_TOL**2 * _dot(D, D) * _dot(d, d)
+        sweeps = np.all(meets & finite & (a > 0.0) & (b > 0.0), axis=-1)
+
+    degenerate = np.minimum(np.abs(pairing), np.abs(s_q)) < DEGENERATE_CONIC_EPS
+    wins = sweeps.sum(axis=-1)
+    failing = np.flatnonzero((degenerate | (wins != 1)).any(axis=1))
+    if failing.size:
+        k = int(failing[0])
+        face = frames[k].face
+        for pair, s_qq in zip(pairing[k], s_q[k]):
+            if abs(pair) < DEGENERATE_CONIC_EPS:
+                message = f"endpoint lines intersect: <h, h'> = {pair:.3e}"
+                raise DegenerateConic(message, face=face)
+            if abs(s_qq) < DEGENERATE_CONIC_EPS:
+                message = "plane point is isotropic; the arc collapses"
+                raise DegenerateConic(message, face=face)
+        family = int(np.argmax(wins[k] != 1))
+        reason = "no" if wins[k, family] == 0 else "both"
+        raise NoAdaptedPatch(
+            f"{reason} ruling branch of family ({family + 1}) sweeps the "
+            f"quad of face {face}",
+            face=face,
+            family=family + 1,
+        )
+    chosen = np.argmax(sweeps, axis=-1)[..., None, None]
+    a = np.take_along_axis(a, chosen, axis=2)[:, :, 0]
+    b = np.take_along_axis(b, chosen, axis=2)[:, :, 0]
+    ratio = a / b  # (face, family, segment)
+    w10, w01 = ratio[:, 0, 0], ratio[:, 1, 0]
+    weights = np.stack([np.ones_like(w10), w01, w10, w10 * ratio[:, 1, 1]], axis=-1)
+    faces = np.array([fr.face for fr in frames], dtype=int)
+    return PatchStack(faces=faces, frames=frames, points=points, weights=weights)
 
 
 def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch:
-    """Bounded patch of ``hb`` over its quad, or :class:`NoAdaptedPatch`.
-
-    For each ruling family the two conic branches between the opposite
-    edge lines are tried; the adapted branch is the one whose middle
-    ruling crosses both opposite closed edge segments in their
-    interiors.  Exactly one branch qualifies when the hyperboloid
-    sweeps the quad; none does when the family's orientation is
-    incompatible with the quad's twist (e.g. swapped family labels).
-    The eight crossings of a face are met in one stack; the arcs of
-    both families are built, and :class:`DegenerateConic` raised,
-    before either family's branches are judged.
-    """
+    """Bounded patch of ``hb`` over its quad, or :class:`NoAdaptedPatch`:
+    the one-face call of :func:`restrict_all`."""
     if tuple(frame.h_edges) != tuple(hb.frame.h_edges) or not np.array_equal(
         frame.h_lines, hb.frame.h_lines
     ):
         raise ValueError("frame does not match the hyperboloid's role frame")
-    pos = np.asarray(positions, dtype=float)
-    x, x1, x2, x12 = (pos[v] for v in frame.corners)
-    lines = frame.h_lines
-    # per family: its edge lines, plane point, and the opposite edge
-    # segments its middle ruling must cross, with their supporting lines
-    families = (
-        (lines[0], lines[1], hb.q1, ((x, x2), (x1, x12)), lines[2:]),
-        (lines[2], lines[3], hb.q2, ((x, x1), (x2, x12)), lines[:2]),
-    )
-    arcs = [
-        [conic_arc(h, h_opp, q, branch) for branch in (1, -1)]
-        for h, h_opp, q, _, _ in families
-    ]
-    mids = np.array([[arc(0.5) for arc in pair] for pair in arcs])
-    cross = np.array([family[4] for family in families])
-    segments = np.array([family[3] for family in families])
-    # axes: family, branch, segment
-    points, bad = _meet_points(
-        _meet(mids[:, :, None], cross[:, None], PATCH_MEET_TOL)
-    )
-    A = segments[:, None, :, 0]
-    d = segments[:, None, :, 1] - A
-    u = np.sum((points - A) * d, axis=-1) / np.sum(d * d, axis=-1)
-    sweeps = np.all(~bad & (0.0 < u) & (u < 1.0), axis=-1)
-    for family, wins in enumerate(sweeps, start=1):
-        if wins.sum() != 1:
-            reason = "no" if not wins.any() else "both"
-            raise NoAdaptedPatch(
-                f"{reason} ruling branch of family ({family}) sweeps the "
-                f"quad of face {frame.face}",
-                face=frame.face,
-                family=family,
-            )
-    return HyperboloidPatch(
-        face=frame.face,
-        frame=frame,
-        ruling1=arcs[0][int(np.argmax(sweeps[0]))],
-        ruling2=arcs[1][int(np.argmax(sweeps[1]))],
-        corner_map={
-            (0, 0): frame.corners[0],
-            (0, 1): frame.corners[1],
-            (1, 0): frame.corners[2],
-            (1, 1): frame.corners[3],
-        },
-    )
+    return restrict_all([hb], positions)[0]
 
 
-def sample(p: HyperboloidPatch, n: int, m: int) -> np.ndarray:
-    """``(n, m, 3)`` grid of surface points at uniform parameters.
+# --- sampling ------------------------------------------------------------------------
 
-    Point ``(i, j)`` is the intersection of ``ruling1(t_i)`` with
-    ``ruling2(s_j)``; rows of constant ``j`` are collinear along
-    ``ruling2(s_j)`` and the four parameter corners evaluate to the
-    quad's vertices.  Each ruling is evaluated once on its parameter
-    array and the ``n x m`` pairs are met in one stack.  Raises for the
-    first failing ``(i, j)`` in row-major order:
-    :class:`NumericallyInfinitePoint` naming the indices when the grid
-    point escapes to infinity, or the meet's :class:`SkewLines` /
-    :class:`CoincidentLines`, whose message names the same indices.
+
+def sample_all(patches: PatchStack, n: int, m: int) -> np.ndarray:
+    """``(F, n, m, 3)`` surface points of every patch at uniform parameters.
+
+    Point ``(k, i, j)`` is ``X(t_i, s_j)`` of row ``k``; rows of
+    constant ``j`` are collinear along ``ruling2(s_j)`` and the four
+    parameter corners evaluate to the quad's vertices.  Raises
+    :class:`NumericallyInfinitePoint` naming the face and ``(i, j)`` of
+    the first point, in row-major order, whose denominator vanishes.
     """
     if n < 2 or m < 2:
         raise ValueError("need at least two samples per direction")
-    lines1 = _rulings(p.ruling1, np.linspace(0.0, 1.0, n))
-    lines2 = _rulings(p.ruling2, np.linspace(0.0, 1.0, m))
-    meets = _meet(lines1[:, None], lines2[None], PATCH_MEET_TOL)
-    points, bad = _meet_points(meets)
+    t = np.linspace(0.0, 1.0, n)[:, None]
+    s = np.linspace(0.0, 1.0, m)
+    out, bad = _evaluate(
+        patches.points[:, None, None], patches.weights[:, None, None], t, s
+    )
     if bad.any():
-        i, j = (int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
-        raise _meet_failure(meets, (i, j), (i, j), p.face)
-    return points
+        k, i, j = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+        raise _infinite(int(patches.faces[k]), (i, j))
+    return out
+
+
+def sample(p: HyperboloidPatch, n: int, m: int) -> np.ndarray:
+    """``(n, m, 3)`` grid of ``p`` at uniform parameters: the one-face
+    call of :func:`sample_all`."""
+    return sample_all(PatchStack.of([p]), n, m)[0]
 
 
 # --- independent per-face interpolants ---------------------------------------------
@@ -281,195 +333,132 @@ def bilinear_patches(a) -> dict:
     only with position continuity.  Useful as a contrast to a
     propagated family, which meets tangent-plane continuously.
     """
-    out = {}
+    hbs = []
     for f in range(a.graph.face_count):
         frame = a.face_frame(f)
         lam = bilinear_parameter(frame, a.positions)
-        hb = hyperboloid_from_parameter(frame, lam)
-        out[f] = restrict_to_patch(hb, frame, a.positions)
-    return out
+        hbs.append(hyperboloid_from_parameter(frame, lam))
+    stack = restrict_all(hbs, a.positions)
+    return {int(f): stack[k] for k, f in enumerate(stack.faces)}
 
 
 # --- tangent-plane continuity report -----------------------------------------------
 
 
-def _c1_chunk(patches: dict, g, pos, chunk, u):
-    """Plane angles ``(E, S)`` and cusp flags ``(E, S)`` of the shared
-    edges ``chunk`` (a list of ``(e, f1, f2)``) at edge coordinates ``u``.
+def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
+    """Tangent-plane continuity report across interior edges.
 
-    Each side of an edge parametrizes it through the cross-family ruling
-    arc ("along"), whose parameter follows the edge by the
-    fractional-linear schedule fitted to three meets, and the arc of the
-    edge's own family ("into"), whose parameter leaves the edge.  All
-    meets of the chunk are made in two stacks; the failure rule is
-    :func:`check_c1`'s.
+    ``patches`` is a :class:`PatchStack` or a dict from face id to
+    :class:`HyperboloidPatch`.  At uniform interior points of every
+    shared edge the tangent plane of each side is spanned by the edge
+    and that side's straight cross-family ruling through the point; the
+    report records the largest angle between the two sides' planes
+    (folded to ``[0, pi/2]``).  A side maps the edge coordinate to its
+    ruling parameter in closed form: the point a fraction ``r`` from the
+    edge corner of weight ``wa`` toward the corner of weight ``wb`` has
+    parameter ``r wa / (r wa + (1 - r) wb)``.  Second-order probes
+    ``X`` a step ``CUSP_DELTA`` into each patch flag edges where both
+    surface sheets leave the common tangent plane to the same side -- a
+    fold (cusp) that plane angles alone cannot see.  Kinks and folds
+    never raise; the report only describes them.
+
+    A degenerate edge -- corner weights of opposite sign along it, a
+    ruling end or probe at infinity, a ruling parallel to the edge --
+    raises for the lowest such edge id, with the exception that a walk
+    over that edge (both schedules, then per sample the two normals and
+    the two probes) meets first.
     """
-    E, S = len(chunk), len(u)
-    ends = np.array([pos[list(g.edge_vertices(e))] for e, _, _ in chunk])
-    A = np.repeat(ends[:, 0], 2, axis=0)
-    d = np.repeat(ends[:, 1] - ends[:, 0], 2, axis=0)
-    sides = []
-    for e, f1, f2 in chunk:
-        for f in (f1, f2):
-            patch = patches[f]
-            role = patch.frame.h_edges.index(e)
-            along, into = (
-                (patch.ruling2, patch.ruling1)
-                if role < 2
-                else (patch.ruling1, patch.ruling2)
-            )
-            sides.append((patch.face, role, along, into))
-    roles = np.array([role for _, role, _, _ in sides])
-    # into-parameters of the edge itself and of the probe depth
-    depth = np.array([0.0, CUSP_DELTA])
-    depth = np.where((roles % 2 == 1)[:, None], 1.0 - depth, depth)
-    into_lines = np.array(
-        [_rulings(into, t) for (_, _, _, into), t in zip(sides, depth)]
+    if isinstance(patches, PatchStack):
+        stack, rows = patches, {int(f): k for k, f in enumerate(patches.faces)}
+    else:
+        stack = PatchStack.of(patches.values())
+        rows = {f: k for k, f in enumerate(patches)}
+    g = a.graph
+    pos = np.asarray(a.positions, dtype=float)
+    shared, sides = [], []
+    for e in range(g.edge_count):
+        f1, f2 = g.edge_faces(e)
+        if f1 in rows and f2 in rows and None not in (f1, f2):
+            shared.append(e)
+            for f in (f1, f2):
+                sides.append((rows[f], stack.frames[rows[f]].h_edges.index(e)))
+    E, S = len(shared), samples_per_edge
+    row, role = np.array(sides, dtype=int).reshape(2 * E, 2).T
+    ends = np.array([g.edge_vertices(e) for e in shared for _ in (1, 2)], dtype=int)
+    ends = ends.reshape(2 * E, 2)
+    A, d = pos[ends[:, 0]], pos[ends[:, 1]] - pos[ends[:, 0]]
+    every = np.arange(2 * E)
+    corners = EDGE_CORNERS[role]
+    vertices = np.array([stack.frames[k].corners for k in row], dtype=int)
+    forward = vertices.reshape(-1, 4)[every, corners[:, 0]] == ends[:, 0]
+    W = stack.weights[row]
+    wa, wb = W[every, corners[:, 0], None], W[every, corners[:, 1], None]
+    u = (np.arange(S) + 1.0) / (S + 1.0)
+    uu = np.concatenate([u, u + CUSP_DELTA])
+    r = np.where(forward[:, None], uu, 1.0 - uu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = r * wa / (r * wa + (1.0 - r) * wb)
+    along_t = (role >= 2)[:, None]
+    # per side and sample: both ends of the cross-family ruling through
+    # the edge point, then the probe a step into the patch
+    depth = np.where(role % 2 == 1, 1.0 - CUSP_DELTA, CUSP_DELTA)[:, None]
+    near = sigma[:, :S]
+    params = [
+        (np.where(along_t, sig, fixed), np.where(along_t, fixed, sig))
+        for sig, fixed in ((near, 0.0), (near, 1.0), (sigma[:, S:], depth))
+    ]
+    (x0, bad0), (x1, bad1), (probes, far) = (
+        _evaluate(stack.points[row][:, None], W[:, None], t, s) for t, s in params
     )
-    first_into = (roles < 2)[:, None, None]
-
-    def meet(into_line, along_lines):
-        into_line = np.broadcast_to(into_line[:, None], along_lines.shape)
-        return _meet(
-            np.where(first_into, into_line, along_lines),
-            np.where(first_into, along_lines, into_line),
-            PATCH_MEET_TOL,
-        )
-
-    def label(k, sigma, into_t):
-        """The ``(t, s)`` parameters of side ``k``'s meet, for messages."""
-        pair = (float(into_t), float(sigma))
-        return pair if roles[k] < 2 else pair[::-1]
-
-    knots = np.array([0.0, 0.5, 1.0])
-    knot_lines = np.array([_rulings(along, knots) for _, _, along, _ in sides])
-    knot_meets = meet(into_lines[:, 0], knot_lines)
-    knot_points, knot_bad = _meet_points(knot_meets)
-    coord = np.sum((knot_points - A[:, None]) * d[:, None], axis=-1) / np.sum(
-        d * d, axis=-1
-    )[:, None]
-    a, b, c = coord.T
-    degenerate = np.abs(c - b) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma = (2.0 * b - a - c) / (c - b)
-        alpha = (c * (gamma + 1.0) - a)[:, None]
-        beta = a[:, None]
-        gamma = gamma[:, None]
-        uu = np.concatenate([u, u + CUSP_DELTA])
-        den = alpha - uu * gamma
-        pole = np.abs(den) < 1e-14 * (np.abs(alpha) + np.abs(uu * gamma) + 1.0)
-        sigma = (uu - beta) / den
-    # failed schedules and poles leave garbage here; their edges raise below
-    sigma = np.where(np.isfinite(sigma) & ~pole, sigma, 0.0)
-    along_lines = np.array(
-        [_rulings(along, s) for (_, _, along, _), s in zip(sides, sigma)]
-    )
-    normals = np.cross(d[:, None], line_direction(along_lines[:, :S]))
-    norm = np.linalg.norm(normals, axis=-1)
-    parallel = norm < 1e-14
+    ruling = x1 - x0
+    normals = _cross(d[:, None], ruling)
+    norm = np.sqrt(_dot(normals, normals))
+    parallel = ~(norm > 1e-14 * np.sqrt(_dot(d, d)[:, None] * _dot(ruling, ruling)))
     normals = normals / np.where(parallel, 1.0, norm)[..., None]
-    probe_meets = meet(into_lines[:, 1], along_lines[:, S:])
-    probes, probe_bad = _meet_points(probe_meets)
 
     pair = (E, 2, S)
     n1, n2 = normals.reshape(*pair, 3).transpose(1, 0, 2, 3)
-    sine = np.linalg.norm(np.cross(n1, n2), axis=-1)
-    cosine = np.abs(np.sum(n1 * n2, axis=-1))
-    base = ends[:, None, 0] + u[:, None] * (ends[:, None, 1] - ends[:, None, 0])
-    offsets = np.sum(
-        n1[:, None] * (probes.reshape(*pair, 3) - base[:, None]), axis=-1
-    )
-    floor = CUSP_OFFSET_FLOOR * np.linalg.norm(ends[:, 1] - ends[:, 0], axis=-1)
+    sine = np.sqrt(_dot(_cross(n1, n2), _cross(n1, n2)))
+    angles = np.arctan2(sine, np.abs(_dot(n1, n2)))
+    base = A[::2, None] + u[:, None] * d[::2, None]
+    offsets = _dot(n1[:, None], probes.reshape(*pair, 3) - base[:, None])
+    floor = CUSP_OFFSET_FLOOR * np.sqrt(_dot(d[::2], d[::2]))
     cusps = (offsets[:, 0] * offsets[:, 1] > 0.0) & (
         np.min(np.abs(offsets), axis=1) > floor[:, None]
     )
 
     # every check of an edge in walk order, one column each
-    pole_n, pole_p = pole[:, :S].reshape(pair), pole[:, S:].reshape(pair)
-    parallel, probe_bad = parallel.reshape(pair), probe_bad.reshape(pair)
-    schedule_checks = np.concatenate(
-        [knot_bad, degenerate[:, None]], axis=1
-    ).reshape(E, 8)
-    sample_checks = np.stack(
-        [
-            pole_n[:, 0], parallel[:, 0], pole_n[:, 1], parallel[:, 1],
-            pole_p[:, 0], probe_bad[:, 0], pole_p[:, 1], probe_bad[:, 1],
-        ],
-        axis=-1,
-    ).reshape(E, 8 * S)
-    checks = np.concatenate([schedule_checks, sample_checks], axis=1)
+    normal_bad = (bad0 | bad1 | parallel).reshape(pair)
+    probe_bad = far.reshape(pair)
+    walk = np.stack(
+        [normal_bad[:, 0], normal_bad[:, 1], probe_bad[:, 0], probe_bad[:, 1]], axis=-1
+    )
+    checks = np.concatenate([~(wa * wb > 0.0).reshape(E, 2), walk.reshape(E, 4 * S)], 1)
     if checks.any():
         edge = int(np.argmax(checks.any(axis=1)))
         column = int(np.argmax(checks[edge]))
-        e = chunk[edge][0]
-        if column < 8:
-            k = 2 * edge + column // 4
-            knot = column % 4
-            if knot == 3:
-                raise PatchError(f"degenerate ruling schedule on edge {e}", edge=e)
-            raise _meet_failure(
-                knot_meets, (k, knot), label(k, knots[knot], depth[k, 0]),
-                sides[k][0], where=f"edge {e}",
-            )
-        i, check = divmod(column - 8, 8)
-        k = 2 * edge + (check // 2) % 2
-        if check in (0, 2, 4, 6):
-            raise PatchError("edge schedule has a pole inside the segment")
-        if check in (1, 3):
-            raise PatchError("ruling is parallel to the edge; no tangent plane")
-        raise _meet_failure(
-            probe_meets, (k, i), label(k, sigma[k, S + i], depth[k, 1]),
-            sides[k][0], where=f"edge {e}",
-        )
-    return np.arctan2(sine, cosine), cusps
-
-
-def check_c1(patches: dict, a, samples_per_edge: int = 9) -> dict:
-    """Tangent-plane continuity report across interior edges.
-
-    At uniform interior points of every shared edge the tangent plane
-    of each side is spanned by the edge and the cross-family ruling
-    through the point; the report records the largest angle between the
-    two sides' planes (folded to ``[0, pi/2]``).  Second-order probes a
-    small parameter step into each patch flag edges where both surface
-    sheets leave the common tangent plane to the same side -- a fold
-    (cusp) that plane angles alone cannot see.  Kinks and folds never
-    raise; the report only describes them.
-
-    The meets of up to ``C1_EDGE_CHUNK`` edges go into one stack: per
-    edge side 3 schedule meets and ``samples_per_edge`` probe meets.
-    A degenerate edge -- no ruling schedule,
-    a meet without a finite point, a ruling parallel to the edge --
-    raises for the lowest such edge id, with the exception that a walk
-    over that edge (both schedules, then per sample the two normals and
-    the two probes) meets first; a meet's own fault names the edge.
-    """
-    g = a.graph
-    pos = np.asarray(a.positions, dtype=float)
-    shared = []
-    for e in range(g.edge_count):
-        f1, f2 = g.edge_faces(e)
-        if f1 in patches and f2 in patches and None not in (f1, f2):
-            shared.append((e, f1, f2))
-    u = (np.arange(samples_per_edge) + 1.0) / (samples_per_edge + 1.0)
-    edges = {}
-    cusp_edges = []
-    max_angle = 0.0
-    worst_edge = None
-    for start in range(0, len(shared), C1_EDGE_CHUNK):
-        chunk = shared[start : start + C1_EDGE_CHUNK]
-        angles, cusps = _c1_chunk(patches, g, pos, chunk, u)
-        for (e, _, _), angle, cusp in zip(chunk, angles.max(axis=1), cusps.any(axis=1)):
-            angle = max(0.0, float(angle))
-            edges[e] = {"max_angle": angle, "cusp": bool(cusp)}
-            if cusp:
-                cusp_edges.append(e)
-            if angle > max_angle:
-                max_angle = angle
-                worst_edge = e
+        e = shared[edge]
+        if column < 2:
+            raise PatchError(f"degenerate ruling schedule on edge {e}", edge=e)
+        i, check = divmod(column - 2, 4)
+        k = 2 * edge + check % 2
+        ends_or_probe = zip((bad0, bad1), params) if check < 2 else [(far, params[2])]
+        for bad, (t, s) in ends_or_probe:
+            if bad[k, i]:
+                label = (float(t[k, i]), float(s[k, i]))
+                raise _infinite(int(stack.faces[row[k]]), label)
+        raise PatchError("ruling is parallel to the edge; no tangent plane", edge=e)
+    edges, cusp_edges, max_angle, worst_edge = {}, [], 0.0, None
+    for e, angle, cusp in zip(shared, angles.max(axis=1), cusps.any(axis=1)):
+        angle = max(0.0, float(angle))
+        edges[e] = {"max_angle": angle, "cusp": bool(cusp)}
+        if cusp:
+            cusp_edges.append(e)
+        if angle > max_angle:
+            max_angle, worst_edge = angle, e
     return {
         "samples_per_edge": samples_per_edge,
-        "edge_count": len(edges),
+        "edge_count": E,
         "max_angle": max_angle,
         "worst_edge": worst_edge,
         "cusp_edges": cusp_edges,

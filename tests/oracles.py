@@ -7,6 +7,7 @@ so agreement with the package is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,78 @@ def reference_branches(h, h_opposite, q, segments, cross_lines):
         if inside:
             winners.append(branch)
     return winners
+
+
+@dataclass(frozen=True, eq=False)
+class ConicArc:
+    """Rational quadratic arc of ruling lines between two edge lines.
+
+    ``arc(t) = (1-t)^2 h0 + c t^2 h1 + branch t (1-t) q`` with the
+    weight ``c`` chosen so that every point of the arc is isotropic,
+    hence a real line.  ``branch`` selects one of the two complementary
+    arcs of the conic through ``h0`` and ``h1``.
+    """
+
+    h0: np.ndarray
+    h1: np.ndarray
+    q: np.ndarray
+    c: float
+    branch: int
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return (
+            np.multiply.outer((1.0 - t) ** 2, self.h0)
+            + np.multiply.outer(self.c * t**2, self.h1)
+            + np.multiply.outer(self.branch * t * (1.0 - t), self.q)
+        )
+
+
+def conic_arc(h, h_opposite, q, branch):
+    """Arc of the ruling conic from ``h`` to ``h_opposite`` through plane
+    point ``q`` on the branch ``+1`` or ``-1``, on sign-fixed unit
+    inputs.  Raises ``ValueError`` for another branch, for endpoint lines
+    that intersect and for an isotropic ``q``."""
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    h0, h1, qh = _sign_fixed(h), _sign_fixed(h_opposite), _sign_fixed(q)
+    pairing = _pairing(h0, h1)
+    if abs(pairing) < 1e-10:
+        raise ValueError(f"endpoint lines intersect: <h, h'> = {pairing:.3e}")
+    s_q = _pairing(qh, qh)
+    if abs(s_q) < 1e-10:
+        raise ValueError("plane point is isotropic; the arc collapses")
+    return ConicArc(h0=h0, h1=h1, q=qh, c=-s_q / (2.0 * pairing), branch=branch)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferencePatch:
+    """A carved patch as its two ruling arcs, met point by point."""
+
+    face: int
+    frame: object
+    ruling1: ConicArc
+    ruling2: ConicArc
+
+
+def reference_patch(hb, positions):
+    """The patch of ``hb`` over its quad by the two-branch search: per
+    family the single branch of :func:`reference_branches`, or ``None``
+    when some family has no branch or both."""
+    frame = hb.frame
+    x, x1, x2, x12 = (np.asarray(positions, dtype=float)[v] for v in frame.corners)
+    lines = frame.h_lines
+    families = (
+        (lines[0], lines[1], hb.q1, ((x, x2), (x1, x12)), lines[2:]),
+        (lines[2], lines[3], hb.q2, ((x, x1), (x2, x12)), lines[:2]),
+    )
+    arcs = []
+    for h, h_opposite, q, segments, cross in families:
+        winners = reference_branches(h, h_opposite, q, segments, cross)
+        if len(winners) != 1:
+            return None
+        arcs.append(conic_arc(h, h_opposite, q, winners[0]))
+    return ReferencePatch(frame.face, frame, *arcs)
 
 
 def reference_c1_edges(patches, graph, positions, samples_per_edge, delta, floor):

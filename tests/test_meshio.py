@@ -130,6 +130,30 @@ def test_round_trip_preserves_every_coordinate_bit(tmp_path):
     assert back_quads == quads
 
 
+def per_value_mesh_text(positions, quads):
+    """The mesh text formatted one ``"%.17g"`` value and one row at a time."""
+    lines = [
+        "v " + " ".join("%.17g" % float(c) for c in p)
+        for p in np.asarray(positions, dtype=float)
+    ]
+    lines += ["f %d %d %d %d" % tuple(int(i) + 1 for i in q) for q in quads]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 40])
+def test_one_pass_formatting_matches_the_per_value_path(tmp_path, count):
+    rng = np.random.default_rng(count)
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 3.0, -7.0, 2.0**53,
+               5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    scale = 10.0 ** rng.integers(-300, 300, (count, 3))
+    positions = rng.standard_normal((count, 3)) * scale
+    positions.flat[: min(len(special), positions.size)] = special[: positions.size]
+    quads = [tuple(rng.integers(0, max(count, 1), 4)) for _ in range(count)]
+    path = tmp_path / "m.obj"
+    write_positions_mesh(path, positions, quads)
+    assert path.read_bytes() == per_value_mesh_text(positions, quads).encode("utf-8")
+
+
 def test_writing_is_byte_deterministic(tmp_path):
     rng = np.random.default_rng(6)
     positions = rng.standard_normal((8, 3))

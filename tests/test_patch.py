@@ -1,5 +1,7 @@
 """Tests for bounded hyperboloid patches, sampling, and C1 reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypnet.errors import (
     DegenerateConic,
     NoAdaptedPatch,
     NumericallyInfinitePoint,
-    SkewLines,
+    PatchError,
 )
 from hypnet.hyperboloid import (
     FaceHyperboloid,
@@ -20,15 +22,19 @@ from hypnet.hyperboloid import (
 from hypnet.patch import (
     CUSP_DELTA,
     CUSP_OFFSET_FLOOR,
+    EDGE_CORNERS,
     HyperboloidPatch,
+    PatchStack,
     bilinear_parameter,
     bilinear_patches,
     check_c1,
-    conic_arc,
+    restrict_all,
     restrict_to_patch,
     sample,
+    sample_all,
 )
 from hypnet.plucker import (
+    canonical,
     hom,
     incidence_matrix,
     line_from_points,
@@ -42,7 +48,7 @@ from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid, random_grid3x3_net
 
 import oracles
-from oracles import _pairing
+from oracles import _pairing, conic_arc
 
 
 def spec_face():
@@ -77,10 +83,23 @@ def adapted_parameter(a, f, magnitude):
     raise AssertionError("neither sign of the coordinate admits a patch")
 
 
+def propagated_hyperboloids(a, seed, magnitude=0.8):
+    hbs, _ = propagate_all(a, seed, adapted_parameter(a, seed, magnitude))
+    return hbs
+
+
 def propagated_patches(a, seed, magnitude=0.8):
-    lam = adapted_parameter(a, seed, magnitude)
-    hbs, _ = propagate_all(a, seed, lam)
+    hbs = propagated_hyperboloids(a, seed, magnitude)
     return {f: restrict_to_patch(hb, hb.frame, a.positions) for f, hb in hbs.items()}
+
+
+def bilinear_hyperboloids(a):
+    out = {}
+    for f in range(a.graph.face_count):
+        frame = a.face_frame(f)
+        lam = bilinear_parameter(frame, a.positions)
+        out[f] = hyperboloid_from_parameter(frame, lam)
+    return out
 
 
 SADDLE = spec_face()
@@ -110,7 +129,7 @@ def graph_surface_pair(x_second, z_scale):
     return validate_anet(graph, positions)
 
 
-# --- conic arcs -------------------------------------------------------------------
+# --- conic arcs (the oracle's rulings) -------------------------------------------
 
 
 def test_arc_runs_between_the_endpoint_lines():
@@ -140,14 +159,14 @@ def test_arc_weight_matches_the_polarity_oracle():
 
 
 def test_arc_rejects_intersecting_endpoints():
-    with pytest.raises(DegenerateConic):
+    with pytest.raises(ValueError, match="intersect"):
         conic_arc(
             SADDLE_FRAME.h_lines[0], SADDLE_FRAME.h_lines[2], SADDLE_HB.q1, 1
         )
 
 
 def test_arc_rejects_isotropic_plane_point():
-    with pytest.raises(DegenerateConic):
+    with pytest.raises(ValueError, match="isotropic"):
         conic_arc(
             SADDLE_FRAME.h_lines[0],
             SADDLE_FRAME.h_lines[1],
@@ -157,7 +176,7 @@ def test_arc_rejects_isotropic_plane_point():
 
 
 def test_arc_rejects_bad_branch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="branch"):
         conic_arc(SADDLE_FRAME.h_lines[0], SADDLE_FRAME.h_lines[1], SADDLE_HB.q1, 2)
 
 
@@ -220,6 +239,37 @@ def test_swapped_family_labels_admit_no_patch():
     with pytest.raises(NoAdaptedPatch) as err:
         restrict_to_patch(swapped, SADDLE_FRAME, SADDLE.positions)
     assert err.value.data["face"] == 0
+
+
+def test_restriction_raises_for_an_isotropic_plane_point():
+    collapsed = FaceHyperboloid(
+        face=SADDLE_HB.face,
+        frame=SADDLE_HB.frame,
+        q1=SADDLE_FRAME.h_lines[2],
+        q2=SADDLE_HB.q2,
+        P1=SADDLE_HB.P1,
+        P2=SADDLE_HB.P2,
+    )
+    with pytest.raises(DegenerateConic, match="isotropic") as err:
+        restrict_to_patch(collapsed, SADDLE_FRAME, SADDLE.positions)
+    assert err.value.data["face"] == 0
+
+
+def test_restriction_raises_for_intersecting_edge_lines():
+    lines = SADDLE_FRAME.h_lines.copy()
+    lines[1] = lines[2]  # the first family's opposite edge lines now meet
+    frame = dataclasses.replace(SADDLE_FRAME, h_lines=lines)
+    hb = dataclasses.replace(SADDLE_HB, frame=frame)
+    with pytest.raises(DegenerateConic, match="endpoint lines intersect") as err:
+        restrict_to_patch(hb, frame, SADDLE.positions)
+    assert err.value.data["face"] == 0
+
+
+def test_carved_weights_are_positive_with_a_unit_first_corner():
+    a = quadric_net(3)
+    stack = restrict_all(propagated_hyperboloids(a, 0, 0.37).values(), a.positions)
+    assert np.all(stack.weights[:, 0] == 1.0)
+    assert np.all(stack.weights > 0.0)
 
 
 def test_restriction_rejects_a_mismatched_frame():
@@ -301,18 +351,19 @@ def test_sample_needs_two_per_direction():
 
 
 def test_sample_reports_points_at_infinity_with_indices():
-    pts = hom([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    a = line_from_points(pts[0], pts[1])
-    b = line_from_points(pts[2], pts[3])
-    broken = HyperboloidPatch(
-        face=0,
-        frame=None,
-        ruling1=lambda t: a,
-        ruling2=lambda s: b,
-        corner_map={},
-    )
-    with pytest.raises(NumericallyInfinitePoint, match=r"\(0, 0\)"):
+    weights = np.array([0.0, 1.0, 1.0, 1.0])
+    broken = HyperboloidPatch(0, None, SADDLE_PATCH.points, weights)
+    with pytest.raises(NumericallyInfinitePoint, match=r"^sample \(0, 0\) of face 0 "):
         sample(broken, 2, 2)
+
+
+def test_stacked_sampling_names_the_face_and_indices_of_a_vanishing_denominator():
+    # the weights cancel at the patch centre, the first such point in row-major order
+    weights = np.array([1.0, 1.0, 1.0, -3.0])
+    broken = HyperboloidPatch(7, None, SADDLE_PATCH.points, weights)
+    stack = PatchStack.of([SADDLE_PATCH, broken])
+    with pytest.raises(NumericallyInfinitePoint, match=r"^sample \(1, 2\) of face 7 "):
+        sample_all(stack, 3, 5)
 
 
 # --- bilinear interpolants --------------------------------------------------------
@@ -386,41 +437,49 @@ def test_smooth_continuation_is_not_flagged():
     assert report["cusp_edges"] == []
 
 
-# --- batched consumers against per-point reference meets --------------------------
+# --- closed forms against the conic-arc search and per-point meets --------------
 
 
 def differential_cases():
-    """(net, patches) pairs: a propagated family on an exact quadric net
-    and independent bilinear patches on generic random nets."""
+    """(net, hyperboloids) pairs: a propagated family on an exact quadric
+    net and independent bilinear members on it and on generic random
+    nets."""
     a = quadric_net(3)
-    yield a, propagated_patches(a, seed=0, magnitude=0.37)
-    yield a, bilinear_patches(a)
+    yield a, propagated_hyperboloids(a, 0, 0.37)
+    yield a, bilinear_hyperboloids(a)
     for seed in (3, 7, 11, 19):
         b = random_net(np.random.default_rng(seed))
-        yield b, bilinear_patches(b)
+        yield b, bilinear_hyperboloids(b)
+
+
+def reference_patches(a, hbs):
+    return {f: oracles.reference_patch(hb, a.positions) for f, hb in hbs.items()}
 
 
 def test_batched_sampling_matches_the_reference_meets():
-    for _, patches in differential_cases():
-        for patch in patches.values():
-            pts = sample(patch, 6, 5)
-            ref = oracles.reference_sample(patch.ruling1, patch.ruling2, 6, 5)
-            assert np.all(np.abs(pts - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    for a, hbs in differential_cases():
+        stack = restrict_all(hbs.values(), a.positions)
+        points = sample_all(stack, 6, 5)
+        for k, ref_patch in enumerate(reference_patches(a, hbs).values()):
+            ref = oracles.reference_sample(ref_patch.ruling1, ref_patch.ruling2, 6, 5)
+            assert np.all(np.abs(points[k] - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 def test_batched_c1_report_matches_the_reference_walk():
     cases = list(differential_cases())
     cases += [
-        (b, bilinear_patches(b))
+        (b, bilinear_hyperboloids(b))
         for b in (
             graph_surface_pair(x_second=0.4, z_scale=0.4),
             graph_surface_pair(x_second=1.6, z_scale=1.6),
         )
     ]
-    for a, patches in cases:
-        report = check_c1(patches, a, samples_per_edge=7)
+    for a, hbs in cases:
+        stack = restrict_all(hbs.values(), a.positions)
+        report = check_c1(stack, a, samples_per_edge=7)
         ref = oracles.reference_c1_edges(
-            patches, a.graph, a.positions, 7, CUSP_DELTA, CUSP_OFFSET_FLOOR
+            reference_patches(a, hbs), a.graph, a.positions, 7, CUSP_DELTA,
+            CUSP_OFFSET_FLOOR,
         )
         assert sorted(report["edges"]) == sorted(ref)
         for e, (angle, cusp) in ref.items():
@@ -435,11 +494,14 @@ def test_batched_c1_report_matches_the_reference_walk():
             assert ref[report["worst_edge"]][0] >= angles[0] - 1e-12
 
 
+OFF_AXIS = 1e-3 * np.array([1.0, -2.0, 3.0, -1.0, 2.0, 1.0])
+
+
 def test_adapted_branch_verdicts_match_the_reference():
     nets = [quadric_net(3), SADDLE] + [
         random_net(np.random.default_rng(seed)) for seed in (3, 7, 11)
     ]
-    checked = {"patch": 0, "none": 0}
+    checked = {"patch": 0, "no": 0, "both": 0}
     for a in nets:
         for f in range(a.graph.face_count):
             frame = a.face_frame(f)
@@ -451,7 +513,12 @@ def test_adapted_branch_verdicts_match_the_reference():
                     face=hb.face, frame=hb.frame, q1=hb.q2, q2=hb.q1,
                     P1=hb.P2, P2=hb.P1,
                 )
-                for candidate in (hb, swapped):
+                # a plane point off the axis: the middle rulings miss the edges
+                off_axis = FaceHyperboloid(
+                    face=hb.face, frame=hb.frame, q1=canonical(hb.q1 + OFF_AXIS),
+                    q2=hb.q2, P1=hb.P1, P2=hb.P2,
+                )
+                for candidate in (hb, swapped, off_axis):
                     winners = [
                         oracles.reference_branches(
                             lines[0], lines[1], candidate.q1,
@@ -462,38 +529,95 @@ def test_adapted_branch_verdicts_match_the_reference():
                             ((x, x1), (x2, x12)), lines[:2],
                         ),
                     ]
-                    failing = [k + 1 for k, w in enumerate(winners) if len(w) != 1]
+                    failing = [k for k, w in enumerate(winners) if len(w) != 1]
                     if failing:
                         with pytest.raises(NoAdaptedPatch) as err:
                             restrict_to_patch(candidate, frame, a.positions)
-                        assert err.value.data["family"] == failing[0]
-                        checked["none"] += 1
+                        reason = "no" if not winners[failing[0]] else "both"
+                        assert err.value.data == {"face": f, "family": failing[0] + 1}
+                        assert str(err.value).startswith(f"{reason} ruling branch")
+                        checked[reason] += 1
                     else:
                         patch = restrict_to_patch(candidate, frame, a.positions)
-                        assert patch.ruling1.branch == winners[0][0]
-                        assert patch.ruling2.branch == winners[1][0]
+                        ref = oracles.reference_patch(candidate, a.positions)
+                        ref_points = oracles.reference_sample(
+                            ref.ruling1, ref.ruling2, 5, 5
+                        )
+                        miss = np.abs(sample(patch, 5, 5) - ref_points)
+                        assert np.all(miss <= 1e-12 * (1.0 + np.abs(ref_points)))
                         checked["patch"] += 1
-    assert min(checked.values()) > 10
+    assert checked["patch"] > 10 and checked["no"] > 10
 
 
-@pytest.mark.parametrize(
-    "far_line, error, message",
-    [  # a parallel and a skew partner of the x axis
-        ([[0, 1, 0], [1, 1, 0]], NumericallyInfinitePoint, r"^sample \(.*\) of face 1"),
-        ([[0, 0, 1], [0, 1, 1]], SkewLines, r"^edge \d+: lines are skew"),
-    ],
-)
-def test_c1_report_raises_where_a_sides_rulings_do_not_meet(far_line, error, message):
+def bit_for_bit_cases():
+    a = quadric_net(4)
+    yield a, propagated_hyperboloids(a, 0, 0.37)
+    b = random_net(np.random.default_rng(5))
+    yield b, bilinear_hyperboloids(b)
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_stacked_calls_equal_one_face_calls_bit_for_bit(case):
+    a, hbs = list(bit_for_bit_cases())[case]
+    stack = restrict_all(hbs.values(), a.positions)
+    singles = {f: restrict_to_patch(hb, hb.frame, a.positions) for f, hb in hbs.items()}
+    points = sample_all(stack, 9, 7)
+    for k, (f, patch) in enumerate(singles.items()):
+        assert stack.faces[k] == f
+        assert np.array_equal(stack.weights[k], patch.weights)
+        assert np.array_equal(stack.points[k], patch.points)
+        assert np.array_equal(points[k], sample(patch, 9, 7))
+    assert check_c1(stack, a) == check_c1(singles, a)
+
+
+# --- failure modes of the tangent-continuity report ------------------------------
+
+
+def pair_with_patch(edit):
+    """The smooth two-face pair, its shared edge, and its bilinear patches
+    with face 1's replaced by ``edit(points, weights, edge corners)``."""
     a = graph_surface_pair(x_second=1.6, z_scale=1.6)
     patches = bilinear_patches(a)
-    pts = hom(np.array([[0, 0, 0], [1, 0, 0], *far_line], dtype=float))
-    lines = (line_from_points(pts[0], pts[1]), line_from_points(pts[2], pts[3]))
-    patches[1] = HyperboloidPatch(
-        face=1,
-        frame=patches[1].frame,
-        ruling1=lambda t: lines[0],
-        ruling2=lambda s: lines[1],
-        corner_map={},
-    )
-    with pytest.raises(error, match=message):
+    e = a.graph.edge_id(1, 4)
+    p = patches[1]
+    on_edge = EDGE_CORNERS[p.frame.h_edges.index(e)]
+    points, weights = edit(p.points.copy(), p.weights.copy(), on_edge)
+    patches[1] = HyperboloidPatch(face=1, frame=p.frame, points=points, weights=weights)
+    return a, e, patches
+
+
+def test_c1_report_raises_for_a_degenerate_edge_schedule():
+    def flip(points, weights, on_edge):
+        weights[on_edge[1]] = -weights[on_edge[1]]
+        return points, weights
+
+    a, e, patches = pair_with_patch(flip)
+    with pytest.raises(PatchError, match=rf"^degenerate ruling schedule on edge {e}$"):
         check_c1(patches, a)
+
+
+def test_c1_report_raises_where_a_ruling_end_is_at_infinity():
+    # the far corners' weights cancel halfway along the opposite edge
+    def cancel(points, weights, on_edge):
+        far = [k for k in range(4) if k not in on_edge]
+        weights[:] = 1.0
+        weights[far[1]] = -1.0
+        return points, weights
+
+    a, e, patches = pair_with_patch(cancel)
+    with pytest.raises(NumericallyInfinitePoint, match=r"^sample \(.*\) of face 1 "):
+        check_c1(patches, a)
+
+
+def test_c1_report_raises_where_a_ruling_is_parallel_to_the_edge():
+    # the far corners slide along the edge, so every cross ruling does too
+    def collapse(points, weights, on_edge):
+        near = points[on_edge]
+        far = [k for k in range(4) if k not in on_edge]
+        points[far] = near + 2.0 * (near[1] - near[0])
+        return points, weights
+
+    a, e, patches = pair_with_patch(collapse)
+    with pytest.raises(PatchError, match="parallel to the edge") as err:
+        check_c1(patches, a)
+    assert err.value.data == {"edge": e}
