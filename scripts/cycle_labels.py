@@ -1,9 +1,12 @@
-"""Transport a labeled ruling pair around vertices of even and odd degree.
+"""Transport a family coordinate around vertices of even and odd degree.
 
-Around an even-degree vertex the pair returns with its family labels
-intact; around an odd-degree vertex the same quadric comes back with
-the two families exchanged.  This is the obstruction that makes odd
-interior degrees impossible to extend consistently.
+Crossing an edge carries the coordinate of a face's quadric to the
+neighbor's (``hyperboloid.transport_parameter``).  Around an
+even-degree vertex the coordinate returns unchanged, the labels
+intact; around an odd-degree vertex it returns negated: the same
+quadric with its two ruling families exchanged.  This is the
+obstruction that makes odd interior degrees impossible to extend
+consistently.
 
 Usage: python3 scripts/cycle_labels.py [--trials N] [--seed K]
 """
@@ -13,22 +16,23 @@ import argparse
 import numpy as np
 
 from hypnet.anet import validate_anet
-from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_face
-from hypnet.plucker import proj_distance
+from hypnet.hyperboloid import transport_parameter
 from hypnet.quadgraph import build
 from hypnet.synthetic import random_umbrella_net
 
 
 def cycle(a, vertex, lam):
+    """The coordinate ``lam`` of the first face around ``vertex`` after
+    one trip around the vertex's face cycle."""
     _, faces = a.graph.vertex_star(vertex)
-    frames = {f: a.face_frame(f) for f in faces}
-    seed = hyperboloid_from_parameter(frames[faces[0]], lam)
-    hb = seed
-    for k in range(len(faces)):
-        f_next = faces[(k + 1) % len(faces)]
-        shared = set(a.graph.face_edges(faces[k])) & set(a.graph.face_edges(f_next))
-        hb = propagate_face(hb, shared.pop(), frames[f_next])
-    return seed, hb
+    frames = [a.face_frame(f) for f in faces]
+    for k, frame in enumerate(frames):
+        neighbor = frames[(k + 1) % len(frames)]
+        (shared,) = set(a.graph.face_edges(frame.face)) & set(
+            a.graph.face_edges(neighbor.face)
+        )
+        lam = transport_parameter(a, frame, shared, neighbor, lam)
+    return lam
 
 
 def umbrella(k, rng, tries=50):
@@ -54,15 +58,9 @@ def main():
         for _ in range(args.trials):
             a = umbrella(degree, rng)
             lam = rng.uniform(0.2, 5.0) * rng.choice([-1.0, 1.0])
-            seed, final = cycle(a, 0, lam)
-            straight = max(
-                proj_distance(final.q1, seed.q1),
-                proj_distance(final.q2, seed.q2),
-            )
-            crossed = max(
-                proj_distance(final.q1, seed.q2),
-                proj_distance(final.q2, seed.q1),
-            )
+            final = cycle(a, 0, lam)
+            straight = abs(final - lam) / abs(lam)
+            crossed = abs(final + lam) / abs(lam)
             if straight < crossed:
                 intact += 1
                 worst = max(worst, straight)
@@ -72,7 +70,7 @@ def main():
         kind = "labels intact" if intact else "labels swapped"
         print(
             f"degree {degree}: {kind} in {max(intact, swapped)}/{args.trials} "
-            f"cycles, worst return deviation {worst:.3e}"
+            f"cycles, worst relative return deviation {worst:.3e}"
         )
 
 

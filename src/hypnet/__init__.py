@@ -31,7 +31,7 @@ from .hyperboloid import (
     family_parameter_of,
     hyperboloid_from_parameter,
     propagate_all,
-    propagate_face,
+    transport_parameter,
 )
 from .meshio import oriented_grid, read_mesh, write_mesh, write_positions_mesh
 from .patch import (
@@ -94,13 +94,13 @@ __all__ = [
     "oriented_grid",
     "plucker_product",
     "propagate_all",
-    "propagate_face",
     "read_mesh",
     "regulus_orientation",
     "restrict_all",
     "restrict_to_patch",
     "sample",
     "sample_all",
+    "transport_parameter",
     "validate_anet",
     "write_mesh",
     "write_positions_mesh",

@@ -44,9 +44,11 @@ from .errors import (
     NonPlanarStar,
 )
 from .plucker import (
+    METRIC,
     PLANAR_EPS,  # the default star-planarity gate, importable from here
     Subspace,
     Tolerances,
+    _basis_gram,
     _join,
     _rowdot,
     _span_signatures,
@@ -66,6 +68,9 @@ SKEW_PAIR_EPS = 1e-10
 # about 100 kB, so checking a large net adds next to nothing to its peak
 # memory.
 CHUNK = 256
+# Corner roles (x, x1, x2, x12 = 0..3) joined by the lines of
+# FaceFrame.h_lines, row by row.
+_ROLE_EDGES = np.array([[1, 0], [2, 3], [0, 2], [3, 1]])
 # Rank cutoff for vertex pencils of edge lines.  A net passing the
 # planarity check at PLANAR_EPS can carry spurious pencil directions of
 # comparable relative size, so this must sit well above PLANAR_EPS while
@@ -100,6 +105,13 @@ def star_plane(points):
     if plane.ndim == 1:
         return plane, float(residual), float(diameter)
     return plane, residual, diameter
+
+
+def diagonal_ends(corners) -> np.ndarray:
+    """Vertex ids ``(..., 2, 2)`` of the diagonals (x, x12) and (x1, x2)
+    of role corners ``(..., 4)``, each from its lower id: the ends of
+    :attr:`FaceFrame.diagonals`."""
+    return np.sort(np.asarray(corners)[..., [[0, 3], [1, 2]]], axis=-1)
 
 
 def _face_volumes(positions, quads):
@@ -157,8 +169,14 @@ class FaceFrame:
     h_lines: np.ndarray
     h_edges: tuple[int, int, int, int]
     diagonals: np.ndarray
-    H_line: Subspace
     sig_eps: float
+
+    @cached_property
+    def H_line(self) -> Subspace:
+        """The face's axis in global coordinates: the polar of the span
+        of its edge lines, computed on first use (propagation never
+        needs it)."""
+        return polar(span(self.h_lines, sig_eps=self.sig_eps), self.sig_eps)
 
     def family_of_edge(self, e: int) -> int:
         """1 or 2 according to which role pair edge ``e`` plays here."""
@@ -214,52 +232,80 @@ class ANet:
     # --- frames ---------------------------------------------------------------
 
     def face_frame(self, f: int, entry_half_edge: int | None = None) -> FaceFrame:
-        """Role frame of face ``f``.
+        """Role frame of face ``f``: the one-face call of :meth:`frames`.
 
         ``entry_half_edge`` fixes which edge plays the second-family
         role (it must be a half-edge of ``f``); by default the face's
         lowest-indexed half-edge is used, which is the deterministic
         rule for seed and standalone faces.
         """
-        g = self.graph
         if entry_half_edge is None:
-            entry_half_edge = g.faces[f][0]
-        cycle, corners = self._role_cycle(f, entry_half_edge)
-        h_cycle_ids = (cycle[3], cycle[1], cycle[0], cycle[2])
-        h_edges = tuple(g.half_edges[h].edge for h in h_cycle_ids)
-        h_lines = np.array([self.edge_lines[e] for e in h_edges])
-        x, x1, x2, x12 = corners
-        diagonals = np.array(
-            [
-                self._diagonal_line(x, x12),
-                self._diagonal_line(x1, x2),
-            ]
-        )
-        face_span = span(h_lines, sig_eps=self.tol.sig)
-        if face_span.signature != (2, 2, 0):
+            entry_half_edge = self.graph.faces[f][0]
+        return self.frames([f], [entry_half_edge])[0]
+
+    def frames(self, faces, entries) -> list[FaceFrame]:
+        """Role frames of ``faces`` entered by the half-edges ``entries``.
+
+        The genericity of each face is read in one stacked pass, on its
+        edge lines in face-local coordinates: origin at the centroid of
+        the corners, unit their largest distance from it.  The
+        construction is affine-invariant, while global Pluecker
+        coordinates of a face that is small against its distance from
+        the origin are badly conditioned.  Raises
+        :class:`NonGenericPair` for the first face, in the given order,
+        whose edge lines do not span a subspace of signature (2, 2, 0)
+        or, failing that, whose axis (the polar of that span) is not of
+        signature (1, 1, 0).
+        """
+        g = self.graph
+        cycles = [self._role_cycle(f, h) for f, h in zip(faces, entries)]
+        corners = np.array([c for _, c in cycles], dtype=np.intp).reshape(-1, 4)
+        h_edges = np.array(
+            [[g.half_edges[h].edge for h in (c[3], c[1], c[0], c[2])]
+             for c, _ in cycles],
+            dtype=np.intp,
+        ).reshape(-1, 4)
+        pos = np.asarray(self.positions, dtype=float)
+        points = pos[corners]
+        local = points - points.mean(axis=1, keepdims=True)
+        local /= np.sqrt(_rowdot(local, local)).max(axis=1)[:, None, None]
+        ends = hom(local[:, _ROLE_EDGES])
+        lines, _ = _join(ends[:, :, 0], ends[:, :, 1])
+        _, spans, vt = _span_signatures(lines, 1e-10, self.tol.sig)
+        # the polar of a rank-4 span is the orthogonal complement of its
+        # rows, mapped through the form
+        axes = _basis_gram(vt[:, 4:] @ METRIC, self.tol.sig)[2]
+        bad = np.any(spans != (2, 2, 0), axis=1) | np.any(axes != (1, 1, 0), axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            f = faces[k]
+            span_sig, axis_sig = tuple(spans[k].tolist()), tuple(axes[k].tolist())
+            if span_sig != (2, 2, 0):
+                raise NonGenericPair(
+                    f"edge lines of face {f} have signature {span_sig}, "
+                    "expected (2, 2, 0)",
+                    face=f,
+                    signature=span_sig,
+                )
             raise NonGenericPair(
-                f"edge lines of face {f} have signature "
-                f"{face_span.signature}, expected (2, 2, 0)",
+                f"axis of face {f} has signature {axis_sig}",
                 face=f,
-                signature=face_span.signature,
+                signature=axis_sig,
             )
-        axis = polar(face_span, self.tol.sig)
-        if axis.signature != (1, 1, 0):
-            raise NonGenericPair(
-                f"axis of face {f} has signature {axis.signature}",
+        ends = hom(pos[diagonal_ends(corners)])
+        diagonals = line_from_points(ends[..., 0, :], ends[..., 1, :])
+        return [
+            FaceFrame(
                 face=f,
-                signature=axis.signature,
+                entry_half_edge=h,
+                corners=cycles[k][1],
+                h_lines=self.edge_lines[h_edges[k]],
+                h_edges=tuple(h_edges[k].tolist()),
+                diagonals=diagonals[k],
+                sig_eps=self.tol.sig,
             )
-        return FaceFrame(
-            face=f,
-            entry_half_edge=entry_half_edge,
-            corners=corners,
-            h_lines=h_lines,
-            h_edges=h_edges,
-            diagonals=diagonals,
-            H_line=axis,
-            sig_eps=self.tol.sig,
-        )
+            for k, (f, h) in enumerate(zip(faces, entries))
+        ]
 
     def face_corners(self, f: int) -> tuple[int, int, int, int]:
         """Vertex ids ``(x, x1, x2, x12)`` of face ``f`` in role order.
@@ -283,25 +329,21 @@ class ANet:
         o, d, n, p = (g.half_edges[h].origin for h in cycle)
         return cycle, (o, p, d, n)
 
-    def _diagonal_line(self, u: int, v: int):
-        lo, hi = min(u, v), max(u, v)
-        return line_from_points(
-            hom([self.positions[lo]])[0], hom([self.positions[hi]])[0]
-        )
-
     def frames_from(self, seed: int):
         """Frames for every face, entries assigned by dual BFS from seed.
 
         Returns ``(frames, tree)`` where ``tree`` is the spanning tree
-        of ``dual_spanning_tree(seed)``.
+        of ``dual_spanning_tree(seed)``; the frames are read in one
+        :meth:`frames` pass in BFS order, the seed entered by its
+        lowest-indexed half-edge.
         """
         g = self.graph
         tree = g.dual_spanning_tree(seed)
-        frames = {seed: self.face_frame(seed)}
-        for face, _parent, shared in tree:
-            entry = g.half_edge_in_face(face, shared)
-            frames[face] = self.face_frame(face, entry)
-        return frames, tree
+        faces = [seed] + [face for face, _parent, _shared in tree]
+        entries = [g.faces[seed][0]] + [
+            g.half_edge_in_face(face, shared) for face, _parent, shared in tree
+        ]
+        return dict(zip(faces, self.frames(faces, entries))), tree
 
     # --- twist -------------------------------------------------------------------
 
@@ -506,7 +548,7 @@ def _pencil_stage(graph, degree, sig, walk):
              for v in verts.tolist()),
             k,
         )
-        rank, signatures = _span_signatures(
+        rank, signatures, _ = _span_signatures(
             walk.edge_lines[incident], PENCIL_RANK_TOL, sig
         )
         bad = (rank != 2) | np.any(signatures != (0, 0, 2), axis=1)

@@ -182,6 +182,15 @@ def proj_distance(a, b) -> float:
     )
 
 
+def _minors(x, y):
+    """Unnormalised 2x2 minors ``(..., 6)`` of homogeneous point stacks
+    ``x`` and ``y`` of one shape ``(..., 4)``, in storage order."""
+    # np.take keeps each row of the minors contiguous (see the module docstring)
+    xi, xj = np.take(x, _MINOR_I, axis=-1), np.take(x, _MINOR_J, axis=-1)
+    yi, yj = np.take(y, _MINOR_I, axis=-1), np.take(y, _MINOR_J, axis=-1)
+    return xi * yj - xj * yi
+
+
 def _join(x, y):
     """Stacked join of homogeneous point stacks ``x`` and ``y``
     (``(..., 4)``, broadcast together) that records instead of raising.
@@ -193,10 +202,7 @@ def _join(x, y):
     x, y = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     )
-    # np.take keeps each row of h contiguous (see the module docstring)
-    xi, xj = np.take(x, _MINOR_I, axis=-1), np.take(x, _MINOR_J, axis=-1)
-    yi, yj = np.take(y, _MINOR_I, axis=-1), np.take(y, _MINOR_J, axis=-1)
-    h = xi * yj - xj * yi
+    h = _minors(x, y)
     norm = np.sqrt(_rowdot(h, h))
     scale = np.sqrt(_rowdot(x, x)) * np.sqrt(_rowdot(y, y))
     ok = (scale != 0.0) & (norm > 1e-12 * scale)
@@ -422,14 +428,16 @@ def _span_signatures(generators, rank_tol: float, sig_eps: float):
     """Ranks ``(B,)`` and signatures ``(B, 3)`` of the spans of a stack
     of generator sets ``(B, k, 6)``, each read as :func:`span` reads
     it; a set of numerically zero generators spans nothing: rank 0,
-    signature ``(0, 0, 0)``."""
+    signature ``(0, 0, 0)``.  The third value is the stack of right
+    singular vectors ``(B, 6, 6)``: row ``i`` of a set of rank ``r`` is
+    in its span for ``i < r`` and in its orthogonal complement else."""
     _, s, vt = np.linalg.svd(generators)
     rank = _span_rank(s, rank_tol)
     signatures = np.zeros((len(rank), 3), dtype=int)
     for r in set(rank.tolist()) - {0}:
         same = rank == r
         signatures[same] = _basis_gram(vt[same, :r], sig_eps)[2]
-    return rank, signatures
+    return rank, signatures, vt
 
 
 def span(generators, rank_tol: float = 1e-10, sig_eps: float = SIG_EPS) -> Subspace:

@@ -2,7 +2,10 @@
 
 Everything in here is written directly from the definitions (2x2 minors,
 wedge expansions, exhaustive search) without importing package internals,
-so agreement with the package is meaningful evidence of correctness.
+so agreement with the package is meaningful evidence of correctness.  The
+propagation oracle raises the package's public exception classes, so that
+first offenders can be compared, and reads its frames through the one-face
+``ANet.face_frame``.
 """
 
 from __future__ import annotations
@@ -164,6 +167,17 @@ def in_span(basis, v, tol=1e-9):
     return float(np.linalg.norm(u - basis.T @ (basis @ u))) < tol
 
 
+def ruling_planes(hb):
+    """``((basis, signature), (basis, signature))`` of the ruling planes
+    ``span(first family, q1)`` and ``span(second family, q2)`` of a
+    labeled pair, read with its frame's signature cutoff."""
+    lines = hb.frame.h_lines
+    return tuple(
+        reference_span(np.vstack([family, q]), 1e-10, hb.frame.sig_eps)
+        for family, q in ((lines[:2], hb.q1), (lines[2:], hb.q2))
+    )
+
+
 def tangency_residual(a, b, shared_edge):
     """How far two neighboring face quadrics are from tangency along an edge.
 
@@ -174,15 +188,17 @@ def tangency_residual(a, b, shared_edge):
     """
     fam_a = a.frame.family_of_edge(shared_edge)
     fam_b = b.frame.family_of_edge(shared_edge)
+    (a1, _), (a2, _) = ruling_planes(a)
+    (b1, _), (b2, _) = ruling_planes(b)
     if fam_a == fam_b:
-        pairs = ((a.P1, b.P1), (a.P2, b.P2))
+        pairs = ((a1, b1), (a2, b2))
     else:
-        pairs = ((a.P1, b.P2), (a.P2, b.P1))
+        pairs = ((a1, b2), (a2, b1))
     shared = a.frame.line_of_edge(shared_edge)
     shared = shared / np.linalg.norm(shared)
     worst = 0.0
     for pa, pb in pairs:
-        stacked = np.vstack([pa.basis, pb.basis, shared])
+        stacked = np.vstack([pa, pb, shared])
         s = np.linalg.svd(stacked, compute_uv=False)
         worst = max(worst, float(s[4] / s[0]))
     return worst
@@ -488,19 +504,28 @@ def _reference_join(x, y):
     return h / norm
 
 
-def _reference_pencil(lines, rank_tol, sig):
-    """``(dim, signature)`` of the span of ``lines``; ``(-1, (0, 0, 0))``
-    when every line is numerically zero."""
+def reference_span(lines, rank_tol, sig):
+    """``(basis, signature)`` of the span of ``lines``: sign-fixed
+    orthonormal rows and the inertia of their Gram matrix, eigenvalues
+    below ``sig`` times the largest (at least 1) counting as zero; an
+    empty basis when every line is numerically zero."""
     _, s, vt = np.linalg.svd(lines)
     if s[0] < 1e-14:
-        return -1, (0, 0, 0)
+        return np.zeros((0, 6)), (0, 0, 0)
     rank = int(np.sum(s > rank_tol * s[0]))
     basis = np.array([_sign_fixed(row) for row in vt[:rank]])
     gram = basis @ _METRIC @ basis.T
     lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     cut = sig * max(float(np.max(np.abs(lam))), 1.0)
     plus, minus = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
-    return len(basis) - 1, (plus, minus, len(lam) - plus - minus)
+    return basis, (plus, minus, len(lam) - plus - minus)
+
+
+def _reference_pencil(lines, rank_tol, sig):
+    """``(dim, signature)`` of the span of ``lines``; ``(-1, (0, 0, 0))``
+    when every line is numerically zero."""
+    basis, signature = reference_span(lines, rank_tol, sig)
+    return len(basis) - 1, signature
 
 
 def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
@@ -567,3 +592,139 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
                 "pencil_signature": signature, "pencil_dim": dim,
             }))
     return found, planes, residuals, diameters, lines
+
+
+# --- propagation by central projections in line space -----------------------------
+
+#: the gates of the projection oracle, restated
+PROJECTION_EPS = 1e-10
+
+
+def reference_project(q, center, target):
+    """Central projection of ``q`` through the line ``center`` into the
+    polar hyperplane of the line ``target``, sign-fixed; raises
+    ``ProjectionDegenerate`` when the center is polar to the target or
+    the image vanishes."""
+    from hypnet.errors import ProjectionDegenerate
+
+    qh, hc, hf = (np.asarray(v, dtype=float) / np.linalg.norm(v)
+                  for v in (q, center, target))
+    den = _pairing(hc, hf)
+    if abs(den) < PROJECTION_EPS:
+        raise ProjectionDegenerate(f"center polar to target ({den:.3e})",
+                                   product=den)
+    image = qh - (_pairing(qh, hf) / den) * hc
+    if np.linalg.norm(image) < 1e-12:
+        raise ProjectionDegenerate("point is the center", product=den)
+    return _sign_fixed(image)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferencePair:
+    """A labeled polar pair on a face's axis, built by the oracle."""
+
+    face: int
+    frame: object
+    q1: np.ndarray
+    q2: np.ndarray
+    signatures: tuple
+
+
+def reference_pair(frame, q1, q2):
+    """The pair ``(q1, q2)`` on ``frame`` after the checks of a member:
+    self-products of opposite signs, then ruling planes of signatures
+    (2,1,0) and (1,2,0) in some order; ``DegenerateParameter`` else."""
+    from hypnet.errors import DegenerateParameter
+
+    s1, s2 = _pairing(q1, q1), _pairing(q2, q2)
+    if not s1 * s2 < 0.0:
+        raise DegenerateParameter("pair does not split", face=frame.face)
+    pair = ReferencePair(frame.face, frame, _sign_fixed(q1), _sign_fixed(q2), ())
+    signatures = tuple(sig for _, sig in ruling_planes(pair))
+    if set(signatures) != {(2, 1, 0), (1, 2, 0)}:
+        raise DegenerateParameter("ruling planes degenerate", face=frame.face)
+    return ReferencePair(frame.face, frame, pair.q1, pair.q2, signatures)
+
+
+def reference_member(frame, lam):
+    """The member ``g1 + lam g2`` of the face's family and its polar
+    partner, as a checked :class:`ReferencePair`."""
+    from hypnet.errors import DegenerateParameter
+
+    if lam == 0.0 or not np.isfinite(lam):
+        raise DegenerateParameter("isotropic parameter", face=frame.face)
+    g1, g2 = (_sign_fixed(d) for d in frame.diagonals)
+    q1 = _sign_fixed(g1 + lam * g2)
+    den = _pairing(q1, g2)
+    if abs(den) < 1e-12:
+        raise DegenerateParameter("indeterminate partner", face=frame.face)
+    return reference_pair(frame, q1, g1 - (_pairing(q1, g1) / den) * g2)
+
+
+def propagate_face(hb, across, neighbor_frame):
+    """Transport a labeled pair across a shared edge by projecting both
+    points through the shared edge line into the polar hyperplane of the
+    neighbor's opposite edge; the labels swap exactly when the shared
+    edge plays different family roles in the two frames."""
+    center = hb.frame.line_of_edge(across)
+    far = neighbor_frame.line_of_edge(neighbor_frame.opposite_in_family(across))
+    t1 = reference_project(hb.q1, center, far)
+    t2 = reference_project(hb.q2, center, far)
+    same = hb.frame.family_of_edge(across) == neighbor_frame.family_of_edge(across)
+    return reference_pair(neighbor_frame, *((t1, t2) if same else (t2, t1)))
+
+
+def reference_propagate(a, seed, lam):
+    """Propagation of the member ``lam`` of face ``seed`` over the net
+    ``a`` by vector projections, one face at a time.
+
+    The frames are one-face ``a.face_frame`` calls with the dual BFS
+    tree's entries.  Returns ``(pairs, report)`` like
+    ``propagate_all``; raises ``OddVertexDegree``, ``DisconnectedMesh``,
+    ``NonGenericPair``, ``DegenerateParameter``,
+    ``ProjectionDegenerate`` or ``ClosureViolation`` at the first
+    offender in that walk.
+    """
+    from hypnet.errors import ClosureViolation, OddVertexDegree
+
+    g = a.graph
+    even, offenders = g.interior_degrees_even()
+    if not even:
+        raise OddVertexDegree("odd interior degree", vertices=tuple(offenders))
+    tree = g.dual_spanning_tree(seed)
+    frames = {seed: a.face_frame(seed)}
+    for face, _parent, shared in tree:
+        frames[face] = a.face_frame(face, g.half_edge_in_face(face, shared))
+    pairs = {seed: reference_member(frames[seed], lam)}
+    for face, parent, shared in tree:
+        pairs[face] = propagate_face(pairs[parent], shared, frames[face])
+    residuals = {}
+    tree_edges = {shared for _, _, shared in tree}
+    for e in range(g.edge_count):
+        f, h = g.edge_faces(e)
+        if f is None or h is None or e in tree_edges:
+            continue
+        image = propagate_face(pairs[min(f, h)], e, frames[max(f, h)])
+        held = pairs[max(f, h)]
+        residuals[e] = max(_distance(image.q1, held.q1), _distance(image.q2, held.q2))
+    worst, worst_edge = 0.0, None
+    for e, residual in residuals.items():
+        if residual > worst:
+            worst, worst_edge = residual, e
+    report = {
+        "seed_face": seed,
+        "lambda": lam,
+        "closure_residuals": residuals,
+        "worst_closure_residual": worst,
+        "worst_closure_edge": worst_edge,
+        "face_signatures": {f: p.signatures for f, p in sorted(pairs.items())},
+    }
+    if worst > a.tol.closure:
+        raise ClosureViolation("routes disagree", edge=worst_edge, residual=worst)
+    return pairs, report
+
+
+def _distance(a, b):
+    """Distance of projective points: min over signs of |ua -+ ub|."""
+    ua, ub = (np.asarray(v, dtype=float) / np.linalg.norm(v) for v in (a, b))
+    return min(float(np.linalg.norm(ua - ub)), float(np.linalg.norm(ua + ub)))

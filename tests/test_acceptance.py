@@ -19,9 +19,9 @@ from hypnet.errors import SkewLines
 from hypnet.fit import FitProblem, energy, fit, gradient
 from hypnet.hyperboloid import (
     hyperboloid_from_parameter,
-    propagate_all,
-    propagate_face,
     project_tau,
+    propagate_all,
+    transport_parameter,
 )
 from hypnet.meshio import write_positions_mesh
 from hypnet.patch import (
@@ -82,14 +82,13 @@ def cycle_pair(a, vertex, lam):
     _, faces = a.graph.vertex_star(vertex)
     frames = {f: a.face_frame(f) for f in faces}
     seed = hyperboloid_from_parameter(frames[faces[0]], lam)
-    hb = seed
     for k in range(len(faces)):
-        f_next = faces[(k + 1) % len(faces)]
-        shared = set(a.graph.face_edges(faces[k])) & set(
-            a.graph.face_edges(f_next)
+        f_now, f_next = faces[k], faces[(k + 1) % len(faces)]
+        shared = set(a.graph.face_edges(f_now)) & set(a.graph.face_edges(f_next))
+        lam = transport_parameter(
+            a, frames[f_now], shared.pop(), frames[f_next], lam
         )
-        hb = propagate_face(hb, shared.pop(), frames[f_next])
-    return seed, hb
+    return seed, hyperboloid_from_parameter(frames[faces[0]], lam)
 
 
 def nonzero_lambda(rng):

@@ -373,6 +373,44 @@ def test_frames_from_seed_assign_entry_edges():
         assert frames[face].h_edges[2] == shared
 
 
+def test_stacked_frames_equal_the_one_face_calls():
+    n, quads, pos = quadric_grid(4, 3, spacing=0.3, origin=(-1.0, 0.5))
+    g = build(n, quads)
+    net = validate_anet(g, pos)
+    frames, tree = net.frames_from(5)
+    entries = {5: g.faces[5][0]}
+    entries.update({face: g.half_edge_in_face(face, shared) for face, _, shared in tree})
+    for f, frame in frames.items():
+        alone = net.face_frame(f, entries[f])
+        assert frame.corners == alone.corners
+        assert frame.h_edges == alone.h_edges
+        assert np.array_equal(frame.h_lines, alone.h_lines)
+        assert np.array_equal(frame.diagonals, alone.diagonals)
+        assert frame.H_line.signature == (1, 1, 0)
+
+
+def test_frame_genericity_is_read_in_face_local_coordinates():
+    # small faces far from the origin: global Pluecker coordinates of
+    # their edge lines are too badly conditioned for a signature read
+    n, quads, pos = quadric_grid(20, 20, spacing=0.01, origin=(30.0, 30.0))
+    net = validate_anet(build(n, quads), pos)
+    frames, _ = net.frames_from(0)
+    assert len(frames) == 400
+
+
+def test_first_non_generic_frame_in_the_given_order_is_raised():
+    n, quads, pos = quadric_grid(3, 3)
+    net = validate_anet(build(n, quads), pos, Tolerances(sig=0.5))
+    g = net.graph
+    order = [4, 7, 0]
+    with pytest.raises(NonGenericPair) as err:
+        net.frames(order, [g.faces[f][0] for f in order])
+    assert err.value.data["face"] == 4
+    with pytest.raises(NonGenericPair) as err:
+        net.face_frame(7)
+    assert err.value.data["face"] == 7
+
+
 # --- diagnose --------------------------------------------------------------------
 
 

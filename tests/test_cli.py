@@ -402,6 +402,23 @@ def test_extend_rejects_zero_lambda_and_bad_seed_faces(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n, spacing", [(10, 0.05), (40, 0.05), (10, 0.01)])
+def test_extend_closes_on_exact_nets_far_from_the_origin(tmp_path, capsys, n, spacing):
+    # small faces far from the origin: their global Pluecker coordinates
+    # are badly conditioned, the family's transport is not
+    count, quads, positions = quadric_grid(n, n, spacing=spacing, origin=(10.0, 10.0))
+    path = write_net(tmp_path / "far.obj", count, quads, positions)
+    a = validate_anet(build(count, quads), positions)
+    lam = bilinear_parameter(a.face_frame(0), a.positions)
+    out = tmp_path / "far_out.obj"
+    code, report = run_main(capsys, ["extend", path, "-o", str(out), "--lambda", repr(lam)])
+    assert code == 0
+    assert report["c1"]["max_angle"] <= 1e-6
+    points, _ = read_mesh(out)
+    x, y, z = points.T
+    assert np.all(np.abs(z - x * y) <= 1e-10 * (1.0 + x * x + y * y))
+
+
 def test_usage_errors_exit_with_the_input_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["extend", "x.obj", "-o", "y.obj"])  # --lambda missing
@@ -499,11 +516,14 @@ def test_library_calls_take_their_tolerances_explicitly():
     assert not diagnose_anet(graph, positions)["valid"]
     # the net carries its closure gate on to propagation
     count, quads, positions = quadric_grid(3, 3)
-    exact = validate_anet(build(count, quads), positions)
-    tight = validate_anet(exact.graph, positions, Tolerances(closure=1e-18))
-    propagate_all(exact, 0, saddle_lambda())
-    with pytest.raises(ClosureViolation, match=r"tolerance 1\.0e-18"):
-        propagate_all(tight, 0, saddle_lambda())
+    rng = np.random.default_rng(5)
+    noisy = positions + rng.normal(scale=1e-7, size=positions.shape)
+    graph = build(count, quads)
+    lenient = validate_anet(graph, noisy, Tolerances(planar=1e-3, closure=1e-3))
+    strict = validate_anet(graph, noisy, Tolerances(planar=1e-3))
+    propagate_all(lenient, 0, saddle_lambda())
+    with pytest.raises(ClosureViolation, match=r"tolerance 1\.0e-08"):
+        propagate_all(strict, 0, saddle_lambda())
     assert Tolerances() == Tolerances(
         planar=hypnet.anet.PLANAR_EPS,
         closure=hypnet.hyperboloid.CLOSURE_EPS,

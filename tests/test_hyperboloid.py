@@ -9,6 +9,8 @@ from hypnet.anet import ANet, star_plane, validate_anet
 from hypnet.errors import (
     ClosureViolation,
     DegenerateParameter,
+    DisconnectedMesh,
+    NonGenericPair,
     OddVertexDegree,
     ProjectionDegenerate,
 )
@@ -18,9 +20,14 @@ from hypnet.hyperboloid import (
     hyperboloid_from_parameter,
     project_tau,
     propagate_all,
-    propagate_face,
+    transport_parameter,
 )
+import hypnet.anet
+import hypnet.patch
+import hypnet.plucker
+from hypnet.patch import bilinear_parameter
 from hypnet.plucker import (
+    Tolerances,
     canonical,
     hom,
     line_from_points,
@@ -37,7 +44,14 @@ from hypnet.synthetic import (
     random_umbrella_net,
 )
 
-from oracles import in_span, random_projection_setup, tangency_residual
+from oracles import (
+    in_span,
+    propagate_face,
+    random_projection_setup,
+    reference_propagate,
+    ruling_planes,
+    tangency_residual,
+)
 
 
 def spec_face():
@@ -88,16 +102,13 @@ def test_ruling_planes_are_mutually_polar_with_opposite_signatures():
     a = spec_face()
     frame = a.face_frame(0)
     hb = hyperboloid_from_parameter(frame, 0.7)
-    assert hb.P1.dim == 2 and hb.P2.dim == 2
-    assert {hb.P1.signature, hb.P2.signature} == {(2, 1, 0), (1, 2, 0)}
+    (p1, sig1), (p2, sig2) = ruling_planes(hb)
+    assert len(p1) == 3 and len(p2) == 3
+    assert hb.signatures == (sig1, sig2)
+    assert {sig1, sig2} == {(2, 1, 0), (1, 2, 0)}
     expected = (2, 1, 0) if self_product(hb.q1) > 0 else (1, 2, 0)
-    assert hb.P1.signature == expected
-    cross = np.array(
-        [
-            [plucker_product(u, v) for v in hb.P2.basis]
-            for u in hb.P1.basis
-        ]
-    )
+    assert sig1 == expected
+    cross = np.array([[plucker_product(u, v) for v in p2] for u in p1])
     assert np.max(np.abs(cross)) < 1e-10
 
 
@@ -108,10 +119,7 @@ def test_plane_signatures_swap_when_labels_swap():
     minus = hyperboloid_from_parameter(frame, -0.7)
     assert proj_distance(minus.q1, plus.q2) < 1e-12
     assert proj_distance(minus.q2, plus.q1) < 1e-12
-    assert (minus.P1.signature, minus.P2.signature) == (
-        plus.P2.signature,
-        plus.P1.signature,
-    )
+    assert minus.signatures == plus.signatures[::-1]
 
 
 @pytest.mark.parametrize("lam", [0.0, math.inf, -math.inf, math.nan])
@@ -354,7 +362,7 @@ def test_propagate_all_closes_on_an_exact_net():
     for f, hb in hbs.items():
         frame = hb.frame
         assert in_span(frame.H_line.basis, hb.q1, tol=1e-8)
-        assert {hb.P1.signature, hb.P2.signature} == {(2, 1, 0), (1, 2, 0)}
+        assert set(hb.signatures) == {(2, 1, 0), (1, 2, 0)}
 
 
 def test_propagate_all_is_deterministic():
@@ -404,13 +412,14 @@ def test_propagate_all_recovers_the_global_quadric():
     assert report["worst_closure_residual"] < 1e-9
 
     def matches(p, rulings):
-        stacked = np.vstack([p.basis, rulings.basis])
+        stacked = np.vstack([p, rulings.basis])
         s = np.linalg.svd(stacked, compute_uv=False)
         return s[3] / s[0] < 1e-8
 
     for f, hb in hbs.items():
-        hit_x = [matches(p, rulings_x) for p in (hb.P1, hb.P2)]
-        hit_y = [matches(p, rulings_y) for p in (hb.P1, hb.P2)]
+        planes = [basis for basis, _ in ruling_planes(hb)]
+        hit_x = [matches(p, rulings_x) for p in planes]
+        hit_y = [matches(p, rulings_y) for p in planes]
         assert sorted(hit_x) == [False, True]
         assert sorted(hit_y) == [False, True]
         assert hit_x != hit_y
@@ -463,3 +472,166 @@ def test_propagate_all_flags_closure_violations():
     assert err.value.data["residual"] > CLOSURE_EPS
     assert err.value.data["edge"] is not None
     assert "report" in err.value.data
+
+
+def test_propagate_all_closes_an_exact_net_at_scale():
+    # global Pluecker coordinates drifted past CLOSURE_EPS here
+    count, quads, positions = quadric_grid(130, 130)
+    a = validate_anet(build(count, quads), positions)
+    _, report = propagate_all(a, 0, bilinear_parameter(a.face_frame(0), a.positions))
+    assert report["worst_closure_residual"] < CLOSURE_EPS
+
+
+# --- the scalar transport -------------------------------------------------------------
+
+
+def test_transport_parameter_is_the_projection_of_the_pair():
+    rng = np.random.default_rng(61)
+    for net in (random_net(rng), random_net(rng), quadric_net(3)):
+        frames, tree = net.frames_from(0)
+        lam = 0.8
+        for face, parent, shared in tree[:4]:
+            image = propagate_face(
+                hyperboloid_from_parameter(frames[parent], lam), shared, frames[face]
+            )
+            moved = transport_parameter(net, frames[parent], shared, frames[face], lam)
+            assert moved == pytest.approx(
+                family_parameter_of(frames[face], image.q1), rel=1e-10
+            )
+
+
+@pytest.mark.parametrize("degree", [4, 6, 3, 5])
+def test_transport_around_a_vertex_returns_the_parameter_up_to_sign(degree):
+    rng = np.random.default_rng(62)
+    a = umbrella_net(degree, rng)
+    _, faces = a.graph.vertex_star(0)
+    frames = [a.face_frame(f) for f in faces]
+    lam = -1.7
+    for k, frame in enumerate(frames):
+        neighbor = frames[(k + 1) % degree]
+        (shared,) = set(a.graph.face_edges(frame.face)) & set(
+            a.graph.face_edges(neighbor.face)
+        )
+        lam = transport_parameter(a, frame, shared, neighbor, lam)
+    assert lam == pytest.approx(-1.7 if degree % 2 == 0 else 1.7, rel=1e-12)
+
+
+def test_transport_across_a_degenerate_crossing_raises():
+    # f's diagonal through u and g's diagonal through w made coplanar:
+    # the transport ratio across the shared edge (u, w) vanishes.  With
+    # a planar star at w this would flatten g, so that star is broken.
+    count, quads, positions = random_grid3x3_net(np.random.default_rng(63))
+    graph = build(count, quads)
+    (shared,) = set(graph.face_edges(0)) & set(graph.face_edges(1))
+    u, w = graph.edges[shared]
+
+    def diagonal_to(face, v):
+        corners = list(graph.face_vertices(face))
+        return corners[(corners.index(v) + 2) % 4]
+
+    p, r = positions[u], positions[diagonal_to(0, u)]
+    normal = np.cross(positions[w] - p, r - p)
+    normal /= np.linalg.norm(normal)
+    moved = positions.copy()
+    v = diagonal_to(1, w)
+    moved[v] -= ((moved[v] - p) @ normal) * normal
+    moved[diagonal_to(1, u)] += 0.3 * normal
+    a = _forced_anet(count, quads, moved)
+    with pytest.raises(ProjectionDegenerate) as err:
+        transport_parameter(a, a.face_frame(0), shared, a.face_frame(1), 0.5)
+    assert err.value.data["edge"] == shared
+    with pytest.raises(ProjectionDegenerate) as err:
+        propagate_all(a, 0, 0.5)
+    assert err.value.data["edge"] == shared
+
+
+# --- propagate_all against the projection oracle ------------------------------------------
+
+
+def _oracle_nets():
+    rng = np.random.default_rng(71)
+    for n, spacing, origin in ((4, 1.0, (0.0, 0.0)), (5, 0.3, (-1.5, -0.5)),
+                               (6, 0.1, (1.0, 2.0))):
+        count, quads, positions = quadric_grid(n, n, spacing=spacing, origin=origin)
+        a = validate_anet(build(count, quads), positions)
+        yield a, bilinear_parameter(a.face_frame(0), a.positions)
+    for _ in range(3):
+        yield random_net(rng), float(rng.uniform(0.2, 3.0))
+    for k in (4, 6):
+        yield umbrella_net(k, rng), -0.9
+
+
+def test_propagate_all_matches_the_projection_oracle():
+    for a, lam in _oracle_nets():
+        hbs, report = propagate_all(a, 0, lam)
+        pairs, expected = reference_propagate(a, 0, lam)
+        assert report["face_signatures"] == expected["face_signatures"]
+        assert set(report["closure_residuals"]) == set(expected["closure_residuals"])
+        assert report["worst_closure_residual"] < CLOSURE_EPS
+        for f, hb in hbs.items():
+            frame = hb.frame
+            assert frame.corners == pairs[f].frame.corners
+            reference = family_parameter_of(frame, pairs[f].q1)
+            assert hb.lam == pytest.approx(reference, rel=1e-10)
+            assert family_parameter_of(frame, hb.q1) == pytest.approx(hb.lam, rel=1e-10)
+
+
+def _failing_cases():
+    rng = np.random.default_rng(81)
+    count, quads, positions = quadric_grid(3, 3)
+    exact = validate_anet(build(count, quads), positions)
+    yield "odd degree", umbrella_net(3, rng), 1.0
+    disjoint = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 0]])
+    graph = build(8, [(0, 1, 2, 3), (4, 5, 6, 7)])
+    two = validate_anet(graph, np.vstack([disjoint, disjoint + 5.0]))
+    yield "disconnected", two, 1.0
+    # signature cutoffs that fail a face other than the seed
+    yield "frames", validate_anet(exact.graph, positions, Tolerances(sig=0.05)), 1.0
+    yield "ruling planes", validate_anet(exact.graph, positions, Tolerances(sig=1e-2)), 0.3
+    for lam in (0.0, math.nan, 1e15):
+        yield f"parameter {lam}", exact, lam
+    count, quads, small = quadric_grid(2, 2)
+    bumped = small.copy()
+    bumped[4, 2] += 1e-4
+    yield "bump", _forced_anet(count, quads, bumped), 1.0
+    noisy = positions + np.random.default_rng(5).normal(scale=1e-7, size=positions.shape)
+    noisy_net = validate_anet(exact.graph, noisy, Tolerances(planar=1e-3))
+    yield "noise", noisy_net, bilinear_parameter(noisy_net.face_frame(0), noisy)
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _failing_cases()])
+def test_propagate_all_fails_at_the_oracles_first_offender(case):
+    a, lam = next((a, lam) for name, a, lam in _failing_cases() if name == case)
+    kinds = (OddVertexDegree, DisconnectedMesh, NonGenericPair,
+             DegenerateParameter, ClosureViolation)
+    with pytest.raises(kinds) as expected:
+        reference_propagate(a, 0, lam)
+    with pytest.raises(type(expected.value)) as err:
+        propagate_all(a, 0, lam)
+    data = getattr(err.value, "data", {})
+    for key in ("vertices", "face", "edge"):
+        assert data.get(key) == getattr(expected.value, "data", {}).get(key)
+
+
+def test_propagate_all_reads_spans_in_stacked_calls(monkeypatch):
+    calls = {"span": 0, "svd": 0}
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def no_span(*args, **kwargs):
+        calls["span"] += 1
+        return hypnet.plucker.span(*args, **kwargs)
+
+    for n in (3, 10):
+        a = quadric_net(n)
+        lam = bilinear_parameter(a.face_frame(0), a.positions)
+        calls.update(span=0, svd=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counted_svd)
+            for module in (hypnet.anet, hypnet.patch):
+                patch.setattr(module, "span", no_span)
+            propagate_all(a, 0, lam)
+        assert calls == {"span": 0, "svd": 2}

@@ -15,7 +15,6 @@ from hypnet.errors import (
     PatchError,
 )
 from hypnet.hyperboloid import (
-    FaceHyperboloid,
     hyperboloid_from_parameter,
     propagate_all,
 )
@@ -228,13 +227,11 @@ def test_exactly_one_sign_of_the_coordinate_patches():
 
 
 def test_swapped_family_labels_admit_no_patch():
-    swapped = FaceHyperboloid(
-        face=SADDLE_HB.face,
-        frame=SADDLE_HB.frame,
+    swapped = dataclasses.replace(
+        SADDLE_HB,
         q1=SADDLE_HB.q2,
         q2=SADDLE_HB.q1,
-        P1=SADDLE_HB.P2,
-        P2=SADDLE_HB.P1,
+        signatures=SADDLE_HB.signatures[::-1],
     )
     with pytest.raises(NoAdaptedPatch) as err:
         restrict_to_patch(swapped, SADDLE_FRAME, SADDLE.positions)
@@ -242,14 +239,7 @@ def test_swapped_family_labels_admit_no_patch():
 
 
 def test_restriction_raises_for_an_isotropic_plane_point():
-    collapsed = FaceHyperboloid(
-        face=SADDLE_HB.face,
-        frame=SADDLE_HB.frame,
-        q1=SADDLE_FRAME.h_lines[2],
-        q2=SADDLE_HB.q2,
-        P1=SADDLE_HB.P1,
-        P2=SADDLE_HB.P2,
-    )
+    collapsed = dataclasses.replace(SADDLE_HB, q1=SADDLE_FRAME.h_lines[2])
     with pytest.raises(DegenerateConic, match="isotropic") as err:
         restrict_to_patch(collapsed, SADDLE_FRAME, SADDLE.positions)
     assert err.value.data["face"] == 0
@@ -509,15 +499,11 @@ def test_adapted_branch_verdicts_match_the_reference():
             lines = frame.h_lines
             for lam in (0.8, -0.8, 2.5, -2.5):
                 hb = hyperboloid_from_parameter(frame, lam)
-                swapped = FaceHyperboloid(
-                    face=hb.face, frame=hb.frame, q1=hb.q2, q2=hb.q1,
-                    P1=hb.P2, P2=hb.P1,
+                swapped = dataclasses.replace(
+                    hb, q1=hb.q2, q2=hb.q1, signatures=hb.signatures[::-1]
                 )
                 # a plane point off the axis: the middle rulings miss the edges
-                off_axis = FaceHyperboloid(
-                    face=hb.face, frame=hb.frame, q1=canonical(hb.q1 + OFF_AXIS),
-                    q2=hb.q2, P1=hb.P1, P2=hb.P2,
-                )
+                off_axis = dataclasses.replace(hb, q1=canonical(hb.q1 + OFF_AXIS))
                 for candidate in (hb, swapped, off_axis):
                     winners = [
                         oracles.reference_branches(
