@@ -234,15 +234,14 @@ def project_tau(q, center, target_polar) -> np.ndarray:
 def _scales(positions, frames) -> np.ndarray:
     """Per frame the factor ``k`` with ``lam = k * mu``: ``q1 ~ g1 + lam
     g2 ~ J1 + mu J2`` for the unnormalised diagonal joins ``J`` and
-    their canonical units ``g``."""
+    their canonical units ``g = sign * J / |J|``."""
+    diagonals = np.array([fr.diagonals for fr in frames]).reshape(-1, 2, 6)
+    sign = np.sign(_rowdot(canonical(diagonals), diagonals))
     corners = np.array([fr.corners for fr in frames], dtype=np.intp).reshape(-1, 4)
     ends = hom(np.asarray(positions, dtype=float)[diagonal_ends(corners)])
     joins = _minors(ends[..., 0, :], ends[..., 1, :])
-    norm = np.sqrt(_rowdot(joins, joins))
-    rows = joins.reshape(-1, 6)
-    lead = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=-1)].reshape(-1, 2)
-    sign = np.where(lead < 0.0, -1.0, 1.0)
-    return sign[:, 0] * sign[:, 1] * norm[:, 1] / norm[:, 0]
+    signed = sign * np.sqrt(_rowdot(joins, joins))
+    return signed[:, 1] / signed[:, 0]
 
 
 def _volumes(points, a, b, c, d):
@@ -303,8 +302,7 @@ def _crossings(graph, steps) -> _Crossings:
     first = on_first(cf, ends[:, 0])
     u1 = np.where(first, ends[:, 0], ends[:, 1])
     u2 = np.where(first, ends[:, 1], ends[:, 0])
-    swap = [(s[0].h_edges.index(s[1]) < 2) != (s[2].h_edges.index(s[1]) < 2)
-            for s in steps]
+    swap = [f.family_of_edge(e) != g.family_of_edge(e) for f, e, g in steps]
     return _Crossings(
         u1, u2, across(cf, u1), across(cf, u2), across(cg, u1), across(cg, u2),
         cf, cg, ~on_first(cg, u1), np.array(swap, dtype=bool).reshape(-1),
