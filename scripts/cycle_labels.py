@@ -28,9 +28,8 @@ def cycle(a, vertex, lam):
     frames = [a.face_frame(f) for f in faces]
     for k, frame in enumerate(frames):
         neighbor = frames[(k + 1) % len(frames)]
-        (shared,) = set(a.graph.face_edges(frame.face)) & set(
-            a.graph.face_edges(neighbor.face)
-        )
+        edges = a.graph.face_edges[[frame.face, neighbor.face]].tolist()
+        (shared,) = set(edges[0]) & set(edges[1])
         lam = transport_parameter(a, frame, shared, neighbor, lam)
     return lam
 

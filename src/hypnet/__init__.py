@@ -1,6 +1,6 @@
 """Nets of planar vertex stars and their doubly ruled quadric extensions.
 
-The package builds half-edge quad meshes (:mod:`hypnet.quadgraph`),
+The package builds quad meshes as integer arrays (:mod:`hypnet.quadgraph`),
 validates vertex-star planarity and genericity (:mod:`hypnet.anet`),
 attaches and propagates one doubly ruled quadric per face
 (:mod:`hypnet.hyperboloid`), carves and samples the bounded patches

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +68,9 @@ SKEW_PAIR_EPS = 1e-10
 # about 100 kB, so checking a large net adds next to nothing to its peak
 # memory.
 CHUNK = 256
+# Cycle positions, from the entry half-edge's origin, of the corner roles
+# (x, x1, x2, x12).
+_ROLE_CORNERS = [0, 3, 1, 2]
 # Corner roles (x, x1, x2, x12 = 0..3) joined by the lines of
 # FaceFrame.h_lines, row by row.
 _ROLE_EDGES = np.array([[1, 0], [2, 3], [0, 2], [3, 1]])
@@ -133,18 +136,6 @@ def _face_volumes(positions, quads):
         out=np.zeros_like(det), where=scale != 0.0,
     )
     return det, ratio
-
-
-def _face_chunks(graph: QuadGraph):
-    """Faces in slices of at most ``CHUNK``: ``(lo, vertices, edges)``
-    with the vertex ids and edge ids of faces ``lo, lo + 1, ...`` in
-    cycle order as ``(B, 4)`` int arrays."""
-    half = graph.half_edges
-    for lo in range(0, graph.face_count, CHUNK):
-        ids = np.ravel(graph.faces[lo:lo + CHUNK]).tolist()
-        vertices = np.fromiter((half[h].origin for h in ids), np.intp, len(ids))
-        edges = np.fromiter((half[h].edge for h in ids), np.intp, len(ids))
-        yield lo, vertices.reshape(-1, 4), edges.reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -240,7 +231,7 @@ class ANet:
         rule for seed and standalone faces.
         """
         if entry_half_edge is None:
-            entry_half_edge = self.graph.faces[f][0]
+            entry_half_edge = 4 * f
         return self.frames([f], [entry_half_edge])[0]
 
     def frames(self, faces, entries) -> list[FaceFrame]:
@@ -257,14 +248,18 @@ class ANet:
         or, failing that, whose axis (the polar of that span) is not of
         signature (1, 1, 0).
         """
-        g = self.graph
-        cycles = [self._role_cycle(f, h) for f, h in zip(faces, entries)]
-        corners = np.array([c for _, c in cycles], dtype=np.intp).reshape(-1, 4)
-        h_edges = np.array(
-            [[g.half_edges[h].edge for h in (c[3], c[1], c[0], c[2])]
-             for c, _ in cycles],
-            dtype=np.intp,
-        ).reshape(-1, 4)
+        f_ids = np.asarray(faces, dtype=np.intp).reshape(-1)
+        h_ids = np.asarray(entries, dtype=np.intp).reshape(-1)
+        stray = np.flatnonzero(h_ids // 4 != f_ids)
+        if stray.size:
+            k = int(stray[0])
+            raise ValueError(
+                f"half-edge {int(h_ids[k])} does not bound face {int(f_ids[k])}"
+            )
+        # the face's sides in cycle order from the entry half-edge x -> x2
+        cycle = (h_ids[:, None] + np.arange(4)) % 4
+        corners = self.graph.face_vertices[f_ids[:, None], cycle][:, _ROLE_CORNERS]
+        h_edges = self.graph.face_edges[f_ids[:, None], cycle][:, [3, 1, 0, 2]]
         pos = np.asarray(self.positions, dtype=float)
         points = pos[corners]
         local = points - points.mean(axis=1, keepdims=True)
@@ -298,7 +293,7 @@ class ANet:
             FaceFrame(
                 face=f,
                 entry_half_edge=h,
-                corners=cycles[k][1],
+                corners=tuple(corners[k].tolist()),
                 h_lines=self.edge_lines[h_edges[k]],
                 h_edges=tuple(h_edges[k].tolist()),
                 diagonals=diagonals[k],
@@ -313,21 +308,7 @@ class ANet:
         Equal to ``face_frame(f).corners`` without building the frame's
         lines and axis.
         """
-        return self._role_cycle(f, self.graph.faces[f][0])[1]
-
-    def _role_cycle(self, f: int, entry_half_edge: int):
-        """Half-edges of face ``f`` in cycle order from the entry
-        half-edge, and the role corners ``(x, x1, x2, x12)`` read off
-        their origins."""
-        g = self.graph
-        if g.half_edges[entry_half_edge].face != f:
-            raise ValueError(
-                f"half-edge {entry_half_edge} does not bound face {f}"
-            )
-        k = g.faces[f].index(entry_half_edge)
-        cycle = [g.faces[f][(k + i) % 4] for i in range(4)]
-        o, d, n, p = (g.half_edges[h].origin for h in cycle)
-        return cycle, (o, p, d, n)
+        return tuple(self.graph.face_vertices[f, _ROLE_CORNERS].tolist())
 
     def frames_from(self, seed: int):
         """Frames for every face, entries assigned by dual BFS from seed.
@@ -337,27 +318,27 @@ class ANet:
         :meth:`frames` pass in BFS order, the seed entered by its
         lowest-indexed half-edge.
         """
-        g = self.graph
-        tree = g.dual_spanning_tree(seed)
-        faces = [seed] + [face for face, _parent, _shared in tree]
-        entries = [g.faces[seed][0]] + [
-            g.half_edge_in_face(face, shared) for face, _parent, shared in tree
-        ]
-        return dict(zip(faces, self.frames(faces, entries))), tree
+        tree = self.graph.dual_spanning_tree(seed)
+        faces = np.array([seed] + [face for face, _parent, _shared in tree])
+        # the seed, sharing no edge, is entered by its side 0
+        shared = np.array([-1] + [e for _face, _parent, e in tree])
+        sides = np.argmax(self.graph.face_edges[faces] == shared[:, None], axis=1)
+        frames = self.frames(faces.tolist(), (4 * faces + sides).tolist())
+        return dict(zip(faces.tolist(), frames)), tree
 
     # --- twist -------------------------------------------------------------------
 
     def twist_for_edge(self, f: int, e: int) -> int:
         """Twist sign of the opposite-edge pair of face ``f`` through ``e``,
         read from :attr:`face_twists`."""
-        return int(self.face_twists[f, self.graph.face_edges(f).index(e) % 2])
+        return int(self.face_twists[f, self.graph.face_edges[f].tolist().index(e) % 2])
 
     @cached_property
     def face_twists(self) -> np.ndarray:
         """Twist signs ``(F, 2)`` of both opposite-edge pairs of every face.
 
         Column ``k`` of row ``f`` is the pair through edge
-        ``graph.face_edges(f)[k]``: the sign of the 4x4 determinant of the
+        ``graph.face_edges[f, k]``: the sign of the 4x4 determinant of the
         homogeneous corners with the pair's edges traversed in parallel,
         which for corners ``c0..c3`` in cycle order is
         ``det(c1 - c0, c2 - c0, c3 - c0)`` for the first pair and its
@@ -368,8 +349,8 @@ class ANet:
         """
         pos = np.asarray(self.positions, dtype=float)
         first = np.empty(self.graph.face_count, dtype=int)
-        for lo, quads, _ in _face_chunks(self.graph):
-            det, ratio = _face_volumes(pos, quads)
+        for lo in range(0, self.graph.face_count, CHUNK):
+            det, ratio = _face_volumes(pos, self.graph.face_vertices[lo:lo + CHUNK])
             flat = np.flatnonzero(ratio < FACE_VOLUME_EPS)
             if flat.size:
                 f = lo + int(flat[0])
@@ -386,16 +367,19 @@ class ANet:
         """Whether every strip carries a uniform rail twist; with report."""
         g = self.graph
         even, odd_vertices = g.interior_degrees_even()
+        strips = g.strips()
+        faces = np.array([f for members, _ in strips for f in members], dtype=np.intp)
+        lefts = np.array([l for _, rails in strips for l, _r in rails], dtype=np.intp)
+        sides = np.argmax(g.face_edges[faces] == lefts[:, None], axis=1)
+        twists = iter(self.face_twists[faces, sides % 2].tolist())
         strip_reports = []
         all_uniform = True
-        for s in g.strips():
-            twists = [
-                self.twist_for_edge(f, l) for f, (l, _r) in zip(s.faces, s.rails)
-            ]
-            uniform = len(set(twists)) <= 1
+        for members, _ in strips:
+            row = list(islice(twists, len(members)))
+            uniform = len(set(row)) <= 1
             all_uniform = all_uniform and uniform
             strip_reports.append(
-                {"faces": list(s.faces), "twists": twists, "uniform": uniform}
+                {"faces": members, "twists": row, "uniform": uniform}
             )
         verdict = all_uniform and even
         report = {
@@ -443,9 +427,9 @@ def _collect_violations(
         planes=np.full((n, 4), np.nan),
         residuals=np.full(n, np.nan),
         diameters=np.full(n, np.nan),
-        edge_lines=np.zeros((len(graph.edges), 6)),
+        edge_lines=np.zeros((graph.edge_count, 6)),
     )
-    degree = np.fromiter((graph.degree(v) for v in range(n)), np.intp, n)
+    degree = graph.degrees
     stages = (
         lambda: _star_stage(graph, positions, degree, tol.planar, walk),
         lambda: _edge_stage(graph, positions, walk),
@@ -470,19 +454,12 @@ def _by_degree(degree):
             yield k, vertices[lo:lo + CHUNK]
 
 
-def _table(rows, width: int) -> np.ndarray:
-    """Int array ``(-1, width)`` of rows of ``width`` ids each."""
-    flat = np.fromiter(chain.from_iterable(rows), np.intp)
-    return flat.reshape(-1, width)
-
-
 def _star_stage(graph, positions, degree, planar, walk):
     """Best-fit plane of every star, stacked by star size; the
     ``non_planar_star`` violations by ascending vertex."""
     for k, verts in _by_degree(degree):
-        stars = _table(
-            ((v, *graph.vertex_star(v)[0]) for v in verts.tolist()), k + 1
-        )
+        slots = graph.star_offsets[verts][:, None] + np.arange(k)
+        stars = np.column_stack([verts, graph.star_neighbors[slots]])
         planes, residuals, diameters = star_plane(positions[stars])
         walk.planes[verts] = planes
         walk.residuals[verts] = residuals
@@ -501,12 +478,12 @@ def _edge_stage(graph, positions, walk):
     violation, by ascending edge id."""
     found = []
     for lo in range(0, graph.edge_count, CHUNK):
-        ends = hom(positions[_table(graph.edges[lo:lo + CHUNK], 2)])
+        ends = hom(positions[graph.edges[lo:lo + CHUNK]])
         lines, ok = _join(ends[:, 0], ends[:, 1])
         walk.edge_lines[lo:lo + CHUNK] = lines
         found += [
             ("non_generic_pair",
-             {"edges": (e,), "vertices": graph.edges[e],
+             {"edges": (e,), "vertices": tuple(graph.edges[e].tolist()),
               "reason": "zero-length edge"})
             for e in (lo + np.flatnonzero(~ok)).tolist()
         ]
@@ -518,8 +495,9 @@ def _face_stage(graph, positions, walk):
     ascending face a ``degenerate_face``, or else each of the pairs
     (0, 2) and (1, 3) whose lines meet."""
     found = []
-    for lo, quads, edges in _face_chunks(graph):
-        _, ratio = _face_volumes(positions, quads)
+    for lo in range(0, graph.face_count, CHUNK):
+        _, ratio = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
+        edges = graph.face_edges[lo:lo + CHUNK]
         lines = walk.edge_lines[edges]
         prods = plucker_product(lines[:, :2], lines[:, 2:])
         flat = ratio < FACE_VOLUME_EPS
@@ -540,14 +518,11 @@ def _pencil_stage(graph, degree, sig, walk):
     degree; a pencil that is not a line pencil (dimension 1, signature
     (0, 0, 2)) is a violation, by ascending vertex.  Edge lines that are
     all zero span nothing: dimension -1, signature (0, 0, 0)."""
-    half = graph.half_edges
+    # the edges at every vertex, ascending, in the slots of its star
+    by_vertex = np.argsort(graph.edges.ravel(), kind="stable") // 2
     found = []
     for k, verts in _by_degree(degree):
-        incident = _table(
-            (sorted(half[h].edge for h in graph.outgoing_half_edges(v))
-             for v in verts.tolist()),
-            k,
-        )
+        incident = by_vertex[graph.star_offsets[verts][:, None] + np.arange(k)]
         rank, signatures, _ = _span_signatures(
             walk.edge_lines[incident], PENCIL_RANK_TOL, sig
         )

@@ -290,7 +290,7 @@ class _Crossings(NamedTuple):
 def _crossings(graph, steps) -> _Crossings:
     cf = np.array([s[0].corners for s in steps], dtype=np.intp).reshape(-1, 4)
     cg = np.array([s[2].corners for s in steps], dtype=np.intp).reshape(-1, 4)
-    ends = np.array([graph.edges[s[1]] for s in steps], dtype=np.intp).reshape(-1, 2)
+    ends = graph.edges[np.array([s[1] for s in steps], dtype=np.intp)]
     rows = np.arange(len(steps))
 
     def on_first(corners, v):
@@ -443,12 +443,14 @@ def propagate_all(a: ANet, seed_face: int, t):
     frames, tree = a.frames_from(seed_face)
     order = list(frames)  # BFS order, the seed first
     row = {f: k for k, f in enumerate(order)}
-    tree_edges = {shared for _, _, shared in tree}
-    closing = []
-    for e in range(a.graph.edge_count):
-        f, g = a.graph.edge_faces(e)
-        if f is not None and g is not None and e not in tree_edges:
-            closing.append((e, min(f, g), max(f, g)))
+    edge_faces = a.graph.edge_faces
+    interior = np.all(edge_faces >= 0, axis=1)
+    interior[[shared for _, _, shared in tree]] = False
+    ends = np.sort(edge_faces[interior], axis=1).tolist()
+    closing = [
+        (e, src, dst)
+        for e, (src, dst) in zip(np.flatnonzero(interior).tolist(), ends)
+    ]
     steps = [(frames[parent], shared, frames[face]) for face, parent, shared in tree]
     steps += [(frames[src], e, frames[dst]) for e, src, dst in closing]
     crossings = _crossings(a.graph, steps)

@@ -369,23 +369,22 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
     the two probes) meets first.
     """
     if isinstance(patches, PatchStack):
-        stack, rows = patches, {int(f): k for k, f in enumerate(patches.faces)}
+        stack, faces = patches, patches.faces
     else:
-        stack = PatchStack.of(patches.values())
-        rows = {f: k for k, f in enumerate(patches)}
+        stack, faces = PatchStack.of(patches.values()), list(patches)
     g = a.graph
     pos = np.asarray(a.positions, dtype=float)
-    shared, sides = [], []
-    for e in range(g.edge_count):
-        f1, f2 = g.edge_faces(e)
-        if f1 in rows and f2 in rows and None not in (f1, f2):
-            shared.append(e)
-            for f in (f1, f2):
-                sides.append((rows[f], stack.frames[rows[f]].h_edges.index(e)))
+    rows = np.full(g.face_count + 1, -1)  # the last entry stands for "no face"
+    rows[faces] = np.arange(len(faces))
+    side_rows = rows[g.edge_faces]
+    shared = np.flatnonzero(np.all(side_rows >= 0, axis=1))
+    row = side_rows[shared].ravel()
+    edge = np.repeat(shared, 2)
+    h_edges = np.array([fr.h_edges for fr in stack.frames], dtype=int).reshape(-1, 4)
+    role = np.argmax(h_edges[row] == edge[:, None], axis=1)
+    shared = shared.tolist()
     E, S = len(shared), samples_per_edge
-    row, role = np.array(sides, dtype=int).reshape(2 * E, 2).T
-    ends = np.array([g.edge_vertices(e) for e in shared for _ in (1, 2)], dtype=int)
-    ends = ends.reshape(2 * E, 2)
+    ends = g.edges[edge]
     A, d = pos[ends[:, 0]], pos[ends[:, 1]] - pos[ends[:, 0]]
     every = np.arange(2 * E)
     corners = EDGE_CORNERS[role]

@@ -246,15 +246,6 @@ def incidence_matrix(h) -> np.ndarray:
     return padded[..., _INCIDENCE_INDEX] * _INCIDENCE_SIGN
 
 
-def line_direction(h) -> np.ndarray:
-    """Affine direction vector of a line (zero for lines at infinity).
-
-    A stack ``(..., 6)`` gives ``(..., 3)``.
-    """
-    h = np.asarray(h, dtype=float)
-    return np.stack([-h[..., 2], h[..., 4], -h[..., 3]], axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class _Meets:
     """A stack of line meets whose faults are recorded, not raised.

@@ -1,22 +1,37 @@
-"""Half-edge data structure for strongly regular quad meshes.
+"""Strongly regular quad meshes as integer arrays.
 
 A quad graph is a cell complex all of whose faces are quadrilaterals,
 subject to the usual strong regularity conditions: two faces share at
-most one edge, no face is glued to itself, every edge has at most two
-incident faces, and the faces around every vertex form a single fan.
-Faces are re-oriented consistently during construction; meshes without a
-consistent orientation are rejected.
+most one edge, every edge has at most two incident faces, and the faces
+around every vertex form a single fan.  Faces are re-oriented
+consistently during construction; meshes without a consistent
+orientation are rejected.
 
-Half-edge ids are assigned four per face (face ``f`` owns ids ``4 f ..
-4 f + 3`` in cycle order), which keeps every derived traversal
-deterministic.  Boundary half-edges are appended after all interior
-ones and carry ``face = None``.
+The combinatorics are integer arrays, built by sorting and grouping the
+undirected keys of the face sides:
+
+* ``face_vertices`` and ``face_edges`` ``(F, 4)`` in oriented cycle
+  order.  Side ``k`` of face ``f`` is the half-edge ``h = 4 f + k`` from
+  corner ``k`` to corner ``k + 1``.
+* ``edges`` ``(E, 2)``, lower vertex id first, numbered in order of
+  first appearance along the oriented faces.
+* ``edge_faces`` ``(E, 2)``: the face that runs the edge from its lower
+  id first, ``-1`` where there is no face.
+* ``twin`` ``(4 F,)``: the half-edge of the other face on the same
+  edge, ``-1`` on the boundary.
+* per vertex ``degrees`` (incident edges) and the ``boundary`` mask.
+* the vertex stars: vertex ``v`` owns the slots ``star_offsets[v]`` to
+  ``star_offsets[v + 1]`` of ``star_neighbors`` (its neighbors in
+  cyclic order, a boundary star from one boundary neighbor to the
+  other) and ``star_faces`` (the face between each neighbor and the one
+  before it, ``-1`` at the first slot of a boundary star).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     ClosedStripDetected,
@@ -28,389 +43,321 @@ from .errors import (
 )
 
 
-@dataclass
-class HalfEdge:
-    """Directed edge of the half-edge structure."""
-
-    origin: int
-    face: int | None
-    next: int = -1
-    twin: int = -1
-    edge: int = -1
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.face is None
+def _next(h):
+    """The half-edge after ``h`` in its face's cycle."""
+    return h - h % 4 + (h + 1) % 4
 
 
-@dataclass
-class Strip:
-    """Maximal run of faces glued along a parallel pair of edges.
+def _sides(quads):
+    """Tail and head vertex of every half-edge of ``quads`` ``(F, 4)``."""
+    return quads.ravel(), np.roll(quads, -1, axis=1).ravel()
 
-    ``faces`` lists the faces in traversal order and ``rails`` the
-    corresponding opposite edge pair ``(l_i, r_i)`` of each face, where
-    ``l_i`` faces the previous strip member and ``r_i`` the next one.
+
+def _group(keys):
+    """Group equal ``keys``: ``(order, starts, counts, group)``.
+
+    ``order`` is the stable argsort of the keys, ``starts`` the first
+    position in it of every group (groups in ascending key order, so
+    ``order[starts]`` is each group's first index) and ``counts`` their
+    sizes; ``group`` gives every key's group.
     """
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(keys)))
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order, starts, counts, group
 
-    faces: list[int] = field(default_factory=list)
-    rails: list[tuple[int, int]] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.faces)
+def _quad_array(quads, vertex_count: int) -> np.ndarray:
+    """The faces as an ``(F, 4)`` array, or :class:`NotAQuad` for the
+    first face that does not list four distinct vertex ids in range."""
+    quads = list(quads)
+    short = next((f for f, q in enumerate(quads) if len(q) != 4), len(quads))
+    arr = np.array(quads[:short], dtype=np.intp).reshape(-1, 4)
+    ranked = np.sort(arr, axis=1)
+    repeats = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
+    outside = (arr < 0) | (arr >= vertex_count)
+    bad = repeats | outside.any(axis=1)
+    if bad.any():
+        f = int(np.argmax(bad))
+        quad = tuple(arr[f].tolist())
+        if repeats[f]:
+            raise NotAQuad(f"face {f} repeats a vertex: {quad}")
+        v = quad[int(np.argmax(outside[f]))]
+        raise NotAQuad(f"face {f} references vertex {v}")
+    if short < len(quads):
+        raise NotAQuad(f"face {short} has {len(quads[short])} vertices")
+    return arr
+
+
+def _mates(quads, vertex_count: int) -> np.ndarray:
+    """Per half-edge of the input faces, the other face side on its edge
+    (``-1`` if none).
+
+    Edges are checked in order of first appearance: :class:`NonManifold`
+    for an edge with more than two faces, :class:`NotStronglyRegular`
+    for an edge whose two faces already share an earlier one.
+    """
+    tail, head = _sides(quads)
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    order, starts, counts, _ = _group(lo * vertex_count + hi)
+    first = order[starts]
+    pairs = np.flatnonzero(counts == 2)
+    pairs = pairs[np.argsort(first[pairs], kind="stable")]
+    a, b = first[pairs], order[starts[pairs] + 1]
+    # per edge the first edge, in order of appearance, with the same two faces
+    by_faces, runs, _, run = _group((a // 4) * len(quads) + b // 4)
+    earlier = np.full(len(starts), -1)
+    earlier[pairs] = pairs[by_faces[runs[run]]]
+    bad = counts > 2
+    bad[pairs] = earlier[pairs] != pairs
+    if bad.any():
+        g = int(np.flatnonzero(bad)[np.argmin(first[bad])])
+
+        def key(group):
+            h = first[group]
+            return (int(lo[h]), int(hi[h]))
+
+        if counts[g] > 2:
+            raise NonManifold(f"edge {key(g)} has {int(counts[g])} incident faces")
+        h = first[g]
+        pair = (int(h // 4), int(order[starts[g] + 1] // 4))
+        raise NotStronglyRegular(
+            f"faces {pair} share edges {key(earlier[g])} and {key(g)}"
+        )
+    mate = np.full(len(tail), -1)
+    mate[a], mate[b] = b, a
+    return mate
+
+
+def _orientation(quads, mate) -> np.ndarray:
+    """Which faces to reverse so that adjacent faces run their shared
+    edge oppositely: breadth first from each unvisited face in order.
+    Raises :class:`NonOrientable` naming the face pair that clashes."""
+    tail, head = _sides(quads)
+    up = (tail < head).tolist()
+    mates = mate.tolist()
+    flip = [None] * len(quads)
+    for start in range(len(quads)):
+        if flip[start] is not None:
+            continue
+        flip[start] = False
+        queue = deque([start])
+        while queue:
+            f = queue.popleft()
+            for h in range(4 * f, 4 * f + 4):
+                m = mates[h]
+                if m < 0:
+                    continue
+                g, g_flip = m // 4, up[m] == (up[h] != flip[f])
+                if flip[g] is None:
+                    flip[g] = g_flip
+                    queue.append(g)
+                elif flip[g] != g_flip:
+                    u, v = sorted((int(tail[h]), int(head[h])))
+                    raise NonOrientable(
+                        f"faces {f} and {g} cannot be oriented "
+                        f"consistently across edge {(u, v)}"
+                    )
+    return np.array(flip, dtype=bool)
 
 
 class QuadGraph:
-    """Combinatorics of a strongly regular quad mesh."""
+    """Combinatorics of a strongly regular quad mesh, as integer arrays
+    (see the module docstring)."""
 
     def __init__(self, vertex_count: int, quads) -> None:
-        self.vertex_count = int(vertex_count)
-        self.input_quads = [tuple(int(i) for i in q) for q in quads]
-        self._validate_quads()
-        oriented = self._orient_faces()
-        self._build_half_edges(oriented)
-        self._check_vertex_fans()
+        n = self.vertex_count = int(vertex_count)
+        quads = _quad_array(quads, n)
+        flip = _orientation(quads, _mates(quads, n))
+        self.face_vertices = np.where(flip[:, None], quads[:, ::-1], quads)
+        tail, head = _sides(self.face_vertices)
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        order, starts, counts, group = _group(lo * n + hi)
 
-    # --- construction -----------------------------------------------------
+        # edges by first appearance; twins and faces from each group
+        first = order[starts]
+        numbering = np.argsort(first, kind="stable")
+        edge_of = np.empty(len(starts), dtype=np.intp)
+        edge_of[numbering] = np.arange(len(starts))
+        self.face_edges = edge_of[group].reshape(-1, 4)
+        self.edges = np.stack([lo[first], hi[first]], axis=1)[numbering]
+        paired = np.flatnonzero(counts == 2)
+        a, b = first[paired], order[starts[paired] + 1]
+        self.twin = np.full(len(tail), -1)
+        self.twin[a], self.twin[b] = b, a
+        faces = np.full((len(starts), 2), -1)
+        faces[:, 0] = first // 4
+        # the face that runs the edge from its lower end comes first
+        up = (tail[a] < head[a])[:, None]
+        sides = np.where(up, np.stack([a, b], axis=1), np.stack([b, a], axis=1))
+        faces[paired] = sides // 4
+        self.edge_faces = faces[numbering]
 
-    def _validate_quads(self) -> None:
-        for f, quad in enumerate(self.input_quads):
-            if len(quad) != 4:
-                raise NotAQuad(f"face {f} has {len(quad)} vertices")
-            if len(set(quad)) != 4:
-                raise NotAQuad(f"face {f} repeats a vertex: {quad}")
-            for v in quad:
-                if not 0 <= v < self.vertex_count:
-                    raise NotAQuad(f"face {f} references vertex {v}")
+        self.degrees = np.bincount(self.edges.ravel(), minlength=n)
+        self._build_stars(tail, head)
 
-    def _orient_faces(self):
-        """Flip faces until adjacent faces traverse shared edges oppositely."""
-        quads = self.input_quads
-        incident: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-        for f, quad in enumerate(quads):
-            for k in range(4):
-                u, v = quad[k], quad[(k + 1) % 4]
-                key = (min(u, v), max(u, v))
-                incident.setdefault(key, []).append((f, u < v))
-        pair_seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for key, users in incident.items():
-            if len(users) > 2:
-                raise NonManifold(
-                    f"edge {key} has {len(users)} incident faces"
-                )
-            faces = [f for f, _ in users]
-            if len(faces) == 2:
-                if faces[0] == faces[1]:
-                    raise NotStronglyRegular(
-                        f"face {faces[0]} is glued to itself along {key}"
-                    )
-                pair = (min(faces), max(faces))
-                if pair in pair_seen:
-                    raise NotStronglyRegular(
-                        f"faces {pair} share edges {pair_seen[pair]} and {key}"
-                    )
-                pair_seen[pair] = key
-        flip = [None] * len(quads)
-        for start in range(len(quads)):
-            if flip[start] is not None:
-                continue
-            flip[start] = False
-            queue = deque([start])
-            while queue:
-                f = queue.popleft()
-                for k in range(4):
-                    u, v = quads[f][k], quads[f][(k + 1) % 4]
-                    key = (min(u, v), max(u, v))
-                    for g, g_dir in incident[key]:
-                        if g == f:
-                            continue
-                        f_dir = (u < v) != flip[f]
-                        need = not f_dir  # g must run the edge the other way
-                        g_flip = (g_dir != need)
-                        if flip[g] is None:
-                            flip[g] = g_flip
-                            queue.append(g)
-                        elif flip[g] != g_flip:
-                            raise NonOrientable(
-                                f"faces {f} and {g} cannot be oriented "
-                                f"consistently across edge {key}"
-                            )
-        return [
-            tuple(reversed(q)) if flip[f] else q
-            for f, q in enumerate(quads)
-        ]
+    def _build_stars(self, tail, head) -> None:
+        """Walk every vertex fan once, all vertices in step.
 
-    def _build_half_edges(self, oriented) -> None:
-        self.half_edges: list[HalfEdge] = []
-        self.faces: list[tuple[int, int, int, int]] = []
-        directed: dict[tuple[int, int], int] = {}
-        for f, quad in enumerate(oriented):
-            base = 4 * f
-            for k in range(4):
-                u, v = quad[k], quad[(k + 1) % 4]
-                he = HalfEdge(origin=u, face=f, next=base + (k + 1) % 4)
-                self.half_edges.append(he)
-                if (u, v) in directed:
-                    raise NonOrientable(
-                        f"directed edge ({u}, {v}) appears twice"
-                    )
-                directed[(u, v)] = base + k
-            self.faces.append((base, base + 1, base + 2, base + 3))
+        A boundary star starts at the neighbor across the boundary edge
+        that its faces run into the vertex, an interior star at the
+        lowest half-edge leaving the vertex; each step turns to the next
+        half-edge leaving the vertex, the one after its twin.  Raises
+        :class:`NonManifold` for the lowest vertex whose faces do not
+        form one fan: after a boundary vertex that starts two boundary
+        arcs, one whose walk closes before it has seen all its faces.
+        """
+        n, twin = self.vertex_count, self.twin
+        # unpaired sides end at boundary vertices, one each: the first
+        # repeat in the order of their (tail, head) pairs is the offender
+        into = np.flatnonzero(twin < 0)
+        ranked = into[np.lexsort((head[into], tail[into]))]
+        ends = head[ranked]
+        by_end = np.argsort(ends, kind="stable")
+        again = by_end[1:][ends[by_end[1:]] == ends[by_end[:-1]]]
+        if again.size:
+            v = int(ends[again.min()])
+            raise NonManifold(f"vertex {v} lies on more than one boundary arc")
+        self.boundary = np.zeros(n, dtype=bool)
+        self.boundary[head[into]] = True
+        arrival = np.full(n, -1)
+        arrival[head[into]] = into
 
-        # undirected edge ids in order of first appearance
-        self.edges: list[tuple[int, int]] = []
-        self._edge_index: dict[tuple[int, int], int] = {}
-        for he_id, he in enumerate(self.half_edges):
-            u, v = he.origin, self.half_edges[he.next].origin
-            key = (min(u, v), max(u, v))
-            if key not in self._edge_index:
-                self._edge_index[key] = len(self.edges)
-                self.edges.append(key)
-            he.edge = self._edge_index[key]
+        # the next half-edge leaving the same vertex; at a boundary edge
+        # the walk wraps around to the other boundary edge
+        turn = np.where(twin >= 0, twin, arrival[tail])
+        turn = _next(turn)
+        fans = np.bincount(tail, minlength=n)
+        self.star_offsets = np.concatenate([[0], np.cumsum(self.degrees)])
+        slots = self.star_offsets[-1]
+        self.star_neighbors = np.empty(slots, dtype=np.intp)
+        self.star_faces = np.full(slots, -1)
+        lead = self.star_offsets[:-1][self.boundary]
+        self.star_neighbors[lead] = tail[arrival[self.boundary]]
 
-        # twins; unmatched half-edges get boundary twins
-        boundary_out: dict[int, int] = {}
-        for (u, v), he_id in sorted(directed.items()):
-            if (v, u) in directed:
-                self.half_edges[he_id].twin = directed[(v, u)]
-            else:
-                b = HalfEdge(origin=v, face=None)
-                b_id = len(self.half_edges)
-                self.half_edges.append(b)
-                b.twin = he_id
-                b.edge = self.half_edges[he_id].edge
-                self.half_edges[he_id].twin = b_id
-                if v in boundary_out:
-                    raise NonManifold(
-                        f"vertex {v} lies on more than one boundary arc"
-                    )
-                boundary_out[v] = b_id
-        for b_id in boundary_out.values():
-            b = self.half_edges[b_id]
-            dest = self.half_edges[b.twin].origin
-            if dest not in boundary_out:  # pragma: no cover - safety net
-                raise NonManifold(f"boundary breaks at vertex {dest}")
-            b.next = boundary_out[dest]
-
-        self._outgoing: dict[int, list[int]] = {}
-        for he_id, he in enumerate(self.half_edges):
-            self._outgoing.setdefault(he.origin, []).append(he_id)
-
-        self._edge_faces: list[tuple[int | None, int | None]] = []
-        for u, v in self.edges:
-            he_id = directed.get((u, v), directed.get((v, u)))
-            he = self.half_edges[he_id]
-            self._edge_faces.append(
-                (he.face, self.half_edges[he.twin].face)
-            )
-
-    def _check_vertex_fans(self) -> None:
-        for v, outgoing in sorted(self._outgoing.items()):
-            start = min(outgoing)
-            seen = 1
-            cur = self.rotate(start)
-            while cur != start:
-                seen += 1
-                if seen > len(outgoing):
-                    break
-                cur = self.rotate(cur)
-            if seen != len(outgoing):
-                raise NonManifold(
-                    f"vertex {v} joins multiple face fans (bow tie)"
-                )
+        start = np.full(n, len(twin))
+        np.minimum.at(start, tail, np.arange(len(twin)))
+        start[self.boundary] = _next(arrival[self.boundary])
+        verts = np.flatnonzero(fans)
+        start, fans = start[verts], fans[verts]
+        base = self.star_offsets[verts] + self.boundary[verts]
+        cur, short = start, np.zeros(len(verts), dtype=bool)
+        for step in range(int(fans.max(initial=0))):
+            live = step < fans
+            self.star_neighbors[base[live] + step] = head[cur[live]]
+            self.star_faces[base[live] + step] = cur[live] // 4
+            cur = turn[cur]
+            short |= (cur == start) & (step + 1 < fans)
+        if short.any():
+            v = int(verts[np.argmax(short)])
+            raise NonManifold(f"vertex {v} joins multiple face fans (bow tie)")
 
     # --- basic queries ------------------------------------------------------
 
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        return len(self.face_vertices)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def rotate(self, he_id: int) -> int:
-        """Next outgoing half-edge around the origin of ``he_id``."""
-        return self.half_edges[self.half_edges[he_id].twin].next
-
-    def dest(self, he_id: int) -> int:
-        return self.half_edges[self.half_edges[he_id].twin].origin
-
-    def face_vertices(self, f: int) -> tuple[int, int, int, int]:
-        return tuple(self.half_edges[h].origin for h in self.faces[f])
-
-    def face_edges(self, f: int) -> tuple[int, int, int, int]:
-        return tuple(self.half_edges[h].edge for h in self.faces[f])
-
-    def edge_vertices(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
-    def edge_faces(self, e: int) -> tuple[int | None, int | None]:
-        return self._edge_faces[e]
-
-    def edge_id(self, u: int, v: int) -> int:
-        return self._edge_index[(min(u, v), max(u, v))]
-
-    def half_edge_in_face(self, f: int, e: int) -> int:
-        """The half-edge of face ``f`` lying on edge ``e``."""
-        for h in self.faces[f]:
-            if self.half_edges[h].edge == e:
-                return h
-        raise KeyError(f"edge {e} does not bound face {f}")
-
-    def opposite_edge(self, f: int, e: int) -> int:
-        """Edge of face ``f`` opposite to its edge ``e``."""
-        h = self.half_edge_in_face(f, e)
-        k = self.faces[f].index(h)
-        return self.half_edges[self.faces[f][(k + 2) % 4]].edge
-
-    def outgoing_half_edges(self, v: int) -> list[int]:
-        """Ids of all half-edges with origin ``v`` (interior and boundary)."""
-        return sorted(self._outgoing.get(v, ()))
-
-    def is_boundary_edge(self, e: int) -> bool:
-        fa, fb = self._edge_faces[e]
-        return fa is None or fb is None
-
     def is_boundary_vertex(self, v: int) -> bool:
-        return any(
-            self.half_edges[h].is_boundary for h in self._outgoing.get(v, ())
-        )
+        return bool(self.boundary[v])
 
     def is_referenced(self, v: int) -> bool:
-        return v in self._outgoing
-
-    def degree(self, v: int) -> int:
-        return len(self._outgoing.get(v, ()))
-
-    def interior_vertices(self):
-        return [
-            v
-            for v in sorted(self._outgoing)
-            if not self.is_boundary_vertex(v)
-        ]
+        return bool(self.degrees[v])
 
     @property
     def euler_characteristic(self) -> int:
-        return len(self._outgoing) - len(self.edges) + len(self.faces)
-
-    @property
-    def is_disc(self) -> bool:
-        return self.euler_characteristic == 1
+        referenced = int(np.count_nonzero(self.degrees))
+        return referenced - self.edge_count + self.face_count
 
     # --- stars -----------------------------------------------------------------
 
     def vertex_star(self, v: int):
         """Cyclically ordered neighbors of ``v`` and the fan of faces.
 
-        For boundary vertices the walk starts at the outgoing boundary
-        half-edge so the neighbor sequence runs from one boundary
-        neighbor to the other.
+        For boundary vertices the neighbor sequence runs from one
+        boundary neighbor to the other.
         """
-        outgoing = self._outgoing.get(v)
-        if not outgoing:
-            return [], []
-        start = min(outgoing)
-        for h in outgoing:
-            if self.half_edges[h].is_boundary:
-                start = h
-                break
-        order = [start]
-        cur = self.rotate(start)
-        while cur != start:
-            order.append(cur)
-            cur = self.rotate(cur)
-        neighbors = [self.dest(h) for h in order]
-        faces = [
-            self.half_edges[h].face
-            for h in order
-            if self.half_edges[h].face is not None
-        ]
-        return neighbors, faces
+        lo, hi = self.star_offsets[v], self.star_offsets[v + 1]
+        faces = self.star_faces[lo:hi]
+        return self.star_neighbors[lo:hi].tolist(), faces[faces >= 0].tolist()
 
     def interior_degrees_even(self):
         """Whether all interior vertices have even degree, plus offenders."""
-        offenders = [
-            v for v in self.interior_vertices() if self.degree(v) % 2 == 1
-        ]
+        odd = (self.degrees % 2 == 1) & ~self.boundary
+        offenders = np.flatnonzero(odd).tolist()
         return not offenders, offenders
 
     # --- strips -----------------------------------------------------------------
 
-    def _pairings(self, f: int):
-        h0, h1, h2, h3 = self.faces[f]
-        e = [self.half_edges[h].edge for h in (h0, h1, h2, h3)]
-        return ((e[0], e[2]), (e[1], e[3]))
-
-    def _pairing_of(self, f: int, e: int) -> int:
-        for p, rails in enumerate(self._pairings(f)):
-            if e in rails:
-                return p
-        raise KeyError(f"edge {e} does not bound face {f}")
-
-    def _walk_strip(self, f: int, exit_edge: int):
-        """Faces and rails reached by repeatedly crossing ``exit_edge``."""
-        faces, rails = [], []
-        cur, exit_e = f, exit_edge
-        while True:
-            fa, fb = self._edge_faces[exit_e]
-            nxt = fb if fa == cur else fa
-            if nxt is None:
-                return faces, rails, False
-            if nxt == f:
-                return faces, rails, True
-            entry = exit_e
-            exit_e = self.opposite_edge(nxt, entry)
-            faces.append(nxt)
-            rails.append((entry, exit_e))
-            cur = nxt
-
-    def strips(self) -> list[Strip]:
+    def strips(self) -> list:
         """All strips of the complex; every face lies in exactly two.
 
-        Raises :class:`ClosedStripDetected` when a strip wraps around
-        onto itself (the complex is not simply connected then).
+        A strip is ``(faces, rails)``: its faces in traversal order and,
+        per face, the opposite edge pair ``(l, r)`` where ``l`` faces the
+        previous strip member and ``r`` the next one.  Strips come in
+        order of the first face and side pair (sides 0 and 2, then 1 and
+        3) they cross; from that face the strip runs back across side
+        ``k`` and forward across side ``k + 2``.  Raises
+        :class:`ClosedStripDetected` when a strip wraps around onto
+        itself (the complex is not simply connected then).
         """
-        strips: list[Strip] = []
-        visited: set[tuple[int, int]] = set()
-        for f in range(len(self.faces)):
-            for p, (ea, eb) in enumerate(self._pairings(f)):
-                if (f, p) in visited:
+        twin = self.twin.tolist()
+        side_edges = self.face_edges.ravel().tolist()
+
+        def walk(f: int, h: int):
+            """Faces, rails and visited side pairs reached by repeatedly
+            crossing half-edge ``h`` of face ``f``, and whether the walk
+            returned to ``f``."""
+            faces, rails, pairs = [], [], []
+            while True:
+                entry = twin[h]
+                if entry < 0:
+                    return faces, rails, pairs, False
+                g = entry // 4
+                if g == f:
+                    return faces, rails, pairs, True
+                h = 4 * g + (entry + 2) % 4
+                faces.append(g)
+                rails.append((side_edges[entry], side_edges[h]))
+                pairs.append(2 * g + entry % 2)
+
+        strips = []
+        visited = bytearray(2 * self.face_count)
+        for f in range(self.face_count):
+            for p in (0, 1):
+                if visited[2 * f + p]:
                     continue
-                back_faces, back_rails, closed_b = self._walk_strip(f, ea)
-                fwd_faces, fwd_rails, closed_f = self._walk_strip(f, eb)
+                back, back_rails, back_pairs, closed_b = walk(f, 4 * f + p)
+                fwd, fwd_rails, fwd_pairs, closed_f = walk(f, 4 * f + p + 2)
                 if closed_b or closed_f:
                     raise ClosedStripDetected(
                         f"strip through face {f} returns to it"
                     )
-                faces = back_faces[::-1] + [f] + fwd_faces
+                faces = back[::-1] + [f] + fwd
                 if len(set(faces)) != len(faces):
                     raise ClosedStripDetected(
                         f"strip through face {f} self-intersects"
                     )
                 rails = (
                     [(r, l) for l, r in back_rails[::-1]]
-                    + [(ea, eb)]
+                    + [(side_edges[4 * f + p], side_edges[4 * f + p + 2])]
                     + fwd_rails
                 )
-                strip = Strip(faces=faces, rails=rails)
-                for g, (le, re) in zip(strip.faces, strip.rails):
-                    slot = (g, self._pairing_of(g, le))
-                    assert slot not in visited
-                    visited.add(slot)
-                strips.append(strip)
+                for slot in back_pairs + [2 * f + p] + fwd_pairs:
+                    visited[slot] = 1
+                strips.append((faces, rails))
         return strips
 
     # --- dual spanning tree --------------------------------------------------------
-
-    def face_neighbors(self, f: int):
-        """Edge-adjacent faces of ``f`` as (neighbor, shared edge) pairs."""
-        result = []
-        for h in self.faces[f]:
-            he = self.half_edges[h]
-            other = self.half_edges[he.twin].face
-            if other is not None:
-                result.append((other, he.edge))
-        return result
 
     def dual_spanning_tree(self, seed: int):
         """Breadth-first spanning tree of the face adjacency graph.
@@ -420,18 +367,24 @@ class QuadGraph:
         face id.  Raises :class:`DisconnectedMesh` when faces remain
         unreachable.
         """
-        seen = {seed}
+        count = self.face_count
+        across = np.where(self.twin >= 0, self.twin // 4, count).reshape(-1, 4)
+        ranked = np.argsort(across, axis=1, kind="stable")
+        neighbors = np.take_along_axis(across, ranked, axis=1).tolist()
+        shared = np.take_along_axis(self.face_edges, ranked, axis=1).tolist()
+        seen = bytearray(count)
+        seen[seed] = 1
         tree = []
         queue = deque([seed])
         while queue:
             f = queue.popleft()
-            for g, e in sorted(self.face_neighbors(f)):
-                if g not in seen:
-                    seen.add(g)
+            for g, e in zip(neighbors[f], shared[f]):
+                if g < count and not seen[g]:
+                    seen[g] = 1
                     tree.append((g, f, e))
                     queue.append(g)
-        if len(seen) != len(self.faces):
-            missing = sorted(set(range(len(self.faces))) - seen)
+        if len(tree) + 1 != count:
+            missing = [f for f in range(count) if not seen[f]]
             raise DisconnectedMesh(f"faces {missing} unreachable from {seed}")
         return tree
 

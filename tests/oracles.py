@@ -3,9 +3,9 @@
 Everything in here is written directly from the definitions (2x2 minors,
 wedge expansions, exhaustive search) without importing package internals,
 so agreement with the package is meaningful evidence of correctness.  The
-propagation oracle raises the package's public exception classes, so that
-first offenders can be compared, and reads its frames through the one-face
-``ANet.face_frame``.
+propagation and quad graph oracles raise the package's public exception
+classes, so that first offenders can be compared; the propagation oracle
+reads its frames through the one-face ``ANet.face_frame``.
 """
 
 from __future__ import annotations
@@ -410,11 +410,10 @@ def reference_c1_edges(patches, graph, positions, samples_per_edge, delta, floor
     """
     pos = np.asarray(positions, dtype=float)
     out = {}
-    for e in range(graph.edge_count):
-        f1, f2 = graph.edge_faces(e)
-        if f1 is None or f2 is None or f1 not in patches or f2 not in patches:
+    for e, (f1, f2) in enumerate(graph.edge_faces.tolist()):
+        if f1 not in patches or f2 not in patches:
             continue
-        A, B = (pos[v] for v in graph.edge_vertices(e))
+        A, B = pos[graph.edges[e]]
         d = B - A
         sides = [_reference_side(patches[f], e, A, d) for f in (f1, f2)]
         angle, cusp = 0.0, False
@@ -559,7 +558,7 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
                 "vertex": v, "residual": float(residuals[v]),
                 "tolerance": planar * float(diameters[v]),
             }))
-    for e, (u, v) in enumerate(graph.edges):
+    for e, (u, v) in enumerate(graph.edges.tolist()):
         line = _reference_join(np.append(pos[u], 1.0), np.append(pos[v], 1.0))
         if line is None:
             found.append(("non_generic_pair", {
@@ -568,11 +567,11 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
         else:
             lines[e] = line
     for f in range(graph.face_count):
-        ratio = face_volume_ratio(pos, graph.face_vertices(f))
+        ratio = face_volume_ratio(pos, graph.face_vertices[f])
         if ratio < face_eps:
             found.append(("degenerate_face", {"face": f, "ratio": float(ratio)}))
             continue
-        edges = graph.face_edges(f)
+        edges = graph.face_edges[f].tolist()
         for a, b in ((0, 2), (1, 3)):
             prod = _pairing(lines[edges[a]], lines[edges[b]])
             if abs(prod) < skew_eps:
@@ -582,9 +581,9 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
     for v in range(n):
         if not graph.is_referenced(v):
             continue
-        incident = sorted(
-            {graph.half_edges[h].edge for h in graph.outgoing_half_edges(v)}
-        )
+        incident = [
+            e for e, ends in enumerate(graph.edges.tolist()) if v in ends
+        ]
         dim, signature = _reference_pencil(lines[incident], rank_tol, sig)
         if dim != 1 or signature != (0, 0, 2):
             found.append(("non_generic_pair", {
@@ -694,15 +693,15 @@ def reference_propagate(a, seed, lam):
     tree = g.dual_spanning_tree(seed)
     frames = {seed: a.face_frame(seed)}
     for face, _parent, shared in tree:
-        frames[face] = a.face_frame(face, g.half_edge_in_face(face, shared))
+        side = g.face_edges[face].tolist().index(shared)
+        frames[face] = a.face_frame(face, 4 * face + side)
     pairs = {seed: reference_member(frames[seed], lam)}
     for face, parent, shared in tree:
         pairs[face] = propagate_face(pairs[parent], shared, frames[face])
     residuals = {}
     tree_edges = {shared for _, _, shared in tree}
-    for e in range(g.edge_count):
-        f, h = g.edge_faces(e)
-        if f is None or h is None or e in tree_edges:
+    for e, (f, h) in enumerate(g.edge_faces.tolist()):
+        if f < 0 or h < 0 or e in tree_edges:
             continue
         image = propagate_face(pairs[min(f, h)], e, frames[max(f, h)])
         held = pairs[max(f, h)]
@@ -728,3 +727,250 @@ def _distance(a, b):
     """Distance of projective points: min over signs of |ua -+ ub|."""
     ua, ub = (np.asarray(v, dtype=float) / np.linalg.norm(v) for v in (a, b))
     return min(float(np.linalg.norm(ua - ub)), float(np.linalg.norm(ua + ub)))
+
+
+# --- the quad graph as half-edge objects, one element at a time ---------------------
+
+
+@dataclass
+class _HalfEdge:
+    origin: int
+    face: int | None
+    next: int = -1
+    twin: int = -1
+    edge: int = -1
+
+
+class ReferenceGraph:
+    """Half-edge build of a strongly regular quad mesh: dicts keyed by
+    directed and undirected vertex pairs, explicit boundary half-edges
+    appended after the four of every face, and traversals that walk
+    those objects one element at a time.  Raises the package's mesh
+    errors at the first offender of the same checks."""
+
+    def __init__(self, vertex_count, quads):
+        from hypnet.errors import NotAQuad
+
+        self.vertex_count = int(vertex_count)
+        self.input_quads = [tuple(int(i) for i in q) for q in quads]
+        for f, quad in enumerate(self.input_quads):
+            if len(quad) != 4:
+                raise NotAQuad(f"face {f} has {len(quad)} vertices")
+            if len(set(quad)) != 4:
+                raise NotAQuad(f"face {f} repeats a vertex: {quad}")
+            for v in quad:
+                if not 0 <= v < self.vertex_count:
+                    raise NotAQuad(f"face {f} references vertex {v}")
+        self._build_half_edges(self._orient_faces())
+        self._check_vertex_fans()
+
+    def _orient_faces(self):
+        from collections import deque
+
+        from hypnet.errors import NonManifold, NonOrientable, NotStronglyRegular
+
+        quads = self.input_quads
+        incident = {}
+        for f, quad in enumerate(quads):
+            for k in range(4):
+                u, v = quad[k], quad[(k + 1) % 4]
+                incident.setdefault((min(u, v), max(u, v)), []).append((f, u < v))
+        pair_seen = {}
+        for key, users in incident.items():
+            if len(users) > 2:
+                raise NonManifold(f"edge {key} has {len(users)} incident faces")
+            faces = [f for f, _ in users]
+            if len(faces) == 2:
+                pair = (min(faces), max(faces))
+                if pair in pair_seen:
+                    raise NotStronglyRegular(
+                        f"faces {pair} share edges {pair_seen[pair]} and {key}"
+                    )
+                pair_seen[pair] = key
+        flip = [None] * len(quads)
+        for start in range(len(quads)):
+            if flip[start] is not None:
+                continue
+            flip[start] = False
+            queue = deque([start])
+            while queue:
+                f = queue.popleft()
+                for k in range(4):
+                    u, v = quads[f][k], quads[f][(k + 1) % 4]
+                    key = (min(u, v), max(u, v))
+                    for g, g_dir in incident[key]:
+                        if g == f:
+                            continue
+                        g_flip = g_dir != (not ((u < v) != flip[f]))
+                        if flip[g] is None:
+                            flip[g] = g_flip
+                            queue.append(g)
+                        elif flip[g] != g_flip:
+                            raise NonOrientable(
+                                f"faces {f} and {g} cannot be oriented "
+                                f"consistently across edge {key}"
+                            )
+        return [tuple(reversed(q)) if flip[f] else q for f, q in enumerate(quads)]
+
+    def _build_half_edges(self, oriented):
+        from hypnet.errors import NonManifold
+
+        self.half_edges, self.faces, directed = [], [], {}
+        for f, quad in enumerate(oriented):
+            for k in range(4):
+                self.half_edges.append(
+                    _HalfEdge(origin=quad[k], face=f, next=4 * f + (k + 1) % 4)
+                )
+                directed[(quad[k], quad[(k + 1) % 4])] = 4 * f + k
+            self.faces.append(tuple(range(4 * f, 4 * f + 4)))
+        self.edges, self._edge_index = [], {}
+        for he in self.half_edges:
+            u, v = he.origin, self.half_edges[he.next].origin
+            key = (min(u, v), max(u, v))
+            if key not in self._edge_index:
+                self._edge_index[key] = len(self.edges)
+                self.edges.append(key)
+            he.edge = self._edge_index[key]
+        boundary_out = {}
+        for (u, v), he_id in sorted(directed.items()):
+            if (v, u) in directed:
+                self.half_edges[he_id].twin = directed[(v, u)]
+                continue
+            b = _HalfEdge(origin=v, face=None, twin=he_id,
+                          edge=self.half_edges[he_id].edge)
+            self.half_edges[he_id].twin = len(self.half_edges)
+            self.half_edges.append(b)
+            if v in boundary_out:
+                raise NonManifold(f"vertex {v} lies on more than one boundary arc")
+            boundary_out[v] = len(self.half_edges) - 1
+        for b_id in boundary_out.values():
+            b = self.half_edges[b_id]
+            b.next = boundary_out[self.half_edges[b.twin].origin]
+        self._outgoing = {}
+        for he_id, he in enumerate(self.half_edges):
+            self._outgoing.setdefault(he.origin, []).append(he_id)
+        self._edge_faces = []
+        for u, v in self.edges:
+            he = self.half_edges[directed.get((u, v), directed.get((v, u)))]
+            self._edge_faces.append((he.face, self.half_edges[he.twin].face))
+
+    def _check_vertex_fans(self):
+        from hypnet.errors import NonManifold
+
+        for v, outgoing in sorted(self._outgoing.items()):
+            start, seen = min(outgoing), 1
+            cur = self.rotate(start)
+            while cur != start and seen <= len(outgoing):
+                seen += 1
+                cur = self.rotate(cur)
+            if seen != len(outgoing):
+                raise NonManifold(f"vertex {v} joins multiple face fans (bow tie)")
+
+    def rotate(self, he_id):
+        return self.half_edges[self.half_edges[he_id].twin].next
+
+    def dest(self, he_id):
+        return self.half_edges[self.half_edges[he_id].twin].origin
+
+    def face_vertices(self, f):
+        return tuple(self.half_edges[h].origin for h in self.faces[f])
+
+    def face_edges(self, f):
+        return tuple(self.half_edges[h].edge for h in self.faces[f])
+
+    def edge_faces(self, e):
+        return self._edge_faces[e]
+
+    def degree(self, v):
+        return len(self._outgoing.get(v, ()))
+
+    def vertex_star(self, v):
+        outgoing = self._outgoing.get(v)
+        if not outgoing:
+            return [], []
+        start = min(outgoing)
+        for h in outgoing:
+            if self.half_edges[h].face is None:
+                start = h
+                break
+        order = [start]
+        cur = self.rotate(start)
+        while cur != start:
+            order.append(cur)
+            cur = self.rotate(cur)
+        faces = [self.half_edges[h].face for h in order]
+        return [self.dest(h) for h in order], [f for f in faces if f is not None]
+
+    def _walk_strip(self, f, exit_edge):
+        faces, rails = [], []
+        cur, exit_e = f, exit_edge
+        while True:
+            fa, fb = self._edge_faces[exit_e]
+            nxt = fb if fa == cur else fa
+            if nxt is None:
+                return faces, rails, False
+            if nxt == f:
+                return faces, rails, True
+            edges = self.face_edges(nxt)
+            entry, exit_e = exit_e, edges[(edges.index(exit_e) + 2) % 4]
+            faces.append(nxt)
+            rails.append((entry, exit_e))
+            cur = nxt
+
+    def strips(self):
+        """``(faces, rails)`` per strip, in the order of first face and
+        side pair; raises ``ClosedStripDetected``."""
+        from hypnet.errors import ClosedStripDetected
+
+        strips, visited = [], set()
+        for f in range(len(self.faces)):
+            e = self.face_edges(f)
+            for p, (ea, eb) in enumerate(((e[0], e[2]), (e[1], e[3]))):
+                if (f, p) in visited:
+                    continue
+                back_faces, back_rails, closed_b = self._walk_strip(f, ea)
+                fwd_faces, fwd_rails, closed_f = self._walk_strip(f, eb)
+                if closed_b or closed_f:
+                    raise ClosedStripDetected(f"strip through face {f} returns to it")
+                faces = back_faces[::-1] + [f] + fwd_faces
+                if len(set(faces)) != len(faces):
+                    raise ClosedStripDetected(f"strip through face {f} self-intersects")
+                rails = [(r, l) for l, r in back_rails[::-1]] + [(ea, eb)] + fwd_rails
+                for g, (le, _) in zip(faces, rails):
+                    visited.add((g, self.face_edges(g).index(le) % 2))
+                strips.append((faces, rails))
+        return strips
+
+    def dual_spanning_tree(self, seed):
+        from collections import deque
+
+        from hypnet.errors import DisconnectedMesh
+
+        seen, tree, queue = {seed}, [], deque([seed])
+        while queue:
+            f = queue.popleft()
+            neighbors = []
+            for h in self.faces[f]:
+                other = self.half_edges[self.half_edges[h].twin].face
+                if other is not None:
+                    neighbors.append((other, self.half_edges[h].edge))
+            for g, e in sorted(neighbors):
+                if g not in seen:
+                    seen.add(g)
+                    tree.append((g, f, e))
+                    queue.append(g)
+        if len(seen) != len(self.faces):
+            missing = sorted(set(range(len(self.faces))) - seen)
+            raise DisconnectedMesh(f"faces {missing} unreachable from {seed}")
+        return tree
+
+
+def reference_graph(vertex_count, quads) -> ReferenceGraph:
+    """The quad graph built as half-edge objects (see :class:`ReferenceGraph`)."""
+    return ReferenceGraph(vertex_count, quads)
+
+
+def edge_id(graph, u, v) -> int:
+    """Id of the edge joining vertices ``u`` and ``v`` of a quad graph."""
+    (e,) = np.flatnonzero(np.all(graph.edges == sorted((u, v)), axis=1))
+    return int(e)

@@ -84,7 +84,7 @@ def cycle_pair(a, vertex, lam):
     seed = hyperboloid_from_parameter(frames[faces[0]], lam)
     for k in range(len(faces)):
         f_now, f_next = faces[k], faces[(k + 1) % len(faces)]
-        shared = set(a.graph.face_edges(f_now)) & set(a.graph.face_edges(f_next))
+        shared = set(a.graph.face_edges[f_now].tolist()) & set(a.graph.face_edges[f_next].tolist())
         lam = transport_parameter(
             a, frames[f_now], shared.pop(), frames[f_next], lam
         )

@@ -40,6 +40,7 @@ from hypnet.synthetic import (
 )
 
 from oracles import (
+    edge_id,
     exact_det4,
     face_volume_ratio,
     in_span,
@@ -145,8 +146,7 @@ def test_contact_elements_are_valid_and_carry_edge_lines():
         plane = net.contact_planes[v]
         assert abs(plane @ point) < 1e-8
         lines = [
-            net.edge_lines[g.half_edges[h].edge]
-            for h in g.outgoing_half_edges(v)
+            net.edge_lines[e] for e in np.flatnonzero(np.any(g.edges == v, axis=1))
         ]
         pencil = span(np.array(lines), rank_tol=PENCIL_RANK_TOL)
         assert pencil.signature == (0, 0, 2)
@@ -176,20 +176,21 @@ def test_frame_roles_follow_entry_half_edge():
     g = build(n, quads)
     net = validate_anet(g, pos)
     for f in range(g.face_count):
-        for entry in g.faces[f]:
-            frame = net.face_frame(f, entry)
+        edges = g.face_edges[f].tolist()
+        for k in range(4):
+            frame = net.face_frame(f, 4 * f + k)
             x, x1, x2, x12 = frame.corners
-            he = g.half_edges[entry]
-            assert he.origin == x and g.dest(entry) == x2
-            # entry edge plays the second-family base role
-            assert frame.h_edges[2] == he.edge
-            assert g.opposite_edge(f, frame.h_edges[2]) == frame.h_edges[3]
-            assert g.opposite_edge(f, frame.h_edges[0]) == frame.h_edges[1]
+            assert g.face_vertices[f, k] == x and g.face_vertices[f, (k + 1) % 4] == x2
+            # entry edge plays the second-family base role, its opposite
+            # the second-family shift
+            assert frame.h_edges[2] == edges[k]
+            assert frame.h_edges[3] == edges[(k + 2) % 4]
+            assert edges[(edges.index(frame.h_edges[0]) + 2) % 4] == frame.h_edges[1]
             # role lines pass through the right corners
-            assert frame.h_edges[0] == g.edge_id(x, x1)
-            assert frame.h_edges[1] == g.edge_id(x2, x12)
-            assert frame.h_edges[2] == g.edge_id(x, x2)
-            assert frame.h_edges[3] == g.edge_id(x1, x12)
+            assert frame.h_edges[0] == edge_id(g, x, x1)
+            assert frame.h_edges[1] == edge_id(g, x2, x12)
+            assert frame.h_edges[2] == edge_id(g, x, x2)
+            assert frame.h_edges[3] == edge_id(g, x1, x12)
             assert frame.family_of_edge(frame.h_edges[1]) == 1
             assert frame.family_of_edge(frame.h_edges[3]) == 2
             assert frame.opposite_in_family(frame.h_edges[0]) == frame.h_edges[1]
@@ -225,9 +226,8 @@ def test_edge_lines_shared_between_adjacent_frames():
     n, quads, pos = quadric_grid(2, 2)
     g = build(n, quads)
     net = validate_anet(g, pos)
-    for e in range(g.edge_count):
-        fa, fb = g.edge_faces(e)
-        if fa is None or fb is None:
+    for e, (fa, fb) in enumerate(g.edge_faces.tolist()):
+        if fa < 0 or fb < 0:
             continue
         la = net.face_frame(fa).line_of_edge(e)
         lb = net.face_frame(fb).line_of_edge(e)
@@ -239,13 +239,13 @@ def test_edge_lines_shared_between_adjacent_frames():
 
 def test_spec_quad_twist_frozen_values():
     g, net = single_quad_net(SPEC_QUAD)
-    e_ab = g.edge_id(0, 1)
-    e_bc = g.edge_id(1, 2)
+    e_ab = edge_id(g, 0, 1)
+    e_bc = edge_id(g, 1, 2)
     assert net.twist_for_edge(0, e_ab) == -1
     assert net.twist_for_edge(0, e_bc) == +1
     # same pairings through the opposite edges
-    assert net.twist_for_edge(0, g.edge_id(2, 3)) == -1
-    assert net.twist_for_edge(0, g.edge_id(3, 0)) == +1
+    assert net.twist_for_edge(0, edge_id(g, 2, 3)) == -1
+    assert net.twist_for_edge(0, edge_id(g, 3, 0)) == +1
     frame = net.face_frame(0)
     assert net.twist_for_edge(0, frame.h_edges[2]) == -1  # entry edge (0,1)
     assert net.twist_for_edge(0, frame.h_edges[0]) == +1
@@ -260,12 +260,12 @@ def test_twist_pairs_are_opposite_and_relabel_invariant():
         assert net.twist_for_edge(0, frame.h_edges[0]) == -net.twist_for_edge(
             0, frame.h_edges[2]
         )
-        base = net.twist_for_edge(0, g.edge_id(0, 1))
+        base = net.twist_for_edge(0, edge_id(g, 0, 1))
         # relabel the same spatial quad by pairing-preserving symmetries
         for relabel in [(1, 2, 3, 0), (2, 3, 0, 1), (3, 2, 1, 0)]:
             g2 = build(4, [tuple(relabel)])
             net2 = validate_anet(g2, pts)
-            assert net2.twist_for_edge(0, g2.edge_id(0, 1)) == base
+            assert net2.twist_for_edge(0, edge_id(g2, 0, 1)) == base
 
 
 def test_twist_matches_regulus_orientation_of_cross_transversals():
@@ -290,7 +290,7 @@ def test_twist_matches_regulus_orientation_of_cross_transversals():
 def exact_twist(net, f, k):
     """Twist sign of the pair through edge ``k`` of face ``f``, exactly:
     the corners from that edge on, with the pair's edges run in parallel."""
-    quad = net.graph.face_vertices(f)
+    quad = net.graph.face_vertices[f].tolist()
     c = [quad[(k + i) % 4] for i in range(4)]
     rows = [
         [Fraction(float(x)) for x in net.positions[v]] + [Fraction(1)]
@@ -309,7 +309,7 @@ def test_face_twist_table_matches_exact_twists_through_every_edge():
         table = net.face_twists
         assert table.shape == (g.face_count, 2)
         for f in range(g.face_count):
-            edges = g.face_edges(f)
+            edges = g.face_edges[f].tolist()
             for k in range(4):
                 assert exact_twist(net, f, k) == table[f, k % 2]
                 assert net.twist_for_edge(f, edges[k]) == table[f, k % 2]
@@ -324,7 +324,7 @@ def test_face_twist_table_guards_flat_faces():
     net = ANet(build(n, quads), pos, None, None, None, None)
     for f in range(net.graph.face_count):
         with pytest.raises(DegenerateFace) as exc:
-            net.twist_for_edge(f, net.graph.face_edges(f)[0])
+            net.twist_for_edge(f, int(net.graph.face_edges[f, 0]))
         assert exc.value.data["face"] == 0
 
 
@@ -368,7 +368,7 @@ def test_frames_from_seed_assign_entry_edges():
     net = validate_anet(g, pos)
     frames, tree = net.frames_from(0)
     assert set(frames) == set(range(g.face_count))
-    assert frames[0].entry_half_edge == g.faces[0][0]
+    assert frames[0].entry_half_edge == 0
     for face, _parent, shared in tree:
         assert frames[face].h_edges[2] == shared
 
@@ -378,8 +378,11 @@ def test_stacked_frames_equal_the_one_face_calls():
     g = build(n, quads)
     net = validate_anet(g, pos)
     frames, tree = net.frames_from(5)
-    entries = {5: g.faces[5][0]}
-    entries.update({face: g.half_edge_in_face(face, shared) for face, _, shared in tree})
+    entries = {5: 20}
+    entries.update({
+        face: 4 * face + g.face_edges[face].tolist().index(shared)
+        for face, _, shared in tree
+    })
     for f, frame in frames.items():
         alone = net.face_frame(f, entries[f])
         assert frame.corners == alone.corners
@@ -404,7 +407,7 @@ def test_first_non_generic_frame_in_the_given_order_is_raised():
     g = net.graph
     order = [4, 7, 0]
     with pytest.raises(NonGenericPair) as err:
-        net.frames(order, [g.faces[f][0] for f in order])
+        net.frames(order, [4 * f for f in order])
     assert err.value.data["face"] == 4
     with pytest.raises(NonGenericPair) as err:
         net.face_frame(7)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -351,6 +352,57 @@ def test_extend_is_byte_deterministic(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (out.read_bytes(), report_path.read_bytes()) == first
+
+
+#: sha256 prefixes of the integer report parts and output faces of
+#: ``scrambled_saddle``, recorded while the quad graph was still built
+#: from half-edge objects; they do not depend on the platform
+STRIP_REPORT = "47fedaf3b4b8e1aa"
+FACE_TWISTS = "038fbee6985718af"
+CLOSURE_EDGES = "4a3b5442f13756dd"
+C1_EDGES = "c093896742529a39"
+MESH_FACES = "af28db457321b3dd"
+
+
+def scrambled_saddle(tmp_path):
+    """A 6x5 net on z = xy written with relabelled vertices, rotated and
+    partly reversed faces and reordered faces, all by integer arithmetic,
+    and the family coordinate of its face 0."""
+    count, quads, positions = quadric_grid(6, 5, spacing=0.25, origin=(-0.7, -0.4))
+    label = [(11 * v + 3) % count for v in range(count)]
+    faces = []
+    for i, quad in enumerate(quads):
+        quad = [label[v] for v in quad]
+        quad = quad[i % 4:] + quad[:i % 4]
+        faces.append(quad[::-1] if i % 3 == 0 else quad)
+    faces = [faces[(7 * i) % len(faces)] for i in range(len(faces))]
+    moved = np.empty_like(positions)
+    moved[label] = positions
+    path = write_net(tmp_path / "scrambled.obj", count, faces, moved)
+    a = validate_anet(build(count, faces), moved)
+    return path, bilinear_parameter(a.face_frame(0), a.positions)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def test_integer_report_parts_keep_their_order_on_scrambled_input(tmp_path, capsys):
+    # strips, twists, edge keys and output faces must not be renumbered
+    path, lam = scrambled_saddle(tmp_path)
+    code, report = run_main(capsys, ["check", path])
+    assert code == 0
+    diagnostics = report["diagnostics"]
+    assert digest(diagnostics["strip_report"]) == STRIP_REPORT
+    assert digest(diagnostics["face_twists"]) == FACE_TWISTS
+    out = tmp_path / "out.obj"
+    argv = ["extend", path, "-o", str(out), "--lambda", repr(lam)]
+    code, report = run_main(capsys, argv)
+    assert code == 0
+    assert digest(list(report["propagation"]["closure_residuals"])) == CLOSURE_EDGES
+    assert digest(list(report["c1"]["edges"])) == C1_EDGES
+    rows = [line for line in out.read_text().splitlines() if line.startswith("f ")]
+    assert digest(rows) == MESH_FACES
 
 
 def test_extend_rejects_odd_interior_degrees(tmp_path, capsys):

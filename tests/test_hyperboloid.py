@@ -269,8 +269,8 @@ def _vertex_cycle(a, v, lam):
     for k in range(n):
         f_now = faces[k]
         f_next = faces[(k + 1) % n]
-        shared = set(a.graph.face_edges(f_now)) & set(
-            a.graph.face_edges(f_next)
+        shared = set(a.graph.face_edges[f_now].tolist()) & set(
+            a.graph.face_edges[f_next].tolist()
         )
         assert len(shared) == 1
         hb = propagate_face(hb, shared.pop(), frames[f_next])
@@ -324,7 +324,7 @@ def test_odd_cycle_transports_each_diagonal_to_itself():
     for k in range(n):
         f_now, f_next = faces[k], faces[(k + 1) % n]
         shared = (
-            set(a.graph.face_edges(f_now)) & set(a.graph.face_edges(f_next))
+            set(a.graph.face_edges[f_now].tolist()) & set(a.graph.face_edges[f_next].tolist())
         ).pop()
         center = frames[f_now].line_of_edge(shared)
         far_edge = frames[f_next].opposite_in_family(shared)
@@ -509,8 +509,8 @@ def test_transport_around_a_vertex_returns_the_parameter_up_to_sign(degree):
     lam = -1.7
     for k, frame in enumerate(frames):
         neighbor = frames[(k + 1) % degree]
-        (shared,) = set(a.graph.face_edges(frame.face)) & set(
-            a.graph.face_edges(neighbor.face)
+        (shared,) = set(a.graph.face_edges[frame.face].tolist()) & set(
+            a.graph.face_edges[neighbor.face].tolist()
         )
         lam = transport_parameter(a, frame, shared, neighbor, lam)
     assert lam == pytest.approx(-1.7 if degree % 2 == 0 else 1.7, rel=1e-12)
@@ -522,11 +522,11 @@ def test_transport_across_a_degenerate_crossing_raises():
     # a planar star at w this would flatten g, so that star is broken.
     count, quads, positions = random_grid3x3_net(np.random.default_rng(63))
     graph = build(count, quads)
-    (shared,) = set(graph.face_edges(0)) & set(graph.face_edges(1))
+    (shared,) = set(graph.face_edges[0].tolist()) & set(graph.face_edges[1].tolist())
     u, w = graph.edges[shared]
 
     def diagonal_to(face, v):
-        corners = list(graph.face_vertices(face))
+        corners = graph.face_vertices[face].tolist()
         return corners[(corners.index(v) + 2) % 4]
 
     p, r = positions[u], positions[diagonal_to(0, u)]

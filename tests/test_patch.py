@@ -47,7 +47,7 @@ from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid, random_grid3x3_net
 
 import oracles
-from oracles import _pairing, conic_arc
+from oracles import _pairing, conic_arc, edge_id
 
 
 def spec_face():
@@ -412,7 +412,7 @@ def test_single_face_net_has_an_empty_report():
 def test_fold_back_onto_the_same_quadric_is_flagged_as_a_cusp():
     a = graph_surface_pair(x_second=0.4, z_scale=0.4)
     report = check_c1(bilinear_patches(a), a)
-    e = a.graph.edge_id(1, 4)
+    e = edge_id(a.graph, 1, 4)
     assert report["edges"][e]["max_angle"] < 1e-10
     assert report["edges"][e]["cusp"] is True
     assert report["cusp_edges"] == [e]
@@ -421,7 +421,7 @@ def test_fold_back_onto_the_same_quadric_is_flagged_as_a_cusp():
 def test_smooth_continuation_is_not_flagged():
     a = graph_surface_pair(x_second=1.6, z_scale=1.6)
     report = check_c1(bilinear_patches(a), a)
-    e = a.graph.edge_id(1, 4)
+    e = edge_id(a.graph, 1, 4)
     assert report["edges"][e]["max_angle"] < 1e-10
     assert report["edges"][e]["cusp"] is False
     assert report["cusp_edges"] == []
@@ -564,7 +564,7 @@ def pair_with_patch(edit):
     with face 1's replaced by ``edit(points, weights, edge corners)``."""
     a = graph_surface_pair(x_second=1.6, z_scale=1.6)
     patches = bilinear_patches(a)
-    e = a.graph.edge_id(1, 4)
+    e = edge_id(a.graph, 1, 4)
     p = patches[1]
     on_edge = EDGE_CORNERS[p.frame.h_edges.index(e)]
     points, weights = edit(p.points.copy(), p.weights.copy(), on_edge)

@@ -1,4 +1,4 @@
-"""Half-edge quad mesh construction, stars, strips, and dual traversal."""
+"""Quad graph construction, stars, strips, and dual traversal."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,15 @@ from hypnet.errors import (
     NotAQuad,
     NotStronglyRegular,
 )
-from hypnet.quadgraph import QuadGraph, build
+from hypnet.quadgraph import build
 from hypnet.synthetic import (
     cylinder_quads,
     grid_graph,
     moebius_quads,
     umbrella_graph,
 )
+
+from oracles import reference_graph
 
 MESH_CASES = [
     grid_graph(1, 1),
@@ -31,35 +33,51 @@ MESH_CASES = [
 ]
 
 
+def interior_vertices(g):
+    return np.flatnonzero((g.degrees > 0) & ~g.boundary).tolist()
+
+
+def side_of(g, f, e):
+    """Position ``k`` of edge ``e`` in face ``f`` (half-edge ``4 f + k``)."""
+    return g.face_edges[f].tolist().index(e)
+
+
 # --- construction -----------------------------------------------------------
 
 
 def test_grid_builds_with_one_interior_degree4_vertex():
     g = build(*grid_graph(2, 2))
     assert g.face_count == 4
-    assert g.interior_vertices() == [4]
-    assert g.degree(4) == 4
+    assert interior_vertices(g) == [4]
+    assert g.degrees[4] == 4
 
 
 @pytest.mark.parametrize("vertex_count,quads", MESH_CASES)
 def test_half_edge_involutions(vertex_count, quads):
     g = build(vertex_count, quads)
-    for i, he in enumerate(g.half_edges):
-        assert g.half_edges[he.twin].twin == i
-        assert g.half_edges[he.twin].edge == he.edge
-        cur, steps = i, 0
-        expected = 4 if he.face is not None else None
-        while True:
-            cur = g.half_edges[cur].next
-            steps += 1
-            if cur == i:
-                break
-            assert steps < 10 * len(g.half_edges)
-        if expected is not None:
-            assert steps == expected
+    tail = g.face_vertices.ravel()
+    head = np.roll(g.face_vertices, -1, axis=1).ravel()
+    sides = g.face_edges.ravel()
+    for h, t in enumerate(g.twin.tolist()):
+        if t < 0:
+            assert -1 in g.edge_faces[sides[h]]
+            continue
+        assert g.twin[t] == h and t // 4 != h // 4
+        assert sides[t] == sides[h]
+        assert (tail[t], head[t]) == (head[h], tail[h])
+    assert np.count_nonzero(g.twin < 0) == np.count_nonzero(g.edge_faces < 0)
+    # the boundary is a union of closed loops: two boundary edges per
+    # boundary vertex
+    rim = g.edges[np.any(g.edge_faces < 0, axis=1)]
+    per_vertex = np.bincount(rim.ravel(), minlength=vertex_count)
+    assert np.array_equal(np.flatnonzero(per_vertex), np.flatnonzero(g.boundary))
+    assert set(per_vertex[g.boundary].tolist()) <= {2}
     for f in range(g.face_count):
-        assert len(set(g.face_vertices(f))) == 4
-        assert all(g.half_edges[h].face == f for h in g.faces[f])
+        assert len(set(g.face_vertices[f].tolist())) == 4
+        for k in range(4):
+            u, v = g.face_vertices[f, k], g.face_vertices[f, (k + 1) % 4]
+            assert g.edges[g.face_edges[f, k]].tolist() == sorted((u, v))
+            assert f in g.edge_faces[g.face_edges[f, k]]
 
 
 def test_rejects_non_quads():
@@ -103,13 +121,11 @@ def test_flipped_input_faces_are_reoriented():
     g_ref = build(*grid_graph(2, 1))
     quads = [(0, 1, 4, 3), (4, 1, 2, 5)]
     g = build(6, quads)
-    assert set(g.face_vertices(1)) == {1, 2, 4, 5}
-    for e in range(g.edge_count):
-        fa, fb = g.edge_faces(e)
-        if fa is not None and fb is not None:
-            ha = g.half_edge_in_face(fa, e)
-            hb = g.half_edge_in_face(fb, e)
-            assert g.half_edges[ha].origin == g.dest(hb)
+    assert set(g.face_vertices[1].tolist()) == {1, 2, 4, 5}
+    for e, (fa, fb) in enumerate(g.edge_faces.tolist()):
+        if fa >= 0 and fb >= 0:
+            ka, kb = side_of(g, fa, e), side_of(g, fb, e)
+            assert g.face_vertices[fa, ka] == g.face_vertices[fb, (kb + 1) % 4]
     assert g.edge_count == g_ref.edge_count == 7
 
 
@@ -127,7 +143,7 @@ def test_vertex_star_center_of_grid_cyclic():
         shared = [
             f
             for f in range(g.face_count)
-            if {4, a, b} <= set(g.face_vertices(f))
+            if {4, a, b} <= set(g.face_vertices[f].tolist())
         ]
         assert len(shared) == 1
 
@@ -164,13 +180,13 @@ def test_interior_degrees_even():
 def test_interior_degree_handshake():
     for vertex_count, quads in MESH_CASES:
         g = build(vertex_count, quads)
-        interior = set(g.interior_vertices())
-        total = sum(g.degree(v) for v in interior)
+        interior = set(interior_vertices(g))
+        total = sum(int(g.degrees[v]) for v in interior)
         both = sum(
-            1 for u, v in g.edges if u in interior and v in interior
+            1 for u, v in g.edges.tolist() if u in interior and v in interior
         )
         one = sum(
-            1 for u, v in g.edges if (u in interior) != (v in interior)
+            1 for u, v in g.edges.tolist() if (u in interior) != (v in interior)
         )
         assert total == 2 * both + one
 
@@ -180,19 +196,19 @@ def test_interior_degree_handshake():
 
 def test_strips_2x2_block():
     strips = build(*grid_graph(2, 2)).strips()
-    assert sorted(len(s) for s in strips) == [2, 2, 2, 2]
+    assert sorted(len(faces) for faces, _ in strips) == [2, 2, 2, 2]
 
 
 def test_strips_row_of_three():
     strips = build(*grid_graph(3, 1)).strips()
-    assert sorted(len(s) for s in strips) == [1, 1, 1, 3]
-    long = max(strips, key=len)
-    assert long.faces in ([0, 1, 2], [2, 1, 0])
+    assert sorted(len(faces) for faces, _ in strips) == [1, 1, 1, 3]
+    long, _ = max(strips, key=lambda strip: len(strip[0]))
+    assert long in ([0, 1, 2], [2, 1, 0])
 
 
 def test_strips_single_face():
     strips = build(*grid_graph(1, 1)).strips()
-    assert sorted(len(s) for s in strips) == [1, 1]
+    assert sorted(len(faces) for faces, _ in strips) == [1, 1]
 
 
 def test_strips_umbrella_cross_center_in_pairs():
@@ -200,11 +216,11 @@ def test_strips_umbrella_cross_center_in_pairs():
     # one strip per spoke
     g = build(*umbrella_graph(6))
     strips = g.strips()
-    assert sorted(len(s) for s in strips) == [2] * 6
-    for s in strips:
-        shared = s.rails[0][1]
-        assert shared == s.rails[1][0]
-        assert 0 in g.edge_vertices(shared)
+    assert sorted(len(faces) for faces, _ in strips) == [2] * 6
+    for _, rails in strips:
+        shared = rails[0][1]
+        assert shared == rails[1][0]
+        assert 0 in g.edges[shared]
 
 
 @pytest.mark.parametrize("vertex_count,quads", MESH_CASES)
@@ -213,19 +229,19 @@ def test_strip_rails_chain_and_cover(vertex_count, quads):
     strips = g.strips()
     per_face = {f: 0 for f in range(g.face_count)}
     rail_count = {e: 0 for e in range(g.edge_count)}
-    for s in strips:
-        assert len(s.rails) == len(s.faces)
-        for f, (l, r) in zip(s.faces, s.rails):
+    for faces, rails in strips:
+        assert len(rails) == len(faces)
+        for f, (l, r) in zip(faces, rails):
             per_face[f] += 1
-            assert g.opposite_edge(f, l) == r
+            assert g.face_edges[f, (side_of(g, f, l) + 2) % 4] == r
             rail_count[l] += 1
             rail_count[r] += 1
-        for i in range(len(s) - 1):
-            assert s.rails[i][1] == s.rails[i + 1][0]
+        for i in range(len(faces) - 1):
+            assert rails[i][1] == rails[i + 1][0]
     assert all(c == 2 for c in per_face.values())
     for e in range(g.edge_count):
         # interior rail edges are counted once per side, boundary ends once
-        expected = 2 if not g.is_boundary_edge(e) else 1
+        expected = 1 if -1 in g.edge_faces[e] else 2
         assert rail_count[e] == expected
 
 
@@ -244,7 +260,7 @@ def test_dual_tree_2x2():
     assert len(tree) == 3
     assert [f for f, _, _ in tree] == [1, 2, 3]
     for f, parent, e in tree:
-        assert set(g.edge_faces(e)) == {f, parent}
+        assert set(g.edge_faces[e].tolist()) == {f, parent}
 
 
 def test_dual_tree_single_face_empty():
@@ -275,31 +291,164 @@ def test_dual_tree_disconnected():
 
 
 def test_euler_characteristic():
+    # a disc has Euler characteristic 1
     assert build(*grid_graph(3, 2)).euler_characteristic == 1
-    assert build(*grid_graph(3, 2)).is_disc
     assert build(*umbrella_graph(5)).euler_characteristic == 1
     assert build(*cylinder_quads()).euler_characteristic == 0
-    assert not build(*cylinder_quads()).is_disc
     assert build(8, [(0, 1, 2, 3), (4, 5, 6, 7)]).euler_characteristic == 2
 
 
 def test_opposite_edge_is_involution():
     g = build(*grid_graph(3, 2))
     for f in range(g.face_count):
-        for e in g.face_edges(f):
-            o = g.opposite_edge(f, e)
+        edges = g.face_edges[f].tolist()
+        for k, e in enumerate(edges):
+            o = edges[(k + 2) % 4]
             assert o != e
-            assert g.opposite_edge(f, o) == e
+            assert not set(g.edges[o].tolist()) & set(g.edges[e].tolist())
+            assert edges[(k + 4) % 4] == e
 
 
 def test_build_is_deterministic():
     a = build(*grid_graph(3, 3))
     b = build(*grid_graph(3, 3))
-    assert [h.__dict__ for h in a.half_edges] == [
-        h.__dict__ for h in b.half_edges
-    ]
-    assert a.edges == b.edges
-    assert [(s.faces, s.rails) for s in a.strips()] == [
-        (s.faces, s.rails) for s in b.strips()
-    ]
+    for name in ("face_vertices", "face_edges", "edges", "edge_faces", "twin",
+                 "degrees", "boundary", "star_offsets", "star_neighbors",
+                 "star_faces"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.strips() == b.strips()
     assert a.dual_spanning_tree(4) == b.dual_spanning_tree(4)
+
+
+# --- against the half-edge object build ---------------------------------------------
+
+
+def scrambled(vertex_count, quads, seed):
+    """The same mesh with relabelled vertices, each face rotated and
+    possibly reversed, and the faces reordered."""
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(vertex_count)
+    faces = []
+    for quad in quads:
+        quad = [int(relabel[v]) for v in quad]
+        k = int(rng.integers(4))
+        quad = quad[k:] + quad[:k]
+        faces.append(tuple(quad[::-1] if rng.random() < 0.5 else quad))
+    return vertex_count, [faces[k] for k in rng.permutation(len(faces))]
+
+
+DIFFERENTIAL_CASES = MESH_CASES + [
+    scrambled(*grid_graph(5, 4), 1),
+    scrambled(*grid_graph(5, 4), 2),
+    scrambled(*grid_graph(12, 12), 3),
+    scrambled(*umbrella_graph(6), 4),
+    scrambled(*umbrella_graph(6), 5),
+]
+
+
+def outcome(call):
+    """``("ok", value)`` or the type name and message of what it raised."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("vertex_count,quads", DIFFERENTIAL_CASES)
+def test_arrays_equal_the_half_edge_object_build(vertex_count, quads):
+    g = build(vertex_count, quads)
+    ref = reference_graph(vertex_count, quads)
+    faces = range(g.face_count)
+    assert g.face_vertices.tolist() == [list(ref.face_vertices(f)) for f in faces]
+    assert g.face_edges.tolist() == [list(ref.face_edges(f)) for f in faces]
+    assert g.edges.tolist() == [list(e) for e in ref.edges]
+    assert g.edge_faces.tolist() == [
+        [-1 if f is None else f for f in ref.edge_faces(e)] for e in range(g.edge_count)
+    ]
+    for v in range(vertex_count):
+        assert g.vertex_star(v) == ref.vertex_star(v)
+        assert g.degrees[v] == ref.degree(v)
+    assert outcome(g.strips) == outcome(ref.strips)
+    for seed in np.random.default_rng(vertex_count).integers(g.face_count, size=3):
+        assert g.dual_spanning_tree(int(seed)) == ref.dual_spanning_tree(int(seed))
+
+
+def shifted(quads, by):
+    return [tuple(v + by for v in q) for q in quads]
+
+
+_, UMBRELLA = umbrella_graph(4)
+# four quads around vertex 0 again, on spokes 9..12 and rims 13..16
+SECOND_FAN = [(0, 9, 13, 10), (0, 10, 14, 11), (0, 11, 15, 12), (0, 12, 16, 9)]
+
+# meshes with several offenders of one mesh error, each case's faces
+# ordered so that the first offender by face, by edge key and by vertex
+# id differ where they can
+ERROR_CASES = {
+    "face sizes": (
+        (10, [(0, 1, 2, 3), (1, 2, 3), (0, 1, 2, 3, 4), (4, 4, 5, 6)]),
+        "NotAQuad", "face 1 has 3 vertices",
+    ),
+    "repeats before range": (
+        (10, [(0, 1, 2, 3), (4, 5, 5, 6), (0, 1, 2, 99), (7, 7, 8, 9)]),
+        "NotAQuad", "face 1 repeats a vertex: (4, 5, 5, 6)",
+    ),
+    "range before repeats": (
+        (10, [(0, 1, 2, 3), (0, 1, 12, 11), (4, 5, 5, 6)]),
+        "NotAQuad", "face 1 references vertex 12",
+    ),
+    "three faces on two edges": (
+        (14, [(5, 6, 7, 8), (6, 5, 9, 10), (0, 1, 2, 3), (1, 0, 4, 11),
+              (5, 6, 12, 13), (0, 1, 12, 13)]),
+        "NonManifold", "edge (5, 6) has 3 incident faces",
+    ),
+    "two face pairs sharing two edges": (
+        (10, [(5, 6, 7, 8), (6, 5, 9, 7), (0, 1, 2, 3), (1, 0, 4, 2)]),
+        "NotStronglyRegular", "faces (0, 1) share edges (5, 6) and (6, 7)",
+    ),
+    "two Moebius bands": (
+        (12, shifted(moebius_quads()[1], 6) + moebius_quads()[1]),
+        "NonOrientable", "faces 1 and 2 cannot be oriented consistently "
+        "across edge (8, 11)",
+    ),
+    "two pinched vertices": (
+        # arrivals at 5 come from 2 and 3, at 6 from 0 and 1: the sorted
+        # scan of boundary sides meets vertex 6 twice first
+        (15, [(2, 5, 11, 12), (3, 5, 13, 14), (0, 6, 7, 8), (1, 6, 9, 10)]),
+        "NonManifold", "vertex 6 lies on more than one boundary arc",
+    ),
+    "two bow ties": (
+        (34, shifted(UMBRELLA + SECOND_FAN, 17) + UMBRELLA + SECOND_FAN),
+        "NonManifold", "vertex 0 joins multiple face fans (bow tie)",
+    ),
+    "a bow tie with a boundary fan": (
+        (12, [(11, 9, 10, 0)] + UMBRELLA),
+        "NonManifold", "vertex 0 joins multiple face fans (bow tie)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_mesh_errors_name_the_first_offender_of_the_object_build(case):
+    (vertex_count, quads), kind, message = ERROR_CASES[case]
+    got = outcome(lambda: build(vertex_count, quads))
+    assert got == outcome(lambda: reference_graph(vertex_count, quads))
+    assert got == (kind, message)
+
+
+DISCONNECTED = (12, [(0, 1, 2, 3), (4, 5, 6, 7), (1, 0, 8, 9), (10, 11, 6, 5)])
+
+
+@pytest.mark.parametrize("vertex_count,quads", [cylinder_quads(), DISCONNECTED])
+def test_traversal_errors_equal_the_object_build(vertex_count, quads):
+    g = build(vertex_count, quads)
+    ref = reference_graph(vertex_count, quads)
+    assert outcome(g.strips) == outcome(ref.strips)
+    for seed in range(g.face_count):
+        tree = outcome(lambda: g.dual_spanning_tree(seed))
+        assert tree == outcome(lambda: ref.dual_spanning_tree(seed))
+
+
+def test_disconnected_tree_lists_every_unreached_face():
+    with pytest.raises(DisconnectedMesh, match=r"faces \[0, 2\] unreachable from 1"):
+        build(*DISCONNECTED).dual_spanning_tree(1)
