@@ -123,14 +123,22 @@ class RunConfig:
 
 
 def _plain(value):
-    """Recursively convert a report to strict JSON-serializable data."""
+    """Recursively convert a report to strict JSON-serializable data.
+
+    Lists of plain ints pass as they are and lists of plain floats take
+    one finiteness pass; every other item is converted on its own.
+    """
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        if all(type(v) is int for v in items):
+            return list(items)
+        if all(type(v) is float for v in items):
+            return [v if math.isfinite(v) else None for v in items]
         return [_plain(v) for v in items]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         out = float(value)
         return out if math.isfinite(out) else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonQuadFace, ParseError
+from .quadgraph import _group
 
 #: Grid-corner index pairs in the role order (x, x1, x2, x12).
 CORNER_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -121,28 +122,45 @@ def oriented_grid(points: np.ndarray, corner_map: dict, corners) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _sample_key(face: int, corners, n: int, m: int, i: int, j: int):
-    """Weld key of grid point ``(i, j)``: quad corners merge by vertex
-    id, edge samples by (edge vertex pair, position, count), interior
-    points stay private to the face."""
-    x, x1, x2, x12 = corners
-    on_i = i in (0, n - 1)
-    on_j = j in (0, m - 1)
-    if on_i and on_j:
-        corner = {(0, 0): x, (0, m - 1): x1, (n - 1, 0): x2,
-                  (n - 1, m - 1): x12}[(i, j)]
-        return ("v", corner)
-    if on_i:
-        a, b = (x, x1) if i == 0 else (x2, x12)
-        k, count = j, m
-    elif on_j:
-        a, b = (x, x2) if j == 0 else (x1, x12)
-        k, count = i, n
-    else:
-        return ("f", face, i, j)
-    if a > b:
-        a, b, k = b, a, count - 1 - k
-    return ("e", a, b, k, count)
+def _weld_keys(corners: np.ndarray, n, m, face, i, j):
+    """Weld key of every sample and the size of the key range.
+
+    ``corners`` are the grids' quad vertex ids ``(F, 4)`` in role order,
+    ``n`` and ``m`` their sample counts ``(F,)``, and ``face``, ``i``,
+    ``j`` the grid and position of each sample.  A corner sample's key is
+    its quad vertex (ids relabeled densely, in ascending order); an
+    edge-interior sample's key is a slot of its side, a side being named
+    by its sorted endpoint pair and its sample count, with the position
+    counted from the lower vertex id; every other sample keeps a key of
+    its own.
+    """
+    corners = _group(corners.ravel())[3].reshape(-1, 4)
+    nv = int(corners.max()) + 1
+    # the sides of each grid: rows i = 0 and n - 1 run x -> x1 and
+    # x2 -> x12 with m samples, columns j = 0 and m - 1 run x -> x2 and
+    # x1 -> x12 with n samples
+    a = corners[:, [0, 2, 0, 1]]
+    b = corners[:, [1, 3, 2, 3]]
+    count = np.stack([m, m, n, n], axis=1)
+    pair = np.minimum(a, b) * nv + np.maximum(a, b)
+    side = _group((pair * (count.max() + 1) + count).ravel())[3].reshape(-1, 4)
+    slots = np.zeros(side.max() + 1, dtype=np.int64)
+    slots[side] = count
+    start = nv + np.cumsum(slots) - slots
+    private = nv + int(slots.sum())
+    key = private + np.arange(len(face))
+    first_row, last_row = i == 0, i == n[face] - 1
+    first_col, last_col = j == 0, j == m[face] - 1
+    on_row, on_col = first_row | last_row, first_col | last_col
+    at = np.flatnonzero(on_row ^ on_col)
+    f, row = face[at], on_row[at]
+    k = np.where(row, 1 - first_row[at], 3 - first_col[at])
+    pos = np.where(row, j[at], i[at])
+    pos = np.where(a[f, k] > b[f, k], count[f, k] - 1 - pos, pos)
+    key[at] = start[side[f, k]] + pos
+    at = np.flatnonzero(on_row & on_col)
+    key[at] = corners[face[at], 2 * last_row[at] + last_col[at]]
+    return key, private + len(face)
 
 
 def write_mesh(path, grids: dict, weld: bool = True) -> None:
@@ -150,39 +168,48 @@ def write_mesh(path, grids: dict, weld: bool = True) -> None:
 
     ``grids`` maps a face id to ``(points, corners)`` where ``points``
     is an ``(n, m, 3)`` sample grid laid out as in :func:`oriented_grid`
-    and ``corners`` are the quad's vertex ids in role order.  With
-    ``weld`` the boundary samples of patches sharing an edge are merged
-    positionally (first face in ascending id order wins; sample values
-    on the two sides agree exactly only when the patches carry a common
-    quadric, and to within the tangency tolerance otherwise).  Edges
-    sampled at different counts are left unmerged.
+    and ``corners`` are the quad's vertex ids in role order; grids may
+    differ in ``(n, m)``.  Every sample ``(face, i, j)`` gets one integer
+    key.  With ``weld`` a grid corner's key is its quad vertex, and a
+    sample inside a grid side ``(a, b)`` with ``count`` samples is keyed
+    by ``(min(a, b), max(a, b), count)`` and its position counted from
+    the lower vertex id, so patches sharing an edge merge their boundary
+    samples positionally (sample values on the two sides agree exactly
+    only when the patches carry a common quadric, and to within the
+    tangency tolerance otherwise) and edges sampled at different counts
+    stay unmerged.  Interior samples, and every sample without ``weld``,
+    keep keys of their own.  Output vertices are numbered by the first
+    appearance of their key, walking faces in ascending id order and
+    each grid row-major, and take that first sample's position.
     """
     if not grids:
         raise ValueError("grids must be nonempty")
-    index = {}
-    vertices = []
-    quads = []
-    for face in sorted(grids):
-        points, corners = grids[face]
-        points = np.asarray(points, dtype=float)
-        n, m = points.shape[:2]
-        local = np.empty((n, m), dtype=int)
-        for i in range(n):
-            for j in range(m):
-                if weld:
-                    key = _sample_key(face, corners, n, m, i, j)
-                else:
-                    key = ("f", face, i, j)
-                at = index.get(key)
-                if at is None:
-                    at = len(vertices)
-                    index[key] = at
-                    vertices.append(points[i, j])
-                local[i, j] = at
-        for i in range(n - 1):
-            for j in range(m - 1):
-                quads.append(
-                    (local[i, j], local[i + 1, j],
-                     local[i + 1, j + 1], local[i, j + 1])
-                )
-    write_positions_mesh(path, np.asarray(vertices), quads)
+    faces = sorted(grids)
+    points = [np.asarray(grids[f][0], dtype=float) for f in faces]
+    n, m = np.array([p.shape[:2] for p in points], dtype=np.int64).T
+    size = n * m
+    total = int(size.sum())
+    # grid and row-major position of every sample, in writing order
+    face = np.repeat(np.arange(len(faces)), size)
+    sample = np.arange(total)
+    t = sample - (np.cumsum(size) - size)[face]
+    i, j = t // m[face], t % m[face]
+    if weld:
+        corners = np.array([grids[f][1] for f in faces], dtype=np.int64)
+        key, key_count = _weld_keys(corners.reshape(-1, 4), n, m, face, i, j)
+    else:
+        key, key_count = sample, total
+    # the first sample of each key; an unbuffered minimum, because a
+    # fancy-index assignment leaves the winner among repeats unspecified
+    first = np.full(key_count, total)
+    np.minimum.at(first, key, sample)
+    first = first[key]
+    new = first == sample
+    index = (np.cumsum(new) - 1)[first]
+    vertices = np.concatenate([p.reshape(-1, 3) for p in points])[new]
+    # cell (i, j) of a grid with m columns spans samples t, t + m,
+    # t + m + 1 and t + 1
+    cell = np.flatnonzero((i < n[face] - 1) & (j < m[face] - 1))
+    step = m[face[cell], None]
+    quads = index[cell[:, None] + step * [0, 1, 1, 0] + [0, 0, 1, 1]]
+    write_positions_mesh(path, vertices, quads)

@@ -974,3 +974,62 @@ def edge_id(graph, u, v) -> int:
     """Id of the edge joining vertices ``u`` and ``v`` of a quad graph."""
     (e,) = np.flatnonzero(np.all(graph.edges == sorted((u, v)), axis=1))
     return int(e)
+
+
+def _reference_sample_key(face, corners, n, m, i, j):
+    """Weld key of grid point ``(i, j)``: quad corners merge by vertex
+    id, edge samples by (edge vertex pair, position, count), interior
+    points stay private to the face."""
+    x, x1, x2, x12 = corners
+    on_i = i in (0, n - 1)
+    on_j = j in (0, m - 1)
+    if on_i and on_j:
+        corner = {(0, 0): x, (0, m - 1): x1, (n - 1, 0): x2,
+                  (n - 1, m - 1): x12}[(i, j)]
+        return ("v", corner)
+    if on_i:
+        a, b = (x, x1) if i == 0 else (x2, x12)
+        k, count = j, m
+    elif on_j:
+        a, b = (x, x2) if j == 0 else (x1, x12)
+        k, count = i, n
+    else:
+        return ("f", face, i, j)
+    if a > b:
+        a, b, k = b, a, count - 1 - k
+    return ("e", a, b, k, count)
+
+
+def reference_write_mesh(path, grids: dict, weld: bool = True) -> None:
+    """``meshio.write_mesh`` as one dict lookup per sample point, with
+    each ``"%.17g"`` value and each row formatted on its own."""
+    index = {}
+    vertices = []
+    quads = []
+    for face in sorted(grids):
+        points, corners = grids[face]
+        points = np.asarray(points, dtype=float)
+        n, m = points.shape[:2]
+        local = np.empty((n, m), dtype=int)
+        for i in range(n):
+            for j in range(m):
+                if weld:
+                    key = _reference_sample_key(face, corners, n, m, i, j)
+                else:
+                    key = ("f", face, i, j)
+                at = index.get(key)
+                if at is None:
+                    at = len(vertices)
+                    index[key] = at
+                    vertices.append(points[i, j])
+                local[i, j] = at
+        for i in range(n - 1):
+            for j in range(m - 1):
+                quads.append(
+                    (local[i, j], local[i + 1, j],
+                     local[i + 1, j + 1], local[i, j + 1])
+                )
+    lines = ["v " + " ".join("%.17g" % float(c) for c in p) for p in vertices]
+    lines += ["f %d %d %d %d" % tuple(int(k) + 1 for k in q) for q in quads]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")

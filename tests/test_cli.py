@@ -15,7 +15,7 @@ import hypnet.anet
 import hypnet.hyperboloid
 import hypnet.plucker
 from hypnet.anet import diagnose_anet, validate_anet
-from hypnet.cli import RunConfig, main, run
+from hypnet.cli import RunConfig, main, render_report, run
 from hypnet.errors import ClosureViolation, NonPlanarStar
 from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_all
 from hypnet.meshio import read_mesh, write_positions_mesh
@@ -280,6 +280,34 @@ def test_fit_rejects_a_non_finite_coordinate(tmp_path, capsys):
     assert report["violations"][0]["kind"] == "value_error"
     assert report["violations"][0]["message"] == "positions must be finite"
     assert not out.exists()
+
+
+def test_report_rendering_converts_arrays_sets_and_non_finite_floats():
+    report = {
+        "array": np.array([1.5, np.nan, np.inf, -np.inf, -0.0]),
+        "grid": np.array([[0.5, np.nan], [np.inf, 2.0]]),
+        "ints": (3, 1, 2),
+        "int_array": np.arange(3),
+        "set": {5, 2, 9},
+        "bools": [True, False, np.bool_(True)],
+        "floats": [0.25, float("-inf")],
+        "mixed": [1, 2.5, np.int64(4), np.float64(np.nan), None, "x", (True, 2)],
+        "empty": [],
+        7: {"scalar": np.float64(np.inf), "count": np.int64(3)},
+    }
+    expected = {
+        "array": [1.5, None, None, None, -0.0],
+        "grid": [[0.5, None], [None, 2.0]],
+        "ints": [3, 1, 2],
+        "int_array": [0, 1, 2],
+        "set": [2, 5, 9],
+        "bools": [True, False, True],
+        "floats": [0.25, None],
+        "mixed": [1, 2.5, 4, None, None, "x", [True, 2]],
+        "empty": [],
+        "7": {"scalar": None, "count": 3},
+    }
+    assert render_report(report) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import hypnet.cli
 from hypnet.anet import validate_anet
+from hypnet.cli import main
 from hypnet.errors import NonQuadFace, ParseError
 from hypnet.hyperboloid import hyperboloid_from_parameter
 from hypnet.meshio import (
@@ -14,6 +16,9 @@ from hypnet.meshio import (
 )
 from hypnet.patch import bilinear_parameter, restrict_to_patch, sample
 from hypnet.quadgraph import build
+from hypnet.synthetic import quadric_grid
+
+from oracles import reference_write_mesh
 
 
 def write(path, text):
@@ -295,3 +300,122 @@ def test_mesh_of_real_patches_is_byte_deterministic(tmp_path):
     write_mesh(first, saddle_strip_patches(4, 3))
     write_mesh(second, saddle_strip_patches(4, 3))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_extending_a_5x5_saddle_net_welds_one_vertex_per_sample_point(tmp_path):
+    count, quads, positions = quadric_grid(5, 5)
+    net = tmp_path / "net.obj"
+    write_positions_mesh(net, positions, quads)
+    a = validate_anet(build(count, quads), positions)
+    lam = bilinear_parameter(a.face_frame(0), a.positions)
+    first, second = tmp_path / "a.obj", tmp_path / "b.obj"
+    for out in (first, second):
+        argv = ["extend", str(net), "-o", str(out), "--lambda", repr(lam)]
+        assert main(argv) == 0
+    assert first.read_bytes() == second.read_bytes()
+    lines = first.read_text(encoding="utf-8").splitlines()
+    # 9 x 9 samples per face: a welded 5x5 grid of faces is one
+    # (5 * 8 + 1)^2 lattice of points
+    assert sum(line.startswith("v ") for line in lines) == (5 * 8 + 1) ** 2
+    assert sum(line.startswith("f ") for line in lines) == 25 * 8 * 8
+
+
+# --- the closed-form weld against the dict weld ----------------------------------
+
+
+def mixed_shape_grids():
+    """A 3x3 grid next to a 3x4 one (corners merge, the edge does not),
+    a 2x4 and a 3x2 grid welding sides of those two in reverse, and 2x2
+    grids."""
+    rng = np.random.default_rng(7)
+    layout = {
+        0: ((3, 3), (0, 1, 2, 3)),
+        1: ((3, 4), (2, 3, 4, 5)),
+        2: ((2, 2), (4, 5, 6, 7)),
+        3: ((2, 4), (5, 4, 17, 16)),
+        4: ((2, 2), (12, 14, 13, 15)),
+        5: ((3, 2), (3, 13, 1, 12)),
+    }
+    return {
+        f: (rng.standard_normal(shape + (3,)), corners)
+        for f, (shape, corners) in layout.items()
+    }
+
+
+def large_id_grids():
+    """Sparse face ids listed out of order and vertex ids up to 5e6; the
+    faces share one edge each way round."""
+    rng = np.random.default_rng(8)
+    big = 10**6
+    layout = {
+        10: (big + 3, 42, 5 * big, 9),
+        3: (big, 7, big + 3, 42),
+        7: (9, 5 * big, 11, 2 * big),
+    }
+    return {
+        f: (rng.standard_normal((4, 5, 3)), np.array(corners))
+        for f, corners in layout.items()
+    }
+
+
+def cli_extend_grids(tmp_path):
+    """The grids ``hypnet extend --samples 5 7`` hands to ``write_mesh`` on
+    a 4x3 net on z = xy with relabelled, rotated, partly reversed and
+    reordered faces."""
+    count, quads, positions = quadric_grid(4, 3, spacing=0.3, origin=(-0.5, -0.2))
+    label = [(7 * v + 2) % count for v in range(count)]
+    faces = []
+    for i, quad in enumerate(quads):
+        quad = [label[v] for v in quad]
+        quad = quad[i % 4:] + quad[:i % 4]
+        faces.append(quad[::-1] if i % 3 == 0 else quad)
+    faces = [faces[(5 * i) % len(faces)] for i in range(len(faces))]
+    moved = np.empty_like(positions)
+    moved[label] = positions
+    path = tmp_path / "scrambled.obj"
+    write_positions_mesh(path, moved, faces)
+    a = validate_anet(build(count, faces), moved)
+    lam = bilinear_parameter(a.face_frame(0), a.positions)
+    captured = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            hypnet.cli, "write_mesh", lambda out, grids, weld: captured.update(grids)
+        )
+        argv = ["extend", str(path), "-o", str(tmp_path / "out.obj"),
+                "--lambda", repr(lam), "--samples", "5", "7"]
+        assert main(argv) == 0
+    assert len(captured) == len(faces)
+    return captured
+
+
+WELD_CASES = {
+    "single_2x2": lambda _: {0: (grid_on_unit_square(2, 2), (0, 1, 2, 3))},
+    "single_3x3": lambda _: {0: (grid_on_unit_square(3, 3), (0, 1, 2, 3))},
+    "adjacent": lambda _: {
+        0: (grid_on_unit_square(3, 3), (0, 1, 2, 3)),
+        1: (grid_on_unit_square(3, 3, origin=(1.0, 0.0)), (2, 3, 4, 5)),
+    },
+    "reversed_edge": lambda _: {
+        0: (grid_on_unit_square(3, 3), (0, 1, 2, 3)),
+        1: (grid_on_unit_square(3, 3, origin=(1.0, 0.0))[:, ::-1], (3, 2, 5, 4)),
+    },
+    "mismatched_counts": lambda _: {
+        0: (grid_on_unit_square(3, 3), (0, 1, 2, 3)),
+        1: (grid_on_unit_square(3, 4, origin=(1.0, 0.0)), (2, 3, 4, 5)),
+    },
+    "saddle_3x3": lambda _: saddle_strip_patches(3, 3),
+    "saddle_4x3": lambda _: saddle_strip_patches(4, 3),
+    "mixed_shapes": lambda _: mixed_shape_grids(),
+    "large_ids": lambda _: large_id_grids(),
+    "cli_extend_5x7": cli_extend_grids,
+}
+
+
+@pytest.mark.parametrize("weld", [True, False])
+@pytest.mark.parametrize("case", sorted(WELD_CASES))
+def test_write_mesh_writes_the_bytes_of_the_dict_weld(tmp_path, case, weld):
+    grids = WELD_CASES[case](tmp_path)
+    ours, theirs = tmp_path / "ours.obj", tmp_path / "theirs.obj"
+    write_mesh(ours, grids, weld=weld)
+    reference_write_mesh(theirs, grids, weld=weld)
+    assert ours.read_bytes() == theirs.read_bytes()
