@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -367,21 +367,22 @@ class ANet:
         """Whether every strip carries a uniform rail twist; with report."""
         g = self.graph
         even, odd_vertices = g.interior_degrees_even()
-        strips = g.strips()
-        faces = np.array([f for members, _ in strips for f in members], dtype=np.intp)
-        lefts = np.array([l for _, rails in strips for l, _r in rails], dtype=np.intp)
-        sides = np.argmax(g.face_edges[faces] == lefts[:, None], axis=1)
-        twists = iter(self.face_twists[faces, sides % 2].tolist())
-        strip_reports = []
-        all_uniform = True
-        for members, _ in strips:
-            row = list(islice(twists, len(members)))
-            uniform = len(set(row)) <= 1
-            all_uniform = all_uniform and uniform
-            strip_reports.append(
-                {"faces": members, "twists": row, "uniform": uniform}
-            )
-        verdict = all_uniform and even
+        sides, starts = g.strip_sides()
+        members = sides >> 2
+        # each member's twist is that of the side pair its strip crosses
+        twists = self.face_twists[members, sides & 1]
+        if len(starts):
+            uniform = (np.minimum.reduceat(twists, starts)
+                       == np.maximum.reduceat(twists, starts)).tolist()
+        else:
+            uniform = []
+        faces, rows = members.tolist(), twists.tolist()
+        bounds = starts.tolist() + [len(sides)]
+        strip_reports = [
+            {"faces": faces[a:b], "twists": rows[a:b], "uniform": flag}
+            for a, b, flag in zip(bounds, bounds[1:], uniform)
+        ]
+        verdict = all(uniform) and even
         report = {
             "equi_twisted": verdict,
             "interior_degrees_even": even,
@@ -581,14 +582,16 @@ def diagnose_anet(
     """
     positions = np.asarray(positions, dtype=float)
     walk = _collect_violations(graph, positions, False, tol)
+    # unreferenced vertices have no star: NaN in the walk, None here
+    residuals = walk.residuals.tolist()
+    for v in np.flatnonzero(np.isnan(walk.residuals)).tolist():
+        residuals[v] = None
     report = {
         "vertex_count": int(len(positions)),
         "face_count": graph.face_count,
         "edge_count": graph.edge_count,
         "euler_characteristic": graph.euler_characteristic,
-        "planarity_residuals": [
-            None if np.isnan(r) else float(r) for r in walk.residuals
-        ],
+        "planarity_residuals": residuals,
         "violations": [
             {"kind": kind, **{k: _jsonable(v) for k, v in data.items()}}
             for kind, data in walk.violations

@@ -15,9 +15,12 @@ Three subcommands share one report pipeline:
     the bounded patch of every face, sample the patches, and write the
     combined mesh together with a tangent-continuity report.
 
-Every invocation prints one JSON report to stdout and exits 0 exactly
-when the report's ``violations`` list is empty.  Identical input and
-configuration produce byte-identical reports and meshes.  Exit codes:
+Every invocation prints one JSON report to stdout (see
+:func:`render_report`) and exits 0 exactly when the report's
+``violations`` list is empty.  Identical input and configuration produce
+byte-identical reports and meshes.  ``--report FILE`` is opened before
+the run, so a report that cannot be written fails as an input error and
+nothing runs.  Exit codes:
 
 1. unreadable input, malformed mesh records, or an invalid configuration
 2. the face list is not a manifold quad mesh
@@ -38,12 +41,14 @@ validation, whose net carries it on to framing and propagation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -121,36 +126,87 @@ class RunConfig:
                 raise ValueError(f"tolerance {key!r} must be a positive number")
 
 
-
-def _plain(value):
-    """Recursively convert a report to strict JSON-serializable data.
-
-    Lists of plain ints pass as they are and lists of plain floats take
-    one finiteness pass; every other item is converted on its own.
-    """
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        if all(type(v) is int for v in items):
-            return list(items)
-        if all(type(v) is float for v in items):
-            return [v if math.isfinite(v) else None for v in items]
-        return [_plain(v) for v in items]
-    if isinstance(value, (np.floating, float)):
-        out = float(value)
-        return out if math.isfinite(out) else None
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def render_report(report: dict) -> str:
-    return json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False)
+    """The report as JSON text: two-space indent, keys sorted, strings
+    with ASCII escapes, non-finite floats as ``null``.
+
+    Keys are converted with ``str``, arrays with ``tolist``, sets sorted,
+    tuples become lists and numpy scalars their Python values.  The text
+    equals ``json.dumps`` of that converted report with ``indent=2,
+    sort_keys=True``, byte for byte; lists of numbers, and lists of such
+    lists, are joined in one pass each instead of value by value.
+    """
+    return _render(report, "\n")
+
+
+_NUMBERS = frozenset({int, float, type(None)})
+
+
+def _numbers(text: str, kinds) -> str:
+    """``text`` joined from the ``repr`` of ints, floats and ``None``
+    (of the types ``kinds``) with the non-numbers turned into JSON."""
+    if kinds == {int}:
+        return text
+    # no repr of a finite float or an int contains these words
+    for word in ("None", "-inf", "inf", "nan"):
+        text = text.replace(word, "null")
+    return text
+
+
+def _render(value, indent: str) -> str:
+    """JSON text of ``value`` whose first line starts at ``indent``
+    (a newline and the spaces before the value's own line)."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return repr(value) if math.isfinite(value) else "null"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        plain = {str(k): v for k, v in value.items()}
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _render(plain[k], inner)
+            for k in sorted(plain)
+        ) + indent + "}"
+    if isinstance(value, np.ndarray):
+        return _render(value.tolist(), indent)
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+    items = sorted(value) if isinstance(value, (set, frozenset)) else value
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    sep = "," + inner
+    kinds = set(map(type, items))
+    if kinds <= _NUMBERS:
+        body = _numbers(sep.join(map(repr, items)), kinds)
+    elif (kinds == {list} and all(items) and
+          (cells := set(map(type, chain.from_iterable(items)))) <= _NUMBERS):
+        # rows of numbers, none of them empty: every number followed by
+        # the glue to the next one, within its row or across rows
+        row = inner + "  "
+        glue = ["," + row] * sum(map(len, items))
+        next_row = inner + "]" + sep + "[" + row
+        for end in accumulate(map(len, items)):
+            glue[end - 1] = next_row
+        glue[-1] = ""
+        numbers = map(repr, chain.from_iterable(items))
+        body = _numbers("[" + row + "".join(
+            chain.from_iterable(zip(numbers, glue))
+        ) + inner + "]", cells)
+    else:
+        body = sep.join([_render(v, inner) for v in items])
+    return "[" + inner + body + indent + "]"
 
 
 _CAMEL_BOUNDARY = re.compile(r"(?<!^)(?=[A-Z])")
@@ -229,9 +285,7 @@ def _run_fit(config: RunConfig, report: dict, tol: Tolerances) -> int:
             raise ValueError("pinned vertex ids out of range")
     else:
         pinned = frozenset(
-            v
-            for v in range(len(positions))
-            if graph.is_boundary_vertex(v) or not graph.is_referenced(v)
+            np.flatnonzero(graph.boundary | (graph.degrees == 0)).tolist()
         )
     problem = FitProblem(graph, positions, pinned=pinned)
     report["pinned"] = sorted(pinned)
@@ -307,14 +361,18 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
 _RUNNERS = {"check": _run_check, "fit": _run_fit, "extend": _run_extend}
 
 
-def run(config: RunConfig):
-    """Execute one configuration; returns ``(exit_code, report)``."""
-    report = {
+def _new_report(config: RunConfig) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "command": config.command,
         "input": str(config.input_path),
         "violations": [],
     }
+
+
+def run(config: RunConfig):
+    """Execute one configuration; returns ``(exit_code, report)``."""
+    report = _new_report(config)
     try:
         config.validate()
         tol = Tolerances(**{k: float(v) for k, v in config.tolerances.items()})
@@ -429,12 +487,27 @@ def main(argv=None) -> int:
         weld=getattr(namespace, "weld", True),
         tolerances=_environment_tolerances(),
     )
-    code, report = run(config)
-    rendered = render_report(report)
-    print(rendered)
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(rendered + "\n")
+    with ExitStack() as stack:
+        sink = None
+        try:
+            # opened before the run, so that a report that cannot be
+            # written fails like any other input; for appending, so that
+            # a report path naming the input does not empty it unread
+            if config.report_path:
+                sink = stack.enter_context(open(
+                    config.report_path, "a", encoding="utf-8", newline="\n"
+                ))
+        except OSError as exc:
+            report = _new_report(config)
+            _violation(report, exc)
+            code = report["exit_code"] = EXIT_INPUT
+        else:
+            code, report = run(config)
+        rendered = render_report(report)
+        print(rendered)
+        if sink is not None:
+            sink.truncate(0)
+            sink.write(rendered + "\n")
     return code
 
 

@@ -25,6 +25,13 @@ undirected keys of the face sides:
   cyclic order, a boundary star from one boundary neighbor to the
   other) and ``star_faces`` (the face between each neighbor and the one
   before it, ``-1`` at the first slot of a boundary star).
+
+Faces listed with a consistent orientation are kept as they are, found
+by one array comparison; only other inputs are re-oriented face by face.
+The strips are array passes too: a strip leaves each member face by a
+half-edge ``h``, and the next one by ``twin[h] ^ 2``, so pointer
+jumping along that map labels every strip by its least (face, side
+pair) node and places every member in it (:meth:`QuadGraph.strip_sides`).
 """
 
 from __future__ import annotations
@@ -136,9 +143,13 @@ def _mates(quads, vertex_count: int) -> np.ndarray:
 
 def _orientation(quads, mate) -> np.ndarray:
     """Which faces to reverse so that adjacent faces run their shared
-    edge oppositely: breadth first from each unvisited face in order.
+    edge oppositely: none when every paired side already runs opposite
+    to its mate, else breadth first from each unvisited face in order.
     Raises :class:`NonOrientable` naming the face pair that clashes."""
     tail, head = _sides(quads)
+    paired = np.flatnonzero(mate >= 0)
+    if np.array_equal(tail[mate[paired]], head[paired]):
+        return np.zeros(len(quads), dtype=bool)
     up = (tail < head).tolist()
     mates = mate.tolist()
     flip = [None] * len(quads)
@@ -298,6 +309,62 @@ class QuadGraph:
 
     # --- strips -----------------------------------------------------------------
 
+    def strip_sides(self):
+        """Every strip as a run of half-edges, one per member face.
+
+        Returns ``(sides, starts)``: strip ``i`` is
+        ``sides[starts[i]:starts[i + 1]]`` (the last one runs to the
+        end), its members in traversal order, each given by the
+        half-edge ``h`` through which the strip leaves it towards the
+        next member.  So member ``h // 4`` crosses its side pair
+        ``h % 2``, entering by the opposite side ``h ^ 2``.  Order and
+        errors are those of :meth:`strips`.
+
+        Leaving a face by half-edge ``h``, a strip leaves the next face
+        by ``twin[h] ^ 2``.  Pointer jumping along that map gives, in
+        about ``log2`` of the longest strip's length rounds, every
+        half-edge's distance to the boundary ahead and the least node
+        ``2 f + p`` (face ``f`` crossed through side pair ``p``) on
+        that way; read from ``h ^ 2`` as well, the least node of the
+        whole strip, which labels it.
+        """
+        twin = self.twin
+        ids = np.arange(len(twin))
+        node = 2 * (ids >> 2) + (ids & 1)
+        last = twin < 0
+        reach = np.where(last, ids, twin ^ 2)
+        steps = (~last).astype(np.intp)
+        low = np.minimum(node, node[reach])
+        for _ in range(len(twin).bit_length()):
+            if last[reach].all():
+                break
+            low = np.minimum(low, low[reach])
+            steps = steps + steps[reach]
+            reach = reach[reach]
+        label = np.minimum(low, low[ids ^ 2])
+        closed = ~last[reach]
+        # per node 2 f + p, its strip's label (node 2 f + p leaves by 4 f + p + 2)
+        strip_of = label.reshape(-1, 4)[:, 2:].ravel()
+        twice = strip_of[0::2] == strip_of[1::2]
+        bad = np.concatenate([label[closed], strip_of[0::2][twice]])
+        if bad.size:
+            least = int(bad.min())
+            f = least // 2
+            if twice[f] or np.any(label[closed] == least):
+                raise ClosedStripDetected(f"strip through face {f} returns to it")
+            raise ClosedStripDetected(f"strip through face {f} self-intersects")
+        # a strip runs forward across side p + 2 of its least node (f, p):
+        # keep the half-edges that reach the boundary where that one does
+        first = 4 * (label >> 1) + (label & 1) + 2
+        sides = ids[reach == reach[first]]
+        label = label[sides]
+        count = np.bincount(label, minlength=2 * self.face_count)
+        offsets = np.cumsum(count) - count
+        ordered = np.empty_like(sides)
+        # ``steps`` from the entry side counts the members before each one
+        ordered[offsets[label] + steps[sides ^ 2]] = sides
+        return ordered, offsets[count > 0]
+
     def strips(self) -> list:
         """All strips of the complex; every face lies in exactly two.
 
@@ -308,54 +375,16 @@ class QuadGraph:
         3) they cross; from that face the strip runs back across side
         ``k`` and forward across side ``k + 2``.  Raises
         :class:`ClosedStripDetected` when a strip wraps around onto
-        itself (the complex is not simply connected then).
+        itself (the complex is not simply connected then): "returns to
+        it" when the strip closes or crosses that first face twice,
+        "self-intersects" when it crosses another face twice.
         """
-        twin = self.twin.tolist()
-        side_edges = self.face_edges.ravel().tolist()
-
-        def walk(f: int, h: int):
-            """Faces, rails and visited side pairs reached by repeatedly
-            crossing half-edge ``h`` of face ``f``, and whether the walk
-            returned to ``f``."""
-            faces, rails, pairs = [], [], []
-            while True:
-                entry = twin[h]
-                if entry < 0:
-                    return faces, rails, pairs, False
-                g = entry // 4
-                if g == f:
-                    return faces, rails, pairs, True
-                h = 4 * g + (entry + 2) % 4
-                faces.append(g)
-                rails.append((side_edges[entry], side_edges[h]))
-                pairs.append(2 * g + entry % 2)
-
-        strips = []
-        visited = bytearray(2 * self.face_count)
-        for f in range(self.face_count):
-            for p in (0, 1):
-                if visited[2 * f + p]:
-                    continue
-                back, back_rails, back_pairs, closed_b = walk(f, 4 * f + p)
-                fwd, fwd_rails, fwd_pairs, closed_f = walk(f, 4 * f + p + 2)
-                if closed_b or closed_f:
-                    raise ClosedStripDetected(
-                        f"strip through face {f} returns to it"
-                    )
-                faces = back[::-1] + [f] + fwd
-                if len(set(faces)) != len(faces):
-                    raise ClosedStripDetected(
-                        f"strip through face {f} self-intersects"
-                    )
-                rails = (
-                    [(r, l) for l, r in back_rails[::-1]]
-                    + [(side_edges[4 * f + p], side_edges[4 * f + p + 2])]
-                    + fwd_rails
-                )
-                for slot in back_pairs + [2 * f + p] + fwd_pairs:
-                    visited[slot] = 1
-                strips.append((faces, rails))
-        return strips
+        sides, starts = self.strip_sides()
+        edges = self.face_edges.ravel()
+        faces = (sides >> 2).tolist()
+        rails = list(zip(edges[sides ^ 2].tolist(), edges[sides].tolist()))
+        bounds = starts.tolist() + [len(sides)]
+        return [(faces[a:b], rails[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     # --- dual spanning tree --------------------------------------------------------
 

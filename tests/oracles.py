@@ -10,6 +10,8 @@ reads its frames through the one-face ``ANet.face_frame``.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -1033,3 +1035,40 @@ def reference_write_mesh(path, grids: dict, weld: bool = True) -> None:
     lines += ["f %d %d %d %d" % tuple(int(k) + 1 for k in q) for q in quads]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+# --- the CLI report as strict JSON data, converted value by value ----------------
+
+
+def reference_plain(value):
+    """Recursively convert a report to strict JSON-serializable data.
+
+    Lists of plain ints pass as they are and lists of plain floats take
+    one finiteness pass; every other item is converted on its own.
+    """
+    if isinstance(value, dict):
+        return {str(k): reference_plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        if all(type(v) is int for v in items):
+            return list(items)
+        if all(type(v) is float for v in items):
+            return [v if math.isfinite(v) else None for v in items]
+        return [reference_plain(v) for v in items]
+    if isinstance(value, (np.floating, float)):
+        out = float(value)
+        return out if math.isfinite(out) else None
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
+
+
+def reference_render(report) -> str:
+    """``cli.render_report`` as ``json.dumps`` of :func:`reference_plain`."""
+    return json.dumps(
+        reference_plain(report), indent=2, sort_keys=True, allow_nan=False
+    )

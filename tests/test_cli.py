@@ -29,6 +29,8 @@ from hypnet.synthetic import (
     random_umbrella_net,
 )
 
+from oracles import reference_render
+
 
 def write_net(path, count, quads, positions):
     assert len(positions) == count
@@ -166,6 +168,41 @@ def test_check_schema_and_report_file_match_stdout(tmp_path, capsys):
     assert on_disk == report
 
 
+@pytest.mark.parametrize("command", ["check", "extend"])
+def test_an_unwritable_report_path_fails_as_an_input_error(tmp_path, capsys, command):
+    out = tmp_path / "patches.obj"
+    argv = [command, saddle_mesh(tmp_path), "--report", str(tmp_path / "no" / "r.json")]
+    if command == "extend":
+        argv += ["-o", str(out), "--lambda", repr(saddle_lambda())]
+    code, report = run_main(capsys, argv)
+    assert code == 1
+    assert [v["kind"] for v in report["violations"]] == ["file_not_found_error"]
+    # nothing ran: no diagnostics, no mesh
+    assert sorted(report) == ["command", "exit_code", "input", "schema", "violations"]
+    assert not out.exists()
+
+
+def test_an_unwritable_report_path_exits_one_without_a_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]))
+    argv = [sys.executable, "-m", "hypnet.cli", "check", saddle_mesh(tmp_path),
+            "--report", str(tmp_path / "no" / "r.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["exit_code"] == 1
+
+
+def test_the_report_file_replaces_a_longer_file_and_may_be_the_input(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    report_path.write_text("x" * 100_000)
+    assert main(["check", saddle_mesh(tmp_path), "--report", str(report_path)]) == 0
+    assert report_path.read_text() == capsys.readouterr().out
+    # the input is read before the report overwrites it
+    path = saddle_mesh(tmp_path)
+    assert main(["check", path, "--report", path]) == 0
+    assert Path(path).read_text() == capsys.readouterr().out
+
+
 def test_check_flags_odd_interior_degrees(tmp_path, capsys):
     count, quads, positions = random_umbrella_net(3, np.random.default_rng(2))
     path = write_net(tmp_path / "umbrella.obj", count, quads, positions)
@@ -214,6 +251,15 @@ def test_fit_pins_the_boundary_by_default(tmp_path, capsys):
         assert np.array_equal(before[v], after[v])
     moved = [v for v in range(len(before)) if not np.array_equal(before[v], after[v])]
     assert moved and all(v not in report["pinned"] for v in moved)
+
+
+def test_fit_pins_vertices_that_no_face_uses_by_default(tmp_path, capsys):
+    path = saddle_with_a_loose_vertex(tmp_path)
+    count, quads, _ = quadric_grid(3, 3)
+    code, report = run_main(capsys, ["fit", path, "-o", str(tmp_path / "fitted.obj")])
+    assert code == 0
+    boundary = np.flatnonzero(build(count, quads).boundary).tolist()
+    assert report["pinned"] == boundary + [count]
 
 
 def test_fit_with_explicit_pins_holds_exactly_those_vertices(tmp_path, capsys):
@@ -308,6 +354,89 @@ def test_report_rendering_converts_arrays_sets_and_non_finite_floats():
         "7": {"scalar": None, "count": 3},
     }
     assert render_report(report) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+def noisy_scrambled_saddle(tmp_path):
+    """``scrambled_saddle`` with its interior vertices moved by 1e-4."""
+    path, _ = scrambled_saddle(tmp_path)
+    positions, quads = read_mesh(path)
+    graph = build(len(positions), quads)
+    inside = np.flatnonzero(~graph.boundary)
+    positions[inside] += np.random.default_rng(4).normal(scale=1e-4, size=(len(inside), 3))
+    return write_net(tmp_path / "noisy.obj", len(positions), quads, positions)
+
+
+def bumped_saddle(tmp_path):
+    count, quads, positions = quadric_grid(4, 4)
+    positions = positions.copy()
+    positions[6, 2] += 0.05
+    return write_net(tmp_path / "bumped.obj", count, quads, positions)
+
+
+def saddle_with_a_loose_vertex(tmp_path):
+    # the unreferenced last vertex has no star: a null residual
+    count, quads, positions = quadric_grid(3, 3)
+    return write_net(
+        tmp_path / "loose.obj", count + 1, quads, np.vstack([positions, [[9.0, 9.0, 9.0]]])
+    )
+
+
+def malformed(tmp_path):
+    path = tmp_path / "malformed.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 x\nf 1 2 4 3\n")
+    return str(path)
+
+
+def odd_umbrella(tmp_path):
+    count, quads, positions = random_umbrella_net(3, np.random.default_rng(2))
+    return write_net(tmp_path / "umbrella.obj", count, quads, positions)
+
+
+def moebius(tmp_path):
+    positions = np.random.default_rng(7).normal(size=(6, 3))
+    return write_net(tmp_path / "moebius.obj", *moebius_quads(), positions)
+
+
+def escaped_path(tmp_path):
+    # non-ASCII, quotes and control characters in the input path, which
+    # the report repeats in "input" and in the violation's message
+    return str(tmp_path / 'n\u00e9t \u2211 "q" \\ \t\x01\x7f.obj')
+
+
+def escaped_net(tmp_path):
+    directory = tmp_path / "\u00e9\u00e8 \"d\""
+    directory.mkdir()
+    return saddle_mesh(directory)
+
+
+def scrambled_extend(tmp_path):
+    path, lam = scrambled_saddle(tmp_path)
+    return RunConfig("extend", path, output_path=str(tmp_path / "out.obj"), lam=lam)
+
+
+RENDER_CASES = {
+    "check of a scrambled net": lambda t: RunConfig("check", scrambled_saddle(t)[0]),
+    "extend of a scrambled net": scrambled_extend,
+    "fit of a scrambled noisy net": lambda t: RunConfig(
+        "fit", noisy_scrambled_saddle(t), output_path=str(t / "fitted.obj")),
+    "non-planar star": lambda t: RunConfig("check", bumped_saddle(t)),
+    "Moebius band": lambda t: RunConfig("check", moebius(t)),
+    "odd umbrella": lambda t: RunConfig("check", odd_umbrella(t)),
+    "odd umbrella, extend": lambda t: RunConfig(
+        "extend", odd_umbrella(t), output_path=str(t / "x.obj"), lam=1.0),
+    "malformed record": lambda t: RunConfig("check", malformed(t)),
+    "unreferenced vertex": lambda t: RunConfig("check", saddle_with_a_loose_vertex(t)),
+    "escaped missing path": lambda t: RunConfig("check", escaped_path(t)),
+    "escaped existing path": lambda t: RunConfig("check", escaped_net(t)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_rendered_reports_equal_json_dumps_of_the_plain_report(tmp_path, case):
+    _, report = run(RENDER_CASES[case](tmp_path))
+    text = render_report(report)
+    assert text == reference_render(report)
+    assert text.isascii()
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -323,9 +323,9 @@ def test_build_is_deterministic():
 # --- against the half-edge object build ---------------------------------------------
 
 
-def scrambled(vertex_count, quads, seed):
+def scrambled(vertex_count, quads, seed, reverse=0.5):
     """The same mesh with relabelled vertices, each face rotated and
-    possibly reversed, and the faces reordered."""
+    reversed with probability ``reverse``, and the faces reordered."""
     rng = np.random.default_rng(seed)
     relabel = rng.permutation(vertex_count)
     faces = []
@@ -333,7 +333,7 @@ def scrambled(vertex_count, quads, seed):
         quad = [int(relabel[v]) for v in quad]
         k = int(rng.integers(4))
         quad = quad[k:] + quad[:k]
-        faces.append(tuple(quad[::-1] if rng.random() < 0.5 else quad))
+        faces.append(tuple(quad[::-1] if rng.random() < reverse else quad))
     return vertex_count, [faces[k] for k in rng.permutation(len(faces))]
 
 
@@ -452,3 +452,104 @@ def test_traversal_errors_equal_the_object_build(vertex_count, quads):
 def test_disconnected_tree_lists_every_unreached_face():
     with pytest.raises(DisconnectedMesh, match=r"faces \[0, 2\] unreachable from 1"):
         build(*DISCONNECTED).dual_spanning_tree(1)
+
+
+# --- orientation and strips against the object build ----------------------------------
+
+
+def union(*meshes):
+    """Disjoint union of ``(vertex_count, quads)`` meshes."""
+    count, quads = 0, []
+    for vertex_count, faces in meshes:
+        quads += shifted(faces, count)
+        count += vertex_count
+    return count, quads
+
+
+def reversed_faces(quads, seed):
+    """``quads`` with each face reversed with probability one half."""
+    rng = np.random.default_rng(seed)
+    return [tuple(q[::-1]) if rng.random() < 0.5 else tuple(q) for q in quads]
+
+
+# a disc whose side faces form a closed belt
+LIDLESS_CUBE = (8, [(0, 3, 2, 1), (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)])
+# a row of four quads whose last far side is glued to the side (0, 1) of
+# the first: the strip along the row crosses that face a second time,
+# through its other side pair
+LASSO = (8, [(0, 1, 2, 3), (1, 4, 5, 2), (4, 6, 7, 5), (6, 1, 0, 7)])
+LASSO_FROM_ITS_SECOND_FACE = (8, [LASSO[1][k] for k in (1, 0, 2, 3)])
+
+ORIENTABLE_CASES = MESH_CASES + [cylinder_quads(), LIDLESS_CUBE, LASSO]
+
+
+@pytest.mark.parametrize("vertex_count,quads", ORIENTABLE_CASES)
+def test_consistently_oriented_scrambles_reverse_no_face(vertex_count, quads):
+    for seed in range(4):
+        count, faces = scrambled(vertex_count, quads, seed, reverse=0.0)
+        every = [tuple(q[::-1]) for q in faces]
+        for listed in (faces, every):
+            g = build(count, listed)
+            assert g.face_vertices.tolist() == [list(q) for q in listed]
+            ref = reference_graph(count, listed)
+            assert [tuple(q) for q in g.face_vertices.tolist()] == [
+                ref.face_vertices(f) for f in range(g.face_count)
+            ]
+
+
+@pytest.mark.parametrize("vertex_count,quads", ORIENTABLE_CASES)
+def test_random_face_reversals_orient_like_the_object_build(vertex_count, quads):
+    for seed in range(6):
+        faces = reversed_faces(quads, seed)
+        g = build(vertex_count, faces)
+        ref = reference_graph(vertex_count, faces)
+        assert [tuple(q) for q in g.face_vertices.tolist()] == [
+            ref.face_vertices(f) for f in range(g.face_count)
+        ]
+
+
+NON_ORIENTABLE_CASES = [
+    moebius_quads(),
+    union(grid_graph(2, 2), moebius_quads()),
+    union(moebius_quads(), umbrella_graph(4), moebius_quads()),
+]
+
+
+@pytest.mark.parametrize("vertex_count,quads", NON_ORIENTABLE_CASES)
+def test_random_face_reversals_clash_where_the_object_build_does(vertex_count, quads):
+    for seed in range(6):
+        faces = reversed_faces(quads, seed)
+        got = outcome(lambda: build(vertex_count, faces))
+        assert got[0] == "NonOrientable"
+        assert got == outcome(lambda: reference_graph(vertex_count, faces))
+
+
+STRIP_ERRORS = {
+    "ring": (cylinder_quads(), "strip through face 0 returns to it"),
+    "belt of a lidless cube": (LIDLESS_CUBE, "strip through face 1 returns to it"),
+    "lasso from its crossing face": (LASSO, "strip through face 0 returns to it"),
+    "lasso from another face": (
+        LASSO_FROM_ITS_SECOND_FACE, "strip through face 0 self-intersects"
+    ),
+    "grid, then a lasso": (
+        union(grid_graph(2, 2), LASSO_FROM_ITS_SECOND_FACE),
+        "strip through face 4 self-intersects",
+    ),
+    "grid, then a belt": (
+        union(grid_graph(3, 1), LIDLESS_CUBE), "strip through face 4 returns to it"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIP_ERRORS))
+def test_strips_that_close_or_cross_themselves_fail_like_the_object_build(case):
+    (vertex_count, quads), message = STRIP_ERRORS[case]
+    got = outcome(build(vertex_count, quads).strips)
+    assert got == ("ClosedStripDetected", message)
+    assert got == outcome(reference_graph(vertex_count, quads).strips)
+    for seed in range(4):
+        count, faces = scrambled(vertex_count, quads, seed)
+        got = outcome(build(count, faces).strips)
+        assert got[0] == "ClosedStripDetected"
+        assert got == outcome(reference_graph(count, faces).strips)
+
