@@ -28,7 +28,6 @@ from .errors import (
 from .fit import FitProblem, energy, fit, gradient
 from .hyperboloid import (
     FaceHyperboloid,
-    family_parameter_of,
     hyperboloid_from_parameter,
     propagate_all,
     transport_parameter,
@@ -50,7 +49,6 @@ from .plucker import (
     intersect_lines,
     line_from_points,
     plucker_product,
-    regulus_orientation,
     Tolerances,
 )
 from .quadgraph import QuadGraph, build
@@ -84,7 +82,6 @@ __all__ = [
     "check_c1",
     "diagnose_anet",
     "energy",
-    "family_parameter_of",
     "fit",
     "gradient",
     "hyperboloid_from_parameter",
@@ -95,7 +92,6 @@ __all__ = [
     "plucker_product",
     "propagate_all",
     "read_mesh",
-    "regulus_orientation",
     "restrict_all",
     "restrict_to_patch",
     "sample",

@@ -3,9 +3,11 @@
 A net assigns a spatial position to every vertex of a :class:`QuadGraph`
 such that each vertex and all its neighbors are coplanar.  The edges
 then carry well-defined lines (the discrete asymptotic lines); per face,
-the four edge lines span a rank-4 subspace of line space whose polar is
-a projective line of signature (1,1,0), and the two spatial diagonals of
-the face are exactly its isotropic points.
+the four edge lines span a rank-4 subspace of line space whose polar,
+the face's axis, is a projective line of signature (1,1,0).  The two
+spatial diagonals of the face are exactly the isotropic points of the
+axis, so they span it: a face frame stores the diagonals and no other
+basis of the axis.
 
 Validation enforces, per face, that the quad is non-planar and that
 opposite edge lines are skew; per vertex, that the incident edge lines
@@ -46,7 +48,6 @@ from .errors import (
 from .plucker import (
     METRIC,
     PLANAR_EPS,  # the default star-planarity gate, importable from here
-    Subspace,
     Tolerances,
     _basis_gram,
     _join,
@@ -56,8 +57,6 @@ from .plucker import (
     hom,
     line_from_points,
     plucker_product,
-    polar,
-    span,
 )
 from .quadgraph import QuadGraph
 
@@ -148,10 +147,11 @@ class FaceFrame:
     ``h_lines`` rows are the lines of (h1, h1_shift2, h2, h2_shift1),
     i.e. first family then second family, each as (line at x, shifted
     copy).  ``diagonals`` rows are g1 = line(x, x12), g2 = line(x1, x2),
-    oriented from the lower vertex id; both are isotropic points of the
-    polar line ``H_line`` of the face's span.  ``sig_eps`` is the
-    signature cutoff of the net the frame belongs to; every later
-    signature read on the face's quadrics uses it too.
+    oriented from the lower vertex id: the two isotropic points of the
+    face's axis (the polar of the span of ``h_lines``), which therefore
+    span it.  ``sig_eps`` is the signature cutoff of the net the frame
+    belongs to; every later signature read on the face's quadrics uses
+    it too.
     """
 
     face: int
@@ -161,13 +161,6 @@ class FaceFrame:
     h_edges: tuple[int, int, int, int]
     diagonals: np.ndarray
     sig_eps: float
-
-    @cached_property
-    def H_line(self) -> Subspace:
-        """The face's axis in global coordinates: the polar of the span
-        of its edge lines, computed on first use (propagation never
-        needs it)."""
-        return polar(span(self.h_lines, sig_eps=self.sig_eps), self.sig_eps)
 
     def family_of_edge(self, e: int) -> int:
         """1 or 2 according to which role pair edge ``e`` plays here."""

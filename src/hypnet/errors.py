@@ -32,10 +32,6 @@ class CoincidentLines(GeometryError):
     """Two lines expected to be distinct are projectively equal."""
 
 
-class NotSkew(GeometryError):
-    """Lines expected to be pairwise skew are not."""
-
-
 class ZeroSpan(GeometryError):
     """All generators passed to span() are numerically zero."""
 

@@ -181,27 +181,6 @@ def hyperboloid_from_parameter(frame: FaceFrame, t) -> FaceHyperboloid:
     return _pairs([frame], [float(t)])[0]
 
 
-def family_parameter_of(frame: FaceFrame, q) -> float:
-    """Coordinate ``lam`` with ``q`` proportional to ``g1 + lam * g2``.
-
-    Least-squares in the face's normalized diagonal basis; a point on
-    (or numerically at) the second diagonal has no finite coordinate.
-    """
-    basis = np.stack(
-        [canonical(frame.diagonals[0]), canonical(frame.diagonals[1])],
-        axis=1,
-    )
-    coef, *_ = np.linalg.lstsq(basis, normalized(q), rcond=None)
-    alpha, beta = float(coef[0]), float(coef[1])
-    if abs(alpha) < 1e-12 * float(np.linalg.norm(coef)):
-        raise DegenerateParameter(
-            "point lies on the second isotropic diagonal; its family "
-            "coordinate is infinite",
-            face=frame.face,
-        )
-    return beta / alpha
-
-
 def project_tau(q, center, target_polar) -> np.ndarray:
     """Central projection of ``q`` into the polar hyperplane of a line.
 

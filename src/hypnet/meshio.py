@@ -76,7 +76,7 @@ def read_mesh(path):
                     f"line {number}: face references vertex {index + 1} "
                     f"but only {len(positions)} are defined"
                 )
-    return np.asarray(positions, dtype=float), quads
+    return np.asarray(positions, dtype=float).reshape(-1, 3), quads
 
 
 def write_positions_mesh(path, positions, quads) -> None:

@@ -34,8 +34,8 @@ from .errors import (
     NumericallyInfinitePoint,
     PatchError,
 )
-from .plucker import W_TOL, canonical, hom, line_from_points, span
-from .hyperboloid import FaceHyperboloid, family_parameter_of, hyperboloid_from_parameter
+from .plucker import W_TOL, hom, line_from_points
+from .hyperboloid import FaceHyperboloid, _pairs, _scales
 
 #: Pairing threshold below which two arc endpoint lines intersect and the
 #: rational quadratic between them degenerates.
@@ -304,25 +304,32 @@ def sample(p: HyperboloidPatch, n: int, m: int) -> np.ndarray:
 # --- independent per-face interpolants ---------------------------------------------
 
 
+def _bilinear_parameters(frames, positions) -> np.ndarray:
+    """Family coordinates ``(F,)`` of the bilinear interpolants of the
+    faces of ``frames``, each equal bit for bit to its own call."""
+    corners = np.array([fr.corners for fr in frames], dtype=np.intp).reshape(-1, 4)
+    # sigma1 * sigma2 = +1 when both diagonals run alike from their lower ids
+    alike = (corners[:, 0] < corners[:, 3]) == (corners[:, 1] < corners[:, 2])
+    k = _scales(positions, frames)
+    return np.where(alike, -k, k)
+
+
 def bilinear_parameter(frame, positions) -> float:
     """Family coordinate of the bilinear interpolant of the quad corners.
 
     The doubly ruled surface traced bilinearly between the four corner
-    positions is a member of the face's hyperboloid family; its
-    first-family plane contains the line joining the midpoints of the
-    two second-family edges, which pins down the axis point and hence
-    the coordinate.
+    positions is a member of the face's hyperboloid family.  Its
+    first-family rulings join ``(1-t) x + t x2`` to ``(1-t) x1 + t x12``,
+    and the join ``J`` of that pair expands to ``(1-t)^2 J(x, x1) + t^2
+    J(x2, x12) + t(1-t) q1``: the family's plane point on the axis is
+    ``q1 ~ J(x, x12) - J(x1, x2)``.  With both diagonal joins run from
+    the lower vertex id, as ``hyperboloid._scales`` reads them, that is
+    ``J1 - sigma1 sigma2 J2``, where ``sigma_i`` is +1 when diagonal
+    ``i`` already runs from its lower id in the role order (x to x12,
+    x1 to x2); so the coordinate is ``-sigma1 sigma2 k`` for the factor
+    ``k`` of ``_scales``.
     """
-    pos = np.asarray(positions, dtype=float)
-    x, x1, x2, x12 = (pos[v] for v in frame.corners)
-    mids = hom([0.5 * (x + x2), 0.5 * (x1 + x12)])
-    mid = canonical(line_from_points(mids[0], mids[1]))
-    plane = span(np.vstack([frame.h_lines[0], frame.h_lines[1], mid]))
-    b = frame.H_line.basis.T
-    residue = b - plane.basis.T @ (plane.basis @ b)
-    _, _, vt = np.linalg.svd(residue, full_matrices=False)
-    q = canonical(frame.H_line.basis.T @ vt[-1])
-    return float(family_parameter_of(frame, q))
+    return float(_bilinear_parameters([frame], positions)[0])
 
 
 def bilinear_patches(a) -> dict:
@@ -331,14 +338,17 @@ def bilinear_patches(a) -> dict:
     The patches share boundary curves (the straight edges) but their
     quadrics are chosen face by face, so across a generic net they meet
     only with position continuity.  Useful as a contrast to a
-    propagated family, which meets tangent-plane continuously.
+    propagated family, which meets tangent-plane continuously.  Every
+    face is entered by its lowest-indexed half-edge, as
+    :meth:`~hypnet.anet.ANet.face_frame` does; the frames, members and
+    patches are each formed in one stacked pass.
     """
-    hbs = []
-    for f in range(a.graph.face_count):
-        frame = a.face_frame(f)
-        lam = bilinear_parameter(frame, a.positions)
-        hbs.append(hyperboloid_from_parameter(frame, lam))
-    stack = restrict_all(hbs, a.positions)
+    faces = list(range(a.graph.face_count))
+    if not faces:
+        return {}
+    frames = a.frames(faces, [4 * f for f in faces])
+    members = _pairs(frames, _bilinear_parameters(frames, a.positions))
+    stack = restrict_all(members, a.positions)
     return {int(f): stack[k] for k, f in enumerate(stack.faces)}
 
 

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoincidentLines,
-    CoincidentPoints,
-    GeometryError,
-    NotSkew,
-    SkewLines,
-    ZeroSpan,
-)
+from .errors import CoincidentLines, CoincidentPoints, SkewLines, ZeroSpan
 
 #: default relative eigenvalue cutoff when reading signatures off a Gram matrix
 SIG_EPS = 1e-9
@@ -75,9 +68,6 @@ PROJ_EQ_TOL = 1e-10
 #: incidence threshold of intersect_lines (on unit 6-vectors)
 MEET_TOL = 1e-8
 
-#: minimum |<a,b>| for lines that are required to be skew
-SKEW_TOL = 1e-10
-
 #: minimum |w| (on a unit 4-vector) for dehomogenization
 W_TOL = 1e-9
 
@@ -105,9 +95,6 @@ _INCIDENCE_SIGN = np.array(
     ]
 )
 
-# faults of a line meet, in checking order (0: the lines meet)
-_COINCIDENT, _SKEW, _INCONSISTENT = 1, 2, 3
-
 
 def _rowdot(a, b):
     """Dot products of the rows of arrays ``(..., n)`` broadcast
@@ -128,11 +115,6 @@ def plucker_product(a, b):
     b = np.asarray(b, dtype=float)
     prod = _rowdot(a[..., :3], b[..., 3:]) + _rowdot(a[..., 3:], b[..., :3])
     return float(prod) if np.ndim(prod) == 0 else prod
-
-
-def self_product(h) -> float:
-    """Value of the quadric form ``<h, h>``; zero for actual lines."""
-    return plucker_product(h, h)
 
 
 def normalized(v) -> np.ndarray:
@@ -171,15 +153,6 @@ def hom(points) -> np.ndarray:
     if p.ndim == 1:
         return np.concatenate([p, [1.0]])
     return np.concatenate([p, np.ones((*p.shape[:-1], 1))], axis=-1)
-
-
-def proj_distance(a, b) -> float:
-    """Distance between projective points: min over signs of |ua -+ ub|."""
-    ua = normalized(a)
-    ub = normalized(b)
-    return min(
-        float(np.linalg.norm(ua - ub)), float(np.linalg.norm(ua + ub))
-    )
 
 
 def _minors(x, y):
@@ -246,51 +219,23 @@ def incidence_matrix(h) -> np.ndarray:
     return padded[..., _INCIDENCE_INDEX] * _INCIDENCE_SIGN
 
 
-@dataclass(frozen=True, eq=False)
-class _Meets:
-    """A stack of line meets whose faults are recorded, not raised.
+def intersect_lines(a, b, tol: float = MEET_TOL) -> np.ndarray:
+    """Common points of intersecting lines as canonical unit 4-vectors.
 
-    ``points`` holds canonical unit 4-vectors ``(..., 4)``.  ``fault``
-    is 0 where the pair has a unique common point and otherwise names
-    the first check the pair failed; ``measure`` is the value that
-    failed it.  Points of faulty pairs are meaningless.
-    """
+    ``a`` and ``b`` are 6-vectors or stacks ``(..., 6)`` that broadcast
+    against each other; the result has shape ``(..., 4)``, so a single
+    pair gives one ``(4,)`` point.  Each point is the common null
+    direction of the pair's two incidence systems, found by one stacked
+    singular value decomposition of the 8x4 systems.
 
-    points: np.ndarray
-    fault: np.ndarray
-    measure: np.ndarray
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.fault == 0
-
-    def error(self, index: tuple = (), where: str | None = None) -> GeometryError:
-        """The exception of the faulty pair at ``index`` into the stack.
-
-        Its message starts with ``where`` when given, else, for a stack,
-        with ``pair <index>``.
-        """
-        fault = int(self.fault[index])
-        value = float(self.measure[index])
-        if fault == _COINCIDENT:
-            kind, message = CoincidentLines, "lines coincide; no unique common point"
-        elif fault == _SKEW:
-            kind, message = SkewLines, f"lines are skew: <a,b> = {value:.3e}"
-        else:
-            kind = SkewLines
-            message = f"no consistent common point (residual {value:.3e})"
-        if where is None and self.fault.ndim:
-            label = index[0] if len(index) == 1 else tuple(int(i) for i in index)
-            where = f"pair {label}"
-        return kind(message if where is None else f"{where}: {message}")
-
-
-def _meet(a, b, tol: float = MEET_TOL) -> _Meets:
-    """Stacked meet of line stacks ``a`` and ``b`` (broadcast together).
-
-    Runs every check of :func:`intersect_lines` on every pair but
-    records the faults instead of raising them.  Raises ``ValueError``
-    when any 6-vector is zero.
+    Each pair is checked in turn: :class:`CoincidentLines` when the
+    lines are projectively equal, then :class:`SkewLines` when the
+    Pluecker product of the unit representatives exceeds ``tol``, or
+    when the best common point leaves a residual above ``1e-6``.  The
+    error of the first faulty pair in row-major order is raised; for a
+    stack its message starts with ``pair <index>``, the integer row of
+    a 1-D stack or the index tuple of a deeper one.  ``ValueError`` when
+    any 6-vector is zero.
     """
     pairs = np.stack(
         np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)),
@@ -312,44 +257,22 @@ def _meet(a, b, tol: float = MEET_TOL) -> _Meets:
     residual = np.sqrt(np.sum(np.square(system @ p[..., None])[..., 0], axis=-1))
     coincident = np.abs(1.0 - cosine) < PROJ_EQ_TOL
     skew = np.abs(prod) > tol
-    fault = np.where(
-        coincident,
-        _COINCIDENT,
-        np.where(skew, _SKEW, np.where(residual > 1e-6, _INCONSISTENT, 0)),
-    )
-    p = p / np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
-    flat = p.reshape(-1, 4)
-    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
-    return _Meets(
-        points=np.where(lead.reshape(p.shape[:-1])[..., None] < 0, -p, p),
-        fault=fault,
-        measure=np.where(coincident, cosine, np.where(skew, prod, residual)),
-    )
-
-
-def intersect_lines(a, b, tol: float = MEET_TOL) -> np.ndarray:
-    """Common points of intersecting lines as canonical unit 4-vectors.
-
-    ``a`` and ``b`` are 6-vectors or stacks ``(..., 6)`` that broadcast
-    against each other; the result has shape ``(..., 4)``, so a single
-    pair gives one ``(4,)`` point.  Each point is the common null
-    direction of the pair's two incidence systems, found by one stacked
-    singular value decomposition of the 8x4 systems.
-
-    Each pair is checked in turn: :class:`CoincidentLines` when the
-    lines are projectively equal, then :class:`SkewLines` when the
-    Pluecker product of the unit representatives exceeds ``tol``, or
-    when the best common point leaves a residual above ``1e-6``.  The
-    error of the first faulty pair in row-major order is raised; for a
-    stack its message starts with ``pair <index>``, the integer row of
-    a 1-D stack or the index tuple of a deeper one.  ``ValueError`` when
-    any 6-vector is zero.
-    """
-    meets = _meet(a, b, tol)
-    bad = np.flatnonzero(meets.fault)
+    bad = np.flatnonzero(coincident | skew | (residual > 1e-6))
     if bad.size:
-        raise meets.error(np.unravel_index(bad[0], meets.fault.shape))
-    return meets.points
+        index = np.unravel_index(bad[0], cosine.shape)
+        if coincident[index]:
+            kind, message = CoincidentLines, "lines coincide; no unique common point"
+        elif skew[index]:
+            kind = SkewLines
+            message = f"lines are skew: <a,b> = {float(prod[index]):.3e}"
+        else:
+            kind, value = SkewLines, float(residual[index])
+            message = f"no consistent common point (residual {value:.3e})"
+        if cosine.ndim:
+            label = index[0] if len(index) == 1 else tuple(int(i) for i in index)
+            message = f"pair {label}: {message}"
+        raise kind(message)
+    return canonical(p)
 
 
 def signature_of_gram(gram, sig_eps: float = SIG_EPS, scale: float | None = None):
@@ -411,10 +334,6 @@ def _basis_gram(basis: np.ndarray, sig_eps: float):
     return basis, gram, signature_of_gram(gram, sig_eps, scale=1.0)
 
 
-def _subspace_from_basis(basis: np.ndarray, sig_eps: float) -> Subspace:
-    return Subspace(*_basis_gram(basis, sig_eps))
-
-
 def _span_signatures(generators, rank_tol: float, sig_eps: float):
     """Ranks ``(B,)`` and signatures ``(B, 3)`` of the spans of a stack
     of generator sets ``(B, k, 6)``, each read as :func:`span` reads
@@ -444,39 +363,4 @@ def span(generators, rank_tol: float = 1e-10, sig_eps: float = SIG_EPS) -> Subsp
     rank = int(_span_rank(s, rank_tol))
     if rank == 0:
         raise ZeroSpan("all generators are numerically zero")
-    return _subspace_from_basis(vt[:rank], sig_eps)
-
-
-def polar(s: Subspace, sig_eps: float = SIG_EPS) -> Subspace:
-    """Polar (Pluecker-orthogonal) complement of a subspace.
-
-    A projective ``d``-dimensional subspace maps to one of dimension
-    ``4 - d``; polarity is an involution on non-degenerate subspaces.
-    The signature is read with cutoff ``sig_eps``.
-    """
-    conditions = s.basis @ METRIC
-    _, sv, vt = np.linalg.svd(conditions, full_matrices=True)
-    k = conditions.shape[0]
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else k
-    return _subspace_from_basis(vt[rank:], sig_eps)
-
-
-def regulus_orientation(h0, h1, h2, tol: float = SKEW_TOL) -> int:
-    """Orientation (+1 or -1) of the regulus through three skew lines.
-
-    The three lines span a projective plane whose Pluecker form has
-    signature ``(1, 2)`` or ``(2, 1)``; the determinant of the Gram
-    matrix ``2 <h0,h1> <h0,h2> <h1,h2>`` is positive in the first case
-    (orientation +1) and negative in the second (orientation -1).  The
-    value does not depend on the order or the sign of the inputs.
-    Raises :class:`NotSkew` when some pair fails to be skew.
-    """
-    u = [normalized(h) for h in (h0, h1, h2)]
-    p01 = plucker_product(u[0], u[1])
-    p02 = plucker_product(u[0], u[2])
-    p12 = plucker_product(u[1], u[2])
-    for name, value in (("h0,h1", p01), ("h0,h2", p02), ("h1,h2", p12)):
-        if abs(value) < tol:
-            raise NotSkew(f"lines {name} intersect: <a,b> = {value:.3e}")
-    return 1 if 2.0 * p01 * p02 * p12 > 0 else -1
-
+    return Subspace(*_basis_gram(vt[:rank], sig_eps))

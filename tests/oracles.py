@@ -169,6 +169,70 @@ def in_span(basis, v, tol=1e-9):
     return float(np.linalg.norm(u - basis.T @ (basis @ u))) < tol
 
 
+def proj_distance(a, b):
+    """Distance of projective points: min over signs of |ua -+ ub|."""
+    ua, ub = (np.asarray(v, dtype=float) / np.linalg.norm(v) for v in (a, b))
+    return min(float(np.linalg.norm(ua - ub)), float(np.linalg.norm(ua + ub)))
+
+
+def regulus_orientation(h0, h1, h2):
+    """Orientation (+1 or -1) of the regulus through three skew lines.
+
+    The sign of the Gram determinant ``2 <h0,h1> <h0,h2> <h1,h2>`` of
+    their unit vectors: positive when the three lines span a plane of
+    signature (1, 2), negative for (2, 1).  It does not depend on the
+    order or the signs of the inputs.  ``ValueError`` when some pair is
+    not skew (normalized product below 1e-10).
+    """
+    u = [np.asarray(h, dtype=float) / np.linalg.norm(h) for h in (h0, h1, h2)]
+    products = [_pairing(u[i], u[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    if min(abs(p) for p in products) < 1e-10:
+        raise ValueError(f"lines are not pairwise skew: products {products}")
+    return 1 if math.prod(products) > 0 else -1
+
+
+def reference_axis(frame):
+    """``(basis, signature)`` of a face's axis, the polar of the span of
+    its edge lines: the null space of that span's rows mapped through
+    the Pluecker form, read like :func:`reference_span` with the
+    frame's signature cutoff."""
+    span_basis, _ = reference_span(frame.h_lines, 1e-10, frame.sig_eps)
+    _, _, vt = np.linalg.svd(span_basis @ _METRIC)
+    return reference_span(vt[len(span_basis):], 1e-10, frame.sig_eps)
+
+
+def family_parameter_of(frame, q):
+    """Coordinate ``lam`` with ``q`` proportional to ``g1 + lam g2`` on
+    the face's sign-fixed unit diagonals, by least squares;
+    ``DegenerateParameter`` for a point (numerically) on the second
+    diagonal, whose coordinate is infinite."""
+    from hypnet.errors import DegenerateParameter
+
+    basis = np.stack([_sign_fixed(d) for d in frame.diagonals], axis=1)
+    u = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    (alpha, beta), *_ = np.linalg.lstsq(basis, u, rcond=None)
+    if abs(alpha) < 1e-12 * math.hypot(alpha, beta):
+        raise DegenerateParameter("point on the second diagonal", face=frame.face)
+    return float(beta / alpha)
+
+
+def reference_bilinear_parameter(frame, positions):
+    """Family coordinate of the bilinear interpolant of a face's corners
+    by the span route: the first-family edge lines and the line joining
+    the midpoints of the two second-family edges span the first-family
+    ruling plane, which meets the face's axis in the family's plane
+    point, the axis direction whose residue after projection onto the
+    plane is smallest."""
+    x, x1, x2, x12 = (np.append(positions[v], 1.0) for v in frame.corners)
+    mid = _reference_join(0.5 * (x + x2), 0.5 * (x1 + x12))
+    lines = np.vstack([frame.h_lines[:2], mid])
+    plane, _ = reference_span(lines, 1e-10, frame.sig_eps)
+    axis, _ = reference_axis(frame)
+    residue = axis.T - plane.T @ (plane @ axis.T)
+    _, _, vt = np.linalg.svd(residue, full_matrices=False)
+    return family_parameter_of(frame, axis.T @ vt[-1])
+
+
 def ruling_planes(hb):
     """``((basis, signature), (basis, signature))`` of the ruling planes
     ``span(first family, q1)`` and ``span(second family, q2)`` of a
@@ -707,7 +771,8 @@ def reference_propagate(a, seed, lam):
             continue
         image = propagate_face(pairs[min(f, h)], e, frames[max(f, h)])
         held = pairs[max(f, h)]
-        residuals[e] = max(_distance(image.q1, held.q1), _distance(image.q2, held.q2))
+        residuals[e] = max(proj_distance(image.q1, held.q1),
+                           proj_distance(image.q2, held.q2))
     worst, worst_edge = 0.0, None
     for e, residual in residuals.items():
         if residual > worst:
@@ -723,12 +788,6 @@ def reference_propagate(a, seed, lam):
     if worst > a.tol.closure:
         raise ClosureViolation("routes disagree", edge=worst_edge, residual=worst)
     return pairs, report
-
-
-def _distance(a, b):
-    """Distance of projective points: min over signs of |ua -+ ub|."""
-    ua, ub = (np.asarray(v, dtype=float) / np.linalg.norm(v) for v in (a, b))
-    return min(float(np.linalg.norm(ua - ub)), float(np.linalg.norm(ua + ub)))
 
 
 # --- the quad graph as half-edge objects, one element at a time ---------------------

@@ -36,8 +36,6 @@ from hypnet.plucker import (
     line_from_points,
     normalized,
     plucker_product,
-    proj_distance,
-    regulus_orientation,
 )
 from hypnet.quadgraph import build
 from hypnet.synthetic import (
@@ -47,7 +45,13 @@ from hypnet.synthetic import (
     random_umbrella_net,
 )
 
-from oracles import float_line, line_pair, random_projection_setup
+from oracles import (
+    float_line,
+    line_pair,
+    proj_distance,
+    random_projection_setup,
+    regulus_orientation,
+)
 
 
 def quiet_main(argv):

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line front end."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -451,6 +453,64 @@ def test_importing_the_cli_loads_no_scipy():
         text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# --- names read by the benchmark and the scripts ----------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def hypnet_reads(path):
+    """Dotted names a source file reads from ``hypnet``: every name it
+    imports from a hypnet module, and every attribute it reads off a
+    name such an import binds (``cli.SCHEMA_VERSION`` after
+    ``import hypnet.cli as cli``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}  # local name -> dotted name in hypnet
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] != "hypnet":
+                continue
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = name
+                reads.add(name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hypnet":
+                    local = alias.asname or "hypnet"
+                    bound[local] = alias.name if alias.asname else "hypnet"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bound:
+                reads.add(f"{bound[node.value.id]}.{node.attr}")
+    return reads
+
+
+def resolves(dotted) -> bool:
+    """Whether a dotted name is a module or an attribute path off one."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_every_name_the_bench_and_the_scripts_read_from_hypnet_resolves():
+    files = sorted([*REPO.glob("bench/*.py"), *REPO.glob("scripts/*.py")])
+    reads = {(path.name, name) for path in files for name in hypnet_reads(path)}
+    assert ("micro.py", "hypnet.plucker.intersect_lines") in reads
+    assert ("replay.py", "hypnet.anet.PLANAR_EPS") in reads
+    assert sorted(read for read in reads if not resolves(read[1])) == []
+    assert [name for name in hypnet.__all__ if not hasattr(hypnet, name)] == []
 
 
 # --- extend -----------------------------------------------------------------------

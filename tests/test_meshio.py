@@ -62,6 +62,10 @@ def test_reads_vertices_and_quads(tmp_path):
     positions, quads = read_mesh(path)
     assert positions.shape == (4, 3)
     assert quads == [(0, 1, 2, 3)]
+    # a file without vertices still gives positions of shape (0, 3)
+    positions, quads = read_mesh(write(tmp_path / "empty.obj", ""))
+    assert positions.shape == (0, 3)
+    assert quads == []
 
 
 def test_skips_comments_blanks_and_other_records(tmp_path):
