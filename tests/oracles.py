@@ -1131,3 +1131,57 @@ def reference_render(report) -> str:
     return json.dumps(
         reference_plain(report), indent=2, sort_keys=True, allow_nan=False
     )
+
+
+def reference_tetrahedra(graph, vertex_count):
+    """Every 4-subset of every vertex star, one vertex at a time."""
+    from itertools import combinations
+
+    tets = []
+    for v in range(vertex_count):
+        if not graph.is_referenced(v):
+            continue
+        neighbors, _ = graph.vertex_star(v)
+        star = sorted([v] + neighbors)
+        tets.extend(combinations(star, 4))
+    return np.array(tets, dtype=int) if tets else np.zeros((0, 4), dtype=int)
+
+
+def free_jacobian(problem, free, blocks):
+    """Sparse Jacobian of the fit residuals over the free coordinates.
+
+    Row ``t`` is tetrahedron ``t``; column ``3 * i + k`` is axis ``k`` of
+    vertex ``free[i]``; ``blocks`` are the per-corner derivatives that
+    ``hypnet.fit._residuals`` returns.
+    """
+    from scipy.sparse import csr_matrix
+
+    column_of = np.full(len(problem.initial_positions), -1)
+    column_of[free] = np.arange(len(free))
+    corner_columns = column_of[problem.tetrahedra]
+    keep = np.repeat(corner_columns[:, :, None] >= 0, 3, axis=2)
+    rows = np.broadcast_to(
+        np.arange(len(problem.tetrahedra))[:, None, None], keep.shape
+    )[keep]
+    columns = (3 * corner_columns[:, :, None] + np.arange(3))[keep]
+    shape = (len(problem.tetrahedra), 3 * len(free))
+    return csr_matrix((blocks[keep], (rows, columns)), shape=shape)
+
+
+def reference_lm_step(problem, positions, mu):
+    """Damped Gauss-Newton step ``(m, 3)`` over the free vertices
+    (ascending) by SuperLU: ``(J^T J + mu * scale * I) delta = -J^T r``
+    with ``scale`` the largest diagonal entry of ``J^T J``."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
+    from hypnet.fit import _gradient, _residuals
+
+    free = np.array(problem.free_vertices, dtype=int)
+    r, blocks = _residuals(problem, positions)
+    jac = free_jacobian(problem, free, blocks)
+    normal = (jac.T @ jac).tocsc()
+    scale = float(normal.diagonal().max())
+    rhs = -0.5 * _gradient(problem, r, blocks)[free].ravel()
+    eye = identity(3 * len(free), format="csr")
+    return spsolve(normal + (mu * scale) * eye, rhs).reshape(-1, 3)

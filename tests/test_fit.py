@@ -6,15 +6,26 @@ import pytest
 from hypnet.anet import validate_anet
 from hypnet.errors import DidNotConverge
 from hypnet.fit import (
+    DAMPING_START,
     FitProblem,
-    _free_jacobian,
+    _band_layout,
+    _damped_step,
+    _gradient,
     _residuals,
     energy,
     fit,
     gradient,
 )
 from hypnet.quadgraph import build
-from hypnet.synthetic import grid_graph, perturbed, quadric_grid, umbrella_graph
+from hypnet.synthetic import (
+    grid_graph,
+    perturbed,
+    quadric_grid,
+    random_grid3x3_net,
+    umbrella_graph,
+)
+
+from oracles import free_jacobian, reference_lm_step, reference_tetrahedra
 
 
 def flat_grid(n=3):
@@ -169,7 +180,7 @@ def test_sparse_jacobian_matches_finite_differences(mesh):
     pos = problem.initial_positions
     free = np.array(problem.free_vertices)
     r, blocks = _residuals(problem, pos)
-    jac = _free_jacobian(problem, free)(blocks)
+    jac = free_jacobian(problem, free, blocks)
     assert jac.shape == (len(problem.tetrahedra), 3 * len(free))
     # each residual is affine in any single coordinate, so central
     # differences are exact up to rounding
@@ -284,7 +295,7 @@ def test_fit_budget_exhaustion_raises_with_state():
     assert report["energy"] < report["energy_history"][0]
 
 
-@pytest.mark.parametrize("n_faces", [20, 30])
+@pytest.mark.parametrize("n_faces", [20, 30, 40])
 def test_fit_reaches_the_validator_tolerance_on_large_grids(n_faces):
     problem = noisy_quadric_problem(seed=0, n_faces=n_faces, noise=5e-5)
     out, report = fit(problem)
@@ -350,14 +361,7 @@ def test_fit_with_zero_gradient_tolerance_stops_at_the_rounding_floor():
     assert np.nanmax(net.planarity_residuals) < 1e-12
 
 
-def test_fit_without_progress_raises_with_state(monkeypatch):
-    # no input found reaches this branch; a solver whose steps are all
-    # zero leaves every damped trial at the current energy
-    import scipy.sparse.linalg
-
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
-                        lambda matrix, rhs: np.zeros_like(rhs))
-    problem = noisy_quadric_problem(seed=0)
+def assert_no_progress(problem):
     with pytest.raises(DidNotConverge) as exc:
         fit(problem)
     positions, report = exc.value.result
@@ -366,3 +370,177 @@ def test_fit_without_progress_raises_with_state(monkeypatch):
     assert report["iterations"] == 0
     assert report["energy_history"] == [report["energy"]]
     assert np.array_equal(positions, problem.initial_positions)
+
+
+def test_fit_without_progress_raises_with_state(monkeypatch):
+    # no input found reaches this branch; a solver whose steps are all
+    # zero leaves every damped trial at the current energy
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded",
+                        lambda band, rhs, **options: np.zeros_like(rhs))
+    assert_no_progress(noisy_quadric_problem(seed=0))
+
+
+def test_fit_counts_a_band_that_is_not_positive_definite_as_a_rejected_trial(
+    monkeypatch,
+):
+    # every damped band failing its Cholesky factorization is a run of
+    # rejected trials: the fit ends without progress and moves nothing
+    import scipy.linalg
+
+    def not_positive_definite(band, rhs, **options):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", not_positive_definite)
+    assert_no_progress(noisy_quadric_problem(seed=0))
+
+
+# --- star tetrahedra -------------------------------------------------------------
+
+
+def tetrahedra_graphs():
+    rng = np.random.default_rng(5)
+    count, quads, _ = quadric_grid(4, 3)
+    three, three_quads, _ = random_grid3x3_net(rng)
+    spokes, umbrella_quads = umbrella_graph(5)
+    return {
+        "grid": (count, quads),
+        "grid_with_an_unreferenced_vertex": (count + 1, quads),
+        "random_3x3_net": (three, three_quads),
+        "umbrella": (spokes, umbrella_quads),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tetrahedra_graphs()))
+def test_star_tetrahedra_equal_the_per_vertex_enumeration(name):
+    count, quads = tetrahedra_graphs()[name]
+    graph = build(count, quads)
+    problem = FitProblem(graph=graph, initial_positions=np.zeros((count, 3)))
+    expected = reference_tetrahedra(graph, count)
+    assert problem.tetrahedra.dtype == expected.dtype
+    assert np.array_equal(problem.tetrahedra, expected)
+
+
+# --- banded normal equations -----------------------------------------------------
+
+
+def band_problems():
+    rng = np.random.default_rng(21)
+    base = random_problem(rng)
+    return {
+        "weighted_grid": FitProblem(
+            graph=base.graph,
+            initial_positions=base.initial_positions,
+            pinned=frozenset({0, 2}),
+            weights=rng.uniform(0.5, 2.0, size=len(base.tetrahedra)),
+        ),
+        "umbrella": random_problem(rng, "umbrella"),
+        "noisy_quadric": noisy_quadric_problem(seed=3),
+    }
+
+
+def banded_system(problem):
+    """The fit's band, band order, and the dense ``J^T J`` and ``-J^T r``
+    of the oracle Jacobian in that order."""
+    positions = problem.initial_positions
+    free = np.array(problem.free_vertices)
+    r, blocks = _residuals(problem, positions)
+    moved, normal_band = _band_layout(problem, free)
+    coordinates = (3 * np.searchsorted(free, moved)[:, None]
+                   + np.arange(3)).ravel()
+    jac = free_jacobian(problem, free, blocks)
+    normal = (jac.T @ jac).toarray()[np.ix_(coordinates, coordinates)]
+    rhs = -0.5 * _gradient(problem, r, blocks)[moved].ravel()
+    return normal_band(blocks), moved, normal, rhs
+
+
+def band_width(problem):
+    _, normal_band = _band_layout(problem, np.array(problem.free_vertices))
+    _, blocks = _residuals(problem, problem.initial_positions)
+    return len(normal_band(blocks)) - 1
+
+
+def pinned_net(count, quads):
+    """A problem on ``quads`` pinned where the CLI pins by default: the
+    boundary and the vertices no face uses."""
+    graph = build(count, quads)
+    pinned = np.flatnonzero(graph.boundary | (graph.degrees == 0))
+    return FitProblem(graph=graph, initial_positions=np.zeros((count, 3)),
+                      pinned=frozenset(pinned.tolist()))
+
+
+@pytest.mark.parametrize("name", sorted(band_problems()))
+def test_normal_band_is_the_permuted_lower_triangle_of_the_normal_matrix(name):
+    problem = band_problems()[name]
+    band, moved, normal, _ = banded_system(problem)
+    assert sorted(moved.tolist()) == problem.free_vertices
+    rows, cols = np.tril_indices(len(normal))
+    inside = rows - cols < len(band)
+    unpacked = np.zeros_like(normal)
+    unpacked[rows[inside], cols[inside]] = band[(rows - cols)[inside],
+                                                cols[inside]]
+    assert np.array_equal(unpacked, np.tril(normal))
+
+
+@pytest.mark.parametrize("mu", [DAMPING_START, 1e-6, 1.0])
+@pytest.mark.parametrize("name", sorted(band_problems()))
+def test_banded_step_solves_its_damped_system(name, mu):
+    band, _, normal, rhs = banded_system(band_problems()[name])
+    damping = mu * np.max(np.diag(normal))
+    step = _damped_step(band, damping, rhs, np.empty_like(band))
+    residual = normal @ step + damping * step - rhs
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("name", sorted(band_problems()))
+def test_banded_step_matches_the_superlu_step(name):
+    # at this damping both solves are accurate far beyond the tolerance;
+    # at DAMPING_START two backward-stable solves may differ in ~1e-5
+    mu = 1e-3
+    problem = band_problems()[name]
+    band, moved, normal, rhs = banded_system(problem)
+    step = _damped_step(band, mu * np.max(np.diag(normal)), rhs,
+                        np.empty_like(band))
+    banded = np.zeros((len(problem.initial_positions), 3))
+    banded[moved] = step.reshape(-1, 3)
+    expected = reference_lm_step(problem, problem.initial_positions, mu)
+    free = problem.free_vertices
+    assert np.linalg.norm(banded[free] - expected) <= (
+        1e-10 * np.linalg.norm(expected)
+    )
+
+
+def renumbered(problem, rng):
+    """``problem`` with its vertex ids permuted at random."""
+    count = len(problem.initial_positions)
+    new_id = rng.permutation(count)
+    positions = np.empty_like(problem.initial_positions)
+    positions[new_id] = problem.initial_positions
+    return FitProblem(
+        graph=build(count, new_id[problem.graph.face_vertices]),
+        initial_positions=positions,
+        pinned=frozenset(new_id[sorted(problem.pinned)].tolist()),
+    )
+
+
+def test_band_order_does_not_depend_on_the_vertex_numbering():
+    problem = noisy_quadric_problem(seed=0, n_faces=12)
+    natural = band_width(problem)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        shuffled = renumbered(problem, rng)
+        assert band_width(shuffled) <= natural
+        _, report = fit(shuffled)
+        assert report["stopping"] == "gradient"
+
+
+def test_band_order_starts_an_l_shaped_net_at_the_end_of_an_arm():
+    # its lowest-degree free vertex is the corner where the two arms
+    # meet; a search started there runs down both arms at once and
+    # nearly doubles the band of a straight strip as wide as one arm
+    count, quads = grid_graph(20, 20)
+    l_shaped = [quad for face, quad in enumerate(quads)
+                if face % 20 < 10 or face // 20 < 10]
+    strip = band_width(pinned_net(*grid_graph(10, 20)))
+    assert band_width(pinned_net(count, l_shaped)) <= strip + 3
