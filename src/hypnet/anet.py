@@ -7,7 +7,9 @@ the four edge lines span a rank-4 subspace of line space whose polar,
 the face's axis, is a projective line of signature (1,1,0).  The two
 spatial diagonals of the face are exactly the isotropic points of the
 axis, so they span it: a face frame stores the diagonals and no other
-basis of the axis.
+basis of the axis.  The frames of many faces are read in one stacked
+pass into a :class:`FrameStack`, whose arrays propagation, carving and
+the C1 report index directly; :class:`FaceFrame` is its one-row view.
 
 Validation enforces, per face, that the quad is non-planar and that
 opposite edge lines are skew; per vertex, that the incident edge lines
@@ -48,6 +50,7 @@ from .errors import (
 from .plucker import (
     METRIC,
     PLANAR_EPS,  # the default star-planarity gate, importable from here
+    SIG_EPS,
     Tolerances,
     _basis_gram,
     _join,
@@ -62,10 +65,9 @@ from .quadgraph import QuadGraph
 
 FACE_VOLUME_EPS = 1e-10
 SKEW_PAIR_EPS = 1e-10
-# Rows (stars, edges, faces or pencils) per batch of the validation walk
-# and of ANet.face_twists: small batches keep each temporary array under
-# about 100 kB, so checking a large net adds next to nothing to its peak
-# memory.
+# Rows (stars, edges, faces or pencils) per batch of the validation walk:
+# small batches keep each temporary array under about 100 kB, so checking
+# a large net adds next to nothing to its peak memory.
 CHUNK = 256
 # Cycle positions, from the entry half-edge's origin, of the corner roles
 # (x, x1, x2, x12).
@@ -139,7 +141,8 @@ def _face_volumes(positions, quads):
 
 @dataclass(frozen=True)
 class FaceFrame:
-    """Edge lines of one face in role order, with diagonals and axis.
+    """Edge lines of one face in role order, with diagonals and axis: row
+    ``k`` of a :class:`FrameStack`, read as ``stack[k]``.
 
     ``corners`` lists the vertex ids in the role order (x, x1, x2, x12),
     derived from the entry half-edge x → x2: the entry edge and its
@@ -162,14 +165,6 @@ class FaceFrame:
     diagonals: np.ndarray
     sig_eps: float
 
-    def family_of_edge(self, e: int) -> int:
-        """1 or 2 according to which role pair edge ``e`` plays here."""
-        if e in (self.h_edges[0], self.h_edges[1]):
-            return 1
-        if e in (self.h_edges[2], self.h_edges[3]):
-            return 2
-        raise KeyError(f"edge {e} does not bound face {self.face}")
-
     def line_of_edge(self, e: int):
         for k in range(4):
             if self.h_edges[k] == e:
@@ -185,6 +180,59 @@ class FaceFrame:
             self.h_edges[3]: self.h_edges[2],
         }
         return pairs[e]
+
+
+@dataclass(frozen=True, eq=False)
+class FrameStack:
+    """The role frames of several faces of one net, one row per face:
+    ``faces`` and ``entries`` (the entry half-edges) ``(F,)``,
+    ``corners`` and ``h_edges`` ``(F, 4)``, ``h_lines`` ``(F, 4, 6)``,
+    ``diagonals`` ``(F, 2, 6)``, and the net's ``sig_eps``.  Row ``k``
+    is the :class:`FaceFrame` ``stack[k]``; an edge plays the first
+    family in the row whose ``h_edges`` hold it in column 0 or 1."""
+
+    faces: np.ndarray
+    entries: np.ndarray
+    corners: np.ndarray
+    h_edges: np.ndarray
+    h_lines: np.ndarray
+    diagonals: np.ndarray
+    sig_eps: float
+
+    @classmethod
+    def of(cls, frames) -> "FrameStack":
+        frames = list(frames)
+        return cls(
+            np.array([fr.face for fr in frames], dtype=np.intp),
+            np.array([fr.entry_half_edge for fr in frames], dtype=np.intp),
+            np.array([fr.corners for fr in frames], dtype=np.intp).reshape(-1, 4),
+            np.array([fr.h_edges for fr in frames], dtype=np.intp).reshape(-1, 4),
+            np.array([fr.h_lines for fr in frames], dtype=float).reshape(-1, 4, 6),
+            np.array([fr.diagonals for fr in frames], dtype=float).reshape(-1, 2, 6),
+            frames[0].sig_eps if frames else SIG_EPS,
+        )
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+    def __getitem__(self, k: int) -> FaceFrame:
+        return FaceFrame(
+            face=int(self.faces[k]),
+            entry_half_edge=int(self.entries[k]),
+            corners=tuple(self.corners[k].tolist()),
+            h_lines=self.h_lines[k],
+            h_edges=tuple(self.h_edges[k].tolist()),
+            diagonals=self.diagonals[k],
+            sig_eps=self.sig_eps,
+        )
+
+    def take(self, rows) -> "FrameStack":
+        """The stack of the rows ``rows``, in that order."""
+        return FrameStack(
+            self.faces[rows], self.entries[rows], self.corners[rows],
+            self.h_edges[rows], self.h_lines[rows], self.diagonals[rows],
+            self.sig_eps,
+        )
 
 
 class ANet:
@@ -212,6 +260,8 @@ class ANet:
         self.planarity_residuals = planarity_residuals
         self.star_diameters = star_diameters
         self.tol = tol
+        # which face volumes are positive, once read (see face_twists)
+        self._positive_volumes = None
 
     # --- frames ---------------------------------------------------------------
 
@@ -227,15 +277,18 @@ class ANet:
             entry_half_edge = 4 * f
         return self.frames([f], [entry_half_edge])[0]
 
-    def frames(self, faces, entries) -> list[FaceFrame]:
-        """Role frames of ``faces`` entered by the half-edges ``entries``.
+    def frames(self, faces, entries) -> FrameStack:
+        """Role frames of ``faces`` entered by the half-edges ``entries``,
+        as one :class:`FrameStack` in the given order.
 
-        The genericity of each face is read in one stacked pass, on its
-        edge lines in face-local coordinates: origin at the centroid of
-        the corners, unit their largest distance from it.  The
-        construction is affine-invariant, while global Pluecker
-        coordinates of a face that is small against its distance from
-        the origin are badly conditioned.  Raises
+        Raises :class:`ValueError` for the first face id out of range,
+        then for the first entry off its face.  The genericity of each
+        face is read in one stacked pass, on its edge lines in
+        face-local coordinates: origin at the centroid of the corners,
+        unit their largest distance from it.  The construction is
+        affine-invariant, while global Pluecker coordinates of a face
+        that is small against its distance from the origin are badly
+        conditioned.  Raises
         :class:`NonGenericPair` for the first face, in the given order,
         whose edge lines do not span a subspace of signature (2, 2, 0)
         or, failing that, whose axis (the polar of that span) is not of
@@ -243,6 +296,11 @@ class ANet:
         """
         f_ids = np.asarray(faces, dtype=np.intp).reshape(-1)
         h_ids = np.asarray(entries, dtype=np.intp).reshape(-1)
+        count = self.graph.face_count
+        outside = np.flatnonzero((f_ids < 0) | (f_ids >= count))
+        if outside.size:
+            f = int(f_ids[outside[0]])
+            raise ValueError(f"face {f} is not a face id (net has {count} faces)")
         stray = np.flatnonzero(h_ids // 4 != f_ids)
         if stray.size:
             k = int(stray[0])
@@ -266,7 +324,7 @@ class ANet:
         bad = np.any(spans != (2, 2, 0), axis=1) | np.any(axes != (1, 1, 0), axis=1)
         if bad.any():
             k = int(np.argmax(bad))
-            f = faces[k]
+            f = int(f_ids[k])
             span_sig, axis_sig = tuple(spans[k].tolist()), tuple(axes[k].tolist())
             if span_sig != (2, 2, 0):
                 raise NonGenericPair(
@@ -281,19 +339,15 @@ class ANet:
                 signature=axis_sig,
             )
         ends = hom(pos[diagonal_ends(corners)])
-        diagonals = line_from_points(ends[..., 0, :], ends[..., 1, :])
-        return [
-            FaceFrame(
-                face=f,
-                entry_half_edge=h,
-                corners=tuple(corners[k].tolist()),
-                h_lines=self.edge_lines[h_edges[k]],
-                h_edges=tuple(h_edges[k].tolist()),
-                diagonals=diagonals[k],
-                sig_eps=self.tol.sig,
-            )
-            for k, (f, h) in enumerate(zip(faces, entries))
-        ]
+        return FrameStack(
+            faces=f_ids,
+            entries=h_ids,
+            corners=corners,
+            h_edges=h_edges,
+            h_lines=self.edge_lines[h_edges],
+            diagonals=line_from_points(ends[..., 0, :], ends[..., 1, :]),
+            sig_eps=self.tol.sig,
+        )
 
     def face_corners(self, f: int) -> tuple[int, int, int, int]:
         """Vertex ids ``(x, x1, x2, x12)`` of face ``f`` in role order.
@@ -306,25 +360,20 @@ class ANet:
     def frames_from(self, seed: int):
         """Frames for every face, entries assigned by dual BFS from seed.
 
-        Returns ``(frames, tree)`` where ``tree`` is the spanning tree
-        of ``dual_spanning_tree(seed)``; the frames are read in one
-        :meth:`frames` pass in BFS order, the seed entered by its
-        lowest-indexed half-edge.
+        Returns ``(frames, tree)``: ``tree`` is ``dual_spanning_tree(seed)``
+        as an ``(F - 1, 3)`` array of ``(face, parent, shared_edge)``
+        rows, and ``frames`` the :class:`FrameStack` of the seed, entered
+        by its lowest-indexed half-edge, then of those faces in that BFS
+        order, read in one :meth:`frames` pass.
         """
-        tree = self.graph.dual_spanning_tree(seed)
-        faces = np.array([seed] + [face for face, _parent, _shared in tree])
+        tree = np.reshape(self.graph.dual_spanning_tree(seed), (-1, 3)).astype(np.intp)
+        faces = np.concatenate([[seed], tree[:, 0]])
         # the seed, sharing no edge, is entered by its side 0
-        shared = np.array([-1] + [e for _face, _parent, e in tree])
+        shared = np.concatenate([[-1], tree[:, 2]])
         sides = np.argmax(self.graph.face_edges[faces] == shared[:, None], axis=1)
-        frames = self.frames(faces.tolist(), (4 * faces + sides).tolist())
-        return dict(zip(faces.tolist(), frames)), tree
+        return self.frames(faces, 4 * faces + sides), tree
 
     # --- twist -------------------------------------------------------------------
-
-    def twist_for_edge(self, f: int, e: int) -> int:
-        """Twist sign of the opposite-edge pair of face ``f`` through ``e``,
-        read from :attr:`face_twists`."""
-        return int(self.face_twists[f, self.graph.face_edges[f].tolist().index(e) % 2])
 
     @cached_property
     def face_twists(self) -> np.ndarray:
@@ -338,20 +387,20 @@ class ANet:
         negative for the second.  That determinant also feeds the
         ``FACE_VOLUME_EPS`` guard of the validation walk
         (:class:`DegenerateFace` for the lowest face that fails it).
-        Computed once per net.
+        A net the walk returns reads the signs its face stage kept;
+        another computes them here, in one pass.
         """
-        pos = np.asarray(self.positions, dtype=float)
-        first = np.empty(self.graph.face_count, dtype=int)
-        for lo in range(0, self.graph.face_count, CHUNK):
-            det, ratio = _face_volumes(pos, self.graph.face_vertices[lo:lo + CHUNK])
+        positive = self._positive_volumes
+        if positive is None:
+            pos = np.asarray(self.positions, dtype=float)
+            det, ratio = _face_volumes(pos, self.graph.face_vertices)
             flat = np.flatnonzero(ratio < FACE_VOLUME_EPS)
             if flat.size:
-                f = lo + int(flat[0])
-                raise DegenerateFace(
-                    f"face {f} is planar within tolerance", face=f,
-                    ratio=float(ratio[flat[0]]),
-                )
-            first[lo:lo + CHUNK] = np.where(det > 0, 1, -1)
+                f = int(flat[0])
+                message = f"face {f} is planar within tolerance"
+                raise DegenerateFace(message, face=f, ratio=float(ratio[f]))
+            positive = det > 0
+        first = np.where(positive, 1, -1)
         return np.stack([first, -first], axis=1)
 
     # --- strips ----------------------------------------------------------------------
@@ -394,9 +443,10 @@ class _Walk(NamedTuple):
     residuals: np.ndarray
     diameters: np.ndarray
     edge_lines: np.ndarray
+    positive_volumes: np.ndarray
 
     def net(self, graph: QuadGraph, positions, tol: Tolerances) -> ANet:
-        return ANet(
+        net = ANet(
             graph=graph,
             positions=positions,
             contact_planes=self.planes,
@@ -405,6 +455,9 @@ class _Walk(NamedTuple):
             star_diameters=self.diameters,
             tol=tol,
         )
+        # the walk found no violation, so its face stage read every sign
+        net._positive_volumes = self.positive_volumes
+        return net
 
 
 def _collect_violations(
@@ -422,6 +475,7 @@ def _collect_violations(
         residuals=np.full(n, np.nan),
         diameters=np.full(n, np.nan),
         edge_lines=np.zeros((graph.edge_count, 6)),
+        positive_volumes=np.zeros(graph.face_count, dtype=bool),
     )
     degree = graph.degrees
     stages = (
@@ -487,10 +541,12 @@ def _edge_stage(graph, positions, walk):
 def _face_stage(graph, positions, walk):
     """Volume ratio and opposite-pair products of every face; per
     ascending face a ``degenerate_face``, or else each of the pairs
-    (0, 2) and (1, 3) whose lines meet."""
+    (0, 2) and (1, 3) whose lines meet.  Keeps which volumes are
+    positive, the signs :attr:`ANet.face_twists` reads."""
     found = []
     for lo in range(0, graph.face_count, CHUNK):
-        _, ratio = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
+        det, ratio = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
+        walk.positive_volumes[lo:lo + CHUNK] = det > 0
         edges = graph.face_edges[lo:lo + CHUNK]
         lines = walk.edge_lines[edges]
         prods = plucker_product(lines[:, :2], lines[:, 2:])

@@ -64,7 +64,13 @@ from .errors import (
 )
 from .fit import DEFAULT_MAX_ITER, FitProblem, fit
 from .hyperboloid import propagate_all
-from .meshio import oriented_grid, read_mesh, write_mesh, write_positions_mesh
+from .meshio import (
+    CORNER_KEYS,
+    oriented_grid,
+    read_mesh,
+    write_mesh,
+    write_positions_mesh,
+)
 from .patch import check_c1, restrict_all, sample_all
 from .plucker import Tolerances
 from .quadgraph import build
@@ -340,8 +346,8 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     hyperboloids, propagation = propagate_all(a, config.seed_face, config.lam)
     report["propagation"] = propagation
     n, m = config.samples
-    faces = sorted(hyperboloids)
-    patches = restrict_all([hyperboloids[f] for f in faces], a.positions)
+    patches = restrict_all(hyperboloids, a.positions)
+    faces = patches.faces.tolist()
     points = sample_all(patches, n, m)
     report["samples"] = [n, m]
     report["boundary_residuals"] = dict(
@@ -349,9 +355,11 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     )
     report["c1"] = check_c1(patches, a, samples_per_edge=9)
     grids = {}
+    roles = patches.frames.corners.tolist()
     for k, f in enumerate(faces):
         corners = a.face_corners(f)
-        grids[f] = (oriented_grid(points[k], patches[k].corner_map, corners), corners)
+        corner_map = dict(zip(CORNER_KEYS, roles[k]))
+        grids[f] = (oriented_grid(points[k], corner_map, corners), corners)
     write_mesh(config.output_path, grids, weld=config.weld)
     report["weld"] = config.weld
     report["output"] = str(config.output_path)

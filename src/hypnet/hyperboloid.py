@@ -44,12 +44,13 @@ consistently labeled extension exists.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .anet import ANet, FaceFrame, diagonal_ends
+from .anet import ANet, FaceFrame, FrameStack, diagonal_ends
 from .errors import (
     ClosureViolation,
     DegenerateParameter,
@@ -73,12 +74,14 @@ from .plucker import (
 # a transport ratio.  Generic nets stay far away from this.
 PROJECTION_EPS = 1e-10
 
-_RULING_PLANES = {((2, 1, 0), (1, 2, 0)), ((1, 2, 0), (2, 1, 0))}
+# the signatures of a ruling plane pair, in this order or reversed
+_RULING_PLANES = np.array([[2, 1, 0], [1, 2, 0]])
 
 
 @dataclass(frozen=True, eq=False)
 class FaceHyperboloid:
-    """Labeled polar pair on a face's axis.
+    """Labeled polar pair on a face's axis: one row of a
+    :class:`HyperboloidStack`, read as ``stack[face]``.
 
     ``lam`` is the family coordinate of the member.  ``q1`` and ``q2``
     are canonical 6-vectors with ``<q1, q2> = 0`` and self-products of
@@ -96,18 +99,61 @@ class FaceHyperboloid:
     signatures: tuple
 
 
-def _pairs(frames, lams) -> list:
-    """The members ``lams`` of the faces of ``frames`` (one net), formed
-    and checked in stacked passes.
+@dataclass(frozen=True, eq=False)
+class HyperboloidStack(Mapping):
+    """The members of several faces of one net, one row per face in
+    ascending face order: their ``frames`` (a :class:`FrameStack`),
+    coordinates ``lams`` ``(F,)``, pairs ``q1`` and ``q2`` ``(F, 6)``
+    and ruling-plane ``signatures`` ``(F, 2, 3)``.  Read as a mapping it
+    sends every face id, ascending, to its :class:`FaceHyperboloid`."""
 
-    Raises :class:`DegenerateParameter` for the first face in order
-    whose coordinate is 0 or not finite, whose polar partner is
-    indeterminate, whose pair fails to split into self-products of
-    opposite sign, or whose ruling planes are not a (2,1,0)/(1,2,0)
-    pair, each read with the frame's ``sig_eps``.
+    frames: FrameStack
+    lams: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    signatures: np.ndarray
+
+    @classmethod
+    def of(cls, members) -> "HyperboloidStack":
+        members = sorted(members, key=lambda hb: hb.face)
+        return cls(
+            FrameStack.of(hb.frame for hb in members),
+            np.array([hb.lam for hb in members], dtype=float),
+            np.array([hb.q1 for hb in members], dtype=float).reshape(-1, 6),
+            np.array([hb.q2 for hb in members], dtype=float).reshape(-1, 6),
+            np.array([hb.signatures for hb in members], dtype=int).reshape(-1, 2, 3),
+        )
+
+    def __len__(self) -> int:
+        return len(self.lams)
+
+    def __iter__(self):
+        return iter(self.frames.faces.tolist())
+
+    def __getitem__(self, face) -> FaceHyperboloid:
+        faces = self.frames.faces
+        k = int(np.searchsorted(faces, face))
+        if k == len(faces) or faces[k] != face:
+            raise KeyError(face)
+        first, second = self.signatures[k].tolist()
+        return FaceHyperboloid(
+            face=int(faces[k]), frame=self.frames[k], lam=float(self.lams[k]),
+            q1=self.q1[k], q2=self.q2[k], signatures=(tuple(first), tuple(second)),
+        )
+
+
+def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
+    """The members ``lams`` of the faces of ``frames``, formed and
+    checked in stacked passes, as a stack in ascending face order.
+
+    Raises :class:`DegenerateParameter` for the first face in the order
+    of ``frames`` whose coordinate is 0 or not finite, whose polar
+    partner is indeterminate, whose pair fails to split into
+    self-products of opposite sign, or whose ruling planes are not a
+    (2,1,0)/(1,2,0) pair, each read with the frames' ``sig_eps``.
     """
     lam = np.asarray(lams, dtype=float)
-    diagonals = canonical(np.array([fr.diagonals for fr in frames]).reshape(-1, 2, 6))
+    diagonals = canonical(frames.diagonals)
     g1, g2 = diagonals[:, 0], diagonals[:, 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q1 = canonical(g1 + lam[:, None] * g2)
@@ -116,21 +162,21 @@ def _pairs(frames, lams) -> list:
         s1, s2 = plucker_product(q1, q1), plucker_product(q2, q2)
         early = (lam == 0.0) | ~np.isfinite(lam) | ~(np.abs(den) >= 1e-12)
         early |= ~(s1 * s2 < 0.0)
-    n = int(np.argmax(early)) if early.any() else len(frames)
-    lines = np.array([fr.h_lines for fr in frames[:n]]).reshape(n, 4, 6)
+    n = int(np.argmax(early)) if early.any() else len(lam)
+    lines = frames.h_lines[:n]
     planes = np.concatenate(
         [np.concatenate([lines[:, :2], q1[:n, None]], axis=1),
          np.concatenate([lines[:, 2:], q2[:n, None]], axis=1)]
     )
-    sig_eps = frames[0].sig_eps
-    _, signatures, _ = _span_signatures(planes, 1e-10, sig_eps)
-    signatures = [tuple(s) for s in signatures.tolist()]
-    pairs = list(zip(signatures[:n], signatures[n:]))
-    failing = [k for k, p in enumerate(pairs) if p not in _RULING_PLANES]
-    if failing:
-        n = failing[0]
-    if n < len(frames):
-        face, value = frames[n].face, float(lam[n])
+    _, signatures, _ = _span_signatures(planes, 1e-10, frames.sig_eps)
+    signatures = np.stack([signatures[:n], signatures[n:]], axis=1)
+    ruling = np.all(signatures == _RULING_PLANES, axis=(1, 2))
+    ruling |= np.all(signatures == _RULING_PLANES[::-1], axis=(1, 2))
+    failing = np.flatnonzero(~ruling)
+    if failing.size:
+        n = int(failing[0])
+    if n < len(lam):
+        face, value = int(frames.faces[n]), float(lam[n])
         if value == 0.0 or math.isinf(value) or math.isnan(value):
             raise DegenerateParameter(
                 f"family parameter {value!r} selects an isotropic diagonal, "
@@ -153,20 +199,17 @@ def _pairs(frames, lams) -> list:
                 face=face,
                 products=(float(s1[n]), float(s2[n])),
             )
+        first, second = map(tuple, signatures[n].tolist())
         raise DegenerateParameter(
-            "ruling planes have signatures "
-            f"{pairs[n][0]} and {pairs[n][1]}, expected a (2,1,0)/(1,2,0) "
-            "pair",
+            f"ruling planes have signatures {first} and {second}, expected a "
+            "(2,1,0)/(1,2,0) pair",
             face=face,
-            signatures=pairs[n],
+            signatures=(first, second),
         )
-    return [
-        FaceHyperboloid(
-            face=fr.face, frame=fr, lam=float(lam[k]), q1=q1[k], q2=q2[k],
-            signatures=pairs[k],
-        )
-        for k, fr in enumerate(frames)
-    ]
+    order = np.argsort(frames.faces, kind="stable")
+    return HyperboloidStack(
+        frames.take(order), lam[order], q1[order], q2[order], signatures[order]
+    )
 
 
 def hyperboloid_from_parameter(frame: FaceFrame, t) -> FaceHyperboloid:
@@ -178,7 +221,7 @@ def hyperboloid_from_parameter(frame: FaceFrame, t) -> FaceHyperboloid:
     are signature-checked with the frame's ``sig_eps``.  The one-face
     call of the stacked formation :func:`propagate_all` uses.
     """
-    return _pairs([frame], [float(t)])[0]
+    return _pairs(FrameStack.of([frame]), [float(t)])[frame.face]
 
 
 def project_tau(q, center, target_polar) -> np.ndarray:
@@ -210,14 +253,12 @@ def project_tau(q, center, target_polar) -> np.ndarray:
     return canonical(image)
 
 
-def _scales(positions, frames) -> np.ndarray:
+def _scales(positions, frames: FrameStack) -> np.ndarray:
     """Per frame the factor ``k`` with ``lam = k * mu``: ``q1 ~ g1 + lam
     g2 ~ J1 + mu J2`` for the unnormalised diagonal joins ``J`` and
     their canonical units ``g = sign * J / |J|``."""
-    diagonals = np.array([fr.diagonals for fr in frames]).reshape(-1, 2, 6)
-    sign = np.sign(_rowdot(canonical(diagonals), diagonals))
-    corners = np.array([fr.corners for fr in frames], dtype=np.intp).reshape(-1, 4)
-    ends = hom(np.asarray(positions, dtype=float)[diagonal_ends(corners)])
+    sign = np.sign(_rowdot(canonical(frames.diagonals), frames.diagonals))
+    ends = hom(np.asarray(positions, dtype=float)[diagonal_ends(frames.corners)])
     joins = _minors(ends[..., 0, :], ends[..., 1, :])
     signed = sign * np.sqrt(_rowdot(joins, joins))
     return signed[:, 1] / signed[:, 0]
@@ -242,14 +283,14 @@ def _volumes(points, a, b, c, d):
 
 
 class _Crossings(NamedTuple):
-    """Vertex ids of crossings ``(frame_f, edge, frame_g)`` from face f
-    into its neighbor g across their shared edge, as ``(S,)`` arrays:
-    ``u1`` the end of the edge on f's first diagonal, ``u2`` the other;
-    ``f1``, ``f2`` and ``g1``, ``g2`` the corners of f and of g across
-    their diagonals from ``u1`` and ``u2`` (``g1``, ``g2`` span g's far
-    edge); ``cf``, ``cg`` the role corners ``(S, 4)``.  ``inverse``
-    marks ``u1`` off g's first diagonal and ``swap`` an edge of
-    different family roles in the two frames."""
+    """Vertex ids of crossings from face f into its neighbor g across
+    their shared edge, as ``(S,)`` arrays: ``u1`` the end of the edge on
+    f's first diagonal, ``u2`` the other; ``f1``, ``f2`` and ``g1``,
+    ``g2`` the corners of f and of g across their diagonals from ``u1``
+    and ``u2`` (``g1``, ``g2`` span g's far edge); ``cf``, ``cg`` the
+    role corners ``(S, 4)``.  ``inverse`` marks ``u1`` off g's first
+    diagonal and ``swap`` an edge of different family roles in the two
+    frames."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -266,11 +307,12 @@ class _Crossings(NamedTuple):
         return _Crossings(*(field[lo:hi] for field in self))
 
 
-def _crossings(graph, steps) -> _Crossings:
-    cf = np.array([s[0].corners for s in steps], dtype=np.intp).reshape(-1, 4)
-    cg = np.array([s[2].corners for s in steps], dtype=np.intp).reshape(-1, 4)
-    ends = graph.edges[np.array([s[1] for s in steps], dtype=np.intp)]
-    rows = np.arange(len(steps))
+def _crossings(graph, frames: FrameStack, f, edges, g) -> _Crossings:
+    """The crossings from the rows ``f`` of ``frames`` into the rows
+    ``g`` across the shared ``edges``, all ``(S,)`` arrays."""
+    cf, cg = frames.corners[f], frames.corners[g]
+    ends = graph.edges[edges]
+    rows = np.arange(len(ends))
 
     def on_first(corners, v):
         return (corners[:, 0] == v) | (corners[:, 3] == v)
@@ -278,13 +320,15 @@ def _crossings(graph, steps) -> _Crossings:
     def across(corners, v):
         return corners[rows, 3 - np.argmax(corners == v[:, None], axis=1)]
 
+    def first_family(row):
+        return np.argmax(frames.h_edges[row] == edges[:, None], axis=1) < 2
+
     first = on_first(cf, ends[:, 0])
     u1 = np.where(first, ends[:, 0], ends[:, 1])
     u2 = np.where(first, ends[:, 1], ends[:, 0])
-    swap = [f.family_of_edge(e) != g.family_of_edge(e) for f, e, g in steps]
     return _Crossings(
         u1, u2, across(cf, u1), across(cf, u2), across(cg, u1), across(cg, u2),
-        cf, cg, ~on_first(cg, u1), np.array(swap, dtype=bool).reshape(-1),
+        cf, cg, ~on_first(cg, u1), first_family(f) != first_family(g),
     )
 
 
@@ -306,13 +350,13 @@ def _transports(positions, x: _Crossings):
     return coef, np.where(np.isfinite(coef), measure, np.nan)
 
 
-def _check_transports(steps, measure, lo: int, hi: int) -> None:
+def _check_transports(edges, measure, lo: int, hi: int) -> None:
     """Raise :class:`ProjectionDegenerate` for the first of the crossings
-    ``steps[lo:hi]`` whose map degenerates."""
+    ``lo`` to ``hi`` (across ``edges[lo:hi]``) whose map degenerates."""
     bad = np.flatnonzero(~(measure[lo:hi] >= PROJECTION_EPS))
     if bad.size:
         k = lo + int(bad[0])
-        e = steps[k][1]
+        e = int(edges[k])
         raise ProjectionDegenerate(
             f"transport across edge {e} degenerates (normalized volume "
             f"{measure[k]:.3e})",
@@ -380,11 +424,14 @@ def transport_parameter(a: ANet, frame: FaceFrame, across: int,
     roles in the two frames.  Raises :class:`ProjectionDegenerate` when
     the transport ratio vanishes or is not finite.
     """
-    steps = [(frame, across, neighbor_frame)]
-    crossing = _crossings(a.graph, steps)
+    frames = FrameStack.of([frame, neighbor_frame])
+    if not (frames.h_edges == across).any(axis=1).all():
+        raise KeyError(f"edge {across} does not bound both faces")
+    edges = np.array([across])
+    crossing = _crossings(a.graph, frames, [0], edges, [1])
     coef, measure = _transports(a.positions, crossing)
-    _check_transports(steps, measure, 0, 1)
-    k_f, k_g = _scales(a.positions, [frame, neighbor_frame])
+    _check_transports(edges, measure, 0, 1)
+    k_f, k_g = _scales(a.positions, frames)
     return k_g * _apply(float(coef[0]), bool(crossing.inverse[0]), float(lam) / k_f)
 
 
@@ -396,12 +443,15 @@ def propagate_all(a: ANet, seed_face: int, t):
     checks every remaining interior edge for agreement of the two
     routes: the pair predicted across the edge against the pair the
     face holds, in the distance of projective points.  Returns
-    ``(hyperboloids, report)`` with one :class:`FaceHyperboloid` per
-    face; the report records the seed, the parameter, all closure
+    ``(hyperboloids, report)``: the members as one
+    :class:`HyperboloidStack`, a read-only mapping from every face id,
+    ascending, to its :class:`FaceHyperboloid` (the walk itself runs in
+    BFS order); the report records the seed, the parameter, all closure
     residuals, and the per-face ruling-plane signatures.
 
     Raises, in this order: :class:`OddVertexDegree` if any interior
     vertex has odd degree (no consistent propagation exists);
+    ``ValueError`` for a seed that is not a face id and
     ``DisconnectedMesh`` from the dual tree; ``NonGenericPair`` from the
     frames; :class:`ProjectionDegenerate` for a tree edge whose
     transport degenerates; :class:`DegenerateParameter` for the first
@@ -420,59 +470,52 @@ def propagate_all(a: ANet, seed_face: int, t):
         )
     lam = float(t)
     frames, tree = a.frames_from(seed_face)
-    order = list(frames)  # BFS order, the seed first
-    row = {f: k for k, f in enumerate(order)}
+    # rows of the frames: the seed, then every tree face in BFS order
+    row = np.empty(len(frames), dtype=np.intp)
+    row[frames.faces] = np.arange(len(frames))
     edge_faces = a.graph.edge_faces
     interior = np.all(edge_faces >= 0, axis=1)
-    interior[[shared for _, _, shared in tree]] = False
-    ends = np.sort(edge_faces[interior], axis=1).tolist()
-    closing = [
-        (e, src, dst)
-        for e, (src, dst) in zip(np.flatnonzero(interior).tolist(), ends)
-    ]
-    steps = [(frames[parent], shared, frames[face]) for face, parent, shared in tree]
-    steps += [(frames[src], e, frames[dst]) for e, src, dst in closing]
-    crossings = _crossings(a.graph, steps)
+    interior[tree[:, 2]] = False
+    closing = np.flatnonzero(interior)
+    src, dst = np.sort(edge_faces[closing], axis=1).T
+    # the tree crossings, then the closing ones
+    f_rows = np.concatenate([row[tree[:, 1]], row[src]])
+    g_rows = np.concatenate([np.arange(1, len(frames)), row[dst]])
+    edges = np.concatenate([tree[:, 2], closing])
+    crossings = _crossings(a.graph, frames, f_rows, edges, g_rows)
     coef, measure = _transports(a.positions, crossings)
-    _check_transports(steps, measure, 0, len(tree))
+    steps = len(tree)
+    _check_transports(edges, measure, 0, steps)
 
-    scale = _scales(a.positions, [frames[f] for f in order])
+    scale = _scales(a.positions, frames)
     mu = [lam / float(scale[0])]
-    maps = zip(coef.tolist(), crossings.inverse.tolist(), tree)
-    for c, inverse, (_, parent, _) in maps:
-        mu.append(_apply(c, inverse, mu[row[parent]]))
-    lams = np.array(mu) * scale
+    maps = zip(coef.tolist(), crossings.inverse.tolist(), f_rows[:steps].tolist())
+    for c, inverse, parent in maps:
+        mu.append(_apply(c, inverse, mu[parent]))
+    mu = np.array(mu)
+    lams = mu * scale
     lams[0] = lam
-    members = _pairs([frames[f] for f in order], lams)
-    _check_transports(steps, measure, len(tree), len(steps))
+    members = _pairs(frames, lams)
+    _check_transports(edges, measure, steps, len(edges))
 
-    closure_residuals = {}
-    worst = 0.0
-    worst_edge = None
-    if closing:
-        closure = crossings.rows(len(tree), len(steps))
-        residuals = _closure_residuals(
-            a.positions,
-            closure,
-            [mu[row[src]] for _, src, _ in closing],
-            [mu[row[dst]] for _, _, dst in closing],
-        )
-        for (e, _, _), residual in zip(closing, residuals.tolist()):
-            closure_residuals[e] = residual
-            if residual > worst:
-                worst = residual
-                worst_edge = e
-
-    hyperboloids = {hb.face: hb for hb in members}
+    residuals = _closure_residuals(
+        a.positions, crossings.rows(steps, len(edges)),
+        mu[f_rows[steps:]], mu[g_rows[steps:]],
+    )
+    # the first largest residual, where one is positive (NaN never is)
+    positive = np.append(np.where(residuals > 0.0, residuals, 0.0), 0.0)
+    k = int(np.argmax(positive))
+    worst = float(positive[k])
+    worst_edge = int(closing[k]) if worst > 0.0 else None
     report = {
         "seed_face": seed_face,
         "lambda": lam,
-        "closure_residuals": closure_residuals,
+        "closure_residuals": dict(zip(closing.tolist(), residuals.tolist())),
         "worst_closure_residual": worst,
         "worst_closure_edge": worst_edge,
-        "face_signatures": {
-            f: hb.signatures for f, hb in sorted(hyperboloids.items())
-        },
+        "face_signatures": dict(
+            zip(members.frames.faces.tolist(), members.signatures.tolist())
+        ),
     }
     if worst > a.tol.closure:
         raise ClosureViolation(
@@ -482,4 +525,4 @@ def propagate_all(a: ANet, seed_face: int, t):
             residual=worst,
             report=report,
         )
-    return hyperboloids, report
+    return members, report

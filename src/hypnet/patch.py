@@ -34,8 +34,9 @@ from .errors import (
     NumericallyInfinitePoint,
     PatchError,
 )
+from .anet import FrameStack
 from .plucker import W_TOL, hom, line_from_points
-from .hyperboloid import FaceHyperboloid, _pairs, _scales
+from .hyperboloid import FaceHyperboloid, HyperboloidStack, _pairs, _scales
 
 #: Pairing threshold below which two arc endpoint lines intersect and the
 #: rational quadratic between them degenerates.
@@ -147,13 +148,12 @@ class HyperboloidPatch:
 
 @dataclass(frozen=True, eq=False)
 class PatchStack:
-    """The patches of several faces, with a leading face axis: ``faces``
-    ``(F,)``, ``frames`` (``F`` frames), ``points`` ``(F, 4, 3)`` and
-    ``weights`` ``(F, 4)``.  Row ``k`` is the :class:`HyperboloidPatch`
-    ``stack[k]``."""
+    """The patches of several faces, with a leading face axis: their
+    ``frames`` (a :class:`~hypnet.anet.FrameStack`, whose ``faces`` are
+    the stack's), ``points`` ``(F, 4, 3)`` and ``weights`` ``(F, 4)``.
+    Row ``k`` is the :class:`HyperboloidPatch` ``stack[k]``."""
 
-    faces: np.ndarray
-    frames: tuple
+    frames: FrameStack
     points: np.ndarray
     weights: np.ndarray
 
@@ -161,14 +161,17 @@ class PatchStack:
     def of(cls, patches) -> "PatchStack":
         patches = list(patches)
         return cls(
-            np.array([p.face for p in patches], dtype=int),
-            tuple(p.frame for p in patches),
+            FrameStack.of(p.frame for p in patches),
             np.array([p.points for p in patches], dtype=float).reshape(-1, 4, 3),
             np.array([p.weights for p in patches], dtype=float).reshape(-1, 4),
         )
 
+    @property
+    def faces(self) -> np.ndarray:
+        return self.frames.faces
+
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.weights)
 
     def __getitem__(self, k: int) -> HyperboloidPatch:
         row = (int(self.faces[k]), self.frames[k], self.points[k], self.weights[k])
@@ -178,8 +181,9 @@ class PatchStack:
 # --- carving -------------------------------------------------------------------------
 
 
-def restrict_all(hyperboloids, positions) -> PatchStack:
-    """Bounded patches of a sequence of :class:`FaceHyperboloid`, stacked.
+def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
+    """Bounded patches of the rows of a :class:`HyperboloidStack`, stacked
+    in its ascending face order.
 
     Per face and ruling family, the arc ``(1-t)^2 h0 + c t^2 h1 +
     branch t(1-t) q`` between the family's edge lines (``c`` makes every
@@ -196,13 +200,10 @@ def restrict_all(hyperboloids, positions) -> PatchStack:
     :class:`NoAdaptedPatch` naming the first family without exactly one
     qualifying branch.
     """
-    hbs = list(hyperboloids)
-    frames = tuple(hb.frame for hb in hbs)
-    lines = np.array([fr.h_lines for fr in frames], dtype=float).reshape(-1, 4, 6)
-    q = np.array([(hb.q1, hb.q2) for hb in hbs], dtype=float).reshape(-1, 2, 6)
-    points = np.asarray(positions, dtype=float)[
-        np.array([fr.corners for fr in frames], dtype=int).reshape(-1, 4)
-    ]
+    frames = members.frames
+    lines = frames.h_lines
+    q = np.stack([members.q1, members.q2], axis=1)
+    points = np.asarray(positions, dtype=float)[frames.corners]
     # axes: face, family, branch, crossed segment
     h0, h1 = lines[:, [0, 2]], lines[:, [1, 3]]
     pairing, s_q = _pairing(h0, h1), _pairing(q, q)
@@ -234,7 +235,7 @@ def restrict_all(hyperboloids, positions) -> PatchStack:
     failing = np.flatnonzero((degenerate | (wins != 1)).any(axis=1))
     if failing.size:
         k = int(failing[0])
-        face = frames[k].face
+        face = int(frames.faces[k])
         for pair, s_qq in zip(pairing[k], s_q[k]):
             if abs(pair) < DEGENERATE_CONIC_EPS:
                 message = f"endpoint lines intersect: <h, h'> = {pair:.3e}"
@@ -256,8 +257,7 @@ def restrict_all(hyperboloids, positions) -> PatchStack:
     ratio = a / b  # (face, family, segment)
     w10, w01 = ratio[:, 0, 0], ratio[:, 1, 0]
     weights = np.stack([np.ones_like(w10), w01, w10, w10 * ratio[:, 1, 1]], axis=-1)
-    faces = np.array([fr.face for fr in frames], dtype=int)
-    return PatchStack(faces=faces, frames=frames, points=points, weights=weights)
+    return PatchStack(frames=frames, points=points, weights=weights)
 
 
 def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch:
@@ -267,7 +267,7 @@ def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch
         frame.h_lines, hb.frame.h_lines
     ):
         raise ValueError("frame does not match the hyperboloid's role frame")
-    return restrict_all([hb], positions)[0]
+    return restrict_all(HyperboloidStack.of([hb]), positions)[0]
 
 
 # --- sampling ------------------------------------------------------------------------
@@ -304,10 +304,10 @@ def sample(p: HyperboloidPatch, n: int, m: int) -> np.ndarray:
 # --- independent per-face interpolants ---------------------------------------------
 
 
-def _bilinear_parameters(frames, positions) -> np.ndarray:
+def _bilinear_parameters(frames: FrameStack, positions) -> np.ndarray:
     """Family coordinates ``(F,)`` of the bilinear interpolants of the
     faces of ``frames``, each equal bit for bit to its own call."""
-    corners = np.array([fr.corners for fr in frames], dtype=np.intp).reshape(-1, 4)
+    corners = frames.corners
     # sigma1 * sigma2 = +1 when both diagonals run alike from their lower ids
     alike = (corners[:, 0] < corners[:, 3]) == (corners[:, 1] < corners[:, 2])
     k = _scales(positions, frames)
@@ -329,7 +329,7 @@ def bilinear_parameter(frame, positions) -> float:
     x1 to x2); so the coordinate is ``-sigma1 sigma2 k`` for the factor
     ``k`` of ``_scales``.
     """
-    return float(_bilinear_parameters([frame], positions)[0])
+    return float(_bilinear_parameters(FrameStack.of([frame]), positions)[0])
 
 
 def bilinear_patches(a) -> dict:
@@ -343,13 +343,13 @@ def bilinear_patches(a) -> dict:
     :meth:`~hypnet.anet.ANet.face_frame` does; the frames, members and
     patches are each formed in one stacked pass.
     """
-    faces = list(range(a.graph.face_count))
-    if not faces:
+    faces = np.arange(a.graph.face_count)
+    if not faces.size:
         return {}
-    frames = a.frames(faces, [4 * f for f in faces])
+    frames = a.frames(faces, 4 * faces)
     members = _pairs(frames, _bilinear_parameters(frames, a.positions))
     stack = restrict_all(members, a.positions)
-    return {int(f): stack[k] for k, f in enumerate(stack.faces)}
+    return {f: stack[f] for f in faces.tolist()}
 
 
 # --- tangent-plane continuity report -----------------------------------------------
@@ -378,28 +378,25 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
     over that edge (both schedules, then per sample the two normals and
     the two probes) meets first.
     """
-    if isinstance(patches, PatchStack):
-        stack, faces = patches, patches.faces
-    else:
-        stack, faces = PatchStack.of(patches.values()), list(patches)
+    stack = patches if isinstance(patches, PatchStack) else PatchStack.of(
+        patches.values()
+    )
     g = a.graph
     pos = np.asarray(a.positions, dtype=float)
     rows = np.full(g.face_count + 1, -1)  # the last entry stands for "no face"
-    rows[faces] = np.arange(len(faces))
+    rows[stack.faces] = np.arange(len(stack))
     side_rows = rows[g.edge_faces]
     shared = np.flatnonzero(np.all(side_rows >= 0, axis=1))
     row = side_rows[shared].ravel()
     edge = np.repeat(shared, 2)
-    h_edges = np.array([fr.h_edges for fr in stack.frames], dtype=int).reshape(-1, 4)
-    role = np.argmax(h_edges[row] == edge[:, None], axis=1)
+    role = np.argmax(stack.frames.h_edges[row] == edge[:, None], axis=1)
     shared = shared.tolist()
     E, S = len(shared), samples_per_edge
     ends = g.edges[edge]
     A, d = pos[ends[:, 0]], pos[ends[:, 1]] - pos[ends[:, 0]]
     every = np.arange(2 * E)
     corners = EDGE_CORNERS[role]
-    vertices = np.array([stack.frames[k].corners for k in row], dtype=int)
-    forward = vertices.reshape(-1, 4)[every, corners[:, 0]] == ends[:, 0]
+    forward = stack.frames.corners[row, corners[:, 0]] == ends[:, 0]
     W = stack.weights[row]
     wa, wb = W[every, corners[:, 0], None], W[every, corners[:, 1], None]
     u = (np.arange(S) + 1.0) / (S + 1.0)

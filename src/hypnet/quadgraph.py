@@ -317,8 +317,12 @@ class QuadGraph:
         end), its members in traversal order, each given by the
         half-edge ``h`` through which the strip leaves it towards the
         next member.  So member ``h // 4`` crosses its side pair
-        ``h % 2``, entering by the opposite side ``h ^ 2``.  Order and
-        errors are those of :meth:`strips`.
+        ``h % 2``, entering by the opposite side ``h ^ 2``.  Strips come
+        in order of their first (face, side pair), which they leave
+        across side ``p + 2``.  A strip that wraps onto itself raises
+        :class:`ClosedStripDetected`: "returns to it" when it closes or
+        crosses that first face twice, "self-intersects" when it
+        crosses another face twice.
 
         Leaving a face by half-edge ``h``, a strip leaves the next face
         by ``twin[h] ^ 2``.  Pointer jumping along that map gives, in
@@ -365,27 +369,6 @@ class QuadGraph:
         ordered[offsets[label] + steps[sides ^ 2]] = sides
         return ordered, offsets[count > 0]
 
-    def strips(self) -> list:
-        """All strips of the complex; every face lies in exactly two.
-
-        A strip is ``(faces, rails)``: its faces in traversal order and,
-        per face, the opposite edge pair ``(l, r)`` where ``l`` faces the
-        previous strip member and ``r`` the next one.  Strips come in
-        order of the first face and side pair (sides 0 and 2, then 1 and
-        3) they cross; from that face the strip runs back across side
-        ``k`` and forward across side ``k + 2``.  Raises
-        :class:`ClosedStripDetected` when a strip wraps around onto
-        itself (the complex is not simply connected then): "returns to
-        it" when the strip closes or crosses that first face twice,
-        "self-intersects" when it crosses another face twice.
-        """
-        sides, starts = self.strip_sides()
-        edges = self.face_edges.ravel()
-        faces = (sides >> 2).tolist()
-        rails = list(zip(edges[sides ^ 2].tolist(), edges[sides].tolist()))
-        bounds = starts.tolist() + [len(sides)]
-        return [(faces[a:b], rails[a:b]) for a, b in zip(bounds, bounds[1:])]
-
     # --- dual spanning tree --------------------------------------------------------
 
     def dual_spanning_tree(self, seed: int):
@@ -393,10 +376,12 @@ class QuadGraph:
 
         Returns ``(face, parent, shared_edge)`` entries in visit order
         (the seed itself is omitted).  Neighbor ties break by ascending
-        face id.  Raises :class:`DisconnectedMesh` when faces remain
-        unreachable.
+        face id.  Raises :class:`ValueError` when ``seed`` is not a face
+        id and :class:`DisconnectedMesh` when faces remain unreachable.
         """
         count = self.face_count
+        if not 0 <= seed < count:
+            raise ValueError(f"face {seed} is not a face id (mesh has {count} faces)")
         across = np.where(self.twin >= 0, self.twin // 4, count).reshape(-1, 4)
         ranked = np.argsort(across, axis=1, kind="stable")
         neighbors = np.take_along_axis(across, ranked, axis=1).tolist()

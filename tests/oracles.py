@@ -233,6 +233,11 @@ def reference_bilinear_parameter(frame, positions):
     return family_parameter_of(frame, axis.T @ vt[-1])
 
 
+def family_of_edge(frame, e) -> int:
+    """1 or 2 according to which role pair of ``frame`` edge ``e`` is in."""
+    return 1 + list(frame.h_edges).index(e) // 2
+
+
 def ruling_planes(hb):
     """``((basis, signature), (basis, signature))`` of the ruling planes
     ``span(first family, q1)`` and ``span(second family, q2)`` of a
@@ -252,8 +257,8 @@ def tangency_residual(a, b, shared_edge):
     together with the shared edge line must span at most four
     dimensions; returns the worst fifth-singular-value ratio.
     """
-    fam_a = a.frame.family_of_edge(shared_edge)
-    fam_b = b.frame.family_of_edge(shared_edge)
+    fam_a = family_of_edge(a.frame, shared_edge)
+    fam_b = family_of_edge(b.frame, shared_edge)
     (a1, _), (a2, _) = ruling_planes(a)
     (b1, _), (b2, _) = ruling_planes(b)
     if fam_a == fam_b:
@@ -735,7 +740,7 @@ def propagate_face(hb, across, neighbor_frame):
     far = neighbor_frame.line_of_edge(neighbor_frame.opposite_in_family(across))
     t1 = reference_project(hb.q1, center, far)
     t2 = reference_project(hb.q2, center, far)
-    same = hb.frame.family_of_edge(across) == neighbor_frame.family_of_edge(across)
+    same = family_of_edge(hb.frame, across) == family_of_edge(neighbor_frame, across)
     return reference_pair(neighbor_frame, *((t1, t2) if same else (t2, t1)))
 
 
@@ -783,7 +788,9 @@ def reference_propagate(a, seed, lam):
         "closure_residuals": residuals,
         "worst_closure_residual": worst,
         "worst_closure_edge": worst_edge,
-        "face_signatures": {f: p.signatures for f, p in sorted(pairs.items())},
+        "face_signatures": {
+            f: [list(sig) for sig in p.signatures] for f, p in sorted(pairs.items())
+        },
     }
     if worst > a.tol.closure:
         raise ClosureViolation("routes disagree", edge=worst_edge, residual=worst)
@@ -1029,6 +1036,19 @@ class ReferenceGraph:
 def reference_graph(vertex_count, quads) -> ReferenceGraph:
     """The quad graph built as half-edge objects (see :class:`ReferenceGraph`)."""
     return ReferenceGraph(vertex_count, quads)
+
+
+def strips_of(graph):
+    """``(faces, rails)`` per strip of ``graph.strip_sides()``: the faces
+    in traversal order and, per face, the opposite edge pair ``(l, r)``
+    where ``l`` faces the previous strip member and ``r`` the next one;
+    the form :meth:`ReferenceGraph.strips` gives."""
+    sides, starts = graph.strip_sides()
+    edges = graph.face_edges.ravel()
+    faces = (sides >> 2).tolist()
+    rails = list(zip(edges[sides ^ 2].tolist(), edges[sides].tolist()))
+    bounds = starts.tolist() + [len(sides)]
+    return [(faces[a:b], rails[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def edge_id(graph, u, v) -> int:

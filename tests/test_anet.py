@@ -1,5 +1,6 @@
 """Planar-star validation, face frames, diagonals, and twist signs."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +58,12 @@ SPEC_QUAD = np.array(
 def single_quad_net(points):
     g = build(4, [(0, 1, 2, 3)])
     return g, validate_anet(g, np.asarray(points, dtype=float))
+
+
+def twist_of(net, f, e):
+    """Twist sign of the opposite-edge pair of face ``f`` through edge
+    ``e``, read from the net's ``face_twists``."""
+    return int(net.face_twists[f, net.graph.face_edges[f].tolist().index(e) % 2])
 
 
 def random_skew_quad(rng):
@@ -191,8 +198,6 @@ def test_frame_roles_follow_entry_half_edge():
             assert frame.h_edges[1] == edge_id(g, x2, x12)
             assert frame.h_edges[2] == edge_id(g, x, x2)
             assert frame.h_edges[3] == edge_id(g, x1, x12)
-            assert frame.family_of_edge(frame.h_edges[1]) == 1
-            assert frame.family_of_edge(frame.h_edges[3]) == 2
             assert frame.opposite_in_family(frame.h_edges[0]) == frame.h_edges[1]
         assert net.face_corners(f) == net.face_frame(f).corners
 
@@ -241,14 +246,14 @@ def test_spec_quad_twist_frozen_values():
     g, net = single_quad_net(SPEC_QUAD)
     e_ab = edge_id(g, 0, 1)
     e_bc = edge_id(g, 1, 2)
-    assert net.twist_for_edge(0, e_ab) == -1
-    assert net.twist_for_edge(0, e_bc) == +1
+    assert twist_of(net, 0, e_ab) == -1
+    assert twist_of(net, 0, e_bc) == +1
     # same pairings through the opposite edges
-    assert net.twist_for_edge(0, edge_id(g, 2, 3)) == -1
-    assert net.twist_for_edge(0, edge_id(g, 3, 0)) == +1
+    assert twist_of(net, 0, edge_id(g, 2, 3)) == -1
+    assert twist_of(net, 0, edge_id(g, 3, 0)) == +1
     frame = net.face_frame(0)
-    assert net.twist_for_edge(0, frame.h_edges[2]) == -1  # entry edge (0,1)
-    assert net.twist_for_edge(0, frame.h_edges[0]) == +1
+    assert twist_of(net, 0, frame.h_edges[2]) == -1  # entry edge (0,1)
+    assert twist_of(net, 0, frame.h_edges[0]) == +1
 
 
 def test_twist_pairs_are_opposite_and_relabel_invariant():
@@ -257,15 +262,15 @@ def test_twist_pairs_are_opposite_and_relabel_invariant():
         pts = random_skew_quad(rng)
         g, net = single_quad_net(pts)
         frame = net.face_frame(0)
-        assert net.twist_for_edge(0, frame.h_edges[0]) == -net.twist_for_edge(
-            0, frame.h_edges[2]
+        assert twist_of(net, 0, frame.h_edges[0]) == -twist_of(
+            net, 0, frame.h_edges[2]
         )
-        base = net.twist_for_edge(0, edge_id(g, 0, 1))
+        base = twist_of(net, 0, edge_id(g, 0, 1))
         # relabel the same spatial quad by pairing-preserving symmetries
         for relabel in [(1, 2, 3, 0), (2, 3, 0, 1), (3, 2, 1, 0)]:
             g2 = build(4, [tuple(relabel)])
             net2 = validate_anet(g2, pts)
-            assert net2.twist_for_edge(0, edge_id(g2, 0, 1)) == base
+            assert twist_of(net2, 0, edge_id(g2, 0, 1)) == base
 
 
 def test_twist_matches_regulus_orientation_of_cross_transversals():
@@ -275,7 +280,7 @@ def test_twist_matches_regulus_orientation_of_cross_transversals():
         g, net = single_quad_net(pts)
         frame = net.face_frame(0)
         x, x1, x2, x12 = (pts[v] for v in frame.corners)
-        t = net.twist_for_edge(0, frame.h_edges[0])
+        t = twist_of(net, 0, frame.h_edges[0])
         for _ in range(5):
             u, w = rng.uniform(0.1, 0.9, size=2)
             p = (1 - u) * x + u * x2
@@ -309,10 +314,8 @@ def test_face_twist_table_matches_exact_twists_through_every_edge():
         table = net.face_twists
         assert table.shape == (g.face_count, 2)
         for f in range(g.face_count):
-            edges = g.face_edges[f].tolist()
             for k in range(4):
                 assert exact_twist(net, f, k) == table[f, k % 2]
-                assert net.twist_for_edge(f, edges[k]) == table[f, k % 2]
         assert net.face_twists is table  # computed once per net
 
 
@@ -322,10 +325,30 @@ def test_face_twist_table_guards_flat_faces():
                    dtype=float)
     pos[[0, 1, 3, 4], 2] = 0.0  # face 0 flat
     net = ANet(build(n, quads), pos, None, None, None, None)
-    for f in range(net.graph.face_count):
-        with pytest.raises(DegenerateFace) as exc:
-            net.twist_for_edge(f, int(net.graph.face_edges[f, 0]))
-        assert exc.value.data["face"] == 0
+    with pytest.raises(DegenerateFace) as exc:
+        net.face_twists
+    assert exc.value.data["face"] == 0
+
+
+def test_the_walk_hands_its_face_signs_to_the_net(monkeypatch):
+    # one _face_volumes pass per chunk of faces, all in the face stage
+    n, quads, pos = quadric_grid(23, 12)
+    g = build(n, quads)
+    calls = []
+    real = hypnet.anet._face_volumes
+    monkeypatch.setattr(
+        hypnet.anet, "_face_volumes", lambda *args: calls.append(1) or real(*args)
+    )
+    report = diagnose_anet(g, pos)
+    assert report["valid"] and report["equi_twisted"]
+    assert len(calls) == -(-g.face_count // hypnet.anet.CHUNK) == 2
+    net = validate_anet(g, pos)
+    assert len(calls) == 4
+    alone = ANet(g, pos, None, None, None, None).face_twists
+    assert len(calls) == 5  # a net built without the walk computes them
+    assert report["face_twists"] == alone.tolist()
+    assert np.array_equal(net.face_twists, alone)
+    assert net.face_twists.dtype == alone.dtype
 
 
 # --- equi-twist ------------------------------------------------------------------
@@ -367,10 +390,11 @@ def test_frames_from_seed_assign_entry_edges():
     g = build(n, quads)
     net = validate_anet(g, pos)
     frames, tree = net.frames_from(0)
-    assert set(frames) == set(range(g.face_count))
+    assert tree.tolist() == [list(step) for step in g.dual_spanning_tree(0)]
+    assert frames.faces.tolist() == [0] + tree[:, 0].tolist()
     assert frames[0].entry_half_edge == 0
-    for face, _parent, shared in tree:
-        assert frames[face].h_edges[2] == shared
+    # row k + 1 is the face of tree step k, entered across the shared edge
+    assert np.array_equal(frames.h_edges[1:, 2], tree[:, 2])
 
 
 def test_stacked_frames_equal_the_one_face_calls():
@@ -381,15 +405,31 @@ def test_stacked_frames_equal_the_one_face_calls():
     entries = {5: 20}
     entries.update({
         face: 4 * face + g.face_edges[face].tolist().index(shared)
-        for face, _, shared in tree
+        for face, _, shared in tree.tolist()
     })
-    for f, frame in frames.items():
-        alone = net.face_frame(f, entries[f])
+    assert len(frames) == g.face_count
+    for k in range(len(frames)):
+        frame = frames[k]
+        alone = net.face_frame(frame.face, entries[frame.face])
+        assert frame.entry_half_edge == alone.entry_half_edge
         assert frame.corners == alone.corners
         assert frame.h_edges == alone.h_edges
         assert np.array_equal(frame.h_lines, alone.h_lines)
         assert np.array_equal(frame.diagonals, alone.diagonals)
         assert reference_axis(frame)[1] == (1, 1, 0)
+
+
+@pytest.mark.parametrize("face", [-1, 9])
+def test_face_ids_out_of_range_raise_a_value_error(face):
+    n, quads, pos = quadric_grid(3, 3)
+    net = validate_anet(build(n, quads), pos)
+    message = re.escape(f"face {face} is not a face id (net has 9 faces)")
+    with pytest.raises(ValueError, match=message):
+        net.face_frame(face)
+    with pytest.raises(ValueError, match=message):
+        net.frames([0, face], [0, 4 * face])
+    with pytest.raises(ValueError, match=f"face {face} is not a face id"):
+        net.frames_from(face)
 
 
 def test_frame_genericity_is_read_in_face_local_coordinates():

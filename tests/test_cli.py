@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -569,6 +570,36 @@ def test_extend_is_byte_deterministic(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (out.read_bytes(), report_path.read_bytes()) == first
+
+
+@pytest.mark.parametrize("command", ["check", "extend", "fit"])
+def test_runs_in_separate_processes_are_byte_identical(tmp_path, command):
+    # string hashing, and so set and dict-of-str order, differs per process
+    path, lam = scrambled_saddle(tmp_path)
+    out = tmp_path / "out.obj"
+    argv = [sys.executable, "-m", "hypnet.cli", command, path]
+    if command == "extend":
+        argv += ["-o", str(out), "--lambda", repr(lam)]
+    if command == "fit":
+        argv = argv[:-1] + [noisy_scrambled_saddle(tmp_path), "-o", str(out)]
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]),
+                   PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == b""
+        runs.append((done.stdout, out.read_bytes() if command != "check" else b""))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["exit_code"] == 0
+
+
+def test_the_readme_example_runs_and_is_tangent_continuous(capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    angle = float(capsys.readouterr().out)
+    assert 0.0 <= angle < 1e-12
 
 
 #: sha256 prefixes of the integer report parts and output faces of

@@ -42,6 +42,7 @@ from hypnet.synthetic import (
 )
 
 from oracles import (
+    family_of_edge,
     family_parameter_of,
     in_span,
     proj_distance,
@@ -219,9 +220,17 @@ def test_projection_preserves_self_product_signs():
 # --- propagation across one edge --------------------------------------------
 
 
+def _frames_by_face(a, seed):
+    """The frames of ``a.frames_from(seed)`` by face id, and its tree as
+    a list of ``(face, parent, shared)``."""
+    stack, tree = a.frames_from(seed)
+    frames = {f: stack[k] for k, f in enumerate(stack.faces.tolist())}
+    return frames, [tuple(step) for step in tree.tolist()]
+
+
 def _tree_steps(a, seed=0):
     """Frames, propagated quadrics, and the spanning tree from a seed."""
-    frames, tree = a.frames_from(seed)
+    frames, tree = _frames_by_face(a, seed)
     hbs = {seed: hyperboloid_from_parameter(frames[seed], 0.8)}
     for face, parent, shared in tree:
         hbs[face] = propagate_face(hbs[parent], shared, frames[face])
@@ -331,9 +340,9 @@ def test_odd_cycle_transports_each_diagonal_to_itself():
         far = frames[f_next].line_of_edge(far_edge)
         image1 = project_tau(image1, center, far)
         image2 = project_tau(image2, center, far)
-        if frames[f_now].family_of_edge(shared) != frames[
-            f_next
-        ].family_of_edge(shared):
+        if family_of_edge(frames[f_now], shared) != family_of_edge(
+            frames[f_next], shared
+        ):
             swaps += 1
     assert proj_distance(image1, g1) < 1e-9
     assert proj_distance(image2, g2) < 1e-9
@@ -488,7 +497,7 @@ def test_propagate_all_closes_an_exact_net_at_scale():
 def test_transport_parameter_is_the_projection_of_the_pair():
     rng = np.random.default_rng(61)
     for net in (random_net(rng), random_net(rng), quadric_net(3)):
-        frames, tree = net.frames_from(0)
+        frames, tree = _frames_by_face(net, 0)
         lam = 0.8
         for face, parent, shared in tree[:4]:
             image = propagate_face(

@@ -15,6 +15,7 @@ from hypnet.errors import (
     PatchError,
 )
 from hypnet.hyperboloid import (
+    HyperboloidStack,
     hyperboloid_from_parameter,
     propagate_all,
 )
@@ -87,6 +88,13 @@ def propagated_hyperboloids(a, seed, magnitude=0.8):
 def propagated_patches(a, seed, magnitude=0.8):
     hbs = propagated_hyperboloids(a, seed, magnitude)
     return {f: restrict_to_patch(hb, hb.frame, a.positions) for f, hb in hbs.items()}
+
+
+def as_stack(hbs):
+    """A mapping from face id to member as one :class:`HyperboloidStack`."""
+    if isinstance(hbs, HyperboloidStack):
+        return hbs
+    return HyperboloidStack.of(hbs.values())
 
 
 def bilinear_hyperboloids(a):
@@ -254,7 +262,7 @@ def test_restriction_raises_for_intersecting_edge_lines():
 
 def test_carved_weights_are_positive_with_a_unit_first_corner():
     a = quadric_net(3)
-    stack = restrict_all(propagated_hyperboloids(a, 0, 0.37).values(), a.positions)
+    stack = restrict_all(propagated_hyperboloids(a, 0, 0.37), a.positions)
     assert np.all(stack.weights[:, 0] == 1.0)
     assert np.all(stack.weights > 0.0)
 
@@ -270,8 +278,10 @@ def test_ruling_orientation_agrees_with_the_edge_pair_twist():
     triple1 = (p.ruling1(0.0), p.ruling1(0.5), p.ruling1(1.0))
     triple2 = (p.ruling2(0.0), p.ruling2(0.5), p.ruling2(1.0))
     first, second = SADDLE_FRAME.h_edges[0], SADDLE_FRAME.h_edges[2]
-    assert regulus_orientation(*triple1) == SADDLE.twist_for_edge(0, first)
-    assert regulus_orientation(*triple2) == SADDLE.twist_for_edge(0, second)
+    edges = SADDLE.graph.face_edges[0].tolist()
+    twists = SADDLE.face_twists[0, [edges.index(first) % 2, edges.index(second) % 2]]
+    assert regulus_orientation(*triple1) == twists[0]
+    assert regulus_orientation(*triple2) == twists[1]
 
 
 def test_corner_map_lists_the_role_vertices():
@@ -339,7 +349,7 @@ def test_sample_needs_two_per_direction():
 
 def test_sample_reports_points_at_infinity_with_indices():
     weights = np.array([0.0, 1.0, 1.0, 1.0])
-    broken = HyperboloidPatch(0, None, SADDLE_PATCH.points, weights)
+    broken = HyperboloidPatch(0, SADDLE_FRAME, SADDLE_PATCH.points, weights)
     with pytest.raises(NumericallyInfinitePoint, match=r"^sample \(0, 0\) of face 0 "):
         sample(broken, 2, 2)
 
@@ -347,7 +357,8 @@ def test_sample_reports_points_at_infinity_with_indices():
 def test_stacked_sampling_names_the_face_and_indices_of_a_vanishing_denominator():
     # the weights cancel at the patch centre, the first such point in row-major order
     weights = np.array([1.0, 1.0, 1.0, -3.0])
-    broken = HyperboloidPatch(7, None, SADDLE_PATCH.points, weights)
+    frame = dataclasses.replace(SADDLE_FRAME, face=7)
+    broken = HyperboloidPatch(7, frame, SADDLE_PATCH.points, weights)
     stack = PatchStack.of([SADDLE_PATCH, broken])
     with pytest.raises(NumericallyInfinitePoint, match=r"^sample \(1, 2\) of face 7 "):
         sample_all(stack, 3, 5)
@@ -489,7 +500,7 @@ def reference_patches(a, hbs):
 
 def test_batched_sampling_matches_the_reference_meets():
     for a, hbs in differential_cases():
-        stack = restrict_all(hbs.values(), a.positions)
+        stack = restrict_all(as_stack(hbs), a.positions)
         points = sample_all(stack, 6, 5)
         for k, ref_patch in enumerate(reference_patches(a, hbs).values()):
             ref = oracles.reference_sample(ref_patch.ruling1, ref_patch.ruling2, 6, 5)
@@ -506,7 +517,7 @@ def test_batched_c1_report_matches_the_reference_walk():
         )
     ]
     for a, hbs in cases:
-        stack = restrict_all(hbs.values(), a.positions)
+        stack = restrict_all(as_stack(hbs), a.positions)
         report = check_c1(stack, a, samples_per_edge=7)
         ref = oracles.reference_c1_edges(
             reference_patches(a, hbs), a.graph, a.positions, 7, CUSP_DELTA,
@@ -586,7 +597,7 @@ def bit_for_bit_cases():
 @pytest.mark.parametrize("case", [0, 1])
 def test_stacked_calls_equal_one_face_calls_bit_for_bit(case):
     a, hbs = list(bit_for_bit_cases())[case]
-    stack = restrict_all(hbs.values(), a.positions)
+    stack = restrict_all(as_stack(hbs), a.positions)
     singles = {f: restrict_to_patch(hb, hb.frame, a.positions) for f, hb in hbs.items()}
     points = sample_all(stack, 9, 7)
     for k, (f, patch) in enumerate(singles.items()):

@@ -19,7 +19,7 @@ from hypnet.synthetic import (
     umbrella_graph,
 )
 
-from oracles import reference_graph
+from oracles import reference_graph, strips_of
 
 MESH_CASES = [
     grid_graph(1, 1),
@@ -195,19 +195,19 @@ def test_interior_degree_handshake():
 
 
 def test_strips_2x2_block():
-    strips = build(*grid_graph(2, 2)).strips()
+    strips = strips_of(build(*grid_graph(2, 2)))
     assert sorted(len(faces) for faces, _ in strips) == [2, 2, 2, 2]
 
 
 def test_strips_row_of_three():
-    strips = build(*grid_graph(3, 1)).strips()
+    strips = strips_of(build(*grid_graph(3, 1)))
     assert sorted(len(faces) for faces, _ in strips) == [1, 1, 1, 3]
     long, _ = max(strips, key=lambda strip: len(strip[0]))
     assert long in ([0, 1, 2], [2, 1, 0])
 
 
 def test_strips_single_face():
-    strips = build(*grid_graph(1, 1)).strips()
+    strips = strips_of(build(*grid_graph(1, 1)))
     assert sorted(len(faces) for faces, _ in strips) == [1, 1]
 
 
@@ -215,7 +215,7 @@ def test_strips_umbrella_cross_center_in_pairs():
     # every strip of an umbrella covers two faces glued along a spoke,
     # one strip per spoke
     g = build(*umbrella_graph(6))
-    strips = g.strips()
+    strips = strips_of(g)
     assert sorted(len(faces) for faces, _ in strips) == [2] * 6
     for _, rails in strips:
         shared = rails[0][1]
@@ -226,7 +226,7 @@ def test_strips_umbrella_cross_center_in_pairs():
 @pytest.mark.parametrize("vertex_count,quads", MESH_CASES)
 def test_strip_rails_chain_and_cover(vertex_count, quads):
     g = build(vertex_count, quads)
-    strips = g.strips()
+    strips = strips_of(g)
     per_face = {f: 0 for f in range(g.face_count)}
     rail_count = {e: 0 for e in range(g.edge_count)}
     for faces, rails in strips:
@@ -248,7 +248,7 @@ def test_strip_rails_chain_and_cover(vertex_count, quads):
 def test_closed_strip_detected_on_ring():
     g = build(*cylinder_quads())
     with pytest.raises(ClosedStripDetected):
-        g.strips()
+        strips_of(g)
 
 
 # --- dual spanning tree ---------------------------------------------------------
@@ -279,6 +279,14 @@ def test_dual_tree_3x3_bfs_layers():
     assert all(parent in layer1 for _, parent, _ in tree[4:])
     # BFS: layer 1 precedes layer 2
     assert [f for f, _, _ in tree[:4]] == sorted(layer1)
+
+
+@pytest.mark.parametrize("seed", [-1, 9])
+def test_dual_tree_rejects_a_seed_that_is_not_a_face_id(seed):
+    g = build(*grid_graph(3, 3))
+    with pytest.raises(ValueError) as err:
+        g.dual_spanning_tree(seed)
+    assert str(err.value) == f"face {seed} is not a face id (mesh has 9 faces)"
 
 
 def test_dual_tree_disconnected():
@@ -316,7 +324,7 @@ def test_build_is_deterministic():
                  "degrees", "boundary", "star_offsets", "star_neighbors",
                  "star_faces"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.strips() == b.strips()
+    assert strips_of(a) == strips_of(b)
     assert a.dual_spanning_tree(4) == b.dual_spanning_tree(4)
 
 
@@ -368,7 +376,7 @@ def test_arrays_equal_the_half_edge_object_build(vertex_count, quads):
     for v in range(vertex_count):
         assert g.vertex_star(v) == ref.vertex_star(v)
         assert g.degrees[v] == ref.degree(v)
-    assert outcome(g.strips) == outcome(ref.strips)
+    assert outcome(lambda: strips_of(g)) == outcome(ref.strips)
     for seed in np.random.default_rng(vertex_count).integers(g.face_count, size=3):
         assert g.dual_spanning_tree(int(seed)) == ref.dual_spanning_tree(int(seed))
 
@@ -443,7 +451,7 @@ DISCONNECTED = (12, [(0, 1, 2, 3), (4, 5, 6, 7), (1, 0, 8, 9), (10, 11, 6, 5)])
 def test_traversal_errors_equal_the_object_build(vertex_count, quads):
     g = build(vertex_count, quads)
     ref = reference_graph(vertex_count, quads)
-    assert outcome(g.strips) == outcome(ref.strips)
+    assert outcome(lambda: strips_of(g)) == outcome(ref.strips)
     for seed in range(g.face_count):
         tree = outcome(lambda: g.dual_spanning_tree(seed))
         assert tree == outcome(lambda: ref.dual_spanning_tree(seed))
@@ -544,12 +552,12 @@ STRIP_ERRORS = {
 @pytest.mark.parametrize("case", sorted(STRIP_ERRORS))
 def test_strips_that_close_or_cross_themselves_fail_like_the_object_build(case):
     (vertex_count, quads), message = STRIP_ERRORS[case]
-    got = outcome(build(vertex_count, quads).strips)
+    got = outcome(lambda: strips_of(build(vertex_count, quads)))
     assert got == ("ClosedStripDetected", message)
     assert got == outcome(reference_graph(vertex_count, quads).strips)
     for seed in range(4):
         count, faces = scrambled(vertex_count, quads, seed)
-        got = outcome(build(count, faces).strips)
+        got = outcome(lambda: strips_of(build(count, faces)))
         assert got[0] == "ClosedStripDetected"
         assert got == outcome(reference_graph(count, faces).strips)
 
