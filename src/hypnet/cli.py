@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .anet import diagnose_anet, validate_anet
+from .anet import _ROLE_CORNERS, diagnose_anet, validate_anet
 from .errors import (
     AnetError,
     ClosureViolation,
@@ -64,13 +64,7 @@ from .errors import (
 )
 from .fit import DEFAULT_MAX_ITER, FitProblem, fit
 from .hyperboloid import propagate_all
-from .meshio import (
-    CORNER_KEYS,
-    oriented_grid,
-    read_mesh,
-    write_mesh,
-    write_positions_mesh,
-)
+from .meshio import oriented_grids, read_mesh, write_mesh, write_positions_mesh
 from .patch import check_c1, restrict_all, sample_all
 from .plucker import Tolerances
 from .quadgraph import build
@@ -354,12 +348,11 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
         zip(faces, _boundary_residuals(points, patches.points))
     )
     report["c1"] = check_c1(patches, a, samples_per_edge=9)
-    grids = {}
-    roles = patches.frames.corners.tolist()
-    for k, f in enumerate(faces):
-        corners = a.face_corners(f)
-        corner_map = dict(zip(CORNER_KEYS, roles[k]))
-        grids[f] = (oriented_grid(points[k], corner_map, corners), corners)
+    corners = a.graph.face_vertices[patches.faces][:, _ROLE_CORNERS]
+    oriented = oriented_grids(points, patches.frames.corners, corners)
+    # the oriented copies replace the sample stack; free it before the write
+    del points
+    grids = dict(zip(faces, zip(oriented, corners)))
     write_mesh(config.output_path, grids, weld=config.weld)
     report["weld"] = config.weld
     report["output"] = str(config.output_path)

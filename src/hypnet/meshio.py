@@ -5,9 +5,20 @@ The format is the common ``v x y z`` / ``f i j k l`` text form with
 ignored on input.  Floats are written with 17 significant digits so a
 write/read round trip reproduces every coordinate bit for bit and two
 runs over identical data produce identical files.
+
+:func:`write_positions_mesh` writes the bytes of ``"%.17g"`` and ``"%d"``
+without formatting one value at a time.  It streams the file to one
+binary handle in chunks of :data:`CHUNK` rows, each formatted in numpy
+array passes by :mod:`hypnet.meshtext`, so no whole-file string is
+built; a chunk that raises removes the partial file.  That module is
+imported on the first write, so ``hypnet check`` neither compiles it
+nor builds its tables.
 """
 
 from __future__ import annotations
+
+import os
+from contextlib import suppress
 
 import numpy as np
 
@@ -16,6 +27,9 @@ from .quadgraph import _group
 
 #: Grid-corner index pairs in the role order (x, x1, x2, x12).
 CORNER_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Rows formatted and written per chunk by :func:`write_positions_mesh`.
+CHUNK = 1024
 
 
 def read_mesh(path):
@@ -82,15 +96,29 @@ def read_mesh(path):
 def write_positions_mesh(path, positions, quads) -> None:
     """Write a plain vertex/face text mesh with 17-digit coordinates.
 
-    Every vertex row is formatted in one ``%`` pass over all coordinates,
-    and every face row in another.
+    The bytes are those of ``"v %.17g %.17g %.17g"`` per vertex and
+    ``"f %d %d %d %d"`` per face (1-based), each line ending in ``"\\n"``,
+    or one ``"\\n"`` for an empty mesh.  Rows are formatted and written
+    :data:`CHUNK` at a time; if a chunk raises, the partial file is
+    removed.
     """
+    from . import meshtext
+
     coords = np.asarray(positions, dtype=float).reshape(-1, 3)
-    indices = np.asarray(quads, dtype=np.int64).reshape(-1, 4) + 1
-    text = ("v %.17g %.17g %.17g\n" * len(coords)) % tuple(coords.ravel().tolist())
-    text += ("f %d %d %d %d\n" * len(indices)) % tuple(indices.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text or "\n")
+    indices = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    handle = open(path, "wb")
+    try:
+        with handle:
+            for start in range(0, len(coords), CHUNK):
+                handle.write(meshtext.vertex_rows(coords[start:start + CHUNK]))
+            for start in range(0, len(indices), CHUNK):
+                handle.write(meshtext.face_rows(indices[start:start + CHUNK] + 1))
+            if not len(coords) and not len(indices):
+                handle.write(b"\n")
+    except BaseException:
+        with suppress(OSError):
+            os.remove(path)
+        raise
 
 
 def oriented_grid(points: np.ndarray, corner_map: dict, corners) -> np.ndarray:
@@ -120,6 +148,41 @@ def oriented_grid(points: np.ndarray, corner_map: dict, corners) -> np.ndarray:
     if swap:
         out = np.swapaxes(out, 0, 1)
     return np.ascontiguousarray(out)
+
+
+def oriented_grids(points: np.ndarray, roles: np.ndarray, corners: np.ndarray) -> list:
+    """:func:`oriented_grid` of every grid of a stack in one index pass.
+
+    ``points`` are sample grids ``(F, n, m, 3)`` whose corner ``CORNER_KEYS[c]``
+    is vertex ``roles[k, c]``; grid ``k`` of the result is reindexed to the
+    corner order ``corners[k]``, so it is ``(n, m, 3)``, or ``(m, n, 3)``
+    where the reindexing transposes.  Raises :class:`ValueError` unless
+    every row of ``corners`` is a rigid relabeling of its row of ``roles``.
+    """
+    points = np.asarray(points)
+    roles = np.asarray(roles).reshape(-1, 4)
+    corners = np.asarray(corners).reshape(-1, 4)
+    match = roles[:, None, :] == corners[:, :, None]
+    # where each requested corner sits, as the index 2 i + j of its key
+    at = match.argmax(axis=2)
+    a, b = at[:, :1] >> 1, at[:, :1] & 1
+    swap = (at[:, 2] >> 1) == a[:, 0]
+    i, j = (at >> 1) ^ a, (at & 1) ^ b
+    final = np.where(swap[:, None], 2 * j + i, 2 * i + j)
+    if not (match.sum(axis=2) == 1).all() or (final != np.arange(4)).any():
+        raise ValueError("corner roles are not a rigid relabeling of the grid")
+    n, m = points.shape[1:3]
+    rows = np.where(a == 1, np.arange(n)[::-1], np.arange(n))
+    cols = np.where(b == 1, np.arange(m)[::-1], np.arange(m))
+    out = [None] * len(points)
+    for transpose in (False, True):
+        k = np.flatnonzero(swap == transpose)
+        r, c = rows[k][:, :, None], cols[k][:, None, :]
+        if transpose:
+            r, c = rows[k][:, None, :], cols[k][:, :, None]
+        for f, grid in zip(k.tolist(), points[k[:, None, None], r, c]):
+            out[f] = grid
+    return out
 
 
 def _weld_keys(corners: np.ndarray, n, m, face, i, j):

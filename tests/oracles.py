@@ -1116,6 +1116,18 @@ def reference_write_mesh(path, grids: dict, weld: bool = True) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def reference_write_positions_mesh(path, positions, quads) -> None:
+    """``meshio.write_positions_mesh`` as one ``%`` pass over all
+    coordinates and another over all face ids, writing one whole-file
+    string."""
+    coords = np.asarray(positions, dtype=float).reshape(-1, 3)
+    indices = np.asarray(quads, dtype=np.int64).reshape(-1, 4) + 1
+    text = ("v %.17g %.17g %.17g\n" * len(coords)) % tuple(coords.ravel().tolist())
+    text += ("f %d %d %d %d\n" * len(indices)) % tuple(indices.ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text or "\n")
+
+
 # --- the CLI report as strict JSON data, converted value by value ----------------
 
 

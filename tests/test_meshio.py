@@ -1,24 +1,44 @@
 """Tests for text mesh parsing, writing, welding, and grid orientation."""
 
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hypnet
 import hypnet.cli
+import hypnet.meshtext
 from hypnet.anet import validate_anet
 from hypnet.cli import main
 from hypnet.errors import NonQuadFace, ParseError
-from hypnet.hyperboloid import hyperboloid_from_parameter
+from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_all
 from hypnet.meshio import (
+    CHUNK,
+    CORNER_KEYS,
     oriented_grid,
+    oriented_grids,
     read_mesh,
     write_mesh,
     write_positions_mesh,
 )
-from hypnet.patch import bilinear_parameter, restrict_to_patch, sample
+from hypnet.patch import (
+    bilinear_parameter,
+    restrict_all,
+    restrict_to_patch,
+    sample,
+    sample_all,
+)
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
 
-from oracles import reference_write_mesh
+from oracles import reference_write_mesh, reference_write_positions_mesh
 
 
 def write(path, text):
@@ -174,6 +194,159 @@ def test_writing_is_byte_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+# --- the array-pass writer against the one-pass % writer --------------------------
+
+
+def assert_writes_like_the_reference(directory, positions, quads=()):
+    ours, theirs = directory / "ours.obj", directory / "theirs.obj"
+    write_positions_mesh(ours, positions, quads)
+    reference_write_positions_mesh(theirs, positions, quads)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def rows_of(parts):
+    """The values of ``parts`` in order, padded with zeros to whole
+    ``(r, 3)`` rows."""
+    values = np.concatenate([np.ravel(part) for part in parts]).astype(float)
+    return np.concatenate([values, np.zeros(-len(values) % 3)]).reshape(-1, 3)
+
+
+def ulp_neighbours(values, steps=2):
+    """``values`` and their neighbours up to ``steps`` ulps either way."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        near = values
+        for _ in range(steps):
+            near = np.nextafter(near, direction)
+            out.append(near)
+    return np.concatenate(out)
+
+
+def test_raw_bit_patterns_write_like_the_reference(tmp_path):
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False)
+    # a quarter of them subnormal: exponent field 0, either sign
+    bits[::4] &= np.uint64(2**63 + 2**52 - 1)
+    values = bits.view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], [0.0, -0.0, 5e-324, -5e-324]])
+    assert_writes_like_the_reference(tmp_path, rows_of([values]))
+
+
+def test_powers_of_ten_and_their_ulp_neighbours_write_like_the_reference(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-20, 21)])
+    values = ulp_neighbours(np.concatenate([powers, 10.0 ** np.arange(-20, 21)]))
+    assert_writes_like_the_reference(tmp_path, rows_of([values, -values]))
+
+
+def test_range_edges_and_exact_ties_write_like_the_reference(tmp_path):
+    edges = ulp_neighbours([1e-11, 1e17, 1e-10, 1e16, 2.0**52, 2.0**53], steps=3)
+    # halfway between two 17-digit decimals, rounding up and down to even,
+    # and 2**52 + 1/2
+    ties = [1234567890123456.75, 1234567890123456.25, 4503599627370496.5]
+    values = np.concatenate([edges, ties])
+    assert_writes_like_the_reference(tmp_path, rows_of([values, -values]))
+
+
+def test_integers_and_dyadic_rationals_write_like_the_reference(tmp_path):
+    rng = np.random.default_rng(15)
+    integers = np.concatenate([
+        rng.integers(-10**6, 10**6, 3000),
+        rng.integers(-2**53, 2**53, 3000),
+        rng.integers(2**52, 10**17, 3000),
+    ]).astype(float)
+    dyadic = rng.integers(-2**40, 2**40, 6000) / 2.0 ** rng.integers(0, 70, 6000)
+    assert_writes_like_the_reference(tmp_path, rows_of([integers, dyadic]))
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_chunk_boundaries_write_like_the_reference(tmp_path, count):
+    rng = np.random.default_rng(count)
+    scale = 10.0 ** rng.integers(-12, 17, (count, 3))
+    positions = rng.standard_normal((count, 3)) * scale
+    quads = rng.integers(0, 10**12, (count, 4))
+    quads[::7, 0] = 10**12 - 1
+    quads[1::7, 1] = 0
+    assert_writes_like_the_reference(tmp_path, positions, quads)
+    assert_writes_like_the_reference(tmp_path, np.zeros((0, 3)), quads)
+
+
+def test_face_ids_outside_the_fast_range_write_like_the_reference(tmp_path):
+    quads = [(-2, -1, 0, 1), (10**16 - 2, 10**16 - 1, 10**16, 2**62)]
+    assert_writes_like_the_reference(tmp_path, np.ones((2, 3)), quads)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(finite, finite, finite), max_size=20),
+    st.lists(st.tuples(*[st.integers(0, 10**15)] * 4), max_size=5),
+)
+def test_finite_rows_write_like_the_reference(tmp_path_factory, rows, quads):
+    directory = tmp_path_factory.mktemp("rows")
+    assert_writes_like_the_reference(directory, np.array(rows).reshape(-1, 3), quads)
+
+
+def saddle_grid_mesh(n):
+    """The vertices and quads of an ``n`` x ``n`` grid on z = x y."""
+    t = np.linspace(-1.3, 0.7, n + 1)
+    x, y = np.meshgrid(t, t + 0.4, indexing="ij")
+    positions = np.stack([x, y, x * y], axis=-1).reshape(-1, 3)
+    v = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
+    quads = np.stack([v, v + n + 1, v + n + 2, v + 1], axis=1)
+    return positions, quads
+
+
+def test_writing_streams_in_chunks(tmp_path):
+    positions, quads = saddle_grid_mesh(160)
+    assert len(positions) == 25921
+    write_positions_mesh(tmp_path / "warm.obj", positions[:1], quads[:0])
+    peaks = []
+    for writer, name in ((write_positions_mesh, "ours.obj"),
+                         (reference_write_positions_mesh, "theirs.obj")):
+        tracemalloc.start()
+        try:
+            writer(tmp_path / name, positions, quads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = (tmp_path / "ours.obj").stat().st_size
+    assert (tmp_path / "theirs.obj").stat().st_size == size
+    # the whole-file writer holds the text, and more, at once
+    assert peaks[1] > size
+    assert peaks[0] < size
+
+
+def test_a_chunk_that_raises_leaves_no_file(tmp_path, monkeypatch):
+    calls = []
+
+    def failing(coords):
+        calls.append(len(coords))
+        if len(calls) == 2:
+            raise RuntimeError("formatting failed")
+        return b"v 0 0 0\n" * len(coords)
+
+    monkeypatch.setattr(hypnet.meshtext, "vertex_rows", failing)
+    path = tmp_path / "m.obj"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_positions_mesh(path, np.zeros((2 * CHUNK + 1, 3)), [(0, 1, 2, 3)])
+    assert calls == [CHUNK, CHUNK]
+    assert not path.exists()
+
+
+def test_importing_the_cli_loads_no_formatting_kernel():
+    # check never writes, so it compiles no formatter and builds no table
+    env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]))
+    code = "import sys, hypnet.cli; print('hypnet.meshtext' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 # --- grid orientation -------------------------------------------------------------
 
 
@@ -199,6 +372,45 @@ def test_oriented_grid_rejects_foreign_or_scrambled_corners():
         oriented_grid(base, corner_map, (10, 11, 12, 99))
     with pytest.raises(ValueError):
         oriented_grid(base, corner_map, (10, 11, 13, 12))
+
+
+def test_stacked_orientation_equals_the_per_grid_one_for_every_corner_order():
+    roles = (10, 11, 12, 13)
+    corner_map = dict(zip(CORNER_KEYS, roles))
+    rigid, scrambled = [], []
+    for order in itertools.permutations(roles):
+        try:
+            oriented_grid(np.zeros((2, 2, 3)), corner_map, order)
+        except ValueError:
+            scrambled.append(order)
+        else:
+            rigid.append(order)
+    assert len(rigid) == 8
+    points = np.random.default_rng(16).standard_normal((len(rigid), 3, 5, 3))
+    stacked = oriented_grids(points, [roles] * len(rigid), rigid)
+    for grid, one, order in zip(stacked, points, rigid):
+        expected = oriented_grid(one, corner_map, order)
+        assert grid.shape == expected.shape
+        assert np.array_equal(grid, expected)
+    for order in scrambled + [(10, 11, 12, 99)]:
+        with pytest.raises(ValueError):
+            oriented_grids(points[:2], [roles] * 2, [rigid[0], order])
+
+
+def test_cli_orients_the_grids_like_the_per_face_path(tmp_path):
+    # the extend pipeline up to the write, with each grid oriented on its own
+    captured = cli_extend_grids(tmp_path)
+    positions, quads = read_mesh(tmp_path / "scrambled.obj")
+    a = validate_anet(build(len(positions), quads), positions)
+    lam = bilinear_parameter(a.face_frame(0), a.positions)
+    patches = restrict_all(propagate_all(a, 0, lam)[0], a.positions)
+    points = sample_all(patches, 5, 7)
+    for k, f in enumerate(patches.faces.tolist()):
+        corners = a.face_corners(f)
+        corner_map = dict(zip(CORNER_KEYS, patches.frames.corners[k].tolist()))
+        grid, written = captured[f]
+        assert np.array_equal(grid, oriented_grid(points[k], corner_map, corners))
+        assert tuple(np.asarray(written).tolist()) == corners
 
 
 # --- welding ----------------------------------------------------------------------
