@@ -23,8 +23,13 @@ batches of at most ``CHUNK`` rows:
 1. stars: one stacked best-fit plane (:func:`star_plane`) per star size;
 2. edges: the lines of all edges from their 2x2 minors;
 3. faces: volume ratios and the products of both opposite edge pairs;
-4. pencils: one stacked SVD per vertex degree for the rank of the
-   incident edge lines, then their signature.
+4. pencils: closed-form bounds (:func:`_pencil_bounds`) on the singular
+   values of each vertex's incident edge lines and on the Pluecker form
+   over their top two singular directions certify, in array passes, the
+   vertices whose lines surely form a pencil as the SVD path reads it
+   (:func:`_certified_pencils`); only the vertices left undecided go
+   through one stacked SVD per vertex degree for the rank of their
+   lines, then their signature.
 
 Its violations come in this order: non-planar stars by ascending
 vertex; zero-length edges by ascending edge id; per ascending face a
@@ -81,6 +86,11 @@ _ROLE_EDGES = np.array([[1, 0], [2, 3], [0, 2], [3, 1]])
 # staying far below the O(1) singular values of genuinely independent
 # lines.
 PENCIL_RANK_TOL = 1e-6
+# Rounding slack of the closed-form pencil bounds, relative to the
+# Frobenius norm of a vertex's edge lines: a generous multiple of the unit
+# roundoff that covers each bound's own rounding and the backward error
+# of LAPACK's SVD on a 6-column matrix.
+_PENCIL_SLACK = 64 * np.finfo(float).eps
 
 
 def star_plane(points):
@@ -563,18 +573,92 @@ def _face_stage(graph, positions, walk):
     return found
 
 
+def _pencil_bounds(lines):
+    """Closed-form bounds for each set of a stack of 6-vectors ``(B, k, 6)``.
+
+    Returns ``(s1_lo, s1_hi, s2_lo, s3_hi, gram_hi)``, arrays ``(B,)``.
+    With ``a`` the set's first row, ``b`` the row with the largest part
+    ``b_perp`` orthogonal to ``a`` and ``P`` the projector onto their span,
+    the singular values of the set ``L`` satisfy
+
+    * ``max |L_i| <= s1 <= |L|_F``;
+    * ``s2 >= |a| |b_perp| / sqrt(|a|^2 + |b|^2)``: the second singular
+      value of the rows ``a, b``, which bounds that of ``L`` (interlacing);
+    * ``s3 <= |L (I - P)|_F``, as ``L P`` has rank 2 (Eckart-Young-Mirsky);
+
+    and every unit vector ``v`` of the top two right singular directions
+    has ``|<v, v>| <= |L METRIC L^T|_F / s2^2``.  Each bound is widened by
+    a slack of ``_PENCIL_SLACK |L|_F`` (``4 _PENCIL_SLACK |L|_F^2`` over the
+    form's numerator) for its own rounding and for LAPACK's backward
+    error, so it holds for the values that :func:`_span_signatures`
+    computes.  Bounds that do not exist, for want of two independent
+    rows, are NaN or negative.
+    """
+    sq = _rowdot(lines, lines)
+    frob = np.sqrt(sq.sum(axis=1))
+    slack = _PENCIL_SLACK * frob
+    rows = np.arange(len(lines))
+    a, a2 = lines[:, :1], sq[:, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perp = lines - (_rowdot(lines, a) / a2)[..., None] * a
+        p2 = _rowdot(perp, perp)
+        j = p2.argmax(axis=1)
+        b_perp, bp2 = perp[rows, j][:, None], p2[rows, j]
+        rest = perp - (_rowdot(perp, b_perp) / bp2[:, None])[..., None] * b_perp
+        s2_lo = np.sqrt(a2[:, 0] * bp2 / (a2[:, 0] + sq[rows, j])) - slack
+        gram = lines @ METRIC @ lines.swapaxes(1, 2)
+        gram_f = np.sqrt((gram * gram).sum(axis=(1, 2)))
+        # the numerator's own rounding, up to slack |L|_F; LAPACK's tilt of
+        # the top two directions, up to slack / (s2 - s3) and so, where
+        # s3 << s2 <= |L|_F, up to slack |L|_F / s2^2 on each side of the
+        # form; and the eigenvalue solve's rounding, below both
+        gram_hi = (gram_f + 4 * slack * frob) / s2_lo**2
+    s1_lo = np.sqrt(sq.max(axis=1)) - slack
+    s1_hi = frob + slack
+    s3_hi = np.sqrt(_rowdot(rest, rest).sum(axis=1)) + slack
+    return s1_lo, s1_hi, s2_lo, s3_hi, gram_hi
+
+
+def _certified_pencils(lines, sig):
+    """Which sets of a stack of edge lines ``(B, k, 6)`` surely span a
+    line pencil as :func:`_span_signatures` reads it at
+    ``PENCIL_RANK_TOL`` and ``sig``: rank 2 and signature (0, 0, 2).
+
+    A set is certified when its :func:`_pencil_bounds` clear every cut of
+    that reading with room to spare: the largest singular value the
+    ``1e-14`` floor by 10x, the second the rank cut by 10x, the third
+    stays 10x below it, and the Pluecker form over the top two singular
+    directions stays below a quarter of ``sig``.  A certified set passes
+    the SVD path; an uncertified one may pass it or not.
+    """
+    s1_lo, s1_hi, s2_lo, s3_hi, gram_hi = _pencil_bounds(lines)
+    return (
+        (s1_lo >= 1e-13)
+        & (s2_lo >= 10 * PENCIL_RANK_TOL * s1_hi)
+        & (s3_hi <= PENCIL_RANK_TOL / 10 * s1_lo)
+        & (gram_hi <= sig / 4)
+    )
+
+
 def _pencil_stage(graph, degree, sig, walk):
     """Rank and signature of every vertex pencil, stacked by vertex
     degree; a pencil that is not a line pencil (dimension 1, signature
     (0, 0, 2)) is a violation, by ascending vertex.  Edge lines that are
-    all zero span nothing: dimension -1, signature (0, 0, 0)."""
+    all zero span nothing: dimension -1, signature (0, 0, 0).  Only the
+    pencils that :func:`_certified_pencils` leaves undecided go through
+    :func:`_span_signatures`."""
     # the edges at every vertex, ascending, in the slots of its star
     by_vertex = np.argsort(graph.edges.ravel(), kind="stable") // 2
     found = []
     for k, verts in _by_degree(degree):
         incident = by_vertex[graph.star_offsets[verts][:, None] + np.arange(k)]
+        lines = walk.edge_lines[incident]
+        open_rows = np.flatnonzero(~_certified_pencils(lines, sig))
+        if not open_rows.size:
+            continue
+        verts, incident = verts[open_rows], incident[open_rows]
         rank, signatures, _ = _span_signatures(
-            walk.edge_lines[incident], PENCIL_RANK_TOL, sig
+            lines[open_rows], PENCIL_RANK_TOL, sig
         )
         bad = (rank != 2) | np.any(signatures != (0, 0, 2), axis=1)
         found += [

@@ -13,12 +13,18 @@ array passes by :mod:`hypnet.meshtext`, so no whole-file string is
 built; a chunk that raises removes the partial file.  That module is
 imported on the first write, so ``hypnet check`` neither compiles it
 nor builds its tables.
+
+:func:`read_mesh` streams the file in chunks of :data:`CHUNK` lines as
+well: a chunk of plain vertex and face records is converted in bulk,
+any other one line by line.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import suppress
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,7 +34,8 @@ from .quadgraph import _group
 #: Grid-corner index pairs in the role order (x, x1, x2, x12).
 CORNER_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-#: Rows formatted and written per chunk by :func:`write_positions_mesh`.
+#: Rows formatted and written per chunk by :func:`write_positions_mesh`,
+#: and lines parsed per chunk by :func:`read_mesh`.
 CHUNK = 1024
 
 
@@ -36,61 +43,112 @@ def read_mesh(path):
     """Positions ``(n, 3)`` and 0-based quad tuples from a text mesh.
 
     Accepts ``v x y z`` and ``f a b c d`` records (1-based indices,
-    ``a/t/n`` forms allowed); every other record is skipped.  Raises
-    :class:`ParseError` naming the line for malformed records or
-    out-of-range indices and :class:`NonQuadFace` for faces without
-    exactly four vertices.
+    ``a/t/n`` forms allowed); every other record is skipped, and so is a
+    leading UTF-8 byte-order mark.  Raises :class:`ParseError` naming the
+    line for malformed records or out-of-range indices and
+    :class:`NonQuadFace` for faces without exactly four vertices.
+
+    The file is streamed :data:`CHUNK` lines at a time.  A chunk of plain
+    records, ``v`` lines of three coordinates before ``f`` lines of four
+    plain indices, is converted in bulk by Python's own ``float`` and
+    ``int``, so it reads the same values as one line at a time; any other
+    chunk goes through the per-line loop :func:`_read_lines`, which
+    raises on its first malformed record.
     """
-    positions = []
-    quads = []
-    face_lines = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            record = tokens[0]
-            if record == "v":
-                if len(tokens) < 4:
+    coords, quads, face_lines = [], [], []
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        number = 1
+        while lines := list(islice(handle, CHUNK)):
+            if not _read_plain(lines, number, coords, quads, face_lines):
+                _read_lines(lines, number, coords, quads, face_lines)
+            number += len(lines)
+    positions = np.concatenate(coords) if coords else np.zeros((0, 3))
+    if quads and max(map(max, quads)) >= len(positions):
+        for number, quad in zip(face_lines, quads):
+            for index in quad:
+                if index >= len(positions):
                     raise ParseError(
-                        f"line {number}: vertex needs three coordinates"
+                        f"line {number}: face references vertex {index + 1} "
+                        f"but only {len(positions)} are defined"
                     )
-                try:
-                    positions.append([float(t) for t in tokens[1:4]])
-                except ValueError as exc:
-                    raise ParseError(f"line {number}: {exc}") from None
-            elif record == "f":
-                indices = []
-                for token in tokens[1:]:
-                    head = token.split("/", 1)[0]
-                    try:
-                        index = int(head)
-                    except ValueError:
-                        raise ParseError(
-                            f"line {number}: bad face index {token!r}"
-                        ) from None
-                    if index < 1:
-                        raise ParseError(
-                            f"line {number}: face indices are 1-based "
-                            f"and positive, got {index}"
-                        )
-                    indices.append(index - 1)
-                if len(indices) != 4:
-                    raise NonQuadFace(
-                        f"line {number}: face has {len(indices)} vertices, "
-                        "expected 4"
-                    )
-                quads.append(tuple(indices))
-                face_lines.append(number)
-    for number, quad in zip(face_lines, quads):
-        for index in quad:
-            if index >= len(positions):
+    return positions, quads
+
+
+def _read_plain(lines, number, coords, quads, face_lines) -> bool:
+    """Append the records of a chunk of plain lines, the first of them
+    line ``number``, in bulk; False, appending nothing, for any other
+    chunk."""
+    rows = list(map(str.split, lines))
+    widths = list(map(len, rows))
+    nv = widths.count(4)
+    nf = len(rows) - nv
+    if (widths != [4] * nv + [5] * nf
+            or list(map(itemgetter(0), rows)) != ["v"] * nv + ["f"] * nf):
+        return False
+    # one flat token list, freeing the line lists before the conversions
+    tokens = list(chain.from_iterable(rows))
+    del rows
+    values, heads = tokens[:4 * nv], tokens[4 * nv:]
+    del tokens
+    # without the record letters: every fourth vertex token, fifth face token
+    del values[::4], heads[::5]
+    try:
+        xyz = np.fromiter(map(float, values), float, len(values)).reshape(-1, 3)
+        indices = np.fromiter(map(int, heads), np.int64, len(heads))
+    except (ValueError, OverflowError):
+        return False
+    if nf and indices.min() < 1:
+        return False
+    coords.append(xyz)
+    flat = iter((indices - 1).tolist())
+    quads.extend(zip(flat, flat, flat, flat))
+    face_lines.extend(range(number + nv, number + nv + nf))
+    return True
+
+
+def _read_lines(lines, number, coords, quads, face_lines) -> None:
+    """Append the records of a chunk one line at a time, the first of
+    them line ``number``; raises on the first malformed record."""
+    positions = []
+    for number, raw in enumerate(lines, start=number):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        record = tokens[0]
+        if record == "v":
+            if len(tokens) < 4:
                 raise ParseError(
-                    f"line {number}: face references vertex {index + 1} "
-                    f"but only {len(positions)} are defined"
+                    f"line {number}: vertex needs three coordinates"
                 )
-    return np.asarray(positions, dtype=float).reshape(-1, 3), quads
+            try:
+                positions.append([float(t) for t in tokens[1:4]])
+            except ValueError as exc:
+                raise ParseError(f"line {number}: {exc}") from None
+        elif record == "f":
+            indices = []
+            for token in tokens[1:]:
+                head = token.split("/", 1)[0]
+                try:
+                    index = int(head)
+                except ValueError:
+                    raise ParseError(
+                        f"line {number}: bad face index {token!r}"
+                    ) from None
+                if index < 1:
+                    raise ParseError(
+                        f"line {number}: face indices are 1-based "
+                        f"and positive, got {index}"
+                    )
+                indices.append(index - 1)
+            if len(indices) != 4:
+                raise NonQuadFace(
+                    f"line {number}: face has {len(indices)} vertices, "
+                    "expected 4"
+                )
+            quads.append(tuple(indices))
+            face_lines.append(number)
+    coords.append(np.asarray(positions, dtype=float).reshape(-1, 3))
 
 
 def write_positions_mesh(path, positions, quads) -> None:

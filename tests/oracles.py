@@ -1116,6 +1116,64 @@ def reference_write_mesh(path, grids: dict, weld: bool = True) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def reference_read_mesh(path):
+    """``meshio.read_mesh`` one line at a time: every record split, parsed
+    and checked in turn, the face indices checked against the vertex count
+    at the end; a leading UTF-8 byte-order mark is skipped."""
+    from hypnet.errors import NonQuadFace, ParseError
+
+    positions = []
+    quads = []
+    face_lines = []
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            record = tokens[0]
+            if record == "v":
+                if len(tokens) < 4:
+                    raise ParseError(
+                        f"line {number}: vertex needs three coordinates"
+                    )
+                try:
+                    positions.append([float(t) for t in tokens[1:4]])
+                except ValueError as exc:
+                    raise ParseError(f"line {number}: {exc}") from None
+            elif record == "f":
+                indices = []
+                for token in tokens[1:]:
+                    head = token.split("/", 1)[0]
+                    try:
+                        index = int(head)
+                    except ValueError:
+                        raise ParseError(
+                            f"line {number}: bad face index {token!r}"
+                        ) from None
+                    if index < 1:
+                        raise ParseError(
+                            f"line {number}: face indices are 1-based "
+                            f"and positive, got {index}"
+                        )
+                    indices.append(index - 1)
+                if len(indices) != 4:
+                    raise NonQuadFace(
+                        f"line {number}: face has {len(indices)} vertices, "
+                        "expected 4"
+                    )
+                quads.append(tuple(indices))
+                face_lines.append(number)
+    for number, quad in zip(face_lines, quads):
+        for index in quad:
+            if index >= len(positions):
+                raise ParseError(
+                    f"line {number}: face references vertex {index + 1} "
+                    f"but only {len(positions)} are defined"
+                )
+    return np.asarray(positions, dtype=float).reshape(-1, 3), quads
+
+
 def reference_write_positions_mesh(path, positions, quads) -> None:
     """``meshio.write_positions_mesh`` as one ``%`` pass over all
     coordinates and another over all face ids, writing one whole-file

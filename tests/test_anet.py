@@ -14,7 +14,10 @@ from hypnet.anet import (
     PENCIL_RANK_TOL,
     SKEW_PAIR_EPS,
     ANet,
+    _by_degree,
+    _certified_pencils,
     _collect_violations,
+    _pencil_bounds,
     diagnose_anet,
     star_plane,
     validate_anet,
@@ -22,6 +25,8 @@ from hypnet.anet import (
 from hypnet.errors import DegenerateFace, NonGenericPair, NonPlanarStar
 from hypnet.plucker import (
     Tolerances,
+    _basis_gram,
+    _span_signatures,
     hom,
     incidence_matrix,
     line_from_points,
@@ -637,24 +642,200 @@ def test_face_volume_kernel_equals_the_one_face_ratio():
     assert ratio.tolist() == [face_volume_ratio(pos, q) for q in quads]
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Count the calls of ``module.name`` under the key ``name``."""
+    func = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_diagnose_makes_no_per_vertex_span_or_svd_calls(monkeypatch):
     n, quads, pos = quadric_grid(10, 10)
     g = build(n, quads)
     calls = {"span": 0, "svd": 0}
-
-    def counting(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    spy = counting("span", hypnet.plucker.span)
     for module in (hypnet.plucker, hypnet.anet):
         # anet imports no span today; the spy still catches one it gains
-        monkeypatch.setattr(module, "span", spy, raising=False)
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(module, "span", hypnet.plucker.span, raising=False)
+        count_calls(monkeypatch, module, "span", calls)
+    count_calls(monkeypatch, np.linalg, "svd", calls)
     assert diagnose_anet(g, pos)["valid"]
-    # one stacked SVD per (stage, group, chunk): stars and pencils, each
-    # grouped by the 3 vertex degrees of a grid, each group in one chunk
+    # one stacked SVD per star group: the 3 vertex degrees of a grid, each
+    # group in one chunk; the pencil stage certifies every exact pencil
     assert calls["span"] == 0
-    assert calls["svd"] <= 2 * 3
+    assert calls["svd"] == 3
+
+
+def test_exact_wide_grid_reads_its_pencils_without_an_svd(monkeypatch):
+    n, quads, pos = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
+    g = build(n, quads)
+    calls = {"svd": 0, "_span_signatures": 0}
+    count_calls(monkeypatch, np.linalg, "svd", calls)
+    count_calls(monkeypatch, hypnet.anet, "_span_signatures", calls)
+    assert diagnose_anet(g, pos)["valid"]
+    assert calls["_span_signatures"] == 0
+    assert calls["svd"] == len(list(_by_degree(g.degrees)))
+
+
+# --- the closed-form pencil certificate ------------------------------------------
+
+
+def random_rotation(rng, n=6):
+    """A random orthogonal ``n`` x ``n`` matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def form_rotation(rng):
+    """A random orthogonal 6x6 matrix that keeps the Pluecker form: the
+    same 3x3 rotation on both halves of a 6-vector."""
+    return np.kron(np.eye(2), random_rotation(rng, 3))
+
+
+def star_basis(rng, count):
+    """``count`` orthonormal triples ``(p, q, n)`` in the lines through a
+    random point: ``p, q`` span the lines of a random plane through it
+    (a pencil), ``n`` a line through it off that plane."""
+    bases = []
+    for _ in range(count):
+        x = hom(rng.normal(size=3))
+        d = rng.normal(size=(3, 3))
+        lines = np.array([line_from_points(x, hom(x[:3] + di)) for di in d])
+        bases.append(np.linalg.qr(lines.T)[0].T)
+    return np.array(bases)
+
+
+def pencil_rows(basis, angles):
+    """Rows ``cos t p + sin t q`` of each basis ``(B, 2.., 6)`` at the
+    angles ``(B, k)``."""
+    return np.cos(angles)[..., None] * basis[:, :1] + np.sin(angles)[..., None] * basis[:, 1:2]
+
+
+def certificate_stacks(rng, sig, count=160):
+    """Stacks of edge-line sets ``(count, 4, 6)`` that straddle every cut
+    of the pencil reading at ``sig``."""
+    spread = rng.uniform(0, np.pi, size=(count, 4))
+    basis = star_basis(rng, count)
+    exact = pencil_rows(basis, spread)
+    stacks = {"exact": exact}
+    # a line leaves the plane, staying on the point: a third singular value
+    # swept across the rank cut
+    leak = exact.copy()
+    leak[:, 1] += np.geomspace(1e-9, 1e-4, count)[:, None] * basis[:, 2]
+    stacks["s3_sweep"] = leak / np.linalg.norm(leak, axis=-1, keepdims=True)
+    # lines of nearly one direction: the second singular value swept
+    # across the rank cut
+    narrow = np.geomspace(1e-8, 1e-3, count)[:, None] * np.linspace(0, 1, 4)
+    stacks["s2_sweep"] = pencil_rows(basis, spread[:, :1] + narrow)
+    # generators of a plane that is not isotropic: the form swept across sig
+    tilt = np.geomspace(1e-3, 20, count)[:, None, None] * rng.normal(size=(count, 2, 6))
+    tilted = pencil_rows(basis[:, :2] + sig * tilt, spread)
+    stacks["form_sweep"] = tilted / np.linalg.norm(tilted, axis=-1, keepdims=True)
+    # an isotropic line and a short row whose unit form is swept across
+    # sig: the form bound is attained to within 1 %
+    half = 0.5 * np.arcsin(np.minimum(sig * np.geomspace(0.05, 20, count), 1.0))
+    tight = np.zeros((count, 2, 6))
+    tight[:, 0, 0] = 1.0
+    tight[:, 1, 1], tight[:, 1, 4] = 0.1 * np.cos(half), 0.1 * np.sin(half)
+    turn = np.array([form_rotation(rng) for _ in range(count)])
+    stacks["form_tight"] = tight @ turn.swapaxes(1, 2)
+    # the whole set scaled across the zero floor
+    stacks["scale_sweep"] = exact * np.geomspace(1e-15, 1e-11, count)[:, None, None]
+    signs = rng.choice([-1.0, 1.0], size=(count, 4, 1))
+    stacks["collinear"] = exact[:, :1] * signs
+    zeros = exact.copy()
+    zeros[: count // 2, 0] = 0.0
+    zeros[count // 2:] = 0.0
+    stacks["zero_rows"] = zeros
+    n, quads, pos = quadric_grid(6, 6, spacing=0.1, origin=(-0.4, -0.3))
+    g = build(n, quads)
+    by_vertex = np.argsort(g.edges.ravel(), kind="stable") // 2
+    verts = np.flatnonzero(g.degrees == 4)
+    incident = by_vertex[g.star_offsets[verts][:, None] + np.arange(4)]
+    for shift in (0.0, 30.0, 1e3, 1e4):
+        walk = _collect_violations(g, pos + shift, False, Tolerances(sig=sig))
+        stacks[f"net_shifted_{shift:g}"] = walk.edge_lines[incident]
+    return stacks
+
+
+def svd_reading(lines, sig):
+    """The three largest singular values ``(B, 3)`` of each set (0 past
+    its row count) and the largest eigenvalue magnitude ``(B,)`` of the
+    form over its top two right singular vectors, as
+    :func:`_span_signatures` computes them."""
+    _, s, vt = np.linalg.svd(lines)
+    gram = _basis_gram(vt[:, :2], sig)[1]
+    lam = np.linalg.eigvalsh(0.5 * (gram + gram.swapaxes(1, 2)))
+    s = np.pad(s, [(0, 0), (0, max(0, 3 - s.shape[1]))])
+    return s[:, :3], np.abs(lam).max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "sig", [1e-30, 1e-15, 3e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]
+)
+def test_certified_pencils_pass_the_svd_reading_with_room(sig):
+    rng = np.random.default_rng(43)
+    accepted = {}
+    for name, lines in certificate_stacks(rng, sig).items():
+        ok = _certified_pencils(lines, sig)
+        rank, signatures, _ = _span_signatures(lines, PENCIL_RANK_TOL, sig)
+        assert (rank[ok] == 2).all(), name
+        assert (signatures[ok] == (0, 0, 2)).all(), name
+        # each cut is cleared by at least half the certificate's margin
+        s, lam = svd_reading(lines[ok], sig)
+        assert (s[:, 0] >= 5e-14).all(), name
+        assert (s[:, 1] >= 5 * PENCIL_RANK_TOL * s[:, 0]).all(), name
+        assert (s[:, 2] <= PENCIL_RANK_TOL / 5 * s[:, 0]).all(), name
+        assert (lam <= sig / 2).all(), name
+        accepted[name] = int(ok.sum())
+    if sig >= 1e-9:
+        # every genuine pencil passes, also on nets far from the origin,
+        # and each sweep has sets on both sides of its cut
+        assert accepted["exact"] == 160
+        assert all(accepted[f"net_shifted_{shift:g}"] == 25
+                   for shift in (0.0, 30.0, 1e3, 1e4))
+        for name in ("s3_sweep", "form_sweep", "form_tight", "scale_sweep"):
+            assert 0 < accepted[name] < 160, name
+    if sig >= 1e-3:
+        assert 0 < accepted["s2_sweep"] < 160
+
+
+def tight_stacks(rng, count=300):
+    """Sets on which each pencil bound is attained up to rounding."""
+    frames = np.array([random_rotation(rng) for _ in range(count)])
+    p, q, n = frames[:, 0], frames[:, 1], frames[:, 2]
+    t = rng.uniform(0.1, 0.9, size=(count, 1))
+    eta = 1e-8 * rng.uniform(1, 2, size=(count, 1))
+    # an isotropic row a and a row c with <a, c> = 0 and <c, c> != 0,
+    # turned by a map that keeps the form
+    a = np.zeros((count, 6))
+    a[:, 0] = 1.0
+    c = np.zeros((count, 6))
+    c[:, [1, 2, 4, 5]] = rng.normal(size=(count, 4))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    turn = np.array([form_rotation(rng) for _ in range(count)])
+    a, c = (turn @ a[..., None])[..., 0], (turn @ c[..., None])[..., 0]
+    return {
+        "s1_lo: orthogonal rows": np.stack([p, t * q], axis=1),
+        "s1_hi: equal rows": np.stack([p, p, p, p], axis=1),
+        "s2_lo: a tiny orthogonal row": np.stack([p, eta * q], axis=1),
+        "s3_hi: three orthogonal rows": np.stack([p, q, t * 1e-3 * n], axis=1),
+        "gram_hi: an isotropic row and a tiny one": np.stack([a, 1e-8 * c], axis=1),
+    }
+
+
+def test_pencil_bounds_hold_for_the_svd_values_where_they_are_tight():
+    rng = np.random.default_rng(47)
+    for name, lines in tight_stacks(rng).items():
+        s1_lo, s1_hi, s2_lo, s3_hi, gram_hi = _pencil_bounds(lines)
+        s, lam = svd_reading(lines, 1e-9)
+        assert (s1_lo <= s[:, 0]).all() and (s[:, 0] <= s1_hi).all(), name
+        assert (s2_lo <= s[:, 1]).all(), name
+        # the other two bounds exist where two rows are independent
+        two = s2_lo > 0
+        assert two.any() or name.startswith("s1_hi"), name
+        assert (s[two, 2] <= s3_hi[two]).all(), name
+        assert (lam[two] <= gram_hi[two]).all(), name

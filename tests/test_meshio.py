@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hypnet
 import hypnet.cli
+import hypnet.meshio
 import hypnet.meshtext
 from hypnet.anet import validate_anet
 from hypnet.cli import main
@@ -38,7 +39,11 @@ from hypnet.patch import (
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
 
-from oracles import reference_write_mesh, reference_write_positions_mesh
+from oracles import (
+    reference_read_mesh,
+    reference_write_mesh,
+    reference_write_positions_mesh,
+)
 
 
 def write(path, text):
@@ -143,6 +148,170 @@ def test_malformed_records_raise_parse_errors_naming_the_line(
 
 def test_non_quad_face_is_a_parse_error():
     assert issubclass(NonQuadFace, ParseError)
+
+
+def test_a_byte_order_mark_does_not_hide_the_first_record(tmp_path):
+    path = tmp_path / "bom.obj"
+    path.write_bytes(b"\xef\xbb\xbfv 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+    positions, quads = read_mesh(path)
+    assert positions.tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+    assert quads == [(0, 1, 2, 3)]
+    # with a spare vertex the first record would shift every index silently
+    path.write_bytes(b"\xef\xbb\xbfv 9 9 9\nv 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 3 4\n")
+    positions, quads = read_mesh(path)
+    assert positions[0].tolist() == [9, 9, 9] and quads == [(0, 1, 2, 3)]
+
+
+# --- reading in chunks, against the one-line-at-a-time reference -----------------
+
+
+def read_outcome(reader, path):
+    """The positions' shape and bytes and the quads a reader returns, or
+    the type and message of the error it raises."""
+    try:
+        positions, quads = reader(path)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return positions.shape, positions.tobytes(), quads
+
+
+def assert_reads_like_the_reference(path):
+    ours = read_outcome(read_mesh, path)
+    assert ours == read_outcome(reference_read_mesh, path)
+    return ours
+
+
+QUAD = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
+
+READ_CORPUS = {
+    "plain": QUAD,
+    "crlf": QUAD.replace("\n", "\r\n"),
+    "cr": QUAD.replace("\n", "\r"),
+    "tabs_and_padding": "\tv\t0 0  0 \n  v 1\t0 0\nv 1 1 0\t\nv 0 1 0   \n f  1 2\t3 4 \n",
+    "other_whitespace": "v\x0c0\x0b0 0\nv 1 0 0\nv 1 1 0\x1c\nv 0 1 0\nf 1 2 3 4\n",
+    "no_final_newline": QUAD[:-1],
+    "comments_and_blanks": "# a quad\n\n" + QUAD + "\n   \n# end\n",
+    "other_records": "vt 0 0\nvn 0 0 1\n" + QUAD + "l 1 2\ng side\n",
+    "slash_faces": QUAD.replace("f 1 2 3 4", "f 1/1/1 2//2 3/3 4"),
+    "underscores": QUAD.replace("v 1 0 0", "v 1_0 0 0").replace("f 1 2 3 4", "f 1 2 3 0_4"),
+    "arabic_indic_digits": QUAD.replace("v 1 1 0", "v ١ ١ 0").replace(
+        "f 1 2 3 4", "f 1 2 3 ٤"
+    ),
+    "inf_and_nan": QUAD.replace("v 1 1 0", "v inf -inf nan").replace("v 0 1 0", "v -nan 1e400 -0"),
+    "index_beyond_int64": QUAD.replace("f 1 2 3 4", "f 1 2 3 99999999999999999999"),
+    "index_zero": QUAD.replace("f 1 2 3 4", "f 0 1 2 3"),
+    "index_minus_one": QUAD.replace("f 1 2 3 4", "f -1 1 2 3"),
+    "forward_reference": "f 1 2 3 4\n" + QUAD[:-10],
+    "out_of_range": QUAD.replace("f 1 2 3 4", "f 1 2 3 5"),
+    "triangle": QUAD.replace("f 1 2 3 4", "f 1 2 3"),
+    "pentagon": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1 2 3 4 5"),
+    "empty": "",
+    "bad_coordinate": QUAD.replace("v 1 1 0", "v 1 x 0"),
+    "bad_index": QUAD.replace("f 1 2 3 4", "f 1 2 x 4"),
+    # three and five tokens: the right total for two vertex records
+    "two_then_four_coordinates": "v 1 2\nv 3 4 5 6\n" + QUAD,
+    "four_then_two_coordinates": "v 3 4 5 6\nv 1 2\n" + QUAD,
+    "a_fourth_coordinate": QUAD.replace("v 1 0 0", "v 1 0 0 1"),
+    "two_records_on_one_line": "v 0 0 0 v 1 0 0\n\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n",
+    "faces_between_vertices": "v 0 0 0\nv 1 0 0\nf 1 2 3 4\nv 1 1 0\nv 0 1 0\n",
+    "bare_records": "v\nf\n",
+    "byte_order_mark": "\ufeff" + QUAD,
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_CORPUS))
+def test_reading_matches_the_reference_on_odd_files(tmp_path, name):
+    path = tmp_path / "m.obj"
+    path.write_bytes(READ_CORPUS[name].encode("utf-8"))
+    assert_reads_like_the_reference(path)
+
+
+def plain_lines(count):
+    """``count`` plain records: vertices, then one face per four of them."""
+    faces = count // 5
+    vertices = count - faces
+    lines = [f"v {k} {k / 7!r} {-k * 0.1!r}" for k in range(vertices)]
+    lines += [f"f {k + 1} {k + 2} {k + 3} {k + 4}" for k in range(faces)]
+    return lines
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_files_around_a_chunk_read_like_the_reference(tmp_path, count):
+    path = tmp_path / "m.obj"
+    path.write_text("".join(line + "\n" for line in plain_lines(count)), encoding="utf-8")
+    shape, _, quads = assert_reads_like_the_reference(path)
+    assert shape == (count - count // 5, 3) and len(quads) == count // 5
+
+
+@pytest.mark.parametrize("line", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+@pytest.mark.parametrize("bad", ["v 0 0", "f 1 2 3", "f 0 1 2 3", "# c", "v 1 2 x"])
+def test_an_odd_line_at_a_chunk_edge_reads_like_the_reference(tmp_path, line, bad):
+    lines = plain_lines(2 * CHUNK + 1)
+    lines[line] = bad
+    path = tmp_path / "m.obj"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcome = assert_reads_like_the_reference(path)
+    if not bad.startswith("#"):
+        assert outcome[1].startswith(f"line {line + 1}:")
+
+
+READ_LINES = [
+    "v 0 0 0", "v 1 2 3", "v 1.5 -2e-3 inf", "v 1_0 ١ nan", "v 1 2", "v 1 2 3 4",
+    "v x 0 0", "v", "f 1 2 3 4", "f 4 3 2 1", "f 1 2 3", "f 1 2 3 4 5", "f 1/1 2 3 4",
+    "f 0 1 2 3", "f 1 2 3 99999999999999999999", "f 1 2 3 x", "f", "# c", "", "  ",
+    "vt 0 0", "\tv 0\t0 0 ", "v 0 0 0 v 1 0 0", "f 2 3 4 5 ",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(READ_LINES), max_size=14),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+    st.integers(1, 5),
+)
+def test_chunked_reading_matches_the_reference(tmp_path_factory, lines, end, bom, chunk):
+    path = tmp_path_factory.mktemp("read") / "m.obj"
+    path.write_bytes((("\ufeff" if bom else "") + end.join(lines)).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypnet.meshio, "CHUNK", chunk)
+        assert_reads_like_the_reference(path)
+
+
+def test_a_wide_written_grid_reads_in_bulk_alone(tmp_path, monkeypatch):
+    _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
+    path = tmp_path / "wide.obj"
+    write_positions_mesh(path, positions, quads)
+
+    def per_line(*args):
+        raise AssertionError("a chunk went through the per-line loop")
+
+    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+    back_positions, back_quads = read_mesh(path)
+    assert back_positions.tobytes() == positions.tobytes()
+    assert back_quads == [tuple(q) for q in quads]
+
+
+def test_reading_streams_in_chunks(tmp_path):
+    _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
+    path = tmp_path / "wide.obj"
+    write_positions_mesh(path, positions, quads)
+    read_mesh(path)
+    transient = []
+    for reader in (read_mesh, reference_read_mesh):
+        tracemalloc.start()
+        try:
+            result = reader(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - current)
+        del result
+    size = path.stat().st_size
+    # the reference holds every coordinate as a Python float until the end;
+    # the chunked reader holds one chunk's tokens and its result's arrays
+    assert transient[1] > 2 * size
+    assert transient[0] < 1.25 * size
 
 
 # --- writing and round trips ------------------------------------------------------
