@@ -10,6 +10,9 @@ axis, so they span it: a face frame stores the diagonals and no other
 basis of the axis.  The frames of many faces are read in one stacked
 pass into a :class:`FrameStack`, whose arrays propagation, carving and
 the C1 report index directly; :class:`FaceFrame` is its one-row view.
+Both signatures of a face are certified in closed form from the Gram
+matrix of its edge lines (:func:`_certified_frames`); only faces left
+undecided reach the SVD.
 
 Validation enforces, per face, that the quad is non-planar and that
 opposite edge lines are skew; per vertex, that the incident edge lines
@@ -80,6 +83,11 @@ _ROLE_CORNERS = [0, 3, 1, 2]
 # Corner roles (x, x1, x2, x12 = 0..3) joined by the lines of
 # FaceFrame.h_lines, row by row.
 _ROLE_EDGES = np.array([[1, 0], [2, 3], [0, 2], [3, 1]])
+# The components of a 6-vector with its halves swapped: ``v @ METRIC``.
+_SWAP_HALVES = np.array([3, 4, 5, 0, 1, 2])
+# Entries of the Gram matrix of those lines that vanish on a skew quad,
+# row-major: all but the products of the opposite pairs (0, 1) and (2, 3).
+_FRAME_REST = np.array([1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 1.0])
 # Rank cutoff for vertex pencils of edge lines.  A net passing the
 # planarity check at PLANAR_EPS can carry spurious pencil directions of
 # comparable relative size, so this must sit well above PLANAR_EPS while
@@ -298,7 +306,10 @@ class ANet:
         unit their largest distance from it.  The construction is
         affine-invariant, while global Pluecker coordinates of a face
         that is small against its distance from the origin are badly
-        conditioned.  Raises
+        conditioned.  A face whose lines :func:`_certified_frames`
+        certifies takes both signatures in closed form; only the others
+        go through one stacked SVD and ``eigvalsh`` reading, so the
+        outcome is the reading's either way.  Raises
         :class:`NonGenericPair` for the first face, in the given order,
         whose edge lines do not span a subspace of signature (2, 2, 0)
         or, failing that, whose axis (the polar of that span) is not of
@@ -327,10 +338,16 @@ class ANet:
         local /= np.sqrt(_rowdot(local, local)).max(axis=1)[:, None, None]
         ends = hom(local[:, _ROLE_EDGES])
         lines, _ = _join(ends[:, :, 0], ends[:, :, 1])
-        _, spans, vt = _span_signatures(lines, 1e-10, self.tol.sig)
-        # the polar of a rank-4 span is the orthogonal complement of its
-        # rows, mapped through the form
-        axes = _basis_gram(vt[:, 4:] @ METRIC, self.tol.sig)[2]
+        spans = np.tile([2, 2, 0], (len(lines), 1))
+        axes = np.tile([1, 1, 0], (len(lines), 1))
+        open_rows = np.flatnonzero(~_certified_frames(lines, self.tol.sig))
+        if open_rows.size:
+            _, spans[open_rows], vt = _span_signatures(
+                lines[open_rows], 1e-10, self.tol.sig
+            )
+            # the polar of a rank-4 span is the orthogonal complement of
+            # its rows, mapped through the form
+            axes[open_rows] = _basis_gram(vt[:, 4:] @ METRIC, self.tol.sig)[2]
         bad = np.any(spans != (2, 2, 0), axis=1) | np.any(axes != (1, 1, 0), axis=1)
         if bad.any():
             k = int(np.argmax(bad))
@@ -376,7 +393,7 @@ class ANet:
         by its lowest-indexed half-edge, then of those faces in that BFS
         order, read in one :meth:`frames` pass.
         """
-        tree = np.reshape(self.graph.dual_spanning_tree(seed), (-1, 3)).astype(np.intp)
+        tree = self.graph.dual_tree(seed)
         faces = np.concatenate([[seed], tree[:, 0]])
         # the seed, sharing no edge, is entered by its side 0
         shared = np.concatenate([[-1], tree[:, 2]])
@@ -573,6 +590,12 @@ def _face_stage(graph, positions, walk):
     return found
 
 
+def _forms(lines):
+    """Gram matrices ``L METRIC L^T`` ``(B, k, k)`` of a stack of sets of
+    6-vectors ``(B, k, 6)``; ``METRIC`` swaps the halves of a 6-vector."""
+    return lines @ lines[..., _SWAP_HALVES].swapaxes(1, 2)
+
+
 def _pencil_bounds(lines):
     """Closed-form bounds for each set of a stack of 6-vectors ``(B, k, 6)``.
 
@@ -606,7 +629,7 @@ def _pencil_bounds(lines):
         b_perp, bp2 = perp[rows, j][:, None], p2[rows, j]
         rest = perp - (_rowdot(perp, b_perp) / bp2[:, None])[..., None] * b_perp
         s2_lo = np.sqrt(a2[:, 0] * bp2 / (a2[:, 0] + sq[rows, j])) - slack
-        gram = lines @ METRIC @ lines.swapaxes(1, 2)
+        gram = _forms(lines)
         gram_f = np.sqrt((gram * gram).sum(axis=(1, 2)))
         # the numerator's own rounding, up to slack |L|_F; LAPACK's tilt of
         # the top two directions, up to slack / (s2 - s3) and so, where
@@ -638,6 +661,57 @@ def _certified_pencils(lines, sig):
         & (s3_hi <= PENCIL_RANK_TOL / 10 * s1_lo)
         & (gram_hi <= sig / 4)
     )
+
+
+def _span_floor(lines, gap):
+    """Lower bounds ``(B,)`` on the eigenvalue magnitudes of the form
+    that :func:`_span_signatures` reads at the rank cut ``1e-10`` on each
+    set of a stack of ``k`` generators ``(B, k, 6)``, given lower bounds
+    ``gap`` on those of ``G = L METRIC L^T``; 0 where the set may read a
+    rank below ``k``.
+
+    With ``L = U S V``, the form over the rows of ``V`` is
+    ``S^-1 U^T G U S^-1``: congruent to ``G``, so of its inertia
+    (Sylvester), with eigenvalues at least ``gap / s1^2`` in magnitude
+    (Ostrowski).  ``s_min(G) <= s_k s1`` bounds ``s_k`` from below, and
+    the set counts as rank ``k`` where that bound clears the rank cut,
+    and ``|L|_F / sqrt(k) <= s1`` the ``1e-14`` floor, by 10x.  ``gap``
+    gives up ``4 _PENCIL_SLACK |L|_F^2`` and each singular value
+    ``_PENCIL_SLACK |L|_F`` to rounding and LAPACK's backward error (see
+    :func:`_pencil_bounds`), and the result ``_PENCIL_SLACK`` to the
+    rounding of the orthonormal basis.
+    """
+    frob = np.sqrt(np.einsum("bkj,bkj->b", lines, lines))
+    slack = _PENCIL_SLACK * frob
+    frob_hi = frob + slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = gap - 4 * slack * frob
+        full = frob / np.sqrt(lines.shape[1]) - slack >= 1e-13
+        full &= gap / frob_hi - slack >= 1e-9 * frob_hi
+        return np.where(full, gap / frob_hi**2 - _PENCIL_SLACK, 0.0)
+
+
+def _certified_frames(lines, sig):
+    """Which sets of a face's four edge lines ``(B, 4, 6)``, in the role
+    order of :attr:`FaceFrame.h_lines`, surely read as :meth:`ANet.frames`
+    reads them at ``sig``: a span of signature (2, 2, 0) whose axis has
+    signature (1, 1, 0).
+
+    The lines are isotropic and adjacent edges meet, so ``G = L METRIC
+    L^T`` is the opposite-pair products ``p = G01`` and ``q = G23`` plus
+    a rest ``E``, and its eigenvalues lie within ``|E|_F`` of ``+-p`` and
+    ``+-q`` (Weyl).  With ``Q`` the right singular vectors, the axis form
+    is the block ``C`` of the involution ``Q METRIC Q^T`` beside the span
+    form ``B``, so ``C^-1`` is the Schur complement of ``B``: ``C`` has
+    signature (1, 1, 0) (Haynsworth) and ``|lam(C)| >= beta / (1 + beta)``
+    where ``|lam(B)| >= beta``.  A set is certified when that bound, less
+    ``_PENCIL_SLACK``, clears ``sig`` by 10x (see :func:`_span_floor`).
+    """
+    gram = _forms(lines)
+    rest = np.sqrt((gram * gram).reshape(-1, 16) @ _FRAME_REST)
+    pairs = np.minimum(np.abs(gram[:, 0, 1]), np.abs(gram[:, 2, 3]))
+    beta = _span_floor(lines, pairs - rest)
+    return beta / (1 + beta) - _PENCIL_SLACK >= 10 * sig
 
 
 def _pencil_stage(graph, degree, sig, walk):

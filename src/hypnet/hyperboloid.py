@@ -34,6 +34,14 @@ to the edge, against the pair the other side holds: that sees both a
 disagreement of the two routes and a vertex star that is not planar,
 which the scalar maps assume.
 
+The signatures of both ruling planes of a member are read in closed
+form: two opposite edge lines ``a``, ``b`` are isotropic with product
+``p = <a, b>``, so the plane they span with ``q`` has the inertia of
+``[[0, p], [p, 0]]`` plus the sign of the Schur complement
+``<q, q> - 2 <a, q> <b, q> / p`` (:func:`_certified_planes`).  Planes
+too close to a cut for that certificate go through the SVD reading, so
+every signature, report and error is the one that reading gives.
+
 Around interior vertices of even degree the maps compose to the
 identity, so one seed quadric spreads consistently over a simply
 connected net; around an odd vertex the quadric returns to itself with
@@ -50,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anet import ANet, FaceFrame, FrameStack, diagonal_ends
+from .anet import ANet, FaceFrame, FrameStack, _forms, _span_floor, diagonal_ends
 from .errors import (
     ClosureViolation,
     DegenerateParameter,
@@ -142,6 +150,32 @@ class HyperboloidStack(Mapping):
         )
 
 
+def _certified_planes(planes, sig):
+    """Signatures ``(B, 3)`` that :func:`_span_signatures` surely reads
+    at ``sig`` on ruling planes ``(B, 3, 6)``, each spanned by two
+    opposite edge lines ``a``, ``b`` and a point ``q`` of the axis; zero
+    rows where the reading is left undecided.
+
+    The edge lines are isotropic, so ``G = L METRIC L^T`` is, but for its
+    diagonal rest ``(g_aa, g_bb)``, a matrix ``G0`` whose block of ``a``
+    and ``b`` is ``[[0, p], [p, 0]]`` with ``p = <a, b>``.  That block
+    has signature (1, 1, 0), so ``G0`` has (2, 1, 0) or (1, 2, 0) by the
+    sign of its Schur complement ``sigma = g_qq - 2 g_aq g_bq / p``
+    (Haynsworth), and ``|det G0| = p^2 |sigma|`` bounds its eigenvalues by
+    ``p^2 |sigma| / |G0|_F^2`` in magnitude.  The rest moves them by at
+    most its norm (Weyl); a plane is certified where
+    :func:`~hypnet.anet._span_floor` then clears ``sig`` by 10x.
+    """
+    gram = _forms(planes)
+    p = gram[:, 0, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = gram[:, 2, 2] - 2 * gram[:, 0, 2] * gram[:, 1, 2] / p
+        det = p * p * np.abs(sigma) / (gram * gram).reshape(-1, 9).sum(axis=1)
+    rest = np.hypot(gram[:, 0, 0], gram[:, 1, 1])
+    ok = _span_floor(planes, det - rest) >= 10 * sig
+    return np.where(ok[:, None], _RULING_PLANES[np.where(sigma > 0, 0, 1)], 0)
+
+
 def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
     """The members ``lams`` of the faces of ``frames``, formed and
     checked in stacked passes, as a stack in ascending face order.
@@ -150,7 +184,9 @@ def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
     of ``frames`` whose coordinate is 0 or not finite, whose polar
     partner is indeterminate, whose pair fails to split into
     self-products of opposite sign, or whose ruling planes are not a
-    (2,1,0)/(1,2,0) pair, each read with the frames' ``sig_eps``.
+    (2,1,0)/(1,2,0) pair, each read with the frames' ``sig_eps``.  A
+    plane :func:`_certified_planes` certifies takes its signature in
+    closed form; only the others go through one stacked SVD reading.
     """
     lam = np.asarray(lams, dtype=float)
     diagonals = canonical(frames.diagonals)
@@ -168,7 +204,12 @@ def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
         [np.concatenate([lines[:, :2], q1[:n, None]], axis=1),
          np.concatenate([lines[:, 2:], q2[:n, None]], axis=1)]
     )
-    _, signatures, _ = _span_signatures(planes, 1e-10, frames.sig_eps)
+    signatures = _certified_planes(planes, frames.sig_eps)
+    open_rows = np.flatnonzero(~signatures.any(axis=1))
+    if open_rows.size:
+        signatures[open_rows] = _span_signatures(
+            planes[open_rows], 1e-10, frames.sig_eps
+        )[1]
     signatures = np.stack([signatures[:n], signatures[n:]], axis=1)
     ruling = np.all(signatures == _RULING_PLANES, axis=(1, 2))
     ruling |= np.all(signatures == _RULING_PLANES[::-1], axis=(1, 2))

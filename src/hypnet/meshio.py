@@ -50,9 +50,10 @@ def read_mesh(path):
 
     The file is streamed :data:`CHUNK` lines at a time.  A chunk of plain
     records, ``v`` lines of three coordinates before ``f`` lines of four
-    plain indices, is converted in bulk by Python's own ``float`` and
-    ``int``, so it reads the same values as one line at a time; any other
-    chunk goes through the per-line loop :func:`_read_lines`, which
+    indices, each plain or cut at its first ``/``, is converted in bulk by
+    Python's own ``float`` and ``int``, so it reads the same values as one
+    line at a time; any other chunk, or one holding a value that does not
+    parse, goes through the per-line loop :func:`_read_lines`, which
     raises on its first malformed record.
     """
     coords, quads, face_lines = [], [], []
@@ -92,6 +93,9 @@ def _read_plain(lines, number, coords, quads, face_lines) -> bool:
     del tokens
     # without the record letters: every fourth vertex token, fifth face token
     del values[::4], heads[::5]
+    # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``
+    if "/" in "".join(heads):
+        heads = [head.partition("/")[0] for head in heads]
     try:
         xyz = np.fromiter(map(float, values), float, len(values)).reshape(-1, 3)
         indices = np.fromiter(map(int, heads), np.int64, len(heads))

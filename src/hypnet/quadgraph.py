@@ -32,6 +32,8 @@ The strips are array passes too: a strip leaves each member face by a
 half-edge ``h``, and the next one by ``twin[h] ^ 2``, so pointer
 jumping along that map labels every strip by its least (face, side
 pair) node and places every member in it (:meth:`QuadGraph.strip_sides`).
+The dual spanning tree is built one breadth-first level at a time
+(:meth:`QuadGraph.dual_tree`).
 """
 
 from __future__ import annotations
@@ -379,28 +381,45 @@ class QuadGraph:
         face id.  Raises :class:`ValueError` when ``seed`` is not a face
         id and :class:`DisconnectedMesh` when faces remain unreachable.
         """
+        return list(map(tuple, self.dual_tree(seed).tolist()))
+
+    def dual_tree(self, seed: int) -> np.ndarray:
+        """:meth:`dual_spanning_tree` as an ``(F - 1, 3)`` array, built
+        one BFS level at a time.
+
+        A level lists its faces in the order a queue would visit them, so
+        the next level holds the unseen neighbors of its faces in that
+        order, each face's ascending, every face kept at its first
+        occurrence, which is where a queue would have met it.
+        """
         count = self.face_count
         if not 0 <= seed < count:
             raise ValueError(f"face {seed} is not a face id (mesh has {count} faces)")
         across = np.where(self.twin >= 0, self.twin // 4, count).reshape(-1, 4)
         ranked = np.argsort(across, axis=1, kind="stable")
-        neighbors = np.take_along_axis(across, ranked, axis=1).tolist()
-        shared = np.take_along_axis(self.face_edges, ranked, axis=1).tolist()
-        seen = bytearray(count)
-        seen[seed] = 1
-        tree = []
-        queue = deque([seed])
-        while queue:
-            f = queue.popleft()
-            for g, e in zip(neighbors[f], shared[f]):
-                if g < count and not seen[g]:
-                    seen[g] = 1
-                    tree.append((g, f, e))
-                    queue.append(g)
-        if len(tree) + 1 != count:
-            missing = [f for f in range(count) if not seen[f]]
+        neighbors = np.take_along_axis(across, ranked, axis=1)
+        shared = np.take_along_axis(self.face_edges, ranked, axis=1)
+        # the boundary's stand-in id ``count`` is never visited
+        seen = np.zeros(count + 1, dtype=bool)
+        seen[[seed, count]] = True
+        levels = [np.zeros((0, 3), dtype=np.intp)]
+        frontier = np.array([seed], dtype=np.intp)
+        while frontier.size:
+            rows = neighbors[frontier]
+            slots = np.flatnonzero(~seen[rows])
+            faces = rows.ravel()[slots]
+            order = np.argsort(faces, kind="stable")
+            first = np.ones(len(faces), dtype=bool)
+            first[1:] = np.diff(faces[order]) != 0
+            slots = np.sort(slots[order[first]])
+            parents, sides = frontier[slots // 4], slots % 4
+            frontier = neighbors[parents, sides]
+            seen[frontier] = True
+            levels.append(np.stack([frontier, parents, shared[parents, sides]], axis=1))
+        if not seen.all():
+            missing = np.flatnonzero(~seen).tolist()
             raise DisconnectedMesh(f"faces {missing} unreachable from {seed}")
-        return tree
+        return np.concatenate(levels)
 
 
 def build(vertex_count: int, quads) -> QuadGraph:

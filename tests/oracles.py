@@ -1033,6 +1033,38 @@ class ReferenceGraph:
         return tree
 
 
+def reference_dual_tree(graph, seed):
+    """``graph.dual_spanning_tree(seed)`` by a queue, one face at a time,
+    on the arrays of a built quad graph: each face's neighbors in
+    ascending face id, each kept where the queue first meets it."""
+    from collections import deque
+
+    from hypnet.errors import DisconnectedMesh
+
+    count = graph.face_count
+    if not 0 <= seed < count:
+        raise ValueError(f"face {seed} is not a face id (mesh has {count} faces)")
+    across = np.where(graph.twin >= 0, graph.twin // 4, count).reshape(-1, 4)
+    ranked = np.argsort(across, axis=1, kind="stable")
+    neighbors = np.take_along_axis(across, ranked, axis=1).tolist()
+    shared = np.take_along_axis(graph.face_edges, ranked, axis=1).tolist()
+    seen = bytearray(count)
+    seen[seed] = 1
+    tree = []
+    queue = deque([seed])
+    while queue:
+        f = queue.popleft()
+        for g, e in zip(neighbors[f], shared[f]):
+            if g < count and not seen[g]:
+                seen[g] = 1
+                tree.append((g, f, e))
+                queue.append(g)
+    if len(tree) + 1 != count:
+        missing = [f for f in range(count) if not seen[f]]
+        raise DisconnectedMesh(f"faces {missing} unreachable from {seed}")
+    return tree
+
+
 def reference_graph(vertex_count, quads) -> ReferenceGraph:
     """The quad graph built as half-edge objects (see :class:`ReferenceGraph`)."""
     return ReferenceGraph(vertex_count, quads)

@@ -839,3 +839,109 @@ def test_pencil_bounds_hold_for_the_svd_values_where_they_are_tight():
         assert two.any() or name.startswith("s1_hi"), name
         assert (s[two, 2] <= s3_hi[two]).all(), name
         assert (lam[two] <= gram_hi[two]).all(), name
+
+
+# --- the closed-form face-frame certificate ------------------------------------------
+
+
+def role_lines(corners):
+    """Unit edge lines ``(B, 4, 6)`` of quads ``(B, 4, 3)`` given in the
+    role order (x, x1, x2, x12), in the row order of ``FaceFrame.h_lines``."""
+    ends = hom(corners[:, hypnet.anet._ROLE_EDGES])
+    return line_from_points(ends[..., 0, :], ends[..., 1, :])
+
+
+def captured(monkeypatch, module, name, run):
+    """The first argument of every call of ``module.name`` during ``run()``,
+    stacked; the calls themselves go through."""
+    func, seen = getattr(module, name), []
+
+    def spy(rows, *args):
+        seen.append(rows)
+        return func(rows, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, spy)
+        run()
+    return np.concatenate(seen)
+
+
+def frame_stacks(rng, monkeypatch, count=160):
+    """Stacks of face edge lines ``(count, 4, 6)`` that straddle every
+    cut of the frame reading, and the lines :meth:`ANet.frames` reads on a
+    net moved away from the origin."""
+    corners = rng.normal(size=(count, 4, 3))
+    stacks = {"exact": role_lines(corners)}
+    # x12 moves onto the plane of x, x1 and x2: the span's smallest
+    # singular value and its form fall to zero with the volume
+    x, x1, x2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    normal = np.cross(x1 - x, x2 - x)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    flat = corners.copy()
+    flat[:, 3] = x1 + x2 - x + np.geomspace(1e-13, 1.0, count)[:, None] * normal
+    stacks["flat_sweep"] = role_lines(flat)
+    # lines neither isotropic nor meeting their neighbours any more: the
+    # rest of the Gram matrix swept across its opposite-pair products
+    noise = np.geomspace(1e-12, 1.0, count)[:, None, None] * rng.normal(size=(count, 4, 6))
+    noisy = stacks["exact"] + noise
+    stacks["rest_sweep"] = noisy / np.linalg.norm(noisy, axis=-1, keepdims=True)
+    scale = np.geomspace(1e-15, 1e-11, count)[:, None, None]
+    stacks["scale_sweep"] = stacks["exact"] * scale
+    zeros = stacks["exact"].copy()
+    zeros[::2, 1] = 0.0
+    zeros[1::2] = 0.0
+    stacks["zero_rows"] = zeros
+    n, quads, pos = quadric_grid(6, 6, spacing=0.1, origin=(-0.4, -0.3))
+    g = build(n, quads)
+    for shift in (0.0, 30.0, 1e3, 1e4):
+        # past 1e3 the net fails validation (global lines), not its frames
+        a = _collect_violations(g, pos + shift, False, Tolerances()).net(
+            g, pos + shift, Tolerances())
+        stacks[f"net_shifted_{shift:g}"] = captured(
+            monkeypatch, hypnet.anet, "_certified_frames", lambda: a.frames_from(0))
+    return stacks
+
+
+def frame_reading(lines, sig):
+    """Ranks, span and axis signatures of each set as :meth:`ANet.frames`
+    reads them, and the figures each cut compares: the largest and
+    smallest singular values ``(B, 2)`` and the smallest eigenvalue
+    magnitudes of the span and axis forms ``(B, 2)``."""
+    rank, spans, vt = _span_signatures(lines, 1e-10, sig)
+    _, axis_form, axes = _basis_gram(vt[:, 4:] @ hypnet.plucker.METRIC, sig)
+    lam = [
+        np.abs(np.linalg.eigvalsh(0.5 * (f + f.swapaxes(1, 2)))).min(axis=1)
+        for f in (_basis_gram(vt[:, :4], sig)[1], axis_form)
+    ]
+    s = np.linalg.svd(lines, compute_uv=False)
+    return rank, spans, axes, s[:, [0, 3]], np.stack(lam, axis=1)
+
+
+@pytest.mark.parametrize(
+    "sig", [1e-30, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.5]
+)
+def test_certified_frames_pass_the_svd_reading_with_room(sig, monkeypatch):
+    rng = np.random.default_rng(53)
+    accepted = {}
+    for name, lines in frame_stacks(rng, monkeypatch).items():
+        ok = hypnet.anet._certified_frames(lines, sig)
+        rank, spans, axes, s, lam = frame_reading(lines, sig)
+        assert (rank[ok] == 4).all(), name
+        assert (spans[ok] == (2, 2, 0)).all(), name
+        assert (axes[ok] == (1, 1, 0)).all(), name
+        # each cut is cleared by at least half the certificate's margin
+        assert (s[ok, 0] >= 5e-14).all(), name
+        assert (s[ok, 1] >= 5e-10 * s[ok, 0]).all(), name
+        assert (lam[ok] >= 5 * sig).all(), name
+        accepted[name] = int(ok.sum())
+    assert accepted["zero_rows"] == 0
+    if sig <= 1e-6:
+        # every skew quad passes, also far from the origin, where its
+        # lines are read in face-local coordinates
+        assert accepted["exact"] == 160
+        assert all(accepted[f"net_shifted_{shift:g}"] == 36
+                   for shift in (0.0, 30.0, 1e3, 1e4))
+    if sig <= 1e-3:
+        # each sweep has sets on both sides of its cut
+        for name in ("flat_sweep", "rest_sweep", "scale_sweep"):
+            assert 0 < accepted[name] < 160, name

@@ -33,6 +33,7 @@ from hypnet.synthetic import (
 )
 
 from oracles import reference_render
+from test_hyperboloid import reject_certificates
 
 
 def write_net(path, count, quads, positions):
@@ -717,6 +718,62 @@ def test_extend_closes_on_exact_nets_far_from_the_origin(tmp_path, capsys, n, sp
     points, _ = read_mesh(out)
     x, y, z = points.T
     assert np.all(np.abs(z - x * y) <= 1e-10 * (1.0 + x * x + y * y))
+
+
+def certificate_nets():
+    """Nets for comparing the certified face readings with the SVD path,
+    by name: generic 3x3 nets, umbrellas and exact grids."""
+    rng = np.random.default_rng(61)
+    nets = {f"grid3x3 {k}": random_grid3x3_net(rng) for k in range(3)}
+    nets.update({f"umbrella {k}": random_umbrella_net(k, rng) for k in (4, 6)})
+    nets["quadric grid"] = quadric_grid(6, 5, spacing=0.2, origin=(-0.7, -0.4))
+    nets["far quadric grid"] = quadric_grid(4, 4, spacing=0.01, origin=(30.0, 30.0))
+    return nets
+
+
+def extend_bytes(tmp_path, capsys, count, quads, positions):
+    """Exit code, stdout and mesh of ``hypnet extend`` at face 0's
+    bilinear member; the mesh file is removed again."""
+    path = write_net(tmp_path / "net.obj", count, quads, positions)
+    a = validate_anet(build(count, quads), positions)
+    lam = bilinear_parameter(a.face_frame(0), a.positions)
+    out = tmp_path / "out.obj"
+    code = main(["extend", path, "-o", str(out), "--lambda", repr(lam)])
+    mesh = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, capsys.readouterr().out, mesh
+
+
+@pytest.mark.parametrize("name", sorted(certificate_nets()))
+def test_extend_without_the_face_certificates_is_byte_identical(
+    tmp_path, capsys, monkeypatch, name
+):
+    net = certificate_nets()[name]
+    certified = extend_bytes(tmp_path, capsys, *net)
+    with monkeypatch.context() as patch:
+        reject_certificates(patch)
+        read = extend_bytes(tmp_path, capsys, *net)
+    assert read == certified
+
+
+def test_extend_off_the_origin_keeps_its_degenerate_parameter(
+    tmp_path, capsys, monkeypatch
+):
+    # the ruling planes of this net are read in global coordinates, where
+    # no certificate holds: the SVD reading fails face 0 as it did before
+    net = quadric_grid(20, 20, spacing=0.01, origin=(30.0, 30.0))
+    code, out, mesh = extend_bytes(tmp_path, capsys, *net)
+    report = json.loads(out)
+    assert code == 4 and mesh is None
+    assert report["violations"] == [{
+        "face": 0, "kind": "degenerate_parameter",
+        "message": "ruling planes have signatures (0, 1, 1) and (2, 1, 0), "
+                   "expected a (2,1,0)/(1,2,0) pair",
+        "signatures": [[0, 1, 1], [2, 1, 0]],
+    }]
+    with monkeypatch.context() as patch:
+        reject_certificates(patch)
+        assert extend_bytes(tmp_path, capsys, *net) == (code, out, mesh)
 
 
 def test_usage_errors_exit_with_the_input_code(capsys):

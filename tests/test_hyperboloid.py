@@ -27,6 +27,8 @@ import hypnet.plucker
 from hypnet.patch import bilinear_parameter
 from hypnet.plucker import (
     Tolerances,
+    _basis_gram,
+    _span_signatures,
     canonical,
     hom,
     line_from_points,
@@ -622,9 +624,38 @@ def test_propagate_all_fails_at_the_oracles_first_offender(case):
         assert data.get(key) == getattr(expected.value, "data", {}).get(key)
 
 
+def reject_certificates(patch):
+    """Make the closed-form face certificates decide no row, so every
+    frame and ruling plane goes through the SVD reading."""
+    patch.setattr(hypnet.anet, "_certified_frames",
+                  lambda lines, sig: np.zeros(len(lines), dtype=bool))
+    patch.setattr(hypnet.hyperboloid, "_certified_planes",
+                  lambda planes, sig: np.zeros((len(planes), 3), dtype=int))
+
+
+def _propagation_outcome(a, lam):
+    """What :func:`propagate_all` returns or raises, as comparable values."""
+    try:
+        hbs, report = propagate_all(a, 0, lam)
+    except Exception as exc:  # the failing cases raise on purpose
+        return type(exc), str(exc), repr(getattr(exc, "data", None))
+    return report, [(hbs.lams.tobytes(), hbs.q1.tobytes(), hbs.q2.tobytes())]
+
+
+def test_propagate_all_without_the_face_certificates_is_identical(monkeypatch):
+    cases = [(a, lam) for a, lam in _oracle_nets()]
+    cases += [(a, lam) for _, a, lam in _failing_cases()]
+    for a, lam in cases:
+        certified = _propagation_outcome(a, lam)
+        with monkeypatch.context() as patch:
+            reject_certificates(patch)
+            assert _propagation_outcome(a, lam) == certified
+
+
 def test_propagate_all_reads_spans_in_stacked_calls(monkeypatch):
-    calls = {"span": 0, "svd": 0}
+    calls = {"span": 0, "svd": 0, "_span_signatures": 0}
     svd = np.linalg.svd
+    reading = hypnet.plucker._span_signatures
 
     def counted_svd(*args, **kwargs):
         calls["svd"] += 1
@@ -634,14 +665,127 @@ def test_propagate_all_reads_spans_in_stacked_calls(monkeypatch):
         calls["span"] += 1
         return hypnet.plucker.span(*args, **kwargs)
 
-    for n in (3, 10):
-        a = quadric_net(n)
+    def counted_reading(*args, **kwargs):
+        calls["_span_signatures"] += 1
+        return reading(*args, **kwargs)
+
+    count, quads, positions = quadric_grid(30, 30, spacing=0.07, origin=(-1.7, -1.2))
+    wide = validate_anet(build(count, quads), positions)
+    for a in (quadric_net(3), quadric_net(10), wide):
         lam = bilinear_parameter(a.face_frame(0), a.positions)
-        calls.update(span=0, svd=0)
+        for rejected in (False, True):
+            calls.update(span=0, svd=0, _span_signatures=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted_svd)
+                # neither module imports span today; the spy catches one it gains
+                for module in (hypnet.anet, hypnet.patch):
+                    patch.setattr(module, "span", no_span, raising=False)
+                for module in (hypnet.anet, hypnet.hyperboloid):
+                    patch.setattr(module, "_span_signatures", counted_reading)
+                if rejected:
+                    reject_certificates(patch)
+                propagate_all(a, 0, lam)
+            # an exact grid's frames and ruling planes are all certified;
+            # the SVD reading, where it runs, is one stacked call each
+            count = 2 if rejected else 0
+            assert calls == {"span": 0, "svd": count, "_span_signatures": count}
+
+
+# --- the closed-form ruling-plane certificate ---------------------------------------
+
+
+def form_turns(rng, count):
+    """``count`` random orthogonal 6x6 maps that keep the Pluecker form:
+    one 3x3 rotation on both halves of a 6-vector."""
+    q, r = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    turns = np.zeros((count, 6, 6))
+    turns[:, :3, :3] = turns[:, 3:, 3:] = q
+    return turns
+
+
+def plane_rows(rng, p, q):
+    """Generators ``(B, 3, 6)`` of ruling planes: the isotropic unit lines
+    ``a = e0`` and ``b`` with ``<a, b> = p``, then the rows ``q``, all
+    turned by a random map that keeps the form."""
+    rows = np.zeros((len(q), 3, 6))
+    rows[:, 0, 0] = 1.0
+    rows[:, 1, 1], rows[:, 1, 3] = np.sqrt(1.0 - p * p), p
+    rows[:, 2] = q
+    return rows @ form_turns(rng, len(q)).swapaxes(1, 2)
+
+
+def plane_stacks(rng, monkeypatch, count=160):
+    """Stacks of ruling-plane generators ``(count, 3, 6)`` that straddle
+    every cut of the plane reading, and the planes :func:`propagate_all`
+    reads on nets moved away from the origin."""
+    sweep = np.geomspace(1e-14, 1.0, count)
+    signs = np.where(np.arange(count) % 2, -1.0, 1.0)
+    # q on the e2/e5 plane: <q, q> = sin(2 t) is the Schur complement
+    half = 0.5 * np.arcsin(signs * sweep)
+    q = np.zeros((count, 6))
+    q[:, 2], q[:, 5] = np.cos(half), np.sin(half)
+    stacks = {"sigma_sweep": plane_rows(rng, np.full(count, 0.5), q)}
+    q[:, 2], q[:, 5] = np.sqrt(0.5), signs * np.sqrt(0.5)
+    exact = stacks["exact"] = plane_rows(rng, np.full(count, 0.5), q)
+    stacks["skew_sweep"] = plane_rows(rng, signs * sweep, q)
+    # q leaves the span of a and b: the third singular value and the form
+    # fall with the distance
+    inner = np.zeros((count, 6))
+    inner[:, 0], inner[:, 1], inner[:, 3] = 0.6, 0.8 * np.sqrt(0.75), 0.4
+    stacks["rank_sweep"] = plane_rows(
+        rng, np.full(count, 0.5), inner + sweep[:, None] * q)
+    stacks["scale_sweep"] = exact * np.geomspace(1e-15, 1e-11, count)[:, None, None]
+    noisy = exact + sweep[:, None, None] * rng.normal(size=(count, 3, 6))
+    stacks["rest_sweep"] = noisy / np.linalg.norm(noisy, axis=-1, keepdims=True)
+    zeros = exact.copy()
+    zeros[::2, 1] = 0.0
+    zeros[1::2] = 0.0
+    stacks["zero_rows"] = zeros
+    count, quads, positions = quadric_grid(6, 6, spacing=0.1, origin=(-0.4, -0.3))
+    certify = hypnet.hyperboloid._certified_planes
+    for shift in (0.0, 30.0, 1e3, 1e4):
+        # past 1e3 the net fails validation, not its propagation
+        a = _forced_anet(count, quads, positions + shift)
+        lam = bilinear_parameter(a.face_frame(0), a.positions)
+        seen = []
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "svd", counted_svd)
-            # neither module imports span today; the spy catches one it gains
-            for module in (hypnet.anet, hypnet.patch):
-                patch.setattr(module, "span", no_span, raising=False)
+            patch.setattr(hypnet.hyperboloid, "_certified_planes",
+                          lambda planes, sig: seen.append(planes) or certify(planes, sig))
             propagate_all(a, 0, lam)
-        assert calls == {"span": 0, "svd": 2}
+        stacks[f"net_shifted_{shift:g}"] = seen[0]
+    return stacks
+
+
+@pytest.mark.parametrize(
+    "sig", [1e-30, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.5]
+)
+def test_certified_planes_pass_the_svd_reading_with_room(sig, monkeypatch):
+    rng = np.random.default_rng(59)
+    accepted = {}
+    for name, planes in plane_stacks(rng, monkeypatch).items():
+        signatures = hypnet.hyperboloid._certified_planes(planes, sig)
+        ok = signatures.any(axis=1)
+        assert {tuple(row) for row in signatures[ok].tolist()} <= {(2, 1, 0), (1, 2, 0)}
+        rank, reading, vt = _span_signatures(planes, 1e-10, sig)
+        assert (rank[ok] == 3).all(), name
+        assert (reading[ok] == signatures[ok]).all(), name
+        # each cut is cleared by at least half the certificate's margin
+        s = np.linalg.svd(planes[ok], compute_uv=False)
+        form = _basis_gram(vt[ok, :3], sig)[1]
+        lam = np.abs(np.linalg.eigvalsh(0.5 * (form + form.swapaxes(1, 2)))).min(axis=1)
+        assert (s[:, 0] >= 5e-14).all(), name
+        assert (s[:, 2] >= 5e-10 * s[:, 0]).all(), name
+        assert (lam >= 5 * sig).all(), name
+        accepted[name] = int(ok.sum())
+    assert accepted["zero_rows"] == 0
+    if sig <= 1e-9:
+        # the planes of an exact net pass, and those of a net moved by 30;
+        # further out, global lines leave them to the SVD reading
+        assert accepted["exact"] == 160
+        assert accepted["net_shifted_0"] == accepted["net_shifted_30"] == 72
+    if sig <= 1e-3:
+        # each sweep has sets on both sides of its cut
+        for name in ("sigma_sweep", "skew_sweep", "rank_sweep", "scale_sweep",
+                     "rest_sweep"):
+            assert 0 < accepted[name] < 160, name

@@ -193,6 +193,13 @@ READ_CORPUS = {
     "comments_and_blanks": "# a quad\n\n" + QUAD + "\n   \n# end\n",
     "other_records": "vt 0 0\nvn 0 0 1\n" + QUAD + "l 1 2\ng side\n",
     "slash_faces": QUAD.replace("f 1 2 3 4", "f 1/1/1 2//2 3/3 4"),
+    "slash_faces_only": QUAD.replace("f 1 2 3 4", "f 1/1/1 2/2/2 3/3/3 4/4/4"),
+    "double_slash_faces": QUAD.replace("f 1 2 3 4", "f 1//1 2//2 3//3 4//4"),
+    "slash_tails_not_read": QUAD.replace("f 1 2 3 4", "f 1/x 2/-1/ 3// 4/"),
+    "slash_bad_head": QUAD.replace("f 1 2 3 4", "f 1/1 x/2 3 4"),
+    "slash_empty_head": QUAD.replace("f 1 2 3 4", "f /1 2 3 4"),
+    "slash_head_zero": QUAD.replace("f 1 2 3 4", "f 0/1 1 2 3"),
+    "slash_out_of_range": QUAD.replace("f 1 2 3 4", "f 1/1 2 3 5/5"),
     "underscores": QUAD.replace("v 1 0 0", "v 1_0 0 0").replace("f 1 2 3 4", "f 1 2 3 0_4"),
     "arabic_indic_digits": QUAD.replace("v 1 1 0", "v ١ ١ 0").replace(
         "f 1 2 3 4", "f 1 2 3 ٤"
@@ -244,7 +251,9 @@ def test_files_around_a_chunk_read_like_the_reference(tmp_path, count):
 
 
 @pytest.mark.parametrize("line", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
-@pytest.mark.parametrize("bad", ["v 0 0", "f 1 2 3", "f 0 1 2 3", "# c", "v 1 2 x"])
+@pytest.mark.parametrize(
+    "bad", ["v 0 0", "f 1 2 3", "f 0 1 2 3", "# c", "v 1 2 x", "f 1/1 2/2 x/3 4", "f 1 /2 3 4"]
+)
 def test_an_odd_line_at_a_chunk_edge_reads_like_the_reference(tmp_path, line, bad):
     lines = plain_lines(2 * CHUNK + 1)
     lines[line] = bad
@@ -260,6 +269,8 @@ READ_LINES = [
     "v x 0 0", "v", "f 1 2 3 4", "f 4 3 2 1", "f 1 2 3", "f 1 2 3 4 5", "f 1/1 2 3 4",
     "f 0 1 2 3", "f 1 2 3 99999999999999999999", "f 1 2 3 x", "f", "# c", "", "  ",
     "vt 0 0", "\tv 0\t0 0 ", "v 0 0 0 v 1 0 0", "f 2 3 4 5 ",
+    "f 1/2/3 2//4 3/1 4", "f 2/2/2 3/3/3 4/4/4 1/1/1", "f /1 2 3 4", "f 1/x 2 3 4/",
+    "f 0/1 1 2 3",
 ]
 
 
@@ -282,6 +293,27 @@ def test_a_wide_written_grid_reads_in_bulk_alone(tmp_path, monkeypatch):
     _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
     path = tmp_path / "wide.obj"
     write_positions_mesh(path, positions, quads)
+
+    def per_line(*args):
+        raise AssertionError("a chunk went through the per-line loop")
+
+    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+    back_positions, back_quads = read_mesh(path)
+    assert back_positions.tobytes() == positions.tobytes()
+    assert back_quads == [tuple(q) for q in quads]
+
+
+@pytest.mark.parametrize("form", ["{0}/{0}/{0}", "{0}//{0}", "{0}/{0}"])
+def test_slash_faces_read_in_bulk_alone(tmp_path, monkeypatch, form):
+    _, quads, positions = quadric_grid(40, 30, spacing=0.03, origin=(-1.7, -1.2))
+    path = tmp_path / "slash.obj"
+    write_positions_mesh(path, positions, quads)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith("f "):
+            lines[k] = "f " + " ".join(form.format(i) for i in line.split()[1:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_reads_like_the_reference(path)
 
     def per_line(*args):
         raise AssertionError("a chunk went through the per-line loop")

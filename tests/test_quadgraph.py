@@ -19,7 +19,7 @@ from hypnet.synthetic import (
     umbrella_graph,
 )
 
-from oracles import reference_graph, strips_of
+from oracles import reference_dual_tree, reference_graph, strips_of
 
 MESH_CASES = [
     grid_graph(1, 1),
@@ -460,6 +460,32 @@ def test_traversal_errors_equal_the_object_build(vertex_count, quads):
 def test_disconnected_tree_lists_every_unreached_face():
     with pytest.raises(DisconnectedMesh, match=r"faces \[0, 2\] unreachable from 1"):
         build(*DISCONNECTED).dual_spanning_tree(1)
+
+
+def level_cases():
+    cases = {f"grid {nx}x{ny}": grid_graph(nx, ny)
+             for nx, ny in ((1, 1), (1, 7), (5, 3), (12, 12), (40, 25))}
+    cases.update({f"umbrella {k}": umbrella_graph(k) for k in (3, 4, 5, 8)})
+    cases["cylinder"] = cylinder_quads()
+    cases["disconnected"] = DISCONNECTED
+    cases["scrambled grid 9x6"] = scrambled(*grid_graph(9, 6), 17)
+    cases["scrambled umbrella 6"] = scrambled(*umbrella_graph(6), 18)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(level_cases()))
+def test_the_level_tree_equals_the_queue(case):
+    g = build(*level_cases()[case])
+    seeds = range(-1, g.face_count + 1)
+    if g.face_count > 50:
+        seeds = [0, g.face_count - 1, *np.random.default_rng(3).integers(g.face_count, size=6)]
+    for seed in (int(s) for s in seeds):
+        expected = outcome(lambda: reference_dual_tree(g, seed))
+        assert outcome(lambda: g.dual_spanning_tree(seed)) == expected
+        if expected[0] == "ok":
+            tree = g.dual_tree(seed)
+            assert tree.shape == (g.face_count - 1, 3)
+            assert tree.tolist() == [list(row) for row in expected[1]]
 
 
 # --- orientation and strips against the object build ----------------------------------
