@@ -23,7 +23,12 @@ lines is deliberately not enforced.
 The validation walk runs four stages, each as stacked array kernels over
 batches of at most ``CHUNK`` rows:
 
-1. stars: one stacked best-fit plane (:func:`star_plane`) per star size;
+1. stars: the best-fit plane of every star (:func:`star_plane`), stacked
+   by star size, in closed form from the star's 3x3 scatter
+   (:func:`_scatter_normals`) where a bound on its tilt against the SVD's
+   plane settles the verdict with room; only the stars left unsettled,
+   those near or above the gate and the near-collinear ones, go through
+   one stacked SVD per star size;
 2. edges: the lines of all edges from their 2x2 minors;
 3. faces: volume ratios and the products of both opposite edge pairs;
 4. pencils: closed-form bounds (:func:`_pencil_bounds`) on the singular
@@ -45,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -99,9 +103,70 @@ PENCIL_RANK_TOL = 1e-6
 # roundoff that covers each bound's own rounding and the backward error
 # of LAPACK's SVD on a 6-column matrix.
 _PENCIL_SLACK = 64 * np.finfo(float).eps
+# A symmetric 3x3 matrix is held as its entries (xx, yy, zz, xy, xz, yz):
+# the coordinate pairs of those entries, the 3x3 layout of the six, and
+# the two products whose difference is each entry of its adjugate, in the
+# same layout.
+_SYM_PAIRS = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+_SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_ADJ_TERMS = np.array([[1, 0, 0, 4, 3, 3], [2, 2, 1, 5, 5, 4],
+                       [5, 4, 3, 3, 4, 0], [5, 4, 3, 2, 1, 5]])
+# Largest tilt, in radians, at which a closed-form star plane stands in for
+# the SVD's: whatever the planarity gate, the two readings of a certified
+# star's residual then agree to 2e-10 of its diameter.
+_STAR_TILT = 1e-10
 
 
-def star_plane(points):
+def _scatter_normals(centered):
+    """Closed-form normals ``(B, 3)`` of centred point clouds ``A``
+    ``(B, m, 3)``, their residuals ``max |A n|``, and bounds ``tilt``
+    ``(B,)`` on the angle between each normal and the one the SVD of
+    ``A`` reads.
+
+    Let ``S = A^T A`` be a cloud's scatter, with eigenvalues ``l1 >= l2
+    >= l3`` and least eigenvector ``v3``.  The normal ``n`` is the
+    largest column of the adjugate of ``S``.  Those columns are the cross
+    products of pairs of rows of ``S``.  The adjugate has the
+    eigenvectors of ``S``, with eigenvalues ``l2 l3``, ``l1 l3`` and ``l1
+    l2``, so its largest column has squared norm at least ``(l1 l2)^2 /
+    3`` and lies off ``v3`` by the order of ``l3 / l2``: not at all on a
+    planar star.  (Kopp, IJMPC 19, 2008, takes the adjugate of ``S - l3
+    I``.  Read with ``l3`` from the trigonometric formula, whose rounding
+    grows as ``l2 / l1`` falls, the residuals of exact stars came out 1e2
+    to 1e4 times further from the SVD's.)
+
+    The tilt is read a posteriori.  Let ``rho`` be the Rayleigh quotient
+    of ``n`` and ``E2`` the sum of the principal 2x2 minors of ``S``.
+    Since ``0 <= l3 <= rho``, ``l2 - rho >= E2 / tr S - 2 rho``, so ``n``
+    lies within ``|S n - rho n| / (l2 - rho)`` of ``v3`` (Davis-Kahan).
+    LAPACK's normal is a singular vector of ``A`` up to a backward error
+    of ``_PENCIL_SLACK |A|_F``, so it lies within ``3 _PENCIL_SLACK tr S
+    / (l2 - l3)`` of ``v3`` (Wedin).  A slack of ``m _PENCIL_SLACK tr S``
+    (``m >= 3``) on each side covers that and the rounding of ``S``,
+    ``E2`` and ``S n - rho n``.  A tilt that is NaN or infinite, for want
+    of a gap, bounds nothing.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (centered[..., _SYM_PAIRS[0]] * centered[..., _SYM_PAIRS[1]]).sum(axis=1)
+        trace = s[:, 0] + s[:, 1] + s[:, 2]
+        x = s[:, _ADJ_TERMS]
+        adjugate = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
+        columns = adjugate[:, _SYM]
+        size = (columns * columns).sum(axis=2)
+        k = size.argmax(axis=1)
+        rows = np.arange(len(s))
+        normal = columns[rows, k] / np.sqrt(size[rows, k])[:, None]
+        moved = (s[:, _SYM] * normal[:, None, :]).sum(axis=2)
+        rho = (moved * normal).sum(axis=1)
+        miss = moved - rho[:, None] * normal
+        slack = _PENCIL_SLACK * centered.shape[1] * trace
+        gap = adjugate[:, :3].sum(axis=1) / trace - 2 * rho - slack
+        tilt = 2 * (np.sqrt((miss * miss).sum(axis=1)) + slack) / np.maximum(gap, 0)
+        residual = np.max(np.abs((centered @ normal[..., None])[..., 0]), axis=-1)
+    return normal, residual, tilt
+
+
+def star_plane(points, planar=PLANAR_EPS):
     """Best-fit plane of a point cloud as a homogeneous covector.
 
     Returns ``(plane, residual, diameter)`` where ``plane @ (x,y,z,1)``
@@ -110,23 +175,43 @@ def star_plane(points):
     ``(..., k, 3)`` gives planes ``(..., 4)`` and arrays of residuals
     and diameters, each cloud's values equal bit for bit to those of
     its own call.
+
+    The normal is read in closed form from the cloud's 3x3 scatter
+    (:func:`_scatter_normals`) where that reading is certified: its tilt
+    against the SVD's normal is below ``_STAR_TILT`` and the residual,
+    widened by what that tilt may move it, clears the gate ``planar *
+    diameter`` by 10x; its residual then lies within ``2 tilt diameter``
+    of the SVD's.  The SVD, one stacked call, reads the others:
+    near-collinear stars, coincident points and every star near or above
+    the gate.  So a star fails the gate exactly as the SVD reading fails
+    it, with the SVD's residual.
     """
     pts = np.asarray(points, dtype=float)
-    centroid = pts.mean(axis=-2)
-    centered = pts - centroid[..., None, :]
-    _, _, vt = np.linalg.svd(centered, full_matrices=True)
-    normal = vt[..., -1, :]
-    residual = np.max(np.abs((centered @ normal[..., None])[..., 0]), axis=-1)
-    widest = np.zeros(pts.shape[:-2])
-    for i, j in combinations(range(pts.shape[-2]), 2):
-        gap = np.sum((pts[..., i, :] - pts[..., j, :]) ** 2, axis=-1)
-        widest = np.maximum(widest, gap)
-    diameter = np.sqrt(widest)
-    offset = _rowdot(-normal, centroid)[..., None]
+    stack = pts.reshape(-1, *pts.shape[-2:])
+    centroid = stack.mean(axis=1)
+    centered = stack - centroid[:, None, :]
+    i, j = np.triu_indices(stack.shape[1], 1)
+    gaps = stack[:, i] - stack[:, j]
+    diameter = np.sqrt((gaps * gaps).sum(axis=-1).max(axis=1, initial=0.0))
+    normal, residual, tilt = _scatter_normals(centered)
+    # |A n| moves by at most |n - n'| max |a_i| <= 2 tilt diameter
+    settled = (tilt <= _STAR_TILT) & (
+        residual + 2 * tilt * diameter <= planar * diameter / 10
+    )
+    open_rows = np.flatnonzero(~settled)
+    if open_rows.size:
+        rest = centered[open_rows]
+        # a cloud of fewer than 3 points has its normal in the full basis
+        _, _, vt = np.linalg.svd(rest, full_matrices=rest.shape[1] < 3)
+        normal[open_rows] = vt[:, -1]
+        lean = (rest @ vt[:, -1, :, None])[..., 0]
+        residual[open_rows] = np.max(np.abs(lean), axis=-1)
+    offset = _rowdot(-normal, centroid)[:, None]
     plane = canonical(np.concatenate([normal, offset], axis=-1))
-    if plane.ndim == 1:
-        return plane, float(residual), float(diameter)
-    return plane, residual, diameter
+    if pts.ndim == 2:
+        return plane[0], float(residual[0]), float(diameter[0])
+    shape = pts.shape[:-2]
+    return plane.reshape(*shape, 4), residual.reshape(shape), diameter.reshape(shape)
 
 
 def diagonal_ends(corners) -> np.ndarray:
@@ -535,7 +620,7 @@ def _star_stage(graph, positions, degree, planar, walk):
     for k, verts in _by_degree(degree):
         slots = graph.star_offsets[verts][:, None] + np.arange(k)
         stars = np.column_stack([verts, graph.star_neighbors[slots]])
-        planes, residuals, diameters = star_plane(positions[stars])
+        planes, residuals, diameters = star_plane(positions[stars], planar)
         walk.planes[verts] = planes
         walk.residuals[verts] = residuals
         walk.diameters[verts] = diameters

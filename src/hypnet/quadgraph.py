@@ -334,18 +334,20 @@ class QuadGraph:
         that way; read from ``h ^ 2`` as well, the least node of the
         whole strip, which labels it.
         """
-        twin = self.twin
-        ids = np.arange(len(twin))
-        node = 2 * (ids >> 2) + (ids & 1)
-        last = twin < 0
-        reach = np.where(last, ids, twin ^ 2)
-        steps = (~last).astype(np.intp)
-        low = np.minimum(node, node[reach])
-        for _ in range(len(twin).bit_length()):
+        # the jumps keep several arrays of all half-edges alive, which set
+        # the peak memory of checking a net: 32-bit ids, updated in place
+        index = np.int32 if len(self.twin) < 2**31 else np.intp
+        ids = np.arange(len(self.twin), dtype=index)
+        last = self.twin < 0
+        reach = np.where(last, ids, self.twin.astype(index) ^ 2)
+        steps = (~last).astype(index)
+        low = 2 * (ids >> 2) + (ids & 1)
+        np.minimum(low, low[reach], out=low)
+        for _ in range(len(ids).bit_length()):
             if last[reach].all():
                 break
-            low = np.minimum(low, low[reach])
-            steps = steps + steps[reach]
+            np.minimum(low, low[reach], out=low)
+            steps += steps[reach]
             reach = reach[reach]
         label = np.minimum(low, low[ids ^ 2])
         closed = ~last[reach]
@@ -366,7 +368,7 @@ class QuadGraph:
         label = label[sides]
         count = np.bincount(label, minlength=2 * self.face_count)
         offsets = np.cumsum(count) - count
-        ordered = np.empty_like(sides)
+        ordered = np.empty(len(sides), dtype=np.intp)
         # ``steps`` from the entry side counts the members before each one
         ordered[offsets[label] + steps[sides ^ 2]] = sides
         return ordered, offsets[count > 0]

@@ -12,12 +12,14 @@ import hypnet.plucker
 from hypnet.anet import (
     FACE_VOLUME_EPS,
     PENCIL_RANK_TOL,
+    PLANAR_EPS,
     SKEW_PAIR_EPS,
     ANet,
     _by_degree,
     _certified_pencils,
     _collect_violations,
     _pencil_bounds,
+    _scatter_normals,
     diagnose_anet,
     star_plane,
     validate_anet,
@@ -510,11 +512,54 @@ _KINDS = {
 }
 
 
+def star_tilts(g, pos):
+    """The closed-form tilt bound of every vertex's star, one star at a
+    time; NaN for an unreferenced vertex."""
+    tilts = np.full(len(pos), np.nan)
+    for v in range(len(pos)):
+        if g.is_referenced(v):
+            neighbors, _ = g.vertex_star(v)
+            pts = pos[[v] + neighbors]
+            tilts[v] = _scatter_normals((pts - pts.mean(axis=0))[None])[2][0]
+    return tilts
+
+
+def assert_star_planes_match_oracle(planes, residuals, diameters, tilts, ref, planar):
+    """Star planes against the SVD oracle's ``ref = (planes, residuals,
+    diameters)``: diameters equal bit for bit; a star the closed form
+    settles (tilt at most ``_STAR_TILT = 1e-10``, residual widened by ``2
+    tilt diameter`` under a tenth of the gate) passes the oracle's gate, with
+    its residual within that widening of the oracle's and its plane, up
+    to sign, within ``3 tilt (1 + |centroid|)``; every other star reads
+    the oracle's residual bit for bit and its plane to 1e-15."""
+    ref_planes, ref_residuals, ref_diameters = ref
+    np.testing.assert_array_equal(diameters, ref_diameters)
+    allowance = 2 * tilts * diameters
+    # 1e-10 is the documented cap on a settled star's tilt, which bounds
+    # how far any report may move from the SVD reading
+    settled = (tilts <= 1e-10) & (residuals + allowance <= planar * diameters / 10)
+    np.testing.assert_array_equal(residuals[~settled], ref_residuals[~settled])
+    assert np.all(np.abs(residuals - ref_residuals)[settled] <= allowance[settled])
+    assert np.all(ref_residuals[settled] <= planar * diameters[settled])
+    assert np.all(np.isfinite(planes[settled]))
+    # the plane's offset is its normal against the star's centroid
+    reach = 1 + np.abs(ref_planes[:, 3]) / np.linalg.norm(ref_planes[:, :3], axis=-1)
+    slack = np.where(settled, 3 * tilts * reach, 0) + 1e-15
+    # the canonical sign of a plane whose two largest entries tie in size
+    # follows their last bits
+    gaps = np.abs(planes - ref_planes).max(axis=-1)
+    gaps[settled] = np.minimum(gaps, np.abs(planes + ref_planes).max(axis=-1))[settled]
+    assert np.all(gaps[~np.isnan(ref_residuals)] <= slack[~np.isnan(ref_residuals)])
+    return settled
+
+
 def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
     """The walk finds the oracle's violations in its order with its
-    values; residuals and diameters are equal bit for bit, planes and
-    edge lines to 1e-15; ``validate_anet`` raises the first violation
-    and ``diagnose_anet`` lists them all.  Returns the violations."""
+    values; star diameters and the residuals of the stars the SVD reads
+    are equal bit for bit, the residuals of the others within their
+    stated bound (:func:`assert_star_planes_match_oracle`); edge lines
+    agree to 1e-15; ``validate_anet`` raises the first violation and
+    ``diagnose_anet`` lists them all.  Returns the violations."""
     pos = np.asarray(pos, dtype=float)
     found, planes, residuals, diameters, lines = reference_walk(
         g, pos, tol.planar, tol.sig, FACE_VOLUME_EPS, SKEW_PAIR_EPS,
@@ -522,9 +567,10 @@ def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
     )
     walk = _collect_violations(g, pos, False, tol)
     assert walk.violations == found
-    np.testing.assert_array_equal(walk.residuals, residuals)
-    np.testing.assert_array_equal(walk.diameters, diameters)
-    np.testing.assert_allclose(walk.planes, planes, rtol=0, atol=1e-15)
+    assert_star_planes_match_oracle(
+        walk.planes, walk.residuals, walk.diameters, star_tilts(g, pos),
+        (planes, residuals, diameters), tol.planar,
+    )
     np.testing.assert_allclose(walk.edge_lines, lines, rtol=0, atol=1e-15)
     report = diagnose_anet(g, pos, tol)
     assert report["valid"] == (not found)
@@ -541,7 +587,7 @@ def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
         assert exc.value.data == data
     else:
         net = validate_anet(g, pos, tol)
-        np.testing.assert_array_equal(net.planarity_residuals, residuals)
+        np.testing.assert_array_equal(net.planarity_residuals, walk.residuals)
         np.testing.assert_array_equal(net.edge_lines, walk.edge_lines)
     return found
 
@@ -605,6 +651,18 @@ def test_walk_matches_oracle_on_pencil_signatures():
                for _, data in found)
 
 
+@pytest.mark.parametrize("planar", [1e-30, 1e-14, 1e-12, 1e-3])
+def test_walk_matches_oracle_at_other_planarity_gates(planar):
+    rng = np.random.default_rng(47)
+    n, quads, pos = quadric_grid(6, 5, spacing=0.2, origin=(-0.7, -0.4))
+    noisy = pos + rng.normal(scale=1e-7, size=pos.shape)
+    nets = [(n, quads, pos), (n, quads, pos + 1e3), (n, quads, noisy),
+            random_grid3x3_net(rng), random_umbrella_net(5, rng),
+            _planted()["lifted_vertex"][0]]
+    for n, quads, pos in nets:
+        assert_walk_matches_oracle(build(n, quads), pos, Tolerances(planar=planar))
+
+
 def test_walk_matches_oracle_past_one_chunk():
     n, quads, pos = quadric_grid(40, 40, spacing=0.05, origin=(-1.0, -1.0))
     g = build(n, quads)
@@ -621,15 +679,99 @@ def test_walk_matches_oracle_past_one_chunk():
 
 def test_star_plane_of_one_star_equals_the_stacked_fit():
     rng = np.random.default_rng(37)
-    stars = rng.normal(size=(50, 5, 3)) * rng.uniform(0.01, 100, size=(50, 1, 1))
+    stars = rng.normal(size=(100, 5, 3)) * rng.uniform(0.01, 100, size=(100, 1, 1))
+    stars[::2, :, 2] = 0.0  # planar stars, which the closed form settles
+    stars[::2] = stars[::2] @ random_rotation(rng, 3) + rng.normal(size=3)
     planes, residuals, diameters = star_plane(stars)
     for k, star in enumerate(stars):
         plane, residual, diameter = star_plane(star)
-        ref_plane, ref_residual, ref_diameter = reference_star_plane(star)
-        assert residual == residuals[k] == ref_residual
-        assert diameter == diameters[k] == ref_diameter
+        assert residual == residuals[k] and diameter == diameters[k]
         np.testing.assert_array_equal(plane, planes[k])
-        np.testing.assert_allclose(plane, ref_plane, rtol=0, atol=1e-15)
+    tilts = _scatter_normals(stars - stars.mean(axis=1, keepdims=True))[2]
+    ref = [np.array(column) for column in zip(*map(reference_star_plane, stars))]
+    settled = assert_star_planes_match_oracle(
+        planes, residuals, diameters, tilts, ref, PLANAR_EPS
+    )
+    assert settled.tolist() == [True, False] * 50
+
+
+def star_cases(rng, degree):
+    """Stacks of stars ``(40, degree + 1, 3)``, a centre then its
+    neighbours, by name: planar ones with the neighbours spread around
+    the centre, at scales 1e-8 to 1e8 and far off the origin; planar ones
+    with the first neighbour on the centre; nearly collinear ones;
+    collinear and coincident points; and planar ones with every point
+    lifted off the plane by 0.05, 0.5, 2 and 20 times the planarity
+    gate."""
+    turn = 2 * np.pi / max(degree, 4)
+    angles = (rng.uniform(0, 2 * np.pi, size=(40, 1)) + turn * np.arange(degree)
+              + rng.uniform(-0.3, 0.3, size=(40, degree)))
+    radii = rng.uniform(0.5, 1.5, size=(40, degree))
+    ring = np.stack([radii * np.cos(angles), radii * np.sin(angles), 0 * radii], axis=-1)
+    rotation = random_rotation(rng, 3)
+    flat = np.concatenate([np.zeros((40, 1, 3)), ring], axis=1) @ rotation
+    line = rng.normal(size=(40, degree + 1, 1)) * rng.normal(size=(40, 1, 3))
+    off = rng.normal(size=(40, 1, 3))
+    cases = {f"planar at {s:g}": s * (flat + off) for s in 10.0 ** np.arange(-8, 9, 2)}
+    cases["planar at 1e4 off the origin"] = flat + 1e4 * off
+    cases["neighbour on the centre"] = flat.copy()
+    cases["neighbour on the centre"][:, 1] = flat[:, 0]
+    cases["nearly collinear"] = line + 1e-9 * flat
+    cases["collinear"] = line + off
+    cases["coincident"] = np.repeat(off, degree + 1, axis=1)
+    diameters = np.array([reference_star_plane(star)[2] for star in flat])
+    lift = rng.choice([-1.0, 1.0], size=(40, degree + 1)) * diameters[:, None]
+    for k in (0.05, 0.5, 2, 20):
+        cases[f"lifted by {k:g} gates"] = (
+            flat + k * PLANAR_EPS * lift[..., None] * rotation[2]
+        )
+    return cases
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_star_planes_are_settled_within_their_bound_or_read_by_the_svd(degree):
+    rng = np.random.default_rng(43 + degree)
+    cases = star_cases(rng, degree)
+    stars = np.concatenate(list(cases.values()))
+    planes, residuals, diameters = star_plane(stars)
+    assert np.isfinite(planes).all() and np.isfinite(residuals).all()
+    for k, star in enumerate(stars):
+        plane, residual, _ = star_plane(star)
+        assert residual == residuals[k]
+        np.testing.assert_array_equal(plane, planes[k])
+    ref = [np.array(column) for column in zip(*map(reference_star_plane, stars))]
+    tilts = _scatter_normals(stars - stars.mean(axis=1, keepdims=True))[2]
+    settled = assert_star_planes_match_oracle(
+        planes, residuals, diameters, tilts, ref, PLANAR_EPS
+    )
+    gate = PLANAR_EPS * diameters
+    np.testing.assert_array_equal(residuals > gate, ref[1] > gate)
+    # every star near or above the gate goes through the SVD
+    assert not settled[ref[1] > gate / 10].any()
+    routes = dict(zip(cases, np.split(settled, len(cases))))
+    for name, route in routes.items():
+        if name.startswith("planar") or name == "neighbour on the centre" and degree > 2:
+            assert route.all(), name
+        if name in ("collinear", "coincident"):
+            assert not route.any(), name
+    if degree > 2:  # three points always lie in a plane
+        assert (ref[1] > gate)[-40:].any()
+
+
+@pytest.mark.parametrize("shift", [0.0, 30.0, 1e3, 1e4])
+def test_shifted_grids_read_their_stars_in_closed_form(shift):
+    n, quads, pos = quadric_grid(20, 20, spacing=0.05, origin=(-0.5, -0.5))
+    g = build(n, quads)
+    pos = pos + shift
+    walk = _collect_violations(g, pos, True, Tolerances())
+    stars = (pos[[v] + g.vertex_star(v)[0]] for v in range(n))
+    ref = [np.array(column) for column in zip(*map(reference_star_plane, stars))]
+    settled = assert_star_planes_match_oracle(
+        walk.planes, walk.residuals, walk.diameters, star_tilts(g, pos), ref,
+        PLANAR_EPS,
+    )
+    assert settled.all()
+    assert not any(kind == "non_planar_star" for kind, _ in walk.violations)
 
 
 def test_face_volume_kernel_equals_the_one_face_ratio():
@@ -653,6 +795,12 @@ def count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def reject_star_planes(patch):
+    """Make the closed-form star planes settle no star, so every star goes
+    through the SVD reading."""
+    patch.setattr(hypnet.anet, "_STAR_TILT", -np.inf)
+
+
 def test_diagnose_makes_no_per_vertex_span_or_svd_calls(monkeypatch):
     n, quads, pos = quadric_grid(10, 10)
     g = build(n, quads)
@@ -662,11 +810,14 @@ def test_diagnose_makes_no_per_vertex_span_or_svd_calls(monkeypatch):
         monkeypatch.setattr(module, "span", hypnet.plucker.span, raising=False)
         count_calls(monkeypatch, module, "span", calls)
     count_calls(monkeypatch, np.linalg, "svd", calls)
+    # the closed forms settle every exact star and pencil
     assert diagnose_anet(g, pos)["valid"]
-    # one stacked SVD per star group: the 3 vertex degrees of a grid, each
-    # group in one chunk; the pencil stage certifies every exact pencil
-    assert calls["span"] == 0
-    assert calls["svd"] == 3
+    assert calls == {"span": 0, "svd": 0}
+    # else one stacked SVD per star group: the 3 vertex degrees of a grid,
+    # each group in one chunk
+    reject_star_planes(monkeypatch)
+    assert diagnose_anet(g, pos)["valid"]
+    assert calls == {"span": 0, "svd": 3}
 
 
 def test_exact_wide_grid_reads_its_pencils_without_an_svd(monkeypatch):
@@ -676,8 +827,10 @@ def test_exact_wide_grid_reads_its_pencils_without_an_svd(monkeypatch):
     count_calls(monkeypatch, np.linalg, "svd", calls)
     count_calls(monkeypatch, hypnet.anet, "_span_signatures", calls)
     assert diagnose_anet(g, pos)["valid"]
-    assert calls["_span_signatures"] == 0
-    assert calls["svd"] == len(list(_by_degree(g.degrees)))
+    assert calls == {"svd": 0, "_span_signatures": 0}
+    reject_star_planes(monkeypatch)
+    assert diagnose_anet(g, pos)["valid"]
+    assert calls == {"svd": len(list(_by_degree(g.degrees))), "_span_signatures": 0}
 
 
 # --- the closed-form pencil certificate ------------------------------------------

@@ -32,7 +32,8 @@ from hypnet.synthetic import (
     random_umbrella_net,
 )
 
-from oracles import reference_render
+from oracles import reference_render, reference_star_plane
+from test_anet import reject_star_planes
 from test_hyperboloid import reject_certificates
 
 
@@ -797,6 +798,38 @@ def nudged_saddle_net():
 
 def nudged_saddle(tmp_path):
     return write_net(tmp_path / "nudged.obj", *nudged_saddle_net())
+
+
+def check_nets():
+    """The certificate nets, a net with a non-planar star, and an exact
+    grid 1e3 off the origin, by name."""
+    nets = certificate_nets()
+    nets["nudged saddle"] = nudged_saddle_net()
+    count, quads, positions = quadric_grid(20, 20, spacing=0.05, origin=(-0.5, -0.5))
+    nets["shifted quadric grid"] = (count, quads, positions + 1e3)
+    return nets
+
+
+@pytest.mark.parametrize("name", sorted(check_nets()))
+def test_check_without_the_star_certificate_prints_the_svd_reading(
+    tmp_path, capsys, monkeypatch, name
+):
+    path = write_net(tmp_path / "net.obj", *check_nets()[name])
+    code = main(["check", path])
+    report = json.loads(capsys.readouterr().out)
+    with monkeypatch.context() as patch:
+        reject_star_planes(patch)
+        assert main(["check", path]) == code
+        svd = capsys.readouterr().out
+    # the closed-form report differs from the SVD reading, which is the
+    # one-star oracle's, in the residuals of settled stars alone
+    positions, quads = read_mesh(path)
+    graph = build(len(positions), quads)
+    residuals = report["diagnostics"]["planarity_residuals"]
+    for v in range(len(positions)):
+        neighbors, _ = graph.vertex_star(v)
+        residuals[v] = reference_star_plane(positions[[v] + neighbors])[1]
+    assert render_report(report) + "\n" == svd
 
 
 def test_environment_overrides_relax_the_planarity_gate(

@@ -1,5 +1,7 @@
 """Quad graph construction, stars, strips, and dual traversal."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,22 @@ def test_closed_strip_detected_on_ring():
     g = build(*cylinder_quads())
     with pytest.raises(ClosedStripDetected):
         strips_of(g)
+
+
+def test_strip_sides_of_a_wide_grid_stay_small():
+    g = build(*grid_graph(80, 80))
+    sides, starts = g.strip_sides()
+    tracemalloc.start()
+    try:
+        again = g.strip_sides()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 25,600 half-edges: 2.2 MB with 64-bit ids and fresh arrays per jump
+    assert peak < 1.5e6
+    assert len(starts) == 160 and len(sides) == 2 * 80 * 80
+    np.testing.assert_array_equal(again[0], sides)
+    np.testing.assert_array_equal(again[1], starts)
 
 
 # --- dual spanning tree ---------------------------------------------------------
