@@ -190,10 +190,16 @@ def star_plane(points, planar=PLANAR_EPS):
     stack = pts.reshape(-1, *pts.shape[-2:])
     centroid = stack.mean(axis=1)
     centered = stack - centroid[:, None, :]
+    # squares are read at a power-of-two scale that brings each star's
+    # largest centred coordinate into [0.5, 1): exact, so no bit changes,
+    # and no overflow or underflow at any finite size
+    _, exponent = np.frexp(np.abs(centered).max(axis=(1, 2), initial=0.0))
+    scale = np.ldexp(1.0, -exponent)[:, None, None]
     i, j = np.triu_indices(stack.shape[1], 1)
-    gaps = stack[:, i] - stack[:, j]
+    gaps = (stack[:, i] - stack[:, j]) * scale
     diameter = np.sqrt((gaps * gaps).sum(axis=-1).max(axis=1, initial=0.0))
-    normal, residual, tilt = _scatter_normals(centered)
+    normal, residual, tilt = _scatter_normals(centered * scale)
+    diameter, residual = diameter / scale[:, 0, 0], residual / scale[:, 0, 0]
     # |A n| moves by at most |n - n'| max |a_i| <= 2 tilt diameter
     settled = (tilt <= _STAR_TILT) & (
         residual + 2 * tilt * diameter <= planar * diameter / 10
@@ -207,7 +213,10 @@ def star_plane(points, planar=PLANAR_EPS):
         lean = (rest @ vt[:, -1, :, None])[..., 0]
         residual[open_rows] = np.max(np.abs(lean), axis=-1)
     offset = _rowdot(-normal, centroid)[:, None]
-    plane = canonical(np.concatenate([normal, offset], axis=-1))
+    plane = np.concatenate([normal, offset], axis=-1)
+    # canonical squares the plane: read it at the same kind of exact scale
+    _, exponent = np.frexp(np.abs(plane).max(axis=-1))
+    plane = canonical(plane * np.ldexp(1.0, -exponent)[:, None])
     if pts.ndim == 2:
         return plane[0], float(residual[0]), float(diameter[0])
     shape = pts.shape[:-2]

@@ -13,7 +13,12 @@ Three subcommands share one report pipeline:
 ``hypnet extend <mesh> -o <out> --lambda L``
     Propagate the seed face's doubly ruled quadric over the net, carve
     the bounded patch of every face, sample the patches, and write the
-    combined mesh together with a tangent-continuity report.
+    combined mesh together with a tangent-continuity report.  The
+    report's ``c1.edges[e].max_angle`` is the largest angle between the
+    two patches' tangent planes over the whole of edge ``e``, read in
+    closed form from their pencils of tangent planes along it
+    (:func:`~hypnet.patch.check_c1`); ``c1.samples_per_edge`` counts the
+    points per edge at which second-order probes look for folds.
 
 Every invocation prints one JSON report to stdout (see
 :func:`render_report`) and exits 0 exactly when the report's
@@ -47,8 +52,9 @@ import re
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,7 +71,7 @@ from .errors import (
 from .fit import DEFAULT_MAX_ITER, FitProblem, fit
 from .hyperboloid import propagate_all
 from .meshio import oriented_grids, read_mesh, write_mesh, write_positions_mesh
-from .patch import check_c1, restrict_all, sample_all
+from .patch import EDGE_CORNERS, check_c1, restrict_all, sample_all
 from .plucker import Tolerances
 from .quadgraph import build
 
@@ -133,13 +139,18 @@ def render_report(report: dict) -> str:
     Keys are converted with ``str``, arrays with ``tolist``, sets sorted,
     tuples become lists and numpy scalars their Python values.  The text
     equals ``json.dumps`` of that converted report with ``indent=2,
-    sort_keys=True``, byte for byte; lists of numbers, and lists of such
-    lists, are joined in one pass each instead of value by value.
+    sort_keys=True``, byte for byte.  Lists of numbers are joined in one
+    pass, and tables in one ``%`` formatting pass each: dicts whose
+    values are all scalars, or all flat records of scalars with one key
+    set, or all lists of number rows of one shape, and lists of number
+    rows of one width.
     """
     return _render(report, "\n")
 
 
 _NUMBERS = frozenset({int, float, type(None)})
+_SCALARS = (str, int, float, np.bool_, np.number)
+_BOOLS = {False: "false", True: "true"}
 
 
 def _numbers(text: str, kinds) -> str:
@@ -151,6 +162,93 @@ def _numbers(text: str, kinds) -> str:
     for word in ("None", "-inf", "inf", "nan"):
         text = text.replace(word, "null")
     return text
+
+
+def _cells(column: list):
+    """The ``%`` hole and the values filling it that render a column of
+    table cells, or ``None`` when a cell is not a scalar."""
+    kinds = set(map(type, column))
+    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, column))):
+        return "%r", column
+    if kinds == {bool}:
+        return "%s", list(map(_BOOLS.__getitem__, column))
+    if not all(k is type(None) or issubclass(k, _SCALARS) for k in kinds):
+        return None
+    return "%s", [_render(v, "") for v in column]
+
+
+def _row(holes, indent: str) -> str:
+    """Template of one list of ``holes`` whose first line starts at ``indent``."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(holes) + indent + "]"
+
+
+def _table(values: list, indent: str):
+    """``(template, cells)`` that render each of equal-shape ``values``,
+    whose first lines start at ``indent``, as ``template % cells`` for
+    its row-major run of ``cells``; ``None`` unless the values are all
+    scalars, all flat records of scalars with one set of string keys,
+    all non-empty rows of numbers of one width, or all lists of such
+    rows of one shape."""
+    kinds = set(map(type, values))
+    first = values[0]
+    if kinds == {dict}:
+        keys = sorted(first)
+        if not keys or any(type(k) is not str for k in keys) or not all(
+            map(first.keys().__eq__, map(dict.keys, values))
+        ):
+            return None
+        cells = list(map(itemgetter(*keys), values))
+        if len(keys) > 1:
+            cells = list(chain.from_iterable(cells))
+
+        def template(holes):
+            inner = indent + "  "
+            return "{" + inner + ("," + inner).join(
+                encode_basestring_ascii(k).replace("%", "%%") + ": " + hole
+                for k, hole in zip(keys, holes)
+            ) + indent + "}"
+
+        width = len(keys)
+    elif kinds == {list}:
+        rows, height = values, 0  # rows of numbers, or lists of `height` rows
+        if first and type(first[0]) is list:
+            if set(map(len, values)) != {len(first)}:
+                return None
+            rows, height = list(chain.from_iterable(values)), len(first)
+            if set(map(type, rows)) != {list}:
+                return None
+        widths = set(map(len, rows))
+        if len(widths) != 1 or not rows[0]:
+            return None
+        cells = list(chain.from_iterable(rows))
+        if not set(map(type, cells)) <= _NUMBERS:
+            return None
+        (size,) = widths
+        width = size * max(height, 1)
+
+        def template(holes):
+            if not height:
+                return _row(holes, indent)
+            inner = indent + "  "
+            return _row([_row(holes[k:k + size], inner)
+                         for k in range(0, width, size)], indent)
+    elif dict in kinds or list in kinds:
+        return None
+    else:
+        cells, width = list(values), 1
+
+        def template(holes):
+            return holes[0]
+
+    holes = []
+    for j in range(width):
+        column = _cells(cells[j::width])
+        if column is None:
+            return None
+        holes.append(column[0])
+        cells[j::width] = column[1]
+    return template(holes), cells
 
 
 def _render(value, indent: str) -> str:
@@ -171,10 +269,20 @@ def _render(value, indent: str) -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        plain = {str(k): v for k, v in value.items()}
+        plain = dict(zip(map(str, value), value.values()))
+        keys = sorted(plain)
+        values = list(map(plain.__getitem__, keys))
+        names = list(map(encode_basestring_ascii, keys))
+        table = _table(values, inner)
+        if table is not None:
+            template, cells = table
+            if "%" in "".join(keys):
+                names = [name.replace("%", "%%") for name in names]
+            line = ": " + template
+            body = (line + "," + inner).join(names) + line
+            return "{" + inner + body % tuple(cells) + indent + "}"
         return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _render(plain[k], inner)
-            for k in sorted(plain)
+            name + ": " + _render(v, inner) for name, v in zip(names, values)
         ) + indent + "}"
     if isinstance(value, np.ndarray):
         return _render(value.tolist(), indent)
@@ -190,20 +298,9 @@ def _render(value, indent: str) -> str:
     kinds = set(map(type, items))
     if kinds <= _NUMBERS:
         body = _numbers(sep.join(map(repr, items)), kinds)
-    elif (kinds == {list} and all(items) and
-          (cells := set(map(type, chain.from_iterable(items)))) <= _NUMBERS):
-        # rows of numbers, none of them empty: every number followed by
-        # the glue to the next one, within its row or across rows
-        row = inner + "  "
-        glue = ["," + row] * sum(map(len, items))
-        next_row = inner + "]" + sep + "[" + row
-        for end in accumulate(map(len, items)):
-            glue[end - 1] = next_row
-        glue[-1] = ""
-        numbers = map(repr, chain.from_iterable(items))
-        body = _numbers("[" + row + "".join(
-            chain.from_iterable(zip(numbers, glue))
-        ) + inner + "]", cells)
+    elif kinds == {list} and (table := _table(items, inner)) is not None:
+        template, cells = table
+        body = sep.join([template] * len(items)) % tuple(cells)
     else:
         body = sep.join([_render(v, inner) for v in items])
     return "[" + inner + body + indent + "]"
@@ -309,18 +406,18 @@ def _boundary_residuals(grids: np.ndarray, corners: np.ndarray) -> np.ndarray:
 
     ``grids`` are patch sample grids ``(F, n, m, 3)`` and ``corners`` the
     quads' corner positions ``(F, 4, 3)`` in the patches' role order.
+    Each side's unit axis is formed once per face and broadcast over the
+    side's samples.
     """
-    n, m = grids.shape[1:3]
-    samples = np.concatenate(
-        [grids[:, 0], grids[:, -1], grids[:, :, 0], grids[:, :, -1]], axis=1
-    )
-    # per boundary sample, the corners (role indices) of its edge
-    ends = np.repeat([[0, 1], [2, 3], [0, 2], [1, 3]], [m, m, n, n], axis=0)
-    a, b = corners[:, ends[:, 0]], corners[:, ends[:, 1]]
-    axis = (b - a) / np.linalg.norm(b - a, axis=-1, keepdims=True)
-    offsets = samples - a
-    rejection = offsets - np.sum(offsets * axis, axis=-1, keepdims=True) * axis
-    return np.linalg.norm(rejection, axis=-1).max(axis=1)
+    sides = (grids[:, 0], grids[:, -1], grids[:, :, 0], grids[:, :, -1])
+    a, b = corners[:, EDGE_CORNERS[:, 0], None], corners[:, EDGE_CORNERS[:, 1], None]
+    axes = (b - a) / np.linalg.norm(b - a, axis=-1, keepdims=True)
+    worst = []
+    for k, samples in enumerate(sides):
+        offsets = samples - a[:, k]
+        along = np.sum(offsets * axes[:, k], axis=-1, keepdims=True)
+        worst.append(np.linalg.norm(offsets - along * axes[:, k], axis=-1).max(axis=1))
+    return np.max(worst, axis=0)
 
 
 def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
@@ -345,7 +442,7 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     points = sample_all(patches, n, m)
     report["samples"] = [n, m]
     report["boundary_residuals"] = dict(
-        zip(faces, _boundary_residuals(points, patches.points))
+        zip(faces, _boundary_residuals(points, patches.points).tolist())
     )
     report["c1"] = check_c1(patches, a, samples_per_edge=9)
     corners = a.graph.face_vertices[patches.faces][:, _ROLE_CORNERS]

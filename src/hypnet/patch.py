@@ -75,6 +75,18 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _dot3(a, b):
+    """Dot products of vectors stored coordinate first, ``(3, ...)``."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross3(a, b):
+    """Cross products of vectors stored coordinate first, ``(3, ...)``."""
+    return np.stack([
+        a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+    ])
+
+
 def _pairing(a, b):
     """Pluecker products of the rows of two 6-vector stacks."""
     return _dot(a[..., :3], b[..., 3:]) + _dot(a[..., 3:], b[..., :3])
@@ -85,7 +97,8 @@ def _evaluate(points, weights, t, s):
     weights ``(..., 4)``; ``t`` and ``s`` broadcast against the leading
     axes.  Returns the points ``(..., 3)`` and the mask of parameters
     whose denominator vanishes relative to its terms (the points there
-    are meaningless)."""
+    are meaningless).  The points are formed one coordinate at a time,
+    so that every pass runs over the whole broadcast shape."""
     terms = [
         weights[..., 0] * ((1.0 - t) * (1.0 - s)),
         weights[..., 1] * ((1.0 - t) * s),
@@ -93,13 +106,17 @@ def _evaluate(points, weights, t, s):
         weights[..., 3] * (t * s),
     ]
     den = terms[0] + terms[1] + terms[2] + terms[3]
-    num = terms[0][..., None] * points[..., 0, :]
-    for k in (1, 2, 3):
-        num = num + terms[k][..., None] * points[..., k, :]
     size = abs(terms[0]) + abs(terms[1]) + abs(terms[2]) + abs(terms[3])
     bad = ~(np.abs(den) > W_TOL * size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / np.where(bad, 1.0, den)[..., None], bad
+    den = np.where(bad, 1.0, den)
+    coords = []
+    for c in range(3):
+        num = terms[0] * points[..., 0, c]
+        for k in (1, 2, 3):
+            num = num + terms[k] * points[..., k, c]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coords.append(num / den)
+    return np.stack(coords, axis=-1), bad
 
 
 def _infinite(face, label):
@@ -356,33 +373,55 @@ def bilinear_patches(a) -> dict:
 
 
 def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
-    """Tangent-plane continuity report across interior edges.
+    """Tangent-plane continuity report across interior edges, over each
+    whole edge.
 
     ``patches`` is a :class:`PatchStack` or a dict from face id to
-    :class:`HyperboloidPatch`.  At uniform interior points of every
-    shared edge the tangent plane of each side is spanned by the edge
-    and that side's straight cross-family ruling through the point; the
-    report records the largest angle between the two sides' planes
-    (folded to ``[0, pi/2]``).  A side maps the edge coordinate to its
-    ruling parameter in closed form: the point a fraction ``r`` from the
-    edge corner of weight ``wa`` toward the corner of weight ``wb`` has
-    parameter ``r wa / (r wa + (1 - r) wb)``.  Second-order probes
-    ``X`` a step ``CUSP_DELTA`` into each patch flag edges where both
-    surface sheets leave the common tangent plane to the same side -- a
-    fold (cusp) that plane angles alone cannot see.  Kinks and folds
-    never raise; the report only describes them.
+    :class:`HyperboloidPatch`.  Along an edge the tangent planes of a
+    patch form a pencil (the tangent planes of a quadric along a
+    ruling): for the edge ``a -> b`` of a side with opposite corners
+    ``a', b'``, weights ``w`` and ``d = x_b - x_a``, the normal a fraction
+    ``r`` from ``a`` is ``(1 - r) w_b w_a' d x (x_a' - x_a) + r w_a w_b'
+    d x (x_b' - x_b)``.  With both sides on the edge coordinate ``u``
+    from the lower vertex id, ``c(u) = d . (n1 x n2)`` and ``e(u) = n1 .
+    n2`` are quadratics, so the largest angle between the two sides'
+    planes (folded to ``[0, pi/2]``) over ``0 <= u <= 1`` is the largest
+    of the angles at ``u = 0``, ``u = 1`` and the roots in ``(0, 1)`` of
+    ``c' e - c e'``, each read from the two normals there; it is
+    ``pi/2`` where ``e`` changes sign inside the edge.  That supremum is
+    each edge's ``max_angle``.
 
-    A degenerate edge -- corner weights of opposite sign along it, a
-    ruling end or probe at infinity, a ruling parallel to the edge --
-    raises for the lowest such edge id, with the exception that a walk
-    over that edge (both schedules, then per sample the two normals and
-    the two probes) meets first.
+    Second-order probes ``X`` a step ``CUSP_DELTA`` into each patch, at
+    edge coordinate ``u + CUSP_DELTA`` for ``samples_per_edge`` uniform
+    interior points ``u`` (the report's ``samples_per_edge`` counts
+    these probe points), flag edges where both surface sheets leave the
+    first side's tangent plane at ``u`` to the same side -- a fold
+    (cusp) that plane angles alone cannot see.  The point a fraction
+    ``r`` from the edge corner of weight ``wa`` toward the corner of
+    weight ``wb`` has the side's edge parameter ``r wa / (r wa + (1 - r)
+    wb)``, so a probe's homogeneous coordinates are linear in ``u`` and
+    its offset is a quadratic in ``u`` over a linear one and the length
+    of the normal.  Kinks and folds never raise; the report only
+    describes them.
+
+    A degenerate edge raises for the lowest such edge id, checked in
+    this order: corner weights of opposite sign along the edge
+    (:class:`PatchError`); opposite corners' weights of opposite sign,
+    which put a ruling end at infinity
+    (:class:`NumericallyInfinitePoint`, naming that point's parameters);
+    a pencil normal that vanishes on the edge, where a ruling runs
+    parallel to it (:class:`PatchError`); then per probe point the two
+    sides' probes at infinity.  Every step is elementwise over edges,
+    so an edge's entry does not depend on the other faces in the call.
     """
+    if samples_per_edge < 1:
+        raise ValueError(
+            f"samples_per_edge must be at least 1, got {samples_per_edge}"
+        )
     stack = patches if isinstance(patches, PatchStack) else PatchStack.of(
         patches.values()
     )
     g = a.graph
-    pos = np.asarray(a.positions, dtype=float)
     rows = np.full(g.face_count + 1, -1)  # the last entry stands for "no face"
     rows[stack.faces] = np.arange(len(stack))
     side_rows = rows[g.edge_faces]
@@ -392,81 +431,127 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
     role = np.argmax(stack.frames.h_edges[row] == edge[:, None], axis=1)
     shared = shared.tolist()
     E, S = len(shared), samples_per_edge
+    # one entry per side, two per edge on the last axis; vectors coordinate first
     ends = g.edges[edge]
-    A, d = pos[ends[:, 0]], pos[ends[:, 1]] - pos[ends[:, 0]]
-    every = np.arange(2 * E)
-    corners = EDGE_CORNERS[role]
-    forward = stack.frames.corners[row, corners[:, 0]] == ends[:, 0]
-    W = stack.weights[row]
-    wa, wb = W[every, corners[:, 0], None], W[every, corners[:, 1], None]
-    u = (np.arange(S) + 1.0) / (S + 1.0)
-    uu = np.concatenate([u, u + CUSP_DELTA])
-    r = np.where(forward[:, None], uu, 1.0 - uu)
+    pos = np.asarray(a.positions, dtype=float).T
+    A, d = pos[:, ends[:, 0]], pos[:, ends[:, 1]] - pos[:, ends[:, 0]]
+    # corners a, b of the edge and a', b' across the face, in the side's order
+    corners = np.concatenate([EDGE_CORNERS[role], EDGE_CORNERS[role ^ 1]], axis=1).T
+    forward = stack.frames.corners[row, corners[0]] == ends[:, 0]
+    wa, wb, wa_far, wb_far = stack.weights.T[corners, row]
+    points = stack.points.transpose(2, 1, 0)[:, corners, row] - A[:, None]
+    xa, xb, xa_far, xb_far = points.transpose(1, 0, 2)  # relative to A
+
+    # the pencil's ends: cross rulings at a and b, and the normals they give
+    rulings = np.stack([wb * wa_far * (xa_far - xa), wa * wb_far * (xb_far - xb)], 1)
+    normals = _cross3(d[:, None], rulings)
+    # where the normal is shortest on the edge it must not vanish on its ruling
+    nn, pq = _dot3(normals, normals), _dot3(normals[:, 0], normals[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = r * wa / (r * wa + (1.0 - r) * wb)
-    along_t = (role >= 2)[:, None]
-    # per side and sample: both ends of the cross-family ruling through
-    # the edge point, then the probe a step into the patch
-    depth = np.where(role % 2 == 1, 1.0 - CUSP_DELTA, CUSP_DELTA)[:, None]
-    near = sigma[:, :S]
-    params = [
-        (np.where(along_t, sig, fixed), np.where(along_t, fixed, sig))
-        for sig, fixed in ((near, 0.0), (near, 1.0), (sigma[:, S:], depth))
-    ]
-    (x0, bad0), (x1, bad1), (probes, far) = (
-        _evaluate(stack.points[row][:, None], W[:, None], t, s) for t, s in params
-    )
-    ruling = x1 - x0
-    normals = _cross(d[:, None], ruling)
-    norm = np.sqrt(_dot(normals, normals))
-    parallel = ~(norm > 1e-14 * np.sqrt(_dot(d, d)[:, None] * _dot(ruling, ruling)))
-    normals = normals / np.where(parallel, 1.0, norm)[..., None]
-
-    pair = (E, 2, S)
-    n1, n2 = normals.reshape(*pair, 3).transpose(1, 0, 2, 3)
-    sine = np.sqrt(_dot(_cross(n1, n2), _cross(n1, n2)))
-    angles = np.arctan2(sine, np.abs(_dot(n1, n2)))
-    base = A[::2, None] + u[:, None] * d[::2, None]
-    offsets = _dot(n1[:, None], probes.reshape(*pair, 3) - base[:, None])
-    floor = CUSP_OFFSET_FLOOR * np.sqrt(_dot(d[::2], d[::2]))
-    cusps = (offsets[:, 0] * offsets[:, 1] > 0.0) & (
-        np.min(np.abs(offsets), axis=1) > floor[:, None]
+        low = np.clip((nn[0] - pq) / (nn[0] - 2.0 * pq + nn[1]), 0.0, 1.0)
+    low = np.where(np.isfinite(low), low, 0.0)
+    shortest = (1.0 - low) * normals[:, 0] + low * normals[:, 1]
+    ruling = (1.0 - low) * rulings[:, 0] + low * rulings[:, 1]
+    parallel = ~(
+        np.sqrt(_dot3(shortest, shortest))
+        > 1e-14 * np.sqrt(_dot3(d, d) * _dot3(ruling, ruling))
     )
 
-    # every check of an edge in walk order, one column each
-    normal_bad = (bad0 | bad1 | parallel).reshape(pair)
-    probe_bad = far.reshape(pair)
-    walk = np.stack(
-        [normal_bad[:, 0], normal_bad[:, 1], probe_bad[:, 0], probe_bad[:, 1]], axis=-1
+    # per edge, side k's normal at u is (1 - u) start[..., k] + u end[..., k]
+    start = np.where(forward, normals[:, 0], normals[:, 1]).reshape(3, E, 2)
+    end = np.where(forward, normals[:, 1], normals[:, 0]).reshape(3, E, 2)
+    de = d[:, ::2]
+
+    def quadratic(f):
+        """Power-basis coefficients of the quadratic ``f(n1(u), n2(u))``."""
+        b0 = f(start[..., 0], start[..., 1])
+        b1 = 0.5 * (f(start[..., 0], end[..., 1]) + f(end[..., 0], start[..., 1]))
+        b2 = f(end[..., 0], end[..., 1])
+        return b0, 2.0 * (b1 - b0), b0 - 2.0 * b1 + b2
+
+    c0, c1, c2 = quadratic(lambda n1, n2: _dot3(de, _cross3(n1, n2)))
+    e0, e1, e2 = quadratic(_dot3)
+    # stationary points of c / e: q2 u^2 + 2 q1 u + q0 = 0
+    q2, q1, q0 = c2 * e1 - c1 * e2, c2 * e0 - c0 * e2, c1 * e0 - c0 * e1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = -(q1 + np.copysign(np.sqrt(q1 * q1 - q2 * q0), q1))
+        U = np.stack([np.zeros(E), np.ones(E), q / q2, q0 / q])
+        vertex = -e1 / (2.0 * e2)
+    U[2:] = np.where((U[2:] > 0.0) & (U[2:] < 1.0), U[2:], 0.0)
+    n1, n2 = ((1.0 - U) * start[:, None, :, k] + U * end[:, None, :, k] for k in (0, 1))
+    sine, cosine = np.sqrt(_dot3(_cross3(n1, n2), _cross3(n1, n2))), _dot3(n1, n2)
+    angles = np.arctan2(sine, np.abs(cosine)).max(axis=0)
+    # e changes sign between the edge's ends, or on both sides of its extremum
+    inside = (vertex > 0.0) & (vertex < 1.0)
+    extremum = e0 + vertex * (e1 + vertex * e2)
+    flips = (cosine[0] * cosine[1] < 0.0) | (inside & (cosine[0] * extremum < 0.0))
+    angles = np.where(flips, 0.5 * np.pi, angles)
+
+    # the probes, per point (axis 0) and side: homogeneous points
+    # (1 - r) h0 + r h1 a step into the patch, relative to A, and their
+    # offsets from side 1's plane at u
+    u = ((np.arange(S) + 1.0) / (S + 1.0))[:, None]
+    r = np.where(forward, u + CUSP_DELTA, 1.0 - (u + CUSP_DELTA))
+    near, into = 1.0 - CUSP_DELTA, CUSP_DELTA
+    h0 = wb * (near * wa * xa + into * wa_far * xa_far)
+    h1 = wa * (near * wb * xb + into * wb_far * xb_far)
+    w0, w1 = wb * (near * wa + into * wa_far), wa * (near * wb + into * wb_far)
+    size0 = abs(wb) * (near * abs(wa) + into * abs(wa_far))
+    size1 = abs(wa) * (near * abs(wb) + into * abs(wb_far))
+    den = (1.0 - r) * w0 + r * w1
+    lost = ~(np.abs(den) > W_TOL * ((1.0 - r) * size0 + r * size1))
+    s1, t1 = start[..., 0], end[..., 0]
+    ss, st, tt = _dot3(s1, s1), _dot3(s1, t1), _dot3(t1, t1)
+    length = np.sqrt((1.0 - u) * ((1.0 - u) * ss + 2.0 * u * st) + u * u * tt)
+    first = np.repeat(s1, 2, axis=1), np.repeat(t1, 2, axis=1)
+    t00, t01, t10, t11 = (_dot3(n, h) for n in first for h in (h0, h1))
+    num = (1.0 - u) * ((1.0 - r) * t00 + r * t01) + u * ((1.0 - r) * t10 + r * t11)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offsets = (num / np.where(lost, 1.0, den)).reshape(S, E, 2) / length[..., None]
+    floor = CUSP_OFFSET_FLOOR * np.sqrt(_dot3(de, de))
+    cusps = (offsets[..., 0] * offsets[..., 1] > 0.0) & (
+        np.minimum(np.abs(offsets[..., 0]), np.abs(offsets[..., 1])) > floor
     )
-    checks = np.concatenate([~(wa * wb > 0.0).reshape(E, 2), walk.reshape(E, 4 * S)], 1)
+
+    # every check of an edge in order, one column each
+    checks = np.concatenate([
+        ~(wa * wb > 0.0).reshape(E, 2),
+        ~(wa_far * wb_far > 0.0).reshape(E, 2),
+        parallel.reshape(E, 2),
+        lost.reshape(S, E, 2).transpose(1, 0, 2).reshape(E, 2 * S),
+    ], axis=1)
     if checks.any():
         edge = int(np.argmax(checks.any(axis=1)))
         column = int(np.argmax(checks[edge]))
         e = shared[edge]
         if column < 2:
             raise PatchError(f"degenerate ruling schedule on edge {e}", edge=e)
-        i, check = divmod(column - 2, 4)
-        k = 2 * edge + check % 2
-        ends_or_probe = zip((bad0, bad1), params) if check < 2 else [(far, params[2])]
-        for bad, (t, s) in ends_or_probe:
-            if bad[k, i]:
-                label = (float(t[k, i]), float(s[k, i]))
-                raise _infinite(int(stack.faces[row[k]]), label)
-        raise PatchError("ruling is parallel to the edge; no tangent plane", edge=e)
-    edges, cusp_edges, max_angle, worst_edge = {}, [], 0.0, None
-    for e, angle, cusp in zip(shared, angles.max(axis=1), cusps.any(axis=1)):
-        angle = max(0.0, float(angle))
-        edges[e] = {"max_angle": angle, "cusp": bool(cusp)}
-        if cusp:
-            cusp_edges.append(e)
-        if angle > max_angle:
-            max_angle, worst_edge = angle, e
+        if 4 <= column < 6:
+            raise PatchError("ruling is parallel to the edge; no tangent plane", edge=e)
+        if column < 4:  # the far corners' weights cancel at this far-edge parameter
+            k = 2 * edge + column - 2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                at, across = wa_far[k] / (wa_far[k] - wb_far[k]), 1.0
+        else:
+            i, side = divmod(column - 6, 2)
+            k = 2 * edge + side
+            at = r[i, k] * wa[k] / (r[i, k] * wa[k] + (1.0 - r[i, k]) * wb[k])
+            across = into
+        across = across if role[k] % 2 == 0 else 1.0 - across
+        label = (float(at), across) if role[k] >= 2 else (across, float(at))
+        raise _infinite(int(stack.faces[row[k]]), label)
+    angles = np.fmax(angles, 0.0).tolist()
+    cusps = cusps.any(axis=0)
+    worst = int(np.argmax(angles)) if E else 0
+    max_angle = angles[worst] if E else 0.0
     return {
         "samples_per_edge": samples_per_edge,
         "edge_count": E,
         "max_angle": max_angle,
-        "worst_edge": worst_edge,
-        "cusp_edges": cusp_edges,
-        "edges": edges,
+        "worst_edge": shared[worst] if max_angle > 0.0 else None,
+        "cusp_edges": [shared[k] for k in np.flatnonzero(cusps).tolist()],
+        "edges": {
+            e: {"max_angle": angle, "cusp": cusp}
+            for e, angle, cusp in zip(shared, angles, cusps.tolist())
+        },
     }

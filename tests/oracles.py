@@ -324,9 +324,13 @@ def random_projection_setup(rng):
 
 def _direction_moment(h):
     """Direction ``Y - X`` and moment ``X x Y`` of the line through finite
-    points ``X``, ``Y``, read off its stored minors."""
+    points ``X``, ``Y``, read off its stored minors (of each row of a
+    stack of lines)."""
     h = np.asarray(h, dtype=float)
-    return np.array([-h[2], h[4], -h[3]]), np.array([h[5], -h[1], h[0]])
+    return (
+        np.stack([-h[..., 2], h[..., 4], -h[..., 3]], axis=-1),
+        np.stack([h[..., 5], -h[..., 1], h[..., 0]], axis=-1),
+    )
 
 
 def reference_meet(a, b):
@@ -474,11 +478,40 @@ def reference_c1_edges(patches, graph, positions, samples_per_edge, delta, floor
     Each side maps an edge coordinate ``u`` to the parameter of its
     cross-family ruling through the fractional-linear schedule fitted to
     the edge coordinates of three ruling meets; the tangent plane is
-    spanned by the edge and that ruling.  The fold probe meets the two
-    families a parameter step ``delta`` into each patch at ``u + delta``
-    and flags offsets from the first side's plane that share a sign and
-    exceed ``floor`` times the edge length.
+    spanned by the edge and that ruling, and ``max_angle`` is the
+    largest angle of :func:`reference_c1_angles` at the samples.  The
+    fold probe meets the two families a parameter step ``delta`` into
+    each patch at ``u + delta`` and flags offsets from the first side's
+    plane that share a sign and exceed ``floor`` times the edge length.
     """
+    pos = np.asarray(positions, dtype=float)
+    u = (np.arange(samples_per_edge) + 1.0) / (samples_per_edge + 1.0)
+    out = {}
+    for e, (angle, _, _) in reference_c1_angles(patches, graph, positions, u).items():
+        f1, f2 = graph.edge_faces[e].tolist()
+        A, B = pos[graph.edges[e]]
+        d = B - A
+        sides = [_reference_side(patches[f], e, A, d) for f in (f1, f2)]
+        cusp = False
+        for x in u.tolist():
+            n1 = sides[0]["normal"](x)
+            base = A + x * d
+            offsets = [n1 @ (side["probe"](x + delta, delta) - base) for side in sides]
+            least = min(abs(offsets[0]), abs(offsets[1]))
+            if offsets[0] * offsets[1] > 0 and least > floor * np.linalg.norm(d):
+                cusp = True
+        out[e] = (angle, cusp)
+    return out
+
+
+def reference_c1_angles(patches, graph, positions, u):
+    """Per shared edge ``(max_angle, at, flips)``: the largest angle
+    between the two sides' tangent planes at the edge coordinates ``u``
+    (an array, or a dict of arrays by edge id), the coordinate where it
+    is attained, and whether ``n1 . n2`` takes both signs there (the
+    planes turn through a right angle).  Each side's normal is read from
+    its cross-family ruling, as in :func:`reference_c1_edges`, at all
+    points of an edge at once."""
     pos = np.asarray(positions, dtype=float)
     out = {}
     for e, (f1, f2) in enumerate(graph.edge_faces.tolist()):
@@ -486,21 +519,12 @@ def reference_c1_edges(patches, graph, positions, samples_per_edge, delta, floor
             continue
         A, B = pos[graph.edges[e]]
         d = B - A
-        sides = [_reference_side(patches[f], e, A, d) for f in (f1, f2)]
-        angle, cusp = 0.0, False
-        for i in range(samples_per_edge):
-            u = (i + 1.0) / (samples_per_edge + 1.0)
-            n1, n2 = (side["normal"](u) for side in sides)
-            angle = max(
-                angle,
-                float(np.arctan2(np.linalg.norm(np.cross(n1, n2)), abs(n1 @ n2))),
-            )
-            base = A + u * d
-            offsets = [n1 @ (side["probe"](u + delta, delta) - base) for side in sides]
-            least = min(abs(offsets[0]), abs(offsets[1]))
-            if offsets[0] * offsets[1] > 0 and least > floor * np.linalg.norm(d):
-                cusp = True
-        out[e] = (angle, cusp)
+        at = np.asarray(u[e] if isinstance(u, dict) else u, dtype=float)
+        n1, n2 = (_reference_side(patches[f], e, A, d)["normal"](at) for f in (f1, f2))
+        dots = np.sum(n1 * n2, axis=-1)
+        angles = np.arctan2(np.linalg.norm(np.cross(n1, n2), axis=-1), np.abs(dots))
+        k = int(np.argmax(angles))
+        out[e] = (float(angles[k]), float(at[k]), bool(dots.min() < 0.0 < dots.max()))
     return out
 
 
@@ -525,7 +549,7 @@ def _reference_side(patch, e, A, d):
     def normal(u):
         cross = patch.ruling2 if role < 2 else patch.ruling1
         n = np.cross(d, _direction_moment(cross(sigma_at(u)))[0])
-        return n / np.linalg.norm(n)
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
     return {"normal": normal, "probe": lambda u, into: point(sigma_at(u), into)}
 
@@ -1253,6 +1277,21 @@ def reference_render(report) -> str:
     return json.dumps(
         reference_plain(report), indent=2, sort_keys=True, allow_nan=False
     )
+
+
+def reference_boundary_residuals(grids, corners):
+    """``cli._boundary_residuals`` with every boundary sample of a face
+    in one row and its edge's axis formed per sample."""
+    n, m = grids.shape[1:3]
+    samples = np.concatenate(
+        [grids[:, 0], grids[:, -1], grids[:, :, 0], grids[:, :, -1]], axis=1
+    )
+    ends = np.repeat([[0, 1], [2, 3], [0, 2], [1, 3]], [m, m, n, n], axis=0)
+    a, b = corners[:, ends[:, 0]], corners[:, ends[:, 1]]
+    axis = (b - a) / np.linalg.norm(b - a, axis=-1, keepdims=True)
+    offsets = samples - a
+    rejection = offsets - np.sum(offsets * axis, axis=-1, keepdims=True) * axis
+    return np.linalg.norm(rejection, axis=-1).max(axis=1)
 
 
 def reference_tetrahedra(graph, vertex_count):

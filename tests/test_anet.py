@@ -774,6 +774,28 @@ def test_shifted_grids_read_their_stars_in_closed_form(shift):
     assert not any(kind == "non_planar_star" for kind, _ in walk.violations)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e-155])
+def test_star_stage_reads_huge_and_tiny_nets_like_unit_ones(scale):
+    # squared coordinate differences overflow (or underflow) at this size;
+    # the star stage must read them at an exact scale instead
+    n, quads, pos = quadric_grid(3, 3)
+    g = build(n, quads)
+    lifted = pos.copy()
+    lifted[5, 2] += 3.0
+    expected = _collect_violations(g, lifted, True, Tolerances()).violations
+    scaled = pos * scale
+    scaled[5, 2] += 3.0 * scale
+    with np.errstate(over="raise", invalid="raise"):
+        got = _collect_violations(g, scaled, True, Tolerances()).violations
+    assert [(kind, data["vertex"]) for kind, data in got] == [
+        ("non_planar_star", v) for v in (5, 6, 9)
+    ]
+    assert [data["vertex"] for _, data in expected] == [5, 6, 9]
+    for (_, data), (_, unit) in zip(got, expected):
+        ratio = data["residual"] / data["tolerance"]
+        assert ratio == pytest.approx(unit["residual"] / unit["tolerance"], rel=1e-13)
+
+
 def test_face_volume_kernel_equals_the_one_face_ratio():
     rng = np.random.default_rng(41)
     pos = rng.normal(size=(400, 3)) * rng.uniform(0.01, 100, size=(400, 1))

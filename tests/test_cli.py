@@ -12,13 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypnet
 import hypnet.anet
 import hypnet.hyperboloid
 import hypnet.plucker
 from hypnet.anet import diagnose_anet, validate_anet
-from hypnet.cli import RunConfig, main, render_report, run
+from hypnet.cli import RunConfig, _boundary_residuals, _table, main, render_report, run
 from hypnet.errors import ClosureViolation, NonPlanarStar
 from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_all
 from hypnet.meshio import read_mesh, write_positions_mesh
@@ -32,7 +34,7 @@ from hypnet.synthetic import (
     random_umbrella_net,
 )
 
-from oracles import reference_render, reference_star_plane
+from oracles import reference_boundary_residuals, reference_render, reference_star_plane
 from test_anet import reject_star_planes
 from test_hyperboloid import reject_certificates
 
@@ -442,6 +444,88 @@ def test_rendered_reports_equal_json_dumps_of_the_plain_report(tmp_path, case):
     text = render_report(report)
     assert text == reference_render(report)
     assert text.isascii()
+
+
+# --- tables: rendered in one formatting pass each, or value by value --------------
+
+#: keys that need JSON escapes, contain ``%``, or sort differently as text
+TEXT_KEYS = st.text(st.sampled_from('ab%"\\\n\x01\u00e9\u2211'), max_size=4)
+KEYS = st.one_of(st.integers(-20, 200), TEXT_KEYS)
+#: one strategy per table column, each drawing every cell of the column
+SCALAR_COLUMNS = [
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-9, 9).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats()),
+    st.text(max_size=3),
+]
+NUMBER_CELLS = [
+    st.integers(-9, 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(st.none(), st.integers(), st.floats()),
+]
+
+
+@st.composite
+def tables(draw):
+    """``(table, regular)``: a dict or list of 1 to 10 entries shaped like
+    one of the table kinds, and whether every entry has the same shape
+    (else one record has another key set or one row another width)."""
+    kind = draw(st.sampled_from(["scalars", "records", "grids", "rows"]))
+    regular = kind == "scalars" or draw(st.booleans())
+    n = draw(st.integers(1 if regular else 2, 10))
+    keys = draw(st.lists(KEYS, min_size=n, max_size=n, unique_by=str))
+    if kind == "scalars":
+        column = draw(st.sampled_from(SCALAR_COLUMNS))
+        return {k: draw(column) for k in keys}, regular
+    if kind == "records":
+        names = draw(st.lists(TEXT_KEYS, min_size=1, max_size=3, unique=True))
+        columns = [draw(st.sampled_from(SCALAR_COLUMNS)) for _ in names]
+        rows = [{k: draw(c) for k, c in zip(names, columns)} for _ in range(n)]
+        if not regular:
+            odd = rows[draw(st.integers(0, n - 1))]
+            if len(names) > 1 and draw(st.booleans()):
+                del odd[names[0]]
+            else:
+                odd[draw(TEXT_KEYS.filter(lambda k: k not in names))] = 0.5
+        return dict(zip(keys, rows)), regular
+    cell = draw(st.sampled_from(NUMBER_CELLS))
+    width = draw(st.integers(1, 3))
+    height = draw(st.integers(1 if regular else 2, 3)) if kind == "grids" else n
+    shape = [width] * height
+    if not regular:
+        shape[draw(st.integers(0, height - 1))] += draw(st.sampled_from([-1, 1]))
+    if kind == "rows":
+        return [[draw(cell) for _ in range(w)] for w in shape], regular
+    grids = [[[draw(cell) for _ in range(w)] for w in shape]]
+    grids += [[[draw(cell) for _ in range(width)] for _ in range(height)]
+              for _ in range(n - 1)]
+    return dict(zip(keys, grids)), regular
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_rendered_tables_equal_json_dumps_of_the_plain_report(case):
+    table, regular = case
+    report = {"table": table, "nested": {"deeper": [table]}, "n": 1}
+    assert render_report(report) == reference_render(report)
+    values = list(table.values()) if isinstance(table, dict) else table
+    if not regular:  # records with another key set and ragged rows: value by value
+        assert _table(values, "\n  ") is None
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (9, 9), (3, 7), (6, 2)])
+def test_boundary_residuals_equal_the_per_sample_axes_bit_for_bit(n, m):
+    rng = np.random.default_rng(n * m)
+    corners = rng.normal(size=(30, 4, 3)) * rng.uniform(1e-3, 1e3, size=(30, 1, 1))
+    grids = rng.normal(size=(30, n, m, 3)) + corners[:, :1, None]
+    got = _boundary_residuals(grids, corners)
+    assert got.tobytes() == reference_boundary_residuals(grids, corners).tobytes()
 
 
 def test_importing_the_cli_loads_no_scipy():
