@@ -13,13 +13,8 @@ import numpy as np
 
 from hypnet.anet import validate_anet
 from hypnet.hyperboloid import propagate_all
-from hypnet.meshio import oriented_grid, write_mesh
-from hypnet.patch import (
-    bilinear_parameter,
-    check_c1,
-    restrict_to_patch,
-    sample,
-)
+from hypnet.meshio import oriented_grids, write_mesh
+from hypnet.patch import bilinear_parameter, check_c1, restrict_all, sample_all
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
 
@@ -39,16 +34,14 @@ def main():
     hyperboloids, propagation = propagate_all(a, 0, lam)
     print(f"propagation closure: {propagation['worst_closure_residual']:.3e}")
 
-    grids = {}
-    patches = {}
-    for f, hb in sorted(hyperboloids.items()):
-        patch = restrict_to_patch(hb, hb.frame, a.positions)
-        patches[f] = patch
-        corners = a.face_corners(f)
-        grid = oriented_grid(
-            sample(patch, args.samples, args.samples), patch.corner_map, corners
-        )
-        grids[f] = (grid, corners)
+    patches = restrict_all(hyperboloids, a.positions)
+    faces = patches.faces
+    # each face's corners in role order, entered by its lowest half-edge
+    corners = a.frames(faces, 4 * faces).corners
+    points = sample_all(patches, args.samples, args.samples)
+    oriented = oriented_grids(points, patches.frames.corners, corners)
+    grids = dict(zip(faces.tolist(), zip(oriented, corners)))
+    for f, (grid, _) in grids.items():
         deviation = np.max(np.abs(grid[..., 2] - grid[..., 0] * grid[..., 1]))
         print(f"  face {f}: max |z - xy| over samples {deviation:.3e}")
 

@@ -19,7 +19,7 @@ from hypnet.patch import (
     bilinear_parameter,
     bilinear_patches,
     check_c1,
-    restrict_to_patch,
+    restrict_all,
 )
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
@@ -56,11 +56,7 @@ def main():
 
     lam = bilinear_parameter(a.face_frame(0), a.positions)
     hyperboloids, propagation = propagate_all(a, 0, lam)
-    propagated = {
-        f: restrict_to_patch(hb, hb.frame, a.positions)
-        for f, hb in hyperboloids.items()
-    }
-    smooth = check_c1(propagated, a)
+    smooth = check_c1(restrict_all(hyperboloids, a.positions), a)
     print(
         f"propagated family (coordinate {lam:.6g}): worst angle "
         f"{smooth['max_angle']:.3e} rad, closure "

@@ -26,13 +26,8 @@ from .errors import (
     PropagationError,
 )
 from .fit import FitProblem, energy, fit, gradient
-from .hyperboloid import (
-    FaceHyperboloid,
-    hyperboloid_from_parameter,
-    propagate_all,
-    transport_parameter,
-)
-from .meshio import oriented_grid, read_mesh, write_mesh, write_positions_mesh
+from .hyperboloid import FaceHyperboloid, propagate_all, transport_parameter
+from .meshio import read_mesh, write_mesh, write_positions_mesh
 from .patch import (
     HyperboloidPatch,
     PatchStack,
@@ -44,13 +39,7 @@ from .patch import (
     sample,
     sample_all,
 )
-from .plucker import (
-    incidence_matrix,
-    intersect_lines,
-    line_from_points,
-    plucker_product,
-    Tolerances,
-)
+from .plucker import Tolerances, line_from_points, plucker_product
 from .quadgraph import QuadGraph, build
 
 __version__ = "0.1.0"
@@ -84,11 +73,7 @@ __all__ = [
     "energy",
     "fit",
     "gradient",
-    "hyperboloid_from_parameter",
-    "incidence_matrix",
-    "intersect_lines",
     "line_from_points",
-    "oriented_grid",
     "plucker_product",
     "propagate_all",
     "read_mesh",

@@ -350,9 +350,13 @@ class FrameStack:
 class ANet:
     """Validated net with planar stars over a quad mesh.
 
-    ``tol`` is the :class:`Tolerances` value the net was validated with;
-    its face frames read signatures with ``tol.sig`` and propagation
-    checks closure against ``tol.closure``.
+    It holds what the validation walk read: star planes, edge lines,
+    planarity residuals and star diameters per vertex or edge, and
+    ``positive_volumes``, which faces have a positive volume (the face
+    stage's signs, see :attr:`face_twists`).  ``tol`` is the
+    :class:`Tolerances` value the net was validated with; its face
+    frames read signatures with ``tol.sig`` and propagation checks
+    closure against ``tol.closure``.
     """
 
     def __init__(
@@ -363,6 +367,7 @@ class ANet:
         edge_lines,
         planarity_residuals,
         star_diameters,
+        positive_volumes,
         tol: Tolerances = Tolerances(),
     ) -> None:
         self.graph = graph
@@ -371,9 +376,8 @@ class ANet:
         self.edge_lines = edge_lines
         self.planarity_residuals = planarity_residuals
         self.star_diameters = star_diameters
+        self.positive_volumes = positive_volumes
         self.tol = tol
-        # which face volumes are positive, once read (see face_twists)
-        self._positive_volumes = None
 
     # --- frames ---------------------------------------------------------------
 
@@ -470,14 +474,6 @@ class ANet:
             sig_eps=self.tol.sig,
         )
 
-    def face_corners(self, f: int) -> tuple[int, int, int, int]:
-        """Vertex ids ``(x, x1, x2, x12)`` of face ``f`` in role order.
-
-        Equal to ``face_frame(f).corners`` without building the frame's
-        lines and axis.
-        """
-        return tuple(self.graph.face_vertices[f, _ROLE_CORNERS].tolist())
-
     def frames_from(self, seed: int):
         """Frames for every face, entries assigned by dual BFS from seed.
 
@@ -505,23 +501,12 @@ class ANet:
         homogeneous corners with the pair's edges traversed in parallel,
         which for corners ``c0..c3`` in cycle order is
         ``det(c1 - c0, c2 - c0, c3 - c0)`` for the first pair and its
-        negative for the second.  That determinant also feeds the
-        ``FACE_VOLUME_EPS`` guard of the validation walk
-        (:class:`DegenerateFace` for the lowest face that fails it).
-        A net the walk returns reads the signs its face stage kept;
-        another computes them here, in one pass.
+        negative for the second.  The validation walk's face stage reads
+        the sign of that determinant, and its ``FACE_VOLUME_EPS`` guard
+        (:class:`DegenerateFace` for the lowest face that fails it), in
+        one pass; the net holds the signs as ``positive_volumes``.
         """
-        positive = self._positive_volumes
-        if positive is None:
-            pos = np.asarray(self.positions, dtype=float)
-            det, ratio = _face_volumes(pos, self.graph.face_vertices)
-            flat = np.flatnonzero(ratio < FACE_VOLUME_EPS)
-            if flat.size:
-                f = int(flat[0])
-                message = f"face {f} is planar within tolerance"
-                raise DegenerateFace(message, face=f, ratio=float(ratio[f]))
-            positive = det > 0
-        first = np.where(positive, 1, -1)
+        first = np.where(self.positive_volumes, 1, -1)
         return np.stack([first, -first], axis=1)
 
     # --- strips ----------------------------------------------------------------------
@@ -567,18 +552,17 @@ class _Walk(NamedTuple):
     positive_volumes: np.ndarray
 
     def net(self, graph: QuadGraph, positions, tol: Tolerances) -> ANet:
-        net = ANet(
+        # the walk found no violation, so its face stage read every sign
+        return ANet(
             graph=graph,
             positions=positions,
             contact_planes=self.planes,
             edge_lines=self.edge_lines,
             planarity_residuals=self.residuals,
             star_diameters=self.diameters,
+            positive_volumes=self.positive_volumes,
             tol=tol,
         )
-        # the walk found no violation, so its face stage read every sign
-        net._positive_volumes = self.positive_volumes
-        return net
 
 
 def _collect_violations(

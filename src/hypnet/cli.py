@@ -376,16 +376,11 @@ def _run_fit(config: RunConfig, report: dict, tol: Tolerances) -> int:
     # the fit gates on its own gradient and rounding bounds, not on ``tol``
     positions, quads = read_mesh(config.input_path)
     graph = build(len(positions), quads)
-    if config.pin is not None:
-        pinned = frozenset(int(v) for v in config.pin)
-        if any(v < 0 or v >= len(positions) for v in pinned):
-            raise ValueError("pinned vertex ids out of range")
-    else:
-        pinned = frozenset(
-            np.flatnonzero(graph.boundary | (graph.degrees == 0)).tolist()
-        )
+    pinned = config.pin
+    if pinned is None:
+        pinned = np.flatnonzero(graph.boundary | (graph.degrees == 0)).tolist()
     problem = FitProblem(graph, positions, pinned=pinned)
-    report["pinned"] = sorted(pinned)
+    report["pinned"] = sorted(problem.pinned)
     try:
         final, convergence = fit(problem, max_iter=config.max_iter)
         code = EXIT_OK
@@ -492,45 +487,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``hypnet`` parser.  Its destinations are the :class:`RunConfig`
+    fields, and an option left out sets nothing, so every default is the
+    field's."""
     parser = _Parser(
         prog="hypnet",
         description="validate, fit, and extend nets of planar vertex stars",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser(
-        "check", help="validate a quad mesh and report its diagnostics"
-    )
-    check.add_argument("input", help="quad mesh to read")
-    check.add_argument("--report", help="also write the JSON report here")
+    def command(name, summary):
+        sub = commands.add_parser(name, help=summary,
+                                  argument_default=argparse.SUPPRESS)
+        sub.add_argument("input_path", metavar="input", help="quad mesh to read")
+        return sub
 
-    fit_cmd = commands.add_parser(
-        "fit", help="optimize vertex stars toward exact planarity"
-    )
-    fit_cmd.add_argument("input", help="quad mesh to read")
-    fit_cmd.add_argument("-o", "--output", required=True, help="optimized mesh")
+    def report_option(sub):
+        sub.add_argument("--report", dest="report_path", metavar="REPORT",
+                         help="also write the JSON report here")
+
+    check = command("check", "validate a quad mesh and report its diagnostics")
+    report_option(check)
+
+    fit_cmd = command("fit", "optimize vertex stars toward exact planarity")
+    fit_cmd.add_argument("-o", "--output", dest="output_path", metavar="OUTPUT",
+                         required=True, help="optimized mesh")
     fit_cmd.add_argument(
         "--pin",
         type=int,
         nargs="*",
-        default=None,
         help="vertex ids to hold fixed (default: boundary vertices)",
     )
     fit_cmd.add_argument(
         "--max-iter",
         type=int,
-        default=DEFAULT_MAX_ITER,
         help="budget of accepted Gauss-Newton steps",
     )
-    fit_cmd.add_argument("--report", help="also write the JSON report here")
+    report_option(fit_cmd)
 
-    extend = commands.add_parser(
-        "extend", help="sample the adapted quadric patches of every face"
-    )
-    extend.add_argument("input", help="quad mesh to read")
-    extend.add_argument("-o", "--output", required=True, help="sampled mesh")
+    extend = command("extend", "sample the adapted quadric patches of every face")
+    extend.add_argument("-o", "--output", dest="output_path", metavar="OUTPUT",
+                        required=True, help="sampled mesh")
     extend.add_argument(
-        "--seed-face", type=int, default=0, help="face carrying the parameter"
+        "--seed-face", type=int, help="face carrying the parameter"
     )
     extend.add_argument(
         "--lambda",
@@ -543,7 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         nargs=2,
-        default=(9, 9),
         metavar=("N", "M"),
         help="sample grid size per patch",
     )
@@ -553,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="keep each patch's boundary samples separate",
     )
-    extend.add_argument("--report", help="also write the JSON report here")
+    report_option(extend)
     return parser
 
 
@@ -571,20 +569,10 @@ def _environment_tolerances() -> dict:
 
 
 def main(argv=None) -> int:
-    namespace = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=namespace.command,
-        input_path=namespace.input,
-        output_path=getattr(namespace, "output", None),
-        report_path=namespace.report,
-        seed_face=getattr(namespace, "seed_face", 0),
-        lam=getattr(namespace, "lam", None),
-        samples=tuple(getattr(namespace, "samples", (9, 9))),
-        pin=getattr(namespace, "pin", None),
-        max_iter=getattr(namespace, "max_iter", DEFAULT_MAX_ITER),
-        weld=getattr(namespace, "weld", True),
-        tolerances=_environment_tolerances(),
-    )
+    options = vars(_build_parser().parse_args(argv))
+    if "samples" in options:
+        options["samples"] = tuple(options["samples"])
+    config = RunConfig(**options, tolerances=_environment_tolerances())
     with ExitStack() as stack:
         sink = None
         try:

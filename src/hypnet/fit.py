@@ -8,8 +8,8 @@ sixth power of a uniform scale factor.  Squared (rather than unsigned)
 volumes keep the functional differentiable at its zero set.
 
 The functional is ``|r|^2`` for the residual vector
-``r_t = sqrt(w_t) * det_t / 6``, one entry per tetrahedron (``det_t`` is
-six times its signed volume).  Each residual depends on the four
+``r_t = det_t / 6``, one entry per tetrahedron (``det_t`` is six times
+its signed volume).  Each residual depends on the four
 vertices of its tetrahedron, and its Jacobian row holds the cross
 products of the tetrahedron's edge vectors.  Minimization is a damped
 Gauss-Newton (Levenberg-Marquardt) iteration over the free coordinates,
@@ -57,43 +57,35 @@ DAMPING_RETRIES = 20
 #: Residuals within this multiple of ``eps`` times their rounding scale
 #: (see :func:`_rounding_bound`) are as small as floating point allows.
 ROUNDING_FACTOR = 8.0
+#: The factor from ``det_t`` to the residual ``r_t``.
+_SIXTH = 1.0 / 6.0
 
 
 @dataclass
 class FitProblem:
-    """Mesh, start positions, pinned vertex set, and tetrahedron weights.
+    """Mesh, start positions, and pinned vertex set.
 
-    ``weights`` is aligned with :attr:`tetrahedra` (one entry per
-    enumerated 4-subset, default all ones) and must be finite and
-    non-negative; the start positions must be finite.  Pinned vertices
-    keep their initial coordinates exactly.
+    The start positions must be finite and the pinned ids vertex ids
+    ``0 .. n - 1``.  Pinned vertices keep their initial coordinates
+    exactly.
     """
 
     graph: QuadGraph
     initial_positions: np.ndarray
     pinned: frozenset = frozenset()
-    weights: np.ndarray | None = None
     tetrahedra: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.initial_positions = np.array(
             self.initial_positions, dtype=float
         )
+        self.pinned = frozenset(int(v) for v in self.pinned)
+        n = len(self.initial_positions)
+        if any(v < 0 or v >= n for v in self.pinned):
+            raise ValueError("pinned vertex ids out of range")
         if not np.all(np.isfinite(self.initial_positions)):
             raise ValueError("positions must be finite")
-        self.pinned = frozenset(int(v) for v in self.pinned)
         self.tetrahedra = _star_tetrahedra(self.graph)
-        if self.weights is None:
-            self.weights = np.ones(len(self.tetrahedra))
-        else:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (len(self.tetrahedra),):
-                raise ValueError(
-                    f"weights must have one entry per tetrahedron "
-                    f"({len(self.tetrahedra)}), got {self.weights.shape}"
-                )
-            if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
-                raise ValueError("weights must be finite and non-negative")
 
     @property
     def free_vertices(self):
@@ -143,9 +135,8 @@ def _residuals(problem: FitProblem, positions):
     c31 = np.cross(d3, d1)
     c12 = np.cross(d1, d2)
     dets = np.einsum("ij,ij->i", d1, c23)
-    s = np.sqrt(problem.weights) / 6.0
     blocks = np.stack([-(c23 + c31 + c12), c23, c31, c12], axis=1)
-    return s * dets, blocks * s[:, None, None]
+    return _SIXTH * dets, blocks * _SIXTH
 
 
 def _rounding_bound(problem: FitProblem, positions, blocks):
@@ -154,18 +145,17 @@ def _rounding_bound(problem: FitProblem, positions, blocks):
     Rounding vertex ``p_k`` to double precision moves it by at most
     ``u |p_k|`` (``u = eps / 2``), which moves ``r_t`` by at most
     ``u * sum_k |blocks[t, k]| |p_k|`` to first order; evaluating the
-    triple product adds a small multiple of ``u * s_t |d1| |d2| |d3|``.
+    triple product adds a small multiple of ``u |d1| |d2| |d3| / 6``.
     """
     d1, d2, d3 = (
         np.linalg.norm(d, axis=1) for d in _edge_vectors(problem, positions)
     )
-    s = np.sqrt(problem.weights) / 6.0
     stored = np.einsum(
         "tk,tk->t",
         np.linalg.norm(blocks, axis=2),
         np.linalg.norm(positions[problem.tetrahedra], axis=2),
     )
-    scale = s * d1 * d2 * d3 + stored
+    scale = _SIXTH * d1 * d2 * d3 + stored
     return ROUNDING_FACTOR * np.finfo(float).eps * scale
 
 
@@ -360,13 +350,13 @@ def _damped_step(band, damping, rhs, work):
 
 
 def energy(problem: FitProblem, positions) -> float:
-    """Sum of weighted squared tetrahedron volumes over all stars."""
+    """Sum of squared tetrahedron volumes over all stars."""
     positions = np.asarray(positions, dtype=float)
     if len(problem.tetrahedra) == 0:
         return 0.0
     d1, d2, d3 = _edge_vectors(problem, positions)
     dets = np.einsum("ij,ij->i", d1, np.cross(d2, d3))
-    return float(np.sum(problem.weights * dets**2) / 36.0)
+    return float(np.sum(dets**2) / 36.0)
 
 
 def gradient(problem: FitProblem, positions) -> np.ndarray:

@@ -253,18 +253,6 @@ def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
     )
 
 
-def hyperboloid_from_parameter(frame: FaceFrame, t) -> FaceHyperboloid:
-    """Member of the face's family with coordinate ``t``.
-
-    ``q1`` is ``g1 + lam * g2`` in the normalized diagonal basis and
-    ``q2`` the point of the axis polar to it (for exactly isotropic
-    diagonals ``q2 = g1 - lam * g2``); the pair and its ruling planes
-    are signature-checked with the frame's ``sig_eps``.  The one-face
-    call of the stacked formation :func:`propagate_all` uses.
-    """
-    return _pairs(FrameStack.of([frame]), [float(t)])[frame.face]
-
-
 def project_tau(q, center, target_polar) -> np.ndarray:
     """Central projection of ``q`` into the polar hyperplane of a line.
 

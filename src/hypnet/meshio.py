@@ -184,42 +184,24 @@ def write_positions_mesh(path, positions, quads) -> None:
 
 
 def oriented_grid(points: np.ndarray, corner_map: dict, corners) -> np.ndarray:
-    """Reindex a sampled patch grid to the corner order ``corners``.
-
-    ``corner_map`` is the patch's map from parameter corners to vertex
-    ids; the result has ``corners[0]`` at ``[0, 0]``, axis 0 running
-    toward ``corners[2]`` and axis 1 toward ``corners[1]`` — the layout
-    :func:`write_mesh` expects.  Raises :class:`ValueError` when the two
-    corner sets differ.
-    """
-    inverse = {v: key for key, v in corner_map.items()}
-    if set(inverse) != set(corners):
-        raise ValueError("grid corners do not match the requested corners")
-    a, b = inverse[corners[0]]
-    final = {v: (i ^ a, j ^ b) for v, (i, j) in inverse.items()}
-    swap = final[corners[2]][0] == 0
-    if swap:
-        final = {v: (j, i) for v, (i, j) in final.items()}
-    if tuple(final[v] for v in corners) != CORNER_KEYS:
-        raise ValueError("corner roles are not a rigid relabeling of the grid")
-    out = np.asarray(points)
-    if a:
-        out = out[::-1]
-    if b:
-        out = out[:, ::-1]
-    if swap:
-        out = np.swapaxes(out, 0, 1)
-    return np.ascontiguousarray(out)
+    """The one-grid call of :func:`oriented_grids`: ``points`` is one
+    ``(n, m, 3)`` grid whose corner ``key`` is vertex ``corner_map[key]``
+    for each of :data:`CORNER_KEYS`."""
+    roles = [corner_map[key] for key in CORNER_KEYS]
+    return oriented_grids(np.asarray(points)[None], roles, corners)[0]
 
 
 def oriented_grids(points: np.ndarray, roles: np.ndarray, corners: np.ndarray) -> list:
-    """:func:`oriented_grid` of every grid of a stack in one index pass.
+    """Reindex every grid of a stack to its corner order, in one index pass.
 
     ``points`` are sample grids ``(F, n, m, 3)`` whose corner ``CORNER_KEYS[c]``
     is vertex ``roles[k, c]``; grid ``k`` of the result is reindexed to the
-    corner order ``corners[k]``, so it is ``(n, m, 3)``, or ``(m, n, 3)``
-    where the reindexing transposes.  Raises :class:`ValueError` unless
-    every row of ``corners`` is a rigid relabeling of its row of ``roles``.
+    corner order ``corners[k]``: ``corners[k][0]`` at ``[0, 0]``, axis 0
+    running toward ``corners[k][2]`` and axis 1 toward ``corners[k][1]``,
+    the layout :func:`write_mesh` expects.  So it is ``(n, m, 3)``, or
+    ``(m, n, 3)`` where the reindexing transposes.  Raises
+    :class:`ValueError` unless every row of ``corners`` is a rigid
+    relabeling of its row of ``roles``.
     """
     points = np.asarray(points)
     roles = np.asarray(roles).reshape(-1, 4)
@@ -292,7 +274,7 @@ def write_mesh(path, grids: dict, weld: bool = True) -> None:
     """Write all sampled patch grids as one combined quad mesh.
 
     ``grids`` maps a face id to ``(points, corners)`` where ``points``
-    is an ``(n, m, 3)`` sample grid laid out as in :func:`oriented_grid`
+    is an ``(n, m, 3)`` sample grid laid out as in :func:`oriented_grids`
     and ``corners`` are the quad's vertex ids in role order; grids may
     differ in ``(n, m)``.  Every sample ``(face, i, j)`` gets one integer
     key.  With ``weld`` a grid corner's key is its quad vertex, and a

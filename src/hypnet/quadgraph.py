@@ -280,11 +280,18 @@ class QuadGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def _vertex(self, v: int) -> int:
+        """``v``, or :class:`ValueError` naming it unless it is a vertex id."""
+        n = self.vertex_count
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} is not a vertex id (mesh has {n} vertices)")
+        return v
+
     def is_boundary_vertex(self, v: int) -> bool:
-        return bool(self.boundary[v])
+        return bool(self.boundary[self._vertex(v)])
 
     def is_referenced(self, v: int) -> bool:
-        return bool(self.degrees[v])
+        return bool(self.degrees[self._vertex(v)])
 
     @property
     def euler_characteristic(self) -> int:
@@ -297,9 +304,10 @@ class QuadGraph:
         """Cyclically ordered neighbors of ``v`` and the fan of faces.
 
         For boundary vertices the neighbor sequence runs from one
-        boundary neighbor to the other.
+        boundary neighbor to the other.  Raises :class:`ValueError` when
+        ``v`` is not a vertex id.
         """
-        lo, hi = self.star_offsets[v], self.star_offsets[v + 1]
+        lo, hi = self.star_offsets[self._vertex(v)], self.star_offsets[v + 1]
         faces = self.star_faces[lo:hi]
         return self.star_neighbors[lo:hi].tolist(), faces[faces >= 0].tolist()
 

@@ -755,6 +755,15 @@ def reference_member(frame, lam):
     return reference_pair(frame, q1, g1 - (_pairing(q1, g1) / den) * g2)
 
 
+def member(frame, lam):
+    """The member ``lam`` of the face family of ``frame``, as the
+    package's stacked formation reads it for one face."""
+    from hypnet.anet import FrameStack
+    from hypnet.hyperboloid import _pairs
+
+    return _pairs(FrameStack.of([frame]), [float(lam)])[frame.face]
+
+
 def propagate_face(hb, across, neighbor_frame):
     """Transport a labeled pair across a shared edge by projecting both
     points through the shared edge line into the polar hyperplane of the
@@ -1111,6 +1120,35 @@ def edge_id(graph, u, v) -> int:
     """Id of the edge joining vertices ``u`` and ``v`` of a quad graph."""
     (e,) = np.flatnonzero(np.all(graph.edges == sorted((u, v)), axis=1))
     return int(e)
+
+
+CORNER_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def reference_oriented_grid(points, corner_map: dict, corners):
+    """``meshio.oriented_grid`` by relabelling the four parameter corners
+    in a dict: ``points`` reindexed so that ``corners[0]`` sits at
+    ``[0, 0]``, axis 0 runs toward ``corners[2]`` and axis 1 toward
+    ``corners[1]``.  Raises :class:`ValueError` when the corner sets
+    differ or the order is not a rigid relabelling of the grid."""
+    inverse = {v: key for key, v in corner_map.items()}
+    if set(inverse) != set(corners):
+        raise ValueError("grid corners do not match the requested corners")
+    a, b = inverse[corners[0]]
+    final = {v: (i ^ a, j ^ b) for v, (i, j) in inverse.items()}
+    swap = final[corners[2]][0] == 0
+    if swap:
+        final = {v: (j, i) for v, (i, j) in final.items()}
+    if tuple(final[v] for v in corners) != CORNER_KEYS:
+        raise ValueError("corner roles are not a rigid relabeling of the grid")
+    out = np.asarray(points)
+    if a:
+        out = out[::-1]
+    if b:
+        out = out[:, ::-1]
+    if swap:
+        out = np.swapaxes(out, 0, 1)
+    return np.ascontiguousarray(out)
 
 
 def _reference_sample_key(face, corners, n, m, i, j):

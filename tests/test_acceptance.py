@@ -18,7 +18,6 @@ from hypnet.cli import main
 from hypnet.errors import SkewLines
 from hypnet.fit import FitProblem, energy, fit, gradient
 from hypnet.hyperboloid import (
-    hyperboloid_from_parameter,
     project_tau,
     propagate_all,
     transport_parameter,
@@ -48,6 +47,7 @@ from hypnet.synthetic import (
 from oracles import (
     float_line,
     line_pair,
+    member,
     proj_distance,
     random_projection_setup,
     regulus_orientation,
@@ -85,14 +85,14 @@ def cycle_pair(a, vertex, lam):
     """Transport a labeled pair once around a vertex's face cycle."""
     _, faces = a.graph.vertex_star(vertex)
     frames = {f: a.face_frame(f) for f in faces}
-    seed = hyperboloid_from_parameter(frames[faces[0]], lam)
+    seed = member(frames[faces[0]], lam)
     for k in range(len(faces)):
         f_now, f_next = faces[k], faces[(k + 1) % len(faces)]
         shared = set(a.graph.face_edges[f_now].tolist()) & set(a.graph.face_edges[f_next].tolist())
         lam = transport_parameter(
             a, frames[f_now], shared.pop(), frames[f_next], lam
         )
-    return seed, hyperboloid_from_parameter(frames[faces[0]], lam)
+    return seed, member(frames[faces[0]], lam)
 
 
 def nonzero_lambda(rng):

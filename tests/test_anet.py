@@ -18,6 +18,7 @@ from hypnet.anet import (
     _by_degree,
     _certified_pencils,
     _collect_violations,
+    _face_volumes,
     _pencil_bounds,
     _scatter_normals,
     diagnose_anet,
@@ -206,7 +207,6 @@ def test_frame_roles_follow_entry_half_edge():
             assert frame.h_edges[2] == edge_id(g, x, x2)
             assert frame.h_edges[3] == edge_id(g, x1, x12)
             assert frame.opposite_in_family(frame.h_edges[0]) == frame.h_edges[1]
-        assert net.face_corners(f) == net.face_frame(f).corners
 
 
 def test_axis_meets_quadric_exactly_in_the_diagonals():
@@ -326,17 +326,6 @@ def test_face_twist_table_matches_exact_twists_through_every_edge():
         assert net.face_twists is table  # computed once per net
 
 
-def test_face_twist_table_guards_flat_faces():
-    n, quads = grid_graph(2, 2)
-    pos = np.array([[ix, iy, ix * iy] for iy in range(3) for ix in range(3)],
-                   dtype=float)
-    pos[[0, 1, 3, 4], 2] = 0.0  # face 0 flat
-    net = ANet(build(n, quads), pos, None, None, None, None)
-    with pytest.raises(DegenerateFace) as exc:
-        net.face_twists
-    assert exc.value.data["face"] == 0
-
-
 def test_the_walk_hands_its_face_signs_to_the_net(monkeypatch):
     # one _face_volumes pass per chunk of faces, all in the face stage
     n, quads, pos = quadric_grid(23, 12)
@@ -351,11 +340,13 @@ def test_the_walk_hands_its_face_signs_to_the_net(monkeypatch):
     assert len(calls) == -(-g.face_count // hypnet.anet.CHUNK) == 2
     net = validate_anet(g, pos)
     assert len(calls) == 4
-    alone = ANet(g, pos, None, None, None, None).face_twists
-    assert len(calls) == 5  # a net built without the walk computes them
-    assert report["face_twists"] == alone.tolist()
-    assert np.array_equal(net.face_twists, alone)
-    assert net.face_twists.dtype == alone.dtype
+    twists = net.face_twists
+    assert len(calls) == 4  # the net reads the signs the walk kept
+    positive = _face_volumes(pos, g.face_vertices)[0] > 0
+    alone = ANet(g, pos, None, None, None, None, positive)
+    assert report["face_twists"] == twists.tolist() == alone.face_twists.tolist()
+    assert np.array_equal(twists, alone.face_twists)
+    assert twists.dtype == alone.face_twists.dtype
 
 
 # --- equi-twist ------------------------------------------------------------------

@@ -22,9 +22,9 @@ import hypnet.plucker
 from hypnet.anet import diagnose_anet, validate_anet
 from hypnet.cli import RunConfig, _boundary_residuals, _table, main, render_report, run
 from hypnet.errors import ClosureViolation, NonPlanarStar
-from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_all
+from hypnet.hyperboloid import propagate_all
 from hypnet.meshio import read_mesh, write_positions_mesh
-from hypnet.patch import bilinear_parameter, restrict_to_patch
+from hypnet.patch import bilinear_parameter
 from hypnet.plucker import Tolerances
 from hypnet.quadgraph import build
 from hypnet.synthetic import (
@@ -283,6 +283,19 @@ def test_fit_with_explicit_pins_holds_exactly_those_vertices(tmp_path, capsys):
     after, _ = read_mesh(out)
     assert np.array_equal(before[5], after[5])
     assert not np.array_equal(before[6], after[6])
+
+
+@pytest.mark.parametrize("pin", ["-1", "16"])
+def test_fit_rejects_pins_that_are_not_vertex_ids(tmp_path, capsys, pin):
+    path, _ = noisy_saddle(tmp_path)
+    out = tmp_path / "fitted.obj"
+    code, report = run_main(capsys, ["fit", path, "-o", str(out), "--pin", "0", pin])
+    assert code == 1
+    assert report["violations"] == [
+        {"kind": "value_error", "message": "pinned vertex ids out of range"}
+    ]
+    assert "pinned" not in report and "convergence" not in report
+    assert not out.exists()
 
 
 def test_fit_out_of_budget_exits_with_the_convergence_code(tmp_path, capsys):

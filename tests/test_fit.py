@@ -87,38 +87,6 @@ def test_energy_rigid_invariance_and_scaling():
     assert energy(problem, s * pos) == pytest.approx(s**6 * e0, rel=1e-12)
 
 
-def test_weights_scale_energy():
-    rng = np.random.default_rng(3)
-    problem = random_problem(rng)
-    doubled = FitProblem(
-        graph=problem.graph,
-        initial_positions=problem.initial_positions,
-        weights=2.0 * np.ones(len(problem.tetrahedra)),
-    )
-    pos = problem.initial_positions
-    assert energy(doubled, pos) == pytest.approx(2 * energy(problem, pos))
-    with pytest.raises(ValueError):
-        FitProblem(
-            graph=problem.graph,
-            initial_positions=problem.initial_positions,
-            weights=np.ones(3),
-        )
-
-
-@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
-def test_weights_must_be_finite_and_non_negative(bad):
-    problem = random_problem(np.random.default_rng(3))
-    weights = np.ones(len(problem.tetrahedra))
-    weights[2] = bad
-    with pytest.raises(ValueError):
-        FitProblem(
-            graph=problem.graph,
-            initial_positions=problem.initial_positions,
-            weights=weights,
-        )
-
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_start_positions_must_be_finite(bad):
     problem = random_problem(np.random.default_rng(3))
@@ -126,6 +94,21 @@ def test_start_positions_must_be_finite(bad):
     positions[1, 2] = bad
     with pytest.raises(ValueError, match="positions must be finite"):
         FitProblem(graph=problem.graph, initial_positions=positions)
+
+
+@pytest.mark.parametrize("pin", [-1, 25])
+def test_pinned_ids_must_be_vertex_ids(pin):
+    # -1 would zero the last vertex's gradient row and leave it free, 25
+    # would index past the gradient
+    count, quads, pos = quadric_grid(4, 4)
+    graph = build(count, quads)
+    assert count == 25
+    with pytest.raises(ValueError, match="^pinned vertex ids out of range$"):
+        FitProblem(graph=graph, initial_positions=pos, pinned={0, pin})
+    problem = FitProblem(graph=graph, initial_positions=pos, pinned={0, 24})
+    assert problem.pinned == {0, 24}
+    assert problem.free_vertices == list(range(1, 24))
+
 
 # --- gradient ------------------------------------------------------------------
 
@@ -175,7 +158,6 @@ def test_sparse_jacobian_matches_finite_differences(mesh):
         graph=base.graph,
         initial_positions=base.initial_positions,
         pinned=frozenset({0, 2}),
-        weights=rng.uniform(0.5, 2.0, size=len(base.tetrahedra)),
     )
     pos = problem.initial_positions
     free = np.array(problem.free_vertices)
@@ -428,12 +410,14 @@ def test_star_tetrahedra_equal_the_per_vertex_enumeration(name):
 def band_problems():
     rng = np.random.default_rng(21)
     base = random_problem(rng)
+    # vertices moved out by factors of 0.5 to 2, so that the residual rows
+    # of the grid's tetrahedra differ in scale as weighted ones would
+    scales = rng.uniform(0.5, 2.0, size=(len(base.initial_positions), 1))
     return {
         "weighted_grid": FitProblem(
             graph=base.graph,
-            initial_positions=base.initial_positions,
+            initial_positions=scales * base.initial_positions,
             pinned=frozenset({0, 2}),
-            weights=rng.uniform(0.5, 2.0, size=len(base.tetrahedra)),
         ),
         "umbrella": random_problem(rng, "umbrella"),
         "noisy_quadric": noisy_quadric_problem(seed=3),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypnet.anet import ANet, star_plane, validate_anet
+from hypnet.anet import ANet, _face_volumes, star_plane, validate_anet
 from hypnet.errors import (
     ClosureViolation,
     DegenerateParameter,
@@ -16,7 +16,6 @@ from hypnet.errors import (
 )
 from hypnet.hyperboloid import (
     CLOSURE_EPS,
-    hyperboloid_from_parameter,
     project_tau,
     propagate_all,
     transport_parameter,
@@ -47,6 +46,7 @@ from oracles import (
     family_of_edge,
     family_parameter_of,
     in_span,
+    member,
     proj_distance,
     propagate_face,
     random_projection_setup,
@@ -91,7 +91,7 @@ def _pt(p):
 def test_polar_pair_splits_with_opposite_signs():
     a = spec_face()
     frame = a.face_frame(0)
-    hb = hyperboloid_from_parameter(frame, 1.0)
+    hb = member(frame, 1.0)
     assert plucker_product(hb.q1, hb.q1) * plucker_product(hb.q2, hb.q2) < 0.0
     assert abs(plucker_product(hb.q1, hb.q2)) < 1e-14
     for h in frame.h_lines:
@@ -104,7 +104,7 @@ def test_polar_pair_splits_with_opposite_signs():
 def test_ruling_planes_are_mutually_polar_with_opposite_signatures():
     a = spec_face()
     frame = a.face_frame(0)
-    hb = hyperboloid_from_parameter(frame, 0.7)
+    hb = member(frame, 0.7)
     (p1, sig1), (p2, sig2) = ruling_planes(hb)
     assert len(p1) == 3 and len(p2) == 3
     assert hb.signatures == (sig1, sig2)
@@ -118,8 +118,8 @@ def test_ruling_planes_are_mutually_polar_with_opposite_signatures():
 def test_plane_signatures_swap_when_labels_swap():
     a = spec_face()
     frame = a.face_frame(0)
-    plus = hyperboloid_from_parameter(frame, 0.7)
-    minus = hyperboloid_from_parameter(frame, -0.7)
+    plus = member(frame, 0.7)
+    minus = member(frame, -0.7)
     assert proj_distance(minus.q1, plus.q2) < 1e-12
     assert proj_distance(minus.q2, plus.q1) < 1e-12
     assert minus.signatures == plus.signatures[::-1]
@@ -130,7 +130,7 @@ def test_degenerate_parameters_are_refused(lam):
     a = spec_face()
     frame = a.face_frame(0)
     with pytest.raises(DegenerateParameter):
-        hyperboloid_from_parameter(frame, lam)
+        member(frame, lam)
 
 
 def test_family_parameter_roundtrip():
@@ -141,7 +141,7 @@ def test_family_parameter_roundtrip():
         lam = float(
             rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
         )
-        hb = hyperboloid_from_parameter(frame, lam)
+        hb = member(frame, lam)
         assert family_parameter_of(frame, hb.q1) == pytest.approx(
             lam, rel=1e-9
         )
@@ -233,7 +233,7 @@ def _frames_by_face(a, seed):
 def _tree_steps(a, seed=0):
     """Frames, propagated quadrics, and the spanning tree from a seed."""
     frames, tree = _frames_by_face(a, seed)
-    hbs = {seed: hyperboloid_from_parameter(frames[seed], 0.8)}
+    hbs = {seed: member(frames[seed], 0.8)}
     for face, parent, shared in tree:
         hbs[face] = propagate_face(hbs[parent], shared, frames[face])
     return frames, tree, hbs
@@ -274,7 +274,7 @@ def _vertex_cycle(a, v, lam):
     """Chain the pair around vertex ``v`` and return (seed, final, frames)."""
     _, faces = a.graph.vertex_star(v)
     frames = {f: a.face_frame(f) for f in faces}
-    seed = hyperboloid_from_parameter(frames[faces[0]], lam)
+    seed = member(frames[faces[0]], lam)
     hb = seed
     n = len(faces)
     for k in range(n):
@@ -470,6 +470,7 @@ def _forced_anet(count, quads, positions):
         edge_lines=edge_lines,
         planarity_residuals=residuals,
         star_diameters=diameters,
+        positive_volumes=_face_volumes(positions, graph.face_vertices)[0] > 0,
     )
 
 
@@ -503,7 +504,7 @@ def test_transport_parameter_is_the_projection_of_the_pair():
         lam = 0.8
         for face, parent, shared in tree[:4]:
             image = propagate_face(
-                hyperboloid_from_parameter(frames[parent], lam), shared, frames[face]
+                member(frames[parent], lam), shared, frames[face]
             )
             moved = transport_parameter(net, frames[parent], shared, frames[face], lam)
             assert moved == pytest.approx(

@@ -19,7 +19,7 @@ import hypnet.meshtext
 from hypnet.anet import validate_anet
 from hypnet.cli import main
 from hypnet.errors import NonQuadFace, ParseError
-from hypnet.hyperboloid import hyperboloid_from_parameter, propagate_all
+from hypnet.hyperboloid import propagate_all
 from hypnet.meshio import (
     CHUNK,
     CORNER_KEYS,
@@ -40,6 +40,8 @@ from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
 
 from oracles import (
+    member,
+    reference_oriented_grid,
     reference_read_mesh,
     reference_write_mesh,
     reference_write_positions_mesh,
@@ -69,7 +71,7 @@ def saddle_strip_patches(n, m):
         frame = a.face_frame(f)
         lam = bilinear_parameter(frame, a.positions)
         patch = restrict_to_patch(
-            hyperboloid_from_parameter(frame, lam), frame, a.positions
+            member(frame, lam), frame, a.positions
         )
         grid = oriented_grid(sample(patch, n, m), patch.corner_map, frame.corners)
         grids[f] = (grid, frame.corners)
@@ -581,7 +583,7 @@ def test_stacked_orientation_equals_the_per_grid_one_for_every_corner_order():
     rigid, scrambled = [], []
     for order in itertools.permutations(roles):
         try:
-            oriented_grid(np.zeros((2, 2, 3)), corner_map, order)
+            reference_oriented_grid(np.zeros((2, 2, 3)), corner_map, order)
         except ValueError:
             scrambled.append(order)
         else:
@@ -590,12 +592,15 @@ def test_stacked_orientation_equals_the_per_grid_one_for_every_corner_order():
     points = np.random.default_rng(16).standard_normal((len(rigid), 3, 5, 3))
     stacked = oriented_grids(points, [roles] * len(rigid), rigid)
     for grid, one, order in zip(stacked, points, rigid):
-        expected = oriented_grid(one, corner_map, order)
+        expected = reference_oriented_grid(one, corner_map, order)
         assert grid.shape == expected.shape
         assert np.array_equal(grid, expected)
-    for order in scrambled + [(10, 11, 12, 99)]:
+        assert np.array_equal(oriented_grid(one, corner_map, order), expected)
+    for order in scrambled + [(10, 11, 12, 99), (10, 10, 12, 13)]:
         with pytest.raises(ValueError):
             oriented_grids(points[:2], [roles] * 2, [rigid[0], order])
+        with pytest.raises(ValueError):
+            oriented_grid(points[0], corner_map, order)
 
 
 def test_cli_orients_the_grids_like_the_per_face_path(tmp_path):
@@ -607,10 +612,11 @@ def test_cli_orients_the_grids_like_the_per_face_path(tmp_path):
     patches = restrict_all(propagate_all(a, 0, lam)[0], a.positions)
     points = sample_all(patches, 5, 7)
     for k, f in enumerate(patches.faces.tolist()):
-        corners = a.face_corners(f)
+        corners = a.face_frame(f).corners
         corner_map = dict(zip(CORNER_KEYS, patches.frames.corners[k].tolist()))
         grid, written = captured[f]
-        assert np.array_equal(grid, oriented_grid(points[k], corner_map, corners))
+        expected = reference_oriented_grid(points[k], corner_map, corners)
+        assert np.array_equal(grid, expected)
         assert tuple(np.asarray(written).tolist()) == corners
 
 

@@ -17,7 +17,6 @@ from hypnet.errors import (
 )
 from hypnet.hyperboloid import (
     HyperboloidStack,
-    hyperboloid_from_parameter,
     propagate_all,
 )
 from hypnet.patch import (
@@ -46,7 +45,14 @@ from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid, random_grid3x3_net, random_umbrella_net
 
 import oracles
-from oracles import _pairing, conic_arc, edge_id, proj_distance, regulus_orientation
+from oracles import (
+    _pairing,
+    conic_arc,
+    edge_id,
+    member,
+    proj_distance,
+    regulus_orientation,
+)
 
 
 def spec_face():
@@ -72,7 +78,7 @@ def adapted_parameter(a, f, magnitude):
     """The sign of the family coordinate whose hyperboloid patches face f."""
     frame = a.face_frame(f)
     for lam in (magnitude, -magnitude):
-        hb = hyperboloid_from_parameter(frame, lam)
+        hb = member(frame, lam)
         try:
             restrict_to_patch(hb, frame, a.positions)
         except NoAdaptedPatch:
@@ -103,14 +109,14 @@ def bilinear_hyperboloids(a):
     for f in range(a.graph.face_count):
         frame = a.face_frame(f)
         lam = bilinear_parameter(frame, a.positions)
-        out[f] = hyperboloid_from_parameter(frame, lam)
+        out[f] = member(frame, lam)
     return out
 
 
 SADDLE = spec_face()
 SADDLE_FRAME = SADDLE.face_frame(0)
 SADDLE_LAMBDA = adapted_parameter(SADDLE, 0, 0.8)
-SADDLE_HB = hyperboloid_from_parameter(SADDLE_FRAME, SADDLE_LAMBDA)
+SADDLE_HB = member(SADDLE_FRAME, SADDLE_LAMBDA)
 SADDLE_PATCH = restrict_to_patch(SADDLE_HB, SADDLE_FRAME, SADDLE.positions)
 
 
@@ -193,7 +199,7 @@ def test_arc_rejects_bad_branch():
     t=st.floats(0.0, 1.0),
 )
 def test_arc_isotropy_property(lam, sign, branch, t):
-    hb = hyperboloid_from_parameter(SADDLE_FRAME, sign * lam)
+    hb = member(SADDLE_FRAME, sign * lam)
     arc = conic_arc(SADDLE_FRAME.h_lines[0], SADDLE_FRAME.h_lines[1], hb.q1, branch)
     h = arc(t)
     assert abs(plucker_product(h, h)) < 1e-10 * float(h @ h)
@@ -222,7 +228,7 @@ def test_exactly_one_sign_of_the_coordinate_patches():
     for magnitude in (0.8, 2.5):
         outcomes = []
         for lam in (magnitude, -magnitude):
-            hb = hyperboloid_from_parameter(SADDLE_FRAME, lam)
+            hb = member(SADDLE_FRAME, lam)
             try:
                 restrict_to_patch(hb, SADDLE_FRAME, SADDLE.positions)
             except NoAdaptedPatch:
@@ -336,7 +342,7 @@ def test_boundary_samples_stay_on_the_edge_segments():
 
 def test_sample_reproduces_the_saddle_graph():
     lam = bilinear_parameter(SADDLE_FRAME, SADDLE.positions)
-    hb = hyperboloid_from_parameter(SADDLE_FRAME, lam)
+    hb = member(SADDLE_FRAME, lam)
     patch = restrict_to_patch(hb, SADDLE_FRAME, SADDLE.positions)
     pts = sample(patch, 7, 6)
     flat = pts.reshape(-1, 3)
@@ -615,7 +621,7 @@ def test_adapted_branch_verdicts_match_the_reference():
             x, x1, x2, x12 = (a.positions[v] for v in frame.corners)
             lines = frame.h_lines
             for lam in (0.8, -0.8, 2.5, -2.5):
-                hb = hyperboloid_from_parameter(frame, lam)
+                hb = member(frame, lam)
                 swapped = dataclasses.replace(
                     hb, q1=hb.q2, q2=hb.q1, signatures=hb.signatures[::-1]
                 )

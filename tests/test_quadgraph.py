@@ -170,6 +170,19 @@ def test_vertex_star_umbrella_center():
     assert len(faces) == 6
 
 
+@pytest.mark.parametrize("v", [-1, 9])
+def test_vertex_queries_reject_ids_that_are_not_vertex_ids(v):
+    g = build(*grid_graph(2, 2))
+    message = f"vertex {v} is not a vertex id (mesh has 9 vertices)"
+    for query in (g.vertex_star, g.is_boundary_vertex, g.is_referenced):
+        with pytest.raises(ValueError) as err:
+            query(v)
+        assert str(err.value) == message
+    assert g.vertex_star(8) == ([5, 7], [3])
+    assert g.is_boundary_vertex(8) and not g.is_boundary_vertex(4)
+    assert g.is_referenced(8)
+
+
 def test_interior_degrees_even():
     ok, offenders = build(*grid_graph(3, 3)).interior_degrees_even()
     assert ok and offenders == []

@@ -8,10 +8,12 @@ import hypnet.anet
 import hypnet.hyperboloid
 import hypnet.patch
 from hypnet.anet import validate_anet
-from hypnet.hyperboloid import HyperboloidStack, hyperboloid_from_parameter, propagate_all
+from hypnet.hyperboloid import HyperboloidStack, propagate_all
 from hypnet.patch import bilinear_parameter, check_c1, restrict_all, restrict_to_patch
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
+
+from oracles import member
 
 SEED = 3
 
@@ -58,7 +60,7 @@ def test_member_and_patch_rows_equal_the_one_face_calls_bit_for_bit():
     patches = restrict_all(members, a.positions)
     assert patches.faces.tolist() == list(members)
     for k, (f, hb) in enumerate(members.items()):
-        alone = hyperboloid_from_parameter(hb.frame, hb.lam)
+        alone = member(hb.frame, hb.lam)
         assert alone.lam == hb.lam == members.lams[k]
         assert np.array_equal(alone.q1, hb.q1) and np.array_equal(alone.q2, hb.q2)
         assert alone.signatures == hb.signatures
