@@ -141,9 +141,10 @@ def render_report(report: dict) -> str:
     equals ``json.dumps`` of that converted report with ``indent=2,
     sort_keys=True``, byte for byte.  Lists of numbers are joined in one
     pass, and tables in one ``%`` formatting pass each: dicts whose
-    values are all scalars, or all flat records of scalars with one key
-    set, or all lists of number rows of one shape, and lists of number
-    rows of one width.
+    values are all scalars, or all records with one key set whose cells
+    are scalars or lists of scalars (one length per record), or all
+    lists of number rows of one shape, and lists of such records or of
+    number rows of one width.
     """
     return _render(report, "\n")
 
@@ -183,34 +184,72 @@ def _row(holes, indent: str) -> str:
     return "[" + inner + ("," + inner).join(holes) + indent + "]"
 
 
+def _records(values: list, indent: str):
+    """:func:`_table` of records with one set of string keys whose cells
+    are scalars or, in the same keys of every record, lists of scalars
+    as long as the other lists of their record."""
+    first = values[0]
+    if not first or any(type(k) is not str for k in first) or not all(
+        map(first.keys().__eq__, map(dict.keys, values))
+    ):
+        return None
+    keys = sorted(first)
+    columns = [list(map(itemgetter(k), values)) for k in keys]
+    listed = [type(column[0]) is list for column in columns]
+    holes = []
+    for j, column in enumerate(columns):
+        cells = ("", column) if listed[j] else _cells(column)
+        if cells is None:
+            return None
+        holes.append(cells[0])
+        columns[j] = cells[1]
+    inner = indent + "  "
+    names = [encode_basestring_ascii(k).replace("%", "%%") + ": "
+             for k in keys]
+
+    def template(size, holes):
+        return "{" + inner + ("," + inner).join(
+            name + ((_row([hole] * size, inner) if size else "[]")
+                    if is_list else hole)
+            for name, hole, is_list in zip(names, holes, listed)
+        ) + indent + "}"
+
+    if not any(listed):
+        return template(0, holes), chain.from_iterable(zip(*columns))
+    # each record's lists take their holes, and its template, on their own
+    shapes = []
+    for row in range(len(values)):
+        size = None
+        for j, is_list in enumerate(listed):
+            if is_list:
+                cells = columns[j][row]
+                if type(cells) is not list or size not in (None, len(cells)):
+                    return None
+                size = len(cells)
+                cells = _cells(cells)
+                if cells is None:
+                    return None
+                holes[j], columns[j][row] = cells
+        shapes.append((size, tuple(holes)))
+    templates = {shape: template(*shape) for shape in set(shapes)}
+    columns = [column if is_list else zip(column)
+               for column, is_list in zip(columns, listed)]
+    cells = chain.from_iterable(chain.from_iterable(zip(*columns)))
+    return list(map(templates.__getitem__, shapes)), cells
+
+
 def _table(values: list, indent: str):
-    """``(template, cells)`` that render each of equal-shape ``values``,
-    whose first lines start at ``indent``, as ``template % cells`` for
-    its row-major run of ``cells``; ``None`` unless the values are all
-    scalars, all flat records of scalars with one set of string keys,
-    all non-empty rows of numbers of one width, or all lists of such
-    rows of one shape."""
+    """``(template, cells)`` that render ``values``, whose first lines
+    start at ``indent``: ``template`` is the one template of every value
+    or a list of one per value, and ``cells`` their row-major cells.
+    ``None`` unless the values are all scalars, all records of scalars
+    and lists of scalars (see :func:`_records`), all non-empty rows of
+    numbers of one width, or all lists of such rows of one shape."""
     kinds = set(map(type, values))
     first = values[0]
     if kinds == {dict}:
-        keys = sorted(first)
-        if not keys or any(type(k) is not str for k in keys) or not all(
-            map(first.keys().__eq__, map(dict.keys, values))
-        ):
-            return None
-        cells = list(map(itemgetter(*keys), values))
-        if len(keys) > 1:
-            cells = list(chain.from_iterable(cells))
-
-        def template(holes):
-            inner = indent + "  "
-            return "{" + inner + ("," + inner).join(
-                encode_basestring_ascii(k).replace("%", "%%") + ": " + hole
-                for k, hole in zip(keys, holes)
-            ) + indent + "}"
-
-        width = len(keys)
-    elif kinds == {list}:
+        return _records(values, indent)
+    if kinds == {list}:
         rows, height = values, 0  # rows of numbers, or lists of `height` rows
         if first and type(first[0]) is list:
             if set(map(len, values)) != {len(first)}:
@@ -251,6 +290,24 @@ def _table(values: list, indent: str):
     return template(holes), cells
 
 
+def _fill(table, count: int, sep: str, names=None) -> str:
+    """The ``count`` values of a :func:`_table` joined by ``sep``, each
+    after its name and ``: `` when ``names`` are given, in one ``%``
+    formatting pass."""
+    template, cells = table
+    if isinstance(template, list):
+        if names is not None:
+            template = [name + ": " + line
+                        for name, line in zip(names, template)]
+        body = sep.join(template)
+    elif names is None:
+        body = sep.join([template] * count)
+    else:
+        line = ": " + template
+        body = (line + sep).join(names) + line
+    return body % tuple(cells)
+
+
 def _render(value, indent: str) -> str:
     """JSON text of ``value`` whose first line starts at ``indent``
     (a newline and the spaces before the value's own line)."""
@@ -275,12 +332,10 @@ def _render(value, indent: str) -> str:
         names = list(map(encode_basestring_ascii, keys))
         table = _table(values, inner)
         if table is not None:
-            template, cells = table
             if "%" in "".join(keys):
                 names = [name.replace("%", "%%") for name in names]
-            line = ": " + template
-            body = (line + "," + inner).join(names) + line
-            return "{" + inner + body % tuple(cells) + indent + "}"
+            body = _fill(table, len(values), "," + inner, names)
+            return "{" + inner + body + indent + "}"
         return "{" + inner + ("," + inner).join(
             name + ": " + _render(v, inner) for name, v in zip(names, values)
         ) + indent + "}"
@@ -298,9 +353,10 @@ def _render(value, indent: str) -> str:
     kinds = set(map(type, items))
     if kinds <= _NUMBERS:
         body = _numbers(sep.join(map(repr, items)), kinds)
-    elif kinds == {list} and (table := _table(items, inner)) is not None:
-        template, cells = table
-        body = sep.join([template] * len(items)) % tuple(cells)
+    elif len(kinds) == 1 and kinds <= {list, dict} and (
+        table := _table(items, inner)
+    ) is not None:
+        body = _fill(table, len(items), sep)
     else:
         body = sep.join([_render(v, inner) for v in items])
     return "[" + inner + body + indent + "]"

@@ -22,9 +22,16 @@ from the same Jacobian kernel.
 are coupled in it only when they share a star.  The free vertices are
 therefore numbered once per fit in reverse Cuthill-McKee order of that
 coupling (Cuthill & McKee, 1969), which makes the matrix narrow-banded
-whatever the input's vertex numbering.  Each accepted step sums the
-lower band of ``J^T J`` straight from the Jacobian blocks, and each
-damping trial solves it by LAPACK's banded Cholesky
+whatever the input's vertex numbering.  That layout is built in a few
+array passes (:func:`_band_layout`): the coupling pairs come from the
+stars of four or more vertices, one sort for all of them; each root
+tried in the search for a pseudo-peripheral start (George & Liu, 1979)
+costs a breadth-first search that only counts levels, and only a root
+kept is ordered level by level; and the band's entries are mapped as
+runs of products, axis pairs outer and tetrahedra inner, so that every
+entry sums its products in ascending tetrahedron order.  Each accepted
+step sums the lower band of ``J^T J`` straight from the Jacobian
+blocks, and each damping trial solves it by LAPACK's banded Cholesky
 (:func:`scipy.linalg.solveh_banded`); a band that is not numerically
 positive definite counts as a rejected trial.
 
@@ -96,6 +103,18 @@ class FitProblem:
         ]
 
 
+def _stars(graph: QuadGraph):
+    """The stars of four or more vertices, stacked by size: ``(k, verts,
+    stars)`` for each degree ``k >= 3``, row ``stars[s]`` holding
+    ``verts[s]`` and then its neighbors."""
+    for k, verts in _by_degree(graph.degrees):
+        if k >= 3:
+            slots = graph.star_offsets[verts][:, None] + np.arange(k)
+            yield k, verts, np.column_stack(
+                [verts, graph.star_neighbors[slots]]
+            )
+
+
 def _star_tetrahedra(graph: QuadGraph) -> np.ndarray:
     """Every 4-subset of every star ``(T, 4)``: stars by ascending centre
     vertex, each star's vertices ascending, its subsets in lexicographic
@@ -104,14 +123,10 @@ def _star_tetrahedra(graph: QuadGraph) -> np.ndarray:
     subsets_per_star = (d + 1) * d * (d - 1) * (d - 2) // 24
     offsets = np.concatenate([[0], np.cumsum(subsets_per_star)])
     tetrahedra = np.empty((offsets[-1], 4), dtype=int)
-    for k, verts in _by_degree(d):
-        if k < 3:
-            continue
-        slots = graph.star_offsets[verts][:, None] + np.arange(k)
-        stars = np.sort(np.column_stack([verts, graph.star_neighbors[slots]]))
+    for k, verts, stars in _stars(graph):
         subsets = np.array(list(combinations(range(k + 1), 4)))
         rows = offsets[verts][:, None] + np.arange(len(subsets))
-        tetrahedra[rows] = stars[:, subsets]
+        tetrahedra[rows] = np.sort(stars)[:, subsets]
     return tetrahedra
 
 
@@ -125,31 +140,31 @@ def _edge_vectors(problem: FitProblem, positions):
 
 
 def _residuals(problem: FitProblem, positions):
-    """Residuals ``r`` (one per tetrahedron) and their Jacobian blocks.
+    """Residuals ``r`` (one per tetrahedron), their Jacobian blocks, and
+    the edge vectors ``(d1, d2, d3)`` they come from.
 
     ``blocks[t, k]`` is the derivative of ``r[t]`` by the coordinates of
     vertex ``tetrahedra[t, k]``.
     """
-    d1, d2, d3 = _edge_vectors(problem, positions)
+    d1, d2, d3 = edges = _edge_vectors(problem, positions)
     c23 = np.cross(d2, d3)
     c31 = np.cross(d3, d1)
     c12 = np.cross(d1, d2)
     dets = np.einsum("ij,ij->i", d1, c23)
     blocks = np.stack([-(c23 + c31 + c12), c23, c31, c12], axis=1)
-    return _SIXTH * dets, blocks * _SIXTH
+    return _SIXTH * dets, blocks * _SIXTH, edges
 
 
-def _rounding_bound(problem: FitProblem, positions, blocks):
-    """Per-residual size that rounding alone leaves on a planar-star net.
+def _rounding_bound(problem: FitProblem, positions, blocks, edges):
+    """Per-residual size that rounding alone leaves on a planar-star net,
+    from the :func:`_residuals` blocks and edge vectors at ``positions``.
 
     Rounding vertex ``p_k`` to double precision moves it by at most
     ``u |p_k|`` (``u = eps / 2``), which moves ``r_t`` by at most
     ``u * sum_k |blocks[t, k]| |p_k|`` to first order; evaluating the
     triple product adds a small multiple of ``u |d1| |d2| |d3| / 6``.
     """
-    d1, d2, d3 = (
-        np.linalg.norm(d, axis=1) for d in _edge_vectors(problem, positions)
-    )
+    d1, d2, d3 = (np.linalg.norm(d, axis=1) for d in edges)
     stored = np.einsum(
         "tk,tk->t",
         np.linalg.norm(blocks, axis=2),
@@ -173,13 +188,33 @@ def _gradient(problem: FitProblem, r, blocks) -> np.ndarray:
     return grad
 
 
-def _neighbors(offsets, adjacent, nodes):
-    """Neighbors of ``nodes``, concatenated in their order, and the
-    position in ``nodes`` of the node each one belongs to."""
-    counts = offsets[nodes + 1] - offsets[nodes]
-    owner = np.repeat(np.arange(len(nodes)), counts)
-    first = offsets[nodes] - np.cumsum(counts) + counts
-    return adjacent[first[owner] + np.arange(len(owner))], owner
+def _neighbors(offsets, adjacent, degree, nodes):
+    """Neighbors of the (one or more) ``nodes``, concatenated in their
+    order, and how many each node has."""
+    counts = degree[nodes]
+    ends = counts.cumsum()
+    slots = (offsets[nodes] - ends + counts).repeat(counts)
+    slots += np.arange(ends[-1])
+    return adjacent[slots], counts
+
+
+def _depth(offsets, adjacent, degree, start, visited):
+    """Number of levels of the breadth-first search from ``start``,
+    which marks ``start``'s component in ``visited``."""
+    level = np.array([start])
+    visited[start] = True
+    slot = np.empty(len(degree), dtype=np.intp)
+    depth = 0
+    while level.size:
+        depth += 1
+        nodes = _neighbors(offsets, adjacent, degree, level)[0]
+        nodes = nodes[~visited[nodes]]
+        visited[nodes] = True
+        # one entry per node: the one whose position its slot holds
+        where = np.arange(len(nodes))
+        slot[nodes] = where
+        level = nodes[slot[nodes] == where]
+    return depth
 
 
 def _cuthill_mckee(offsets, adjacent, degree, start, visited):
@@ -188,34 +223,44 @@ def _cuthill_mckee(offsets, adjacent, degree, start, visited):
 
     A level's nodes come by the position of their first neighbor in the
     level before, then by degree, then by the sum of the positions of
-    all their neighbors there; nodes that tie on all three are settled
-    by :func:`_settle_ties`.
+    all their neighbors there, then by id; nodes that tie on the first
+    three are settled by :func:`_settle_ties`.
     """
     level = np.array([start])
     visited[start] = True
+    span = int(degree.max()) + 1
     levels = []
     while level.size:
         levels.append(level)
-        nodes, owner = _neighbors(offsets, adjacent, level)
+        nodes, counts = _neighbors(offsets, adjacent, degree, level)
         fresh = ~visited[nodes]
-        nodes, owner = nodes[fresh], owner[fresh]
+        nodes = nodes[fresh]
         if not nodes.size:
             break
+        owner = np.arange(len(level)).repeat(counts)[fresh]
         # owners ascend, so a node's first entry is its first parent
-        order, starts, _, _ = _group(nodes)
-        total = np.add.reduceat(owner[order], starts)
-        nodes, owner = nodes[order[starts]], owner[order[starts]]
-        key = np.stack([total, degree[nodes], owner])
-        rank = np.lexsort(np.vstack([nodes, key]))
-        level, key = nodes[rank], key[:, rank]
-        tied = np.all(key[:, 1:] == key[:, :-1], axis=0)
+        order = nodes.argsort(kind="stable")
+        nodes, owner = nodes[order], owner[order]
+        new = np.empty(len(nodes), dtype=bool)
+        new[0] = True
+        np.not_equal(nodes[1:], nodes[:-1], out=new[1:])
+        first = new.nonzero()[0]
+        total = np.add.reduceat(owner, first)
+        nodes = nodes[first]
+        # a node has fewer than `span` parents, each at a position below
+        # len(level), so the key ranks (parent, degree, total) at once
+        key = (owner[first] * span + degree[nodes]) * (span * len(level))
+        key += total
+        rank = key.argsort(kind="stable")
+        level, key = nodes[rank], key[rank]
+        tied = key[1:] == key[:-1]
         if tied.any():
-            level = _settle_ties(level, tied, offsets, adjacent)
+            level = _settle_ties(level, tied, offsets, adjacent, degree)
         visited[level] = True
     return levels
 
 
-def _settle_ties(level, tied, offsets, adjacent):
+def _settle_ties(level, tied, offsets, adjacent, degree):
     """Reorder each run of tied nodes (``tied[i]``: ``level[i + 1]``
     ties with ``level[i]``), runs in level order, by the position of
     their first neighbor in the level outside an unsettled run, then by
@@ -230,7 +275,8 @@ def _settle_ties(level, tied, offsets, adjacent):
     runs = sizes > 1
     for lo, size in zip(starts[runs].tolist(), sizes[runs].tolist()):
         run = level[lo:lo + size]
-        nodes, owner = _neighbors(offsets, adjacent, run)
+        nodes, counts = _neighbors(offsets, adjacent, degree, run)
+        owner = np.arange(size).repeat(counts)
         at = where[nodes]
         near = at >= 0
         near[near] = settled[at[near]]
@@ -248,37 +294,42 @@ def _band_order(offsets, adjacent):
 
     Each component starts at a pseudo-peripheral node (George & Liu,
     1979): from its lowest-degree node, move to the lowest-degree node
-    of the last level while that deepens the level structure.  Nodes
-    without neighbors come last.
+    of the last level while that deepens the level structure.  Only a
+    root that does is ordered level by level; trying one takes just the
+    depth of its search.  Nodes without neighbors come last.
     """
     degree = np.diff(offsets)
     visited = degree == 0
     parts = []
     while not visited.all():
         open_nodes = np.flatnonzero(~visited)
-        start = open_nodes[np.argmin(degree[open_nodes])]
-        levels = _cuthill_mckee(offsets, adjacent, degree, start,
-                                visited.copy())
+        root = open_nodes[np.argmin(degree[open_nodes])]
         while True:
-            last = levels[-1]
-            deeper = _cuthill_mckee(offsets, adjacent, degree,
-                                    last[np.argmin(degree[last])],
+            levels = _cuthill_mckee(offsets, adjacent, degree, root,
                                     visited.copy())
-            if len(deeper) <= len(levels):
+            last = levels[-1]
+            root = last[np.argmin(degree[last])]
+            if _depth(offsets, adjacent, degree, root,
+                      visited.copy()) <= len(levels):
                 break
-            levels = deeper
         parts.extend(levels)
         visited[np.concatenate(levels)] = True
     order = np.concatenate(parts + [np.flatnonzero(degree == 0)])
     return order[::-1]
 
 
-def _coupling(corners, count):
-    """Neighbor lists ``(offsets, adjacent)`` of the nodes
-    ``0 .. count - 1`` that share a row of ``corners`` (``-1`` for no
-    node), each list ascending."""
-    a, b = np.triu_indices(4, 1)
-    ends = np.stack([corners[:, a].ravel(), corners[:, b].ravel()])
+def _coupling(graph: QuadGraph, column_of, count):
+    """Neighbor lists ``(offsets, adjacent)``, each ascending, of the
+    nodes ``0 .. count - 1`` that ``column_of`` gives the free vertices
+    (``-1`` for the pinned ones).  Two vertices share a tetrahedron
+    exactly when both lie in one star of four or more vertices, so each
+    such star couples all its pairs."""
+    ends = [np.empty((2, 0), dtype=np.intp)]
+    for k, _, stars in _stars(graph):
+        a, b = np.triu_indices(k + 1, 1)
+        columns = column_of[stars]
+        ends.append(np.stack([columns[:, a].ravel(), columns[:, b].ravel()]))
+    ends = np.concatenate(ends, axis=1)
     ends = ends[:, np.all(ends >= 0, axis=0)]
     tails = np.concatenate([ends[0], ends[1]])
     heads = np.concatenate([ends[1], ends[0]])
@@ -298,40 +349,73 @@ def _band_layout(problem: FitProblem, free):
     vertex ``moved[p]``, and ``normal_band(blocks)`` maps the
     :func:`_residuals` blocks to the ``(w + 1, 3 * len(free))`` array
     with ``band[i - j, j] = (J^T J)[i, j]`` for ``0 <= i - j <= w``,
-    the lower storage :func:`scipy.linalg.solveh_banded` reads.  Each
-    entry sums its products in ascending tetrahedron order.
-    """
-    column_of = np.full(len(problem.initial_positions), -1)
-    column_of[free] = np.arange(len(free))
-    corners = column_of[problem.tetrahedra]
-    moved = free[_band_order(*_coupling(corners, len(free)))]
+    the lower storage :func:`scipy.linalg.solveh_banded` reads.
 
-    # entries in the lower band: for each pair of free corners (a, b) of a
-    # tetrahedron with a placed no earlier than b, the products of axis i
-    # of a with axis j of b; a corner paired with itself keeps i >= j
-    rank = np.full(len(problem.initial_positions), -1)
+    A band entry takes at most one product from each tetrahedron, and
+    only the order of those products fixes its bits: ascending
+    tetrahedron order.  So the products come axis pair by axis pair,
+    each a run over the tetrahedra: first each free corner's lower 3x3
+    block, then, for each two free corners of one tetrahedron, the 3x3
+    block of the later placed one's axes (rows) by the earlier one's
+    (columns).
+    """
+    n = len(problem.initial_positions)
+    column_of = np.full(n, -1)
+    column_of[free] = np.arange(len(free))
+    moved = free[_band_order(*_coupling(problem.graph, column_of,
+                                        len(free)))]
+
+    rank = np.full(n, -1)
     rank[moved] = np.arange(len(moved))
     place = rank[problem.tetrahedra]
-    a, b = np.divmod(np.arange(16), 4)
-    t, pair = np.nonzero((place[:, b] >= 0) & (place[:, a] >= place[:, b]))
-    a, b = a[pair], b[pair]
-    i, j = np.divmod(np.arange(9), 3)
-    offset = (3 * (place[t, a] - place[t, b]))[:, None] + (i - j)
-    keep = offset >= 0
+    # free corners, and pairs of them, as slots 4 * t + a of `place`
+    # (tetrahedron-major, so each entry's products ascend in t)
+    placed = place >= 0
+    corner = np.flatnonzero(placed)
+    one, other = np.triu_indices(4, 1)
+    t, pair = np.divmod(np.flatnonzero(placed[:, one] & placed[:, other]),
+                        6)
+    first, second = 4 * t + one[pair], 4 * t + other[pair]
+    place = place.ravel()
+    own, p1, p2 = place[corner], place[first], place[second]
+    swap = p1 > p2
+    later = np.where(swap, first, second)
+    earlier = np.where(swap, second, first)
+    lo, gap = np.minimum(p1, p2), np.abs(p1 - p2)
     size = 3 * len(free)
-    width = int(np.max(offset, initial=0))
-    col = (3 * place[t, b])[:, None] + j
-    target = (col * (width + 1) + offset)[keep]
-    left = ((12 * t + 3 * a)[:, None] + i)[keep]
-    right = ((12 * t + 3 * b)[:, None] + j)[keep]
+    width = 3 * int(np.max(gap, initial=0)) + 2 if len(corner) else 0
+    stride = width + 1
+    # entry (i, j) of a block sits at band row 3 * p + i, column 3 * q + j,
+    # so at position (3 * q + j) * stride + 3 * (p - q) + i - j
+    i, j = np.tril_indices(3)
+    ii, jj = np.divmod(np.arange(9), 3)
+    split = 6 * len(corner)
+    target = np.empty(split + 9 * len(lo), dtype=np.intp)
+    np.add((j * stride + i - j)[:, None], 3 * stride * own,
+           out=target[:split].reshape(6, -1))
+    np.add((jj * stride + ii - jj)[:, None], 3 * (stride * lo + gap),
+           out=target[split:].reshape(9, -1))
+    rows = (corner, later, earlier)
+    weights = np.empty(len(target))
+
+    def products(blocks):
+        # one row per axis: axis pairs outer, tetrahedra inner, so every
+        # multiply runs over all tetrahedra at once
+        axes = blocks.reshape(-1, 3).T.copy()
+        vertex, row, column = (np.take(axes, r, axis=1) for r in rows)
+        lower = weights[:split].reshape(6, -1)
+        for k in range(3):  # the pairs (k, 0 .. k) of the lower triangle
+            np.multiply(vertex[k], vertex[:k + 1],
+                        out=lower[k * (k + 1) // 2:(k + 1) * (k + 2) // 2])
+        np.multiply(row[:, None], column[None, :],
+                    out=weights[split:].reshape(3, 3, -1))
+        return weights
 
     def normal_band(blocks):
-        flat = blocks.reshape(-1)
         # column-major, the layout LAPACK factors in place
         return np.bincount(
-            target, weights=flat[left] * flat[right],
-            minlength=size * (width + 1),
-        ).reshape(size, width + 1).T
+            target, weights=products(blocks), minlength=size * stride,
+        ).reshape(size, stride).T
 
     return moved, normal_band
 
@@ -362,7 +446,7 @@ def energy(problem: FitProblem, positions) -> float:
 def gradient(problem: FitProblem, positions) -> np.ndarray:
     """Analytic gradient of :func:`energy`; rows of pinned vertices are zero."""
     positions = np.asarray(positions, dtype=float)
-    return _gradient(problem, *_residuals(problem, positions))
+    return _gradient(problem, *_residuals(problem, positions)[:2])
 
 
 def fit(
@@ -385,7 +469,7 @@ def fit(
     """
     x = problem.initial_positions.copy()
     free = np.array(problem.free_vertices, dtype=int)
-    r, blocks = _residuals(problem, x)
+    r, blocks, edges = _residuals(problem, x)
     e = float(r @ r)
     g = _gradient(problem, r, blocks)
     g0_norm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -420,7 +504,7 @@ def fit(
         if g_norm <= tol:
             stopping, message = "gradient", "gradient within tolerance"
             break
-        if np.all(np.abs(r) <= _rounding_bound(problem, x, blocks)):
+        if np.all(np.abs(r) <= _rounding_bound(problem, x, blocks, edges)):
             stopping = "rounding"
             message = "every residual within its rounding bound"
             break
@@ -440,8 +524,8 @@ def fit(
             else:
                 trial = x.copy()
                 trial[moved] += step.reshape(-1, 3)
-                r_trial, blocks_trial = _residuals(problem, trial)
-                e_trial = float(r_trial @ r_trial)
+                state = _residuals(problem, trial)
+                e_trial = float(state[0] @ state[0])
                 if e_trial < e:
                     break
             mu *= 10.0
@@ -450,7 +534,7 @@ def fit(
             message = "no damped step lowered the energy"
             break
         del band  # free it before the next step sums its own
-        x, e, r, blocks = trial, e_trial, r_trial, blocks_trial
+        x, e, (r, blocks, edges) = trial, e_trial, state
         history.append(e)
         mu = max(mu / 10.0, DAMPING_START)
         iterations += 1

@@ -1377,10 +1377,188 @@ def reference_lm_step(problem, positions, mu):
     from hypnet.fit import _gradient, _residuals
 
     free = np.array(problem.free_vertices, dtype=int)
-    r, blocks = _residuals(problem, positions)
+    r, blocks, _ = _residuals(problem, positions)
     jac = free_jacobian(problem, free, blocks)
     normal = (jac.T @ jac).tocsc()
     scale = float(normal.diagonal().max())
     rhs = -0.5 * _gradient(problem, r, blocks)[free].ravel()
     eye = identity(3 * len(free), format="csr")
     return spsolve(normal + (mu * scale) * eye, rhs).reshape(-1, 3)
+
+
+# --- the fit's band layout, one level structure per root tried --------------------
+
+
+def _reference_group(keys):
+    """Stable argsort of ``keys`` and the first position in it of each
+    run of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    return order, np.flatnonzero(
+        np.concatenate([[True], ranked[1:] != ranked[:-1]])
+    )
+
+
+def _reference_neighbors(offsets, adjacent, nodes):
+    """Neighbors of ``nodes``, concatenated in their order, and the
+    position in ``nodes`` of the node each one belongs to."""
+    counts = offsets[nodes + 1] - offsets[nodes]
+    owner = np.repeat(np.arange(len(nodes)), counts)
+    first = offsets[nodes] - np.cumsum(counts) + counts
+    return adjacent[first[owner] + np.arange(len(owner))], owner
+
+
+def _reference_cuthill_mckee(offsets, adjacent, degree, start, visited):
+    """Cuthill-McKee levels of ``start``'s component, one array per
+    level, and marks them in ``visited``.
+
+    A level's nodes come by the position of their first neighbor in the
+    level before, then by degree, then by the sum of the positions of
+    all their neighbors there; nodes that tie on all three are settled
+    by :func:`_reference_settle_ties`.
+    """
+    level = np.array([start])
+    visited[start] = True
+    levels = []
+    while level.size:
+        levels.append(level)
+        nodes, owner = _reference_neighbors(offsets, adjacent, level)
+        fresh = ~visited[nodes]
+        nodes, owner = nodes[fresh], owner[fresh]
+        if not nodes.size:
+            break
+        # owners ascend, so a node's first entry is its first parent
+        order, starts = _reference_group(nodes)
+        total = np.add.reduceat(owner[order], starts)
+        nodes, owner = nodes[order[starts]], owner[order[starts]]
+        key = np.stack([total, degree[nodes], owner])
+        rank = np.lexsort(np.vstack([nodes, key]))
+        level, key = nodes[rank], key[:, rank]
+        tied = np.all(key[:, 1:] == key[:, :-1], axis=0)
+        if tied.any():
+            level = _reference_settle_ties(level, tied, offsets, adjacent)
+        visited[level] = True
+    return levels
+
+
+def _reference_settle_ties(level, tied, offsets, adjacent):
+    """Reorder each run of tied nodes (``tied[i]``: ``level[i + 1]``
+    ties with ``level[i]``), runs in level order, by the position of
+    their first neighbor in the level outside an unsettled run, then by
+    id.  Mirror-image nodes thus follow the first choice between them,
+    which keeps the band of a symmetric net as narrow whatever the
+    numbering."""
+    starts = np.flatnonzero(np.concatenate([[True], ~tied]))
+    sizes = np.diff(np.append(starts, len(level)))
+    settled = np.repeat(sizes == 1, sizes)
+    where = np.full(len(offsets) - 1, -1)
+    where[level] = np.arange(len(level))
+    runs = sizes > 1
+    for lo, size in zip(starts[runs].tolist(), sizes[runs].tolist()):
+        run = level[lo:lo + size]
+        nodes, owner = _reference_neighbors(offsets, adjacent, run)
+        at = where[nodes]
+        near = at >= 0
+        near[near] = settled[at[near]]
+        first = np.full(size, len(level))
+        np.minimum.at(first, owner[near], at[near])
+        run = run[np.lexsort((run, first))]
+        level[lo:lo + size] = run
+        where[run] = np.arange(lo, lo + size)
+        settled[lo:lo + size] = True
+    return level
+
+
+def _reference_band_order(offsets, adjacent):
+    """Reverse Cuthill-McKee order of a graph given by neighbor lists.
+
+    Each component starts at a pseudo-peripheral node (George & Liu,
+    1979): from its lowest-degree node, move to the lowest-degree node
+    of the last level while that deepens the level structure.  Nodes
+    without neighbors come last.
+    """
+    degree = np.diff(offsets)
+    visited = degree == 0
+    parts = []
+    while not visited.all():
+        open_nodes = np.flatnonzero(~visited)
+        start = open_nodes[np.argmin(degree[open_nodes])]
+        levels = _reference_cuthill_mckee(offsets, adjacent, degree, start,
+                                          visited.copy())
+        while True:
+            last = levels[-1]
+            deeper = _reference_cuthill_mckee(
+                offsets, adjacent, degree, last[np.argmin(degree[last])],
+                visited.copy())
+            if len(deeper) <= len(levels):
+                break
+            levels = deeper
+        parts.extend(levels)
+        visited[np.concatenate(levels)] = True
+    order = np.concatenate(parts + [np.flatnonzero(degree == 0)])
+    return order[::-1]
+
+
+def _reference_coupling(corners, count):
+    """Neighbor lists ``(offsets, adjacent)`` of the nodes
+    ``0 .. count - 1`` that share a row of ``corners`` (``-1`` for no
+    node), each list ascending."""
+    a, b = np.triu_indices(4, 1)
+    ends = np.stack([corners[:, a].ravel(), corners[:, b].ravel()])
+    ends = ends[:, np.all(ends >= 0, axis=0)]
+    tails = np.concatenate([ends[0], ends[1]])
+    heads = np.concatenate([ends[1], ends[0]])
+    order, starts = _reference_group(tails * count + heads)
+    pairs = order[starts]
+    per_node = np.bincount(tails[pairs], minlength=count)
+    return np.concatenate([[0], np.cumsum(per_node)]), heads[pairs]
+
+
+def reference_band_layout(problem, free):
+    """``hypnet.fit._band_layout`` as first written: the coupling from the
+    six corner pairs of every tetrahedron, a full Cuthill-McKee level
+    structure from every root tried, and the band's entry map through
+    ``(P, 9)`` masks over every ordered pair of free corners.
+
+    Returns ``(moved, normal_band)``: ``moved`` lists the free vertices
+    in band order, so band coordinate ``3 * p + k`` is axis ``k`` of
+    vertex ``moved[p]``, and ``normal_band(blocks)`` maps the
+    ``hypnet.fit._residuals`` blocks to the ``(w + 1, 3 * len(free))`` array
+    with ``band[i - j, j] = (J^T J)[i, j]`` for ``0 <= i - j <= w``,
+    the lower storage :func:`scipy.linalg.solveh_banded` reads.  Each
+    entry sums its products in ascending tetrahedron order.
+    """
+    column_of = np.full(len(problem.initial_positions), -1)
+    column_of[free] = np.arange(len(free))
+    corners = column_of[problem.tetrahedra]
+    moved = free[_reference_band_order(*_reference_coupling(corners,
+                                                             len(free)))]
+
+    # entries in the lower band: for each pair of free corners (a, b) of a
+    # tetrahedron with a placed no earlier than b, the products of axis i
+    # of a with axis j of b; a corner paired with itself keeps i >= j
+    rank = np.full(len(problem.initial_positions), -1)
+    rank[moved] = np.arange(len(moved))
+    place = rank[problem.tetrahedra]
+    a, b = np.divmod(np.arange(16), 4)
+    t, pair = np.nonzero((place[:, b] >= 0) & (place[:, a] >= place[:, b]))
+    a, b = a[pair], b[pair]
+    i, j = np.divmod(np.arange(9), 3)
+    offset = (3 * (place[t, a] - place[t, b]))[:, None] + (i - j)
+    keep = offset >= 0
+    size = 3 * len(free)
+    width = int(np.max(offset, initial=0))
+    col = (3 * place[t, b])[:, None] + j
+    target = (col * (width + 1) + offset)[keep]
+    left = ((12 * t + 3 * a)[:, None] + i)[keep]
+    right = ((12 * t + 3 * b)[:, None] + j)[keep]
+
+    def normal_band(blocks):
+        flat = blocks.reshape(-1)
+        # column-major, the layout LAPACK factors in place
+        return np.bincount(
+            target, weights=flat[left] * flat[right],
+            minlength=size * (width + 1),
+        ).reshape(size, width + 1).T
+
+    return moved, normal_band

@@ -488,8 +488,10 @@ NUMBER_CELLS = [
 def tables(draw):
     """``(table, regular)``: a dict or list of 1 to 10 entries shaped like
     one of the table kinds, and whether every entry has the same shape
-    (else one record has another key set or one row another width)."""
-    kind = draw(st.sampled_from(["scalars", "records", "grids", "rows"]))
+    (else one record has another key set, or lists of two lengths or a
+    scalar for a list, or one row another width)."""
+    kind = draw(st.sampled_from(
+        ["scalars", "records", "list records", "grids", "rows"]))
     regular = kind == "scalars" or draw(st.booleans())
     n = draw(st.integers(1 if regular else 2, 10))
     keys = draw(st.lists(KEYS, min_size=n, max_size=n, unique_by=str))
@@ -506,6 +508,31 @@ def tables(draw):
                 del odd[names[0]]
             else:
                 odd[draw(TEXT_KEYS.filter(lambda k: k not in names))] = 0.5
+        return dict(zip(keys, rows)), regular
+    if kind == "list records":
+        # records whose list cells are as long as the other lists of their
+        # record, in a dict or a list
+        names = draw(st.lists(TEXT_KEYS, min_size=1, max_size=3, unique=True))
+        listed = draw(st.lists(st.booleans(), min_size=len(names),
+                               max_size=len(names)).filter(any))
+        columns = [draw(st.sampled_from(NUMBER_CELLS if is_list
+                                        else SCALAR_COLUMNS))
+                   for is_list in listed]
+        rows = []
+        for _ in range(n):
+            size = draw(st.integers(0, 3))
+            rows.append({k: [draw(c) for _ in range(size)] if is_list
+                         else draw(c)
+                         for k, c, is_list in zip(names, columns, listed)})
+        if not regular:
+            odd = rows[draw(st.integers(0, n - 1))]
+            lists = [k for k, is_list in zip(names, listed) if is_list]
+            if len(lists) > 1:
+                odd[lists[0]] = odd[lists[0]] + [0]
+            else:
+                odd[lists[0]] = 0.5
+        if draw(st.booleans()):
+            return rows, regular
         return dict(zip(keys, rows)), regular
     cell = draw(st.sampled_from(NUMBER_CELLS))
     width = draw(st.integers(1, 3))

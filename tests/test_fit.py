@@ -1,9 +1,12 @@
 """Star-planarity functional: energy, analytic gradient, optimization."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from hypnet.anet import validate_anet
+from hypnet.cli import main
 from hypnet.errors import DidNotConverge
 from hypnet.fit import (
     DAMPING_START,
@@ -16,6 +19,7 @@ from hypnet.fit import (
     fit,
     gradient,
 )
+from hypnet.meshio import write_positions_mesh
 from hypnet.quadgraph import build
 from hypnet.synthetic import (
     grid_graph,
@@ -25,7 +29,12 @@ from hypnet.synthetic import (
     umbrella_graph,
 )
 
-from oracles import free_jacobian, reference_lm_step, reference_tetrahedra
+from oracles import (
+    free_jacobian,
+    reference_band_layout,
+    reference_lm_step,
+    reference_tetrahedra,
+)
 
 
 def flat_grid(n=3):
@@ -161,7 +170,7 @@ def test_sparse_jacobian_matches_finite_differences(mesh):
     )
     pos = problem.initial_positions
     free = np.array(problem.free_vertices)
-    r, blocks = _residuals(problem, pos)
+    r, blocks, _ = _residuals(problem, pos)
     jac = free_jacobian(problem, free, blocks)
     assert jac.shape == (len(problem.tetrahedra), 3 * len(free))
     # each residual is affine in any single coordinate, so central
@@ -429,7 +438,7 @@ def banded_system(problem):
     of the oracle Jacobian in that order."""
     positions = problem.initial_positions
     free = np.array(problem.free_vertices)
-    r, blocks = _residuals(problem, positions)
+    r, blocks, _ = _residuals(problem, positions)
     moved, normal_band = _band_layout(problem, free)
     coordinates = (3 * np.searchsorted(free, moved)[:, None]
                    + np.arange(3)).ravel()
@@ -441,7 +450,7 @@ def banded_system(problem):
 
 def band_width(problem):
     _, normal_band = _band_layout(problem, np.array(problem.free_vertices))
-    _, blocks = _residuals(problem, problem.initial_positions)
+    _, blocks, _ = _residuals(problem, problem.initial_positions)
     return len(normal_band(blocks)) - 1
 
 
@@ -528,3 +537,119 @@ def test_band_order_starts_an_l_shaped_net_at_the_end_of_an_arm():
                 if face % 20 < 10 or face // 20 < 10]
     strip = band_width(pinned_net(*grid_graph(10, 20)))
     assert band_width(pinned_net(count, l_shaped)) <= strip + 3
+
+
+# --- band layout against the first-written layout ---------------------------------
+
+
+def l_shaped_net():
+    count, quads = grid_graph(20, 20)
+    return pinned_net(count, [quad for face, quad in enumerate(quads)
+                              if face % 20 < 10 or face // 20 < 10])
+
+
+def rows_pinned(n_faces=10, rows=(5, 6)):
+    """A net on z = xy with its boundary and the vertex ``rows`` pinned
+    and noise on the rest; two adjacent rows leave no star with free
+    vertices on both sides, so the free vertices fall in two coupling
+    components."""
+    count, quads, positions = quadric_grid(n_faces, n_faces)
+    graph = build(count, quads)
+    side = n_faces + 1
+    pinned = graph.boundary.copy()
+    pinned.reshape(side, side)[list(rows)] = True
+    rng = np.random.default_rng(0)
+    positions[~pinned] += rng.uniform(-5e-5, 5e-5,
+                                      size=(np.count_nonzero(~pinned), 3))
+    return FitProblem(graph=graph, initial_positions=positions,
+                      pinned=frozenset(np.flatnonzero(pinned).tolist()))
+
+
+def with_unreferenced_free_vertex():
+    """A noisy 4x4 net and one more vertex, free and in no face."""
+    count, quads, positions = quadric_grid(4, 4)
+    graph = build(count + 1, quads)
+    rng = np.random.default_rng(6)
+    positions = np.vstack([positions, [[0.5, 0.5, 1.0]]])
+    free = ~graph.boundary
+    positions[free] += rng.uniform(-1e-3, 1e-3,
+                                   size=(np.count_nonzero(free), 3))
+    return FitProblem(graph=graph, initial_positions=positions,
+                      pinned=frozenset(np.flatnonzero(graph.boundary).tolist()))
+
+
+def layout_problems():
+    problems = dict(band_problems())
+    problems["l_shaped"] = l_shaped_net()
+    noisy = noisy_quadric_problem(seed=0, n_faces=12)
+    rng = np.random.default_rng(12)
+    for k in range(5):
+        problems[f"noisy_12x12_renumbered_{k}"] = renumbered(noisy, rng)
+    problems["two_components"] = rows_pinned()
+    problems["unreferenced_free_vertex"] = with_unreferenced_free_vertex()
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(layout_problems()))
+def test_band_layout_equals_the_first_written_layout_bit_for_bit(name):
+    problem = layout_problems()[name]
+    free = np.array(problem.free_vertices)
+    moved, normal_band = _band_layout(problem, free)
+    expected_moved, expected_band = reference_band_layout(problem, free)
+    assert np.array_equal(moved, expected_moved)
+    # random positions: sums of their products change with their order
+    rng = np.random.default_rng(7)
+    positions = rng.normal(size=problem.initial_positions.shape)
+    _, blocks, _ = _residuals(problem, positions)
+    band, expected = normal_band(blocks), expected_band(blocks)
+    assert np.array_equal(band, expected)
+    assert band.tobytes() == expected.tobytes()
+
+
+def test_band_layout_numbers_two_coupling_components_one_after_the_other():
+    problem = rows_pinned()
+    moved, _ = _band_layout(problem, np.array(problem.free_vertices))
+    above = moved // 11 < 5  # vertex rows of 11 vertices
+    assert np.count_nonzero(above[1:] != above[:-1]) == 1
+    _, report = fit(problem)
+    assert report["stopping"] == "gradient"
+
+
+def test_band_layout_puts_a_free_vertex_without_couplings_first():
+    problem = with_unreferenced_free_vertex()
+    moved, normal_band = _band_layout(problem,
+                                      np.array(problem.free_vertices))
+    assert moved[0] == len(problem.initial_positions) - 1
+    _, blocks, _ = _residuals(problem, problem.initial_positions)
+    assert not normal_band(blocks)[:, :3].any()
+    _, report = fit(problem)
+    assert report["converged"]
+
+
+def noisy_net_file(path, n_faces, seed, noise=5e-5):
+    """A net on z = xy with uniform noise on the interior vertices, drawn
+    as the ``fit`` benchmark draws it."""
+    count, quads, positions = quadric_grid(n_faces, n_faces)
+    interior = ~build(count, quads).boundary
+    rng = np.random.default_rng(seed)
+    positions[interior] += rng.uniform(-noise, noise,
+                                       size=(np.count_nonzero(interior), 3))
+    write_positions_mesh(path, positions, quads)
+    return str(path)
+
+
+@pytest.mark.parametrize("n_faces, seed", [(20, 0), (20, 1), (20, 2), (40, 0)])
+def test_cli_fit_is_byte_identical_on_the_first_written_layout(
+    tmp_path, capsys, monkeypatch, n_faces, seed,
+):
+    path = noisy_net_file(tmp_path / "noisy.obj", n_faces, seed)
+    out = tmp_path / "fitted.obj"
+    runs = []
+    # `hypnet.fit` is also the name of the function the package exports
+    module = importlib.import_module("hypnet.fit")
+    for layout in (_band_layout, reference_band_layout):
+        monkeypatch.setattr(module, "_band_layout", layout)
+        code = main(["fit", path, "-o", str(out)])
+        runs.append((code, capsys.readouterr().out, out.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
