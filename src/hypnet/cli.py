@@ -52,6 +52,7 @@ import re
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -542,10 +543,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``hypnet`` parser.  Its destinations are the :class:`RunConfig`
     fields, and an option left out sets nothing, so every default is the
-    field's."""
+    field's.
+
+    Built once per process: parsing does not change it, and a parser
+    built per call leaves cyclic garbage behind that lives until the
+    collector runs, scattered through the heap of the next runs."""
     parser = _Parser(
         prog="hypnet",
         description="validate, fit, and extend nets of planar vertex stars",

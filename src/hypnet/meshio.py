@@ -14,106 +14,138 @@ built; a chunk that raises removes the partial file.  That module is
 imported on the first write, so ``hypnet check`` neither compiles it
 nor builds its tables.
 
-:func:`read_mesh` streams the file in chunks of :data:`CHUNK` lines as
-well: a chunk of plain vertex and face records is converted in bulk,
-any other one line by line.
+:func:`read_mesh` streams the file from a binary handle in chunks of
+:data:`CHUNK` lines as well: a chunk of plain vertex and face records is
+converted in bulk from its ``bytes`` tokens, any other one decoded and
+read line by line.  The quads come back as one ``(F, 4)`` int64 array,
+which :func:`hypnet.quadgraph.build` takes as it is.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
 from contextlib import suppress
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import NonQuadFace, ParseError
-from .quadgraph import _group
+from .quadgraph import CHUNK, _group
 
 #: Grid-corner index pairs in the role order (x, x1, x2, x12).
 CORNER_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-#: Rows formatted and written per chunk by :func:`write_positions_mesh`,
-#: and lines parsed per chunk by :func:`read_mesh`.
-CHUNK = 1024
-
 
 def read_mesh(path):
-    """Positions ``(n, 3)`` and 0-based quad tuples from a text mesh.
+    """Positions ``(n, 3)`` and 0-based quads ``(F, 4)`` (int64) from a
+    text mesh.
 
     Accepts ``v x y z`` and ``f a b c d`` records (1-based indices,
     ``a/t/n`` forms allowed); every other record is skipped, and so is a
     leading UTF-8 byte-order mark.  Raises :class:`ParseError` naming the
-    line for malformed records or out-of-range indices and
-    :class:`NonQuadFace` for faces without exactly four vertices.
+    line for malformed records or out-of-range indices,
+    :class:`NonQuadFace` for faces without exactly four vertices and
+    :class:`UnicodeDecodeError` for a file that is not UTF-8.
 
-    The file is streamed :data:`CHUNK` lines at a time.  A chunk of plain
-    records, ``v`` lines of three coordinates before ``f`` lines of four
-    indices, each plain or cut at its first ``/``, is converted in bulk by
-    Python's own ``float`` and ``int``, so it reads the same values as one
-    line at a time; any other chunk, or one holding a value that does not
-    parse, goes through the per-line loop :func:`_read_lines`, which
+    The file is streamed from a binary handle :data:`CHUNK` lines at a
+    time, its lines split as in text mode (:func:`_line_chunks`).  A plain
+    chunk, ``v`` lines of three coordinates before ``f`` lines of four
+    indices, each plain or cut at its first ``/``, all in ASCII without
+    the separators ``\\x1c``-``\\x1f`` that text splits on, is converted in
+    bulk from its ``bytes`` tokens by Python's own ``float`` and ``int``,
+    so it reads the same values as one line at a time.  Any other chunk,
+    or one holding a value that does not parse, is decoded as strict
+    UTF-8 and goes through the per-line loop :func:`_read_lines`, which
     raises on its first malformed record.
     """
-    coords, quads, face_lines = [], [], []
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    coords, faces = [], []
+    with open(path, "rb") as handle:
+        if handle.read(3) != codecs.BOM_UTF8:
+            handle.seek(0)
         number = 1
-        while lines := list(islice(handle, CHUNK)):
-            if not _read_plain(lines, number, coords, quads, face_lines):
-                _read_lines(lines, number, coords, quads, face_lines)
+        for lines in _line_chunks(handle):
+            if not _read_plain(lines, number, coords, faces):
+                _read_lines(list(map(bytes.decode, lines)), number, coords, faces)
             number += len(lines)
     positions = np.concatenate(coords) if coords else np.zeros((0, 3))
-    if quads and max(map(max, quads)) >= len(positions):
-        for number, quad in zip(face_lines, quads):
-            for index in quad:
-                if index >= len(positions):
-                    raise ParseError(
-                        f"line {number}: face references vertex {index + 1} "
-                        f"but only {len(positions)} are defined"
-                    )
-    return positions, quads
+    coords.clear()  # before the quads are concatenated in turn
+    return positions, _face_array(faces, len(positions))
 
 
-def _read_plain(lines, number, coords, quads, face_lines) -> bool:
-    """Append the records of a chunk of plain lines, the first of them
-    line ``number``, in bulk; False, appending nothing, for any other
-    chunk."""
-    rows = list(map(str.split, lines))
-    widths = list(map(len, rows))
-    nv = widths.count(4)
-    nf = len(rows) - nv
-    if (widths != [4] * nv + [5] * nf
-            or list(map(itemgetter(0), rows)) != ["v"] * nv + ["f"] * nf):
+def _line_chunks(handle):
+    """The lines of a binary ``handle``, :data:`CHUNK` at a time, split
+    as in text mode: a ``"\\r\\n"`` or ``"\\r"`` line end reads as ``"\\n"``."""
+    while lines := list(islice(handle, CHUNK)):
+        if b"\r" not in b"".join(lines):
+            yield lines
+            continue
+        # a binary line ends at "\n" alone, so it may hold many text lines
+        text = b"".join(lines).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lines = text.splitlines(keepends=True)
+        del text
+        for k in range(0, len(lines), CHUNK):
+            yield lines[k:k + CHUNK]
+
+
+#: ASCII bytes that split a record in text but not in bytes.
+_TEXT_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: The first two bytes of a line.
+_LINE_HEAD = itemgetter(slice(2))
+
+
+def _read_plain(lines, number, coords, faces) -> bool:
+    """Append the records of a chunk of plain ``bytes`` lines, the first
+    of them line ``number``, in bulk; False, appending nothing, for any
+    other chunk.
+
+    A chunk is plain when it is ASCII without :data:`_TEXT_SEPARATORS`,
+    its lines start with ``b"v "`` and then with ``b"f "``, and its tokens,
+    split as one, number four per vertex and five per face line, every
+    one of them but the record letters converting.  No record letter
+    converts, so each line then holds its own letter alone, at its
+    start, and splits into the tokens it would split into alone.
+    """
+    joined = b"".join(lines)
+    if not joined.isascii() or any(map(joined.__contains__, _TEXT_SEPARATORS)):
         return False
-    # one flat token list, freeing the line lists before the conversions
-    tokens = list(chain.from_iterable(rows))
-    del rows
-    values, heads = tokens[:4 * nv], tokens[4 * nv:]
+    heads = list(map(_LINE_HEAD, lines))
+    nv = heads.count(b"v ")
+    nf = len(lines) - nv
+    if heads != [b"v "] * nv + [b"f "] * nf:
+        return False
+    tokens = joined.split()
+    slashed = b"/" in joined
+    del joined, heads
+    if len(tokens) != 4 * nv + 5 * nf:
+        return False
+    values, indices = tokens[:4 * nv], tokens[4 * nv:]
     del tokens
     # without the record letters: every fourth vertex token, fifth face token
-    del values[::4], heads[::5]
+    del values[::4], indices[::5]
     # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``
-    if "/" in "".join(heads):
-        heads = [head.partition("/")[0] for head in heads]
+    if slashed:
+        indices = [index.partition(b"/")[0] for index in indices]
     try:
         xyz = np.fromiter(map(float, values), float, len(values)).reshape(-1, 3)
-        indices = np.fromiter(map(int, heads), np.int64, len(heads))
+        indices = np.fromiter(map(int, indices), np.int64, len(indices))
     except (ValueError, OverflowError):
         return False
     if nf and indices.min() < 1:
         return False
+    indices -= 1
     coords.append(xyz)
-    flat = iter((indices - 1).tolist())
-    quads.extend(zip(flat, flat, flat, flat))
-    face_lines.extend(range(number + nv, number + nv + nf))
+    if nf:
+        faces.append((indices.reshape(-1, 4), range(number + nv, number + nv + nf)))
     return True
 
 
-def _read_lines(lines, number, coords, quads, face_lines) -> None:
-    """Append the records of a chunk one line at a time, the first of
-    them line ``number``; raises on the first malformed record."""
-    positions = []
+def _read_lines(lines, number, coords, faces) -> None:
+    """Append the records of a chunk of text lines one at a time, the
+    first of them line ``number``; raises on the first malformed
+    record."""
+    positions, quads, face_lines = [], [], []
     for number, raw in enumerate(lines, start=number):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -150,9 +182,35 @@ def _read_lines(lines, number, coords, quads, face_lines) -> None:
                     f"line {number}: face has {len(indices)} vertices, "
                     "expected 4"
                 )
-            quads.append(tuple(indices))
+            quads.append(indices)
             face_lines.append(number)
     coords.append(np.asarray(positions, dtype=float).reshape(-1, 3))
+    if quads:
+        # an index past int64 is surely out of range; the object array
+        # keeps it for the message of :func:`_face_array`
+        try:
+            quads = np.array(quads, dtype=np.int64)
+        except OverflowError:
+            quads = np.array(quads, dtype=object)
+        faces.append((quads, face_lines))
+
+
+def _face_array(faces, vertex_count):
+    """The quads of every chunk's ``(quads, line numbers)`` as one
+    ``(F, 4)`` int64 array; raises :class:`ParseError` naming the line of
+    the first face, in file order, that references a vertex past
+    ``vertex_count``."""
+    for quads, lines in faces:
+        if quads.max() >= vertex_count:
+            f = int(np.argmax((quads >= vertex_count).any(axis=1)))
+            index = next(i for i in quads[f].tolist() if i >= vertex_count)
+            raise ParseError(
+                f"line {lines[f]}: face references vertex {index + 1} "
+                f"but only {vertex_count} are defined"
+            )
+    if not faces:
+        return np.zeros((0, 4), dtype=np.int64)
+    return np.concatenate([quads for quads, _ in faces])
 
 
 def write_positions_mesh(path, positions, quads) -> None:

@@ -51,6 +51,11 @@ from .errors import (
     NotStronglyRegular,
 )
 
+#: Rows per batch of the array passes over a net: lines read and rows
+#: written per chunk by :mod:`hypnet.meshio`, and stars, edges, faces or
+#: pencils per batch of the validation walk in :mod:`hypnet.anet`.
+CHUNK = 1024
+
 
 def _next(h):
     """The half-edge after ``h`` in its face's cycle."""
@@ -83,10 +88,18 @@ def _group(keys):
 
 def _quad_array(quads, vertex_count: int) -> np.ndarray:
     """The faces as an ``(F, 4)`` array, or :class:`NotAQuad` for the
-    first face that does not list four distinct vertex ids in range."""
-    quads = list(quads)
-    short = next((f for f, q in enumerate(quads) if len(q) != 4), len(quads))
-    arr = np.array(quads[:short], dtype=np.intp).reshape(-1, 4)
+    first face that does not list four distinct vertex ids in range.
+
+    An ``(F, 4)`` signed integer array is taken as it is; any other
+    input is read as a sequence of faces."""
+    if (isinstance(quads, np.ndarray) and quads.ndim == 2
+            and quads.shape[1] == 4 and quads.dtype.kind == "i"):
+        arr = quads.astype(np.intp, copy=False)
+        short = len(quads)
+    else:
+        quads = list(quads)
+        short = next((f for f, q in enumerate(quads) if len(q) != 4), len(quads))
+        arr = np.array(quads[:short], dtype=np.intp).reshape(-1, 4)
     ranked = np.sort(arr, axis=1)
     repeats = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
     outside = (arr < 0) | (arr >= vertex_count)

@@ -1,6 +1,8 @@
 """Planar-star validation, face frames, diagonals, and twist signs."""
 
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -327,8 +329,9 @@ def test_face_twist_table_matches_exact_twists_through_every_edge():
 
 
 def test_the_walk_hands_its_face_signs_to_the_net(monkeypatch):
-    # one _face_volumes pass per chunk of faces, all in the face stage
-    n, quads, pos = quadric_grid(23, 12)
+    # one _face_volumes pass per chunk of faces, all in the face stage;
+    # 12 rows of faces, a few more faces than one chunk
+    n, quads, pos = quadric_grid(hypnet.anet.CHUNK // 12 + 1, 12)
     g = build(n, quads)
     calls = []
     real = hypnet.anet._face_volumes
@@ -655,17 +658,48 @@ def test_walk_matches_oracle_at_other_planarity_gates(planar):
 
 
 def test_walk_matches_oracle_past_one_chunk():
-    n, quads, pos = quadric_grid(40, 40, spacing=0.05, origin=(-1.0, -1.0))
+    # the least s x s grid with more than 3 chunks of edges (40 x 40 at a
+    # chunk of 1024): 2 s (s + 1) edges, s^2 faces, (s - 1)^2 interior stars
+    chunk = hypnet.anet.CHUNK
+    s = math.isqrt(3 * chunk // 2) + 1
+    n, quads, pos = quadric_grid(s, s, spacing=2.0 / s, origin=(-1.0, -1.0))
     g = build(n, quads)
-    assert n > hypnet.anet.CHUNK and g.edge_count > 3 * hypnet.anet.CHUNK
+    assert n > chunk and g.edge_count > 3 * chunk
+    # the last interior vertex, face and edge, each in the last batch
+    interior = np.flatnonzero(g.degrees == 4)
+    vertex, face, edge = int(interior[-1]), g.face_count - 1, g.edge_count - 1
+    assert len(interior) > chunk and face >= chunk and edge >= 3 * chunk
     pos = pos.copy()
-    pos[1638] += (1e-4, 0.0, 1e-4)  # an interior vertex in the last chunk
-    pos[1680] = pos[1679]  # the last edge and the last face collapse
+    pos[vertex] += (1e-4, 0.0, 1e-4)
+    pos[n - 1] = pos[n - 2]  # the last edge and the last face collapse
     found = assert_walk_matches_oracle(g, pos)
-    assert ("degenerate_face", {"face": 1599, "ratio": 0.0}) in found
-    assert any(data.get("vertex") == 1638 for kind, data in found
+    assert ("degenerate_face", {"face": face, "ratio": 0.0}) in found
+    assert any(data.get("vertex") == vertex for kind, data in found
                if kind == "non_planar_star")
-    assert any(data.get("edges") == (3279,) for _, data in found)
+    assert any(data.get("edges") == (edge,) for _, data in found)
+
+
+def walk_transient_memory(size):
+    """Traced memory that ``validate_anet`` holds on a ``size`` x ``size``
+    grid beyond what its net keeps: the peak less the final current."""
+    n, quads, pos = quadric_grid(size, size)
+    g = build(n, quads)
+    tracemalloc.start()
+    try:
+        net = validate_anet(g, pos)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del net
+    return peak - current
+
+
+def test_the_walk_transient_memory_does_not_grow_with_the_net():
+    # the batches bound the walk's temporaries: four times the faces take
+    # less than twice the transient memory, where an unbatched walk takes
+    # about four times as much
+    walk_transient_memory(3)  # imports and caches outside the measurement
+    assert walk_transient_memory(120) < 2 * walk_transient_memory(60)
 
 
 def test_star_plane_of_one_star_equals_the_stacked_fit():

@@ -53,6 +53,18 @@ def write(path, text):
     return path
 
 
+def as_quads(rows):
+    """Quad rows as the ``(F, 4)`` int64 array that :func:`read_mesh` returns."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def assert_quads(quads, rows):
+    """``quads`` is exactly the ``(F, 4)`` int64 array of ``rows``."""
+    expected = as_quads(rows)
+    assert quads.dtype == expected.dtype and quads.shape == expected.shape
+    assert np.array_equal(quads, expected)
+
+
 def saddle_strip_patches(n, m):
     """Oriented sample grids for two z = xy cells sharing the edge (1, 4)."""
     positions = np.array(
@@ -88,11 +100,12 @@ def test_reads_vertices_and_quads(tmp_path):
     )
     positions, quads = read_mesh(path)
     assert positions.shape == (4, 3)
-    assert quads == [(0, 1, 2, 3)]
-    # a file without vertices still gives positions of shape (0, 3)
+    assert_quads(quads, [(0, 1, 2, 3)])
+    # a file without vertices still gives positions of shape (0, 3), and
+    # one without faces quads of shape (0, 4)
     positions, quads = read_mesh(write(tmp_path / "empty.obj", ""))
     assert positions.shape == (0, 3)
-    assert quads == []
+    assert_quads(quads, [])
 
 
 def test_skips_comments_blanks_and_other_records(tmp_path):
@@ -102,7 +115,8 @@ def test_skips_comments_blanks_and_other_records(tmp_path):
         "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nusemtl none\nf 1 2 3 4\n",
     )
     positions, quads = read_mesh(path)
-    assert len(positions) == 4 and quads == [(0, 1, 2, 3)]
+    assert len(positions) == 4
+    assert_quads(quads, [(0, 1, 2, 3)])
 
 
 def test_accepts_slash_index_forms(tmp_path):
@@ -111,7 +125,7 @@ def test_accepts_slash_index_forms(tmp_path):
         "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1/1 2/2/2 3//3 4\n",
     )
     _, quads = read_mesh(path)
-    assert quads == [(0, 1, 2, 3)]
+    assert_quads(quads, [(0, 1, 2, 3)])
 
 
 def test_triangle_face_is_rejected_with_its_line_number(tmp_path):
@@ -157,24 +171,31 @@ def test_a_byte_order_mark_does_not_hide_the_first_record(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfv 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
     positions, quads = read_mesh(path)
     assert positions.tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
-    assert quads == [(0, 1, 2, 3)]
+    assert_quads(quads, [(0, 1, 2, 3)])
     # with a spare vertex the first record would shift every index silently
     path.write_bytes(b"\xef\xbb\xbfv 9 9 9\nv 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 3 4\n")
     positions, quads = read_mesh(path)
-    assert positions[0].tolist() == [9, 9, 9] and quads == [(0, 1, 2, 3)]
+    assert positions[0].tolist() == [9, 9, 9]
+    assert_quads(quads, [(0, 1, 2, 3)])
 
 
 # --- reading in chunks, against the one-line-at-a-time reference -----------------
 
 
 def read_outcome(reader, path):
-    """The positions' shape and bytes and the quads a reader returns, or
-    the type and message of the error it raises."""
+    """The shapes, dtypes and bytes of the positions and quads a reader
+    returns, the reference's quad tuples as the ``(F, 4)`` int64 array
+    they list; or the type and message of the error it raises, the type
+    alone for a file that is not UTF-8."""
     try:
         positions, quads = reader(path)
     except ParseError as exc:
         return type(exc), str(exc)
-    return positions.shape, positions.tobytes(), quads
+    except UnicodeDecodeError as exc:
+        return (type(exc),)
+    if reader is reference_read_mesh:
+        quads = as_quads(quads)
+    return tuple((a.shape, a.dtype, a.tobytes()) for a in (positions, quads))
 
 
 def assert_reads_like_the_reference(path):
@@ -225,13 +246,33 @@ READ_CORPUS = {
     "faces_between_vertices": "v 0 0 0\nv 1 0 0\nf 1 2 3 4\nv 1 1 0\nv 0 1 0\n",
     "bare_records": "v\nf\n",
     "byte_order_mark": "\ufeff" + QUAD,
+    # whitespace to str.split but not to bytes.split, inside records
+    "next_line_inside_records": QUAD.replace("v 1 0 0", "v 1\x850 0").replace(
+        "f 1 2 3 4", "f 1 2\x853 4"
+    ),
+    "no_break_space_inside_records": QUAD.replace("v 1 1 0", "v\xa01 1 0").replace(
+        "f 1 2 3 4", "f 1 2 3\xa04"
+    ),
+    "line_separator_inside_records": QUAD.replace("v 0 1 0", "v 0\u20281\u20280").replace(
+        "f 1 2 3 4", "f\u20281 2 3 4"
+    ),
+    # a face tail that text splits into a fifth index
+    "no_break_space_in_a_face_tail": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1/\xa02 3 4 5"),
+    "file_separator_in_a_face_tail": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1/\x1c2 3 4 5"),
+    # a carriage return ends a line in text but only splits tokens in bytes
+    "cr_inside_a_record": QUAD.replace("v 1 1 0", "v 1 1\r0"),
+    # bytes that are not UTF-8
+    "invalid_utf8_in_a_comment": b"# caf\xe9\n" + QUAD.encode(),
+    "invalid_utf8_in_a_coordinate": QUAD.encode().replace(b"v 1 1 0", b"v 1 \xff 0"),
+    "a_truncated_byte_order_mark": b"\xef\xbb" + QUAD.encode(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(READ_CORPUS))
 def test_reading_matches_the_reference_on_odd_files(tmp_path, name):
     path = tmp_path / "m.obj"
-    path.write_bytes(READ_CORPUS[name].encode("utf-8"))
+    data = READ_CORPUS[name]
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     assert_reads_like_the_reference(path)
 
 
@@ -248,8 +289,8 @@ def plain_lines(count):
 def test_files_around_a_chunk_read_like_the_reference(tmp_path, count):
     path = tmp_path / "m.obj"
     path.write_text("".join(line + "\n" for line in plain_lines(count)), encoding="utf-8")
-    shape, _, quads = assert_reads_like_the_reference(path)
-    assert shape == (count - count // 5, 3) and len(quads) == count // 5
+    positions, quads = assert_reads_like_the_reference(path)
+    assert positions[0] == (count - count // 5, 3) and quads[0] == (count // 5, 4)
 
 
 @pytest.mark.parametrize("line", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
@@ -266,13 +307,42 @@ def test_an_odd_line_at_a_chunk_edge_reads_like_the_reference(tmp_path, line, ba
         assert outcome[1].startswith(f"line {line + 1}:")
 
 
+@pytest.mark.parametrize("ends", ["\r", "\r\n", "\r then \n"])
+def test_line_numbers_past_one_chunk_count_carriage_returns(tmp_path, ends):
+    # a binary line ends at "\n" alone, so a "\r" file is one binary line
+    lines = plain_lines(2 * CHUNK + 1)
+    lines[CHUNK + 5] = "v 1 2"
+    text = "\r".join(lines) + "\r"
+    if ends == "\r\n":
+        text = text.replace("\r", "\r\n")
+    elif ends == "\r then \n":
+        text = "\r".join(lines[:CHUNK]) + "\r" + "\n".join(lines[CHUNK:]) + "\n"
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = assert_reads_like_the_reference(path)
+    assert outcome == (ParseError, f"line {CHUNK + 6}: vertex needs three coordinates")
+
+
+@pytest.mark.parametrize("line", [CHUNK + 3, 2 * CHUNK])
+@pytest.mark.parametrize("bad", [b"# caf\xe9", b"v 1 \xff 0"])
+def test_a_byte_that_is_not_utf8_past_one_chunk_raises_like_the_reference(
+    tmp_path, line, bad
+):
+    lines = [row.encode() for row in plain_lines(2 * CHUNK + 1)]
+    lines[line] = bad
+    path = tmp_path / "m.obj"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert assert_reads_like_the_reference(path) == (UnicodeDecodeError,)
+
+
 READ_LINES = [
     "v 0 0 0", "v 1 2 3", "v 1.5 -2e-3 inf", "v 1_0 ١ nan", "v 1 2", "v 1 2 3 4",
     "v x 0 0", "v", "f 1 2 3 4", "f 4 3 2 1", "f 1 2 3", "f 1 2 3 4 5", "f 1/1 2 3 4",
     "f 0 1 2 3", "f 1 2 3 99999999999999999999", "f 1 2 3 x", "f", "# c", "", "  ",
     "vt 0 0", "\tv 0\t0 0 ", "v 0 0 0 v 1 0 0", "f 2 3 4 5 ",
     "f 1/2/3 2//4 3/1 4", "f 2/2/2 3/3/3 4/4/4 1/1/1", "f /1 2 3 4", "f 1/x 2 3 4/",
-    "f 0/1 1 2 3",
+    "f 0/1 1 2 3", "v 1\x850 0", "f 1 2\xa03 4", "v 0\u20281 0", "f 1/\xa02 3 4 5",
+    "f 1/\x1c2 3 4 5", "v 1 2\x1c3", "f 1/\u2028 2 3 4",
 ]
 
 
@@ -291,10 +361,11 @@ def test_chunked_reading_matches_the_reference(tmp_path_factory, lines, end, bom
         assert_reads_like_the_reference(path)
 
 
-def test_a_wide_written_grid_reads_in_bulk_alone(tmp_path, monkeypatch):
+def assert_wide_grid_reads_in_bulk_alone(tmp_path, monkeypatch, end):
     _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
     path = tmp_path / "wide.obj"
     write_positions_mesh(path, positions, quads)
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
 
     def per_line(*args):
         raise AssertionError("a chunk went through the per-line loop")
@@ -302,7 +373,16 @@ def test_a_wide_written_grid_reads_in_bulk_alone(tmp_path, monkeypatch):
     monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
     back_positions, back_quads = read_mesh(path)
     assert back_positions.tobytes() == positions.tobytes()
-    assert back_quads == [tuple(q) for q in quads]
+    assert_quads(back_quads, quads)
+
+
+def test_a_wide_written_grid_reads_in_bulk_alone(tmp_path, monkeypatch):
+    assert_wide_grid_reads_in_bulk_alone(tmp_path, monkeypatch, b"\n")
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_carriage_return_line_ends_read_in_bulk_alone(tmp_path, monkeypatch, end):
+    assert_wide_grid_reads_in_bulk_alone(tmp_path, monkeypatch, end)
 
 
 @pytest.mark.parametrize("form", ["{0}/{0}/{0}", "{0}//{0}", "{0}/{0}"])
@@ -323,7 +403,7 @@ def test_slash_faces_read_in_bulk_alone(tmp_path, monkeypatch, form):
     monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
     back_positions, back_quads = read_mesh(path)
     assert back_positions.tobytes() == positions.tobytes()
-    assert back_quads == [tuple(q) for q in quads]
+    assert_quads(back_quads, quads)
 
 
 def test_reading_streams_in_chunks(tmp_path):
@@ -359,7 +439,7 @@ def test_round_trip_preserves_every_coordinate_bit(tmp_path):
     write_positions_mesh(path, positions, quads)
     back_positions, back_quads = read_mesh(path)
     assert np.array_equal(back_positions, positions)
-    assert back_quads == quads
+    assert_quads(back_quads, quads)
 
 
 def per_value_mesh_text(positions, quads):

@@ -13,7 +13,7 @@ from hypnet.errors import (
     NotAQuad,
     NotStronglyRegular,
 )
-from hypnet.quadgraph import build
+from hypnet.quadgraph import _quad_array, build
 from hypnet.synthetic import (
     cylinder_quads,
     grid_graph,
@@ -473,6 +473,42 @@ def test_mesh_errors_name_the_first_offender_of_the_object_build(case):
     got = outcome(lambda: build(vertex_count, quads))
     assert got == outcome(lambda: reference_graph(vertex_count, quads))
     assert got == (kind, message)
+
+
+# the cases whose faces form an (F, 4) array
+ARRAY_ERROR_CASES = [
+    case for case in sorted(ERROR_CASES)
+    if all(len(q) == 4 for q in ERROR_CASES[case][0][1])
+]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("case", ARRAY_ERROR_CASES)
+def test_a_face_array_raises_like_its_face_list(case, dtype):
+    (vertex_count, quads), kind, message = ERROR_CASES[case]
+    got = outcome(lambda: build(vertex_count, np.array(quads, dtype=dtype)))
+    assert got == (kind, message)
+
+
+GRAPH_ARRAYS = ("face_vertices", "face_edges", "edges", "edge_faces", "twin",
+                "degrees", "boundary", "star_offsets", "star_neighbors", "star_faces")
+
+
+@pytest.mark.parametrize("vertex_count,quads", DIFFERENTIAL_CASES)
+def test_a_face_array_builds_the_graph_of_its_face_list(vertex_count, quads):
+    rows = np.array(quads, dtype=np.int64)
+    assert _quad_array(rows, vertex_count) is rows  # taken as it is
+    g, h = build(vertex_count, quads), build(vertex_count, rows)
+    for name in GRAPH_ARRAYS:
+        assert np.array_equal(getattr(g, name), getattr(h, name)), name
+    assert rows.tolist() == [list(q) for q in quads]  # and left unchanged
+
+
+def test_an_array_of_other_rows_is_read_as_a_face_list():
+    triangles = np.array([[0, 1, 2], [1, 2, 3]])
+    assert outcome(lambda: build(4, triangles)) == ("NotAQuad", "face 0 has 3 vertices")
+    floats = np.array([[0.0, 1.0, 2.0, 3.0]])
+    assert build(4, floats).face_vertices.tolist() == [[0, 1, 2, 3]]
 
 
 DISCONNECTED = (12, [(0, 1, 2, 3), (4, 5, 6, 7), (1, 0, 8, 9), (10, 11, 6, 5)])
