@@ -13,7 +13,7 @@ import numpy as np
 
 from hypnet.anet import validate_anet
 from hypnet.hyperboloid import propagate_all
-from hypnet.meshio import oriented_grids, write_mesh
+from hypnet.meshio import oriented_grids, write_sample_mesh
 from hypnet.patch import bilinear_parameter, check_c1, restrict_all, sample_all
 from hypnet.quadgraph import build
 from hypnet.synthetic import quadric_grid
@@ -39,10 +39,11 @@ def main():
     # each face's corners in role order, entered by its lowest half-edge
     corners = a.frames(faces, 4 * faces).corners
     points = sample_all(patches, args.samples, args.samples)
-    oriented = oriented_grids(points, patches.frames.corners, corners)
-    grids = dict(zip(faces.tolist(), zip(oriented, corners)))
-    for f, (grid, _) in grids.items():
-        deviation = np.max(np.abs(grid[..., 2] - grid[..., 0] * grid[..., 1]))
+    samples, shapes = oriented_grids(points, patches.frames.corners, corners)
+    # every grid has samples x samples points, laid end to end in face order
+    grids = samples.reshape(len(faces), -1, 3)
+    for f, grid in zip(faces.tolist(), grids):
+        deviation = np.max(np.abs(grid[:, 2] - grid[:, 0] * grid[:, 1]))
         print(f"  face {f}: max |z - xy| over samples {deviation:.3e}")
 
     report = check_c1(patches, a)
@@ -51,7 +52,7 @@ def main():
         f"across {report['edge_count']} interior edges, "
         f"cusp edges {report['cusp_edges']}"
     )
-    write_mesh(args.out, grids)
+    write_sample_mesh(args.out, samples, shapes, corners)
     print(f"wrote {args.out}")
 
 

@@ -71,7 +71,7 @@ from .errors import (
 )
 from .fit import DEFAULT_MAX_ITER, FitProblem, fit
 from .hyperboloid import propagate_all
-from .meshio import oriented_grids, read_mesh, write_mesh, write_positions_mesh
+from .meshio import oriented_grids, read_mesh, write_positions_mesh, write_sample_mesh
 from .patch import EDGE_CORNERS, check_c1, restrict_all, sample_all
 from .plucker import Tolerances
 from .quadgraph import build
@@ -490,6 +490,7 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     report["propagation"] = propagation
     n, m = config.samples
     patches = restrict_all(hyperboloids, a.positions)
+    del hyperboloids  # the patches keep its frames, and nothing else of it is read
     faces = patches.faces.tolist()
     points = sample_all(patches, n, m)
     report["samples"] = [n, m]
@@ -498,11 +499,10 @@ def _run_extend(config: RunConfig, report: dict, tol: Tolerances) -> int:
     )
     report["c1"] = check_c1(patches, a, samples_per_edge=9)
     corners = a.graph.face_vertices[patches.faces][:, _ROLE_CORNERS]
-    oriented = oriented_grids(points, patches.frames.corners, corners)
-    # the oriented copies replace the sample stack; free it before the write
+    samples, shapes = oriented_grids(points, patches.frames.corners, corners)
+    # the flat samples replace the sample stack; free it before the write
     del points
-    grids = dict(zip(faces, zip(oriented, corners)))
-    write_mesh(config.output_path, grids, weld=config.weld)
+    write_sample_mesh(config.output_path, samples, shapes, corners, weld=config.weld)
     report["weld"] = config.weld
     report["output"] = str(config.output_path)
     return EXIT_OK

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import codecs
 import os
+from bisect import bisect_left
 from contextlib import suppress
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 
 import numpy as np
@@ -58,35 +59,136 @@ def read_mesh(path):
     so it reads the same values as one line at a time.  Any other chunk,
     or one holding a value that does not parse, is decoded as strict
     UTF-8 and goes through the per-line loop :func:`_read_lines`, which
-    raises on its first malformed record.
+    raises on its first malformed record; where that chunk fails, it
+    fails as a text-mode reader would (:func:`_read_text`).
     """
     coords, faces = [], []
     with open(path, "rb") as handle:
-        if handle.read(3) != codecs.BOM_UTF8:
-            handle.seek(0)
+        offset = len(codecs.BOM_UTF8) if handle.read(3) == codecs.BOM_UTF8 else 0
+        handle.seek(offset)
         number = 1
-        for lines in _line_chunks(handle):
+        for offset, lines in _line_chunks(handle, offset):
             if not _read_plain(lines, number, coords, faces):
-                _read_lines(list(map(bytes.decode, lines)), number, coords, faces)
+                _read_text(path, lines, number, offset, coords, faces)
             number += len(lines)
     positions = np.concatenate(coords) if coords else np.zeros((0, 3))
     coords.clear()  # before the quads are concatenated in turn
     return positions, _face_array(faces, len(positions))
 
 
-def _line_chunks(handle):
-    """The lines of a binary ``handle``, :data:`CHUNK` at a time, split
-    as in text mode: a ``"\\r\\n"`` or ``"\\r"`` line end reads as ``"\\n"``."""
+#: Bytes a text-mode reader (``io.TextIOWrapper``) decodes at a time.
+_TEXT_BLOCK = 8192
+
+
+def _line_chunks(handle, offset):
+    """``(offset, lines)``: the lines of a binary ``handle`` from byte
+    ``offset`` on, :data:`CHUNK` at a time, split as in text mode (at
+    ``"\\n"``, ``"\\r\\n"`` and ``"\\r"``) and each kept with its own line
+    end, and the byte offset of the first.
+
+    Lines are read whole while they end in ``"\\n"`` alone.  From the
+    first ``"\\r"`` on, or from the start when the first block holds one,
+    they are cut from blocks of the file instead
+    (:func:`_carriage_return_chunks`): a binary line ends at ``"\\n"``
+    alone, so a file with ``"\\r"`` line ends would read as one line.
+    """
+    if b"\r" in handle.peek():  # the buffered first block
+        yield from _carriage_return_chunks(handle, offset, b"")
+        return
     while lines := list(islice(handle, CHUNK)):
-        if b"\r" not in b"".join(lines):
-            yield lines
-            continue
-        # a binary line ends at "\n" alone, so it may hold many text lines
-        text = b"".join(lines).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lines = text.splitlines(keepends=True)
+        text = b"".join(lines)
+        if b"\r" in text:
+            yield from _carriage_return_chunks(handle, offset, text)
+            return
+        size = len(text)
         del text
-        for k in range(0, len(lines), CHUNK):
-            yield lines[k:k + CHUNK]
+        yield offset, lines
+        offset += size
+
+
+def _carriage_return_chunks(handle, offset, text):
+    """The ``(offset, lines)`` of :func:`_line_chunks` for the bytes
+    ``text``, at byte ``offset``, and the rest of ``handle``, read
+    :data:`_TEXT_BLOCK` bytes at a time."""
+    lines = []
+    while True:
+        block = handle.read(_TEXT_BLOCK)
+        text += block
+        # unless the file ends here, its last line may go on in the next
+        # block, and a last "\r" may be the first half of a "\r\n"
+        cut = len(text)
+        if block:
+            cut = max(text.rfind(b"\n"), text.rfind(b"\r", 0, cut - 1)) + 1
+        lines += text[:cut].splitlines(keepends=True)
+        text = text[cut:]
+        while len(lines) >= CHUNK or (lines and not block):
+            chunk = lines[:CHUNK]
+            del lines[:CHUNK]
+            yield offset, chunk
+            offset += sum(map(len, chunk))
+        if not block:
+            return
+
+
+def _read_text(path, lines, number, offset, coords, faces) -> None:
+    """Append the records of a chunk of ``bytes`` lines that is not plain,
+    the first of them line ``number`` at byte ``offset`` of the file at
+    ``path``, through :func:`_read_lines`; raises as a text-mode reader.
+
+    Such a reader decodes the file :data:`_TEXT_BLOCK` bytes at a time and
+    hands a line over only once it has decoded that line's end
+    (:func:`_handed_over`).  So where the chunk holds a malformed record
+    or a byte that is not UTF-8, the lines it would hand over before its
+    first block that is not UTF-8 are read, and may raise; then the
+    decode error of the chunk's first line that is not UTF-8 is raised.
+    When none is, the first such byte lies past the chunk, whose lines
+    from its block on are left for the chunk holding it to raise.
+    """
+    try:
+        _read_lines(list(map(bytes.decode, lines)), number, coords, faces)
+        return
+    except (UnicodeDecodeError, ParseError) as exc:
+        failure = exc
+    count = _handed_over(path, lines, offset)
+    if count == len(lines):
+        raise failure
+    _read_lines(list(map(bytes.decode, lines[:count])), number, coords, faces)
+    for line in lines[count:]:
+        line.decode()
+
+
+def _handed_over(path, lines, offset) -> int:
+    """How many of a chunk of ``bytes`` lines, the first at byte
+    ``offset`` of the file at ``path``, a text-mode reader hands over.
+
+    It decodes the file as UTF-8 in blocks of :data:`_TEXT_BLOCK` bytes
+    from its start, and stops at the first block it cannot decode, or at
+    the end of the file where that ends inside a character.  A line is
+    handed over once the reader has decoded the byte that ends it: its
+    ``"\\n"``; for a ``"\\r"``, the byte after it, which may make a
+    ``"\\r\\n"``; for a last line without a line end, the end of the
+    file.  So the bytes are decoded here, from the block of ``offset``
+    through the block of the chunk's last such byte.
+    """
+    ends = list(accumulate(map(len, lines), initial=offset))[1:]
+    needed = [end - line.endswith(b"\n") for end, line in zip(ends, lines)]
+    stop = needed[-1] - needed[-1] % _TEXT_BLOCK + _TEXT_BLOCK
+    with open(path, "rb") as file:
+        file.seek(offset)
+        data = file.read(stop - offset)
+    # the chunk starts a line, so the reader holds no part of a character there
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for block in range(offset - offset % _TEXT_BLOCK, offset + len(data), _TEXT_BLOCK):
+        try:
+            decoder.decode(data[max(block - offset, 0):block + _TEXT_BLOCK - offset])
+        except UnicodeDecodeError:
+            return bisect_left(needed, block)
+    if len(data) < stop - offset:  # the file ends inside the blocks read
+        try:
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            return bisect_left(needed, offset + len(data))
+    return len(lines)
 
 
 #: ASCII bytes that split a record in text but not in bytes.
@@ -244,21 +346,26 @@ def write_positions_mesh(path, positions, quads) -> None:
 def oriented_grid(points: np.ndarray, corner_map: dict, corners) -> np.ndarray:
     """The one-grid call of :func:`oriented_grids`: ``points`` is one
     ``(n, m, 3)`` grid whose corner ``key`` is vertex ``corner_map[key]``
-    for each of :data:`CORNER_KEYS`."""
+    for each of :data:`CORNER_KEYS`; returns it reindexed as an ``(n, m,
+    3)`` or ``(m, n, 3)`` grid."""
     roles = [corner_map[key] for key in CORNER_KEYS]
-    return oriented_grids(np.asarray(points)[None], roles, corners)[0]
+    samples, shapes = oriented_grids(np.asarray(points)[None], roles, corners)
+    return samples.reshape(*shapes[0], 3)
 
 
-def oriented_grids(points: np.ndarray, roles: np.ndarray, corners: np.ndarray) -> list:
-    """Reindex every grid of a stack to its corner order, in one index pass.
+def oriented_grids(points: np.ndarray, roles: np.ndarray, corners: np.ndarray):
+    """Every grid of a stack reindexed to its corner order and laid end
+    to end, in one index pass: the samples ``(S, 3)`` and the grids'
+    shapes ``(F, 2)``.
 
-    ``points`` are sample grids ``(F, n, m, 3)`` whose corner ``CORNER_KEYS[c]``
-    is vertex ``roles[k, c]``; grid ``k`` of the result is reindexed to the
-    corner order ``corners[k]``: ``corners[k][0]`` at ``[0, 0]``, axis 0
-    running toward ``corners[k][2]`` and axis 1 toward ``corners[k][1]``,
-    the layout :func:`write_mesh` expects.  So it is ``(n, m, 3)``, or
-    ``(m, n, 3)`` where the reindexing transposes.  Raises
-    :class:`ValueError` unless every row of ``corners`` is a rigid
+    ``points`` are sample grids ``(F, n, m, 3)`` whose corner
+    ``CORNER_KEYS[c]`` is vertex ``roles[k, c]``; grid ``k`` of the result
+    is reindexed to the corner order ``corners[k]``: ``corners[k][0]`` at
+    ``[0, 0]``, axis 0 running toward ``corners[k][2]`` and axis 1 toward
+    ``corners[k][1]``, the layout :func:`write_sample_mesh` expects.  So
+    its shape is ``(n, m)``, or ``(m, n)`` where the reindexing
+    transposes, and its samples follow grid ``k - 1``'s, row-major.
+    Raises :class:`ValueError` unless every row of ``corners`` is a rigid
     relabeling of its row of ``roles``.
     """
     points = np.asarray(points)
@@ -267,24 +374,25 @@ def oriented_grids(points: np.ndarray, roles: np.ndarray, corners: np.ndarray) -
     match = roles[:, None, :] == corners[:, :, None]
     # where each requested corner sits, as the index 2 i + j of its key
     at = match.argmax(axis=2)
-    a, b = at[:, :1] >> 1, at[:, :1] & 1
-    swap = (at[:, 2] >> 1) == a[:, 0]
-    i, j = (at >> 1) ^ a, (at & 1) ^ b
+    a, b = at[:, 0] >> 1, at[:, 0] & 1
+    swap = (at[:, 2] >> 1) == a
+    i, j = (at >> 1) ^ a[:, None], (at & 1) ^ b[:, None]
     final = np.where(swap[:, None], 2 * j + i, 2 * i + j)
     if not (match.sum(axis=2) == 1).all() or (final != np.arange(4)).any():
         raise ValueError("corner roles are not a rigid relabeling of the grid")
-    n, m = points.shape[1:3]
-    rows = np.where(a == 1, np.arange(n)[::-1], np.arange(n))
-    cols = np.where(b == 1, np.arange(m)[::-1], np.arange(m))
-    out = [None] * len(points)
-    for transpose in (False, True):
-        k = np.flatnonzero(swap == transpose)
-        r, c = rows[k][:, :, None], cols[k][:, None, :]
-        if transpose:
-            r, c = rows[k][:, None, :], cols[k][:, :, None]
-        for f, grid in zip(k.tolist(), points[k[:, None, None], r, c]):
-            out[f] = grid
-    return out
+    F, n, m = points.shape[:3]
+    # the source row and column of sample t of a kept (0) or transposed
+    # (1) grid, each unflipped (0) or flipped (1): the table's axes are
+    # (row flip, column flip, transposed, t)
+    t = np.arange(n * m)
+    rows = np.array([t // m, t % n])
+    cols = np.array([t % m, t // n])
+    table = np.array([rows, n - 1 - rows])[:, None] * m + np.array([cols, m - 1 - cols])
+    source = table[a, b, swap.astype(np.intp)]
+    source += (np.arange(F) * (n * m))[:, None]
+    samples = points.reshape(-1, 3)[source.ravel()]
+    shapes = np.where(swap[:, None], [m, n], [n, m])
+    return samples, shapes
 
 
 def _weld_keys(corners: np.ndarray, n, m, face, i, j):
@@ -329,52 +437,86 @@ def _weld_keys(corners: np.ndarray, n, m, face, i, j):
 
 
 def write_mesh(path, grids: dict, weld: bool = True) -> None:
-    """Write all sampled patch grids as one combined quad mesh.
+    """Write all sampled patch grids as one combined quad mesh: the dict
+    form of :func:`write_sample_mesh`.
 
     ``grids`` maps a face id to ``(points, corners)`` where ``points``
     is an ``(n, m, 3)`` sample grid laid out as in :func:`oriented_grids`
     and ``corners`` are the quad's vertex ids in role order; grids may
-    differ in ``(n, m)``.  Every sample ``(face, i, j)`` gets one integer
-    key.  With ``weld`` a grid corner's key is its quad vertex, and a
-    sample inside a grid side ``(a, b)`` with ``count`` samples is keyed
-    by ``(min(a, b), max(a, b), count)`` and its position counted from
-    the lower vertex id, so patches sharing an edge merge their boundary
-    samples positionally (sample values on the two sides agree exactly
-    only when the patches carry a common quadric, and to within the
-    tangency tolerance otherwise) and edges sampled at different counts
-    stay unmerged.  Interior samples, and every sample without ``weld``,
-    keep keys of their own.  Output vertices are numbered by the first
-    appearance of their key, walking faces in ascending id order and
-    each grid row-major, and take that first sample's position.
+    differ in ``(n, m)``.  They are written in ascending face id order.
     """
-    if not grids:
-        raise ValueError("grids must be nonempty")
     faces = sorted(grids)
     points = [np.asarray(grids[f][0], dtype=float) for f in faces]
-    n, m = np.array([p.shape[:2] for p in points], dtype=np.int64).T
+    samples = np.concatenate([p.reshape(-1, 3) for p in points]) if points else ()
+    corners = [grids[f][1] for f in faces] if weld else None
+    write_sample_mesh(path, samples, [p.shape[:2] for p in points], corners, weld)
+
+
+def write_sample_mesh(path, samples, shapes, corners, weld: bool = True) -> None:
+    """Write sample grids laid end to end as one combined quad mesh.
+
+    ``samples`` ``(S, 3)`` hold grid after grid, each row-major, as
+    :func:`oriented_grids` returns them; ``shapes`` ``(F, 2)`` are the
+    grids' sample counts ``(n, m)`` and ``corners`` ``(F, 4)`` their
+    quads' vertex ids in role order, read only with ``weld``.  Every
+    sample ``(face, i, j)`` gets one integer key.  With ``weld`` a grid
+    corner's key is its quad vertex, and a sample inside a grid side
+    ``(a, b)`` with ``count`` samples is keyed by ``(min(a, b), max(a, b),
+    count)`` and its position counted from the lower vertex id, so
+    patches sharing an edge merge their boundary samples positionally
+    (sample values on the two sides agree exactly only when the patches
+    carry a common quadric, and to within the tangency tolerance
+    otherwise) and edges sampled at different counts stay unmerged.
+    Interior samples, and every sample without ``weld``, keep keys of
+    their own.  Output vertices are numbered by the first appearance of
+    their key, in sample order, and take that first sample's position.
+
+    Each per-sample temporary is dropped once no later step reads it,
+    and the quads are gathered one column at a time.
+    """
+    samples = np.asarray(samples, dtype=float).reshape(-1, 3)
+    n, m = np.asarray(shapes, dtype=np.int64).reshape(-1, 2).T
+    if not len(n):
+        raise ValueError("grids must be nonempty")
     size = n * m
     total = int(size.sum())
+    if total != len(samples):
+        raise ValueError(f"{len(samples)} samples for grids of {total}")
     # grid and row-major position of every sample, in writing order
-    face = np.repeat(np.arange(len(faces)), size)
+    face = np.repeat(np.arange(len(n)), size)
     sample = np.arange(total)
-    t = sample - (np.cumsum(size) - size)[face]
-    i, j = t // m[face], t % m[face]
+    width = m[face]
+    i, j = np.divmod(sample - (np.cumsum(size) - size)[face], width)
     if weld:
-        corners = np.array([grids[f][1] for f in faces], dtype=np.int64)
-        key, key_count = _weld_keys(corners.reshape(-1, 4), n, m, face, i, j)
+        corners = np.asarray(corners, dtype=np.int64).reshape(-1, 4)
+        key, key_count = _weld_keys(corners, n, m, face, i, j)
     else:
         key, key_count = sample, total
+    # cell (i, j) of a grid with m columns spans samples t, t + m,
+    # t + m + 1 and t + 1
+    cell = np.flatnonzero((i < n[face] - 1) & (j < width - 1))
+    del face, i, j
+    step = width[cell]
+    del width
     # the first sample of each key; an unbuffered minimum, because a
     # fancy-index assignment leaves the winner among repeats unspecified
     first = np.full(key_count, total)
     np.minimum.at(first, key, sample)
     first = first[key]
+    del key
     new = first == sample
+    del sample
     index = (np.cumsum(new) - 1)[first]
-    vertices = np.concatenate([p.reshape(-1, 3) for p in points])[new]
-    # cell (i, j) of a grid with m columns spans samples t, t + m,
-    # t + m + 1 and t + 1
-    cell = np.flatnonzero((i < n[face] - 1) & (j < m[face] - 1))
-    step = m[face[cell], None]
-    quads = index[cell[:, None] + step * [0, 1, 1, 0] + [0, 0, 1, 1]]
+    del first
+    vertices = samples[new]
+    del new
+    quads = np.empty((len(cell), 4), dtype=np.int64)
+    quads[:, 0] = index[cell]
+    cell += step
+    quads[:, 1] = index[cell]
+    cell += 1
+    quads[:, 2] = index[cell]
+    cell -= step
+    quads[:, 3] = index[cell]
+    del index, cell, step
     write_positions_mesh(path, vertices, quads)

@@ -37,6 +37,7 @@ from .errors import (
 from .anet import FrameStack
 from .plucker import W_TOL, hom, line_from_points
 from .hyperboloid import FaceHyperboloid, HyperboloidStack, _pairs, _scales
+from .quadgraph import CHUNK
 
 #: Pairing threshold below which two arc endpoint lines intersect and the
 #: rational quadratic between them degenerates.
@@ -97,8 +98,9 @@ def _evaluate(points, weights, t, s):
     weights ``(..., 4)``; ``t`` and ``s`` broadcast against the leading
     axes.  Returns the points ``(..., 3)`` and the mask of parameters
     whose denominator vanishes relative to its terms (the points there
-    are meaningless).  The points are formed one coordinate at a time,
-    so that every pass runs over the whole broadcast shape."""
+    are meaningless).  Each coordinate is summed and divided in place in
+    its column of the output, so that every pass runs over the whole
+    broadcast shape and no second copy of the points is made."""
     terms = [
         weights[..., 0] * ((1.0 - t) * (1.0 - s)),
         weights[..., 1] * ((1.0 - t) * s),
@@ -108,15 +110,19 @@ def _evaluate(points, weights, t, s):
     den = terms[0] + terms[1] + terms[2] + terms[3]
     size = abs(terms[0]) + abs(terms[1]) + abs(terms[2]) + abs(terms[3])
     bad = ~(np.abs(den) > W_TOL * size)
+    del size
     den = np.where(bad, 1.0, den)
-    coords = []
+    shape = np.broadcast_shapes(den.shape, points.shape[:-2])
+    out = np.empty(shape + (3,))
+    term = np.empty(shape)
     for c in range(3):
-        num = terms[0] * points[..., 0, c]
+        num = out[..., c]
+        np.multiply(terms[0], points[..., 0, c], out=num)
         for k in (1, 2, 3):
-            num = num + terms[k] * points[..., k, c]
+            np.add(num, np.multiply(terms[k], points[..., k, c], out=term), out=num)
         with np.errstate(divide="ignore", invalid="ignore"):
-            coords.append(num / den)
-    return np.stack(coords, axis=-1), bad
+            np.divide(num, den, out=num)
+    return out, bad
 
 
 def _infinite(face, label):
@@ -215,12 +221,27 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
     Raises for the first failing face: :class:`DegenerateConic` when a
     family's edge lines intersect or its plane point is isotropic, else
     :class:`NoAdaptedPatch` naming the first family without exactly one
-    qualifying branch.
+    qualifying branch.  Faces are carved :data:`CHUNK` at a time, in
+    order; every step is elementwise per face, so a slice's rows equal
+    the whole stack's.
     """
     frames = members.frames
-    lines = frames.h_lines
-    q = np.stack([members.q1, members.q2], axis=1)
     points = np.asarray(positions, dtype=float)[frames.corners]
+    weights = np.empty((len(points), 4))
+    for lo in range(0, len(points), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        weights[rows] = _carve(
+            frames.faces[rows], frames.h_lines[rows], members.q1[rows],
+            members.q2[rows], points[rows],
+        )
+    return PatchStack(frames=frames, points=points, weights=weights)
+
+
+def _carve(faces, lines, q1, q2, points) -> np.ndarray:
+    """Corner weights ``(F, 4)`` of the faces ``faces`` of one slice of
+    :func:`restrict_all`, from their role frames' edge lines, pairs and
+    corner positions; raises as it does for the first failing face."""
+    q = np.stack([q1, q2], axis=1)
     # axes: face, family, branch, crossed segment
     h0, h1 = lines[:, [0, 2]], lines[:, [1, 3]]
     pairing, s_q = _pairing(h0, h1), _pairing(q, q)
@@ -252,7 +273,7 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
     failing = np.flatnonzero((degenerate | (wins != 1)).any(axis=1))
     if failing.size:
         k = int(failing[0])
-        face = int(frames.faces[k])
+        face = int(faces[k])
         for pair, s_qq in zip(pairing[k], s_q[k]):
             if abs(pair) < DEGENERATE_CONIC_EPS:
                 message = f"endpoint lines intersect: <h, h'> = {pair:.3e}"
@@ -273,8 +294,7 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
     b = np.take_along_axis(b, chosen, axis=2)[:, :, 0]
     ratio = a / b  # (face, family, segment)
     w10, w01 = ratio[:, 0, 0], ratio[:, 1, 0]
-    weights = np.stack([np.ones_like(w10), w01, w10, w10 * ratio[:, 1, 1]], axis=-1)
-    return PatchStack(frames=frames, points=points, weights=weights)
+    return np.stack([np.ones_like(w10), w01, w10, w10 * ratio[:, 1, 1]], axis=-1)
 
 
 def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch:
@@ -412,7 +432,8 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
     a pencil normal that vanishes on the edge, where a ruling runs
     parallel to it (:class:`PatchError`); then per probe point the two
     sides' probes at infinity.  Every step is elementwise over edges,
-    so an edge's entry does not depend on the other faces in the call.
+    so an edge's entry does not depend on the other faces in the call,
+    and the edges are read :data:`CHUNK` at a time, in ascending order.
     """
     if samples_per_edge < 1:
         raise ValueError(
@@ -426,14 +447,43 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
     rows[stack.faces] = np.arange(len(stack))
     side_rows = rows[g.edge_faces]
     shared = np.flatnonzero(np.all(side_rows >= 0, axis=1))
-    row = side_rows[shared].ravel()
+    E = len(shared)
+    pos = np.asarray(a.positions, dtype=float).T
+    angles, cusps = np.empty(E), np.empty(E, dtype=bool)
+    for lo in range(0, E, CHUNK):
+        edges = shared[lo:lo + CHUNK]
+        angles[lo:lo + CHUNK], cusps[lo:lo + CHUNK] = _edge_continuity(
+            stack, g.edges, pos, edges, side_rows[edges].ravel(), samples_per_edge
+        )
+    shared = shared.tolist()
+    angles = angles.tolist()
+    worst = int(np.argmax(angles)) if E else 0
+    max_angle = angles[worst] if E else 0.0
+    return {
+        "samples_per_edge": samples_per_edge,
+        "edge_count": E,
+        "max_angle": max_angle,
+        "worst_edge": shared[worst] if max_angle > 0.0 else None,
+        "cusp_edges": [shared[k] for k in np.flatnonzero(cusps).tolist()],
+        "edges": {
+            e: {"max_angle": angle, "cusp": cusp}
+            for e, angle, cusp in zip(shared, angles, cusps.tolist())
+        },
+    }
+
+
+def _edge_continuity(stack, edge_ends, pos, shared, row, S):
+    """Whole-edge angles ``(E,)`` and cusp flags ``(E,)`` of the interior
+    edges ``shared`` of one slice of :func:`check_c1`, whose two sides are
+    the stack rows ``row`` ``(2 E,)``; ``edge_ends`` are the net's edge
+    vertex pairs and ``pos`` its positions coordinate first ``(3, n)``.
+    Raises as :func:`check_c1` does for the slice's lowest degenerate
+    edge."""
     edge = np.repeat(shared, 2)
     role = np.argmax(stack.frames.h_edges[row] == edge[:, None], axis=1)
-    shared = shared.tolist()
-    E, S = len(shared), samples_per_edge
+    E = len(shared)
     # one entry per side, two per edge on the last axis; vectors coordinate first
-    ends = g.edges[edge]
-    pos = np.asarray(a.positions, dtype=float).T
+    ends = edge_ends[edge]
     A, d = pos[:, ends[:, 0]], pos[:, ends[:, 1]] - pos[:, ends[:, 0]]
     # corners a, b of the edge and a', b' across the face, in the side's order
     corners = np.concatenate([EDGE_CORNERS[role], EDGE_CORNERS[role ^ 1]], axis=1).T
@@ -523,7 +573,7 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
     if checks.any():
         edge = int(np.argmax(checks.any(axis=1)))
         column = int(np.argmax(checks[edge]))
-        e = shared[edge]
+        e = int(shared[edge])
         if column < 2:
             raise PatchError(f"degenerate ruling schedule on edge {e}", edge=e)
         if 4 <= column < 6:
@@ -540,18 +590,4 @@ def check_c1(patches, a, samples_per_edge: int = 9) -> dict:
         across = across if role[k] % 2 == 0 else 1.0 - across
         label = (float(at), across) if role[k] >= 2 else (across, float(at))
         raise _infinite(int(stack.faces[row[k]]), label)
-    angles = np.fmax(angles, 0.0).tolist()
-    cusps = cusps.any(axis=0)
-    worst = int(np.argmax(angles)) if E else 0
-    max_angle = angles[worst] if E else 0.0
-    return {
-        "samples_per_edge": samples_per_edge,
-        "edge_count": E,
-        "max_angle": max_angle,
-        "worst_edge": shared[worst] if max_angle > 0.0 else None,
-        "cusp_edges": [shared[k] for k in np.flatnonzero(cusps).tolist()],
-        "edges": {
-            e: {"max_angle": angle, "cusp": cusp}
-            for e, angle, cusp in zip(shared, angles, cusps.tolist())
-        },
-    }
+    return np.fmax(angles, 0.0), cusps.any(axis=0)

@@ -28,6 +28,7 @@ from hypnet.meshio import (
     read_mesh,
     write_mesh,
     write_positions_mesh,
+    write_sample_mesh,
 )
 from hypnet.patch import (
     bilinear_parameter,
@@ -335,6 +336,51 @@ def test_a_byte_that_is_not_utf8_past_one_chunk_raises_like_the_reference(
     assert assert_reads_like_the_reference(path) == (UnicodeDecodeError,)
 
 
+def seventeen_digit_lines(count):
+    """``count`` vertex records of 17-digit coordinates, as written."""
+    return [b"v %.17g %.17g %.17g" % (k / 7, -k / 3, k / 11) for k in range(count)]
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("record, byte", [(10, 900), (10, 40), (900, 10), (10, 10)])
+def test_a_record_before_the_block_of_a_byte_that_is_not_utf8_raises_first(
+    tmp_path, end, record, byte
+):
+    # a text-mode reader decodes 8 kB blocks and hands their lines over
+    # before it decodes the next, so the malformed record at line 11 comes
+    # first unless the byte that is not UTF-8 lies in the same block
+    lines = seventeen_digit_lines(1000)
+    lines[record] = b"v 1 2"
+    lines[byte] += b" \xff"
+    assert len(end.join(lines[:40])) < 8192 < len(end.join(lines[:900]))
+    path = tmp_path / "m.obj"
+    path.write_bytes(end.join(lines) + end)
+    outcome = assert_reads_like_the_reference(path)
+    if (record, byte) == (10, 900):
+        assert outcome == (ParseError, "line 11: vertex needs three coordinates")
+    else:
+        assert outcome == (UnicodeDecodeError,)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r"])
+@pytest.mark.parametrize("chunk", [1, 3, CHUNK])
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_faults_around_a_text_block_edge_fail_like_the_reference(tmp_path, end, chunk, shift):
+    # the record ends just before, at or just after the first 8 kB block
+    # edge, and the byte that is not UTF-8 lies two lines on, past the
+    # record's chunk when chunks are short
+    lines = seventeen_digit_lines(400)
+    record = next(k for k in range(len(lines)) if len(end.join(lines[:k + 1])) >= 8192)
+    record += shift
+    lines[record] = b"v 1 2"
+    lines[record + 2] += b" \xe9"
+    path = tmp_path / "m.obj"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypnet.meshio, "CHUNK", chunk)
+        assert_reads_like_the_reference(path)
+
+
 READ_LINES = [
     "v 0 0 0", "v 1 2 3", "v 1.5 -2e-3 inf", "v 1_0 ١ nan", "v 1 2", "v 1 2 3 4",
     "v x 0 0", "v", "f 1 2 3 4", "f 4 3 2 1", "f 1 2 3", "f 1 2 3 4 5", "f 1/1 2 3 4",
@@ -407,9 +453,20 @@ def test_slash_faces_read_in_bulk_alone(tmp_path, monkeypatch, form):
 
 
 def test_reading_streams_in_chunks(tmp_path):
+    assert_reads_in_bounded_memory(tmp_path, b"\n")
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_carriage_return_line_ends_stream_in_chunks(tmp_path, end):
+    # a binary line ends at "\n" alone, so a "\r" file is one binary line
+    assert_reads_in_bounded_memory(tmp_path, end)
+
+
+def assert_reads_in_bounded_memory(tmp_path, end):
     _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
     path = tmp_path / "wide.obj"
     write_positions_mesh(path, positions, quads)
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
     read_mesh(path)
     transient = []
     for reader in (read_mesh, reference_read_mesh):
@@ -657,6 +714,15 @@ def test_oriented_grid_rejects_foreign_or_scrambled_corners():
         oriented_grid(base, corner_map, (10, 11, 13, 12))
 
 
+def split_grids(samples, shapes):
+    """The grids of a flat gather, split by their shapes."""
+    ends = np.cumsum(np.prod(shapes, axis=1))[:-1]
+    return [
+        part.reshape(*shape, 3)
+        for part, shape in zip(np.split(samples, ends), np.asarray(shapes).tolist())
+    ]
+
+
 def test_stacked_orientation_equals_the_per_grid_one_for_every_corner_order():
     roles = (10, 11, 12, 13)
     corner_map = dict(zip(CORNER_KEYS, roles))
@@ -670,8 +736,9 @@ def test_stacked_orientation_equals_the_per_grid_one_for_every_corner_order():
             rigid.append(order)
     assert len(rigid) == 8
     points = np.random.default_rng(16).standard_normal((len(rigid), 3, 5, 3))
-    stacked = oriented_grids(points, [roles] * len(rigid), rigid)
-    for grid, one, order in zip(stacked, points, rigid):
+    samples, shapes = oriented_grids(points, [roles] * len(rigid), rigid)
+    assert samples.shape == (len(rigid) * 15, 3) and shapes.shape == (len(rigid), 2)
+    for grid, one, order in zip(split_grids(samples, shapes), points, rigid):
         expected = reference_oriented_grid(one, corner_map, order)
         assert grid.shape == expected.shape
         assert np.array_equal(grid, expected)
@@ -691,6 +758,8 @@ def test_cli_orients_the_grids_like_the_per_face_path(tmp_path):
     lam = bilinear_parameter(a.face_frame(0), a.positions)
     patches = restrict_all(propagate_all(a, 0, lam)[0], a.positions)
     points = sample_all(patches, 5, 7)
+    assert patches.faces.tolist() == sorted(captured)
+    expected_grids = {}
     for k, f in enumerate(patches.faces.tolist()):
         corners = a.face_frame(f).corners
         corner_map = dict(zip(CORNER_KEYS, patches.frames.corners[k].tolist()))
@@ -698,6 +767,10 @@ def test_cli_orients_the_grids_like_the_per_face_path(tmp_path):
         expected = reference_oriented_grid(points[k], corner_map, corners)
         assert np.array_equal(grid, expected)
         assert tuple(np.asarray(written).tolist()) == corners
+        expected_grids[f] = (expected, corners)
+    # the CLI's welded mesh is the dict weld of the oracle-oriented grids
+    reference_write_mesh(tmp_path / "theirs.obj", expected_grids, weld=True)
+    assert (tmp_path / "out.obj").read_bytes() == (tmp_path / "theirs.obj").read_bytes()
 
 
 # --- welding ----------------------------------------------------------------------
@@ -862,9 +935,11 @@ def large_id_grids():
 
 
 def cli_extend_grids(tmp_path):
-    """The grids ``hypnet extend --samples 5 7`` hands to ``write_mesh`` on
+    """The grids ``hypnet extend --samples 5 7`` hands to the write core on
     a 4x3 net on z = xy with relabelled, rotated, partly reversed and
-    reordered faces."""
+    reordered faces, split by their shapes and keyed by their place in
+    writing order, which is the face id since every face is carved; the
+    core still writes the CLI's mesh."""
     count, quads, positions = quadric_grid(4, 3, spacing=0.3, origin=(-0.5, -0.2))
     label = [(7 * v + 2) % count for v in range(count)]
     faces = []
@@ -880,10 +955,14 @@ def cli_extend_grids(tmp_path):
     a = validate_anet(build(count, faces), moved)
     lam = bilinear_parameter(a.face_frame(0), a.positions)
     captured = {}
+
+    def capture(out, samples, shapes, corners, weld):
+        assert weld
+        captured.update(enumerate(zip(split_grids(samples, shapes), corners)))
+        write_sample_mesh(out, samples, shapes, corners, weld=weld)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            hypnet.cli, "write_mesh", lambda out, grids, weld: captured.update(grids)
-        )
+        patch.setattr(hypnet.cli, "write_sample_mesh", capture)
         argv = ["extend", str(path), "-o", str(tmp_path / "out.obj"),
                 "--lambda", repr(lam), "--samples", "5", "7"]
         assert main(argv) == 0

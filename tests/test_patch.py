@@ -1,6 +1,7 @@
 """Tests for bounded hyperboloid patches, sampling, and C1 reports."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypnet.patch
 from hypnet.anet import validate_anet
 from hypnet.errors import (
     DegenerateConic,
@@ -41,7 +43,7 @@ from hypnet.plucker import (
     normalized,
     plucker_product,
 )
-from hypnet.quadgraph import build
+from hypnet.quadgraph import CHUNK, build
 from hypnet.synthetic import quadric_grid, random_grid3x3_net, random_umbrella_net
 
 import oracles
@@ -754,3 +756,91 @@ def test_c1_report_needs_a_probe_point_per_edge(samples):
     a = graph_surface_pair(x_second=1.6, z_scale=1.6)
     with pytest.raises(ValueError, match="^samples_per_edge must be at least 1"):
         check_c1(bilinear_patches(a), a, samples_per_edge=samples)
+
+
+# --- slices of the carving and the C1 report ---------------------------------------
+
+
+def wide_patches(n):
+    """An n x n net on z = xy, its propagated members and their patches."""
+    a = quadric_net(n)
+    members, _ = propagate_all(a, 0, bilinear_parameter(a.face_frame(0), a.positions))
+    return a, members, restrict_all(members, a.positions)
+
+
+def transient_memory(call):
+    """Traced memory that ``call()`` allocates and frees again, at its peak."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()  # alive while measured, so that it counts as current
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+@pytest.mark.parametrize("stage", ["restrict_all", "check_c1"])
+def test_carving_and_the_c1_report_hold_a_bounded_working_set(stage):
+    transient = []
+    for n in (40, 80):
+        a, members, patches = wide_patches(n)
+        if stage == "restrict_all":
+            transient.append(transient_memory(lambda: restrict_all(members, a.positions)))
+        else:
+            transient.append(transient_memory(lambda: check_c1(patches, a)))
+    # a slice's temporaries do not grow with the net; the whole stack's grow 4x
+    assert transient[1] < 2 * transient[0]
+
+
+def raised(call):
+    """Type, message and data of the exception ``call()`` raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value), getattr(err.value, "data", None)
+
+
+def unsliced(monkeypatch, call):
+    """:func:`raised` with every face and edge in one slice."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hypnet.patch, "CHUNK", 10**9)
+        return raised(call)
+
+
+@pytest.mark.parametrize("fault", ["isotropic", "swapped"])
+def test_a_failing_face_past_the_first_slice_raises_as_one_stacked_pass(monkeypatch, fault):
+    a, members, _ = wide_patches(40)
+    late, later = CHUNK + 7, CHUNK + 300
+    q1, q2, signatures = members.q1.copy(), members.q2.copy(), members.signatures.copy()
+    q1[later] = members.frames.h_lines[later, 2]  # an isotropic plane point
+    if fault == "isotropic":
+        q2[late] = members.frames.h_lines[late, 0]
+    else:  # exchanged family labels admit no patch
+        q1[late], q2[late] = members.q2[late], members.q1[late]
+        signatures[late] = signatures[late, ::-1]
+    broken = dataclasses.replace(members, q1=q1, q2=q2, signatures=signatures)
+    error = raised(lambda: restrict_all(broken, a.positions))
+    assert error == unsliced(monkeypatch, lambda: restrict_all(broken, a.positions))
+    kind = DegenerateConic if fault == "isotropic" else NoAdaptedPatch
+    assert error[0] is kind and error[2]["face"] == int(members.frames.faces[late])
+
+
+@pytest.mark.parametrize("corner", [0, 1, 2, 3])
+def test_a_degenerate_edge_past_the_first_slice_raises_as_one_stacked_pass(
+    monkeypatch, corner
+):
+    a, _, patches = wide_patches(30)
+    g = a.graph
+    interior = np.flatnonzero((g.edge_faces < g.face_count).all(axis=1)).tolist()
+    weights = patches.weights.copy()
+    # a corner weight of opposite sign breaks the edges of two faces
+    for k in (len(patches) - 1, len(patches) - 40):
+        weights[k, corner] = -weights[k, corner]
+    broken = dataclasses.replace(patches, weights=weights)
+    error = raised(lambda: check_c1(broken, a))
+    assert error == unsliced(monkeypatch, lambda: check_c1(broken, a))
+    assert issubclass(error[0], (PatchError, NumericallyInfinitePoint))
+    edges = {e for k in (len(patches) - 1, len(patches) - 40)
+             for e in patches.frames.h_edges[k].tolist()}
+    assert min(interior.index(e) for e in edges if e in interior) >= CHUNK
