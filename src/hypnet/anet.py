@@ -10,9 +10,13 @@ axis, so they span it: a face frame stores the diagonals and no other
 basis of the axis.  The frames of many faces are read in one stacked
 pass into a :class:`FrameStack`, whose arrays propagation, carving and
 the C1 report index directly; :class:`FaceFrame` is its one-row view.
-Both signatures of a face are certified in closed form from the Gram
-matrix of its edge lines (:func:`_certified_frames`); only faces left
-undecided reach the SVD.
+
+Every face gate is one closed-form reading (:func:`_face_volumes`).  The
+Pluecker product of two joins is the 4x4 determinant of their points,
+so adjacent edge lines meet and the two opposite-pair products are the
+face volume over the norms of the joins.  Read in face-local units
+(origin at the centroid of the corners, unit their largest distance
+from it) they neither shrink nor grow as the net moves or scales.
 
 Validation enforces, per face, that the quad is non-planar and that
 opposite edge lines are skew; per vertex, that the incident edge lines
@@ -33,14 +37,14 @@ size of the net (1.6 MB traced on a 60x60 grid, 1.7 MB on a 120x120 one):
    those near or above the gate and the near-collinear ones, go through
    one stacked SVD per star size;
 2. edges: the lines of all edges from their 2x2 minors;
-3. faces: volume ratios and the products of both opposite edge pairs;
-4. pencils: closed-form bounds (:func:`_pencil_bounds`) on the singular
-   values of each vertex's incident edge lines and on the Pluecker form
-   over their top two singular directions certify, in array passes, the
-   vertices whose lines surely form a pencil as the SVD path reads it
-   (:func:`_certified_pencils`); only the vertices left undecided go
-   through one stacked SVD per vertex degree for the rank of their
-   lines, then their signature.
+3. faces: volume ratios and the face-local products of both opposite
+   edge pairs, in one pass;
+4. pencils: the rank of each vertex's unit edge directions, its edge
+   lines in star-local coordinates.  Closed-form bounds on their
+   singular values (:func:`_pencil_bounds`) certify, in array passes,
+   the vertices that surely read rank 2 (:func:`_certified_pencils`);
+   only the vertices left undecided go through one stacked SVD per
+   vertex degree, for their singular values alone.
 
 Its violations come in this order: non-planar stars by ascending
 vertex; zero-length edges by ascending edge id; per ascending face a
@@ -63,18 +67,15 @@ from .errors import (
     NonPlanarStar,
 )
 from .plucker import (
-    METRIC,
     PLANAR_EPS,  # the default star-planarity gate, importable from here
     SIG_EPS,
     Tolerances,
-    _basis_gram,
     _join,
     _rowdot,
-    _span_signatures,
+    _span_rank,
     canonical,
     hom,
     line_from_points,
-    plucker_product,
 )
 from .quadgraph import CHUNK, QuadGraph
 
@@ -83,14 +84,6 @@ SKEW_PAIR_EPS = 1e-10
 # Cycle positions, from the entry half-edge's origin, of the corner roles
 # (x, x1, x2, x12).
 _ROLE_CORNERS = [0, 3, 1, 2]
-# Corner roles (x, x1, x2, x12 = 0..3) joined by the lines of
-# FaceFrame.h_lines, row by row.
-_ROLE_EDGES = np.array([[1, 0], [2, 3], [0, 2], [3, 1]])
-# The components of a 6-vector with its halves swapped: ``v @ METRIC``.
-_SWAP_HALVES = np.array([3, 4, 5, 0, 1, 2])
-# Entries of the Gram matrix of those lines that vanish on a skew quad,
-# row-major: all but the products of the opposite pairs (0, 1) and (2, 3).
-_FRAME_REST = np.array([1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 1.0])
 # Rank cutoff for vertex pencils of edge lines.  A net passing the
 # planarity check at PLANAR_EPS can carry spurious pencil directions of
 # comparable relative size, so this must sit well above PLANAR_EPS while
@@ -230,24 +223,52 @@ def diagonal_ends(corners) -> np.ndarray:
 
 
 def _face_volumes(positions, quads):
-    """Signed volumes and volume ratios of a stack of quads ``(B, 4)``.
+    """Signed volumes, volume ratios and opposite-pair products of a
+    stack of quads ``(B, 4)``.
 
-    The volume is ``det(c1 - c0, c2 - c0, c3 - c0)`` of the corners in
-    cycle order; the ratio is its magnitude over the cubed mean edge
+    The volume is ``V = det(c1 - c0, c2 - c0, c3 - c0)`` of the corners
+    in cycle order; the ratio is its magnitude over the cubed mean edge
     length (0 for a quad whose edges all vanish), the quantity
-    ``FACE_VOLUME_EPS`` gates.
+    ``FACE_VOLUME_EPS`` gates.  The products ``(B, 2)`` are those of the
+    unit edge lines of the pairs (0, 2) and (1, 3), each oriented from
+    its lower vertex id, read in face-local units: origin at the centroid
+    of the corners, unit ``u`` their largest distance from it.  The
+    Pluecker product of two joins is the 4x4 determinant of their points,
+    so every edge line meets its neighbours and the products are
+    ``-+V / u^3`` over the local join norms, ``|J(x, y)|^2 = |y - x|^2 +
+    |x (y - x)|^2`` (a cross product): translation and uniform scaling
+    leave them as they are.  NaN where a side has zero length, which
+    leaves the quad no volume.
     """
     p = positions[quads]
     det = np.linalg.det(p[:, 1:] - p[:, :1])
     edges = np.roll(p, -1, axis=1) - p
-    scale = np.mean(np.sqrt(_rowdot(edges, edges)), axis=-1)
+    squares = _rowdot(edges, edges)
+    scale = np.mean(np.sqrt(squares), axis=-1)
     # float_power rounds like the power of one float; ``scale**3`` on an
     # array can differ from it in the last bit
     ratio = np.divide(
         np.abs(det), np.float_power(scale, 3),
         out=np.zeros_like(det), where=scale != 0.0,
     )
-    return det, ratio
+    # the rest runs on coordinate- and corner-first arrays ``(3, 4, B)``,
+    # whose rows are contiguous; |x (y - x)|^2 = |x|^2 |e|^2 - (x . e)^2
+    x, e = np.ascontiguousarray(p.T), edges.T
+    x -= ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4)[:, None]
+    radii = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    along = x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
+    unit = np.maximum(np.maximum(radii[0], radii[1]), np.maximum(radii[2], radii[3]))
+    # (u^2 |J|)^2 for the local join J of each side, u^2 = unit
+    norms = squares.T * (unit + radii) - along * along
+    # the sides that run from the higher vertex id
+    flip = quads.T > quads.T[[1, 2, 3, 0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        volume = det * np.sqrt(unit)
+        products = np.stack([
+            np.where(flip[0] == flip[2], -volume, volume) / np.sqrt(norms[0] * norms[2]),
+            np.where(flip[1] == flip[3], volume, -volume) / np.sqrt(norms[1] * norms[3]),
+        ], axis=1)
+    return det, ratio, products
 
 
 @dataclass(frozen=True)
@@ -397,20 +418,15 @@ class ANet:
         as one :class:`FrameStack` in the given order.
 
         Raises :class:`ValueError` for the first face id out of range,
-        then for the first entry off its face.  The genericity of each
-        face is read in one stacked pass, on its edge lines in
-        face-local coordinates: origin at the centroid of the corners,
-        unit their largest distance from it.  The construction is
-        affine-invariant, while global Pluecker coordinates of a face
-        that is small against its distance from the origin are badly
-        conditioned.  A face whose lines :func:`_certified_frames`
-        certifies takes both signatures in closed form; only the others
-        go through one stacked SVD and ``eigvalsh`` reading, so the
-        outcome is the reading's either way.  Raises
+        then for the first entry off its face.  The four unit edge lines
+        of a face have the Gram matrix of their opposite-pair products
+        ``p`` and ``q`` alone (:func:`_face_volumes`, face-local units),
+        whose eigenvalues are ``+-p`` and ``+-q``: they span a subspace
+        of signature (2, 2, 0), and its polar, the axis, has signature
+        (1, 1, 0), exactly when both products are nonzero.  Raises
         :class:`NonGenericPair` for the first face, in the given order,
-        whose edge lines do not span a subspace of signature (2, 2, 0)
-        or, failing that, whose axis (the polar of that span) is not of
-        signature (1, 1, 0).
+        where ``min(|p|, |q|)`` falls below ``tol.sig``, with the
+        signature that cutoff reads.
         """
         f_ids = np.asarray(faces, dtype=np.intp).reshape(-1)
         h_ids = np.asarray(entries, dtype=np.intp).reshape(-1)
@@ -425,43 +441,23 @@ class ANet:
             raise ValueError(
                 f"half-edge {int(h_ids[k])} does not bound face {int(f_ids[k])}"
             )
+        pos = np.asarray(self.positions, dtype=float)
+        _, _, products = _face_volumes(pos, self.graph.face_vertices[f_ids])
+        kept = np.abs(products) >= self.tol.sig
+        bad = np.flatnonzero(~kept.all(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            f, n = int(f_ids[k]), int(kept[k].sum())
+            raise NonGenericPair(
+                f"edge lines of face {f} have signature {(n, n, 4 - 2 * n)}, "
+                "expected (2, 2, 0)",
+                face=f,
+                signature=(n, n, 4 - 2 * n),
+            )
         # the face's sides in cycle order from the entry half-edge x -> x2
         cycle = (h_ids[:, None] + np.arange(4)) % 4
         corners = self.graph.face_vertices[f_ids[:, None], cycle][:, _ROLE_CORNERS]
         h_edges = self.graph.face_edges[f_ids[:, None], cycle][:, [3, 1, 0, 2]]
-        pos = np.asarray(self.positions, dtype=float)
-        points = pos[corners]
-        local = points - points.mean(axis=1, keepdims=True)
-        local /= np.sqrt(_rowdot(local, local)).max(axis=1)[:, None, None]
-        ends = hom(local[:, _ROLE_EDGES])
-        lines, _ = _join(ends[:, :, 0], ends[:, :, 1])
-        spans = np.tile([2, 2, 0], (len(lines), 1))
-        axes = np.tile([1, 1, 0], (len(lines), 1))
-        open_rows = np.flatnonzero(~_certified_frames(lines, self.tol.sig))
-        if open_rows.size:
-            _, spans[open_rows], vt = _span_signatures(
-                lines[open_rows], 1e-10, self.tol.sig
-            )
-            # the polar of a rank-4 span is the orthogonal complement of
-            # its rows, mapped through the form
-            axes[open_rows] = _basis_gram(vt[:, 4:] @ METRIC, self.tol.sig)[2]
-        bad = np.any(spans != (2, 2, 0), axis=1) | np.any(axes != (1, 1, 0), axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            f = int(f_ids[k])
-            span_sig, axis_sig = tuple(spans[k].tolist()), tuple(axes[k].tolist())
-            if span_sig != (2, 2, 0):
-                raise NonGenericPair(
-                    f"edge lines of face {f} have signature {span_sig}, "
-                    "expected (2, 2, 0)",
-                    face=f,
-                    signature=span_sig,
-                )
-            raise NonGenericPair(
-                f"axis of face {f} has signature {axis_sig}",
-                face=f,
-                signature=axis_sig,
-            )
         ends = hom(pos[diagonal_ends(corners)])
         return FrameStack(
             faces=f_ids,
@@ -586,7 +582,7 @@ def _collect_violations(
         lambda: _star_stage(graph, positions, degree, tol.planar, walk),
         lambda: _edge_stage(graph, positions, walk),
         lambda: _face_stage(graph, positions, walk),
-        lambda: _pencil_stage(graph, degree, tol.sig, walk),
+        lambda: _pencil_stage(graph, degree, walk),
     )
     for stage in stages:
         walk.violations.extend(stage())
@@ -649,11 +645,9 @@ def _face_stage(graph, positions, walk):
     positive, the signs :attr:`ANet.face_twists` reads."""
     found = []
     for lo in range(0, graph.face_count, CHUNK):
-        det, ratio = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
+        det, ratio, prods = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
         walk.positive_volumes[lo:lo + CHUNK] = det > 0
         edges = graph.face_edges[lo:lo + CHUNK]
-        lines = walk.edge_lines[edges]
-        prods = plucker_product(lines[:, :2], lines[:, 2:])
         flat = ratio < FACE_VOLUME_EPS
         meet = (np.abs(prods) < SKEW_PAIR_EPS) & ~flat[:, None]
         for i in np.flatnonzero(flat | meet.any(axis=1)).tolist():
@@ -667,32 +661,24 @@ def _face_stage(graph, positions, walk):
     return found
 
 
-def _forms(lines):
-    """Gram matrices ``L METRIC L^T`` ``(B, k, k)`` of a stack of sets of
-    6-vectors ``(B, k, 6)``; ``METRIC`` swaps the halves of a 6-vector."""
-    return lines @ lines[..., _SWAP_HALVES].swapaxes(1, 2)
-
-
 def _pencil_bounds(lines):
-    """Closed-form bounds for each set of a stack of 6-vectors ``(B, k, 6)``.
+    """Closed-form bounds on the singular values of each set of a stack
+    of vectors ``(B, k, n)``.
 
-    Returns ``(s1_lo, s1_hi, s2_lo, s3_hi, gram_hi)``, arrays ``(B,)``.
-    With ``a`` the set's first row, ``b`` the row with the largest part
-    ``b_perp`` orthogonal to ``a`` and ``P`` the projector onto their span,
-    the singular values of the set ``L`` satisfy
+    Returns ``(s1_lo, s1_hi, s2_lo, s3_hi)``, arrays ``(B,)``.  With
+    ``a`` the set's first row, ``b`` the row with the largest part
+    ``b_perp`` orthogonal to ``a`` and ``P`` the projector onto their
+    span, the singular values of the set ``L`` satisfy
 
     * ``max |L_i| <= s1 <= |L|_F``;
     * ``s2 >= |a| |b_perp| / sqrt(|a|^2 + |b|^2)``: the second singular
       value of the rows ``a, b``, which bounds that of ``L`` (interlacing);
-    * ``s3 <= |L (I - P)|_F``, as ``L P`` has rank 2 (Eckart-Young-Mirsky);
+    * ``s3 <= |L (I - P)|_F``, as ``L P`` has rank 2 (Eckart-Young-Mirsky).
 
-    and every unit vector ``v`` of the top two right singular directions
-    has ``|<v, v>| <= |L METRIC L^T|_F / s2^2``.  Each bound is widened by
-    a slack of ``_PENCIL_SLACK |L|_F`` (``4 _PENCIL_SLACK |L|_F^2`` over the
-    form's numerator) for its own rounding and for LAPACK's backward
-    error, so it holds for the values that :func:`_span_signatures`
-    computes.  Bounds that do not exist, for want of two independent
-    rows, are NaN or negative.
+    Each bound is widened by a slack of ``_PENCIL_SLACK |L|_F`` for its
+    own rounding and for LAPACK's backward error, so it holds for the
+    values that ``np.linalg.svd`` computes.  Bounds that do not exist,
+    for want of two independent rows, are NaN or negative.
     """
     sq = _rowdot(lines, lines)
     frob = np.sqrt(sq.sum(axis=1))
@@ -706,118 +692,65 @@ def _pencil_bounds(lines):
         b_perp, bp2 = perp[rows, j][:, None], p2[rows, j]
         rest = perp - (_rowdot(perp, b_perp) / bp2[:, None])[..., None] * b_perp
         s2_lo = np.sqrt(a2[:, 0] * bp2 / (a2[:, 0] + sq[rows, j])) - slack
-        gram = _forms(lines)
-        gram_f = np.sqrt((gram * gram).sum(axis=(1, 2)))
-        # the numerator's own rounding, up to slack |L|_F; LAPACK's tilt of
-        # the top two directions, up to slack / (s2 - s3) and so, where
-        # s3 << s2 <= |L|_F, up to slack |L|_F / s2^2 on each side of the
-        # form; and the eigenvalue solve's rounding, below both
-        gram_hi = (gram_f + 4 * slack * frob) / s2_lo**2
     s1_lo = np.sqrt(sq.max(axis=1)) - slack
     s1_hi = frob + slack
     s3_hi = np.sqrt(_rowdot(rest, rest).sum(axis=1)) + slack
-    return s1_lo, s1_hi, s2_lo, s3_hi, gram_hi
+    return s1_lo, s1_hi, s2_lo, s3_hi
 
 
-def _certified_pencils(lines, sig):
-    """Which sets of a stack of edge lines ``(B, k, 6)`` surely span a
-    line pencil as :func:`_span_signatures` reads it at
-    ``PENCIL_RANK_TOL`` and ``sig``: rank 2 and signature (0, 0, 2).
+def _certified_pencils(lines):
+    """Which sets of a stack of vectors ``(B, k, n)`` surely read rank 2
+    at ``PENCIL_RANK_TOL`` by their singular values.
 
     A set is certified when its :func:`_pencil_bounds` clear every cut of
     that reading with room to spare: the largest singular value the
-    ``1e-14`` floor by 10x, the second the rank cut by 10x, the third
-    stays 10x below it, and the Pluecker form over the top two singular
-    directions stays below a quarter of ``sig``.  A certified set passes
-    the SVD path; an uncertified one may pass it or not.
+    ``1e-14`` floor by 10x, the second the rank cut by 10x, and the third
+    stays 10x below it.  A certified set reads rank 2 by the SVD; an
+    uncertified one may or may not.
     """
-    s1_lo, s1_hi, s2_lo, s3_hi, gram_hi = _pencil_bounds(lines)
+    s1_lo, s1_hi, s2_lo, s3_hi = _pencil_bounds(lines)
     return (
         (s1_lo >= 1e-13)
         & (s2_lo >= 10 * PENCIL_RANK_TOL * s1_hi)
         & (s3_hi <= PENCIL_RANK_TOL / 10 * s1_lo)
-        & (gram_hi <= sig / 4)
     )
 
 
-def _span_floor(lines, gap):
-    """Lower bounds ``(B,)`` on the eigenvalue magnitudes of the form
-    that :func:`_span_signatures` reads at the rank cut ``1e-10`` on each
-    set of a stack of ``k`` generators ``(B, k, 6)``, given lower bounds
-    ``gap`` on those of ``G = L METRIC L^T``; 0 where the set may read a
-    rank below ``k``.
+def _pencil_stage(graph, degree, walk):
+    """Rank of every vertex pencil, stacked by vertex degree; a pencil
+    that is not a line pencil (rank 2) is a violation, by ascending
+    vertex.
 
-    With ``L = U S V``, the form over the rows of ``V`` is
-    ``S^-1 U^T G U S^-1``: congruent to ``G``, so of its inertia
-    (Sylvester), with eigenvalues at least ``gap / s1^2`` in magnitude
-    (Ostrowski).  ``s_min(G) <= s_k s1`` bounds ``s_k`` from below, and
-    the set counts as rank ``k`` where that bound clears the rank cut,
-    and ``|L|_F / sqrt(k) <= s1`` the ``1e-14`` floor, by 10x.  ``gap``
-    gives up ``4 _PENCIL_SLACK |L|_F^2`` and each singular value
-    ``_PENCIL_SLACK |L|_F`` to rounding and LAPACK's backward error (see
-    :func:`_pencil_bounds`), and the result ``_PENCIL_SLACK`` to the
-    rounding of the orthonormal basis.
-    """
-    frob = np.sqrt(np.einsum("bkj,bkj->b", lines, lines))
-    slack = _PENCIL_SLACK * frob
-    frob_hi = frob + slack
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = gap - 4 * slack * frob
-        full = frob / np.sqrt(lines.shape[1]) - slack >= 1e-13
-        full &= gap / frob_hi - slack >= 1e-9 * frob_hi
-        return np.where(full, gap / frob_hi**2 - _PENCIL_SLACK, 0.0)
-
-
-def _certified_frames(lines, sig):
-    """Which sets of a face's four edge lines ``(B, 4, 6)``, in the role
-    order of :attr:`FaceFrame.h_lines`, surely read as :meth:`ANet.frames`
-    reads them at ``sig``: a span of signature (2, 2, 0) whose axis has
-    signature (1, 1, 0).
-
-    The lines are isotropic and adjacent edges meet, so ``G = L METRIC
-    L^T`` is the opposite-pair products ``p = G01`` and ``q = G23`` plus
-    a rest ``E``, and its eigenvalues lie within ``|E|_F`` of ``+-p`` and
-    ``+-q`` (Weyl).  With ``Q`` the right singular vectors, the axis form
-    is the block ``C`` of the involution ``Q METRIC Q^T`` beside the span
-    form ``B``, so ``C^-1`` is the Schur complement of ``B``: ``C`` has
-    signature (1, 1, 0) (Haynsworth) and ``|lam(C)| >= beta / (1 + beta)``
-    where ``|lam(B)| >= beta``.  A set is certified when that bound, less
-    ``_PENCIL_SLACK``, clears ``sig`` by 10x (see :func:`_span_floor`).
-    """
-    gram = _forms(lines)
-    rest = np.sqrt((gram * gram).reshape(-1, 16) @ _FRAME_REST)
-    pairs = np.minimum(np.abs(gram[:, 0, 1]), np.abs(gram[:, 2, 3]))
-    beta = _span_floor(lines, pairs - rest)
-    return beta / (1 + beta) - _PENCIL_SLACK >= 10 * sig
-
-
-def _pencil_stage(graph, degree, sig, walk):
-    """Rank and signature of every vertex pencil, stacked by vertex
-    degree; a pencil that is not a line pencil (dimension 1, signature
-    (0, 0, 2)) is a violation, by ascending vertex.  Edge lines that are
-    all zero span nothing: dimension -1, signature (0, 0, 0).  Only the
+    The pencil is read in star-local coordinates, origin at the vertex:
+    there each incident edge line is ``(d, 0)`` with ``d`` its unit
+    direction, so the rank is that of the unit edge directions, which
+    neither translation nor scaling moves.  They are the direction parts
+    of the edge lines (components 2 to 4, a signed permutation of ``d``)
+    made unit; a zero-length edge keeps a zero row.  Lines through one
+    point meet pairwise, so the signature is exactly (0, 0, rank); edges
+    that are all zero span nothing: rank 0, dimension -1.  Only the
     pencils that :func:`_certified_pencils` leaves undecided go through
-    :func:`_span_signatures`."""
+    one stacked SVD, for their singular values alone."""
     # the edges at every vertex, ascending, in the slots of its star
     by_vertex = np.argsort(graph.edges.ravel(), kind="stable") // 2
     found = []
     for k, verts in _by_degree(degree):
         incident = by_vertex[graph.star_offsets[verts][:, None] + np.arange(k)]
-        lines = walk.edge_lines[incident]
-        open_rows = np.flatnonzero(~_certified_pencils(lines, sig))
+        directions = walk.edge_lines[:, 2:5][incident]
+        norms = np.sqrt(_rowdot(directions, directions))[..., None]
+        np.divide(directions, norms, out=directions, where=norms > 0.0)
+        open_rows = np.flatnonzero(~_certified_pencils(directions))
         if not open_rows.size:
             continue
         verts, incident = verts[open_rows], incident[open_rows]
-        rank, signatures, _ = _span_signatures(
-            lines[open_rows], PENCIL_RANK_TOL, sig
-        )
-        bad = (rank != 2) | np.any(signatures != (0, 0, 2), axis=1)
+        s = np.linalg.svd(directions[open_rows], compute_uv=False)
+        rank = _span_rank(s, PENCIL_RANK_TOL)
         found += [
             ("non_generic_pair",
              {"vertex": int(verts[i]), "edges": tuple(incident[i, :2].tolist()),
-              "pencil_signature": tuple(signatures[i].tolist()),
+              "pencil_signature": (0, 0, int(rank[i])),
               "pencil_dim": int(rank[i]) - 1})
-            for i in np.flatnonzero(bad).tolist()
+            for i in np.flatnonzero(rank != 2).tolist()
         ]
     return sorted(found, key=lambda violation: violation[1]["vertex"])
 

@@ -36,11 +36,11 @@ which the scalar maps assume.
 
 The signatures of both ruling planes of a member are read in closed
 form: two opposite edge lines ``a``, ``b`` are isotropic with product
-``p = <a, b>``, so the plane they span with ``q`` has the inertia of
-``[[0, p], [p, 0]]`` plus the sign of the Schur complement
-``<q, q> - 2 <a, q> <b, q> / p`` (:func:`_certified_planes`).  Planes
-too close to a cut for that certificate go through the SVD reading, so
-every signature, report and error is the one that reading gives.
+``p = <a, b>`` and polar to the axis, so the plane they span with ``q``
+has the inertia of ``[[0, p], [p, 0]]`` plus the sign of ``<q, q>``
+(:func:`_pairs`).  That sign is exact once the coordinate and the face
+volume are finite and nonzero; the signature cutoff reads its size in
+face-local units.
 
 Around interior vertices of even degree the maps compose to the
 identity, so one seed quadric spreads consistently over a simply
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anet import ANet, FaceFrame, FrameStack, _forms, _span_floor, diagonal_ends
+from .anet import ANet, FaceFrame, FrameStack, diagonal_ends
 from .errors import (
     ClosureViolation,
     DegenerateParameter,
@@ -69,7 +69,6 @@ from .plucker import (
     CLOSURE_EPS,  # the default closure gate, importable from here
     _minors,
     _rowdot,
-    _span_signatures,
     canonical,
     hom,
     normalized,
@@ -150,43 +149,20 @@ class HyperboloidStack(Mapping):
         )
 
 
-def _certified_planes(planes, sig):
-    """Signatures ``(B, 3)`` that :func:`_span_signatures` surely reads
-    at ``sig`` on ruling planes ``(B, 3, 6)``, each spanned by two
-    opposite edge lines ``a``, ``b`` and a point ``q`` of the axis; zero
-    rows where the reading is left undecided.
-
-    The edge lines are isotropic, so ``G = L METRIC L^T`` is, but for its
-    diagonal rest ``(g_aa, g_bb)``, a matrix ``G0`` whose block of ``a``
-    and ``b`` is ``[[0, p], [p, 0]]`` with ``p = <a, b>``.  That block
-    has signature (1, 1, 0), so ``G0`` has (2, 1, 0) or (1, 2, 0) by the
-    sign of its Schur complement ``sigma = g_qq - 2 g_aq g_bq / p``
-    (Haynsworth), and ``|det G0| = p^2 |sigma|`` bounds its eigenvalues by
-    ``p^2 |sigma| / |G0|_F^2`` in magnitude.  The rest moves them by at
-    most its norm (Weyl); a plane is certified where
-    :func:`~hypnet.anet._span_floor` then clears ``sig`` by 10x.
-    """
-    gram = _forms(planes)
-    p = gram[:, 0, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = gram[:, 2, 2] - 2 * gram[:, 0, 2] * gram[:, 1, 2] / p
-        det = p * p * np.abs(sigma) / (gram * gram).reshape(-1, 9).sum(axis=1)
-    rest = np.hypot(gram[:, 0, 0], gram[:, 1, 1])
-    ok = _span_floor(planes, det - rest) >= 10 * sig
-    return np.where(ok[:, None], _RULING_PLANES[np.where(sigma > 0, 0, 1)], 0)
-
-
-def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
-    """The members ``lams`` of the faces of ``frames``, formed and
-    checked in stacked passes, as a stack in ascending face order.
+def _pairs(positions, frames: FrameStack, lams) -> HyperboloidStack:
+    """The members ``lams`` of the faces of ``frames``, on a net at
+    ``positions``, formed and checked in stacked passes, as a stack in
+    ascending face order.
 
     Raises :class:`DegenerateParameter` for the first face in the order
     of ``frames`` whose coordinate is 0 or not finite, whose polar
-    partner is indeterminate, whose pair fails to split into
-    self-products of opposite sign, or whose ruling planes are not a
-    (2,1,0)/(1,2,0) pair, each read with the frames' ``sig_eps``.  A
-    plane :func:`_certified_planes` certifies takes its signature in
-    closed form; only the others go through one stacked SVD reading.
+    partner is indeterminate (``|<q1, g2>|`` below ``1e-12 |<g1, g2>|``,
+    that is ``|g1 + lam g2|`` above 1e12), whose pair fails to split
+    into self-products of opposite sign, or whose ruling planes are
+    degenerate: the unit self-product of ``J1 +- mu J2`` in face-local
+    units (``mu = lam /`` :func:`_scales`) below the frames' ``sig_eps``.
+    Each plane's signature is the sign of its point's self-product (see
+    the module docstring), so a split pair has a (2,1,0)/(1,2,0) pair.
     """
     lam = np.asarray(lams, dtype=float)
     diagonals = canonical(frames.diagonals)
@@ -196,27 +172,21 @@ def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
         den = plucker_product(q1, g2)
         q2 = canonical(g1 - (plucker_product(q1, g1) / den)[:, None] * g2)
         s1, s2 = plucker_product(q1, q1), plucker_product(q2, q2)
-        early = (lam == 0.0) | ~np.isfinite(lam) | ~(np.abs(den) >= 1e-12)
-        early |= ~(s1 * s2 < 0.0)
-    n = int(np.argmax(early)) if early.any() else len(lam)
-    lines = frames.h_lines[:n]
-    planes = np.concatenate(
-        [np.concatenate([lines[:, :2], q1[:n, None]], axis=1),
-         np.concatenate([lines[:, 2:], q2[:n, None]], axis=1)]
-    )
-    signatures = _certified_planes(planes, frames.sig_eps)
-    open_rows = np.flatnonzero(~signatures.any(axis=1))
-    if open_rows.size:
-        signatures[open_rows] = _span_signatures(
-            planes[open_rows], 1e-10, frames.sig_eps
-        )[1]
-    signatures = np.stack([signatures[:n], signatures[n:]], axis=1)
-    ruling = np.all(signatures == _RULING_PLANES, axis=(1, 2))
-    ruling |= np.all(signatures == _RULING_PLANES[::-1], axis=(1, 2))
-    failing = np.flatnonzero(~ruling)
-    if failing.size:
-        n = int(failing[0])
-    if n < len(lam):
+        # the diagonal joins in face-local units: origin at the centroid
+        # of the corners, unit their largest distance from it
+        ends = np.asarray(positions, dtype=float)[diagonal_ends(frames.corners)]
+        ends -= ends.mean(axis=(1, 2), keepdims=True)
+        ends /= np.sqrt(_rowdot(ends, ends).max(axis=(1, 2)))[:, None, None, None]
+        j1, j2 = np.moveaxis(_minors(hom(ends[:, :, 0]), hom(ends[:, :, 1])), 1, 0)
+        step = (lam / _scales(positions, frames))[:, None] * j2
+        local = np.stack([j1 + step, j1 - step], axis=1)
+        units = plucker_product(local, local) / _rowdot(local, local)
+        partner = np.abs(den) >= 1e-12 * np.abs(plucker_product(g1, g2))
+        split = s1 * s2 < 0.0
+        flat = ~(np.abs(units).min(axis=1) >= frames.sig_eps)
+    failing = (lam == 0.0) | ~np.isfinite(lam) | ~partner | ~split | flat
+    if failing.any():
+        n = int(np.argmax(failing))
         face, value = int(frames.faces[n]), float(lam[n])
         if value == 0.0 or math.isinf(value) or math.isnan(value):
             raise DegenerateParameter(
@@ -225,14 +195,14 @@ def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
                 face=face,
                 lam=value,
             )
-        if not abs(den[n]) >= 1e-12:
+        if not partner[n]:
             raise DegenerateParameter(
                 "polar partner is indeterminate: the parameter is numerically "
                 "at the second isotropic diagonal",
                 face=face,
                 lam=value,
             )
-        if not s1[n] * s2[n] < 0.0:
+        if not split[n]:
             raise DegenerateParameter(
                 "labeled pair fails to split into points of opposite sign "
                 f"({s1[n]:.3e}, {s2[n]:.3e}); the quadric degenerates to two "
@@ -240,13 +210,15 @@ def _pairs(frames: FrameStack, lams) -> HyperboloidStack:
                 face=face,
                 products=(float(s1[n]), float(s2[n])),
             )
-        first, second = map(tuple, signatures[n].tolist())
+        first, second = units[n].tolist()
         raise DegenerateParameter(
-            f"ruling planes have signatures {first} and {second}, expected a "
-            "(2,1,0)/(1,2,0) pair",
+            f"ruling planes are degenerate: the labeled pair's face-local "
+            f"self-products ({first:.3e}, {second:.3e}) fall below the "
+            f"signature cutoff {frames.sig_eps:.1e}",
             face=face,
-            signatures=(first, second),
+            products=(first, second),
         )
+    signatures = np.where((s1 > 0.0)[:, None, None], _RULING_PLANES, _RULING_PLANES[::-1])
     order = np.argsort(frames.faces, kind="stable")
     return HyperboloidStack(
         frames.take(order), lam[order], q1[order], q2[order], signatures[order]
@@ -524,7 +496,7 @@ def propagate_all(a: ANet, seed_face: int, t):
     mu = np.array(mu)
     lams = mu * scale
     lams[0] = lam
-    members = _pairs(frames, lams)
+    members = _pairs(a.positions, frames, lams)
     _check_transports(edges, measure, steps, len(edges))
 
     residuals = _closure_residuals(

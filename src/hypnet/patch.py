@@ -39,7 +39,8 @@ from .plucker import W_TOL, hom, line_from_points
 from .hyperboloid import FaceHyperboloid, HyperboloidStack, _pairs, _scales
 from .quadgraph import CHUNK
 
-#: Pairing threshold below which two arc endpoint lines intersect and the
+#: Pairing threshold, relative to the product of the face's unit
+#: diagonals, below which two arc endpoint lines intersect and the
 #: rational quadratic between them degenerates.
 DEGENERATE_CONIC_EPS = 1e-10
 
@@ -219,7 +220,10 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
     ``w11 / w10``.
 
     Raises for the first failing face: :class:`DegenerateConic` when a
-    family's edge lines intersect or its plane point is isotropic, else
+    family's edge lines intersect or its plane point is isotropic, each
+    read relative to the product ``|<g1, g2>|`` of the face's unit
+    diagonals (both are the face volume over join norms, so the ratio
+    does not shrink as the net moves away from the origin), else
     :class:`NoAdaptedPatch` naming the first family without exactly one
     qualifying branch.  Faces are carved :data:`CHUNK` at a time, in
     order; every step is elementwise per face, so a slice's rows equal
@@ -227,20 +231,22 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
     """
     frames = members.frames
     points = np.asarray(positions, dtype=float)[frames.corners]
+    axes = np.abs(_pairing(frames.diagonals[:, 0], frames.diagonals[:, 1]))
     weights = np.empty((len(points), 4))
     for lo in range(0, len(points), CHUNK):
         rows = slice(lo, lo + CHUNK)
         weights[rows] = _carve(
             frames.faces[rows], frames.h_lines[rows], members.q1[rows],
-            members.q2[rows], points[rows],
+            members.q2[rows], points[rows], axes[rows],
         )
     return PatchStack(frames=frames, points=points, weights=weights)
 
 
-def _carve(faces, lines, q1, q2, points) -> np.ndarray:
+def _carve(faces, lines, q1, q2, points, axes) -> np.ndarray:
     """Corner weights ``(F, 4)`` of the faces ``faces`` of one slice of
-    :func:`restrict_all`, from their role frames' edge lines, pairs and
-    corner positions; raises as it does for the first failing face."""
+    :func:`restrict_all`, from their role frames' edge lines, pairs,
+    corner positions and diagonal products ``|<g1, g2>|``; raises as it
+    does for the first failing face."""
     q = np.stack([q1, q2], axis=1)
     # axes: face, family, branch, crossed segment
     h0, h1 = lines[:, [0, 2]], lines[:, [1, 3]]
@@ -267,18 +273,18 @@ def _carve(faces, lines, q1, q2, points) -> np.ndarray:
         # a ruling parallel to the edge meets it at infinity
         finite = _dot(n, n) >= W_TOL**2 * _dot(D, D) * _dot(d, d)
         sweeps = np.all(meets & finite & (a > 0.0) & (b > 0.0), axis=-1)
-
-    degenerate = np.minimum(np.abs(pairing), np.abs(s_q)) < DEGENERATE_CONIC_EPS
+        pairing, s_q = np.abs(pairing) / axes[:, None], np.abs(s_q) / axes[:, None]
+    degenerate = ~(np.minimum(pairing, s_q) >= DEGENERATE_CONIC_EPS)
     wins = sweeps.sum(axis=-1)
     failing = np.flatnonzero((degenerate | (wins != 1)).any(axis=1))
     if failing.size:
         k = int(failing[0])
         face = int(faces[k])
         for pair, s_qq in zip(pairing[k], s_q[k]):
-            if abs(pair) < DEGENERATE_CONIC_EPS:
-                message = f"endpoint lines intersect: <h, h'> = {pair:.3e}"
+            if not pair >= DEGENERATE_CONIC_EPS:
+                message = f"endpoint lines intersect: <h, h'> = {pair:.3e} <g1, g2>"
                 raise DegenerateConic(message, face=face)
-            if abs(s_qq) < DEGENERATE_CONIC_EPS:
+            if not s_qq >= DEGENERATE_CONIC_EPS:
                 message = "plane point is isotropic; the arc collapses"
                 raise DegenerateConic(message, face=face)
         family = int(np.argmax(wins[k] != 1))
@@ -384,7 +390,7 @@ def bilinear_patches(a) -> dict:
     if not faces.size:
         return {}
     frames = a.frames(faces, 4 * faces)
-    members = _pairs(frames, _bilinear_parameters(frames, a.positions))
+    members = _pairs(a.positions, frames, _bilinear_parameters(frames, a.positions))
     stack = restrict_all(members, a.positions)
     return {f: stack[f] for f in faces.tolist()}
 

@@ -52,8 +52,8 @@ class Tolerances:
     ``planar`` bounds a star's distance from its best-fit plane relative
     to the star diameter (validation); ``closure`` bounds the
     disagreement of the two propagation routes on a non-tree edge;
-    ``sig`` is the relative eigenvalue cutoff of every signature read
-    (vertex pencils, face frames, ruling planes).  A validated
+    ``sig`` is the cutoff of the face frames' and ruling planes'
+    signatures, on products of unit lines in face-local units.  A validated
     :class:`~hypnet.anet.ANet` keeps the value it was checked with.
     """
 
@@ -332,22 +332,6 @@ def _basis_gram(basis: np.ndarray, sig_eps: float):
         basis = canonical(basis)
     gram = basis @ METRIC @ basis.swapaxes(-1, -2)
     return basis, gram, signature_of_gram(gram, sig_eps, scale=1.0)
-
-
-def _span_signatures(generators, rank_tol: float, sig_eps: float):
-    """Ranks ``(B,)`` and signatures ``(B, 3)`` of the spans of a stack
-    of generator sets ``(B, k, 6)``, each read as :func:`span` reads
-    it; a set of numerically zero generators spans nothing: rank 0,
-    signature ``(0, 0, 0)``.  The third value is the stack of right
-    singular vectors ``(B, 6, 6)``: row ``i`` of a set of rank ``r`` is
-    in its span for ``i < r`` and in its orthogonal complement else."""
-    _, s, vt = np.linalg.svd(generators)
-    rank = _span_rank(s, rank_tol)
-    signatures = np.zeros((len(rank), 3), dtype=int)
-    for r in set(rank.tolist()) - {0}:
-        same = rank == r
-        signatures[same] = _basis_gram(vt[same, :r], sig_eps)[2]
-    return rank, signatures, vt
 
 
 def span(generators, rank_tol: float = 1e-10, sig_eps: float = SIG_EPS) -> Subspace:

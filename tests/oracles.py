@@ -191,14 +191,19 @@ def regulus_orientation(h0, h1, h2):
     return 1 if math.prod(products) > 0 else -1
 
 
+def reference_polar(lines, sig):
+    """``(basis, signature)`` of the polar of the span of ``lines``: the
+    null space of that span's rows mapped through the Pluecker form,
+    read like :func:`reference_span` at the cutoff ``sig``."""
+    span_basis, _ = reference_span(lines, 1e-10, sig)
+    _, _, vt = np.linalg.svd(span_basis @ _METRIC)
+    return reference_span(vt[len(span_basis):], 1e-10, sig)
+
+
 def reference_axis(frame):
     """``(basis, signature)`` of a face's axis, the polar of the span of
-    its edge lines: the null space of that span's rows mapped through
-    the Pluecker form, read like :func:`reference_span` with the
-    frame's signature cutoff."""
-    span_basis, _ = reference_span(frame.h_lines, 1e-10, frame.sig_eps)
-    _, _, vt = np.linalg.svd(span_basis @ _METRIC)
-    return reference_span(vt[len(span_basis):], 1e-10, frame.sig_eps)
+    its edge lines, read with the frame's signature cutoff."""
+    return reference_polar(frame.h_lines, frame.sig_eps)
 
 
 def family_parameter_of(frame, q):
@@ -598,6 +603,21 @@ def _reference_join(x, y):
     return h / norm
 
 
+def reference_face_lines(positions, quad):
+    """Unit lines of a quad's sides in cycle order, each oriented from
+    its lower vertex id, in face-local coordinates: origin at the
+    centroid of the corners, unit their largest distance from it;
+    ``None`` for a side whose ends coincide."""
+    p = np.array([positions[v] for v in quad], dtype=float)
+    local = p - p.mean(axis=0)
+    local /= max(np.linalg.norm(row) for row in local)
+    lines = []
+    for k in range(4):
+        a, b = sorted((k, (k + 1) % 4), key=lambda c: quad[c])
+        lines.append(_reference_join(np.append(local[a], 1.0), np.append(local[b], 1.0)))
+    return lines
+
+
 def reference_span(lines, rank_tol, sig):
     """``(basis, signature)`` of the span of ``lines``: sign-fixed
     orthonormal rows and the inertia of their Gram matrix, eigenvalues
@@ -615,10 +635,17 @@ def reference_span(lines, rank_tol, sig):
     return basis, (plus, minus, len(lam) - plus - minus)
 
 
-def _reference_pencil(lines, rank_tol, sig):
-    """``(dim, signature)`` of the span of ``lines``; ``(-1, (0, 0, 0))``
-    when every line is numerically zero."""
-    basis, signature = reference_span(lines, rank_tol, sig)
+def _reference_pencil(vertex, ends, lines, rank_tol, sig):
+    """``(dim, signature)`` of the pencil of edge lines at ``vertex``,
+    each from ``vertex`` to the point of ``ends`` in star-local
+    coordinates (origin at the vertex), a zero line where the global
+    line in ``lines`` is zero; ``(-1, (0, 0, 0))`` when every line is
+    numerically zero."""
+    local = np.zeros((len(ends), 6))
+    for k, (end, line) in enumerate(zip(ends, lines)):
+        if np.any(line):
+            local[k] = _reference_join(np.array([0.0, 0, 0, 1]), np.append(end - vertex, 1.0))
+    basis, signature = reference_span(local, rank_tol, sig)
     return len(basis) - 1, signature
 
 
@@ -630,9 +657,11 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
     ``violations`` lists ``(kind, data)`` in order: non-planar stars by
     ascending vertex, zero-length edges by ascending edge, per ascending
     face a degenerate face or else its meeting opposite pairs (0, 2) and
-    (1, 3), then vertex pencils that are not a rank-2 span of signature
-    (0, 0, 2), by ascending vertex.  Unreferenced vertices keep NaN
-    rows, zero-length edges zero lines.
+    (1, 3), their products read on face-local lines
+    (:func:`reference_face_lines`), then vertex pencils that are not a
+    rank-2 span of signature (0, 0, 2), read on star-local lines, by
+    ascending vertex.  Unreferenced vertices keep NaN rows, zero-length
+    edges zero lines.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -667,8 +696,9 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
             found.append(("degenerate_face", {"face": f, "ratio": float(ratio)}))
             continue
         edges = graph.face_edges[f].tolist()
+        local = reference_face_lines(pos, graph.face_vertices[f].tolist())
         for a, b in ((0, 2), (1, 3)):
-            prod = _pairing(lines[edges[a]], lines[edges[b]])
+            prod = _pairing(local[a], local[b])
             if abs(prod) < skew_eps:
                 found.append(("non_generic_pair", {
                     "edges": (edges[a], edges[b]), "face": f, "product": prod,
@@ -679,7 +709,10 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
         incident = [
             e for e, ends in enumerate(graph.edges.tolist()) if v in ends
         ]
-        dim, signature = _reference_pencil(lines[incident], rank_tol, sig)
+        others = [sum(graph.edges[e].tolist()) - v for e in incident]
+        dim, signature = _reference_pencil(
+            pos[v], pos[others], lines[incident], rank_tol, sig
+        )
         if dim != 1 or signature != (0, 0, 2):
             found.append(("non_generic_pair", {
                 "vertex": v, "edges": tuple(incident[:2]),
@@ -755,13 +788,14 @@ def reference_member(frame, lam):
     return reference_pair(frame, q1, g1 - (_pairing(q1, g1) / den) * g2)
 
 
-def member(frame, lam):
-    """The member ``lam`` of the face family of ``frame``, as the
-    package's stacked formation reads it for one face."""
+def member(frame, lam, positions):
+    """The member ``lam`` of the face family of ``frame``, on a net at
+    ``positions``, as the package's stacked formation reads it for one
+    face."""
     from hypnet.anet import FrameStack
     from hypnet.hyperboloid import _pairs
 
-    return _pairs(FrameStack.of([frame]), [float(lam)])[frame.face]
+    return _pairs(positions, FrameStack.of([frame]), [float(lam)])[frame.face]
 
 
 def propagate_face(hb, across, neighbor_frame):

@@ -85,14 +85,14 @@ def cycle_pair(a, vertex, lam):
     """Transport a labeled pair once around a vertex's face cycle."""
     _, faces = a.graph.vertex_star(vertex)
     frames = {f: a.face_frame(f) for f in faces}
-    seed = member(frames[faces[0]], lam)
+    seed = member(frames[faces[0]], lam, a.positions)
     for k in range(len(faces)):
         f_now, f_next = faces[k], faces[(k + 1) % len(faces)]
         shared = set(a.graph.face_edges[f_now].tolist()) & set(a.graph.face_edges[f_next].tolist())
         lam = transport_parameter(
             a, frames[f_now], shared.pop(), frames[f_next], lam
         )
-    return seed, member(frames[faces[0]], lam)
+    return seed, member(frames[faces[0]], lam, a.positions)
 
 
 def nonzero_lambda(rng):

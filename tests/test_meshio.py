@@ -84,7 +84,7 @@ def saddle_strip_patches(n, m):
         frame = a.face_frame(f)
         lam = bilinear_parameter(frame, a.positions)
         patch = restrict_to_patch(
-            member(frame, lam), frame, a.positions
+            member(frame, lam, a.positions), frame, a.positions
         )
         grid = oriented_grid(sample(patch, n, m), patch.corner_map, frame.corners)
         grids[f] = (grid, frame.corners)

@@ -80,7 +80,7 @@ def adapted_parameter(a, f, magnitude):
     """The sign of the family coordinate whose hyperboloid patches face f."""
     frame = a.face_frame(f)
     for lam in (magnitude, -magnitude):
-        hb = member(frame, lam)
+        hb = member(frame, lam, a.positions)
         try:
             restrict_to_patch(hb, frame, a.positions)
         except NoAdaptedPatch:
@@ -111,14 +111,14 @@ def bilinear_hyperboloids(a):
     for f in range(a.graph.face_count):
         frame = a.face_frame(f)
         lam = bilinear_parameter(frame, a.positions)
-        out[f] = member(frame, lam)
+        out[f] = member(frame, lam, a.positions)
     return out
 
 
 SADDLE = spec_face()
 SADDLE_FRAME = SADDLE.face_frame(0)
 SADDLE_LAMBDA = adapted_parameter(SADDLE, 0, 0.8)
-SADDLE_HB = member(SADDLE_FRAME, SADDLE_LAMBDA)
+SADDLE_HB = member(SADDLE_FRAME, SADDLE_LAMBDA, SADDLE.positions)
 SADDLE_PATCH = restrict_to_patch(SADDLE_HB, SADDLE_FRAME, SADDLE.positions)
 
 
@@ -201,7 +201,7 @@ def test_arc_rejects_bad_branch():
     t=st.floats(0.0, 1.0),
 )
 def test_arc_isotropy_property(lam, sign, branch, t):
-    hb = member(SADDLE_FRAME, sign * lam)
+    hb = member(SADDLE_FRAME, sign * lam, SADDLE.positions)
     arc = conic_arc(SADDLE_FRAME.h_lines[0], SADDLE_FRAME.h_lines[1], hb.q1, branch)
     h = arc(t)
     assert abs(plucker_product(h, h)) < 1e-10 * float(h @ h)
@@ -230,7 +230,7 @@ def test_exactly_one_sign_of_the_coordinate_patches():
     for magnitude in (0.8, 2.5):
         outcomes = []
         for lam in (magnitude, -magnitude):
-            hb = member(SADDLE_FRAME, lam)
+            hb = member(SADDLE_FRAME, lam, SADDLE.positions)
             try:
                 restrict_to_patch(hb, SADDLE_FRAME, SADDLE.positions)
             except NoAdaptedPatch:
@@ -344,7 +344,7 @@ def test_boundary_samples_stay_on_the_edge_segments():
 
 def test_sample_reproduces_the_saddle_graph():
     lam = bilinear_parameter(SADDLE_FRAME, SADDLE.positions)
-    hb = member(SADDLE_FRAME, lam)
+    hb = member(SADDLE_FRAME, lam, SADDLE.positions)
     patch = restrict_to_patch(hb, SADDLE_FRAME, SADDLE.positions)
     pts = sample(patch, 7, 6)
     flat = pts.reshape(-1, 3)
@@ -623,7 +623,7 @@ def test_adapted_branch_verdicts_match_the_reference():
             x, x1, x2, x12 = (a.positions[v] for v in frame.corners)
             lines = frame.h_lines
             for lam in (0.8, -0.8, 2.5, -2.5):
-                hb = member(frame, lam)
+                hb = member(frame, lam, a.positions)
                 swapped = dataclasses.replace(
                     hb, q1=hb.q2, q2=hb.q1, signatures=hb.signatures[::-1]
                 )

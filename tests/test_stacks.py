@@ -60,7 +60,7 @@ def test_member_and_patch_rows_equal_the_one_face_calls_bit_for_bit():
     patches = restrict_all(members, a.positions)
     assert patches.faces.tolist() == list(members)
     for k, (f, hb) in enumerate(members.items()):
-        alone = member(hb.frame, hb.lam)
+        alone = member(hb.frame, hb.lam, a.positions)
         assert alone.lam == hb.lam == members.lams[k]
         assert np.array_equal(alone.q1, hb.q1) and np.array_equal(alone.q2, hb.q2)
         assert alone.signatures == hb.signatures
