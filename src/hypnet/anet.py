@@ -16,7 +16,9 @@ Pluecker product of two joins is the 4x4 determinant of their points,
 so adjacent edge lines meet and the two opposite-pair products are the
 face volume over the norms of the joins.  Read in face-local units
 (origin at the centroid of the corners, unit their largest distance
-from it) they neither shrink nor grow as the net moves or scales.
+from it, every term formed in those units) they neither shrink nor grow
+as the net moves or scales, until its positions' squares leave the
+float range.
 
 Validation enforces, per face, that the quad is non-planar and that
 opposite edge lines are skew; per vertex, that the incident edge lines
@@ -39,7 +41,7 @@ size of the net (1.6 MB traced on a 60x60 grid, 1.7 MB on a 120x120 one):
 2. edges: the lines of all edges from their 2x2 minors;
 3. faces: volume ratios and the face-local products of both opposite
    edge pairs, in one pass;
-4. pencils: the rank of each vertex's unit edge directions, its edge
+4. pencils: the rank of each vertex's unit edge vectors, its edge
    lines in star-local coordinates.  Closed-form bounds on their
    singular values (:func:`_pencil_bounds`) certify, in array passes,
    the vertices that surely read rank 2 (:func:`_certified_pencils`);
@@ -236,9 +238,10 @@ def _face_volumes(positions, quads):
     Pluecker product of two joins is the 4x4 determinant of their points,
     so every edge line meets its neighbours and the products are
     ``-+V / u^3`` over the local join norms, ``|J(x, y)|^2 = |y - x|^2 +
-    |x (y - x)|^2`` (a cross product): translation and uniform scaling
-    leave them as they are.  NaN where a side has zero length, which
-    leaves the quad no volume.
+    |x (y - x)|^2`` (a cross product).  Every term is formed in those
+    units, so translation and uniform scaling leave the products as they
+    are until the positions' squares leave the float range.  NaN where a
+    side has zero length, which leaves the quad no volume.
     """
     p = positions[quads]
     det = np.linalg.det(p[:, 1:] - p[:, :1])
@@ -253,20 +256,25 @@ def _face_volumes(positions, quads):
     )
     # the rest runs on coordinate- and corner-first arrays ``(3, 4, B)``,
     # whose rows are contiguous; |x (y - x)|^2 = |x|^2 |e|^2 - (x . e)^2
-    x, e = np.ascontiguousarray(p.T), edges.T
+    x = np.ascontiguousarray(p.T)
     x -= ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4)[:, None]
     radii = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-    along = x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
     unit = np.maximum(np.maximum(radii[0], radii[1]), np.maximum(radii[2], radii[3]))
-    # (u^2 |J|)^2 for the local join J of each side, u^2 = unit
-    norms = squares.T * (unit + radii) - along * along
     # the sides that run from the higher vertex id
     flip = quads.T > quads.T[[1, 2, 3, 0]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        volume = det * np.sqrt(unit)
+        # into face-local units, so that every term below is of order 1
+        # at any scale of the net
+        inv = 1.0 / np.sqrt(unit)
+        x *= inv
+        e = edges.T * inv
+        along = x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
+        # |J| for the local join J of each side
+        norms = np.sqrt(squares.T / unit * (1.0 + radii / unit) - along * along)
+        volume = det * inv * inv * inv
         products = np.stack([
-            np.where(flip[0] == flip[2], -volume, volume) / np.sqrt(norms[0] * norms[2]),
-            np.where(flip[1] == flip[3], volume, -volume) / np.sqrt(norms[1] * norms[3]),
+            np.where(flip[0] == flip[2], -volume, volume) / (norms[0] * norms[2]),
+            np.where(flip[1] == flip[3], volume, -volume) / (norms[1] * norms[3]),
         ], axis=1)
     return det, ratio, products
 
@@ -582,7 +590,7 @@ def _collect_violations(
         lambda: _star_stage(graph, positions, degree, tol.planar, walk),
         lambda: _edge_stage(graph, positions, walk),
         lambda: _face_stage(graph, positions, walk),
-        lambda: _pencil_stage(graph, degree, walk),
+        lambda: _pencil_stage(graph, positions, degree, walk),
     )
     for stage in stages:
         walk.violations.extend(stage())
@@ -716,7 +724,7 @@ def _certified_pencils(lines):
     )
 
 
-def _pencil_stage(graph, degree, walk):
+def _pencil_stage(graph, positions, degree, walk):
     """Rank of every vertex pencil, stacked by vertex degree; a pencil
     that is not a line pencil (rank 2) is a violation, by ascending
     vertex.
@@ -724,21 +732,23 @@ def _pencil_stage(graph, degree, walk):
     The pencil is read in star-local coordinates, origin at the vertex:
     there each incident edge line is ``(d, 0)`` with ``d`` its unit
     direction, so the rank is that of the unit edge directions, which
-    neither translation nor scaling moves.  They are the direction parts
-    of the edge lines (components 2 to 4, a signed permutation of ``d``)
-    made unit; a zero-length edge keeps a zero row.  Lines through one
-    point meet pairwise, so the signature is exactly (0, 0, rank); edges
-    that are all zero span nothing: rank 0, dimension -1.  Only the
-    pencils that :func:`_certified_pencils` leaves undecided go through
-    one stacked SVD, for their singular values alone."""
+    neither translation nor scaling moves.  The directions are the unit
+    edge vectors, up to sign; an edge the edge stage left a zero line
+    keeps a zero row.  Lines through one point meet pairwise, so the
+    signature is exactly (0, 0, rank); edges that are all zero span
+    nothing: rank 0, dimension -1.  Only the pencils that
+    :func:`_certified_pencils` leaves undecided go through one stacked
+    SVD, for their singular values alone."""
+    vectors = positions[graph.edges[:, 1]] - positions[graph.edges[:, 0]]
+    lengths = np.sqrt(_rowdot(vectors, vectors))[:, None]
+    lengths[~walk.edge_lines.any(axis=1)] = 0.0
+    units = np.divide(vectors, lengths, out=np.zeros_like(vectors), where=lengths > 0.0)
     # the edges at every vertex, ascending, in the slots of its star
     by_vertex = np.argsort(graph.edges.ravel(), kind="stable") // 2
     found = []
     for k, verts in _by_degree(degree):
         incident = by_vertex[graph.star_offsets[verts][:, None] + np.arange(k)]
-        directions = walk.edge_lines[:, 2:5][incident]
-        norms = np.sqrt(_rowdot(directions, directions))[..., None]
-        np.divide(directions, norms, out=directions, where=norms > 0.0)
+        directions = units[incident]
         open_rows = np.flatnonzero(~_certified_pencils(directions))
         if not open_rows.size:
             continue

@@ -757,23 +757,54 @@ class ReferencePair:
     signatures: tuple
 
 
-def reference_pair(frame, q1, q2):
-    """The pair ``(q1, q2)`` on ``frame`` after the checks of a member:
-    self-products of opposite signs, then ruling planes of signatures
-    (2,1,0) and (1,2,0) in some order; ``DegenerateParameter`` else."""
+def face_local_map(positions, corners):
+    """The 6x6 map of line coordinates into a face's local units: the
+    second compound of the point map ``x -> (x - c) / u``, ``c`` the
+    centroid of the corners and ``u`` their largest distance from it,
+    so that it takes the join of two points to the join of their
+    images."""
+    p = np.array([positions[v] for v in corners], dtype=float)
+    c = p.mean(axis=0)
+    u = max(np.linalg.norm(row - c) for row in p)
+    m = np.eye(4)
+    m[:3, :3] /= u
+    m[:3, 3] = -c / u
+    return np.array([
+        [m[i, k] * m[j, l] - m[i, l] * m[j, k] for k, l in MINOR_INDEX]
+        for i, j in MINOR_INDEX
+    ])
+
+
+def reference_pair(frame, q1, q2, positions):
+    """The pair ``(q1, q2)`` on ``frame``, a face of a net at
+    ``positions``, after the checks of a member: self-products of
+    opposite signs, then ruling planes that are not flat in face-local
+    units.  There the pair's points, mapped by :func:`face_local_map`,
+    must have unit self-products of magnitude at least the frame's
+    signature cutoff, and the ruling planes ``span(first family, q1)``
+    and ``span(second family, q2)``, mapped likewise, read signatures
+    (2,1,0) and (1,2,0) in some order by the signs of their Gram
+    eigenvalues; ``DegenerateParameter`` else."""
     from hypnet.errors import DegenerateParameter
 
     s1, s2 = _pairing(q1, q1), _pairing(q2, q2)
     if not s1 * s2 < 0.0:
         raise DegenerateParameter("pair does not split", face=frame.face)
-    pair = ReferencePair(frame.face, frame, _sign_fixed(q1), _sign_fixed(q2), ())
-    signatures = tuple(sig for _, sig in ruling_planes(pair))
+    local = face_local_map(positions, frame.corners)
+    lines = frame.h_lines @ local.T
+    points = [local @ q for q in (q1, q2)]
+    if min(abs(_pairing(q, q)) / (q @ q) for q in points) < frame.sig_eps:
+        raise DegenerateParameter("ruling planes degenerate", face=frame.face)
+    signatures = tuple(
+        reference_span(np.vstack([family, q]), 1e-10, 0.0)[1]
+        for family, q in ((lines[:2], points[0]), (lines[2:], points[1]))
+    )
     if set(signatures) != {(2, 1, 0), (1, 2, 0)}:
         raise DegenerateParameter("ruling planes degenerate", face=frame.face)
-    return ReferencePair(frame.face, frame, pair.q1, pair.q2, signatures)
+    return ReferencePair(frame.face, frame, _sign_fixed(q1), _sign_fixed(q2), signatures)
 
 
-def reference_member(frame, lam):
+def reference_member(frame, lam, positions):
     """The member ``g1 + lam g2`` of the face's family and its polar
     partner, as a checked :class:`ReferencePair`."""
     from hypnet.errors import DegenerateParameter
@@ -785,7 +816,7 @@ def reference_member(frame, lam):
     den = _pairing(q1, g2)
     if abs(den) < 1e-12:
         raise DegenerateParameter("indeterminate partner", face=frame.face)
-    return reference_pair(frame, q1, g1 - (_pairing(q1, g1) / den) * g2)
+    return reference_pair(frame, q1, g1 - (_pairing(q1, g1) / den) * g2, positions)
 
 
 def member(frame, lam, positions):
@@ -798,7 +829,7 @@ def member(frame, lam, positions):
     return _pairs(positions, FrameStack.of([frame]), [float(lam)])[frame.face]
 
 
-def propagate_face(hb, across, neighbor_frame):
+def propagate_face(hb, across, neighbor_frame, positions):
     """Transport a labeled pair across a shared edge by projecting both
     points through the shared edge line into the polar hyperplane of the
     neighbor's opposite edge; the labels swap exactly when the shared
@@ -808,7 +839,7 @@ def propagate_face(hb, across, neighbor_frame):
     t1 = reference_project(hb.q1, center, far)
     t2 = reference_project(hb.q2, center, far)
     same = family_of_edge(hb.frame, across) == family_of_edge(neighbor_frame, across)
-    return reference_pair(neighbor_frame, *((t1, t2) if same else (t2, t1)))
+    return reference_pair(neighbor_frame, *((t1, t2) if same else (t2, t1)), positions)
 
 
 def reference_propagate(a, seed, lam):
@@ -833,15 +864,15 @@ def reference_propagate(a, seed, lam):
     for face, _parent, shared in tree:
         side = g.face_edges[face].tolist().index(shared)
         frames[face] = a.face_frame(face, 4 * face + side)
-    pairs = {seed: reference_member(frames[seed], lam)}
+    pairs = {seed: reference_member(frames[seed], lam, a.positions)}
     for face, parent, shared in tree:
-        pairs[face] = propagate_face(pairs[parent], shared, frames[face])
+        pairs[face] = propagate_face(pairs[parent], shared, frames[face], a.positions)
     residuals = {}
     tree_edges = {shared for _, _, shared in tree}
     for e, (f, h) in enumerate(g.edge_faces.tolist()):
         if f < 0 or h < 0 or e in tree_edges:
             continue
-        image = propagate_face(pairs[min(f, h)], e, frames[max(f, h)])
+        image = propagate_face(pairs[min(f, h)], e, frames[max(f, h)], a.positions)
         held = pairs[max(f, h)]
         residuals[e] = max(proj_distance(image.q1, held.q1),
                            proj_distance(image.q2, held.q2))

@@ -233,7 +233,7 @@ def _tree_steps(a, seed=0):
     frames, tree = _frames_by_face(a, seed)
     hbs = {seed: member(frames[seed], 0.8, a.positions)}
     for face, parent, shared in tree:
-        hbs[face] = propagate_face(hbs[parent], shared, frames[face])
+        hbs[face] = propagate_face(hbs[parent], shared, frames[face], a.positions)
     return frames, tree, hbs
 
 
@@ -242,7 +242,7 @@ def test_propagation_is_an_involution():
     a = random_net(rng)
     frames, tree, hbs = _tree_steps(a)
     face, parent, shared = tree[0]
-    back = propagate_face(hbs[face], shared, frames[parent])
+    back = propagate_face(hbs[face], shared, frames[parent], a.positions)
     assert proj_distance(back.q1, hbs[parent].q1) < 1e-11
     assert proj_distance(back.q2, hbs[parent].q2) < 1e-11
 
@@ -282,7 +282,7 @@ def _vertex_cycle(a, v, lam):
             a.graph.face_edges[f_next].tolist()
         )
         assert len(shared) == 1
-        hb = propagate_face(hb, shared.pop(), frames[f_next])
+        hb = propagate_face(hb, shared.pop(), frames[f_next], a.positions)
     return seed, hb, frames, faces
 
 
@@ -502,7 +502,8 @@ def test_transport_parameter_is_the_projection_of_the_pair():
         lam = 0.8
         for face, parent, shared in tree[:4]:
             image = propagate_face(
-                member(frames[parent], lam, net.positions), shared, frames[face]
+                member(frames[parent], lam, net.positions), shared, frames[face],
+                net.positions,
             )
             moved = transport_parameter(net, frames[parent], shared, frames[face], lam)
             assert moved == pytest.approx(
@@ -597,7 +598,16 @@ def _failing_cases():
     yield "disconnected", two, 1.0
     # signature cutoffs that fail a face other than the seed
     yield "frames", validate_anet(exact.graph, positions, Tolerances(sig=0.05)), 1.0
-    yield "ruling planes", validate_anet(exact.graph, positions, Tolerances(sig=3e-2)), 0.3
+    # two cutoffs whose first failing face differs: face 8 at 1e-2, face 2
+    # at 3e-2 (face 8 is later in the walk)
+    yield "ruling planes", validate_anet(exact.graph, positions, Tolerances(sig=1e-2)), 0.3
+    yield "ruling planes 3e-2", validate_anet(exact.graph, positions, Tolerances(sig=3e-2)), 0.3
+    # a generic net, whose diagonal joins differ in length, so that the
+    # face-local coordinate of a member is not +-lam: face 1 reads 0.073
+    # there, and face 3 would fail first if the coordinate were lam * k
+    count, quads, generic = random_grid3x3_net(np.random.default_rng(81))
+    yield "ruling planes, generic", validate_anet(build(count, quads), generic,
+                                                  Tolerances(sig=0.075)), 1.0
     for lam in (0.0, math.nan, 1e15):
         yield f"parameter {lam}", exact, lam
     count, quads, small = quadric_grid(2, 2)

@@ -14,7 +14,7 @@ larger absolute scale, which the closure residual amplifies.
 import numpy as np
 import pytest
 
-from hypnet.anet import diagnose_anet, validate_anet
+from hypnet.anet import _face_volumes, diagnose_anet, validate_anet
 from hypnet.errors import ClosureViolation
 from hypnet.hyperboloid import propagate_all
 from hypnet.patch import bilinear_parameter, restrict_all
@@ -24,6 +24,9 @@ from hypnet.synthetic import quadric_grid, random_grid3x3_net, random_umbrella_n
 from test_anet import _planted
 
 SCALES = [1e-6, 1e-3, 1e3, 1e6]
+#: scales at which the face products alone are compared; the edge stage
+#: reads an edge through the origin as zero-length beyond about 1e12
+FACE_SCALES = [1e-40, 1e-20, 1e20, 1e40]
 #: translations, in net diameters
 SHIFTS = [1e2, 1e4]
 
@@ -106,3 +109,14 @@ def test_extension_verdicts_do_not_depend_on_placement_or_scale(name):
             assert outcome == expected, label
     # every scaling closes; so does the nearer translation
     assert compared >= len(SCALES) + 3
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_face_products_do_not_depend_on_scale_over_the_float_range(name):
+    _, quads, positions = fixtures()[name]
+    quads = np.asarray(quads)
+    expected = _face_volumes(np.asarray(positions, dtype=float), quads)[2]
+    for scale in FACE_SCALES:
+        products = _face_volumes(positions * scale, quads)[2]
+        np.testing.assert_allclose(products, expected, rtol=1e-12, atol=1e-13,
+                                   err_msg=f"scaled {scale:g}")
