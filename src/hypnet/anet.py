@@ -29,18 +29,29 @@ lines is deliberately not enforced.
 The validation walk runs four stages, each as stacked array kernels over
 batches of at most :data:`~hypnet.quadgraph.CHUNK` (1024) rows.  That size
 pays the per-batch cost of the kernels a few times per net rather than
-hundreds of times, and it bounds the walk's temporaries whatever the
-size of the net (1.6 MB traced on a 60x60 grid, 1.7 MB on a 120x120 one):
+hundreds of times, and it bounds the temporaries of each batch whatever
+the size of the net (beyond what the net keeps, 1.5 MB traced on a
+60x60 grid and 2.3 MB on a 120x120 one, where the pencil stage's unit
+vector per edge makes up most of the growth).  The star and pencil
+stages gather each batch once, coordinate-first, from one transposed
+copy of the positions: a batch of ``B`` stars of ``m`` points is a ``(3,
+m, B)`` array, so every sum over coordinates or points is a few
+operations on whole ``(B,)`` rows, in index order:
 
-1. stars: the best-fit plane of every star (:func:`star_plane`), stacked
-   by star size, in closed form from the star's 3x3 scatter
-   (:func:`_scatter_normals`) where a bound on its tilt against the SVD's
-   plane settles the verdict with room; only the stars left unsettled,
-   those near or above the gate and the near-collinear ones, go through
-   one stacked SVD per star size;
-2. edges: the lines of all edges from their 2x2 minors;
+1. stars: the best-fit plane of every star (:func:`star_plane`, whose
+   kernel is :func:`_star_planes`), stacked by star size, in closed form
+   from the star's 3x3 scatter (:func:`_scatter_normals`) where a bound
+   on its tilt against the SVD's plane settles the verdict with room;
+   only the stars left unsettled, those near or above the gate and the
+   near-collinear ones, go through one stacked SVD per star size.  The
+   residuals and plane offsets, dot products that BLAS rounds, are read
+   on row-major copies, so every figure equals that of a one-star call;
+2. edges: the lines of all edges from their 2x2 minors, over their norm;
+   an edge no longer than ``1e-12`` of the larger diameter of its two
+   end stars is zero-length, whatever the size of the net;
 3. faces: volume ratios and the face-local products of both opposite
-   edge pairs, in one pass;
+   edge pairs, in one pass, gated at ``tol.sig`` as :meth:`ANet.frames`
+   gates them;
 4. pencils: the rank of each vertex's unit edge vectors, its edge
    lines in star-local coordinates.  Closed-form bounds on their
    singular values (:func:`_pencil_bounds`) certify, in array passes,
@@ -72,7 +83,7 @@ from .plucker import (
     PLANAR_EPS,  # the default star-planarity gate, importable from here
     SIG_EPS,
     Tolerances,
-    _join,
+    _minors,
     _rowdot,
     _span_rank,
     canonical,
@@ -82,7 +93,6 @@ from .plucker import (
 from .quadgraph import CHUNK, QuadGraph
 
 FACE_VOLUME_EPS = 1e-10
-SKEW_PAIR_EPS = 1e-10
 # Cycle positions, from the entry half-edge's origin, of the corner roles
 # (x, x1, x2, x12).
 _ROLE_CORNERS = [0, 3, 1, 2]
@@ -105,6 +115,9 @@ _SYM_PAIRS = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
 _SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 _ADJ_TERMS = np.array([[1, 0, 0, 4, 3, 3], [2, 2, 1, 5, 5, 4],
                        [5, 4, 3, 3, 4, 0], [5, 4, 3, 2, 1, 5]])
+# An edge is zero-length when it is no longer than this many times the
+# larger diameter of its two end stars.
+_ZERO_EDGE = 1e-12
 # Largest tilt, in radians, at which a closed-form star plane stands in for
 # the SVD's: whatever the planarity gate, the two readings of a certified
 # star's residual then agree to 2e-10 of its diameter.
@@ -112,22 +125,21 @@ _STAR_TILT = 1e-10
 
 
 def _scatter_normals(centered):
-    """Closed-form normals ``(B, 3)`` of centred point clouds ``A``
-    ``(B, m, 3)``, their residuals ``max |A n|``, and bounds ``tilt``
-    ``(B,)`` on the angle between each normal and the one the SVD of
-    ``A`` reads.
+    """Closed-form normals ``(B, 3)`` of centred point clouds ``A`` held
+    coordinate-first, ``(3, m, B)``, and bounds ``tilt`` ``(B,)`` on the
+    angle between each normal and the one the SVD of ``A`` reads.
 
     Let ``S = A^T A`` be a cloud's scatter, with eigenvalues ``l1 >= l2
     >= l3`` and least eigenvector ``v3``.  The normal ``n`` is the
-    largest column of the adjugate of ``S``.  Those columns are the cross
-    products of pairs of rows of ``S``.  The adjugate has the
-    eigenvectors of ``S``, with eigenvalues ``l2 l3``, ``l1 l3`` and ``l1
-    l2``, so its largest column has squared norm at least ``(l1 l2)^2 /
-    3`` and lies off ``v3`` by the order of ``l3 / l2``: not at all on a
-    planar star.  (Kopp, IJMPC 19, 2008, takes the adjugate of ``S - l3
-    I``.  Read with ``l3`` from the trigonometric formula, whose rounding
-    grows as ``l2 / l1`` falls, the residuals of exact stars came out 1e2
-    to 1e4 times further from the SVD's.)
+    largest column of the adjugate of ``S`` (the first, on ties).  Those
+    columns are the cross products of pairs of rows of ``S``.  The
+    adjugate has the eigenvectors of ``S``, with eigenvalues ``l2 l3``,
+    ``l1 l3`` and ``l1 l2``, so its largest column has squared norm at
+    least ``(l1 l2)^2 / 3`` and lies off ``v3`` by the order of ``l3 /
+    l2``: not at all on a planar star.  (Kopp, IJMPC 19, 2008, takes the
+    adjugate of ``S - l3 I``.  Read with ``l3`` from the trigonometric
+    formula, whose rounding grows as ``l2 / l1`` falls, the residuals of
+    exact stars came out 1e2 to 1e4 times further from the SVD's.)
 
     The tilt is read a posteriori.  Let ``rho`` be the Rayleigh quotient
     of ``n`` and ``E2`` the sum of the principal 2x2 minors of ``S``.
@@ -138,26 +150,107 @@ def _scatter_normals(centered):
     / (l2 - l3)`` of ``v3`` (Wedin).  A slack of ``m _PENCIL_SLACK tr S``
     (``m >= 3``) on each side covers that and the rounding of ``S``,
     ``E2`` and ``S n - rho n``.  A tilt that is NaN or infinite, for want
-    of a gap, bounds nothing.
+    of a gap, bounds nothing.  Every sum runs over whole ``(B,)`` rows in
+    index order.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = (centered[..., _SYM_PAIRS[0]] * centered[..., _SYM_PAIRS[1]]).sum(axis=1)
-        trace = s[:, 0] + s[:, 1] + s[:, 2]
-        x = s[:, _ADJ_TERMS]
-        adjugate = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
-        columns = adjugate[:, _SYM]
-        size = (columns * columns).sum(axis=2)
-        k = size.argmax(axis=1)
-        rows = np.arange(len(s))
-        normal = columns[rows, k] / np.sqrt(size[rows, k])[:, None]
-        moved = (s[:, _SYM] * normal[:, None, :]).sum(axis=2)
-        rho = (moved * normal).sum(axis=1)
-        miss = moved - rho[:, None] * normal
+        # the six entries of S, each summed over the points in order
+        s = (centered[_SYM_PAIRS[0]] * centered[_SYM_PAIRS[1]]).sum(axis=1)
+        trace = s[0] + s[1] + s[2]
+        x = s[_ADJ_TERMS]
+        adjugate = x[0] * x[1] - x[2] * x[3]
+        del x
+        # column k of the adjugate is columns[k], its entries columns[k, l];
+        # n is the first of the largest, as argmax picks it
+        columns = adjugate[_SYM]
+        size = columns[:, 0] * columns[:, 0] + columns[:, 1] * columns[:, 1]
+        size += columns[:, 2] * columns[:, 2]
+        n, top = columns[0], size[0]
+        for k in (1, 2):
+            larger = size[k] > top
+            n = np.where(larger, columns[k], n)
+            top = np.where(larger, size[k], top)
+        n = n / np.sqrt(top)
+        del columns, size
+        scatter = s[_SYM]
+        moved = scatter[:, 0] * n[0] + scatter[:, 1] * n[1] + scatter[:, 2] * n[2]
+        rho = moved[0] * n[0] + moved[1] * n[1] + moved[2] * n[2]
+        miss = moved - rho * n
         slack = _PENCIL_SLACK * centered.shape[1] * trace
-        gap = adjugate[:, :3].sum(axis=1) / trace - 2 * rho - slack
-        tilt = 2 * (np.sqrt((miss * miss).sum(axis=1)) + slack) / np.maximum(gap, 0)
-        residual = np.max(np.abs((centered @ normal[..., None])[..., 0]), axis=-1)
-    return normal, residual, tilt
+        gap = (adjugate[0] + adjugate[1] + adjugate[2]) / trace - 2 * rho - slack
+        miss = np.sqrt(miss[0] * miss[0] + miss[1] * miss[1] + miss[2] * miss[2])
+        tilt = 2 * (miss + slack) / np.maximum(gap, 0)
+    return np.ascontiguousarray(n.T), tilt
+
+
+def _row_max(a):
+    """Largest entry of each row of ``a`` ``(B, m)``, NaN where a row
+    holds one: ``a.max(axis=1)``, read a column at a time, which is far
+    faster on short rows."""
+    top = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        np.maximum(top, a[:, k], out=top)
+    return top
+
+
+def _star_planes(points, planar):
+    """Planes ``(B, 4)``, residuals and diameters ``(B,)`` of a stack of
+    point clouds held coordinate-first, ``points`` ``(3, m, B)``: the
+    kernel of :func:`star_plane`, which states what it reads.
+
+    Every step but two works on whole ``(B,)`` rows.  The residuals
+    ``max |A n|`` and the plane offsets are dot products that
+    :func:`~hypnet.plucker._rowdot` and ``matmul`` round like BLAS, so
+    they are read on contiguous row-major copies ``(B, m, 3)`` and ``(B,
+    3)``, where each row rounds as its own one-cloud call.
+    """
+    m = points.shape[1]
+    # the centroid as ``mean`` rounds it: the points added in order, / m
+    centroid = points[:, 0].copy()
+    for i in range(1, m):
+        centroid += points[:, i]
+    centroid /= m
+    centered = points - centroid[:, None]
+    # squares are read at a power-of-two scale that brings each star's
+    # largest centred coordinate into [0.5, 1): exact, so no bit changes,
+    # and no overflow or underflow at any finite size
+    _, exponent = np.frexp(np.abs(centered).max(axis=(0, 1), initial=0.0))
+    scale = np.ldexp(1.0, -exponent)
+    # the squared gaps of all pairs i < j, summed in coordinate order, one
+    # coordinate at a time
+    i, j = np.triu_indices(m, 1)
+    spans = np.zeros((len(i), points.shape[2]))
+    for x in points:
+        gap = np.take(x, i, axis=0)
+        gap -= np.take(x, j, axis=0)
+        gap *= scale
+        gap *= gap
+        spans += gap
+    diameter = np.sqrt(spans.max(axis=0, initial=0.0)) / scale
+    del spans
+    scaled = centered * scale
+    normal, tilt = _scatter_normals(scaled)
+    scaled = np.ascontiguousarray(scaled.T)
+    residual = _row_max(np.abs((scaled @ normal[..., None])[..., 0])) / scale
+    del scaled
+    # |A n| moves by at most |n - n'| max |a_i| <= 2 tilt diameter
+    settled = (tilt <= _STAR_TILT) & (
+        residual + 2 * tilt * diameter <= planar * diameter / 10
+    )
+    open_rows = np.flatnonzero(~settled)
+    if open_rows.size:
+        rest = np.ascontiguousarray(np.take(centered, open_rows, axis=2).T)
+        # a cloud of fewer than 3 points has its normal in the full basis
+        _, _, vt = np.linalg.svd(rest, full_matrices=m < 3)
+        normal[open_rows] = vt[:, -1]
+        residual[open_rows] = _row_max(np.abs((rest @ vt[:, -1, :, None])[..., 0]))
+    del centered
+    offset = _rowdot(-normal, np.ascontiguousarray(centroid.T))[:, None]
+    plane = np.concatenate([normal, offset], axis=-1)
+    # canonical squares the plane: read it at the same kind of exact scale
+    _, exponent = np.frexp(np.abs(plane).max(axis=-1))
+    plane = canonical(plane * np.ldexp(1.0, -exponent)[:, None])
+    return plane, residual, diameter
 
 
 def star_plane(points, planar=PLANAR_EPS):
@@ -178,39 +271,12 @@ def star_plane(points, planar=PLANAR_EPS):
     of the SVD's.  The SVD, one stacked call, reads the others:
     near-collinear stars, coincident points and every star near or above
     the gate.  So a star fails the gate exactly as the SVD reading fails
-    it, with the SVD's residual.
+    it, with the SVD's residual.  The validation walk calls the kernel
+    :func:`_star_planes` on its coordinate-first batches directly.
     """
     pts = np.asarray(points, dtype=float)
     stack = pts.reshape(-1, *pts.shape[-2:])
-    centroid = stack.mean(axis=1)
-    centered = stack - centroid[:, None, :]
-    # squares are read at a power-of-two scale that brings each star's
-    # largest centred coordinate into [0.5, 1): exact, so no bit changes,
-    # and no overflow or underflow at any finite size
-    _, exponent = np.frexp(np.abs(centered).max(axis=(1, 2), initial=0.0))
-    scale = np.ldexp(1.0, -exponent)[:, None, None]
-    i, j = np.triu_indices(stack.shape[1], 1)
-    gaps = (stack[:, i] - stack[:, j]) * scale
-    diameter = np.sqrt((gaps * gaps).sum(axis=-1).max(axis=1, initial=0.0))
-    normal, residual, tilt = _scatter_normals(centered * scale)
-    diameter, residual = diameter / scale[:, 0, 0], residual / scale[:, 0, 0]
-    # |A n| moves by at most |n - n'| max |a_i| <= 2 tilt diameter
-    settled = (tilt <= _STAR_TILT) & (
-        residual + 2 * tilt * diameter <= planar * diameter / 10
-    )
-    open_rows = np.flatnonzero(~settled)
-    if open_rows.size:
-        rest = centered[open_rows]
-        # a cloud of fewer than 3 points has its normal in the full basis
-        _, _, vt = np.linalg.svd(rest, full_matrices=rest.shape[1] < 3)
-        normal[open_rows] = vt[:, -1]
-        lean = (rest @ vt[:, -1, :, None])[..., 0]
-        residual[open_rows] = np.max(np.abs(lean), axis=-1)
-    offset = _rowdot(-normal, centroid)[:, None]
-    plane = np.concatenate([normal, offset], axis=-1)
-    # canonical squares the plane: read it at the same kind of exact scale
-    _, exponent = np.frexp(np.abs(plane).max(axis=-1))
-    plane = canonical(plane * np.ldexp(1.0, -exponent)[:, None])
+    plane, residual, diameter = _star_planes(stack.T, planar)
     if pts.ndim == 2:
         return plane[0], float(residual[0]), float(diameter[0])
     shape = pts.shape[:-2]
@@ -586,11 +652,14 @@ def _collect_violations(
         positive_volumes=np.zeros(graph.face_count, dtype=bool),
     )
     degree = graph.degrees
+    # the star and pencil stages gather their batches coordinate-first
+    # from this one copy
+    coords = np.ascontiguousarray(positions.T)
     stages = (
-        lambda: _star_stage(graph, positions, degree, tol.planar, walk),
-        lambda: _edge_stage(graph, positions, walk),
-        lambda: _face_stage(graph, positions, walk),
-        lambda: _pencil_stage(graph, positions, degree, walk),
+        lambda: _star_stage(graph, coords, degree, tol.planar, walk),
+        lambda: _edge_stage(graph, positions, coords, walk),
+        lambda: _face_stage(graph, positions, tol.sig, walk),
+        lambda: _pencil_stage(graph, coords, degree, walk),
     )
     for stage in stages:
         walk.violations.extend(stage())
@@ -610,13 +679,14 @@ def _by_degree(degree):
             yield k, vertices[lo:lo + CHUNK]
 
 
-def _star_stage(graph, positions, degree, planar, walk):
-    """Best-fit plane of every star, stacked by star size; the
-    ``non_planar_star`` violations by ascending vertex."""
+def _star_stage(graph, coords, degree, planar, walk):
+    """Best-fit plane of every star, stacked by star size and gathered
+    coordinate-first from ``coords`` ``(3, n)``; the ``non_planar_star``
+    violations by ascending vertex."""
     for k, verts in _by_degree(degree):
-        slots = graph.star_offsets[verts][:, None] + np.arange(k)
-        stars = np.column_stack([verts, graph.star_neighbors[slots]])
-        planes, residuals, diameters = star_plane(positions[stars], planar)
+        slots = graph.star_offsets[verts] + np.arange(k)[:, None]
+        stars = np.concatenate([verts[None], graph.star_neighbors[slots]])
+        planes, residuals, diameters = _star_planes(np.take(coords, stars, axis=1), planar)
         walk.planes[verts] = planes
         walk.residuals[verts] = residuals
         walk.diameters[verts] = diameters
@@ -629,14 +699,27 @@ def _star_stage(graph, positions, degree, planar, walk):
     ]
 
 
-def _edge_stage(graph, positions, walk):
-    """Line of every edge; a zero-length edge keeps a zero line and is a
-    violation, by ascending edge id."""
+def _edge_stage(graph, positions, coords, walk):
+    """Line of every edge, its 2x2 minors over their norm; a zero-length
+    edge keeps a zero line and is a violation, by ascending edge id.
+
+    An edge is zero-length when it is no longer than ``_ZERO_EDGE``
+    times the larger diameter of its two end stars, which the star stage
+    read: a reading relative to the net itself, so neither moving nor
+    scaling the net makes an edge zero-length."""
     found = []
     for lo in range(0, graph.edge_count, CHUNK):
-        ends = hom(positions[graph.edges[lo:lo + CHUNK]])
-        lines, ok = _join(ends[:, 0], ends[:, 1])
-        walk.edge_lines[lo:lo + CHUNK] = lines
+        u, v = graph.edges[lo:lo + CHUNK].T
+        # the edge in units of the larger star diameter, each entry at
+        # most 1 in size; NaN where neither star has any extent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            side = np.take(coords, v, axis=1) - np.take(coords, u, axis=1)
+            side /= np.maximum(walk.diameters[u], walk.diameters[v])
+        apart = side[0] * side[0] + side[1] * side[1] + side[2] * side[2] > _ZERO_EDGE**2
+        h = _minors(hom(positions[u]), hom(positions[v]))
+        norm = np.sqrt(_rowdot(h, h))
+        ok = apart & (norm > 0.0)
+        np.divide(h, norm[:, None], out=walk.edge_lines[lo:lo + CHUNK], where=ok[:, None])
         found += [
             ("non_generic_pair",
              {"edges": (e,), "vertices": tuple(graph.edges[e].tolist()),
@@ -646,18 +729,20 @@ def _edge_stage(graph, positions, walk):
     return found
 
 
-def _face_stage(graph, positions, walk):
+def _face_stage(graph, positions, sig, walk):
     """Volume ratio and opposite-pair products of every face; per
     ascending face a ``degenerate_face``, or else each of the pairs
-    (0, 2) and (1, 3) whose lines meet.  Keeps which volumes are
-    positive, the signs :attr:`ANet.face_twists` reads."""
+    (0, 2) and (1, 3) whose product falls below ``sig``, the gate
+    :meth:`ANet.frames` reads, so that a net that passes the walk can be
+    framed.  Keeps which volumes are positive, the signs
+    :attr:`ANet.face_twists` reads."""
     found = []
     for lo in range(0, graph.face_count, CHUNK):
         det, ratio, prods = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
         walk.positive_volumes[lo:lo + CHUNK] = det > 0
         edges = graph.face_edges[lo:lo + CHUNK]
         flat = ratio < FACE_VOLUME_EPS
-        meet = (np.abs(prods) < SKEW_PAIR_EPS) & ~flat[:, None]
+        meet = (np.abs(prods) < sig) & ~flat[:, None]
         for i in np.flatnonzero(flat | meet.any(axis=1)).tolist():
             if flat[i]:
                 found.append(("degenerate_face",
@@ -671,12 +756,14 @@ def _face_stage(graph, positions, walk):
 
 def _pencil_bounds(lines):
     """Closed-form bounds on the singular values of each set of a stack
-    of vectors ``(B, k, n)``.
+    of vectors held coordinate-first, ``(n, k, B)``: ``B`` sets of ``k``
+    vectors of size ``n``.
 
     Returns ``(s1_lo, s1_hi, s2_lo, s3_hi)``, arrays ``(B,)``.  With
-    ``a`` the set's first row, ``b`` the row with the largest part
-    ``b_perp`` orthogonal to ``a`` and ``P`` the projector onto their
-    span, the singular values of the set ``L`` satisfy
+    ``a`` the set's first vector, ``b`` the vector with the largest part
+    ``b_perp`` orthogonal to ``a`` (the first, on ties) and ``P`` the
+    projector onto their span, the singular values of the set ``L``
+    satisfy
 
     * ``max |L_i| <= s1 <= |L|_F``;
     * ``s2 >= |a| |b_perp| / sqrt(|a|^2 + |b|^2)``: the second singular
@@ -688,27 +775,31 @@ def _pencil_bounds(lines):
     values that ``np.linalg.svd`` computes.  Bounds that do not exist,
     for want of two independent rows, are NaN or negative.
     """
-    sq = _rowdot(lines, lines)
-    frob = np.sqrt(sq.sum(axis=1))
+    sq = (lines * lines).sum(axis=0)
+    frob = np.sqrt(sq.sum(axis=0))
     slack = _PENCIL_SLACK * frob
-    rows = np.arange(len(lines))
-    a, a2 = lines[:, :1], sq[:, :1]
+    a, a2 = lines[:, :1], sq[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        perp = lines - (_rowdot(lines, a) / a2)[..., None] * a
-        p2 = _rowdot(perp, perp)
-        j = p2.argmax(axis=1)
-        b_perp, bp2 = perp[rows, j][:, None], p2[rows, j]
-        rest = perp - (_rowdot(perp, b_perp) / bp2[:, None])[..., None] * b_perp
-        s2_lo = np.sqrt(a2[:, 0] * bp2 / (a2[:, 0] + sq[rows, j])) - slack
-    s1_lo = np.sqrt(sq.max(axis=1)) - slack
+        perp = lines - (lines * a).sum(axis=0) / a2 * a
+        p2 = (perp * perp).sum(axis=0)
+        # b: the entries of vector j of each set, at j B + set in a
+        # (k, B) array raveled
+        j = p2.argmax(axis=0) * len(a2) + np.arange(len(a2))
+        b_perp = np.take(perp.reshape(len(perp), -1), j, axis=1)[:, None]
+        bp2 = p2.ravel()[j]
+        rest = perp - (perp * b_perp).sum(axis=0) / bp2 * b_perp
+        del perp, p2
+        s2_lo = np.sqrt(a2 * bp2 / (a2 + sq.ravel()[j])) - slack
+    s1_lo = np.sqrt(sq.max(axis=0)) - slack
     s1_hi = frob + slack
-    s3_hi = np.sqrt(_rowdot(rest, rest).sum(axis=1)) + slack
+    s3_hi = np.sqrt((rest * rest).sum(axis=(0, 1))) + slack
     return s1_lo, s1_hi, s2_lo, s3_hi
 
 
 def _certified_pencils(lines):
-    """Which sets of a stack of vectors ``(B, k, n)`` surely read rank 2
-    at ``PENCIL_RANK_TOL`` by their singular values.
+    """Which sets of a stack of vectors held coordinate-first, ``(n, k,
+    B)``, surely read rank 2 at ``PENCIL_RANK_TOL`` by their singular
+    values.
 
     A set is certified when its :func:`_pencil_bounds` clear every cut of
     that reading with room to spare: the largest singular value the
@@ -724,7 +815,7 @@ def _certified_pencils(lines):
     )
 
 
-def _pencil_stage(graph, positions, degree, walk):
+def _pencil_stage(graph, coords, degree, walk):
     """Rank of every vertex pencil, stacked by vertex degree; a pencil
     that is not a line pencil (rank 2) is a violation, by ascending
     vertex.
@@ -733,27 +824,30 @@ def _pencil_stage(graph, positions, degree, walk):
     there each incident edge line is ``(d, 0)`` with ``d`` its unit
     direction, so the rank is that of the unit edge directions, which
     neither translation nor scaling moves.  The directions are the unit
-    edge vectors, up to sign; an edge the edge stage left a zero line
-    keeps a zero row.  Lines through one point meet pairwise, so the
-    signature is exactly (0, 0, rank); edges that are all zero span
-    nothing: rank 0, dimension -1.  Only the pencils that
-    :func:`_certified_pencils` leaves undecided go through one stacked
-    SVD, for their singular values alone."""
-    vectors = positions[graph.edges[:, 1]] - positions[graph.edges[:, 0]]
-    lengths = np.sqrt(_rowdot(vectors, vectors))[:, None]
+    edge vectors, up to sign, gathered coordinate-first from ``coords``
+    ``(3, n)``; an edge the edge stage left a zero line keeps a zero
+    row.  Lines through one point meet pairwise, so the signature is
+    exactly (0, 0, rank); edges that are all zero span nothing: rank 0,
+    dimension -1.  Only the pencils that :func:`_certified_pencils`
+    leaves undecided go through one stacked SVD, for their singular
+    values alone."""
+    vectors = np.take(coords, graph.edges[:, 1], axis=1) - np.take(coords, graph.edges[:, 0], axis=1)
+    lengths = np.sqrt(vectors[0] * vectors[0] + vectors[1] * vectors[1]
+                      + vectors[2] * vectors[2])
     lengths[~walk.edge_lines.any(axis=1)] = 0.0
     units = np.divide(vectors, lengths, out=np.zeros_like(vectors), where=lengths > 0.0)
+    del vectors, lengths
     # the edges at every vertex, ascending, in the slots of its star
     by_vertex = np.argsort(graph.edges.ravel(), kind="stable") // 2
     found = []
     for k, verts in _by_degree(degree):
-        incident = by_vertex[graph.star_offsets[verts][:, None] + np.arange(k)]
-        directions = units[incident]
+        incident = by_vertex[graph.star_offsets[verts] + np.arange(k)[:, None]]
+        directions = np.take(units, incident, axis=1)
         open_rows = np.flatnonzero(~_certified_pencils(directions))
         if not open_rows.size:
             continue
-        verts, incident = verts[open_rows], incident[open_rows]
-        s = np.linalg.svd(directions[open_rows], compute_uv=False)
+        verts, incident = verts[open_rows], incident[:, open_rows].T
+        s = np.linalg.svd(np.take(directions, open_rows, axis=2).T, compute_uv=False)
         rank = _span_rank(s, PENCIL_RANK_TOL)
         found += [
             ("non_generic_pair",

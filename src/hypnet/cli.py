@@ -37,8 +37,10 @@ nothing runs.  Exit codes:
 
 The environment variables ``HYPNET_TOL_PLANAR``, ``HYPNET_TOL_CLOSURE``,
 and ``HYPNET_TOL_SIG`` override the star-planarity, propagation-closure,
-and signature tolerances for one invocation (the last gates the face
-frames and the ruling planes, face-local): :func:`main` reads them into
+and signature tolerances for one invocation (the last gates, face-local,
+the pair products of the validation walk's face stage, the face frames
+and the ruling planes, so ``check`` refuses every face whose frame
+``extend`` would refuse): :func:`main` reads them into
 :attr:`RunConfig.tolerances`, and :func:`run` turns that into one
 :class:`~hypnet.plucker.Tolerances` value that it passes down to
 validation, whose net carries it on to framing and propagation.

@@ -592,6 +592,123 @@ def reference_star_plane(points):
     return plane, residual, diameter
 
 
+# --- the star and pencil kernels on row-major stacks --------------------------------
+#
+# ``hypnet.anet`` read its stars and pencils on row-major stacks ``(B, m,
+# 3)`` before its kernels moved to coordinate-first arrays ``(3, m, B)``.
+# These are those kernels as they were: the star oracle's planes,
+# residuals and diameters are the ones the walk must keep bit for bit.
+
+# the entries (xx, yy, zz, xy, xz, yz) of a symmetric 3x3 matrix: their
+# coordinate pairs, their 3x3 layout and the two products whose
+# difference is each entry of the adjugate (restated for independence)
+_SYM_PAIRS = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+_SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_ADJ_TERMS = np.array([[1, 0, 0, 4, 3, 3], [2, 2, 1, 5, 5, 4],
+                       [5, 4, 3, 3, 4, 0], [5, 4, 3, 2, 1, 5]])
+
+
+def row_scatter_normals(centered):
+    """Closed-form normals ``(B, 3)`` of centred clouds ``(B, m, 3)``,
+    their residuals ``max |A n|`` and tilt bounds ``(B,)``: the largest
+    adjugate column of each scatter, and the Davis-Kahan bound of
+    ``hypnet.anet._scatter_normals``."""
+    from hypnet.anet import _PENCIL_SLACK
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (centered[..., _SYM_PAIRS[0]] * centered[..., _SYM_PAIRS[1]]).sum(axis=1)
+        trace = s[:, 0] + s[:, 1] + s[:, 2]
+        x = s[:, _ADJ_TERMS]
+        adjugate = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
+        columns = adjugate[:, _SYM]
+        size = (columns * columns).sum(axis=2)
+        k = size.argmax(axis=1)
+        rows = np.arange(len(s))
+        normal = columns[rows, k] / np.sqrt(size[rows, k])[:, None]
+        moved = (s[:, _SYM] * normal[:, None, :]).sum(axis=2)
+        rho = (moved * normal).sum(axis=1)
+        miss = moved - rho[:, None] * normal
+        slack = _PENCIL_SLACK * centered.shape[1] * trace
+        gap = adjugate[:, :3].sum(axis=1) / trace - 2 * rho - slack
+        tilt = 2 * (np.sqrt((miss * miss).sum(axis=1)) + slack) / np.maximum(gap, 0)
+        residual = np.max(np.abs((centered @ normal[..., None])[..., 0]), axis=-1)
+    return normal, residual, tilt
+
+
+def row_star_plane(points, planar):
+    """``hypnet.anet.star_plane`` on a row-major stack ``(B, m, 3)``:
+    planes ``(B, 4)``, residuals and diameters ``(B,)``, the SVD reading
+    the stars whose closed-form tilt exceeds ``hypnet.anet._STAR_TILT``
+    (read at call time) or whose residual comes within 10x of the
+    gate."""
+    import hypnet.anet
+    from hypnet.plucker import _rowdot, canonical
+
+    stack = np.asarray(points, dtype=float)
+    centroid = stack.mean(axis=1)
+    centered = stack - centroid[:, None, :]
+    _, exponent = np.frexp(np.abs(centered).max(axis=(1, 2), initial=0.0))
+    scale = np.ldexp(1.0, -exponent)[:, None, None]
+    i, j = np.triu_indices(stack.shape[1], 1)
+    gaps = (stack[:, i] - stack[:, j]) * scale
+    diameter = np.sqrt((gaps * gaps).sum(axis=-1).max(axis=1, initial=0.0))
+    normal, residual, tilt = row_scatter_normals(centered * scale)
+    diameter, residual = diameter / scale[:, 0, 0], residual / scale[:, 0, 0]
+    settled = (tilt <= hypnet.anet._STAR_TILT) & (
+        residual + 2 * tilt * diameter <= planar * diameter / 10
+    )
+    open_rows = np.flatnonzero(~settled)
+    if open_rows.size:
+        rest = centered[open_rows]
+        _, _, vt = np.linalg.svd(rest, full_matrices=rest.shape[1] < 3)
+        normal[open_rows] = vt[:, -1]
+        lean = (rest @ vt[:, -1, :, None])[..., 0]
+        residual[open_rows] = np.max(np.abs(lean), axis=-1)
+    offset = _rowdot(-normal, centroid)[:, None]
+    plane = np.concatenate([normal, offset], axis=-1)
+    _, exponent = np.frexp(np.abs(plane).max(axis=-1))
+    plane = canonical(plane * np.ldexp(1.0, -exponent)[:, None])
+    return plane, residual, diameter
+
+
+def row_pencil_bounds(lines):
+    """``(s1_lo, s1_hi, s2_lo, s3_hi)`` of ``hypnet.anet._pencil_bounds``
+    on a row-major stack of vector sets ``(B, k, n)``."""
+    from hypnet.anet import _PENCIL_SLACK
+    from hypnet.plucker import _rowdot
+
+    sq = _rowdot(lines, lines)
+    frob = np.sqrt(sq.sum(axis=1))
+    slack = _PENCIL_SLACK * frob
+    rows = np.arange(len(lines))
+    a, a2 = lines[:, :1], sq[:, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perp = lines - (_rowdot(lines, a) / a2)[..., None] * a
+        p2 = _rowdot(perp, perp)
+        j = p2.argmax(axis=1)
+        b_perp, bp2 = perp[rows, j][:, None], p2[rows, j]
+        rest = perp - (_rowdot(perp, b_perp) / bp2[:, None])[..., None] * b_perp
+        s2_lo = np.sqrt(a2[:, 0] * bp2 / (a2[:, 0] + sq[rows, j])) - slack
+    s1_lo = np.sqrt(sq.max(axis=1)) - slack
+    s1_hi = frob + slack
+    s3_hi = np.sqrt(_rowdot(rest, rest).sum(axis=1)) + slack
+    return s1_lo, s1_hi, s2_lo, s3_hi
+
+
+def row_certified_pencils(lines):
+    """``hypnet.anet._certified_pencils`` on a row-major stack ``(B, k,
+    n)``: the sets whose :func:`row_pencil_bounds` clear every cut of the
+    rank-2 reading by 10x."""
+    from hypnet.anet import PENCIL_RANK_TOL
+
+    s1_lo, s1_hi, s2_lo, s3_hi = row_pencil_bounds(lines)
+    return (
+        (s1_lo >= 1e-13)
+        & (s2_lo >= 10 * PENCIL_RANK_TOL * s1_hi)
+        & (s3_hi <= PENCIL_RANK_TOL / 10 * s1_lo)
+    )
+
+
 def _reference_join(x, y):
     """Unit minors of the line through homogeneous points, or ``None``
     when they vanish relative to the points."""
@@ -635,6 +752,14 @@ def reference_span(lines, rank_tol, sig):
     return basis, (plus, minus, len(lam) - plus - minus)
 
 
+def _reference_unit_minors(x, y):
+    """Minors of the line through homogeneous points over their norm;
+    zero where they all vanish."""
+    h = np.array([x[i] * y[j] - x[j] * y[i] for i, j in MINOR_INDEX])
+    norm = np.linalg.norm(h)
+    return h / norm if norm else h
+
+
 def _reference_pencil(vertex, ends, lines, rank_tol, sig):
     """``(dim, signature)`` of the pencil of edge lines at ``vertex``,
     each from ``vertex`` to the point of ``ends`` in star-local
@@ -644,24 +769,26 @@ def _reference_pencil(vertex, ends, lines, rank_tol, sig):
     local = np.zeros((len(ends), 6))
     for k, (end, line) in enumerate(zip(ends, lines)):
         if np.any(line):
-            local[k] = _reference_join(np.array([0.0, 0, 0, 1]), np.append(end - vertex, 1.0))
+            local[k] = _reference_unit_minors(np.array([0.0, 0, 0, 1]),
+                                              np.append(end - vertex, 1.0))
     basis, signature = reference_span(local, rank_tol, sig)
     return len(basis) - 1, signature
 
 
-def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
+def reference_walk(graph, positions, planar, sig, face_eps, rank_tol):
     """Every validation violation of a net, found one vertex, edge and
     face at a time, with the walk's arrays.
 
     Returns ``(violations, planes, residuals, diameters, edge_lines)``.
     ``violations`` lists ``(kind, data)`` in order: non-planar stars by
-    ascending vertex, zero-length edges by ascending edge, per ascending
-    face a degenerate face or else its meeting opposite pairs (0, 2) and
-    (1, 3), their products read on face-local lines
-    (:func:`reference_face_lines`), then vertex pencils that are not a
-    rank-2 span of signature (0, 0, 2), read on star-local lines, by
-    ascending vertex.  Unreferenced vertices keep NaN rows, zero-length
-    edges zero lines.
+    ascending vertex, zero-length edges (no longer than 1e-12 times the
+    larger diameter of their end stars) by ascending edge, per ascending
+    face a degenerate face or else its opposite pairs (0, 2) and (1, 3)
+    whose product, read on face-local lines
+    (:func:`reference_face_lines`), falls below ``sig``, then vertex
+    pencils that are not a rank-2 span of signature (0, 0, 2), read on
+    star-local lines, by ascending vertex.  Unreferenced vertices keep
+    NaN rows, zero-length edges zero lines.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -683,8 +810,9 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
                 "tolerance": planar * float(diameters[v]),
             }))
     for e, (u, v) in enumerate(graph.edges.tolist()):
-        line = _reference_join(np.append(pos[u], 1.0), np.append(pos[v], 1.0))
-        if line is None:
+        line = _reference_unit_minors(np.append(pos[u], 1.0), np.append(pos[v], 1.0))
+        length = np.linalg.norm(pos[v] - pos[u])
+        if length <= 1e-12 * max(diameters[u], diameters[v]) or not np.any(line):
             found.append(("non_generic_pair", {
                 "edges": (e,), "vertices": (u, v), "reason": "zero-length edge",
             }))
@@ -699,7 +827,7 @@ def reference_walk(graph, positions, planar, sig, face_eps, skew_eps, rank_tol):
         local = reference_face_lines(pos, graph.face_vertices[f].tolist())
         for a, b in ((0, 2), (1, 3)):
             prod = _pairing(local[a], local[b])
-            if abs(prod) < skew_eps:
+            if abs(prod) < sig:
                 found.append(("non_generic_pair", {
                     "edges": (edges[a], edges[b]), "face": f, "product": prod,
                 }))

@@ -15,14 +15,12 @@ from hypnet.anet import (
     FACE_VOLUME_EPS,
     PENCIL_RANK_TOL,
     PLANAR_EPS,
-    SKEW_PAIR_EPS,
     ANet,
     _by_degree,
     _certified_pencils,
     _collect_violations,
     _face_volumes,
     _pencil_bounds,
-    _scatter_normals,
     diagnose_anet,
     star_plane,
     validate_anet,
@@ -58,6 +56,9 @@ from oracles import (
     reference_star_plane,
     reference_walk,
     regulus_orientation,
+    row_certified_pencils,
+    row_scatter_normals,
+    row_star_plane,
     skew_matrix,
 )
 
@@ -445,8 +446,13 @@ def test_frame_genericity_is_read_in_face_local_coordinates():
 
 def test_first_non_generic_frame_in_the_given_order_is_raised():
     n, quads, pos = quadric_grid(3, 3)
-    net = validate_anet(build(n, quads), pos, Tolerances(sig=0.5))
-    g = net.graph
+    # the walk gates the faces at sig as the frames do: at sig = 0.5 it
+    # stops at face 1, the lowest whose pair product falls below it
+    with pytest.raises(NonGenericPair) as err:
+        validate_anet(build(n, quads), pos, Tolerances(sig=0.5))
+    assert err.value.data["face"] == 1
+    net = validate_anet(build(n, quads), pos)
+    net.tol = Tolerances(sig=0.5)
     order = [4, 7, 0]
     with pytest.raises(NonGenericPair) as err:
         net.frames(order, [4 * f for f in order])
@@ -454,6 +460,26 @@ def test_first_non_generic_frame_in_the_given_order_is_raised():
     with pytest.raises(NonGenericPair) as err:
         net.face_frame(7)
     assert err.value.data["face"] == 7
+
+
+@pytest.mark.parametrize("lift", [2e-10, 5e-10, 1e-9, 2e-9])
+def test_the_walk_passes_exactly_the_faces_the_frames_pass(lift):
+    # a unit square with a corner lifted: its volume ratio passes
+    # FACE_VOLUME_EPS at every lift, and both of its pair products fall
+    # below the default sig up to a lift of 1e-9
+    square = SPEC_QUAD.copy()
+    square[2] = (1.0, 1.0, lift)
+    g = build(4, [(0, 1, 2, 3)])
+    report = diagnose_anet(g, square)
+    if lift < 2e-9:
+        assert [(v["kind"], v["edges"]) for v in report["violations"]] == [
+            ("non_generic_pair", [0, 2]), ("non_generic_pair", [1, 3])]
+        net = ANet(g, square, None, np.zeros((g.edge_count, 6)), None, None, None)
+        with pytest.raises(NonGenericPair):
+            net.face_frame(0)
+    else:
+        assert report["valid"]
+        validate_anet(g, square).face_frame(0)
 
 
 # --- diagnose --------------------------------------------------------------------
@@ -515,7 +541,7 @@ def star_tilts(g, pos):
         if g.is_referenced(v):
             neighbors, _ = g.vertex_star(v)
             pts = pos[[v] + neighbors]
-            tilts[v] = _scatter_normals((pts - pts.mean(axis=0))[None])[2][0]
+            tilts[v] = row_scatter_normals((pts - pts.mean(axis=0))[None])[2][0]
     return tilts
 
 
@@ -567,8 +593,7 @@ def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
     ``diagnose_anet`` lists them all.  Returns the violations."""
     pos = np.asarray(pos, dtype=float)
     found, planes, residuals, diameters, lines = reference_walk(
-        g, pos, tol.planar, tol.sig, FACE_VOLUME_EPS, SKEW_PAIR_EPS,
-        PENCIL_RANK_TOL,
+        g, pos, tol.planar, tol.sig, FACE_VOLUME_EPS, PENCIL_RANK_TOL,
     )
     walk = _collect_violations(g, pos, False, tol)
     found = near_products(found)
@@ -633,7 +658,7 @@ def _planted():
     collinear[0] = (collinear[1] + collinear[3]) / 2
     # a unit square with a corner lifted by 1.03e-10: its volume ratio
     # passes FACE_VOLUME_EPS, its face-local pair products do not pass
-    # SKEW_PAIR_EPS
+    # the default sig
     lifted_corner = SPEC_QUAD.copy()
     lifted_corner[2] = (1.0, 1.0, 1.03e-10)
     # name: (net, a kind or a data key the planted violation carries)
@@ -720,12 +745,53 @@ def test_star_plane_of_one_star_equals_the_stacked_fit():
         plane, residual, diameter = star_plane(star)
         assert residual == residuals[k] and diameter == diameters[k]
         np.testing.assert_array_equal(plane, planes[k])
-    tilts = _scatter_normals(stars - stars.mean(axis=1, keepdims=True))[2]
+    tilts = row_scatter_normals(stars - stars.mean(axis=1, keepdims=True))[2]
     ref = [np.array(column) for column in zip(*map(reference_star_plane, stars))]
     settled = assert_star_planes_match_oracle(
         planes, residuals, diameters, tilts, ref, PLANAR_EPS
     )
     assert settled.tolist() == [True, False] * 50
+
+
+@pytest.mark.parametrize("size", range(3, 10))
+def test_star_kernel_equals_the_row_major_oracle_bit_for_bit(size):
+    # stars of every kind the walk meets, including the ones the SVD reads
+    # (collinear, coincident, lifted past the gate), at scales far beyond
+    # the net's, and random clouds
+    rng = np.random.default_rng(61 + size)
+    stars = np.concatenate([*star_cases(rng, size - 1).values(),
+                            rng.normal(size=(40, size, 3))])
+    for scale in 10.0 ** np.arange(-40, 41, 10):
+        got = star_plane(stars * scale)
+        expected = row_star_plane(stars * scale, PLANAR_EPS)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b), f"scale {scale:g}"
+
+
+@pytest.mark.parametrize("through_the_svd", [False, True])
+def test_walk_arrays_equal_the_row_major_kernels_bit_for_bit(monkeypatch, through_the_svd):
+    from test_invariance import fixtures  # which imports this module
+
+    if through_the_svd:
+        reject_star_planes(monkeypatch)
+    # the stars near or above the gate, which the SVD reads in either case
+    near_the_gate = 0
+    for n, quads, pos in fixtures().values():
+        g = build(n, quads)
+        pos = np.asarray(pos, dtype=float)
+        walk = _collect_violations(g, pos, False, Tolerances())
+        for v in np.flatnonzero(g.degrees).tolist():
+            star = pos[[v] + g.vertex_star(v)[0]][None]
+            plane, residual, diameter = row_star_plane(star, PLANAR_EPS)
+            assert np.array_equal(walk.planes[v], plane[0])
+            assert walk.residuals[v] == residual[0] and walk.diameters[v] == diameter[0]
+            near_the_gate += bool(residual[0] > PLANAR_EPS * diameter[0] / 10)
+        # plucker._join, the reading of the lines before the zero-length
+        # test read the star diameters: the same minors over the same norm
+        ends = hom(pos[g.edges])
+        lines, _ = hypnet.plucker._join(ends[:, 0], ends[:, 1])
+        assert np.array_equal(walk.edge_lines, lines)
+    assert near_the_gate > 0
 
 
 def star_cases(rng, degree):
@@ -773,7 +839,7 @@ def test_star_planes_are_settled_within_their_bound_or_read_by_the_svd(degree):
         assert residual == residuals[k]
         np.testing.assert_array_equal(plane, planes[k])
     ref = [np.array(column) for column in zip(*map(reference_star_plane, stars))]
-    tilts = _scatter_normals(stars - stars.mean(axis=1, keepdims=True))[2]
+    tilts = row_scatter_normals(stars - stars.mean(axis=1, keepdims=True))[2]
     settled = assert_star_planes_match_oracle(
         planes, residuals, diameters, tilts, ref, PLANAR_EPS
     )
@@ -990,7 +1056,10 @@ def test_certified_pencils_pass_the_svd_reading_with_room(sig):
     rng = np.random.default_rng(43)
     accepted = {}
     for name, lines in certificate_stacks(rng, sig).items():
-        ok = _certified_pencils(lines)
+        ok = _certified_pencils(lines.T)
+        # the coordinate-first kernel sums in another order than the
+        # row-major one, and certifies the same sets
+        assert np.array_equal(ok, row_certified_pencils(lines)), name
         s, rank = svd_reading(lines)
         assert (rank[ok] == 2).all(), name
         # each cut is cleared by at least half the certificate's margin
@@ -1027,7 +1096,7 @@ def tight_stacks(rng, count=300):
 def test_pencil_bounds_hold_for_the_svd_values_where_they_are_tight():
     rng = np.random.default_rng(47)
     for name, lines in tight_stacks(rng).items():
-        s1_lo, s1_hi, s2_lo, s3_hi = _pencil_bounds(lines)
+        s1_lo, s1_hi, s2_lo, s3_hi = _pencil_bounds(lines.T)
         s, _ = svd_reading(lines)
         assert (s1_lo <= s[:, 0]).all() and (s[:, 0] <= s1_hi).all(), name
         assert (s2_lo <= s[:, 1]).all(), name

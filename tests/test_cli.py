@@ -1003,19 +1003,24 @@ def test_tight_closure_override_fails_a_slightly_noisy_extension(
 def test_signature_override_reaches_the_face_frames(
     tmp_path, capsys, monkeypatch
 ):
-    # a cutoff of half the largest eigenvalue leaves the vertex pencils
-    # isotropic but reads the faces' edge-line spans as degenerate
+    # a cutoff of 0.5 leaves the vertex pencils isotropic but reads the
+    # faces' opposite edge lines as meeting: the walk gates them at the
+    # cutoff the frames read, so check and extend stop at the same face
     path = saddle_mesh(tmp_path)
-    monkeypatch.setenv("HYPNET_TOL_SIG", "0.5")
     code, report = run_main(capsys, ["check", path])
     assert code == 0
+    monkeypatch.setenv("HYPNET_TOL_SIG", "0.5")
+    code, report = run_main(capsys, ["check", path])
+    assert code == 3
+    first = report["violations"][0]
+    assert first["kind"] == "non_generic_pair" and first["face"] == 1
     code, report = run_main(
         capsys,
         ["extend", path, "-o", str(tmp_path / "x.obj"), "--lambda",
          repr(saddle_lambda())],
     )
     assert code == 3
-    assert report["violations"][0]["kind"] == "non_generic_pair"
+    assert {k: v for k, v in report["violations"][0].items() if k != "message"} == first
     assert hypnet.plucker.SIG_EPS == 1e-9
 
 

@@ -587,6 +587,16 @@ def test_propagate_all_matches_the_projection_oracle():
             assert family_parameter_of(frame, hb.q1) == pytest.approx(hb.lam, rel=1e-10)
 
 
+def _read_at_sig(graph, positions, sig):
+    """The net validated at the default cutoff, its frames and ruling
+    planes then read at ``sig``: the walk gates the face products at sig
+    as well, so a net validated at a cutoff above one of them stops in
+    the walk before propagation reads it."""
+    net = validate_anet(graph, positions)
+    net.tol = Tolerances(sig=sig)
+    return net
+
+
 def _failing_cases():
     rng = np.random.default_rng(81)
     count, quads, positions = quadric_grid(3, 3)
@@ -597,17 +607,16 @@ def _failing_cases():
     two = validate_anet(graph, np.vstack([disjoint, disjoint + 5.0]))
     yield "disconnected", two, 1.0
     # signature cutoffs that fail a face other than the seed
-    yield "frames", validate_anet(exact.graph, positions, Tolerances(sig=0.05)), 1.0
+    yield "frames", _read_at_sig(exact.graph, positions, 0.05), 1.0
     # two cutoffs whose first failing face differs: face 8 at 1e-2, face 2
     # at 3e-2 (face 8 is later in the walk)
-    yield "ruling planes", validate_anet(exact.graph, positions, Tolerances(sig=1e-2)), 0.3
-    yield "ruling planes 3e-2", validate_anet(exact.graph, positions, Tolerances(sig=3e-2)), 0.3
+    yield "ruling planes", _read_at_sig(exact.graph, positions, 1e-2), 0.3
+    yield "ruling planes 3e-2", _read_at_sig(exact.graph, positions, 3e-2), 0.3
     # a generic net, whose diagonal joins differ in length, so that the
     # face-local coordinate of a member is not +-lam: face 1 reads 0.073
     # there, and face 3 would fail first if the coordinate were lam * k
     count, quads, generic = random_grid3x3_net(np.random.default_rng(81))
-    yield "ruling planes, generic", validate_anet(build(count, quads), generic,
-                                                  Tolerances(sig=0.075)), 1.0
+    yield "ruling planes, generic", _read_at_sig(build(count, quads), generic, 0.075), 1.0
     for lam in (0.0, math.nan, 1e15):
         yield f"parameter {lam}", exact, lam
     count, quads, small = quadric_grid(2, 2)

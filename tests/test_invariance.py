@@ -6,8 +6,9 @@ as it is: star residuals over diameters, face volume ratios, pair
 products in face-local units, pencil ranks and, after propagation,
 volume ratios again.  So ``diagnose_anet`` reads the same verdict and
 the same violation kinds on a net moved by up to 1e4 of its diameters
-or scaled from 1e-6 to 1e6, and so do propagation and carving, as long
-as the moved net still closes: translation rounds the positions at a
+or scaled from 1e-40 to 1e40, and propagation and carving do so on a
+net moved as far or scaled from 1e-6 to 1e6, as long as the moved net
+still closes: translation rounds the positions at a
 larger absolute scale, which the closure residual amplifies.
 """
 
@@ -24,8 +25,11 @@ from hypnet.synthetic import quadric_grid, random_grid3x3_net, random_umbrella_n
 from test_anet import _planted
 
 SCALES = [1e-6, 1e-3, 1e3, 1e6]
-#: scales at which the face products alone are compared; the edge stage
-#: reads an edge through the origin as zero-length beyond about 1e12
+#: scales at which the verdicts of ``diagnose_anet`` alone are compared:
+#: every gate of the walk is read relative to the net's own size, but
+#: propagation and carving are not checked this far out
+DIAGNOSE_SCALES = [1e-40, 1e-12, 1e12, 1e40]
+#: scales at which the face products are compared with the unit net's
 FACE_SCALES = [1e-40, 1e-20, 1e20, 1e40]
 #: translations, in net diameters
 SHIFTS = [1e2, 1e4]
@@ -46,17 +50,17 @@ def fixtures():
     return nets
 
 
-def placements(positions, quads):
-    """``(label, positions)`` of the net scaled and translated, along
-    two seeded directions and one in the plane of the first face's first
-    two sides."""
+def placements(positions, quads, scales=SCALES):
+    """``(label, positions)`` of the net scaled by ``scales`` and
+    translated, along two seeded directions and one in the plane of the
+    first face's first two sides."""
     pos = np.asarray(positions, dtype=float)
     diameter = np.ptp(pos, axis=0).max()
     rng = np.random.default_rng(89)
     a, b, _, d = quads[0]
     in_plane = (pos[b] - pos[a]) + 0.5 * (pos[d] - pos[a])
     directions = [rng.normal(size=3), rng.normal(size=3), in_plane]
-    for scale in SCALES:
+    for scale in scales:
         yield f"scaled {scale:g}", pos * scale
     for k, direction in enumerate(directions):
         unit = direction / np.linalg.norm(direction)
@@ -90,7 +94,7 @@ def extension(count, quads, positions):
 def test_diagnose_verdicts_do_not_depend_on_placement_or_scale(name):
     count, quads, positions = fixtures()[name]
     expected = verdict(count, quads, positions)
-    for label, moved in placements(positions, quads):
+    for label, moved in placements(positions, quads, SCALES + DIAGNOSE_SCALES):
         assert verdict(count, quads, moved) == expected, label
 
 
