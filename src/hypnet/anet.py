@@ -31,12 +31,13 @@ batches of at most :data:`~hypnet.quadgraph.CHUNK` (1024) rows.  That size
 pays the per-batch cost of the kernels a few times per net rather than
 hundreds of times, and it bounds the temporaries of each batch whatever
 the size of the net (beyond what the net keeps, 1.5 MB traced on a
-60x60 grid and 2.3 MB on a 120x120 one, where the pencil stage's unit
-vector per edge makes up most of the growth).  The star and pencil
-stages gather each batch once, coordinate-first, from one transposed
-copy of the positions: a batch of ``B`` stars of ``m`` points is a ``(3,
-m, B)`` array, so every sum over coordinates or points is a few
-operations on whole ``(B,)`` rows, in index order:
+60x60 grid and 1.8 MB on a 120x120 one, where the walk's copy of the
+positions and the ids of the vertices of one degree make up the
+growth).  Every stage gathers each batch once, coordinate-first, from
+one transposed copy of the positions: a batch of ``B`` stars of ``m``
+points is a ``(3, m, B)`` array, the corners of ``B`` faces a ``(3, 4,
+B)`` one, so every sum over coordinates or points is a few operations
+on whole ``(B,)`` rows, in index order:
 
 1. stars: the best-fit plane of every star (:func:`star_plane`, whose
    kernel is :func:`_star_planes`), stacked by star size, in closed form
@@ -46,14 +47,16 @@ operations on whole ``(B,)`` rows, in index order:
    near-collinear ones, go through one stacked SVD per star size.  The
    residuals and plane offsets, dot products that BLAS rounds, are read
    on row-major copies, so every figure equals that of a one-star call;
-2. edges: the lines of all edges from their 2x2 minors, over their norm;
-   an edge no longer than ``1e-12`` of the larger diameter of its two
-   end stars is zero-length, whatever the size of the net;
-3. faces: volume ratios and the face-local products of both opposite
-   edge pairs, in one pass, gated at ``tol.sig`` as :meth:`ANet.frames`
-   gates them;
+2. edges: the lines of all edges from their 2x2 minors, over their norm
+   read at an exact power-of-two scale; an edge no longer than ``1e-12``
+   of the larger diameter of its two end stars is zero-length, whatever
+   the size of the net;
+3. faces: volumes, volume ratios and the products of both opposite edge
+   pairs, in one pass in face-local units, gated at ``tol.sig`` as
+   :meth:`ANet.frames` gates them;
 4. pencils: the rank of each vertex's unit edge vectors, its edge
-   lines in star-local coordinates.  Closed-form bounds on their
+   lines in star-local coordinates, gathered from its star's
+   neighbours.  Closed-form bounds on their
    singular values (:func:`_pencil_bounds`) certify, in array passes,
    the vertices that surely read rank 2 (:func:`_certified_pencils`);
    only the vertices left undecided go through one stacked SVD per
@@ -83,7 +86,6 @@ from .plucker import (
     PLANAR_EPS,  # the default star-planarity gate, importable from here
     SIG_EPS,
     Tolerances,
-    _minors,
     _rowdot,
     _span_rank,
     canonical,
@@ -290,59 +292,57 @@ def diagonal_ends(corners) -> np.ndarray:
     return np.sort(np.asarray(corners)[..., [[0, 3], [1, 2]]], axis=-1)
 
 
-def _face_volumes(positions, quads):
+def _face_volumes(coords, quads):
     """Signed volumes, volume ratios and opposite-pair products of a
-    stack of quads ``(B, 4)``.
+    stack of quads ``(B, 4)`` over the positions ``coords`` held
+    coordinate-first, ``(3, n)``.
 
-    The volume is ``V = det(c1 - c0, c2 - c0, c3 - c0)`` of the corners
-    in cycle order; the ratio is its magnitude over the cubed mean edge
-    length (0 for a quad whose edges all vanish), the quantity
+    Everything is read in face-local units: origin at the centroid of
+    the corners, unit ``u`` their largest distance from it, so
+    translation and uniform scaling leave every figure as it is until
+    the positions' squares leave the float range.  The volume is ``V =
+    det(c1 - c0, c2 - c0, c3 - c0) = det(e0, e1, e2)`` of the corners in
+    cycle order, ``e_k`` the side from corner ``k`` to corner ``k + 1``,
+    expanded by cofactors on whole rows; it has the sign of the global
+    determinant.  The ratio is ``|V|`` over the cubed mean side length (0
+    for a quad whose corners all coincide), the quantity
     ``FACE_VOLUME_EPS`` gates.  The products ``(B, 2)`` are those of the
     unit edge lines of the pairs (0, 2) and (1, 3), each oriented from
-    its lower vertex id, read in face-local units: origin at the centroid
-    of the corners, unit ``u`` their largest distance from it.  The
-    Pluecker product of two joins is the 4x4 determinant of their points,
-    so every edge line meets its neighbours and the products are
-    ``-+V / u^3`` over the local join norms, ``|J(x, y)|^2 = |y - x|^2 +
-    |x (y - x)|^2`` (a cross product).  Every term is formed in those
-    units, so translation and uniform scaling leave the products as they
-    are until the positions' squares leave the float range.  NaN where a
+    its lower vertex id.  The Pluecker product of two joins is the 4x4
+    determinant of their points, so every edge line meets its neighbours
+    and the products are ``-+V`` over the local join norms, ``|J(x, y)|^2
+    = |y - x|^2 + |x (y - x)|^2`` (a cross product).  Not finite where a
     side has zero length, which leaves the quad no volume.
     """
-    p = positions[quads]
-    det = np.linalg.det(p[:, 1:] - p[:, :1])
-    edges = np.roll(p, -1, axis=1) - p
-    squares = _rowdot(edges, edges)
-    scale = np.mean(np.sqrt(squares), axis=-1)
-    # float_power rounds like the power of one float; ``scale**3`` on an
-    # array can differ from it in the last bit
-    ratio = np.divide(
-        np.abs(det), np.float_power(scale, 3),
-        out=np.zeros_like(det), where=scale != 0.0,
-    )
-    # the rest runs on coordinate- and corner-first arrays ``(3, 4, B)``,
-    # whose rows are contiguous; |x (y - x)|^2 = |x|^2 |e|^2 - (x . e)^2
-    x = np.ascontiguousarray(p.T)
+    # coordinate- and corner-first ``(3, 4, B)``, whose rows are contiguous
+    x = np.take(coords, quads.T, axis=1)
     x -= ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4)[:, None]
     radii = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
     unit = np.maximum(np.maximum(radii[0], radii[1]), np.maximum(radii[2], radii[3]))
     # the sides that run from the higher vertex id
     flip = quads.T > quads.T[[1, 2, 3, 0]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # into face-local units, so that every term below is of order 1
-        # at any scale of the net
-        inv = 1.0 / np.sqrt(unit)
-        x *= inv
-        e = edges.T * inv
+        x *= 1.0 / np.sqrt(unit)
+        radii /= unit
+        e = np.empty_like(x)
+        np.subtract(x[:, 1:], x[:, :3], out=e[:, :3])
+        np.subtract(x[:, 0], x[:, 3], out=e[:, 3])
+        volume = (e[0, 0] * (e[1, 1] * e[2, 2] - e[2, 1] * e[1, 2])
+                  + e[1, 0] * (e[2, 1] * e[0, 2] - e[0, 1] * e[2, 2])
+                  + e[2, 0] * (e[0, 1] * e[1, 2] - e[1, 1] * e[0, 2]))
+        squares = e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
+        lengths = np.sqrt(squares)
+        mean = (lengths[0] + lengths[1] + lengths[2] + lengths[3]) / 4
+        ratio = np.abs(volume) / (mean * mean * mean)
+        ratio[unit == 0.0] = 0.0
+        # |x (y - x)|^2 = |x|^2 |e|^2 - (x . e)^2 for the local join of each side
         along = x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
-        # |J| for the local join J of each side
-        norms = np.sqrt(squares.T / unit * (1.0 + radii / unit) - along * along)
-        volume = det * inv * inv * inv
+        norms = np.sqrt(squares * (1.0 + radii) - along * along)
         products = np.stack([
             np.where(flip[0] == flip[2], -volume, volume) / (norms[0] * norms[2]),
             np.where(flip[1] == flip[3], volume, -volume) / (norms[1] * norms[3]),
         ], axis=1)
-    return det, ratio, products
+    return volume, ratio, products
 
 
 @dataclass(frozen=True)
@@ -516,7 +516,7 @@ class ANet:
                 f"half-edge {int(h_ids[k])} does not bound face {int(f_ids[k])}"
             )
         pos = np.asarray(self.positions, dtype=float)
-        _, _, products = _face_volumes(pos, self.graph.face_vertices[f_ids])
+        _, _, products = _face_volumes(pos.T, self.graph.face_vertices[f_ids])
         kept = np.abs(products) >= self.tol.sig
         bad = np.flatnonzero(~kept.all(axis=1))
         if bad.size:
@@ -652,13 +652,12 @@ def _collect_violations(
         positive_volumes=np.zeros(graph.face_count, dtype=bool),
     )
     degree = graph.degrees
-    # the star and pencil stages gather their batches coordinate-first
-    # from this one copy
+    # every stage gathers its batches coordinate-first from this one copy
     coords = np.ascontiguousarray(positions.T)
     stages = (
         lambda: _star_stage(graph, coords, degree, tol.planar, walk),
-        lambda: _edge_stage(graph, positions, coords, walk),
-        lambda: _face_stage(graph, positions, tol.sig, walk),
+        lambda: _edge_stage(graph, coords, walk),
+        lambda: _face_stage(graph, coords, tol.sig, walk),
         lambda: _pencil_stage(graph, coords, degree, walk),
     )
     for stage in stages:
@@ -673,7 +672,7 @@ def _by_degree(degree):
     ``k`` present, ascending, with its vertices ascending in slices of
     at most ``CHUNK``."""
     # not np.unique: it imports numpy.ma, half a MB of peak memory
-    for k in sorted(set(degree.tolist()) - {0}):
+    for k in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
         vertices = np.flatnonzero(degree == k)
         for lo in range(0, len(vertices), CHUNK):
             yield k, vertices[lo:lo + CHUNK]
@@ -699,26 +698,46 @@ def _star_stage(graph, coords, degree, planar, walk):
     ]
 
 
-def _edge_stage(graph, positions, coords, walk):
-    """Line of every edge, its 2x2 minors over their norm; a zero-length
-    edge keeps a zero line and is a violation, by ascending edge id.
+def _apart(sides, d_u, d_v):
+    """Which edges ``sides`` ``(3, ...)``, each from one end ``u`` to
+    the other ``v``, are longer than ``_ZERO_EDGE`` times the larger
+    diameter of their end stars ``d_u`` and ``d_v``: the edge in units
+    of that diameter, each entry at most 1 in size, so no square
+    overflows; NaN, so not apart, where neither star has any extent.
+    The sign of a side does not move the reading."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sides = sides / np.maximum(d_u, d_v)
+    return sides[0] * sides[0] + sides[1] * sides[1] + sides[2] * sides[2] > _ZERO_EDGE**2
 
-    An edge is zero-length when it is no longer than ``_ZERO_EDGE``
-    times the larger diameter of its two end stars, which the star stage
-    read: a reading relative to the net itself, so neither moving nor
-    scaling the net makes an edge zero-length."""
+
+def _edge_stage(graph, coords, walk):
+    """Line of every edge, its 2x2 minors over their norm, gathered
+    coordinate-first from ``coords`` ``(3, n)``; a zero-length edge keeps
+    a zero line and is a violation, by ascending edge id.
+
+    An edge is zero-length when :func:`_apart` reads it so, against the
+    star diameters the star stage read: a reading relative to the net
+    itself, so neither moving nor scaling the net makes an edge
+    zero-length.  The minors of ``(x, 1)`` and ``(y, 1)`` are products of
+    whole rows, stacked one edge a row, so that
+    :func:`~hypnet.plucker._rowdot` rounds each norm as a one-edge call
+    would.  The norm is read at a power-of-two scale that brings each
+    edge's largest minor into [0.5, 1): exact, so no bit changes where the
+    squares stay in range, and no overflow or underflow of the squares at
+    any size of the net whose minors are finite (up to about 1e154)."""
     found = []
     for lo in range(0, graph.edge_count, CHUNK):
         u, v = graph.edges[lo:lo + CHUNK].T
-        # the edge in units of the larger star diameter, each entry at
-        # most 1 in size; NaN where neither star has any extent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            side = np.take(coords, v, axis=1) - np.take(coords, u, axis=1)
-            side /= np.maximum(walk.diameters[u], walk.diameters[v])
-        apart = side[0] * side[0] + side[1] * side[1] + side[2] * side[2] > _ZERO_EDGE**2
-        h = _minors(hom(positions[u]), hom(positions[v]))
+        x, y = np.take(coords, u, axis=1), np.take(coords, v, axis=1)
+        ok = _apart(y - x, walk.diameters[u], walk.diameters[v])
+        # storage order (p01, p02, p03, p23, p31, p12), one edge a row
+        h = np.stack([x[0] * y[1] - x[1] * y[0], x[0] * y[2] - x[2] * y[0],
+                      x[0] - y[0], x[2] - y[2], y[1] - x[1],
+                      x[1] * y[2] - x[2] * y[1]], axis=1)
+        del x, y
+        _, exponent = np.frexp(_row_max(np.abs(h)))
+        h *= np.ldexp(1.0, -exponent)[:, None]
         norm = np.sqrt(_rowdot(h, h))
-        ok = apart & (norm > 0.0)
         np.divide(h, norm[:, None], out=walk.edge_lines[lo:lo + CHUNK], where=ok[:, None])
         found += [
             ("non_generic_pair",
@@ -729,17 +748,18 @@ def _edge_stage(graph, positions, coords, walk):
     return found
 
 
-def _face_stage(graph, positions, sig, walk):
-    """Volume ratio and opposite-pair products of every face; per
-    ascending face a ``degenerate_face``, or else each of the pairs
-    (0, 2) and (1, 3) whose product falls below ``sig``, the gate
-    :meth:`ANet.frames` reads, so that a net that passes the walk can be
-    framed.  Keeps which volumes are positive, the signs
-    :attr:`ANet.face_twists` reads."""
+def _face_stage(graph, coords, sig, walk):
+    """Volume ratio and opposite-pair products of every face, gathered
+    coordinate-first from ``coords`` ``(3, n)``; per ascending face a
+    ``degenerate_face``, or else each of the pairs (0, 2) and (1, 3)
+    whose product falls below ``sig``, the gate :meth:`ANet.frames`
+    reads, so that a net that passes the walk can be framed.  Keeps
+    which volumes are positive, the signs :attr:`ANet.face_twists`
+    reads."""
     found = []
     for lo in range(0, graph.face_count, CHUNK):
-        det, ratio, prods = _face_volumes(positions, graph.face_vertices[lo:lo + CHUNK])
-        walk.positive_volumes[lo:lo + CHUNK] = det > 0
+        volume, ratio, prods = _face_volumes(coords, graph.face_vertices[lo:lo + CHUNK])
+        walk.positive_volumes[lo:lo + CHUNK] = volume > 0
         edges = graph.face_edges[lo:lo + CHUNK]
         flat = ratio < FACE_VOLUME_EPS
         meet = (np.abs(prods) < sig) & ~flat[:, None]
@@ -815,6 +835,20 @@ def _certified_pencils(lines):
     )
 
 
+def _first_edges(graph, vertices):
+    """The two lowest edge ids at each of ``vertices``, ``(B, 2)``: the
+    edges a pencil violation names."""
+    at = np.zeros(graph.vertex_count, dtype=bool)
+    at[vertices] = True
+    # the edge ends at those vertices, each edge's ends at 2 e and 2 e + 1,
+    # by vertex and then by edge id
+    slots = np.flatnonzero(at[graph.edges.ravel()])
+    ends = graph.edges.ravel()[slots]
+    order = np.argsort(ends, kind="stable")
+    first = np.searchsorted(ends[order], vertices)
+    return slots[order][np.stack([first, first + 1], axis=1)] // 2
+
+
 def _pencil_stage(graph, coords, degree, walk):
     """Rank of every vertex pencil, stacked by vertex degree; a pencil
     that is not a line pencil (rank 2) is a violation, by ascending
@@ -824,37 +858,39 @@ def _pencil_stage(graph, coords, degree, walk):
     there each incident edge line is ``(d, 0)`` with ``d`` its unit
     direction, so the rank is that of the unit edge directions, which
     neither translation nor scaling moves.  The directions are the unit
-    edge vectors, up to sign, gathered coordinate-first from ``coords``
-    ``(3, n)``; an edge the edge stage left a zero line keeps a zero
-    row.  Lines through one point meet pairwise, so the signature is
+    vectors from the vertex to its star's neighbours, gathered
+    coordinate-first from ``coords`` ``(3, n)`` a batch at a time; an
+    edge that the edge stage reads zero-length (:func:`_apart`) keeps a
+    zero row.  Lines through one point meet pairwise, so the signature is
     exactly (0, 0, rank); edges that are all zero span nothing: rank 0,
     dimension -1.  Only the pencils that :func:`_certified_pencils`
     leaves undecided go through one stacked SVD, for their singular
     values alone."""
-    vectors = np.take(coords, graph.edges[:, 1], axis=1) - np.take(coords, graph.edges[:, 0], axis=1)
-    lengths = np.sqrt(vectors[0] * vectors[0] + vectors[1] * vectors[1]
-                      + vectors[2] * vectors[2])
-    lengths[~walk.edge_lines.any(axis=1)] = 0.0
-    units = np.divide(vectors, lengths, out=np.zeros_like(vectors), where=lengths > 0.0)
-    del vectors, lengths
-    # the edges at every vertex, ascending, in the slots of its star
-    by_vertex = np.argsort(graph.edges.ravel(), kind="stable") // 2
     found = []
     for k, verts in _by_degree(degree):
-        incident = by_vertex[graph.star_offsets[verts] + np.arange(k)[:, None]]
-        directions = np.take(units, incident, axis=1)
+        ends = graph.star_neighbors[graph.star_offsets[verts] + np.arange(k)[:, None]]
+        directions = np.take(coords, ends, axis=1)
+        directions -= np.take(coords, verts, axis=1)[:, None]
+        lengths = np.sqrt(directions[0] * directions[0] + directions[1] * directions[1]
+                          + directions[2] * directions[2])
+        lengths[~_apart(directions, walk.diameters[verts], walk.diameters[ends])] = 0.0
+        directions = np.divide(directions, lengths, out=np.zeros_like(directions),
+                               where=lengths > 0.0)
         open_rows = np.flatnonzero(~_certified_pencils(directions))
         if not open_rows.size:
             continue
-        verts, incident = verts[open_rows], incident[:, open_rows].T
         s = np.linalg.svd(np.take(directions, open_rows, axis=2).T, compute_uv=False)
         rank = _span_rank(s, PENCIL_RANK_TOL)
+        bad = np.flatnonzero(rank != 2)
+        if not bad.size:
+            continue
+        verts, rank = verts[open_rows[bad]], rank[bad]
+        edges = _first_edges(graph, verts)
         found += [
             ("non_generic_pair",
-             {"vertex": int(verts[i]), "edges": tuple(incident[i, :2].tolist()),
-              "pencil_signature": (0, 0, int(rank[i])),
-              "pencil_dim": int(rank[i]) - 1})
-            for i in np.flatnonzero(rank != 2).tolist()
+             {"vertex": v, "edges": tuple(pair), "pencil_signature": (0, 0, r),
+              "pencil_dim": r - 1})
+            for v, pair, r in zip(verts.tolist(), edges.tolist(), rank.tolist())
         ]
     return sorted(found, key=lambda violation: violation[1]["vertex"])
 

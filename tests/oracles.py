@@ -592,12 +592,13 @@ def reference_star_plane(points):
     return plane, residual, diameter
 
 
-# --- the star and pencil kernels on row-major stacks --------------------------------
+# --- the walk's kernels on row-major stacks -----------------------------------------
 #
-# ``hypnet.anet`` read its stars and pencils on row-major stacks ``(B, m,
-# 3)`` before its kernels moved to coordinate-first arrays ``(3, m, B)``.
-# These are those kernels as they were: the star oracle's planes,
-# residuals and diameters are the ones the walk must keep bit for bit.
+# ``hypnet.anet`` read its stars, pencils, edges and faces on row-major
+# stacks (``(B, m, 3)`` for stars) before its kernels moved to
+# coordinate-first arrays (``(3, m, B)``).  These are those kernels as
+# they were: the star oracle's planes, residuals and diameters and the
+# edge oracle's lines are the ones the walk must keep bit for bit.
 
 # the entries (xx, yy, zz, xy, xz, yz) of a symmetric 3x3 matrix: their
 # coordinate pairs, their 3x3 layout and the two products whose
@@ -707,6 +708,55 @@ def row_certified_pencils(lines):
         & (s2_lo >= 10 * PENCIL_RANK_TOL * s1_hi)
         & (s3_hi <= PENCIL_RANK_TOL / 10 * s1_lo)
     )
+
+
+def row_edge_lines(positions, edges):
+    """Unit lines ``(E, 6)`` of ``edges`` ``(E, 2)`` as the walk's edge
+    stage read them on row-major stacks: the minors of the homogeneous
+    ends, unscaled, over the norm of their row; zero where that norm is
+    zero."""
+    from hypnet.plucker import _minors, _rowdot, hom
+
+    pos = np.asarray(positions, dtype=float)
+    h = _minors(hom(pos[edges[:, 0]]), hom(pos[edges[:, 1]]))
+    norm = np.sqrt(_rowdot(h, h))
+    with np.errstate(invalid="ignore"):
+        return np.divide(h, norm[:, None], out=np.zeros_like(h), where=norm[:, None] > 0.0)
+
+
+def row_face_volumes(positions, quads):
+    """``(det, ratio, products)`` of quads ``(B, 4)`` as the walk's face
+    stage read them on row-major stacks: ``det`` the global determinant
+    ``det(c1 - c0, c2 - c0, c3 - c0)`` from LAPACK, ``ratio`` its
+    magnitude over the cubed mean global side length, and the products
+    of the pairs (0, 2) and (1, 3) read in face-local units from that
+    determinant and the global sides."""
+    from hypnet.plucker import _rowdot
+
+    p = np.asarray(positions, dtype=float)[quads]
+    det = np.linalg.det(p[:, 1:] - p[:, :1])
+    edges = np.roll(p, -1, axis=1) - p
+    squares = _rowdot(edges, edges)
+    scale = np.mean(np.sqrt(squares), axis=-1)
+    ratio = np.divide(np.abs(det), np.float_power(scale, 3),
+                      out=np.zeros_like(det), where=scale != 0.0)
+    x = np.ascontiguousarray(p.T)
+    x -= ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4)[:, None]
+    radii = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    unit = radii.max(axis=0)
+    flip = quads.T > quads.T[[1, 2, 3, 0]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / np.sqrt(unit)
+        x *= inv
+        e = edges.T * inv
+        along = x[0] * e[0] + x[1] * e[1] + x[2] * e[2]
+        norms = np.sqrt(squares.T / unit * (1.0 + radii / unit) - along * along)
+        volume = det * inv * inv * inv
+        products = np.stack([
+            np.where(flip[0] == flip[2], -volume, volume) / (norms[0] * norms[2]),
+            np.where(flip[1] == flip[3], volume, -volume) / (norms[1] * norms[3]),
+        ], axis=1)
+    return det, ratio, products
 
 
 def _reference_join(x, y):
@@ -1289,6 +1339,42 @@ def reference_dual_tree(graph, seed):
         missing = [f for f in range(count) if not seen[f]]
         raise DisconnectedMesh(f"faces {missing} unreachable from {seed}")
     return tree
+
+
+def queue_orientation(quads, mate):
+    """``hypnet.quadgraph._orientation`` by a queue, one face at a time:
+    which faces to reverse, breadth first from each unvisited face in
+    order, or ``NonOrientable`` for the first clash the queue meets."""
+    from collections import deque
+
+    from hypnet.errors import NonOrientable
+
+    tail, head = quads.ravel(), np.roll(quads, -1, axis=1).ravel()
+    up = (tail < head).tolist()
+    mates = mate.tolist()
+    flip = [None] * len(quads)
+    for start in range(len(quads)):
+        if flip[start] is not None:
+            continue
+        flip[start] = False
+        queue = deque([start])
+        while queue:
+            f = queue.popleft()
+            for h in range(4 * f, 4 * f + 4):
+                m = mates[h]
+                if m < 0:
+                    continue
+                g, g_flip = m // 4, up[m] == (up[h] != flip[f])
+                if flip[g] is None:
+                    flip[g] = g_flip
+                    queue.append(g)
+                elif flip[g] != g_flip:
+                    u, v = sorted((int(tail[h]), int(head[h])))
+                    raise NonOrientable(
+                        f"faces {f} and {g} cannot be oriented "
+                        f"consistently across edge {(u, v)}"
+                    )
+    return np.array(flip, dtype=bool)
 
 
 def reference_graph(vertex_count, quads) -> ReferenceGraph:

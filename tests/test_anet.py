@@ -57,6 +57,8 @@ from oracles import (
     reference_walk,
     regulus_orientation,
     row_certified_pencils,
+    row_edge_lines,
+    row_face_volumes,
     row_scatter_normals,
     row_star_plane,
     skew_matrix,
@@ -347,7 +349,7 @@ def test_the_walk_hands_its_face_signs_to_the_net(monkeypatch):
     assert len(calls) == 4
     twists = net.face_twists
     assert len(calls) == 4  # the net reads the signs the walk kept
-    positive = _face_volumes(pos, g.face_vertices)[0] > 0
+    positive = _face_volumes(pos.T, g.face_vertices)[0] > 0
     alone = ANet(g, pos, None, None, None, None, positive)
     assert report["face_twists"] == twists.tolist() == alone.face_twists.tolist()
     assert np.array_equal(twists, alone.face_twists)
@@ -574,19 +576,26 @@ def assert_star_planes_match_oracle(planes, residuals, diameters, tilts, ref, pl
     return settled
 
 
-def near_products(violations):
-    """``violations`` with each pair product compared to 1e-14: the walk
-    reads it in closed form, the oracle from the face-local lines."""
+#: the absolute agreement the walk keeps with the oracles on each face
+#: figure: both read them in other units or in another order
+FACE_FIGURES = {"product": 1e-14, "ratio": 1e-13}
+
+
+def near_face_figures(violations):
+    """``violations`` with each pair product compared to 1e-14 and each
+    volume ratio to 1e-13: the walk reads both in closed form in
+    face-local units, the oracle the products from the face-local lines
+    and the ratio from LAPACK's determinant of the global sides."""
     return [
-        (kind, {**data, "product": pytest.approx(data["product"], rel=0, abs=1e-14)}
-         if "product" in data else data)
+        (kind, {**data, **{key: pytest.approx(data[key], rel=0, abs=near)
+                           for key, near in FACE_FIGURES.items() if key in data}})
         for kind, data in violations
     ]
 
 
 def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
     """The walk finds the oracle's violations in its order with its
-    values (pair products to 1e-14); star diameters and the residuals of the stars the SVD reads
+    values (pair products to 1e-14, volume ratios to 1e-13); star diameters and the residuals of the stars the SVD reads
     are equal bit for bit, the residuals of the others within their
     stated bound (:func:`assert_star_planes_match_oracle`); edge lines
     agree to 1e-15; ``validate_anet`` raises the first violation and
@@ -596,7 +605,7 @@ def assert_walk_matches_oracle(g, pos, tol=Tolerances()):
         g, pos, tol.planar, tol.sig, FACE_VOLUME_EPS, PENCIL_RANK_TOL,
     )
     walk = _collect_violations(g, pos, False, tol)
-    found = near_products(found)
+    found = near_face_figures(found)
     assert walk.violations == found
     assert_star_planes_match_oracle(
         walk.planes, walk.residuals, walk.diameters, star_tilts(g, pos),
@@ -728,11 +737,12 @@ def walk_transient_memory(size):
 
 
 def test_the_walk_transient_memory_does_not_grow_with_the_net():
-    # the batches bound the walk's temporaries: four times the faces take
-    # less than twice the transient memory, where an unbatched walk takes
-    # about four times as much
+    # the batches bound the walk's temporaries: four times the vertices add
+    # only the walk's one (3, n) copy of the positions and the ids of the
+    # vertices of one degree, 32 bytes a vertex, 0.35 MB from 60x60 to
+    # 120x120; whole-net edge arrays would add 0.75 MB
     walk_transient_memory(3)  # imports and caches outside the measurement
-    assert walk_transient_memory(120) < 2 * walk_transient_memory(60)
+    assert walk_transient_memory(120) <= walk_transient_memory(60) + 0.5e6
 
 
 def test_star_plane_of_one_star_equals_the_stacked_fit():
@@ -792,6 +802,121 @@ def test_walk_arrays_equal_the_row_major_kernels_bit_for_bit(monkeypatch, throug
         lines, _ = hypnet.plucker._join(ends[:, 0], ends[:, 1])
         assert np.array_equal(walk.edge_lines, lines)
     assert near_the_gate > 0
+
+
+def benchmark_nets(seed):
+    """The three benchmark inputs at ``seed``, drawn as the benchmark
+    draws them: an exact 20x20 grid (spacing in [0.05, 0.2], origin in
+    [-2, 0]^2), an exact 80x80 one (spacing in [0.02, 0.05]) and a 20x20
+    one whose interior carries uniform noise of +-5e-5."""
+    nets = {}
+    for name, size, spacings in (("extend_grid", 20, (0.05, 0.2)),
+                                 ("check_wide", 80, (0.02, 0.05))):
+        rng = np.random.default_rng(seed)
+        spacing = float(rng.uniform(*spacings))
+        origin = tuple(float(c) for c in rng.uniform(-2.0, 0.0, size=2))
+        nets[f"{name} {seed}"] = quadric_grid(size, size, spacing=spacing, origin=origin)
+    n, quads, pos = quadric_grid(20, 20)
+    interior = ~build(n, quads).boundary
+    noisy = pos.copy()
+    rng = np.random.default_rng(seed)
+    noisy[interior] += rng.uniform(-5e-5, 5e-5, size=(int(interior.sum()), 3))
+    nets[f"fit_noisy {seed}"] = (n, quads, noisy)
+    return nets
+
+
+def walk_nets():
+    """The tier-1 fixtures and the benchmark inputs at seeds 0 and 1."""
+    from test_invariance import fixtures  # which imports this module
+
+    return {**fixtures(), **benchmark_nets(0), **benchmark_nets(1)}
+
+
+def face_gate_verdicts(ratio, products, edges, sig):
+    """``(kind, face, edges)`` of what the face stage reports, read from
+    the figures of every face."""
+    flat = ratio < FACE_VOLUME_EPS
+    meet = (np.abs(products) < sig) & ~flat[:, None]
+    found = []
+    for f in np.flatnonzero(flat | meet.any(axis=1)).tolist():
+        if flat[f]:
+            found.append(("degenerate_face", f, None))
+        found += [("non_generic_pair", f, (int(edges[f, k]), int(edges[f, k + 2])))
+                  for k in np.flatnonzero(meet[f]).tolist()]
+    return found
+
+
+def walk_face_verdicts(walk):
+    return [
+        (kind, data["face"], data.get("edges"))
+        for kind, data in walk.violations if "face" in data
+    ]
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-76, 77, 19))
+def test_edge_and_face_stages_equal_their_row_major_forms(scale):
+    # the edge lines bit for bit wherever the squares of the row-major
+    # minors stay in range (the noisy net's minors reach about 8e3, so
+    # their squares overflow at 1e76); the face figures, read in
+    # face-local units, to their rounding, and every face verdict as the
+    # global reading gives it wherever LAPACK's determinants stay in range
+    tol = Tolerances()
+    for name, (n, quads, pos) in walk_nets().items():
+        g = build(n, quads)
+        pos = np.asarray(pos, dtype=float) * scale
+        walk = _collect_violations(g, pos, False, tol)
+        kept = walk.edge_lines.any(axis=1)
+        zero = [data["edges"][0] for _, data in walk.violations
+                if data.get("reason") == "zero-length edge"]
+        assert np.flatnonzero(~kept).tolist() == zero, name
+        if 1e-60 < scale < 1e60:
+            lines = row_edge_lines(pos, g.edges)
+            assert np.array_equal(walk.edge_lines[kept], lines[kept]), name
+        det, ratio, products = row_face_volumes(pos, g.face_vertices)
+        assert np.array_equal(walk.positive_volumes, det > 0), name
+        assert walk_face_verdicts(walk) == face_gate_verdicts(
+            ratio, products, g.face_edges, tol.sig), name
+        if scale != 1.0:
+            continue
+        _, got_ratio, got_products = _face_volumes(pos.T, g.face_vertices)
+        both = np.isfinite(ratio) & np.isfinite(got_ratio)
+        assert np.all(np.abs(got_ratio - ratio)[both] <= 1e-13), name
+        both = np.isfinite(products) & np.isfinite(got_products)
+        gap = np.abs(got_products - products)[both]
+        assert np.all(gap <= 1e-12 * (1 + np.abs(products[both]))), name
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e100])
+def test_edge_lines_past_the_range_of_their_squares(scale):
+    # the squares of the minors overflow from about 1e77 on; read at an
+    # exact power-of-two scale, the lines stay unit lines through the
+    # scaled points
+    n, quads, pos = quadric_grid(3, 3)
+    g = build(n, quads)
+    with np.errstate(over="raise", invalid="raise"):
+        report = diagnose_anet(g, pos * scale)
+        walk = _collect_violations(g, pos * scale, True, Tolerances())
+    assert report["valid"] and report["violations"] == []
+    np.testing.assert_allclose(np.linalg.norm(walk.edge_lines, axis=1), 1.0, rtol=1e-15)
+    # the minors of the scaled ends are (s^2 m, s d) for those (m, d) of the
+    # unit ends: over s, (s m, d), whose squares stay in range
+    unit = row_edge_lines(pos, g.edges) * np.array([scale, scale, 1, 1, 1, scale])
+    expected = unit / np.linalg.norm(unit, axis=1)[:, None]
+    np.testing.assert_allclose(walk.edge_lines, expected, rtol=1e-13, atol=1e-15)
+
+
+def test_a_tilted_planar_net_reads_every_face_degenerate_at_any_scale():
+    # LAPACK's determinant of the global sides overflows past about 1e102;
+    # the face-local volume does not
+    n, quads, pos = quadric_grid(3, 3)
+    pos[:, 2] = 0.3 * pos[:, 0] + 0.7 * pos[:, 1]
+    g = build(n, quads)
+    for scale in (1.0, 1e-120, 1e120):
+        report = diagnose_anet(g, pos * scale)
+        faces = [v["face"] for v in report["violations"] if v["kind"] == "degenerate_face"]
+        assert faces == list(range(9)), f"scaled {scale:g}"
+        assert all(v["ratio"] < FACE_VOLUME_EPS for v in report["violations"]
+                   if v["kind"] == "degenerate_face")
 
 
 def star_cases(rng, degree):
@@ -901,8 +1026,9 @@ def test_face_volume_kernel_equals_the_one_face_ratio():
     quads = rng.permutation(400).reshape(-1, 4)
     pos[quads[::3, 3]] = pos[quads[::3, 2]]  # some collapsed edges
     pos[quads[1::3, 3]] = (pos[quads[1::3, 0]] + pos[quads[1::3, 2]]) / 2  # flat
-    _, ratio, _ = hypnet.anet._face_volumes(pos, quads)
-    assert ratio.tolist() == [face_volume_ratio(pos, q) for q in quads]
+    _, ratio, _ = hypnet.anet._face_volumes(pos.T, quads)
+    expected = [face_volume_ratio(pos, q) for q in quads]
+    np.testing.assert_allclose(ratio, expected, rtol=0, atol=FACE_FIGURES["ratio"])
 
 
 def count_calls(monkeypatch, module, name, calls):
@@ -1131,7 +1257,7 @@ def test_face_products_are_those_of_the_face_local_lines():
     ids = np.arange(4 * len(quads)).reshape(-1, 4)
     for scale, shift in PLACEMENTS:
         pos = (quads * scale + shift).reshape(-1, 3)
-        _, _, products = _face_volumes(pos, ids)
+        _, _, products = _face_volumes(pos.T, ids)
         for k in range(len(quads)):
             lines = np.array(reference_face_lines(pos, ids[k]))
             expected = [plucker_product(lines[0], lines[2]),
@@ -1156,7 +1282,7 @@ def test_frames_fail_exactly_where_a_pair_product_falls_below_sig(sig):
     g = build(4 * count, np.arange(4 * count).reshape(-1, 4).tolist())
     for scale, shift in PLACEMENTS:
         pos = (quads * scale + shift).reshape(-1, 3)
-        _, _, products = _face_volumes(pos, g.face_vertices)
+        _, _, products = _face_volumes(pos.T, g.face_vertices)
         net = ANet(g, pos, None, np.zeros((g.edge_count, 6)), None, None, None,
                    Tolerances(sig=sig))
         least = np.abs(products).min(axis=1)

@@ -468,7 +468,7 @@ def _forced_anet(count, quads, positions):
         edge_lines=edge_lines,
         planarity_residuals=residuals,
         star_diameters=diameters,
-        positive_volumes=_face_volumes(positions, graph.face_vertices)[0] > 0,
+        positive_volumes=_face_volumes(positions.T, graph.face_vertices)[0] > 0,
     )
 
 

@@ -6,7 +6,7 @@ as it is: star residuals over diameters, face volume ratios, pair
 products in face-local units, pencil ranks and, after propagation,
 volume ratios again.  So ``diagnose_anet`` reads the same verdict and
 the same violation kinds on a net moved by up to 1e4 of its diameters
-or scaled from 1e-40 to 1e40, and propagation and carving do so on a
+or scaled from 1e-100 to 1e100, and propagation and carving do so on a
 net moved as far or scaled from 1e-6 to 1e6, as long as the moved net
 still closes: translation rounds the positions at a
 larger absolute scale, which the closure residual amplifies.
@@ -28,9 +28,9 @@ SCALES = [1e-6, 1e-3, 1e3, 1e6]
 #: scales at which the verdicts of ``diagnose_anet`` alone are compared:
 #: every gate of the walk is read relative to the net's own size, but
 #: propagation and carving are not checked this far out
-DIAGNOSE_SCALES = [1e-40, 1e-12, 1e12, 1e40]
+DIAGNOSE_SCALES = [1e-100, 1e-40, 1e-12, 1e12, 1e40, 1e100]
 #: scales at which the face products are compared with the unit net's
-FACE_SCALES = [1e-40, 1e-20, 1e20, 1e40]
+FACE_SCALES = [1e-100, 1e-40, 1e-20, 1e20, 1e40, 1e100]
 #: translations, in net diameters
 SHIFTS = [1e2, 1e4]
 
@@ -119,8 +119,8 @@ def test_extension_verdicts_do_not_depend_on_placement_or_scale(name):
 def test_face_products_do_not_depend_on_scale_over_the_float_range(name):
     _, quads, positions = fixtures()[name]
     quads = np.asarray(quads)
-    expected = _face_volumes(np.asarray(positions, dtype=float), quads)[2]
+    expected = _face_volumes(np.asarray(positions, dtype=float).T, quads)[2]
     for scale in FACE_SCALES:
-        products = _face_volumes(positions * scale, quads)[2]
+        products = _face_volumes((positions * scale).T, quads)[2]
         np.testing.assert_allclose(products, expected, rtol=1e-12, atol=1e-13,
                                    err_msg=f"scaled {scale:g}")
