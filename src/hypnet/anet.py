@@ -761,8 +761,9 @@ def _face_stage(graph, coords, sig, walk):
         volume, ratio, prods = _face_volumes(coords, graph.face_vertices[lo:lo + CHUNK])
         walk.positive_volumes[lo:lo + CHUNK] = volume > 0
         edges = graph.face_edges[lo:lo + CHUNK]
-        flat = ratio < FACE_VOLUME_EPS
-        meet = (np.abs(prods) < sig) & ~flat[:, None]
+        # fail closed: a figure that is not finite passes no gate
+        flat = ~(ratio >= FACE_VOLUME_EPS)
+        meet = ~(np.abs(prods) >= sig) & ~flat[:, None]
         for i in np.flatnonzero(flat | meet.any(axis=1)).tolist():
             if flat[i]:
                 found.append(("degenerate_face",

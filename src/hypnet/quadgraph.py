@@ -27,8 +27,7 @@ undirected keys of the face sides:
   before it, ``-1`` at the first slot of a boundary star).
 
 Faces listed with a consistent orientation are kept as they are, found
-by one array comparison; other inputs are re-oriented breadth first,
-one level of every component at a time (:func:`_orientation`).
+by one array comparison; only other inputs are re-oriented face by face.
 The strips are array passes too: a strip leaves each member face by a
 half-edge ``h``, and the next one by ``twin[h] ^ 2``, so pointer
 jumping along that map labels every strip by its least (face, side
@@ -38,6 +37,8 @@ The dual spanning tree is built one breadth-first level at a time
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -155,88 +156,40 @@ def _mates(quads, vertex_count: int) -> np.ndarray:
     return mate
 
 
-def _lowest_faces(a, b, count):
-    """Per face of ``count`` the lowest face of its component, where
-    faces ``a[i]`` and ``b[i]`` are adjacent.
-
-    Every face points at a lower one of its component, or at itself.
-    Each round hooks the higher of two roots that an adjacency joins
-    under the lower one, then points every face at its root; a tree that
-    touches another merges with one, so the trees that still touch
-    another at least halve each round."""
-    low = np.arange(count)
-    while True:
-        ra, rb = low[a], low[b]
-        apart = ra != rb
-        if not apart.any():
-            return low
-        np.minimum.at(low, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
-        while True:
-            up = low[low]
-            if np.array_equal(up, low):
-                break
-            low = up
-
-
 def _orientation(quads, mate) -> np.ndarray:
     """Which faces to reverse so that adjacent faces run their shared
     edge oppositely: none when every paired side already runs opposite
-    to its mate, else breadth first from the lowest face of each
-    component, keeping its orientation, one level at a time.  Raises
-    :class:`NonOrientable` naming the face pair of the first clash a
-    queue would meet, from one component after another in the order of
-    their lowest faces.
-
-    The components run their levels side by side: a level lists each
-    one's faces in its own queue order, so the sides of a level, in that
-    order and each face's ascending, are the ones a queue would read
-    next.  A face first met on one of them takes the flip that side asks
-    for and joins the next level in the order of those first meetings;
-    every other side onto a face already met must ask for the flip it
-    has."""
+    to its mate, else breadth first from each unvisited face in order.
+    Raises :class:`NonOrientable` naming the face pair that clashes."""
     tail, head = _sides(quads)
     paired = np.flatnonzero(mate >= 0)
     if np.array_equal(tail[mate[paired]], head[paired]):
         return np.zeros(len(quads), dtype=bool)
-    count = len(quads)
-    once = paired[paired < mate[paired]]
-    root = _lowest_faces(once // 4, mate[once] // 4, count)
-    # a side that runs its edge as its mate does joins faces of opposite flips
-    same = tail == tail[mate]
-    across = np.where(mate >= 0, mate // 4, -1)
-    flip = np.zeros(count, dtype=bool)
-    frontier = np.flatnonzero(root == np.arange(count))
-    seen = np.zeros(count, dtype=bool)
-    seen[frontier] = True
-    clash = None
-    while frontier.size:
-        h = (4 * frontier[:, None] + np.arange(4)).ravel()
-        h = h[across[h] >= 0]
-        g = across[h]
-        want = same[h] != flip[h // 4]
-        new = np.flatnonzero(~seen[g])
-        order = new[np.argsort(g[new], kind="stable")]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = g[order[1:]] != g[order[:-1]]
-        lead = np.sort(order[first])
-        frontier = g[lead]
-        flip[frontier] = want[lead]
-        seen[frontier] = True
-        wrong = np.flatnonzero(flip[g] != want)
-        if wrong.size:
-            # the first clash of the lowest component that has one here;
-            # a later level replaces it only from a lower component
-            k = wrong[np.argmin(root[g[wrong]])]
-            if clash is None or root[g[k]] < clash[0]:
-                clash = (int(root[g[k]]), int(h[k]))
-    if clash is not None:
-        h = clash[1]
-        g = int(across[h])
-        u, v = sorted((int(tail[h]), int(head[h])))
-        raise NonOrientable(
-            f"faces {h // 4} and {g} cannot be oriented consistently across edge {(u, v)}"
-        )
-    return flip
+    up = (tail < head).tolist()
+    mates = mate.tolist()
+    flip = [None] * len(quads)
+    for start in range(len(quads)):
+        if flip[start] is not None:
+            continue
+        flip[start] = False
+        queue = deque([start])
+        while queue:
+            f = queue.popleft()
+            for h in range(4 * f, 4 * f + 4):
+                m = mates[h]
+                if m < 0:
+                    continue
+                g, g_flip = m // 4, up[m] == (up[h] != flip[f])
+                if flip[g] is None:
+                    flip[g] = g_flip
+                    queue.append(g)
+                elif flip[g] != g_flip:
+                    u, v = sorted((int(tail[h]), int(head[h])))
+                    raise NonOrientable(
+                        f"faces {f} and {g} cannot be oriented "
+                        f"consistently across edge {(u, v)}"
+                    )
+    return np.array(flip, dtype=bool)
 
 
 class QuadGraph:

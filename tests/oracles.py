@@ -1341,42 +1341,6 @@ def reference_dual_tree(graph, seed):
     return tree
 
 
-def queue_orientation(quads, mate):
-    """``hypnet.quadgraph._orientation`` by a queue, one face at a time:
-    which faces to reverse, breadth first from each unvisited face in
-    order, or ``NonOrientable`` for the first clash the queue meets."""
-    from collections import deque
-
-    from hypnet.errors import NonOrientable
-
-    tail, head = quads.ravel(), np.roll(quads, -1, axis=1).ravel()
-    up = (tail < head).tolist()
-    mates = mate.tolist()
-    flip = [None] * len(quads)
-    for start in range(len(quads)):
-        if flip[start] is not None:
-            continue
-        flip[start] = False
-        queue = deque([start])
-        while queue:
-            f = queue.popleft()
-            for h in range(4 * f, 4 * f + 4):
-                m = mates[h]
-                if m < 0:
-                    continue
-                g, g_flip = m // 4, up[m] == (up[h] != flip[f])
-                if flip[g] is None:
-                    flip[g] = g_flip
-                    queue.append(g)
-                elif flip[g] != g_flip:
-                    u, v = sorted((int(tail[h]), int(head[h])))
-                    raise NonOrientable(
-                        f"faces {f} and {g} cannot be oriented "
-                        f"consistently across edge {(u, v)}"
-                    )
-    return np.array(flip, dtype=bool)
-
-
 def reference_graph(vertex_count, quads) -> ReferenceGraph:
     """The quad graph built as half-edge objects (see :class:`ReferenceGraph`)."""
     return ReferenceGraph(vertex_count, quads)

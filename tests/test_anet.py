@@ -919,6 +919,22 @@ def test_a_tilted_planar_net_reads_every_face_degenerate_at_any_scale():
                    if v["kind"] == "degenerate_face")
 
 
+def test_faces_whose_figures_overflow_fail_their_gates():
+    # past about 1e154 the squared corner radii overflow and the face
+    # figures read NaN; the face stage must refuse those faces itself, as
+    # ``ANet.frames`` does, not leave the verdict to a later stage
+    n, quads, pos = quadric_grid(3, 3)
+    g = build(n, quads)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        walk = _collect_violations(g, pos * 1e160, True, Tolerances())
+        report = diagnose_anet(g, pos * 1e160)
+    faces = sorted({v["face"] for kind, v in walk.violations})
+    assert faces == list(range(9))
+    assert {kind for kind, _ in walk.violations} <= {"degenerate_face", "non_generic_pair"}
+    assert not report["valid"]
+    assert sorted({v["face"] for v in report["violations"] if "face" in v}) == faces
+
+
 def star_cases(rng, degree):
     """Stacks of stars ``(40, degree + 1, 3)``, a centre then its
     neighbours, by name: planar ones with the neighbours spread around

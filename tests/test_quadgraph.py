@@ -13,7 +13,6 @@ from hypnet.errors import (
     NotAQuad,
     NotStronglyRegular,
 )
-import hypnet.quadgraph
 from hypnet.quadgraph import _quad_array, build
 from hypnet.synthetic import (
     cylinder_quads,
@@ -22,7 +21,7 @@ from hypnet.synthetic import (
     umbrella_graph,
 )
 
-from oracles import queue_orientation, reference_dual_tree, reference_graph, strips_of
+from oracles import reference_dual_tree, reference_graph, strips_of
 
 MESH_CASES = [
     grid_graph(1, 1),
@@ -624,52 +623,6 @@ def test_random_face_reversals_clash_where_the_object_build_does(vertex_count, q
         got = outcome(lambda: build(vertex_count, faces))
         assert got[0] == "NonOrientable"
         assert got == outcome(lambda: reference_graph(vertex_count, faces))
-
-
-def moebius_band(length):
-    """``length`` quads in a row whose ends are glued with a half twist."""
-    count = 2 * length
-    return count, [(i, (i + 1) % count, (i + length + 1) % count, (i + length) % count)
-                   for i in range(length)]
-
-
-GRAPH_ARRAYS = ("face_vertices", "face_edges", "edges", "edge_faces", "twin",
-                "degrees", "boundary", "star_offsets", "star_neighbors", "star_faces")
-
-
-def test_random_reversals_of_a_wide_grid_build_what_the_queue_builds(monkeypatch):
-    count, quads = grid_graph(80, 80)
-    quads = np.array(quads)
-    rng = np.random.default_rng(71)
-    for _ in range(3):
-        listed = np.where(rng.random((len(quads), 1)) < 0.5, quads[:, ::-1], quads)
-        got = build(count, listed)
-        with monkeypatch.context() as patch:
-            patch.setattr(hypnet.quadgraph, "_orientation", queue_orientation)
-            expected = build(count, listed)
-        for name in GRAPH_ARRAYS:
-            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-
-
-# a long band clashes some levels deep, a short one at once: the long one,
-# listed first, holds the first clash in queue order wherever the short
-# one sits
-CLASH_ORDER_CASES = [
-    union(moebius_band(9), moebius_quads()),
-    union(grid_graph(3, 3), moebius_quads(), moebius_band(9)),
-    union(moebius_band(9), grid_graph(4, 1), moebius_band(3)),
-]
-
-
-@pytest.mark.parametrize("vertex_count,quads", NON_ORIENTABLE_CASES + CLASH_ORDER_CASES)
-def test_the_level_passes_clash_where_the_queue_does(monkeypatch, vertex_count, quads):
-    for seed in range(8):
-        faces = np.array(reversed_faces(quads, seed))
-        got = outcome(lambda: build(vertex_count, faces))
-        assert got[0] == "NonOrientable"
-        monkeypatch.setattr(hypnet.quadgraph, "_orientation", queue_orientation)
-        assert got == outcome(lambda: build(vertex_count, faces))
-        monkeypatch.undo()
 
 
 STRIP_ERRORS = {
