@@ -17,7 +17,7 @@ so adjacent edge lines meet and the two opposite-pair products are the
 face volume over the norms of the joins.  Read in face-local units
 (origin at the centroid of the corners, unit their largest distance
 from it, every term formed in those units) they neither shrink nor grow
-as the net moves or scales, until its positions' squares leave the
+as the net moves or scales, until the sums of its corners leave the
 float range.
 
 Validation enforces, per face, that the quad is non-planar and that
@@ -300,7 +300,7 @@ def _face_volumes(coords, quads):
     Everything is read in face-local units: origin at the centroid of
     the corners, unit ``u`` their largest distance from it, so
     translation and uniform scaling leave every figure as it is until
-    the positions' squares leave the float range.  The volume is ``V =
+    the sums of the corners leave the float range.  The volume is ``V =
     det(c1 - c0, c2 - c0, c3 - c0) = det(e0, e1, e2)`` of the corners in
     cycle order, ``e_k`` the side from corner ``k`` to corner ``k + 1``,
     expanded by cofactors on whole rows; it has the sign of the global
@@ -317,6 +317,11 @@ def _face_volumes(coords, quads):
     # coordinate- and corner-first ``(3, 4, B)``, whose rows are contiguous
     x = np.take(coords, quads.T, axis=1)
     x -= ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4)[:, None]
+    # the radii are read at a power-of-two scale that brings each face's
+    # largest centred coordinate into [0.5, 1): exact, so no bit changes
+    # where the squares stay in range, and none overflows or underflows
+    _, exponent = np.frexp(np.abs(x).max(axis=(0, 1)))
+    x *= np.ldexp(1.0, -exponent)
     radii = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
     unit = np.maximum(np.maximum(radii[0], radii[1]), np.maximum(radii[2], radii[3]))
     # the sides that run from the higher vertex id
@@ -721,20 +726,28 @@ def _edge_stage(graph, coords, walk):
     zero-length.  The minors of ``(x, 1)`` and ``(y, 1)`` are products of
     whole rows, stacked one edge a row, so that
     :func:`~hypnet.plucker._rowdot` rounds each norm as a one-edge call
-    would.  The norm is read at a power-of-two scale that brings each
-    edge's largest minor into [0.5, 1): exact, so no bit changes where the
-    squares stay in range, and no overflow or underflow of the squares at
-    any size of the net whose minors are finite (up to about 1e154)."""
+    would.  The minors are formed at a power-of-two scale ``s`` that
+    brings each edge's largest coordinate into [0.5, 1), the differences
+    taken times ``s`` once more so that every minor carries ``s^2``; the
+    norm is read at another that brings the largest minor into [0.5, 1).
+    Both are exact, so no bit changes where the products stay in range,
+    and none overflows or underflows at any size of the net whose
+    coordinates are normal floats."""
     found = []
     for lo in range(0, graph.edge_count, CHUNK):
         u, v = graph.edges[lo:lo + CHUNK].T
         x, y = np.take(coords, u, axis=1), np.take(coords, v, axis=1)
         ok = _apart(y - x, walk.diameters[u], walk.diameters[v])
+        _, exponent = np.frexp(np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0)))
+        scale = np.ldexp(1.0, -exponent)
+        x *= scale
+        y *= scale
         # storage order (p01, p02, p03, p23, p31, p12), one edge a row
         h = np.stack([x[0] * y[1] - x[1] * y[0], x[0] * y[2] - x[2] * y[0],
                       x[0] - y[0], x[2] - y[2], y[1] - x[1],
                       x[1] * y[2] - x[2] * y[1]], axis=1)
         del x, y
+        h[:, 2:5] *= scale[:, None]
         _, exponent = np.frexp(_row_max(np.abs(h)))
         h *= np.ldexp(1.0, -exponent)[:, None]
         norm = np.sqrt(_rowdot(h, h))
@@ -872,9 +885,13 @@ def _pencil_stage(graph, coords, degree, walk):
         ends = graph.star_neighbors[graph.star_offsets[verts] + np.arange(k)[:, None]]
         directions = np.take(coords, ends, axis=1)
         directions -= np.take(coords, verts, axis=1)[:, None]
+        apart = _apart(directions, walk.diameters[verts], walk.diameters[ends])
+        # the lengths at a power-of-two scale of each direction, exact
+        _, exponent = np.frexp(np.abs(directions).max(axis=0))
+        directions *= np.ldexp(1.0, -exponent)
         lengths = np.sqrt(directions[0] * directions[0] + directions[1] * directions[1]
                           + directions[2] * directions[2])
-        lengths[~_apart(directions, walk.diameters[verts], walk.diameters[ends])] = 0.0
+        lengths[~apart] = 0.0
         directions = np.divide(directions, lengths, out=np.zeros_like(directions),
                                where=lengths > 0.0)
         open_rows = np.flatnonzero(~_certified_pencils(directions))

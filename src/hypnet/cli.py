@@ -657,7 +657,8 @@ def main(argv=None) -> int:
         rendered = render_report(report)
         print(rendered)
         if sink is not None:
-            sink.truncate(0)
+            if sink.seekable():  # not a pipe
+                sink.truncate(0)
             sink.write(rendered + "\n")
     return code
 

@@ -14,20 +14,19 @@ built; a chunk that raises removes the partial file.  That module is
 imported on the first write, so ``hypnet check`` neither compiles it
 nor builds its tables.
 
-:func:`read_mesh` streams the file from a binary handle in chunks of
-:data:`CHUNK` lines as well: a chunk of plain vertex and face records is
-converted in bulk from its ``bytes`` tokens, any other one decoded and
-read line by line.  The quads come back as one ``(F, 4)`` int64 array,
-which :func:`hypnet.quadgraph.build` takes as it is.
+:func:`read_mesh` reads the file in one text-mode pass, :data:`CHUNK`
+lines at a time and without seeking, so it reads a pipe as it reads a
+file: a chunk of plain vertex and face records is converted in bulk
+from its tokens, any other one read line by line.  The quads come back
+as one ``(F, 4)`` int64 array, which :func:`hypnet.quadgraph.build`
+takes as it is.
 """
 
 from __future__ import annotations
 
-import codecs
 import os
-from bisect import bisect_left
 from contextlib import suppress
-from itertools import accumulate, islice
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -50,175 +49,62 @@ def read_mesh(path):
     :class:`NonQuadFace` for faces without exactly four vertices and
     :class:`UnicodeDecodeError` for a file that is not UTF-8.
 
-    The file is streamed from a binary handle :data:`CHUNK` lines at a
-    time, its lines split as in text mode (:func:`_line_chunks`).  A plain
-    chunk, ``v`` lines of three coordinates before ``f`` lines of four
-    indices, each plain or cut at its first ``/``, all in ASCII without
-    the separators ``\\x1c``-``\\x1f`` that text splits on, is converted in
-    bulk from its ``bytes`` tokens by Python's own ``float`` and ``int``,
-    so it reads the same values as one line at a time.  Any other chunk,
-    or one holding a value that does not parse, is decoded as strict
-    UTF-8 and goes through the per-line loop :func:`_read_lines`, which
-    raises on its first malformed record; where that chunk fails, it
-    fails as a text-mode reader would (:func:`_read_text`).
+    The file is opened once in text mode, as UTF-8 with universal
+    newlines, and read :data:`CHUNK` lines at a time without seeking, so
+    a pipe reads like a file.  A plain chunk is converted in bulk
+    (:func:`_read_plain`); any other one goes through the per-line loop
+    :func:`_read_lines`, which raises on its first malformed record.
+    Where the text reader meets a block that is not UTF-8, the lines it
+    handed over before it are read that way too, and the decode error
+    is raised unless one of them is malformed.
     """
     coords, faces = [], []
-    with open(path, "rb") as handle:
-        offset = len(codecs.BOM_UTF8) if handle.read(3) == codecs.BOM_UTF8 else 0
-        handle.seek(offset)
-        number = 1
-        for offset, lines in _line_chunks(handle, offset):
+    number = 1
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        while True:
+            lines = []
+            try:
+                # keeps the lines handed over before the error, if any
+                lines.extend(islice(handle, CHUNK))
+            except UnicodeDecodeError:
+                _read_lines(lines, number, coords, faces)
+                raise
+            if not lines:
+                break
             if not _read_plain(lines, number, coords, faces):
-                _read_text(path, lines, number, offset, coords, faces)
+                _read_lines(lines, number, coords, faces)
             number += len(lines)
     positions = np.concatenate(coords) if coords else np.zeros((0, 3))
     coords.clear()  # before the quads are concatenated in turn
     return positions, _face_array(faces, len(positions))
 
 
-#: Bytes a text-mode reader (``io.TextIOWrapper``) decodes at a time.
-_TEXT_BLOCK = 8192
-
-
-def _line_chunks(handle, offset):
-    """``(offset, lines)``: the lines of a binary ``handle`` from byte
-    ``offset`` on, :data:`CHUNK` at a time, split as in text mode (at
-    ``"\\n"``, ``"\\r\\n"`` and ``"\\r"``) and each kept with its own line
-    end, and the byte offset of the first.
-
-    Lines are read whole while they end in ``"\\n"`` alone.  From the
-    first ``"\\r"`` on, or from the start when the first block holds one,
-    they are cut from blocks of the file instead
-    (:func:`_carriage_return_chunks`): a binary line ends at ``"\\n"``
-    alone, so a file with ``"\\r"`` line ends would read as one line.
-    """
-    if b"\r" in handle.peek():  # the buffered first block
-        yield from _carriage_return_chunks(handle, offset, b"")
-        return
-    while lines := list(islice(handle, CHUNK)):
-        text = b"".join(lines)
-        if b"\r" in text:
-            yield from _carriage_return_chunks(handle, offset, text)
-            return
-        size = len(text)
-        del text
-        yield offset, lines
-        offset += size
-
-
-def _carriage_return_chunks(handle, offset, text):
-    """The ``(offset, lines)`` of :func:`_line_chunks` for the bytes
-    ``text``, at byte ``offset``, and the rest of ``handle``, read
-    :data:`_TEXT_BLOCK` bytes at a time."""
-    lines = []
-    while True:
-        block = handle.read(_TEXT_BLOCK)
-        text += block
-        # unless the file ends here, its last line may go on in the next
-        # block, and a last "\r" may be the first half of a "\r\n"
-        cut = len(text)
-        if block:
-            cut = max(text.rfind(b"\n"), text.rfind(b"\r", 0, cut - 1)) + 1
-        lines += text[:cut].splitlines(keepends=True)
-        text = text[cut:]
-        while len(lines) >= CHUNK or (lines and not block):
-            chunk = lines[:CHUNK]
-            del lines[:CHUNK]
-            yield offset, chunk
-            offset += sum(map(len, chunk))
-        if not block:
-            return
-
-
-def _read_text(path, lines, number, offset, coords, faces) -> None:
-    """Append the records of a chunk of ``bytes`` lines that is not plain,
-    the first of them line ``number`` at byte ``offset`` of the file at
-    ``path``, through :func:`_read_lines`; raises as a text-mode reader.
-
-    Such a reader decodes the file :data:`_TEXT_BLOCK` bytes at a time and
-    hands a line over only once it has decoded that line's end
-    (:func:`_handed_over`).  So where the chunk holds a malformed record
-    or a byte that is not UTF-8, the lines it would hand over before its
-    first block that is not UTF-8 are read, and may raise; then the
-    decode error of the chunk's first line that is not UTF-8 is raised.
-    When none is, the first such byte lies past the chunk, whose lines
-    from its block on are left for the chunk holding it to raise.
-    """
-    try:
-        _read_lines(list(map(bytes.decode, lines)), number, coords, faces)
-        return
-    except (UnicodeDecodeError, ParseError) as exc:
-        failure = exc
-    count = _handed_over(path, lines, offset)
-    if count == len(lines):
-        raise failure
-    _read_lines(list(map(bytes.decode, lines[:count])), number, coords, faces)
-    for line in lines[count:]:
-        line.decode()
-
-
-def _handed_over(path, lines, offset) -> int:
-    """How many of a chunk of ``bytes`` lines, the first at byte
-    ``offset`` of the file at ``path``, a text-mode reader hands over.
-
-    It decodes the file as UTF-8 in blocks of :data:`_TEXT_BLOCK` bytes
-    from its start, and stops at the first block it cannot decode, or at
-    the end of the file where that ends inside a character.  A line is
-    handed over once the reader has decoded the byte that ends it: its
-    ``"\\n"``; for a ``"\\r"``, the byte after it, which may make a
-    ``"\\r\\n"``; for a last line without a line end, the end of the
-    file.  So the bytes are decoded here, from the block of ``offset``
-    through the block of the chunk's last such byte.
-    """
-    ends = list(accumulate(map(len, lines), initial=offset))[1:]
-    needed = [end - line.endswith(b"\n") for end, line in zip(ends, lines)]
-    stop = needed[-1] - needed[-1] % _TEXT_BLOCK + _TEXT_BLOCK
-    with open(path, "rb") as file:
-        file.seek(offset)
-        data = file.read(stop - offset)
-    # the chunk starts a line, so the reader holds no part of a character there
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    for block in range(offset - offset % _TEXT_BLOCK, offset + len(data), _TEXT_BLOCK):
-        try:
-            decoder.decode(data[max(block - offset, 0):block + _TEXT_BLOCK - offset])
-        except UnicodeDecodeError:
-            return bisect_left(needed, block)
-    if len(data) < stop - offset:  # the file ends inside the blocks read
-        try:
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError:
-            return bisect_left(needed, offset + len(data))
-    return len(lines)
-
-
-#: ASCII bytes that split a record in text but not in bytes.
-_TEXT_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-#: The first two bytes of a line.
+#: The first two characters of a line.
 _LINE_HEAD = itemgetter(slice(2))
 
 
 def _read_plain(lines, number, coords, faces) -> bool:
-    """Append the records of a chunk of plain ``bytes`` lines, the first
-    of them line ``number``, in bulk; False, appending nothing, for any
+    """Append the records of a chunk of plain text lines, the first of
+    them line ``number``, in bulk; False, appending nothing, for any
     other chunk.
 
-    A chunk is plain when it is ASCII without :data:`_TEXT_SEPARATORS`,
-    its lines start with ``b"v "`` and then with ``b"f "``, and its tokens,
-    split as one, number four per vertex and five per face line, every
-    one of them but the record letters converting.  No record letter
+    A chunk is plain when its lines start with ``"v "`` and then with
+    ``"f "``, and its tokens, split as one, number four per vertex and
+    five per face line, every one of them but the record letters
+    converting.  Every line but the last ends in ``"\\n"``, so the
+    chunk splits into its lines' own tokens, in order; no record letter
     converts, so each line then holds its own letter alone, at its
-    start, and splits into the tokens it would split into alone.
+    start, and Python's ``float`` and ``int`` read the values the
+    per-line loop reads.
     """
-    joined = b"".join(lines)
-    if not joined.isascii() or any(map(joined.__contains__, _TEXT_SEPARATORS)):
-        return False
     heads = list(map(_LINE_HEAD, lines))
-    nv = heads.count(b"v ")
+    nv = heads.count("v ")
     nf = len(lines) - nv
-    if heads != [b"v "] * nv + [b"f "] * nf:
+    if heads != ["v "] * nv + ["f "] * nf:
         return False
+    joined = "".join(lines)
     tokens = joined.split()
-    slashed = b"/" in joined
+    slashed = "/" in joined
     del joined, heads
     if len(tokens) != 4 * nv + 5 * nf:
         return False
@@ -228,7 +114,7 @@ def _read_plain(lines, number, coords, faces) -> bool:
     del values[::4], indices[::5]
     # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``
     if slashed:
-        indices = [index.partition(b"/")[0] for index in indices]
+        indices = [index.partition("/")[0] for index in indices]
     try:
         xyz = np.fromiter(map(float, values), float, len(values)).reshape(-1, 3)
         indices = np.fromiter(map(int, indices), np.int64, len(indices))

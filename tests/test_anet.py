@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypnet.anet import (
     _by_degree,
     _certified_pencils,
     _collect_violations,
+    _face_stage,
     _face_volumes,
     _pencil_bounds,
     diagnose_anet,
@@ -920,19 +922,21 @@ def test_a_tilted_planar_net_reads_every_face_degenerate_at_any_scale():
 
 
 def test_faces_whose_figures_overflow_fail_their_gates():
-    # past about 1e154 the squared corner radii overflow and the face
-    # figures read NaN; the face stage must refuse those faces itself, as
-    # ``ANet.frames`` does, not leave the verdict to a later stage
+    # corners past a quarter of the largest float overflow the sum of
+    # their centroid and the face figures read NaN; the face stage must
+    # refuse those faces itself, as ``ANet.frames`` does, not leave the
+    # verdict to a later stage (short of that the figures are read at an
+    # exact scale and stay finite, as test_invariance.py checks)
     n, quads, pos = quadric_grid(3, 3)
     g = build(n, quads)
+    big = pos * 1e307 + 5e307
+    assert np.isfinite(big).all()
+    walk = SimpleNamespace(positive_volumes=np.ones(g.face_count, dtype=bool))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        walk = _collect_violations(g, pos * 1e160, True, Tolerances())
-        report = diagnose_anet(g, pos * 1e160)
-    faces = sorted({v["face"] for kind, v in walk.violations})
-    assert faces == list(range(9))
-    assert {kind for kind, _ in walk.violations} <= {"degenerate_face", "non_generic_pair"}
-    assert not report["valid"]
-    assert sorted({v["face"] for v in report["violations"] if "face" in v}) == faces
+        found = _face_stage(g, np.ascontiguousarray(big.T), Tolerances().sig, walk)
+    assert sorted({v["face"] for _, v in found}) == list(range(9))
+    assert {kind for kind, _ in found} <= {"degenerate_face", "non_generic_pair"}
+    assert not walk.positive_volumes.any()
 
 
 def star_cases(rng, degree):

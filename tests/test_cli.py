@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,25 @@ def test_the_report_file_replaces_a_longer_file_and_may_be_the_input(tmp_path, c
     path = saddle_mesh(tmp_path)
     assert main(["check", path, "--report", path]) == 0
     assert Path(path).read_text() == capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_the_report_may_go_to_a_pipe(tmp_path, capsys):
+    # a pipe cannot be truncated; the report is written to it all the same
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, encoding="utf-8") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    code = main(["check", saddle_mesh(tmp_path), "--report", str(fifo)])
+    reader.join(timeout=60)
+    assert code == 0
+    assert received == [capsys.readouterr().out]
 
 
 def test_check_flags_odd_interior_degrees(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Tests for text mesh parsing, writing, welding, and grid orientation."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +250,7 @@ READ_CORPUS = {
     "faces_between_vertices": "v 0 0 0\nv 1 0 0\nf 1 2 3 4\nv 1 1 0\nv 0 1 0\n",
     "bare_records": "v\nf\n",
     "byte_order_mark": "\ufeff" + QUAD,
-    # whitespace to str.split but not to bytes.split, inside records
+    # whitespace beyond ASCII, inside records
     "next_line_inside_records": QUAD.replace("v 1 0 0", "v 1\x850 0").replace(
         "f 1 2 3 4", "f 1 2\x853 4"
     ),
@@ -260,7 +263,7 @@ READ_CORPUS = {
     # a face tail that text splits into a fifth index
     "no_break_space_in_a_face_tail": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1/\xa02 3 4 5"),
     "file_separator_in_a_face_tail": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1/\x1c2 3 4 5"),
-    # a carriage return ends a line in text but only splits tokens in bytes
+    # a carriage return ends a line, even inside a record
     "cr_inside_a_record": QUAD.replace("v 1 1 0", "v 1 1\r0"),
     # bytes that are not UTF-8
     "invalid_utf8_in_a_comment": b"# caf\xe9\n" + QUAD.encode(),
@@ -310,7 +313,7 @@ def test_an_odd_line_at_a_chunk_edge_reads_like_the_reference(tmp_path, line, ba
 
 @pytest.mark.parametrize("ends", ["\r", "\r\n", "\r then \n"])
 def test_line_numbers_past_one_chunk_count_carriage_returns(tmp_path, ends):
-    # a binary line ends at "\n" alone, so a "\r" file is one binary line
+    # universal newlines end a line at each "\r" and "\r\n", chunk after chunk
     lines = plain_lines(2 * CHUNK + 1)
     lines[CHUNK + 5] = "v 1 2"
     text = "\r".join(lines) + "\r"
@@ -458,7 +461,7 @@ def test_reading_streams_in_chunks(tmp_path):
 
 @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
 def test_carriage_return_line_ends_stream_in_chunks(tmp_path, end):
-    # a binary line ends at "\n" alone, so a "\r" file is one binary line
+    # universal newlines split these files into lines as they read them
     assert_reads_in_bounded_memory(tmp_path, end)
 
 
@@ -483,6 +486,78 @@ def assert_reads_in_bounded_memory(tmp_path, end):
     # the chunked reader holds one chunk's tokens and its result's arrays
     assert transient[1] > 2 * size
     assert transient[0] < 1.25 * size
+
+
+# --- reading from a pipe ---------------------------------------------------------
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+
+
+@contextmanager
+def piped(tmp_path, data):
+    """A named pipe that a thread writes the bytes ``data`` into once a
+    reader opens it."""
+    fifo = tmp_path / "net.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with suppress(BrokenPipeError), open(fifo, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        writer.join(timeout=60)
+
+
+@needs_fifo
+def test_a_wide_grid_reads_from_a_pipe_in_bulk_alone(tmp_path, monkeypatch):
+    _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
+    path = tmp_path / "wide.obj"
+    write_positions_mesh(path, positions, quads)
+    direct = read_mesh(path)
+
+    def per_line(*args):
+        raise AssertionError("a chunk went through the per-line loop")
+
+    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+    with piped(tmp_path, path.read_bytes()) as fifo:
+        back_positions, back_quads = read_mesh(fifo)
+    assert back_positions.tobytes() == direct[0].tobytes() == positions.tobytes()
+    assert_quads(back_quads, direct[1])
+
+
+@needs_fifo
+def test_a_pipe_raises_a_record_before_a_block_that_is_not_utf8_like_the_reference(
+    tmp_path,
+):
+    lines = seventeen_digit_lines(1000)
+    lines[10] = b"v 1 2"
+    lines[900] += b" \xff"
+    path = tmp_path / "m.obj"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    expected = read_outcome(reference_read_mesh, path)
+    assert expected == (ParseError, "line 11: vertex needs three coordinates")
+    with piped(tmp_path, path.read_bytes()) as fifo:
+        assert read_outcome(read_mesh, fifo) == expected
+
+
+@needs_fifo
+def test_check_reads_a_net_from_a_pipe(tmp_path, capsys):
+    count, quads, positions = quadric_grid(6, 5)
+    path = tmp_path / "net.obj"
+    write_positions_mesh(path, positions, quads)
+    assert main(["check", str(path)]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    with piped(tmp_path, path.read_bytes()) as fifo:
+        assert main(["check", str(fifo)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"]["valid"] is True
+    assert report["diagnostics"] == expected["diagnostics"]
+    assert report["violations"] == []
 
 
 # --- writing and round trips ------------------------------------------------------
