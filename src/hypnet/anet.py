@@ -207,11 +207,16 @@ def _star_planes(points, planar):
     3)``, where each row rounds as its own one-cloud call.
     """
     m = points.shape[1]
-    # the centroid as ``mean`` rounds it: the points added in order, / m
-    centroid = points[:, 0].copy()
+    # the centroid as ``mean`` rounds it: the points added in order, / m,
+    # each coordinate at a power-of-two scale that brings its largest term
+    # below 1: exact, so no bit changes, and the sum stays finite
+    _, exponent = np.frexp(np.abs(points).max(axis=1))
+    down = np.ldexp(1.0, -np.maximum(exponent, 0))
+    centroid = points[:, 0] * down
     for i in range(1, m):
-        centroid += points[:, i]
+        centroid += points[:, i] * down
     centroid /= m
+    centroid /= down
     centered = points - centroid[:, None]
     # squares are read at a power-of-two scale that brings each star's
     # largest centred coordinate into [0.5, 1): exact, so no bit changes,

@@ -132,12 +132,9 @@ class PatchError(HypnetError):
         self.data = data
 
 
-class DegenerateConic(PatchError):
-    """Conic arc coefficients are degenerate (parallel or isotropic data)."""
-
-
 class NoAdaptedPatch(PatchError):
-    """No ruling branch sweeps the quad interior; the face has no patch."""
+    """The member bounds no patch over the quad: its cross-ratio is not
+    positive."""
 
 
 # --- optimization ----------------------------------------------------------

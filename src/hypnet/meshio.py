@@ -350,9 +350,11 @@ def write_sample_mesh(path, samples, shapes, corners, weld: bool = True) -> None
     ``(a, b)`` with ``count`` samples is keyed by ``(min(a, b), max(a, b),
     count)`` and its position counted from the lower vertex id, so
     patches sharing an edge merge their boundary samples positionally
-    (sample values on the two sides agree exactly only when the patches
-    carry a common quadric, and to within the tangency tolerance
-    otherwise) and edges sampled at different counts stay unmerged.
+    (the two sides' samples coincide only where both patches give the
+    edge the same ratio of end weights, as the carved patches of an
+    exact net do to rounding; elsewhere the merged vertex is simply the
+    first side's sample) and edges sampled at different counts stay
+    unmerged.
     Interior samples, and every sample without ``weld``, keep keys of
     their own.  Output vertices are numbered by the first appearance of
     their key, in sample order, and take that first sample's position.

@@ -6,16 +6,41 @@ rational bilinear patch (a rational tensor-product patch of degree 1)
     X(t, s) = sum w_ij B_i(t) B_j(s) x_ij / sum w_ij B_i(t) B_j(s)
 
 over the corners ``x_00, x_01, x_10, x_11 = x, x1, x2, x12``, with
-``B_0(t) = 1 - t``, ``B_1(t) = t`` and corner weights
-``(1, w01, w10, w11)``.  Its lines of constant ``t`` are the
-first-family rulings and its lines of constant ``s`` the second-family
-ones.  Each family is a conic of lines in its ruling plane; the middle
-ruling of the conic arc between the family's two edge lines crosses the
-opposite edges where ``X(1/2, .)`` or ``X(., 1/2)`` does, which fixes
-the weight ratio of each crossed edge.  A bounded patch exists only
-when exactly one of the two conic branches crosses both opposite edges
-inside the quad; none does when the ruling orientation disagrees with
-the twist of the edge pair, e.g. after exchanging the family labels.
+``B_0(t) = 1 - t``, ``B_1(t) = t`` and corner weights ``w_ij``.  Its
+lines of constant ``t`` are the first-family rulings and its lines of
+constant ``s`` the second-family ones.  A fractional-linear change of
+``t`` or ``s`` scales the weights of one side's two corners by a common
+factor, so up to reparametrization the patch is fixed by the weight
+cross-ratio ``rho = w00 w11 / (w01 w10)``.
+
+The member of the face's family that the patch lies on follows in
+closed form.  The first-family ruling at ``t`` joins ``X(t, 0) ~ w00
+(1-t) x + w10 t x2`` to ``X(t, 1) ~ w01 (1-t) x1 + w11 t x12``
+(homogeneous points), and its join ``J`` expands to ``(1-t)^2 w00 w01
+J(x, x1) + t^2 w10 w11 J(x2, x12) + t(1-t) q1`` with
+
+    q1 ~ w00 w11 J(x, x12) + w01 w10 J(x2, x1),
+
+a point on the face's axis: the family's plane point.  With the
+diagonal joins ``J1 = sigma1 J(x, x12)`` and ``J2 = sigma2 J(x1, x2)``
+run from their lower vertex ids (``sigma_i = +-1``), ``q1 ~ J1 + mu J2``
+with ``mu = -sigma1 sigma2 / rho``.  The family coordinate ``lam`` is
+``mu`` times the factor ``k`` of ``hyperboloid._scales``, and the
+bilinear interpolant (``rho = 1``) has ``lam_bil = -sigma1 sigma2 k``
+(:func:`bilinear_parameter`), so
+
+    rho = lam_bil / lam.
+
+The member ``lam`` is carved with the weights ``(1, s, s, 1)``, ``s =
+sqrt(lam / lam_bil)``: one weight per diagonal, a form every relabeling
+of the quad keeps up to a common factor, and all ones on the bilinear
+member.  The patch is
+bounded exactly when ``rho > 0``: then all four weights are positive and
+so is the denominator over the whole quad, while for ``rho < 0`` two
+corners carry weights of opposite sign and the denominator, bilinear in
+``t`` and ``s``, vanishes on a curve across the quad.  This is the sign
+half-line of the family: one sign of ``lam / lam_bil`` patches the quad
+and the other does not.
 
 Carving, sampling and the tangent-continuity report are stacked
 evaluations over all faces, in elementwise arithmetic only, so each
@@ -28,26 +53,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConic,
-    NoAdaptedPatch,
-    NumericallyInfinitePoint,
-    PatchError,
-)
+from .errors import NoAdaptedPatch, NumericallyInfinitePoint, PatchError
 from .anet import FrameStack
 from .plucker import W_TOL, hom, line_from_points
 from .hyperboloid import FaceHyperboloid, HyperboloidStack, _pairs, _scales
 from .quadgraph import CHUNK
 
-#: Pairing threshold, relative to the product of the face's unit
-#: diagonals, below which two arc endpoint lines intersect and the
-#: rational quadratic between them degenerates.
-DEGENERATE_CONIC_EPS = 1e-10
-
-#: Largest normalized Pluecker product for which a middle ruling still
-#: meets an edge line.  Looser than the generic line-meet tolerance
-#: because propagated rulings inherit the net's planarity and closure
-#: residuals.
+#: Largest normalized Pluecker product for which two rulings of a patch
+#: still meet, looser than the generic line-meet tolerance.  Only
+#: ``bench/micro.py`` reads it, as the tolerance of the ruling meets it
+#: times; the package does not.
 PATCH_MEET_TOL = 1e-6
 
 #: Parameter step for the second-order fold probes of the C1 report.
@@ -63,20 +78,6 @@ CUSP_OFFSET_FLOOR = 1e-13
 EDGE_CORNERS = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])
 
 
-def _dot(a, b):
-    """Row dot products over the last axis, summed in index order."""
-    out = a[..., 0] * b[..., 0]
-    for k in range(1, a.shape[-1]):
-        out = out + a[..., k] * b[..., k]
-    return out
-
-
-def _cross(a, b):
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def _dot3(a, b):
     """Dot products of vectors stored coordinate first, ``(3, ...)``."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -87,11 +88,6 @@ def _cross3(a, b):
     return np.stack([
         a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
     ])
-
-
-def _pairing(a, b):
-    """Pluecker products of the rows of two 6-vector stacks."""
-    return _dot(a[..., :3], b[..., 3:]) + _dot(a[..., 3:], b[..., :3])
 
 
 def _evaluate(points, weights, t, s):
@@ -209,98 +205,31 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
     """Bounded patches of the rows of a :class:`HyperboloidStack`, stacked
     in its ascending face order.
 
-    Per face and ruling family, the arc ``(1-t)^2 h0 + c t^2 h1 +
-    branch t(1-t) q`` between the family's edge lines (``c`` makes every
-    arc point a line) is tried on both branches: a branch qualifies when
-    its middle ruling meets both opposite edge lines (normalized pairing
-    at most ``PATCH_MEET_TOL``, not parallel) inside their segments.  A
-    crossing that divides its segment ``a : b`` is where ``X`` runs
-    through the middle parameter, so the qualifying branches' crossings
-    give the weight ratios ``w10 / w00``, ``w01 / w00`` and
-    ``w11 / w10``.
-
-    Raises for the first failing face: :class:`DegenerateConic` when a
-    family's edge lines intersect or its plane point is isotropic, each
-    read relative to the product ``|<g1, g2>|`` of the face's unit
-    diagonals (both are the face volume over join norms, so the ratio
-    does not shrink as the net moves away from the origin), else
-    :class:`NoAdaptedPatch` naming the first family without exactly one
-    qualifying branch.  Faces are carved :data:`CHUNK` at a time, in
+    Each face's weights are ``(1, s, s, 1)`` with ``s = sqrt(lam /
+    lam_bil)``, where ``lam_bil`` is the face's bilinear coordinate
+    (:func:`bilinear_parameter`): the patch of cross-ratio ``lam_bil /
+    lam`` (the module docstring).  Raises :class:`NoAdaptedPatch` for the
+    first face whose ratio ``lam / lam_bil`` is not positive, where no
+    bounded patch exists.  Faces are carved :data:`CHUNK` at a time, in
     order; every step is elementwise per face, so a slice's rows equal
     the whole stack's.
     """
     frames = members.frames
     points = np.asarray(positions, dtype=float)[frames.corners]
-    axes = np.abs(_pairing(frames.diagonals[:, 0], frames.diagonals[:, 1]))
-    weights = np.empty((len(points), 4))
+    weights = np.ones((len(points), 4))
     for lo in range(0, len(points), CHUNK):
         rows = slice(lo, lo + CHUNK)
-        weights[rows] = _carve(
-            frames.faces[rows], frames.h_lines[rows], members.q1[rows],
-            members.q2[rows], points[rows], axes[rows],
-        )
+        ratio = members.lams[rows] / _bilinear_parameters(frames.take(rows), positions)
+        failing = np.flatnonzero(~(ratio > 0.0))
+        if failing.size:
+            face = int(frames.faces[lo + int(failing[0])])
+            raise NoAdaptedPatch(
+                f"no ruling branch of family (1) sweeps the quad of face {face}",
+                face=face,
+                family=1,
+            )
+        weights[rows, 1:3] = np.sqrt(ratio)[:, None]
     return PatchStack(frames=frames, points=points, weights=weights)
-
-
-def _carve(faces, lines, q1, q2, points, axes) -> np.ndarray:
-    """Corner weights ``(F, 4)`` of the faces ``faces`` of one slice of
-    :func:`restrict_all`, from their role frames' edge lines, pairs,
-    corner positions and diagonal products ``|<g1, g2>|``; raises as it
-    does for the first failing face."""
-    q = np.stack([q1, q2], axis=1)
-    # axes: face, family, branch, crossed segment
-    h0, h1 = lines[:, [0, 2]], lines[:, [1, 3]]
-    pairing, s_q = _pairing(h0, h1), _pairing(q, q)
-    branch = np.array([1.0, -1.0])[:, None]
-    cross = lines[:, [[2, 3], [0, 1]]][:, :, None]
-    A = points[:, [[0, 1], [0, 2]]][:, :, None]
-    B = points[:, [[2, 3], [1, 3]]][:, :, None]
-    D = B - A
-    # a degenerate conic (raised below) leaves non-finite values here
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = (-s_q / (2.0 * pairing))[..., None, None]
-        mids = h0[:, :, None] + c * h1[:, :, None] + branch * q[:, :, None]
-        mids = mids[..., None, :]
-        # the ruling is the line {X : X x d = m}; it divides A B in the ratio a : b
-        d = np.stack([-mids[..., 2], mids[..., 4], -mids[..., 3]], axis=-1)
-        m = np.stack([mids[..., 5], -mids[..., 1], mids[..., 0]], axis=-1)
-        n = _cross(D, d)
-        a = _dot(m - _cross(A, d), n)
-        b = _dot(_cross(B, d) - m, n)
-        meets = np.abs(_pairing(mids, cross)) <= PATCH_MEET_TOL * np.sqrt(
-            _dot(mids, mids) * _dot(cross, cross)
-        )
-        # a ruling parallel to the edge meets it at infinity
-        finite = _dot(n, n) >= W_TOL**2 * _dot(D, D) * _dot(d, d)
-        sweeps = np.all(meets & finite & (a > 0.0) & (b > 0.0), axis=-1)
-        pairing, s_q = np.abs(pairing) / axes[:, None], np.abs(s_q) / axes[:, None]
-    degenerate = ~(np.minimum(pairing, s_q) >= DEGENERATE_CONIC_EPS)
-    wins = sweeps.sum(axis=-1)
-    failing = np.flatnonzero((degenerate | (wins != 1)).any(axis=1))
-    if failing.size:
-        k = int(failing[0])
-        face = int(faces[k])
-        for pair, s_qq in zip(pairing[k], s_q[k]):
-            if not pair >= DEGENERATE_CONIC_EPS:
-                message = f"endpoint lines intersect: <h, h'> = {pair:.3e} <g1, g2>"
-                raise DegenerateConic(message, face=face)
-            if not s_qq >= DEGENERATE_CONIC_EPS:
-                message = "plane point is isotropic; the arc collapses"
-                raise DegenerateConic(message, face=face)
-        family = int(np.argmax(wins[k] != 1))
-        reason = "no" if wins[k, family] == 0 else "both"
-        raise NoAdaptedPatch(
-            f"{reason} ruling branch of family ({family + 1}) sweeps the "
-            f"quad of face {face}",
-            face=face,
-            family=family + 1,
-        )
-    chosen = np.argmax(sweeps, axis=-1)[..., None, None]
-    a = np.take_along_axis(a, chosen, axis=2)[:, :, 0]
-    b = np.take_along_axis(b, chosen, axis=2)[:, :, 0]
-    ratio = a / b  # (face, family, segment)
-    w10, w01 = ratio[:, 0, 0], ratio[:, 1, 0]
-    return np.stack([np.ones_like(w10), w01, w10, w10 * ratio[:, 1, 1]], axis=-1)
 
 
 def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch:
@@ -361,16 +290,11 @@ def bilinear_parameter(frame, positions) -> float:
     """Family coordinate of the bilinear interpolant of the quad corners.
 
     The doubly ruled surface traced bilinearly between the four corner
-    positions is a member of the face's hyperboloid family.  Its
-    first-family rulings join ``(1-t) x + t x2`` to ``(1-t) x1 + t x12``,
-    and the join ``J`` of that pair expands to ``(1-t)^2 J(x, x1) + t^2
-    J(x2, x12) + t(1-t) q1``: the family's plane point on the axis is
-    ``q1 ~ J(x, x12) - J(x1, x2)``.  With both diagonal joins run from
-    the lower vertex id, as ``hyperboloid._scales`` reads them, that is
-    ``J1 - sigma1 sigma2 J2``, where ``sigma_i`` is +1 when diagonal
+    positions is the member of weight cross-ratio 1, so by the module
+    docstring its coordinate is ``-sigma1 sigma2 k`` for the factor ``k``
+    of ``hyperboloid._scales``, where ``sigma_i`` is +1 when diagonal
     ``i`` already runs from its lower id in the role order (x to x12,
-    x1 to x2); so the coordinate is ``-sigma1 sigma2 k`` for the factor
-    ``k`` of ``_scales``.
+    x1 to x2).
     """
     return float(_bilinear_parameters(FrameStack.of([frame]), positions)[0])
 

@@ -477,6 +477,52 @@ def reference_patch(hb, positions):
     return ReferencePatch(frame.face, frame, *arcs)
 
 
+def _crossing_ratio(ruling, edge_line, A, B):
+    """``u / (1 - u)`` for the fraction ``u`` from ``A`` toward ``B`` at
+    which ``ruling`` crosses the edge ``A B`` on ``edge_line``: the
+    weight ratio ``w_B / w_A`` of a rational patch whose ruling at the
+    middle parameter this is."""
+    p = reference_meet(ruling, edge_line)
+    d = B - A
+    u = (p - A) @ d / (d @ d)
+    return u / (1.0 - u)
+
+
+def reference_cross_ratio(ref, positions):
+    """Weight cross-ratio ``w00 w11 / (w01 w10)`` of a
+    :class:`ReferencePatch`, read off its second-family middle ruling:
+    the ratio in which it divides the edge ``x2 x12`` over the ratio in
+    which it divides ``x x1`` (any ruling of the patch gives the same)."""
+    x, x1, x2, x12 = (np.asarray(positions, dtype=float)[v] for v in ref.frame.corners)
+    lines, middle = ref.frame.h_lines, ref.ruling2(0.5)
+    return _crossing_ratio(middle, lines[1], x2, x12) / _crossing_ratio(
+        middle, lines[0], x, x1
+    )
+
+
+def reference_weighted_sample(ref, positions, weights, n, m):
+    """``(n, m, 3)`` grid of the patch with corner weights ``(w00, w01,
+    w10, w11)`` at uniform parameters, as meets of the rulings of a
+    :class:`ReferencePatch`: each parameter ``u`` is carried to the arc
+    parameter ``v`` of the ruling that crosses the edge from ``x`` where
+    the weights' ruling does, ``v / (1 - v) R = u / (1 - u) w``, with
+    ``w`` the weights' and ``R`` the arc's ratio on that edge."""
+    x, x1, x2, _ = (np.asarray(positions, dtype=float)[v] for v in ref.frame.corners)
+    lines = ref.frame.h_lines
+    w00, w01, w10, _ = np.asarray(weights, dtype=float)
+    R1 = _crossing_ratio(ref.ruling1(0.5), lines[2], x, x2)
+    R2 = _crossing_ratio(ref.ruling2(0.5), lines[0], x, x1)
+
+    def carried(u, w, R):
+        return w * u / (w * u + R * (1.0 - u))
+
+    return reference_sample(
+        lambda t: ref.ruling1(carried(t, w10 / w00, R1)),
+        lambda s: ref.ruling2(carried(s, w01 / w00, R2)),
+        n, m,
+    )
+
+
 def reference_c1_edges(patches, graph, positions, samples_per_edge, delta, floor):
     """Per shared edge ``(max_angle, cusp)`` by a walk over its samples.
 

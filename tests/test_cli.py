@@ -230,6 +230,21 @@ def test_the_report_may_go_to_a_pipe(tmp_path, capsys):
     assert received == [capsys.readouterr().out]
 
 
+def test_check_reports_the_faces_of_a_net_whose_star_sums_overflow(tmp_path, capsys):
+    # every coordinate is finite, but the sum of a star's points is not:
+    # the star stage sums them at an exact scale and reads every star,
+    # and the faces, whose figures overflow, fail their gates
+    count, quads, positions = quadric_grid(3, 3)
+    path = write_net(tmp_path / "big.obj", count, quads, positions * 1e307 + 5e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run_main(capsys, ["check", path])
+    assert code == 3
+    assert sorted((v["kind"], v["face"]) for v in report["violations"]) == [
+        ("degenerate_face", f) for f in range(9)
+    ]
+    assert np.isfinite(report["diagnostics"]["planarity_residuals"]).all()
+
+
 def test_check_flags_odd_interior_degrees(tmp_path, capsys):
     count, quads, positions = random_umbrella_net(3, np.random.default_rng(2))
     path = write_net(tmp_path / "umbrella.obj", count, quads, positions)
@@ -700,6 +715,49 @@ def test_extend_welds_shared_edges_and_no_weld_keeps_them_apart(tmp_path, capsys
     assert code == 0
     assert len(read_mesh(welded)[0]) == 15
     assert len(read_mesh(apart)[0]) == 18
+
+
+def ruled_cubic_grid(n, c=0.5):
+    """An n x n net on the ruled cubic ``(s, t - 1.5 c s^2, s t - 0.5 c
+    s^3)`` over a centred parameter grid of spacing 1/4, exact in binary."""
+    count, quads, positions = quadric_grid(n, n, spacing=0.25, origin=(-n / 8, -n / 8))
+    s, t = positions[:, 0], positions[:, 1]
+    return count, quads, np.stack([s, t - 1.5 * c * s * s, s * t - 0.5 * c * s**3], axis=1)
+
+
+def extend_samples(tmp_path, capsys, count, quads, positions, factor, *options):
+    """Output vertices of ``hypnet extend`` at ``factor`` times face 0's
+    bilinear coordinate."""
+    path = write_net(tmp_path / "net.obj", count, quads, positions)
+    a = validate_anet(build(count, quads), positions)
+    lam = factor * bilinear_parameter(a.face_frame(0), a.positions)
+    out = tmp_path / "out.obj"
+    code, _ = run_main(capsys, ["extend", path, "-o", str(out), "--lambda", repr(lam), *options])
+    assert code == 0
+    return read_mesh(out)[0]
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+@pytest.mark.parametrize("surface", ["z = xy", "ruled cubic"])
+def test_the_weld_joins_samples_that_both_sides_share(tmp_path, capsys, surface, factor):
+    # on an exact net the two sides of an edge carve the same boundary
+    # samples, so every sample lies on a welded vertex
+    net = quadric_grid(4, 4) if surface == "z = xy" else ruled_cubic_grid(4)
+    welded = extend_samples(tmp_path, capsys, *net, factor)
+    apart = extend_samples(tmp_path, capsys, *net, factor, "--no-weld")
+    assert len(welded) < len(apart)
+    gaps = np.sqrt(((apart[:, None] - welded[None]) ** 2).sum(axis=-1)).min(axis=1)
+    assert gaps.max() <= 1e-14
+
+
+@pytest.mark.parametrize("shift", [8.0, 1024.0])
+def test_extend_samples_move_with_the_net(tmp_path, capsys, shift):
+    count, quads, positions = quadric_grid(6, 6, spacing=0.125)
+    base = extend_samples(tmp_path, capsys, count, quads, positions, 2.0, "--no-weld")
+    moved = extend_samples(
+        tmp_path, capsys, count, quads, positions + shift, 2.0, "--no-weld"
+    )
+    assert np.abs(moved - (base + shift)).max() <= 1e-12
 
 
 def test_extend_is_byte_deterministic(tmp_path, capsys):

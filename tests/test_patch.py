@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 import hypnet.patch
 from hypnet.anet import validate_anet
-from hypnet.errors import (
-    DegenerateConic,
-    NoAdaptedPatch,
-    NumericallyInfinitePoint,
-    PatchError,
-)
+from hypnet.errors import NoAdaptedPatch, NumericallyInfinitePoint, PatchError
 from hypnet.hyperboloid import (
     HyperboloidStack,
     propagate_all,
@@ -36,7 +31,6 @@ from hypnet.patch import (
     sample_all,
 )
 from hypnet.plucker import (
-    canonical,
     hom,
     incidence_matrix,
     line_from_points,
@@ -240,33 +234,26 @@ def test_exactly_one_sign_of_the_coordinate_patches():
         assert outcomes.count(True) == 1
 
 
+def no_patch_message(face):
+    return f"no ruling branch of family (1) sweeps the quad of face {face}"
+
+
 def test_swapped_family_labels_admit_no_patch():
-    swapped = dataclasses.replace(
-        SADDLE_HB,
-        q1=SADDLE_HB.q2,
-        q2=SADDLE_HB.q1,
-        signatures=SADDLE_HB.signatures[::-1],
-    )
+    # exchanging the pair's labels gives the member of opposite coordinate
+    swapped = member(SADDLE_FRAME, -SADDLE_LAMBDA, SADDLE.positions)
+    assert proj_distance(swapped.q1, SADDLE_HB.q2) < 1e-12
+    assert proj_distance(swapped.q2, SADDLE_HB.q1) < 1e-12
     with pytest.raises(NoAdaptedPatch) as err:
         restrict_to_patch(swapped, SADDLE_FRAME, SADDLE.positions)
-    assert err.value.data["face"] == 0
+    assert str(err.value) == no_patch_message(0)
+    assert err.value.data == {"face": 0, "family": 1}
 
 
-def test_restriction_raises_for_an_isotropic_plane_point():
-    collapsed = dataclasses.replace(SADDLE_HB, q1=SADDLE_FRAME.h_lines[2])
-    with pytest.raises(DegenerateConic, match="isotropic") as err:
-        restrict_to_patch(collapsed, SADDLE_FRAME, SADDLE.positions)
-    assert err.value.data["face"] == 0
-
-
-def test_restriction_raises_for_intersecting_edge_lines():
-    lines = SADDLE_FRAME.h_lines.copy()
-    lines[1] = lines[2]  # the first family's opposite edge lines now meet
-    frame = dataclasses.replace(SADDLE_FRAME, h_lines=lines)
-    hb = dataclasses.replace(SADDLE_HB, frame=frame)
-    with pytest.raises(DegenerateConic, match="endpoint lines intersect") as err:
-        restrict_to_patch(hb, frame, SADDLE.positions)
-    assert err.value.data["face"] == 0
+def test_restriction_fails_closed_on_a_coordinate_that_is_not_a_number():
+    members = dataclasses.replace(HyperboloidStack.of([SADDLE_HB]), lams=np.array([np.nan]))
+    with pytest.raises(NoAdaptedPatch) as err:
+        restrict_all(members, SADDLE.positions)
+    assert err.value.data == {"face": 0, "family": 1}
 
 
 def test_carved_weights_are_positive_with_a_unit_first_corner():
@@ -274,6 +261,19 @@ def test_carved_weights_are_positive_with_a_unit_first_corner():
     stack = restrict_all(propagated_hyperboloids(a, 0, 0.37), a.positions)
     assert np.all(stack.weights[:, 0] == 1.0)
     assert np.all(stack.weights > 0.0)
+
+
+def test_carved_weights_carry_one_weight_per_diagonal():
+    a = random_net(np.random.default_rng(3))
+    hbs = {f: member(hb.frame, 2.5 * hb.lam, a.positions)
+           for f, hb in bilinear_hyperboloids(a).items()}
+    weights = restrict_all(as_stack(hbs), a.positions).weights
+    assert np.array_equal(weights[:, [0, 3]], np.ones((len(weights), 2)))
+    assert np.array_equal(weights[:, 1], weights[:, 2])
+    assert np.allclose(weights[:, 1] ** 2, 2.5, rtol=1e-15)
+    # the bilinear member carries all ones
+    ones = [p.weights for p in bilinear_patches(a).values()]
+    assert np.array_equal(ones, np.ones((len(ones), 4)))
 
 
 def test_restriction_rejects_a_mismatched_frame():
@@ -508,11 +508,15 @@ def reference_patches(a, hbs):
 
 
 def test_batched_sampling_matches_the_reference_meets():
+    # the samples lie on the oracle's rulings, met at the arc parameters
+    # that carry its rulings onto the carved weights
     for a, hbs in differential_cases():
         stack = restrict_all(as_stack(hbs), a.positions)
         points = sample_all(stack, 6, 5)
         for k, ref_patch in enumerate(reference_patches(a, hbs).values()):
-            ref = oracles.reference_sample(ref_patch.ruling1, ref_patch.ruling2, 6, 5)
+            ref = oracles.reference_weighted_sample(
+                ref_patch, a.positions, stack.weights[k], 6, 5
+            )
             assert np.all(np.abs(points[k] - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
@@ -609,55 +613,53 @@ def test_c1_report_bounds_dense_sampling_where_the_stars_are_not_planar():
     assert compared > 8
 
 
-OFF_AXIS = 1e-3 * np.array([1.0, -2.0, 3.0, -1.0, 2.0, 1.0])
-
-
-def test_adapted_branch_verdicts_match_the_reference():
+def sweep_cases(ratios, signs=(1.0, -1.0)):
+    """``(net, member, ratio)`` for every face of the fixtures and three
+    random nets and every member ``ratio`` times the face's bilinear
+    coordinate, for each ratio of ``ratios`` times each of ``signs``."""
     nets = [quadric_net(3), SADDLE] + [
         random_net(np.random.default_rng(seed)) for seed in (3, 7, 11)
     ]
-    checked = {"patch": 0, "no": 0, "both": 0}
     for a in nets:
         for f in range(a.graph.face_count):
             frame = a.face_frame(f)
-            x, x1, x2, x12 = (a.positions[v] for v in frame.corners)
-            lines = frame.h_lines
-            for lam in (0.8, -0.8, 2.5, -2.5):
-                hb = member(frame, lam, a.positions)
-                swapped = dataclasses.replace(
-                    hb, q1=hb.q2, q2=hb.q1, signatures=hb.signatures[::-1]
-                )
-                # a plane point off the axis: the middle rulings miss the edges
-                off_axis = dataclasses.replace(hb, q1=canonical(hb.q1 + OFF_AXIS))
-                for candidate in (hb, swapped, off_axis):
-                    winners = [
-                        oracles.reference_branches(
-                            lines[0], lines[1], candidate.q1,
-                            ((x, x2), (x1, x12)), lines[2:],
-                        ),
-                        oracles.reference_branches(
-                            lines[2], lines[3], candidate.q2,
-                            ((x, x1), (x2, x12)), lines[:2],
-                        ),
-                    ]
-                    failing = [k for k, w in enumerate(winners) if len(w) != 1]
-                    if failing:
-                        with pytest.raises(NoAdaptedPatch) as err:
-                            restrict_to_patch(candidate, frame, a.positions)
-                        reason = "no" if not winners[failing[0]] else "both"
-                        assert err.value.data == {"face": f, "family": failing[0] + 1}
-                        assert str(err.value).startswith(f"{reason} ruling branch")
-                        checked[reason] += 1
-                    else:
-                        patch = restrict_to_patch(candidate, frame, a.positions)
-                        ref = oracles.reference_patch(candidate, a.positions)
-                        ref_points = oracles.reference_sample(
-                            ref.ruling1, ref.ruling2, 5, 5
-                        )
-                        miss = np.abs(sample(patch, 5, 5) - ref_points)
-                        assert np.all(miss <= 1e-12 * (1.0 + np.abs(ref_points)))
-                        checked["patch"] += 1
+            lam_bil = bilinear_parameter(frame, a.positions)
+            for ratio in np.multiply.outer(signs, ratios).ravel().tolist():
+                yield a, member(frame, ratio * lam_bil, a.positions), ratio
+
+
+def test_adapted_branch_verdicts_match_the_reference():
+    # the sign rule: a member patches its quad exactly where the oracle's
+    # branch search finds one branch per family, and that is where its
+    # coordinate has the bilinear member's sign
+    checked = {"patch": 0, "no": 0}
+    for a, hb, ratio in sweep_cases((1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3)):
+        ref = oracles.reference_patch(hb, a.positions)
+        assert (ref is not None) == (ratio > 0.0)
+        if ref is None:
+            with pytest.raises(NoAdaptedPatch) as err:
+                restrict_to_patch(hb, hb.frame, a.positions)
+            assert str(err.value) == no_patch_message(hb.face)
+            assert err.value.data == {"face": hb.face, "family": 1}
+            checked["no"] += 1
+        else:
+            restrict_to_patch(hb, hb.frame, a.positions)
+            checked["patch"] += 1
     assert checked["patch"] > 10 and checked["no"] > 10
+
+
+def test_carved_patches_match_the_reference_patch():
+    # the oracle's own two rulings agree on its cross-ratio to 2e-13 at
+    # ratios 1/2 to 2 and to 9e-13 at 1/4, so the sweep keeps within 3
+    for a, hb, ratio in sweep_cases((1.0 / 3.0, 0.5, 1.0, 2.0, 3.0), signs=(1.0,)):
+        patch = restrict_to_patch(hb, hb.frame, a.positions)
+        ref = oracles.reference_patch(hb, a.positions)
+        w00, w01, w10, w11 = patch.weights
+        expected = oracles.reference_cross_ratio(ref, a.positions)
+        assert w00 * w11 / (w01 * w10) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        ref_points = oracles.reference_weighted_sample(ref, a.positions, patch.weights, 5, 5)
+        miss = np.abs(sample(patch, 5, 5) - ref_points)
+        assert np.all(miss <= 1e-12 * (1.0 + np.abs(ref_points)))
 
 
 def bit_for_bit_cases():
@@ -808,22 +810,19 @@ def unsliced(monkeypatch, call):
         return raised(call)
 
 
-@pytest.mark.parametrize("fault", ["isotropic", "swapped"])
+@pytest.mark.parametrize("fault", ["swapped", "not_a_number"])
 def test_a_failing_face_past_the_first_slice_raises_as_one_stacked_pass(monkeypatch, fault):
     a, members, _ = wide_patches(40)
     late, later = CHUNK + 7, CHUNK + 300
-    q1, q2, signatures = members.q1.copy(), members.q2.copy(), members.signatures.copy()
-    q1[later] = members.frames.h_lines[later, 2]  # an isotropic plane point
-    if fault == "isotropic":
-        q2[late] = members.frames.h_lines[late, 0]
-    else:  # exchanged family labels admit no patch
-        q1[late], q2[late] = members.q2[late], members.q1[late]
-        signatures[late] = signatures[late, ::-1]
-    broken = dataclasses.replace(members, q1=q1, q2=q2, signatures=signatures)
+    lams = members.lams.copy()
+    # exchanged family labels are the member of opposite coordinate
+    lams[later] = -lams[later]
+    lams[late] = -lams[late] if fault == "swapped" else np.nan
+    broken = dataclasses.replace(members, lams=lams)
     error = raised(lambda: restrict_all(broken, a.positions))
     assert error == unsliced(monkeypatch, lambda: restrict_all(broken, a.positions))
-    kind = DegenerateConic if fault == "isotropic" else NoAdaptedPatch
-    assert error[0] is kind and error[2]["face"] == int(members.frames.faces[late])
+    face = int(members.frames.faces[late])
+    assert error == (NoAdaptedPatch, no_patch_message(face), {"face": face, "family": 1})
 
 
 @pytest.mark.parametrize("corner", [0, 1, 2, 3])
