@@ -304,8 +304,8 @@ def _face_volumes(coords, quads):
 
     Everything is read in face-local units: origin at the centroid of
     the corners, unit ``u`` their largest distance from it, so
-    translation and uniform scaling leave every figure as it is until
-    the sums of the corners leave the float range.  The volume is ``V =
+    translation and uniform scaling leave every figure as it is while
+    the offsets from the centroid stay finite.  The volume is ``V =
     det(c1 - c0, c2 - c0, c3 - c0) = det(e0, e1, e2)`` of the corners in
     cycle order, ``e_k`` the side from corner ``k`` to corner ``k + 1``,
     expanded by cofactors on whole rows; it has the sign of the global
@@ -321,7 +321,17 @@ def _face_volumes(coords, quads):
     """
     # coordinate- and corner-first ``(3, 4, B)``, whose rows are contiguous
     x = np.take(coords, quads.T, axis=1)
-    x -= ((x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3]) / 4)[:, None]
+    # the centroid summed as :func:`_star_planes` sums a star's: each
+    # coordinate at a power-of-two scale that brings its largest corner
+    # below 1, exact, so no bit changes, and the sum stays finite
+    _, exponent = np.frexp(np.abs(x).max(axis=1))
+    down = np.ldexp(1.0, -np.maximum(exponent, 0))
+    centroid = x[:, 0] * down
+    for k in (1, 2, 3):
+        centroid += x[:, k] * down
+    centroid /= 4
+    centroid /= down
+    x -= centroid[:, None]
     # the radii are read at a power-of-two scale that brings each face's
     # largest centred coordinate into [0.5, 1): exact, so no bit changes
     # where the squares stay in range, and none overflows or underflows

@@ -16,15 +16,17 @@ nor builds its tables.
 
 :func:`read_mesh` reads the file in one text-mode pass, :data:`CHUNK`
 lines at a time and without seeking, so it reads a pipe as it reads a
-file: a chunk of plain vertex and face records is converted in bulk
-from its tokens, any other one read line by line.  The quads come back
-as one ``(F, 4)`` int64 array, which :func:`hypnet.quadgraph.build`
-takes as it is.
+file: a chunk of plain vertex and face records is read by numpy's C
+text reader, any other one line by line.  The quads come back as one
+``(F, 4)`` int64 array, which :func:`hypnet.quadgraph.build` takes as
+it is.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import warnings
 from contextlib import suppress
 from itertools import islice
 from operator import itemgetter
@@ -51,9 +53,10 @@ def read_mesh(path):
 
     The file is opened once in text mode, as UTF-8 with universal
     newlines, and read :data:`CHUNK` lines at a time without seeking, so
-    a pipe reads like a file.  A plain chunk is converted in bulk
-    (:func:`_read_plain`); any other one goes through the per-line loop
-    :func:`_read_lines`, which raises on its first malformed record.
+    a pipe reads like a file.  A plain chunk is read by numpy's C text
+    reader (:func:`_read_plain`) into the values the per-line loop
+    :func:`_read_lines` reads; any other one goes through that loop,
+    which raises on its first malformed record.
     Where the text reader meets a block that is not UTF-8, the lines it
     handed over before it are read that way too, and the decode error
     is raised unless one of them is malformed.
@@ -81,6 +84,10 @@ def read_mesh(path):
 
 #: The first two characters of a line.
 _LINE_HEAD = itemgetter(slice(2))
+#: Vertex and face lines as rows of numpy's text reader: the record
+#: letter, then exactly three coordinates or four ids.
+_VERTEX_ROW = np.dtype([("record", "U1"), ("xyz", float, 3)])
+_FACE_ROW = np.dtype([("record", "U1"), ("ids", np.int64, 4)])
 
 
 def _read_plain(lines, number, coords, faces) -> bool:
@@ -89,44 +96,43 @@ def _read_plain(lines, number, coords, faces) -> bool:
     other chunk.
 
     A chunk is plain when its lines start with ``"v "`` and then with
-    ``"f "``, and its tokens, split as one, number four per vertex and
-    five per face line, every one of them but the record letters
-    converting.  Every line but the last ends in ``"\\n"``, so the
-    chunk splits into its lines' own tokens, in order; no record letter
-    converts, so each line then holds its own letter alone, at its
-    start, and Python's ``float`` and ``int`` read the values the
-    per-line loop reads.
+    ``"f "``, and numpy's C text reader takes each as a row of
+    :data:`_VERTEX_ROW` or :data:`_FACE_ROW`.  It splits a line where
+    ``str.split`` does and parses a float with the routine Python's
+    ``float`` uses, so it reads the bits of the per-line loop; what it
+    refuses and ``float`` or ``int`` take (underscores, digits beyond
+    ASCII) is left to that loop.
     """
     heads = list(map(_LINE_HEAD, lines))
     nv = heads.count("v ")
     nf = len(lines) - nv
     if heads != ["v "] * nv + ["f "] * nf:
         return False
-    joined = "".join(lines)
-    tokens = joined.split()
-    slashed = "/" in joined
-    del joined, heads
-    if len(tokens) != 4 * nv + 5 * nf:
-        return False
-    values, indices = tokens[:4 * nv], tokens[4 * nv:]
-    del tokens
-    # without the record letters: every fourth vertex token, fifth face token
-    del values[::4], indices[::5]
-    # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``
-    if slashed:
-        indices = [index.partition("/")[0] for index in indices]
+    face_lines = lines[nv:]
+    text = "".join(face_lines)
+    if "/" in text:
+        # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``
+        face_lines = re.sub(r"/\S*", "", text).split("\n")
     try:
-        xyz = np.fromiter(map(float, values), float, len(values)).reshape(-1, 3)
-        indices = np.fromiter(map(int, indices), np.int64, len(indices))
+        xyz = _load_rows(lines[:nv], _VERTEX_ROW)["xyz"]
+        with warnings.catch_warnings():
+            # numpy releases that still read an index through a float
+            # (``1e0``, ``1.5``) only warn; as an error it refuses the chunk
+            warnings.simplefilter("error", DeprecationWarning)
+            indices = _load_rows(face_lines, _FACE_ROW)["ids"]
     except (ValueError, OverflowError):
         return False
     if nf and indices.min() < 1:
         return False
-    indices -= 1
     coords.append(xyz)
     if nf:
-        faces.append((indices.reshape(-1, 4), range(number + nv, number + nv + nf)))
+        faces.append((indices - 1, range(number + nv, number + nv + nf)))
     return True
+
+
+def _load_rows(lines, row):
+    """``lines`` as records ``row`` of numpy's text reader, one a line."""
+    return np.loadtxt(lines, dtype=row, comments=None, ndmin=1) if lines else np.zeros(0, row)
 
 
 def _read_lines(lines, number, coords, faces) -> None:

@@ -922,21 +922,39 @@ def test_a_tilted_planar_net_reads_every_face_degenerate_at_any_scale():
 
 
 def test_faces_whose_figures_overflow_fail_their_gates():
-    # corners past a quarter of the largest float overflow the sum of
-    # their centroid and the face figures read NaN; the face stage must
-    # refuse those faces itself, as ``ANet.frames`` does, not leave the
-    # verdict to a later stage (short of that the figures are read at an
-    # exact scale and stay finite, as test_invariance.py checks)
+    # an infinite corner leaves the figures of its four faces NaN; the
+    # face stage must refuse those faces itself, as ``ANet.frames`` does,
+    # not leave the verdict to a later stage, and read none of their
+    # volumes as positive (the corners are turned by one, so the other
+    # faces' volumes are)
+    n, quads, pos = quadric_grid(3, 3)
+    g = build(n, np.roll(quads, 1, axis=1))
+    pos[5] = np.inf
+    walk = SimpleNamespace(positive_volumes=np.zeros(g.face_count, dtype=bool))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        found = _face_stage(g, np.ascontiguousarray(pos.T), Tolerances().sig, walk)
+    assert sorted({v["face"] for _, v in found}) == [0, 1, 3, 4]
+    assert {kind for kind, _ in found} <= {"degenerate_face", "non_generic_pair"}
+    assert np.flatnonzero(~walk.positive_volumes).tolist() == [0, 1, 3, 4]
+
+
+def test_the_face_stage_reads_faces_whose_corner_sums_overflow():
+    # corners past a quarter of the largest float overflow the plain sum
+    # of their centroid; it is summed at an exact scale, so the figures
+    # stay finite and the faces of an exact net pass
     n, quads, pos = quadric_grid(3, 3)
     g = build(n, quads)
     big = pos * 1e307 + 5e307
     assert np.isfinite(big).all()
-    walk = SimpleNamespace(positive_volumes=np.ones(g.face_count, dtype=bool))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        found = _face_stage(g, np.ascontiguousarray(big.T), Tolerances().sig, walk)
-    assert sorted({v["face"] for _, v in found}) == list(range(9))
-    assert {kind for kind, _ in found} <= {"degenerate_face", "non_generic_pair"}
-    assert not walk.positive_volumes.any()
+    with np.errstate(over="ignore"):
+        assert np.isinf(big[list(quads[0])].sum(axis=0)).any()
+    walk = SimpleNamespace(positive_volumes=np.zeros(g.face_count, dtype=bool))
+    assert _face_stage(g, np.ascontiguousarray(big.T), Tolerances().sig, walk) == []
+    # volumes, ratios and products are read in face-local units
+    read = _face_volumes(np.ascontiguousarray(big.T), g.face_vertices)
+    expected = _face_volumes(np.ascontiguousarray(pos.T), g.face_vertices)
+    for got, want in zip(read, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def star_cases(rng, degree):

@@ -269,6 +269,20 @@ READ_CORPUS = {
     "invalid_utf8_in_a_comment": b"# caf\xe9\n" + QUAD.encode(),
     "invalid_utf8_in_a_coordinate": QUAD.encode().replace(b"v 1 1 0", b"v 1 \xff 0"),
     "a_truncated_byte_order_mark": b"\xef\xbb" + QUAD.encode(),
+    # where numpy's text reader and str.split, float and int might differ
+    "a_comment_after_a_vertex": QUAD.replace("v 1 0 0", "v 1 0 0 # c"),
+    "a_comment_after_a_face": QUAD.replace("f 1 2 3 4", "f 1 2 3 4 #"),
+    "a_quoted_coordinate": QUAD.replace("v 1 0 0", 'v "1" 0 0'),
+    "signs_and_leading_zeros": QUAD.replace("v 1 1 0", "v +1 -0 .5").replace(
+        "f 1 2 3 4", "f +1 02 003 4"
+    ),
+    "a_comma_decimal": QUAD.replace("v 1 0 0", "v 1,5 0 0"),
+    "an_exponent_index": QUAD.replace("f 1 2 3 4", "f 1e0 2 3 4"),
+    "a_fractional_index": QUAD.replace("f 1 2 3 4", "f 1.0 2 3 4"),
+    "coordinates_past_the_float_range": QUAD.replace("v 1 1 0", "v 1e500 -1e500 1e-400"),
+    "a_hexadecimal_coordinate": QUAD.replace("v 0 1 0", "v 0x1p3 2 3"),
+    "five_ids_on_every_face": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1 2 3 4 5\nf 5 4 3 2 1"),
+    "four_coordinates_on_every_vertex": QUAD.replace(" 0\n", " 0 1\n"),
 }
 
 
@@ -391,7 +405,9 @@ READ_LINES = [
     "vt 0 0", "\tv 0\t0 0 ", "v 0 0 0 v 1 0 0", "f 2 3 4 5 ",
     "f 1/2/3 2//4 3/1 4", "f 2/2/2 3/3/3 4/4/4 1/1/1", "f /1 2 3 4", "f 1/x 2 3 4/",
     "f 0/1 1 2 3", "v 1\x850 0", "f 1 2\xa03 4", "v 0\u20281 0", "f 1/\xa02 3 4 5",
-    "f 1/\x1c2 3 4 5", "v 1 2\x1c3", "f 1/\u2028 2 3 4",
+    "f 1/\x1c2 3 4 5", "v 1 2\x1c3", "f 1/\u2028 2 3 4", "v 1 0 0 # c", "f 1 2 3 4 #",
+    'v "1" 0 0', "v +1 -0 .5", "f +1 02 003 4", "v 1,5 0 0", "f 1e0 2 3 4", "f 1.0 2 3 4",
+    "v 1e500 -1e500 1e-400", "v 0x1p3 2 3", "v 0 0 0 1",
 ]
 
 
@@ -410,16 +426,22 @@ def test_chunked_reading_matches_the_reference(tmp_path_factory, lines, end, bom
         assert_reads_like_the_reference(path)
 
 
+def forbid_the_per_line_loop(monkeypatch):
+    """Make :func:`read_mesh` raise on any chunk it does not read in bulk."""
+
+    def per_line(*args):
+        raise AssertionError("a chunk went through the per-line loop")
+
+    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+
+
 def assert_wide_grid_reads_in_bulk_alone(tmp_path, monkeypatch, end):
     _, quads, positions = quadric_grid(80, 80, spacing=0.03, origin=(-1.7, -1.2))
     path = tmp_path / "wide.obj"
     write_positions_mesh(path, positions, quads)
     path.write_bytes(path.read_bytes().replace(b"\n", end))
 
-    def per_line(*args):
-        raise AssertionError("a chunk went through the per-line loop")
-
-    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+    forbid_the_per_line_loop(monkeypatch)
     back_positions, back_quads = read_mesh(path)
     assert back_positions.tobytes() == positions.tobytes()
     assert_quads(back_quads, quads)
@@ -446,10 +468,7 @@ def test_slash_faces_read_in_bulk_alone(tmp_path, monkeypatch, form):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_reads_like_the_reference(path)
 
-    def per_line(*args):
-        raise AssertionError("a chunk went through the per-line loop")
-
-    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+    forbid_the_per_line_loop(monkeypatch)
     back_positions, back_quads = read_mesh(path)
     assert back_positions.tobytes() == positions.tobytes()
     assert_quads(back_quads, quads)
@@ -520,10 +539,7 @@ def test_a_wide_grid_reads_from_a_pipe_in_bulk_alone(tmp_path, monkeypatch):
     write_positions_mesh(path, positions, quads)
     direct = read_mesh(path)
 
-    def per_line(*args):
-        raise AssertionError("a chunk went through the per-line loop")
-
-    monkeypatch.setattr(hypnet.meshio, "_read_lines", per_line)
+    forbid_the_per_line_loop(monkeypatch)
     with piped(tmp_path, path.read_bytes()) as fifo:
         back_positions, back_quads = read_mesh(fifo)
     assert back_positions.tobytes() == direct[0].tobytes() == positions.tobytes()
@@ -638,14 +654,31 @@ def ulp_neighbours(values, steps=2):
     return np.concatenate(out)
 
 
-def test_raw_bit_patterns_write_like_the_reference(tmp_path):
+def raw_bit_pattern_rows():
+    """The finite ones of 30,000 raw float64 bit patterns, a quarter of
+    them subnormal, then both zeros and both smallest subnormals, as
+    ``(r, 3)`` rows."""
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False)
     # a quarter of them subnormal: exponent field 0, either sign
     bits[::4] &= np.uint64(2**63 + 2**52 - 1)
     values = bits.view(np.float64)
     values = np.concatenate([values[np.isfinite(values)], [0.0, -0.0, 5e-324, -5e-324]])
-    assert_writes_like_the_reference(tmp_path, rows_of([values]))
+    return rows_of([values])
+
+
+def test_raw_bit_patterns_write_like_the_reference(tmp_path):
+    assert_writes_like_the_reference(tmp_path, raw_bit_pattern_rows())
+
+
+def test_raw_bit_patterns_read_back_in_bulk_bit_for_bit(tmp_path, monkeypatch):
+    rows = raw_bit_pattern_rows()
+    path = tmp_path / "bits.obj"
+    write_positions_mesh(path, rows, ())
+    forbid_the_per_line_loop(monkeypatch)
+    positions, quads = read_mesh(path)
+    assert positions.tobytes() == rows.tobytes()
+    assert quads.shape == (0, 4)
 
 
 def test_powers_of_ten_and_their_ulp_neighbours_write_like_the_reference(tmp_path):
