@@ -195,6 +195,22 @@ def _row_max(a):
     return top
 
 
+def _centroid(points):
+    """Centroids ``(3, B)`` of a stack of point clouds held
+    coordinate-first, ``(3, m, B)``, as ``mean`` rounds them: the points
+    added in order, then divided by ``m``.  Each coordinate is summed at
+    a power-of-two scale that brings its largest term below 1: exact, so
+    no bit changes, and the sum stays finite."""
+    _, exponent = np.frexp(np.abs(points).max(axis=1))
+    down = np.ldexp(1.0, -np.maximum(exponent, 0))
+    centroid = points[:, 0] * down
+    for i in range(1, points.shape[1]):
+        centroid += points[:, i] * down
+    centroid /= points.shape[1]
+    centroid /= down
+    return centroid
+
+
 def _star_planes(points, planar):
     """Planes ``(B, 4)``, residuals and diameters ``(B,)`` of a stack of
     point clouds held coordinate-first, ``points`` ``(3, m, B)``: the
@@ -207,16 +223,7 @@ def _star_planes(points, planar):
     3)``, where each row rounds as its own one-cloud call.
     """
     m = points.shape[1]
-    # the centroid as ``mean`` rounds it: the points added in order, / m,
-    # each coordinate at a power-of-two scale that brings its largest term
-    # below 1: exact, so no bit changes, and the sum stays finite
-    _, exponent = np.frexp(np.abs(points).max(axis=1))
-    down = np.ldexp(1.0, -np.maximum(exponent, 0))
-    centroid = points[:, 0] * down
-    for i in range(1, m):
-        centroid += points[:, i] * down
-    centroid /= m
-    centroid /= down
+    centroid = _centroid(points)
     centered = points - centroid[:, None]
     # squares are read at a power-of-two scale that brings each star's
     # largest centred coordinate into [0.5, 1): exact, so no bit changes,
@@ -321,17 +328,7 @@ def _face_volumes(coords, quads):
     """
     # coordinate- and corner-first ``(3, 4, B)``, whose rows are contiguous
     x = np.take(coords, quads.T, axis=1)
-    # the centroid summed as :func:`_star_planes` sums a star's: each
-    # coordinate at a power-of-two scale that brings its largest corner
-    # below 1, exact, so no bit changes, and the sum stays finite
-    _, exponent = np.frexp(np.abs(x).max(axis=1))
-    down = np.ldexp(1.0, -np.maximum(exponent, 0))
-    centroid = x[:, 0] * down
-    for k in (1, 2, 3):
-        centroid += x[:, k] * down
-    centroid /= 4
-    centroid /= down
-    x -= centroid[:, None]
+    x -= _centroid(x)[:, None]
     # the radii are read at a power-of-two scale that brings each face's
     # largest centred coordinate into [0.5, 1): exact, so no bit changes
     # where the squares stay in range, and none overflows or underflows

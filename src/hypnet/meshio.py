@@ -111,8 +111,9 @@ def _read_plain(lines, number, coords, faces) -> bool:
     face_lines = lines[nv:]
     text = "".join(face_lines)
     if "/" in text:
-        # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``
-        face_lines = re.sub(r"/\S*", "", text).split("\n")
+        # an ``a/t/n``, ``a//n`` or ``a/t`` index reads as its head ``a``;
+        # a token with no head keeps its slash, so the reader refuses it
+        face_lines = re.sub(r"(?<=\S)/\S*", "", text).split("\n")
     try:
         xyz = _load_rows(lines[:nv], _VERTEX_ROW)["xyz"]
         with warnings.catch_warnings():

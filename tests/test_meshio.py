@@ -283,6 +283,11 @@ READ_CORPUS = {
     "a_hexadecimal_coordinate": QUAD.replace("v 0 1 0", "v 0x1p3 2 3"),
     "five_ids_on_every_face": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1 2 3 4 5\nf 5 4 3 2 1"),
     "four_coordinates_on_every_vertex": QUAD.replace(" 0\n", " 0 1\n"),
+    # a token with no head before its slash is a bad index, not a tail
+    "a_fifth_token_that_is_a_slash_tail": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1 2 3 4 /5"),
+    "a_fifth_token_that_is_a_slash": QUAD.replace("f 1 2 3 4", "f 1 2 3 4 /"),
+    "a_headless_first_of_five_ids": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f /1 2 3 4 5"),
+    "a_fifth_token_of_two_slashes": "v 2 2 0\n" + QUAD.replace("f 1 2 3 4", "f 1 2 3 4 //5"),
 }
 
 
@@ -407,7 +412,8 @@ READ_LINES = [
     "f 0/1 1 2 3", "v 1\x850 0", "f 1 2\xa03 4", "v 0\u20281 0", "f 1/\xa02 3 4 5",
     "f 1/\x1c2 3 4 5", "v 1 2\x1c3", "f 1/\u2028 2 3 4", "v 1 0 0 # c", "f 1 2 3 4 #",
     'v "1" 0 0', "v +1 -0 .5", "f +1 02 003 4", "v 1,5 0 0", "f 1e0 2 3 4", "f 1.0 2 3 4",
-    "v 1e500 -1e500 1e-400", "v 0x1p3 2 3", "v 0 0 0 1",
+    "v 1e500 -1e500 1e-400", "v 0x1p3 2 3", "v 0 0 0 1", "f 1 2 3 4 /5", "f 1 2 3 4 /",
+    "f /1 2 3 4 5", "f 1 2 3 4 //5",
 ]
 
 
