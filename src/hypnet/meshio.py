@@ -9,10 +9,12 @@ runs over identical data produce identical files.
 :func:`write_positions_mesh` writes the bytes of ``"%.17g"`` and ``"%d"``
 without formatting one value at a time.  It streams the file to one
 binary handle in chunks of :data:`CHUNK` rows, each formatted in numpy
-array passes by :mod:`hypnet.meshtext`, so no whole-file string is
-built; a chunk that raises removes the partial file.  That module is
-imported on the first write, so ``hypnet check`` neither compiles it
-nor builds its tables.
+array passes by :mod:`hypnet.meshtext` and compacted by one
+NUL-deleting ``bytes.translate``, so no whole-file string is built; a
+chunk that raises removes the partial file.  Each vertex id is
+formatted once per write, as a NUL-padded word that every face chunk
+gathers.  That module is imported on the first write, so
+``hypnet check`` neither compiles it nor builds its tables.
 
 :func:`read_mesh` reads the file in one text-mode pass, :data:`CHUNK`
 lines at a time and without seeking, so it reads a pipe as it reads a
@@ -215,7 +217,9 @@ def write_positions_mesh(path, positions, quads) -> None:
     ``"f %d %d %d %d"`` per face (1-based), each line ending in ``"\\n"``,
     or one ``"\\n"`` for an empty mesh.  Rows are formatted and written
     :data:`CHUNK` at a time; if a chunk raises, the partial file is
-    removed.
+    removed.  The text of ids ``1 .. n``, ``n`` the vertices written, is
+    built once (:func:`hypnet.meshtext.id_words`) and gathered by every
+    face chunk.
     """
     from . import meshtext
 
@@ -226,8 +230,9 @@ def write_positions_mesh(path, positions, quads) -> None:
         with handle:
             for start in range(0, len(coords), CHUNK):
                 handle.write(meshtext.vertex_rows(coords[start:start + CHUNK]))
+            words = meshtext.id_words(np.arange(1, len(coords) + 1))
             for start in range(0, len(indices), CHUNK):
-                handle.write(meshtext.face_rows(indices[start:start + CHUNK] + 1))
+                handle.write(meshtext.face_rows(indices[start:start + CHUNK] + 1, words))
             if not len(coords) and not len(indices):
                 handle.write(b"\n")
     except BaseException:

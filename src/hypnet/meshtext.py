@@ -15,10 +15,19 @@ rounding is not a 17-digit integer (``log10`` named the wrong ``k``) or
 rounds up to ``10**17``; so the output is exact by construction.  The
 digits come four at a time from a table of 4-byte words; each field is
 laid out from a template keyed by its sign, ``k`` and digit count, and
-one boolean compress per block keeps its bytes.  Face ids in
-``[0, 10**16)`` take the same digit table and templates keyed by their
-digit count; other ids fall back to ``%``.  The tables are built from
-numpy arithmetic on first use.
+an AND with that template's 0/255 keep mask zeroes the bytes it drops.
+
+Face ids are formatted once per file, not once per slot:
+:func:`id_words` gives the text of ids ``1 .. n`` as NUL-padded words
+from the same digit table, 8 bytes each while ``n < 10**7``, and a face
+row is one gather of its four ids' words behind an ``"f "`` word, with
+the row's last separator turned into ``"\\n"``.  A row holding an id
+outside ``[1, n]`` falls back to ``%``.
+
+Either kind of block is compacted by one ``bytes.translate`` that
+deletes its NUL bytes.  A fallback row is zeroed first, and its ``%``
+line is spliced in where the per-row nonzero counts put its row's end.
+The tables are built from numpy arithmetic on first use.
 """
 
 from __future__ import annotations
@@ -40,8 +49,6 @@ _LEAD, _SIGN, _ZEROS, _LEFT, _POINT, _RIGHT, _EXP, _END, _FIELD = (
     0, 2, 3, 8, 25, 26, 43, 47, 48
 )
 _KS = 28  # decimal exponents k = -11 .. 16
-# A face field: the row's lead "f ", 16 digits and a separator.
-_ID_DIGITS, _ID_END, _ID_FIELD = 2, 18, 19
 
 
 @lru_cache(maxsize=None)
@@ -85,23 +92,16 @@ def _tables() -> SimpleNamespace:
     keep[:, _EXP:_END] = ~fixed
     keep[:, _END] = True
 
-    # face templates keyed by count - 1
-    id_text = np.zeros((16, _ID_FIELD), dtype=np.uint8)
-    id_text[:, :_ID_DIGITS] = np.frombuffer(b"f ", np.uint8)
-    id_text[:, _ID_END] = ord(" ")
-    id_keep = np.zeros(id_text.shape, dtype=bool)
-    id_keep[:, _ID_DIGITS:_ID_END] = np.arange(16) >= np.arange(15, -1, -1)[:, None]
-    id_keep[:, _ID_END] = True
-
     tables = SimpleNamespace(
         words=words,
         trailing=trailing,
         pow5=pow5,
         text=text,
-        keep=keep,
-        id_text=id_text,
-        id_keep=id_keep,
-        id_powers=10 ** np.arange(1, 16),
+        keep=keep.astype(np.uint8) * np.uint8(255),
+        id_powers=10 ** np.arange(1, 19),
+        # the last count of 24 digit columns, for an id of count digits
+        id_keep=(np.arange(24) >= 24 - np.arange(20)[:, None]).astype(np.uint8)
+        * np.uint8(255),
     )
     for table in vars(tables).values():
         table.setflags(write=False)
@@ -181,15 +181,16 @@ def _decimal17(x: np.ndarray, tables: SimpleNamespace):
     return exact, k, 17 - zeros, chars[:, 3:]
 
 
-def _compress_rows(buf, keep, bad, fallback) -> bytes:
-    """The kept bytes of the rows of ``buf``, with the rows in ``bad``
-    replaced by the lines ``fallback(rows)`` formats for them."""
-    if not bad.any():
-        return buf[keep].tobytes()
-    keep[bad] = False
-    text = buf[keep].tobytes()
-    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+def _strip_rows(buf, bad, fallback) -> bytes:
+    """The nonzero bytes of the rows of ``buf`` ``(r, w)`` (``uint8``),
+    with the rows in ``bad`` replaced by the lines ``fallback(rows)``
+    formats for them."""
     rows = np.flatnonzero(bad)
+    buf[rows] = 0
+    text = buf.tobytes().translate(None, b"\0")
+    if not len(rows):
+        return text
+    ends = np.cumsum(np.count_nonzero(buf, axis=1)).tolist()
     pieces, start = [], 0
     for row, line in zip(rows.tolist(), fallback(rows).splitlines(keepends=True)):
         pieces += [text[start:ends[row]], line]
@@ -208,42 +209,58 @@ def vertex_rows(coords: np.ndarray) -> bytes:
     key = ((np.signbit(x) * _KS + k + 11) * 17 + count - 1).reshape(rows, 3)
     key = np.where(exact, key, 0)
     buf = np.take(tables.text, key, axis=0)
-    keep = np.take(tables.keep, key, axis=0)
     buf[..., _LEFT:_POINT] = chars.reshape(rows, 3, 17)
     buf[..., _RIGHT:_EXP] = chars.reshape(rows, 3, 17)
-    keep[:, 0, _LEAD:_SIGN] = True
+    buf &= np.take(tables.keep, key, axis=0)
+    buf[:, 0, _LEAD:_SIGN] = tables.text[0, _LEAD:_SIGN]
     buf[:, 2, _END] = ord("\n")
-    return _compress_rows(
+    return _strip_rows(
         buf.reshape(rows, -1),
-        keep.reshape(rows, -1),
         ~exact.all(axis=1),
         lambda r: (b"v %.17g %.17g %.17g\n" * len(r))
         % tuple(coords[r].ravel().tolist()),
     )
 
 
-def face_rows(ids: np.ndarray) -> bytes:
-    """``b"f %d %d %d %d\\n"`` of every row of ``ids`` ``(r, 4)``."""
+def id_words(ids: np.ndarray) -> np.ndarray:
+    """The text of every positive id of ``ids`` ``(n,)`` and a space, as
+    a NUL-padded word ``(n, w // 8)`` of ``uint64``: its digits end right
+    before the space, which ends the word, and the word is ``w = 8``
+    bytes while every id is below ``10**7`` and 8 bytes wider for each 8
+    digits more."""
     tables = _tables()
-    v = ids.reshape(-1)
+    ids = np.asarray(ids, dtype=np.int64)
+    # count - 1 is the number of powers 10 .. 10**18 at most the id
+    count = 1 + np.searchsorted(tables.id_powers, ids, side="right")
+    width = 8 * (int(count.max(initial=1)) // 8 + 1)
+    # w digits, the first of them a leading zero, with the leading zeros
+    # dropped; then one shift of the whole block moves each row's digits
+    # a byte left, so the first digit falls off and a byte is free at
+    # the end for the space
+    chars = _digit_groups(ids, width // 4, tables.words)[1]
+    chars &= np.take(tables.id_keep[:, -width:], count, axis=0)
+    text = np.empty((len(ids), width), dtype=np.uint8)
+    text.reshape(-1)[:-1] = chars.reshape(-1)[1:]
+    text[:, -1] = ord(" ")
+    return text.view(np.uint64)
+
+
+def face_rows(ids: np.ndarray, words: np.ndarray) -> bytes:
+    """``b"f %d %d %d %d\\n"`` of every row of ``ids`` ``(r, 4)``, where
+    ``words`` are the :func:`id_words` of ids ``1 .. n``."""
     rows = len(ids)
-    fast = (v >= 0) & (v < 10**16)
-    v = np.where(fast, v, 0)
-    # as many 4-digit groups as the largest id needs, and the template
-    # columns of that many digits
-    groups = 1 + int(np.searchsorted(tables.id_powers[3::4], v.max(), side="right"))
-    columns = np.r_[:_ID_DIGITS, _ID_END - 4 * groups:_ID_FIELD]
-    # count - 1 is the number of powers 10 .. 10**15 at most v
-    key = np.searchsorted(tables.id_powers, v, side="right").reshape(rows, 4)
-    buf = np.take(tables.id_text[:, columns], key, axis=0)
-    keep = np.take(tables.id_keep[:, columns], key, axis=0)
-    chars = _digit_groups(v, groups, tables.words)[1]
-    buf[..., _ID_DIGITS:-1] = chars.reshape(rows, 4, -1)
-    keep[:, 0, :_ID_DIGITS] = True
-    buf[:, 3, -1] = ord("\n")
-    return _compress_rows(
-        buf.reshape(rows, -1),
-        keep.reshape(rows, -1),
-        ~fast.reshape(rows, 4).all(axis=1),
-        lambda r: (b"f %d %d %d %d\n" * len(r)) % tuple(ids[r].ravel().tolist()),
-    )
+    bad = ~((ids >= 1) & (ids <= len(words))).all(axis=1)
+
+    def fallback(r):
+        return (b"f %d %d %d %d\n" * len(r)) % tuple(ids[r].ravel().tolist())
+
+    if bad.all():
+        return fallback(np.arange(rows))
+    lead = np.zeros(words.shape[1], dtype=np.uint64)
+    lead.view(np.uint8)[:2] = np.frombuffer(b"f ", np.uint8)
+    buf = np.empty((rows, 5, len(lead)), dtype=np.uint64)
+    buf[:, 0] = lead
+    buf[:, 1:] = np.take(words, ids - 1, axis=0, mode="clip")
+    buf = buf.view(np.uint8).reshape(rows, -1)
+    buf[:, -1] = ord("\n")
+    return _strip_rows(buf, bad, fallback)

@@ -90,14 +90,15 @@ def _cross3(a, b):
     ])
 
 
-def _evaluate(points, weights, t, s):
+def _evaluate(points, weights, t, s, out=None):
     """``X(t, s)`` of patches with corners ``points`` ``(..., 4, 3)`` and
     weights ``(..., 4)``; ``t`` and ``s`` broadcast against the leading
-    axes.  Returns the points ``(..., 3)`` and the mask of parameters
-    whose denominator vanishes relative to its terms (the points there
-    are meaningless).  Each coordinate is summed and divided in place in
-    its column of the output, so that every pass runs over the whole
-    broadcast shape and no second copy of the points is made."""
+    axes.  Returns the points ``(..., 3)``, written into ``out`` when it
+    is given, and the mask of parameters whose denominator vanishes
+    relative to its terms (the points there are meaningless).  Each
+    coordinate is summed and divided in place in its column of the
+    output, so that every pass runs over the whole broadcast shape and
+    no second copy of the points is made."""
     terms = [
         weights[..., 0] * ((1.0 - t) * (1.0 - s)),
         weights[..., 1] * ((1.0 - t) * s),
@@ -110,7 +111,8 @@ def _evaluate(points, weights, t, s):
     del size
     den = np.where(bad, 1.0, den)
     shape = np.broadcast_shapes(den.shape, points.shape[:-2])
-    out = np.empty(shape + (3,))
+    if out is None:
+        out = np.empty(shape + (3,))
     term = np.empty(shape)
     for c in range(3):
         num = out[..., c]
@@ -253,17 +255,23 @@ def sample_all(patches: PatchStack, n: int, m: int) -> np.ndarray:
     parameter corners evaluate to the quad's vertices.  Raises
     :class:`NumericallyInfinitePoint` naming the face and ``(i, j)`` of
     the first point, in row-major order, whose denominator vanishes.
+    Faces are evaluated :data:`CHUNK` at a time into the output, so the
+    temporaries do not grow with the stack.
     """
     if n < 2 or m < 2:
         raise ValueError("need at least two samples per direction")
     t = np.linspace(0.0, 1.0, n)[:, None]
     s = np.linspace(0.0, 1.0, m)
-    out, bad = _evaluate(
-        patches.points[:, None, None], patches.weights[:, None, None], t, s
-    )
-    if bad.any():
-        k, i, j = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
-        raise _infinite(int(patches.faces[k]), (i, j))
+    out = np.empty((len(patches), n, m, 3))
+    for lo in range(0, len(patches), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        bad = _evaluate(
+            patches.points[rows, None, None], patches.weights[rows, None, None],
+            t, s, out[rows],
+        )[1]
+        if bad.any():
+            k, i, j = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+            raise _infinite(int(patches.faces[lo + k]), (i, j))
     return out
 
 

@@ -730,6 +730,71 @@ def test_face_ids_outside_the_fast_range_write_like_the_reference(tmp_path):
     assert_writes_like_the_reference(tmp_path, np.ones((2, 3)), quads)
 
 
+def test_face_ids_at_every_digit_count_boundary_write_like_the_reference(tmp_path):
+    n = 10**6 + 1
+    # 1-based 1, 9, 10, 99, 100, ..., 999999, 1000000 and n, each in
+    # every column, so each is also a row's last id
+    ids = np.array([1] + [10**d + s for d in range(1, 7) for s in (-1, 0)] + [n])
+    quads = np.stack([np.roll(ids, k) for k in range(4)], axis=1) - 1
+    assert_writes_like_the_reference(tmp_path, np.zeros((n, 3)), quads)
+
+
+def test_face_ids_outside_the_vertex_range_fall_back_within_a_chunk(tmp_path):
+    rng = np.random.default_rng(16)
+    n = 50
+    quads = rng.integers(0, n, (300, 4))
+    # 0-based ids of the 1-based 0, n + 1, negative and >= 10**16, in
+    # the first and last rows, a run of rows and every column
+    outside = [-1, n, -2, -(2**62), 10**16 - 1, 2**62]
+    for row, column, index in [(0, 0, -1), (1, 3, n), (299, 3, -2), (298, 1, 10**16 - 1)]:
+        quads[row, column] = index
+    quads[100:106, 2] = outside
+    quads[200, :] = outside[:4]
+    assert len(quads) < CHUNK
+    assert_writes_like_the_reference(tmp_path, rng.standard_normal((n, 3)), quads)
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_face_chunk_boundaries_write_like_the_reference(tmp_path, count):
+    rng = np.random.default_rng(count)
+    n = 3 * count + 1
+    positions = rng.standard_normal((n, 3))
+    quads = rng.integers(0, n, (count, 4))
+    # a row past the vertices on either side of each chunk edge
+    quads[CHUNK - 1:CHUNK + 1, 3] = n
+    assert_writes_like_the_reference(tmp_path, positions, quads)
+    # no vertex: every face row falls back
+    assert_writes_like_the_reference(tmp_path, np.zeros((0, 3)), quads)
+    # no face
+    assert_writes_like_the_reference(tmp_path, positions, quads[:0])
+
+
+def id_text(ids, width):
+    """The id words of ``ids`` spelled out: each id right-aligned in
+    ``width - 1`` NUL-padded bytes, then a space."""
+    return b"".join(str(i).encode().rjust(width - 1, b"\0") + b" " for i in ids)
+
+
+@pytest.mark.parametrize("ids, width", [
+    ([1, 9, 10, 99, 100, 10**6 - 1, 10**6, 10**7 - 1], 8),
+    ([1, 10**7 - 1, 10**7, 12345678, 10**15 - 1], 16),
+    ([1, 10**7, 10**15, 10**18, 2**63 - 1], 24),
+])
+def test_id_words_widen_by_a_word_for_each_eight_digits(ids, width):
+    words = hypnet.meshtext.id_words(np.array(ids))
+    assert words.dtype == np.uint64 and words.shape == (len(ids), width // 8)
+    assert words.tobytes() == id_text(ids, width)
+
+
+def test_face_rows_take_wide_id_words_like_percent():
+    # the words of ids 1 .. 5 at the width of ids past 10**7
+    words = hypnet.meshtext.id_words(np.r_[1:6, 10**7])[:5]
+    assert words.shape == (5, 2)
+    ids = np.array([(1, 2, 3, 4), (5, 4, 3, 2), (0, 1, 2, 3), (5, 5, 5, 6), (2, 1, 5, 3)])
+    expected = (b"f %d %d %d %d\n" * len(ids)) % tuple(ids.ravel().tolist())
+    assert hypnet.meshtext.face_rows(ids, words) == expected
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -796,6 +796,36 @@ def test_carving_and_the_c1_report_hold_a_bounded_working_set(stage):
     assert transient[1] < 2 * transient[0]
 
 
+def test_sampling_a_wide_stack_holds_a_bounded_working_set():
+    # the dyadic 200 x 200 grid of CI's extend step: its 40,000 faces'
+    # 3 x 3 samples fill 8.6 MB; evaluated in one pass the stack's
+    # temporaries took another 17.7 MB, in CHUNK slices they take 0.6 MB
+    spacing = 2.0**-7
+    origin = (-100 * spacing, -100 * spacing)
+    count, quads, positions = quadric_grid(200, 200, spacing=spacing, origin=origin)
+    a = validate_anet(build(count, quads), positions)
+    members, _ = propagate_all(a, 0, bilinear_parameter(a.face_frame(0), a.positions))
+    patches = restrict_all(members, a.positions)
+    assert transient_memory(lambda: sample_all(patches, 3, 3)) < 1e6
+
+
+def test_sampling_in_slices_keeps_the_bits_and_the_first_refusal(monkeypatch):
+    a, _, patches = wide_patches(40)
+    points = sample_all(patches, 3, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(hypnet.patch, "CHUNK", 10**9)
+        assert sample_all(patches, 3, 5).tobytes() == points.tobytes()
+    # the weights cancel at the patch centre of two faces past the first slice
+    late, later = CHUNK + 7, CHUNK + 300
+    weights = patches.weights.copy()
+    weights[[late, later]] = [1.0, 1.0, 1.0, -3.0]
+    broken = dataclasses.replace(patches, weights=weights)
+    error = raised(lambda: sample_all(broken, 3, 5))
+    assert error == unsliced(monkeypatch, lambda: sample_all(broken, 3, 5))
+    face = int(patches.faces[late])
+    assert error[:2] == (NumericallyInfinitePoint, f"sample (1, 2) of face {face} is numerically at infinity")
+
+
 def raised(call):
     """Type, message and data of the exception ``call()`` raises."""
     with pytest.raises(Exception) as err:
