@@ -52,6 +52,7 @@ import argparse
 import math
 import os
 import re
+import stat
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -657,7 +658,7 @@ def main(argv=None) -> int:
         rendered = render_report(report)
         print(rendered)
         if sink is not None:
-            if sink.seekable():  # not a pipe
+            if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):  # not a pipe or device
                 sink.truncate(0)
             sink.write(rendered + "\n")
     return code

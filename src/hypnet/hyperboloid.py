@@ -7,7 +7,7 @@ line of line space through the face's two diagonals ``g1``, ``g2`` (its
 isotropic points): ``q1`` is ``g1 + lam * g2`` and ``q2`` the point of
 the axis polar to it.  ``q1`` spans, together with the first-family
 edge lines, the plane of one ruling family in line space, and ``q2``
-does the same for the second family.
+does the same for the second family.  A member is held as ``lam`` alone.
 
 Crossing an edge, the pair is transported by a central projection in
 line space whose center is the shared edge line (:func:`project_tau`).
@@ -27,8 +27,8 @@ lines.  In the basis of unnormalised joins a member is one coordinate
 crossing is a scalar map ``mu -> c * mu`` or ``mu -> c / mu`` (the sign
 of ``c`` also records whether the shared edge plays different family
 roles on its two sides, which exchanges the labels).  Propagation walks
-the dual spanning tree with these maps and forms every face's pair from
-its coordinate in stacked passes.  Each remaining interior edge is
+the dual spanning tree with these maps and checks every face's
+coordinate in stacked passes.  Each remaining interior edge is
 checked by projecting one side's pair across it, in coordinates local
 to the edge, against the pair the other side holds: that sees both a
 disagreement of the two routes and a vertex star that is not planar,
@@ -37,10 +37,14 @@ which the scalar maps assume.
 The signatures of both ruling planes of a member are read in closed
 form: two opposite edge lines ``a``, ``b`` are isotropic with product
 ``p = <a, b>`` and polar to the axis, so the plane they span with ``q``
-has the inertia of ``[[0, p], [p, 0]]`` plus the sign of ``<q, q>``
-(:func:`_pairs`).  That sign is exact once the coordinate and the face
-volume are finite and nonzero; the signature cutoff reads its size in
-face-local units.
+has the inertia of ``[[0, p], [p, 0]]`` plus the sign of ``<q, q>``.
+The joins are isotropic too, so ``<J1 + mu J2, J1 + mu J2> = 2 mu <J1,
+J2>`` and the partner ``J1 - mu J2`` has the negative: the first plane
+reads (2,1,0) exactly when ``mu <J1, J2>``, a positive multiple of
+``lam <g1, g2>``, is positive, and the pair splits whenever it is
+nonzero (:func:`_members`).  That sign is exact once the coordinate and
+the face volume are finite and nonzero; the signature cutoff reads its
+size in face-local units.
 
 Around interior vertices of even degree the maps compose to the
 identity, so one seed quadric spreads consistently over a simply
@@ -87,49 +91,39 @@ _RULING_PLANES = np.array([[2, 1, 0], [1, 2, 0]])
 
 @dataclass(frozen=True, eq=False)
 class FaceHyperboloid:
-    """Labeled polar pair on a face's axis: one row of a
-    :class:`HyperboloidStack`, read as ``stack[face]``.
-
-    ``lam`` is the family coordinate of the member.  ``q1`` and ``q2``
-    are canonical 6-vectors with ``<q1, q2> = 0`` and self-products of
-    opposite signs.  ``signatures`` are those of the ruling planes
-    ``span(first family, q1)`` and ``span(second family, q2)``:
-    (2,1,0) and (1,2,0) in some order; their intersections with the
-    quadric of lines are the two reguli.
-    """
+    """The member ``lam`` of a face: one row of a
+    :class:`HyperboloidStack`, read as ``stack[face]``."""
 
     face: int
     frame: FaceFrame
     lam: float
-    q1: np.ndarray
-    q2: np.ndarray
-    signatures: tuple
+
+    @property
+    def q1(self) -> np.ndarray:
+        """The member's first point, the canonical ``g1 + lam g2``."""
+        g1, g2 = canonical(self.frame.diagonals)
+        return canonical(g1 + self.lam * g2)
 
 
 @dataclass(frozen=True, eq=False)
 class HyperboloidStack(Mapping):
     """The members of several faces of one net, one row per face in
     ascending face order: their ``frames`` (a :class:`FrameStack`),
-    coordinates ``lams`` ``(F,)``, pairs ``q1`` and ``q2`` ``(F, 6)``
-    and ruling-plane ``signatures`` ``(F, 2, 3)``.  Read as a mapping it
+    coordinates ``lams`` ``(F,)`` and ``scales`` ``(F,)``, the factor
+    ``k`` of :func:`_scales` in ``lam = k * mu`` for the coordinate
+    ``mu`` on the unnormalised diagonal joins.  Read as a mapping it
     sends every face id, ascending, to its :class:`FaceHyperboloid`."""
 
     frames: FrameStack
     lams: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    signatures: np.ndarray
+    scales: np.ndarray
 
     @classmethod
-    def of(cls, members) -> "HyperboloidStack":
+    def of(cls, members, positions) -> "HyperboloidStack":
         members = sorted(members, key=lambda hb: hb.face)
-        return cls(
-            FrameStack.of(hb.frame for hb in members),
-            np.array([hb.lam for hb in members], dtype=float),
-            np.array([hb.q1 for hb in members], dtype=float).reshape(-1, 6),
-            np.array([hb.q2 for hb in members], dtype=float).reshape(-1, 6),
-            np.array([hb.signatures for hb in members], dtype=int).reshape(-1, 2, 3),
-        )
+        frames = FrameStack.of(hb.frame for hb in members)
+        lams = np.array([hb.lam for hb in members], dtype=float)
+        return cls(frames, lams, _scales(positions, frames))
 
     def __len__(self) -> int:
         return len(self.lams)
@@ -142,48 +136,43 @@ class HyperboloidStack(Mapping):
         k = int(np.searchsorted(faces, face))
         if k == len(faces) or faces[k] != face:
             raise KeyError(face)
-        first, second = self.signatures[k].tolist()
-        return FaceHyperboloid(
-            face=int(faces[k]), frame=self.frames[k], lam=float(self.lams[k]),
-            q1=self.q1[k], q2=self.q2[k], signatures=(tuple(first), tuple(second)),
-        )
+        return FaceHyperboloid(int(faces[k]), self.frames[k], float(self.lams[k]))
 
 
-def _pairs(positions, frames: FrameStack, lams) -> HyperboloidStack:
+def _members(positions, frames: FrameStack, lams, scales):
     """The members ``lams`` of the faces of ``frames``, on a net at
-    ``positions``, formed and checked in stacked passes, as a stack in
-    ascending face order.
+    ``positions`` where :func:`_scales` reads ``scales``, checked in
+    stacked passes: ``(members, signatures)``, the
+    :class:`HyperboloidStack` and the ruling-plane signatures ``(F, 2,
+    3)`` in ascending face order.
 
     Raises :class:`DegenerateParameter` for the first face in the order
-    of ``frames`` whose coordinate is 0 or not finite, whose polar
-    partner is indeterminate (``|<q1, g2>|`` below ``1e-12 |<g1, g2>|``,
-    that is ``|g1 + lam g2|`` above 1e12), whose pair fails to split
-    into self-products of opposite sign, or whose ruling planes are
-    degenerate: the unit self-product of ``J1 +- mu J2`` in face-local
-    units (``mu = lam /`` :func:`_scales`) below the frames' ``sig_eps``.
-    Each plane's signature is the sign of its point's self-product (see
-    the module docstring), so a split pair has a (2,1,0)/(1,2,0) pair.
+    of ``frames`` whose coordinate is 0 or not finite; whose polar
+    partner is indeterminate (``|<q1, g2>| = |<g1, g2>| / |g1 + lam
+    g2|`` below ``1e-12 |<g1, g2>|``); or whose face-local unit
+    self-products of ``j1 +- mu j2`` (``mu = lam / k``), ``+-2 mu <j1,
+    j2> / |j1 +- mu j2|^2`` as joins are isotropic, fail to take
+    opposite signs or fall below the frames' ``sig_eps``.  The first
+    plane reads (2,1,0) where the first is positive (module docstring).
     """
     lam = np.asarray(lams, dtype=float)
-    diagonals = canonical(frames.diagonals)
-    g1, g2 = diagonals[:, 0], diagonals[:, 1]
+    g1, g2 = np.moveaxis(canonical(frames.diagonals), 1, 0)
+    # the diagonal joins in face-local units: origin at the centroid of
+    # the corners, unit their largest distance from it
+    ends = np.asarray(positions, dtype=float)[diagonal_ends(frames.corners)]
+    ends -= ends.mean(axis=(1, 2), keepdims=True)
+    ends /= np.sqrt(_rowdot(ends, ends).max(axis=(1, 2)))[:, None, None, None]
+    j1, j2 = np.moveaxis(_minors(hom(ends[:, :, 0]), hom(ends[:, :, 1])), 1, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q1 = canonical(g1 + lam[:, None] * g2)
-        den = plucker_product(q1, g2)
-        q2 = canonical(g1 - (plucker_product(q1, g1) / den)[:, None] * g2)
-        s1, s2 = plucker_product(q1, q1), plucker_product(q2, q2)
-        # the diagonal joins in face-local units: origin at the centroid
-        # of the corners, unit their largest distance from it
-        ends = np.asarray(positions, dtype=float)[diagonal_ends(frames.corners)]
-        ends -= ends.mean(axis=(1, 2), keepdims=True)
-        ends /= np.sqrt(_rowdot(ends, ends).max(axis=(1, 2)))[:, None, None, None]
-        j1, j2 = np.moveaxis(_minors(hom(ends[:, :, 0]), hom(ends[:, :, 1])), 1, 0)
-        step = (lam / _scales(positions, frames))[:, None] * j2
-        local = np.stack([j1 + step, j1 - step], axis=1)
-        units = plucker_product(local, local) / _rowdot(local, local)
-        partner = np.abs(den) >= 1e-12 * np.abs(plucker_product(g1, g2))
-        split = s1 * s2 < 0.0
-        flat = ~(np.abs(units).min(axis=1) >= frames.sig_eps)
+        # |g1 + lam g2|^2 of the unit diagonals against (1e12)^2
+        partner = 1.0 + lam * (2.0 * _rowdot(g1, g2) + lam) <= 1e24
+        mu = lam / scales
+        twice = 2.0 * mu * plucker_product(j1, j2)
+        square = _rowdot(j1, j1) + mu * mu * _rowdot(j2, j2)
+        cross = 2.0 * mu * _rowdot(j1, j2)
+        units = np.stack([twice / (square + cross), -twice / (square - cross)], axis=1)
+    split = units[:, 0] * units[:, 1] < 0.0
+    flat = ~(np.abs(units).min(axis=1) >= frames.sig_eps)
     failing = (lam == 0.0) | ~np.isfinite(lam) | ~partner | ~split | flat
     if failing.any():
         n = int(np.argmax(failing))
@@ -202,15 +191,15 @@ def _pairs(positions, frames: FrameStack, lams) -> HyperboloidStack:
                 face=face,
                 lam=value,
             )
+        first, second = units[n].tolist()
         if not split[n]:
             raise DegenerateParameter(
                 "labeled pair fails to split into points of opposite sign "
-                f"({s1[n]:.3e}, {s2[n]:.3e}); the quadric degenerates to two "
+                f"({first:.3e}, {second:.3e}); the quadric degenerates to two "
                 "planes",
                 face=face,
-                products=(float(s1[n]), float(s2[n])),
+                products=(first, second),
             )
-        first, second = units[n].tolist()
         raise DegenerateParameter(
             f"ruling planes are degenerate: the labeled pair's face-local "
             f"self-products ({first:.3e}, {second:.3e}) fall below the "
@@ -218,11 +207,9 @@ def _pairs(positions, frames: FrameStack, lams) -> HyperboloidStack:
             face=face,
             products=(first, second),
         )
-    signatures = np.where((s1 > 0.0)[:, None, None], _RULING_PLANES, _RULING_PLANES[::-1])
+    signatures = _RULING_PLANES[np.where(units[:, :1] > 0.0, [0, 1], [1, 0])]
     order = np.argsort(frames.faces, kind="stable")
-    return HyperboloidStack(
-        frames.take(order), lam[order], q1[order], q2[order], signatures[order]
-    )
+    return HyperboloidStack(frames.take(order), lam[order], scales[order]), signatures[order]
 
 
 def project_tau(q, center, target_polar) -> np.ndarray:
@@ -496,7 +483,7 @@ def propagate_all(a: ANet, seed_face: int, t):
     mu = np.array(mu)
     lams = mu * scale
     lams[0] = lam
-    members = _pairs(a.positions, frames, lams)
+    members, signatures = _members(a.positions, frames, lams, scale)
     _check_transports(edges, measure, steps, len(edges))
 
     residuals = _closure_residuals(
@@ -514,9 +501,7 @@ def propagate_all(a: ANet, seed_face: int, t):
         "closure_residuals": dict(zip(closing.tolist(), residuals.tolist())),
         "worst_closure_residual": worst,
         "worst_closure_edge": worst_edge,
-        "face_signatures": dict(
-            zip(members.frames.faces.tolist(), members.signatures.tolist())
-        ),
+        "face_signatures": dict(zip(members.frames.faces.tolist(), signatures.tolist())),
     }
     if worst > a.tol.closure:
         raise ClosureViolation(

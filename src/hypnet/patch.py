@@ -56,7 +56,7 @@ import numpy as np
 from .errors import NoAdaptedPatch, NumericallyInfinitePoint, PatchError
 from .anet import FrameStack
 from .plucker import W_TOL, hom, line_from_points
-from .hyperboloid import FaceHyperboloid, HyperboloidStack, _pairs, _scales
+from .hyperboloid import FaceHyperboloid, HyperboloidStack, _members, _scales
 from .quadgraph import CHUNK
 
 #: Largest normalized Pluecker product for which two rulings of a patch
@@ -209,19 +209,21 @@ def restrict_all(members: HyperboloidStack, positions) -> PatchStack:
 
     Each face's weights are ``(1, s, s, 1)`` with ``s = sqrt(lam /
     lam_bil)``, where ``lam_bil`` is the face's bilinear coordinate
-    (:func:`bilinear_parameter`): the patch of cross-ratio ``lam_bil /
-    lam`` (the module docstring).  Raises :class:`NoAdaptedPatch` for the
-    first face whose ratio ``lam / lam_bil`` is not positive, where no
-    bounded patch exists.  Faces are carved :data:`CHUNK` at a time, in
-    order; every step is elementwise per face, so a slice's rows equal
-    the whole stack's.
+    (:func:`bilinear_parameter`), read from the stack's ``scales``: the
+    patch of cross-ratio ``lam_bil / lam`` (the module docstring).
+    Raises :class:`NoAdaptedPatch` for the first face whose ratio ``lam /
+    lam_bil`` is not positive, where no bounded patch exists.  Faces are
+    carved :data:`CHUNK` at a time, in order; every step is elementwise
+    per face, so a slice's rows equal the whole stack's.
     """
     frames = members.frames
     points = np.asarray(positions, dtype=float)[frames.corners]
     weights = np.ones((len(points), 4))
     for lo in range(0, len(points), CHUNK):
         rows = slice(lo, lo + CHUNK)
-        ratio = members.lams[rows] / _bilinear_parameters(frames.take(rows), positions)
+        ratio = members.lams[rows] / _bilinear_parameters(
+            frames.corners[rows], members.scales[rows]
+        )
         failing = np.flatnonzero(~(ratio > 0.0))
         if failing.size:
             face = int(frames.faces[lo + int(failing[0])])
@@ -241,7 +243,7 @@ def restrict_to_patch(hb: FaceHyperboloid, frame, positions) -> HyperboloidPatch
         frame.h_lines, hb.frame.h_lines
     ):
         raise ValueError("frame does not match the hyperboloid's role frame")
-    return restrict_all(HyperboloidStack.of([hb]), positions)[0]
+    return restrict_all(HyperboloidStack.of([hb], positions), positions)[0]
 
 
 # --- sampling ------------------------------------------------------------------------
@@ -284,14 +286,13 @@ def sample(p: HyperboloidPatch, n: int, m: int) -> np.ndarray:
 # --- independent per-face interpolants ---------------------------------------------
 
 
-def _bilinear_parameters(frames: FrameStack, positions) -> np.ndarray:
-    """Family coordinates ``(F,)`` of the bilinear interpolants of the
-    faces of ``frames``, each equal bit for bit to its own call."""
-    corners = frames.corners
+def _bilinear_parameters(corners, scales) -> np.ndarray:
+    """Family coordinates ``(F,)`` of the bilinear interpolants of faces
+    with role corners ``corners`` and factors ``scales`` of
+    ``hyperboloid._scales``, each equal bit for bit to its own call."""
     # sigma1 * sigma2 = +1 when both diagonals run alike from their lower ids
     alike = (corners[:, 0] < corners[:, 3]) == (corners[:, 1] < corners[:, 2])
-    k = _scales(positions, frames)
-    return np.where(alike, -k, k)
+    return np.where(alike, -scales, scales)
 
 
 def bilinear_parameter(frame, positions) -> float:
@@ -304,7 +305,8 @@ def bilinear_parameter(frame, positions) -> float:
     ``i`` already runs from its lower id in the role order (x to x12,
     x1 to x2).
     """
-    return float(_bilinear_parameters(FrameStack.of([frame]), positions)[0])
+    frames = FrameStack.of([frame])
+    return float(_bilinear_parameters(frames.corners, _scales(positions, frames))[0])
 
 
 def bilinear_patches(a) -> dict:
@@ -322,7 +324,9 @@ def bilinear_patches(a) -> dict:
     if not faces.size:
         return {}
     frames = a.frames(faces, 4 * faces)
-    members = _pairs(a.positions, frames, _bilinear_parameters(frames, a.positions))
+    scales = _scales(a.positions, frames)
+    lams = _bilinear_parameters(frames.corners, scales)
+    members, _ = _members(a.positions, frames, lams, scales)
     stack = restrict_all(members, a.positions)
     return {f: stack[f] for f in faces.tolist()}
 

@@ -1043,14 +1043,135 @@ def reference_member(frame, lam, positions):
     return reference_pair(frame, q1, g1 - (_pairing(q1, g1) / den) * g2, positions)
 
 
+@dataclass(frozen=True, eq=False)
+class MemberPair:
+    """One face's row of a :class:`PairStack`: the member ``lam`` as its
+    labeled pair ``(q1, q2)`` and the signatures of its ruling planes."""
+
+    face: int
+    frame: object
+    lam: float
+    q1: np.ndarray
+    q2: np.ndarray
+    signatures: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class PairStack:
+    """The pairs :func:`_pairs` forms, one row per face in ascending face
+    order: ``frames``, ``lams`` ``(F,)``, ``q1`` and ``q2`` ``(F, 6)`` and
+    ``signatures`` ``(F, 2, 3)``; ``stack[face]`` is that face's
+    :class:`MemberPair`."""
+
+    frames: object
+    lams: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    signatures: np.ndarray
+
+    def __getitem__(self, face) -> MemberPair:
+        k = int(np.searchsorted(self.frames.faces, face))
+        if k == len(self.lams) or self.frames.faces[k] != face:
+            raise KeyError(face)
+        first, second = self.signatures[k].tolist()
+        return MemberPair(int(face), self.frames[k], float(self.lams[k]), self.q1[k],
+                          self.q2[k], (tuple(first), tuple(second)))
+
+
+def _pairs(positions, frames, lams) -> PairStack:
+    """The members ``lams`` of the faces of ``frames``, on a net at
+    ``positions``, formed as 6-vector pairs and checked in stacked
+    passes, as a stack in ascending face order: the package's former
+    formation, kept as the reference for its closed forms.
+
+    Raises :class:`DegenerateParameter` for the first face in the order
+    of ``frames`` whose coordinate is 0 or not finite, whose polar
+    partner is indeterminate (``|<q1, g2>|`` below ``1e-12 |<g1, g2>|``,
+    that is ``|g1 + lam g2|`` above 1e12), whose pair fails to split
+    into self-products of opposite sign, or whose ruling planes are
+    degenerate: the unit self-product of ``J1 +- mu J2`` in face-local
+    units (``mu = lam /`` ``_scales``) below the frames' ``sig_eps``.
+    Each plane's signature is the sign of its point's self-product, so a
+    split pair has a (2,1,0)/(1,2,0) pair.
+    """
+    from hypnet.anet import diagonal_ends
+    from hypnet.errors import DegenerateParameter
+    from hypnet.hyperboloid import _RULING_PLANES, _scales
+    from hypnet.plucker import _minors, _rowdot, canonical, hom, plucker_product
+
+    lam = np.asarray(lams, dtype=float)
+    diagonals = canonical(frames.diagonals)
+    g1, g2 = diagonals[:, 0], diagonals[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q1 = canonical(g1 + lam[:, None] * g2)
+        den = plucker_product(q1, g2)
+        q2 = canonical(g1 - (plucker_product(q1, g1) / den)[:, None] * g2)
+        s1, s2 = plucker_product(q1, q1), plucker_product(q2, q2)
+        # the diagonal joins in face-local units: origin at the centroid
+        # of the corners, unit their largest distance from it
+        ends = np.asarray(positions, dtype=float)[diagonal_ends(frames.corners)]
+        ends -= ends.mean(axis=(1, 2), keepdims=True)
+        ends /= np.sqrt(_rowdot(ends, ends).max(axis=(1, 2)))[:, None, None, None]
+        j1, j2 = np.moveaxis(_minors(hom(ends[:, :, 0]), hom(ends[:, :, 1])), 1, 0)
+        step = (lam / _scales(positions, frames))[:, None] * j2
+        local = np.stack([j1 + step, j1 - step], axis=1)
+        units = plucker_product(local, local) / _rowdot(local, local)
+        partner = np.abs(den) >= 1e-12 * np.abs(plucker_product(g1, g2))
+        split = s1 * s2 < 0.0
+        flat = ~(np.abs(units).min(axis=1) >= frames.sig_eps)
+    failing = (lam == 0.0) | ~np.isfinite(lam) | ~partner | ~split | flat
+    if failing.any():
+        n = int(np.argmax(failing))
+        face, value = int(frames.faces[n]), float(lam[n])
+        if value == 0.0 or math.isinf(value) or math.isnan(value):
+            raise DegenerateParameter(
+                f"family parameter {value!r} selects an isotropic diagonal, "
+                "where the quadric degenerates to two planes",
+                face=face,
+                lam=value,
+            )
+        if not partner[n]:
+            raise DegenerateParameter(
+                "polar partner is indeterminate: the parameter is numerically "
+                "at the second isotropic diagonal",
+                face=face,
+                lam=value,
+            )
+        if not split[n]:
+            raise DegenerateParameter(
+                "labeled pair fails to split into points of opposite sign "
+                f"({s1[n]:.3e}, {s2[n]:.3e}); the quadric degenerates to two "
+                "planes",
+                face=face,
+                products=(float(s1[n]), float(s2[n])),
+            )
+        first, second = units[n].tolist()
+        raise DegenerateParameter(
+            f"ruling planes are degenerate: the labeled pair's face-local "
+            f"self-products ({first:.3e}, {second:.3e}) fall below the "
+            f"signature cutoff {frames.sig_eps:.1e}",
+            face=face,
+            products=(first, second),
+        )
+    signatures = np.where((s1 > 0.0)[:, None, None], _RULING_PLANES, _RULING_PLANES[::-1])
+    order = np.argsort(frames.faces, kind="stable")
+    return PairStack(
+        frames.take(order), lam[order], q1[order], q2[order], signatures[order]
+    )
+
+
 def member(frame, lam, positions):
     """The member ``lam`` of the face family of ``frame``, on a net at
-    ``positions``, as the package's stacked formation reads it for one
-    face."""
+    ``positions``, as :func:`_pairs` forms it for one face."""
     from hypnet.anet import FrameStack
-    from hypnet.hyperboloid import _pairs
 
     return _pairs(positions, FrameStack.of([frame]), [float(lam)])[frame.face]
+
+
+def member_pairs(members, positions) -> PairStack:
+    """The pairs of the rows of a ``HyperboloidStack`` on a net at
+    ``positions``, formed by :func:`_pairs`."""
+    return _pairs(positions, members.frames, members.lams)
 
 
 def propagate_face(hb, across, neighbor_frame, positions):

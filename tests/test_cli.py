@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import hypnet
 import hypnet.anet
 import hypnet.hyperboloid
+import hypnet.patch
 import hypnet.plucker
 from hypnet.anet import diagnose_anet, validate_anet
 from hypnet.cli import RunConfig, _boundary_residuals, _table, main, render_report, run
@@ -28,7 +29,7 @@ from hypnet.hyperboloid import CLOSURE_EPS, propagate_all
 from hypnet.meshio import read_mesh, write_positions_mesh
 from hypnet.patch import bilinear_parameter
 from hypnet.plucker import Tolerances
-from hypnet.quadgraph import build
+from hypnet.quadgraph import CHUNK, build
 from hypnet.synthetic import (
     moebius_quads,
     quadric_grid,
@@ -228,6 +229,18 @@ def test_the_report_may_go_to_a_pipe(tmp_path, capsys):
     reader.join(timeout=60)
     assert code == 0
     assert received == [capsys.readouterr().out]
+
+
+def test_the_report_may_go_to_a_device(tmp_path):
+    # a character device says it can seek, but cannot be truncated
+    env = dict(os.environ, PYTHONPATH=str(Path(hypnet.__file__).parents[1]))
+    path = saddle_mesh(tmp_path)
+    argv = [sys.executable, "-m", "hypnet.cli", "check", path]
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(argv + ["--report", os.devnull], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == plain.stdout
 
 
 def test_check_reports_the_faces_of_a_net_whose_star_sums_overflow(tmp_path, capsys):
@@ -773,6 +786,29 @@ def test_extend_is_byte_deterministic(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (out.read_bytes(), report_path.read_bytes()) == first
+
+
+def test_extend_forms_the_scales_of_its_members_once(tmp_path, capsys, monkeypatch):
+    # propagation forms every face's factor k once; carving reads it from
+    # the members in each of its slices of CHUNK faces
+    count, quads, positions = quadric_grid(40, 40, spacing=0.05, origin=(-1.0, -1.0))
+    assert len(quads) > CHUNK
+    path = write_net(tmp_path / "net.obj", count, quads, positions)
+    lam = bilinear_parameter(validate_anet(build(count, quads), positions).face_frame(0), positions)
+    calls = []
+    scales = hypnet.hyperboloid._scales
+
+    def counted(positions, frames):
+        calls.append(len(frames))
+        return scales(positions, frames)
+
+    for module in (hypnet.hyperboloid, hypnet.patch):
+        monkeypatch.setattr(module, "_scales", counted)
+    argv = ["extend", path, "-o", str(tmp_path / "out.obj"), "--lambda", repr(lam),
+            "--samples", "3", "3"]
+    code, _ = run_main(capsys, argv)
+    assert code == 0
+    assert calls == [len(quads)]
 
 
 @pytest.mark.parametrize("command", ["check", "extend", "fit"])

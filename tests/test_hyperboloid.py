@@ -1,6 +1,7 @@
 """Tests for adapted quadrics per face and their propagation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypnet.errors import (
 )
 from hypnet.hyperboloid import (
     CLOSURE_EPS,
+    _members,
+    _scales,
     project_tau,
     propagate_all,
     transport_parameter,
@@ -40,11 +43,13 @@ from hypnet.synthetic import (
     random_umbrella_net,
 )
 
+import oracles
 from oracles import (
     family_of_edge,
     family_parameter_of,
     in_span,
     member,
+    member_pairs,
     proj_distance,
     propagate_face,
     random_projection_setup,
@@ -371,16 +376,17 @@ def test_propagate_all_closes_on_an_exact_net():
     for f, hb in hbs.items():
         frame = hb.frame
         assert in_span(reference_axis(frame)[0], hb.q1, tol=1e-8)
-        assert set(hb.signatures) == {(2, 1, 0), (1, 2, 0)}
+        assert sorted(report["face_signatures"][f]) == [[1, 2, 0], [2, 1, 0]]
 
 
 def test_propagate_all_is_deterministic():
     a = quadric_net(3)
     hbs1, report1 = propagate_all(a, 2, -0.6)
     hbs2, report2 = propagate_all(a, 2, -0.6)
+    pairs1, pairs2 = member_pairs(hbs1, a.positions), member_pairs(hbs2, a.positions)
     for f in hbs1:
-        assert np.array_equal(hbs1[f].q1, hbs2[f].q1)
-        assert np.array_equal(hbs1[f].q2, hbs2[f].q2)
+        assert np.array_equal(pairs1[f].q1, pairs2[f].q1)
+        assert np.array_equal(pairs1[f].q2, pairs2[f].q2)
     assert report1["closure_residuals"] == report2["closure_residuals"]
 
 
@@ -425,8 +431,9 @@ def test_propagate_all_recovers_the_global_quadric():
         s = np.linalg.svd(stacked, compute_uv=False)
         return s[3] / s[0] < 1e-8
 
-    for f, hb in hbs.items():
-        planes = [basis for basis, _ in ruling_planes(hb)]
+    pairs = member_pairs(hbs, a.positions)
+    for f in hbs:
+        planes = [basis for basis, _ in ruling_planes(pairs[f])]
         hit_x = [matches(p, rulings_x) for p in planes]
         hit_y = [matches(p, rulings_y) for p in planes]
         assert sorted(hit_x) == [False, True]
@@ -640,6 +647,53 @@ def test_propagate_all_fails_at_the_oracles_first_offender(case):
     data = getattr(err.value, "data", {})
     for key in ("vertices", "face", "edge"):
         assert data.get(key) == getattr(expected.value, "data", {}).get(key)
+
+
+def _gate_cases():
+    """``(net, lam)`` where the member ``lam`` of every face fails a gate:
+    the parameter, the partner, the split or the ruling planes."""
+    count, quads, positions = quadric_grid(3, 3)
+    exact = validate_anet(build(count, quads), positions)
+    for lam in (0.0, math.nan, math.inf, 1e13, -3e12, 1e11):
+        yield f"parameter {lam}", exact, lam
+    for sig in (1e-2, 3e-2):
+        yield f"ruling planes {sig}", _read_at_sig(exact.graph, positions, sig), 0.3
+    count, quads, generic = random_grid3x3_net(np.random.default_rng(81))
+    yield "ruling planes, generic", _read_at_sig(build(count, quads), generic, 0.075), 3.0
+    # a flat net at a zero signature cutoff: the face-local products
+    # vanish, which only the split gate sees
+    count, quads, positions = quadric_grid(2, 2)
+    flat = _forced_anet(count, quads, positions * [1.0, 1.0, 0.0])
+    flat.tol = Tolerances(sig=0.0)
+    yield "split", flat, 1.0
+
+
+def _gate_text(err):
+    return re.sub(r"-?\d\.\d{3}e[+-]\d\d|nan", "#", str(err))
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _gate_cases()])
+def test_member_gates_fail_like_the_pair_oracle(case):
+    # each closed-form gate fails the face the 6-vector pairs fail, with
+    # the same text and data up to the rounding of the products
+    a, lam = next((a, lam) for name, a, lam in _gate_cases() if name == case)
+    frames, _ = a.frames_from(0)
+    lams = np.full(len(frames), lam)
+    with pytest.raises(DegenerateParameter) as expected:
+        oracles._pairs(a.positions, frames, lams)
+    with pytest.raises(DegenerateParameter) as err:
+        _members(a.positions, frames, lams, _scales(a.positions, frames))
+    assert _gate_text(err.value) == _gate_text(expected.value)
+    data, reference = err.value.data, expected.value.data
+    assert data.keys() == reference.keys()
+    assert data["face"] == reference["face"]
+    if "lam" in data:
+        assert data["lam"] == reference["lam"] or math.isnan(lam)
+    if case == "split":
+        # the pairs' partner is 0 / 0 there; the closed form reads both zero
+        assert data["products"] == (0.0, -0.0) and math.isnan(reference["products"][1])
+    elif "products" in data:
+        assert data["products"] == pytest.approx(reference["products"], rel=1e-5)
 
 
 def test_propagate_all_reads_spans_in_stacked_calls(monkeypatch):

@@ -46,6 +46,7 @@ from oracles import (
     conic_arc,
     edge_id,
     member,
+    member_pairs,
     proj_distance,
     regulus_orientation,
 )
@@ -93,11 +94,12 @@ def propagated_patches(a, seed, magnitude=0.8):
     return {f: restrict_to_patch(hb, hb.frame, a.positions) for f, hb in hbs.items()}
 
 
-def as_stack(hbs):
-    """A mapping from face id to member as one :class:`HyperboloidStack`."""
+def as_stack(hbs, positions):
+    """A mapping from face id to member of a net at ``positions`` as one
+    :class:`HyperboloidStack`."""
     if isinstance(hbs, HyperboloidStack):
         return hbs
-    return HyperboloidStack.of(hbs.values())
+    return HyperboloidStack.of(hbs.values(), positions)
 
 
 def bilinear_hyperboloids(a):
@@ -250,7 +252,8 @@ def test_swapped_family_labels_admit_no_patch():
 
 
 def test_restriction_fails_closed_on_a_coordinate_that_is_not_a_number():
-    members = dataclasses.replace(HyperboloidStack.of([SADDLE_HB]), lams=np.array([np.nan]))
+    members = HyperboloidStack.of([SADDLE_HB], SADDLE.positions)
+    members = dataclasses.replace(members, lams=np.array([np.nan]))
     with pytest.raises(NoAdaptedPatch) as err:
         restrict_all(members, SADDLE.positions)
     assert err.value.data == {"face": 0, "family": 1}
@@ -267,7 +270,7 @@ def test_carved_weights_carry_one_weight_per_diagonal():
     a = random_net(np.random.default_rng(3))
     hbs = {f: member(hb.frame, 2.5 * hb.lam, a.positions)
            for f, hb in bilinear_hyperboloids(a).items()}
-    weights = restrict_all(as_stack(hbs), a.positions).weights
+    weights = restrict_all(as_stack(hbs, a.positions), a.positions).weights
     assert np.array_equal(weights[:, [0, 3]], np.ones((len(weights), 2)))
     assert np.array_equal(weights[:, 1], weights[:, 2])
     assert np.allclose(weights[:, 1] ** 2, 2.5, rtol=1e-15)
@@ -494,9 +497,11 @@ def test_smooth_continuation_is_not_flagged():
 def differential_cases():
     """(net, hyperboloids) pairs: a propagated family on an exact quadric
     net and independent bilinear members on it and on generic random
-    nets."""
+    nets, each member as its pair."""
     a = quadric_net(3)
-    yield a, propagated_hyperboloids(a, 0, 0.37)
+    members = propagated_hyperboloids(a, 0, 0.37)
+    pairs = member_pairs(members, a.positions)
+    yield a, {f: pairs[f] for f in members}
     yield a, bilinear_hyperboloids(a)
     for seed in (3, 7, 11, 19):
         b = random_net(np.random.default_rng(seed))
@@ -511,7 +516,7 @@ def test_batched_sampling_matches_the_reference_meets():
     # the samples lie on the oracle's rulings, met at the arc parameters
     # that carry its rulings onto the carved weights
     for a, hbs in differential_cases():
-        stack = restrict_all(as_stack(hbs), a.positions)
+        stack = restrict_all(as_stack(hbs, a.positions), a.positions)
         points = sample_all(stack, 6, 5)
         for k, ref_patch in enumerate(reference_patches(a, hbs).values()):
             ref = oracles.reference_weighted_sample(
@@ -566,7 +571,7 @@ def test_batched_c1_report_matches_the_reference_walk():
     ]
     poles = compared = 0
     for a, hbs in cases:
-        stack = restrict_all(as_stack(hbs), a.positions)
+        stack = restrict_all(as_stack(hbs, a.positions), a.positions)
         report = check_c1(stack, a, samples_per_edge=7)
         patches = reference_patches(a, hbs)
         ref = oracles.reference_c1_edges(
@@ -672,7 +677,7 @@ def bit_for_bit_cases():
 @pytest.mark.parametrize("case", [0, 1])
 def test_stacked_calls_equal_one_face_calls_bit_for_bit(case):
     a, hbs = list(bit_for_bit_cases())[case]
-    stack = restrict_all(as_stack(hbs), a.positions)
+    stack = restrict_all(as_stack(hbs, a.positions), a.positions)
     singles = {f: restrict_to_patch(hb, hb.frame, a.positions) for f, hb in hbs.items()}
     points = sample_all(stack, 9, 7)
     for k, (f, patch) in enumerate(singles.items()):

@@ -8,12 +8,19 @@ import hypnet.anet
 import hypnet.hyperboloid
 import hypnet.patch
 from hypnet.anet import validate_anet
-from hypnet.hyperboloid import HyperboloidStack, propagate_all
-from hypnet.patch import bilinear_parameter, check_c1, restrict_all, restrict_to_patch
+from hypnet.errors import NoAdaptedPatch
+from hypnet.hyperboloid import HyperboloidStack, _scales, propagate_all
+from hypnet.patch import (
+    _bilinear_parameters,
+    bilinear_parameter,
+    check_c1,
+    restrict_all,
+    restrict_to_patch,
+)
 from hypnet.quadgraph import build
-from hypnet.synthetic import quadric_grid
+from hypnet.synthetic import quadric_grid, random_grid3x3_net, random_umbrella_net
 
-from oracles import member
+from oracles import member, member_pairs
 
 SEED = 3
 
@@ -56,18 +63,58 @@ def test_frame_rows_equal_the_one_face_calls_bit_for_bit():
 
 def test_member_and_patch_rows_equal_the_one_face_calls_bit_for_bit():
     a = scrambled_net()
-    members = propagated(a)
+    lam = bilinear_parameter(a.face_frame(SEED), a.positions)
+    members, report = propagate_all(a, SEED, lam)
     patches = restrict_all(members, a.positions)
     assert patches.faces.tolist() == list(members)
     for k, (f, hb) in enumerate(members.items()):
         alone = member(hb.frame, hb.lam, a.positions)
         assert alone.lam == hb.lam == members.lams[k]
-        assert np.array_equal(alone.q1, hb.q1) and np.array_equal(alone.q2, hb.q2)
-        assert alone.signatures == hb.signatures
+        assert np.array_equal(alone.q1, hb.q1)
+        assert [list(sig) for sig in alone.signatures] == report["face_signatures"][f]
         patch = restrict_to_patch(hb, hb.frame, a.positions)
         assert patch.face == patches[k].face == f
         assert np.array_equal(patch.points, patches.points[k])
         assert np.array_equal(patch.weights, patches.weights[k])
+
+
+def closed_form_nets(kind):
+    """The nets of one kind on which the scalar members meet the pairs."""
+    if kind == "z = xy":
+        count, quads, positions = quadric_grid(20, 20)
+        return [validate_anet(build(count, quads), positions)]
+    rng = np.random.default_rng(1)
+    if kind == "grid3x3":
+        nets = [random_grid3x3_net(rng) for _ in range(5)]
+    else:
+        nets = [random_umbrella_net(int(kind[-1]), rng) for _ in range(3)]
+    return [validate_anet(build(count, quads), positions) for count, quads, positions in nets]
+
+
+@pytest.mark.parametrize("kind", ["z = xy", "grid3x3", "umbrella 4", "umbrella 6"])
+def test_scalar_members_match_the_pair_oracle(kind):
+    # the report's closed-form signatures are those of the 6-vector pairs,
+    # and the carving ratio read from the stack's scales is the ratio to
+    # a fresh bilinear coordinate, bit for bit
+    for a in closed_form_nets(kind):
+        lam_bil = bilinear_parameter(a.face_frame(0), a.positions)
+        for factor in (1.0, 2.5, -1.0, 0.3):
+            members, report = propagate_all(a, 0, factor * lam_bil)
+            pairs = member_pairs(members, a.positions)
+            frames = members.frames
+            signatures = dict(zip(frames.faces.tolist(), pairs.signatures.tolist()))
+            assert report["face_signatures"] == signatures
+            ratio = members.lams / _bilinear_parameters(
+                frames.corners, _scales(a.positions, frames)
+            )
+            failing = np.flatnonzero(~(ratio > 0.0))
+            if failing.size:
+                with pytest.raises(NoAdaptedPatch) as err:
+                    restrict_all(members, a.positions)
+                assert err.value.data["face"] == frames.faces[failing[0]]
+                continue
+            weights = restrict_all(members, a.positions).weights
+            assert np.array_equal(weights[:, 1], np.sqrt(ratio))
 
 
 def test_members_read_as_a_mapping_from_ascending_face_ids():
